@@ -178,8 +178,11 @@ def _cmd_verify(params: ModelParams, args: argparse.Namespace) -> int:
     print("breaches:")
     for line in report.failures:
         print(f"  {line}")
-    print(f"FAIL: {sum(1 for c in report.checks if not c.ok)} "
-          f"check(s) outside tolerance")
+    summary = (f"FAIL: {sum(1 for c in report.checks if not c.ok)} "
+               f"check(s) outside tolerance")
+    if report.oracle_unconverged:
+        summary += f", {report.oracle_unconverged} oracle game(s) not converged"
+    print(summary)
     return EXIT_VERIFY
 
 

@@ -11,6 +11,7 @@ and a stand-alone value k each period.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Union
@@ -84,7 +85,13 @@ class ModelParams:
             value = data[name]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"config key {name!r} must be a number, got {value!r}")
-            values[name] = float(value)
+            try:
+                number = float(value)
+            except OverflowError:  # an integer beyond the float range
+                number = math.inf if value > 0 else -math.inf
+            if not math.isfinite(number):
+                raise ValueError(f"{name} must be finite: {name}={number!r}")
+            values[name] = number
         return cls(**values)
 
     @classmethod
@@ -144,11 +151,15 @@ def validate_params(p: ModelParams) -> ValidationReport:
     violations = []
 
     def strict_positive(name: str, value: float) -> None:
-        if not value > 0.0:
+        if not math.isfinite(value):
+            violations.append(f"{name} must be finite: {name}={value!r}")
+        elif not value > 0.0:
             violations.append(f"{name} must be positive: {name}={value!r}")
 
     def nonnegative(name: str, value: float) -> None:
-        if not value >= 0.0:
+        if not math.isfinite(value):
+            violations.append(f"{name} must be finite: {name}={value!r}")
+        elif not value >= 0.0:
             violations.append(f"{name} must be nonnegative: {name}={value!r}")
 
     strict_positive("alpha", p.alpha)

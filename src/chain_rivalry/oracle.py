@@ -2,10 +2,12 @@
 
 Nothing here reuses the closed-form answers: demand comes from the user
 utility comparisons, best responses from grid argmax over candidate prices,
-and the two-period lock-in game from backward induction. Stage profit is
-piecewise quadratic in a firm's own price, so a three-point parabola fit
-through the best grid point is exact on the local piece and polishes the
-grid solution to near machine precision.
+and the two-period lock-in game from backward induction. Each firm's
+objective is piecewise quadratic in both prices jointly, so a small stencil
+around the grid solution gives exact own and cross second differences on
+the local piece; one Newton step on both first-order conditions then lands
+on that piece's equilibrium, and a round or two more confirm that the step
+has shrunk to roundoff.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .model import ModelParams, Scenario
 
 MAX_SWEEPS = 500
-POLISH_ROUNDS = 80
+POLISH_ROUNDS = 12
 SAME_CHAIN_FP_TOL = 1e-14
 SAME_CHAIN_FP_MAX_ITER = 400
 
@@ -185,15 +187,59 @@ def period2_monopoly_price(p: ModelParams, firm: str, n_first: float,
     return best, retained_at_best
 
 
+def _polish_step(prices: np.ndarray, obj_a: Callable, obj_b: Callable,
+                 pA: float, pB: float, step: float) -> tuple[float, float]:
+    """One joint Newton step on both firms' first-order conditions.
+
+    Each firm's objective is sampled on a 5-point stencil: own price -h, 0,
+    +h at the rival's price and own -h, +h at rival + h, with h the grid
+    step. Central differences give the own gradient and curvature, and the
+    forward column gives the cross term; all three are exact on a piece
+    where profit is quadratic in both prices. Solving the 2x2 linear system
+    of both first-order conditions then lands on that piece's equilibrium.
+    Where that system does not describe a joint maximum (a firm's own
+    curvature is not negative, or the cross terms outweigh the own ones so
+    the determinant is not positive), each firm takes its own parabola
+    vertex instead, and a firm without negative curvature stays put. The
+    result is clamped to the grid.
+    """
+    own_offsets = np.array([-step, 0.0, step, -step, step])
+    rival_offsets = np.array([0.0, 0.0, 0.0, step, step])
+
+    def fit(obj: Callable, own: float, rival: float) -> tuple[float, float, float]:
+        f = obj(own + own_offsets, rival + rival_offsets)
+        grad = 0.5 * (f[2] - f[0])
+        curv = f[0] - 2.0 * f[1] + f[2]
+        cross = 0.5 * ((f[4] - f[3]) - (f[2] - f[0]))
+        return float(grad), float(curv), float(cross)
+
+    g_a, c_aa, c_ab = fit(obj_a, pA, pB)
+    g_b, c_bb, c_ba = fit(obj_b, pB, pA)
+    det = c_aa * c_bb - c_ab * c_ba
+    if c_aa < 0.0 and c_bb < 0.0 and det > 0.0:
+        # Offsets in units of h solve [c_aa c_ab; c_ba c_bb] x = -g.
+        x_a = (c_ab * g_b - c_bb * g_a) / det
+        x_b = (c_ba * g_a - c_aa * g_b) / det
+    else:
+        x_a = -g_a / c_aa if c_aa < 0.0 else 0.0
+        x_b = -g_b / c_bb if c_bb < 0.0 else 0.0
+    lo, hi = float(prices[0]), float(prices[-1])
+    return (min(max(pA + step * x_a, lo), hi),
+            min(max(pB + step * x_b, lo), hi))
+
+
 def _solve_game(prices: np.ndarray,
                 obj_a: Callable, obj_b: Callable,
                 start: tuple[float, float],
                 trace: list | None) -> tuple[float, float, int, float, bool]:
-    """Alternating grid best response, then exact local-quadratic polish.
+    """Alternating grid best response, then a joint Newton polish.
 
     obj_a(own, rival) / obj_b(own, rival) evaluate a firm's full objective at
-    candidate own prices (vectorized). Returns (pA, pB, sweeps, residual,
-    converged); residual is the last polish sweep's max price move.
+    candidate own and rival prices (vectorized, broadcast together). The
+    polish repeats _polish_step until its largest price move is at most
+    1e-13, or is at roundoff level (at most 1e-9) and no longer shrinks
+    tenfold, or POLISH_ROUNDS run out. Returns (pA, pB, sweeps, residual,
+    converged); residual is the last polish step's max price move.
     """
     step = float(prices[1] - prices[0])
     pA = float(prices[np.argmin(np.abs(prices - start[0]))])
@@ -204,17 +250,15 @@ def _solve_game(prices: np.ndarray,
     exhausted = True
     for _ in range(MAX_SWEEPS):
         sweeps += 1
-        before_a = float(obj_a(pA, pB))
         values_a = obj_a(prices, pB)
         new_pA = float(prices[int(np.argmax(values_a))])
         if trace is not None:
-            trace.append(("A", before_a, float(np.max(values_a))))
+            trace.append(("A", float(obj_a(pA, pB)), float(np.max(values_a))))
 
-        before_b = float(obj_b(pB, new_pA))
         values_b = obj_b(prices, new_pA)
         new_pB = float(prices[int(np.argmax(values_b))])
         if trace is not None:
-            trace.append(("B", before_b, float(np.max(values_b))))
+            trace.append(("B", float(obj_b(pB, new_pA)), float(np.max(values_b))))
 
         moved = new_pA != pA or new_pB != pB
         pA, pB = new_pA, new_pB
@@ -229,25 +273,12 @@ def _solve_game(prices: np.ndarray,
 
     residual = np.inf
     for _ in range(POLISH_ROUNDS):
-        delta = 0.0
-        for is_a in (True, False):
-            own = pA if is_a else pB
-            obj = obj_a if is_a else obj_b
-            rival = pB if is_a else pA
-            f0 = float(obj(own - step, rival))
-            f1 = float(obj(own, rival))
-            f2 = float(obj(own + step, rival))
-            curvature = f0 - 2.0 * f1 + f2
-            if curvature < 0.0:
-                vertex = own + 0.5 * step * (f0 - f2) / curvature
-                vertex = min(max(vertex, prices[0]), prices[-1])
-                delta = max(delta, abs(vertex - own))
-                if is_a:
-                    pA = vertex
-                else:
-                    pB = vertex
+        new_pA, new_pB = _polish_step(prices, obj_a, obj_b, pA, pB, step)
+        delta = max(abs(new_pA - pA), abs(new_pB - pB))
+        pA, pB = new_pA, new_pB
+        stalled = delta <= 1e-9 and delta > 0.1 * residual
         residual = delta
-        if delta <= 1e-13:
+        if delta <= 1e-13 or stalled:
             break
 
     converged = (not exhausted) and residual <= step

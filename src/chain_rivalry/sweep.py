@@ -37,6 +37,8 @@ class SweepSpec:
         if self.param not in SWEEPABLE:
             raise ValueError(
                 f"cannot sweep {self.param!r}; choose one of {', '.join(SWEEPABLE)}")
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+            raise ValueError(f"sweep range must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"sweep range needs lo < hi, got [{self.lo}, {self.hi}]")
         if self.steps < 2:

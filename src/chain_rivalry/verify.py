@@ -67,6 +67,7 @@ class VerificationReport:
     sim_used: bool
     checks: tuple[QuantityCheck, ...]
     failures: tuple[str, ...]
+    oracle_unconverged: int = 0
 
 
 def _params_line(p: ModelParams) -> str:
@@ -80,6 +81,7 @@ class _Accumulator:
     def __init__(self) -> None:
         self.cells: dict[tuple[str, Scenario, str], dict] = {}
         self.failures: list[str] = []
+        self.oracle_unconverged = 0
 
     def record(self, kind: str, scenario: Scenario, quantity: str,
                reference: float, checked: float, ok: bool, tol_note: str,
@@ -117,6 +119,12 @@ class _Accumulator:
 def _check_oracle(acc: _Accumulator, label: str, p: ModelParams,
                   scenario: Scenario, closed) -> None:
     found = oracle_equilibrium(p, scenario)
+    if not found.converged:
+        acc.oracle_unconverged += 1
+        acc.failures.append(
+            f"oracle {scenario.value}: best-response search did not converge "
+            f"({found.iterations} sweeps, residual {found.residual:.3e}) "
+            f"at {label}: {_params_line(p)}")
     for name in ORACLE_QUANTITIES:
         ref = float(getattr(closed, name))
         got = float(getattr(found, name))
@@ -153,7 +161,11 @@ def _check_sim(acc: _Accumulator, label: str, p: ModelParams,
 def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
                      use_oracle: bool = True, use_sim: bool = True,
                      m: int = 10000) -> VerificationReport:
-    """Check the base params plus `trials` seeded draws on every scenario."""
+    """Check the base params plus `trials` seeded draws on every scenario.
+
+    An oracle game that reports no convergence is a failure in its own
+    right, named in `failures` and counted in `oracle_unconverged`.
+    """
     require_valid(base)
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
@@ -173,7 +185,8 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
                 _check_sim(acc, label, p, scenario, closed, m)
 
     checks = acc.checks()
-    ok = all(c.ok for c in checks)
+    ok = all(c.ok for c in checks) and not acc.oracle_unconverged
     return VerificationReport(ok=ok, trials=trials, seed=seed, m=m,
                               oracle_used=use_oracle, sim_used=use_sim,
-                              checks=checks, failures=tuple(acc.failures))
+                              checks=checks, failures=tuple(acc.failures),
+                              oracle_unconverged=acc.oracle_unconverged)

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from chain_rivalry import ModelParams, cli
-from chain_rivalry import closed_form
+from chain_rivalry import closed_form, oracle
 from chain_rivalry.sweep import CSV_HEADER
 
 import dataclasses
@@ -216,6 +216,17 @@ class TestVerifyCommand:
         assert "breaches:" in out
         assert "FAIL: 1 check(s) outside tolerance" in out
 
+    def test_oracle_non_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_SWEEPS", 0)
+        cfg = write_config(tmp_path)
+        code = cli.main(["verify", "--config", cfg, "--trials", "0",
+                         "--oracle"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "best-response search did not converge" in out
+        assert out.rstrip().endswith(
+            "check(s) outside tolerance, 3 oracle game(s) not converged")
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -256,6 +267,18 @@ class TestExitCodes:
         assert "invalid parameters" in err
         assert "must exceed" in err
 
+    @pytest.mark.parametrize("field", ["k", "d"])
+    @pytest.mark.parametrize("bad,shown", [(float("inf"), "inf"),
+                                           (float("nan"), "nan")])
+    def test_non_finite_config_value(self, tmp_path, capsys, field, bad, shown):
+        cfg = write_config(tmp_path, **{field: bad})
+        code = cli.main(["equilibrium", "--config", cfg,
+                         "--scenario", "incompatible"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"{field} must be finite: {field}={shown}" in captured.err
+
     def test_corner_equilibrium(self, tmp_path, capsys):
         cfg = write_config(tmp_path, d=10.0)
         code = cli.main(["compare", "--config", cfg])
@@ -287,6 +310,17 @@ class TestExitCodes:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "lo < hi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo,hi", [("0", "inf"), ("-inf", "1"), ("nan", "1")])
+    def test_sweep_rejects_non_finite_range(self, tmp_path, capsys, lo, hi):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "x.csv"
+        code = cli.main(["sweep", "--config", cfg, "--param", "d",
+                         f"--lo={lo}", f"--hi={hi}", "--steps", "3",
+                         "--out", str(out)])
+        assert code == 1
+        assert "sweep range must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConsoleScript:

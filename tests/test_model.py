@@ -49,6 +49,23 @@ class TestModelParams:
         with pytest.raises(ValueError, match="must be a number"):
             ModelParams.from_mapping({**REFERENCE, "s": bad})
 
+    @pytest.mark.parametrize("field", ["k", "d"])
+    @pytest.mark.parametrize("bad,shown", [
+        (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"),
+        (10 ** 400, "inf"),
+    ])
+    def test_non_finite_value_rejected(self, field, bad, shown):
+        message = f"{field} must be finite: {field}={shown}"
+        with pytest.raises(ValueError, match=message):
+            ModelParams.from_mapping({**REFERENCE, field: bad})
+
+    def test_json_infinity_rejected(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({**REFERENCE, "k": float("inf")}))
+        assert "Infinity" in path.read_text()
+        with pytest.raises(ValueError, match="k must be finite: k=inf"):
+            ModelParams.from_json_file(str(path))
+
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(REFERENCE))
@@ -93,6 +110,20 @@ class TestValidateParams:
         report = validate_params(reference.with_values(**{field: value}))
         assert not report.ok
         assert any(fragment in v for v in report.violations)
+
+    @pytest.mark.parametrize("field", ["alpha", "s", "k", "n1", "n2", "n3", "d",
+                                       "subsidy_p2", "subsidy_p3"])
+    @pytest.mark.parametrize("value,shown", [
+        (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"),
+    ])
+    def test_non_finite_values_are_named(self, reference, field, value, shown):
+        report = validate_params(reference.with_values(**{field: value}))
+        assert not report.ok
+        assert f"{field} must be finite: {field}={shown}" in report.violations
+        # the sign check does not repeat the complaint
+        assert not any(v.startswith(f"{field} must be positive")
+                       or v.startswith(f"{field} must be nonnegative")
+                       for v in report.violations)
 
     def test_dispersion_bound_is_strict(self, reference):
         # s must strictly exceed alpha*(2*n1+1) = 2.1 at the reference point

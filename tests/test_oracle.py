@@ -17,7 +17,8 @@ from chain_rivalry import (
     user_utility,
 )
 from chain_rivalry import oracle
-from chain_rivalry.model import Choice
+from chain_rivalry.model import Choice, require_valid
+from chain_rivalry.verify import ORACLE_ABS_TOL, ORACLE_QUANTITIES, ORACLE_REL_TOL
 
 
 class TestPriceGrid:
@@ -272,3 +273,109 @@ class TestOracleDispatch:
                     got = getattr(found, name)
                     assert abs(ref - got) <= max(1e-4, 1e-3 * abs(ref)), \
                         f"{scenario.value} {name}: closed {ref} vs oracle {got}"
+
+
+def _off_gate_draws(seed, count):
+    """Draws the verify gate never makes: distinct rival bases n2 and n3, a
+    quality edge d in [0, half the corner bound) and nonzero subsidies, with
+    k above the participation bound for the larger rival base."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        n1 = float(rng.uniform(1.0, 50.0))
+        n2, n3 = (float(v) for v in rng.uniform(0.0, n1, size=2))
+        s = float(rng.uniform(0.5, 20.0))
+        alpha = float(rng.uniform(0.0, s / (2.0 * n1 + 1.0)))
+        if alpha == 0.0:
+            continue
+        bound = 4.0 * s + 4.0 * alpha * (1.0 + n1 + max(n2, n3))
+        k = bound * (2.0 - float(rng.uniform(0.0, 1.0)))
+        u = s - alpha
+        corner = min(3.0 * u + alpha * (n1 - n2), 2.5 * u + alpha * (n1 - n3))
+        p = ModelParams(alpha=alpha, s=s, k=k, n1=n1, n2=n2, n3=n3,
+                        d=float(rng.uniform(0.0, 0.5 * corner)),
+                        subsidy_p2=float(rng.uniform(0.01, 2.0)),
+                        subsidy_p3=float(rng.uniform(0.01, 2.0)))
+        require_valid(p)
+        draws.append(p)
+    return draws
+
+
+class TestJointPolish:
+    MAX_POLISH = 6
+
+    def _count_demand_calls(self, monkeypatch):
+        calls = [0]
+        real = oracle._demand
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_demand", counted)
+        return calls
+
+    def test_polish_stops_within_a_few_rounds(self, reference, draws25,
+                                              monkeypatch):
+        calls = self._count_demand_calls(monkeypatch)
+        for p in [reference, *draws25[:8]]:
+            for scenario in Scenario:
+                calls[0] = 0
+                res = oracle_equilibrium(p, scenario)
+                assert res.converged
+                # Two grid scans per sweep, one 5-point stencil per firm per
+                # polish round, one demand evaluation at the solution.
+                budget = 2 * res.iterations + 2 * self.MAX_POLISH + 1
+                assert calls[0] <= budget, (scenario.value, calls[0], budget)
+
+    PRICES = np.linspace(-100.0, 100.0, 2001)
+
+    @staticmethod
+    def _linear_demand_game(a, b, c, e):
+        # Profit own * (intercept - own + slope * rival) for both firms.
+        return (lambda own, rival: own * (a - own + b * rival),
+                lambda own, rival: own * (c - own + e * rival))
+
+    def test_one_step_solves_a_quadratic_game(self):
+        a, b, c, e = 3.0, 0.5, 2.0, 0.8
+        obj_a, obj_b = self._linear_demand_game(a, b, c, e)
+        pA, pB = oracle._polish_step(self.PRICES, obj_a, obj_b, 0.0, 0.0, 0.1)
+        assert pA == pytest.approx((2 * a + b * c) / (4 - b * e), abs=1e-10)
+        assert pB == pytest.approx((2 * c + e * a) / (4 - b * e), abs=1e-10)
+
+    def test_dominant_cross_terms_fall_back_to_own_vertices(self):
+        a, b, c, e = 3.0, 3.0, 2.0, 3.0  # 4 - b*e < 0: no joint maximum
+        obj_a, obj_b = self._linear_demand_game(a, b, c, e)
+        pA, pB = oracle._polish_step(self.PRICES, obj_a, obj_b, 1.0, 2.0, 0.1)
+        assert pA == pytest.approx((a + b * 2.0) / 2, abs=1e-10)
+        assert pB == pytest.approx((c + e * 1.0) / 2, abs=1e-10)
+
+    def test_convex_firm_stays_put_and_steps_stay_on_the_grid(self):
+        obj_a = lambda own, rival: own * own
+        obj_b = lambda own, rival: own * (1e6 - own)
+        pA, pB = oracle._polish_step(self.PRICES, obj_a, obj_b, 7.0, 0.0, 0.1)
+        assert pA == pytest.approx(7.0, abs=1e-12)
+        assert pB == self.PRICES[-1]
+
+    def test_polish_lands_on_the_grid_free_equilibrium(self, reference):
+        # Off-grid closed-form prices are met to roundoff, far below the grid
+        # step of about 0.012.
+        for scenario in (Scenario.COMPATIBLE, Scenario.INCOMPATIBLE):
+            closed = equilibrium(reference, scenario)
+            res = oracle_equilibrium(reference, scenario)
+            assert res.pA1 == pytest.approx(closed.pA1, abs=1e-9)
+            assert res.pB1 == pytest.approx(closed.pB1, abs=1e-9)
+            assert res.residual <= 1e-9
+
+    def test_agrees_with_closed_forms_off_the_gate(self):
+        for p in _off_gate_draws(seed=2024, count=30):
+            for scenario in Scenario:
+                closed = equilibrium(p, scenario)
+                found = oracle_equilibrium(p, scenario)
+                assert found.converged
+                for name in ORACLE_QUANTITIES:
+                    ref = float(getattr(closed, name))
+                    got = float(getattr(found, name))
+                    assert abs(ref - got) <= max(ORACLE_ABS_TOL,
+                                                 ORACLE_REL_TOL * abs(ref)), \
+                        f"{scenario.value} {name}: closed {ref} vs oracle {got} at {p}"

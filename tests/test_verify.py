@@ -9,7 +9,7 @@ from chain_rivalry import (
     draw_params,
     run_verification,
 )
-from chain_rivalry import closed_form
+from chain_rivalry import closed_form, oracle
 
 
 class TestDrawParams:
@@ -133,3 +133,22 @@ class TestFaultDetection:
         assert not report.ok
         bad = {(c.kind, c.quantity) for c in report.checks if not c.ok}
         assert ("sim", "revenue_b") in bad
+
+
+class TestOracleConvergence:
+    def test_non_convergence_fails_the_run(self, reference, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_SWEEPS", 0)
+        report = run_verification(reference, trials=0, use_sim=False)
+        assert not report.ok
+        assert report.oracle_unconverged == 3
+        stalled = [line for line in report.failures
+                   if "did not converge" in line]
+        assert len(stalled) == 3
+        for scenario, line in zip(Scenario, stalled):
+            assert line.startswith(f"oracle {scenario.value}: ")
+            assert "0 sweeps" in line and "at config: alpha=" in line
+
+    def test_converged_runs_report_none(self, reference):
+        report = run_verification(reference, trials=1, seed=3, use_sim=False)
+        assert report.ok
+        assert report.oracle_unconverged == 0
