@@ -11,7 +11,6 @@ from .closed_form import (
     AdoptionSensitivity,
     BracketError,
     CornerEquilibriumError,
-    EquilibriumOutcome,
     ThresholdReport,
     adoption_decision,
     adoption_sensitivity,
@@ -24,6 +23,7 @@ from .closed_form import (
 )
 from .model import (
     Choice,
+    EquilibriumOutcome,
     InvalidParamsError,
     ModelParams,
     Scenario,
@@ -34,7 +34,6 @@ from .model import (
     validate_params,
 )
 from .oracle import (
-    OracleResult,
     PriceGrid,
     StageDemand,
     one_stage_nash,
@@ -58,7 +57,6 @@ __all__ = [
     "EquilibriumOutcome",
     "InvalidParamsError",
     "ModelParams",
-    "OracleResult",
     "PriceGrid",
     "QuantityCheck",
     "Scenario",

@@ -12,7 +12,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import closed_form, sweep as sweep_mod, verify as verify_mod
-from .closed_form import BracketError, CornerEquilibriumError
+from .closed_form import CornerEquilibriumError
 from .model import InvalidParamsError, ModelParams, Scenario, require_valid
 
 EXIT_OK = 0
@@ -182,6 +182,8 @@ def _cmd_verify(params: ModelParams, args: argparse.Namespace) -> int:
                f"check(s) outside tolerance")
     if report.oracle_unconverged:
         summary += f", {report.oracle_unconverged} oracle game(s) not converged"
+    if report.sim_unconverged:
+        summary += f", {report.sim_unconverged} simulator game(s) not converged"
     print(summary)
     return EXIT_VERIFY
 
@@ -206,9 +208,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_verify(params, args)
     except CornerEquilibriumError as exc:
         print(f"error: blockaded equilibrium: {exc}", file=sys.stderr)
-        return EXIT_CORNER
-    except BracketError as exc:
-        print(f"error: threshold search failed: {exc}", file=sys.stderr)
         return EXIT_CORNER
     except InvalidParamsError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)

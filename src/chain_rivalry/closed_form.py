@@ -1,15 +1,17 @@
 """Closed-form equilibria, payoffs, thresholds, and the entrant's platform choice.
 
-Every operation is an explicit formula (or a bisection on one), parameterized
-by the quality edge d and the platform subsidies so the baseline model is the
-d=0, zero-subsidy special case.
+Every operation is an explicit formula, parameterized by the quality edge d
+and the platform subsidies so the baseline model is the d=0, zero-subsidy
+special case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import (
+    EquilibriumOutcome,
     ModelParams,
     Scenario,
     require_valid,
@@ -27,41 +29,17 @@ class CornerEquilibriumError(ValueError):
 
 
 class BracketError(RuntimeError):
-    """Bisection bracket does not straddle a sign change."""
-
-
-@dataclass(frozen=True)
-class EquilibriumOutcome:
-    """Prices, cutoffs, shares, and payoffs of one scenario's equilibrium.
-
-    cutoff_t is the marginal user type: types below choose firm A, types
-    above choose firm B. Aggregate profits exclude subsidies, which enter
-    only through profitB_with_subsidy.
-    """
-
-    scenario: Scenario
-    pA1: float
-    pB1: float
-    pA2: float
-    pB2: float
-    cutoff1: float
-    cutoff2: float
-    nA1: float
-    nB1: float
-    nA2: float
-    nB2: float
-    profitA1: float
-    profitA2: float
-    profitB1: float
-    profitB2: float
-    profitA: float
-    profitB: float
-    profitB_with_subsidy: float
+    """Root bracket does not straddle a sign change (no longer raised)."""
 
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Minimum subsidy (c) and quality edge (d) flipping B off the shared chain."""
+    """Minimum subsidy (c) and quality edge (d) flipping B off the shared chain.
+
+    c2_star and c3_star are B's payoff gaps to the shared chain at d = 0;
+    d2_star and d3_star are the exact roots of profit_b_compatible(d) = s
+    and profit_b_incompatible(d) = s (see subsidy_threshold).
+    """
 
     c2_star: float
     c3_star: float
@@ -81,11 +59,11 @@ class AdoptionDecision:
             raise ValueError("chosen platform does not attain the payoff maximum")
 
 
-# Aggregate two-period payoff formulas. These are the targets the threshold
-# bisections solve against and the cross-checks for the price-times-share
-# route used by the equilibrium constructors; they ignore participation
-# corners, so callers wanting interior-equilibrium guarantees go through the
-# *_equilibrium operations instead.
+# Aggregate two-period payoff formulas. These define the thresholds and are
+# the cross-checks for the price-times-share route used by the equilibrium
+# constructors; they ignore participation corners, so callers wanting
+# interior-equilibrium guarantees go through the *_equilibrium operations
+# instead.
 
 def profit_a_same(p: ModelParams) -> float:
     return p.s
@@ -179,7 +157,7 @@ def compatible_equilibrium(p: ModelParams, validate: bool = True) -> Equilibrium
         profitA1=profitA_t, profitA2=profitA_t,
         profitB1=profitB_t, profitB2=profitB_t,
         profitA=profitA_t + profitA_t, profitB=profitB,
-        profitB_with_subsidy=profitB + p.subsidy_p2,
+        profitB_with_subsidy=profitB + p.subsidy(Scenario.COMPATIBLE),
     )
 
 
@@ -214,7 +192,7 @@ def incompatible_equilibrium(p: ModelParams, validate: bool = True) -> Equilibri
         profitA1=profitA1, profitA2=profitA2,
         profitB1=profitB1, profitB2=profitB2,
         profitA=profitA1 + profitA2, profitB=profitB,
-        profitB_with_subsidy=profitB + p.subsidy_p3,
+        profitB_with_subsidy=profitB + p.subsidy(Scenario.INCOMPATIBLE),
     )
 
 
@@ -227,56 +205,28 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     return incompatible_equilibrium(p, validate=validate)
 
 
-BISECTION_TOL = 1e-9
-BISECTION_MAX_ITER = 200
-
-
-def _bisect_quality(p: ModelParams, profit_fn) -> float:
-    """Smallest d at which B's payoff off the shared chain reaches p.s.
-
-    The payoff gap profit_fn(d) - s is strictly increasing in d, so plain
-    bisection on [0, 10*(s + alpha*n1)] finds the unique root.
-    """
-    lo, hi = 0.0, 10.0 * (p.s + p.alpha * p.n1)
-    f_lo = profit_fn(p, lo) - p.s
-    f_hi = profit_fn(p, hi) - p.s
-    if not (f_lo < 0.0 < f_hi):
-        raise BracketError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={f_lo!r}, f(hi)={f_hi!r}")
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if profit_fn(p, mid) - p.s < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < BISECTION_TOL:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _thresholds(p: ModelParams) -> ThresholdReport:
-    # Subsidy thresholds are evaluated at d=0 regardless of p.d; the quality
-    # thresholds treat d as the unknown, so neither depends on p.d or the
-    # subsidies.
-    c2 = p.s - profit_b_compatible(p, d=0.0)
-    c3 = p.s - profit_b_incompatible(p, d=0.0)
-    d2 = _bisect_quality(p, profit_b_compatible)
-    d3 = _bisect_quality(p, profit_b_incompatible)
-    return ThresholdReport(c2_star=c2, c3_star=c3, d2_star=d2, d3_star=d3)
-
-
 def subsidy_threshold(p: ModelParams, validate: bool = True) -> ThresholdReport:
-    """One-time transfers making B's P2 (c2_star) or P3 (c3_star) payoff match P1."""
+    """Subsidies (c2_star, c3_star) and quality edges (d2_star, d3_star)
+    at which B's P2 or P3 payoff matches its P1 payoff.
+
+    The subsidies are payoff gaps at d = 0. Each quality edge solves a
+    quadratic equality in d; with u = s - alpha > 0 (assumption 1.1) its
+    positive root is d2 = 3*sqrt(u*s) - 3u + alpha*(n1 - n2) and
+    d3 = 5*sqrt(u*s/3) - 5u/2 + alpha*(n1 - n3). None of the four depends
+    on p.d or the subsidies.
+    """
     if validate:
         require_valid(p)
-    return _thresholds(p)
+    u = p.s - p.alpha
+    return ThresholdReport(
+        c2_star=p.s - profit_b_compatible(p, d=0.0),
+        c3_star=p.s - profit_b_incompatible(p, d=0.0),
+        d2_star=3.0 * math.sqrt(u * p.s) - 3.0 * u + p.alpha * (p.n1 - p.n2),
+        d3_star=5.0 * math.sqrt(u * p.s / 3.0) - 2.5 * u + p.alpha * (p.n1 - p.n3),
+    )
 
 
-def quality_threshold(p: ModelParams, validate: bool = True) -> ThresholdReport:
-    """Quality edges d2_star/d3_star at which B's alternative-chain payoff matches P1."""
-    if validate:
-        require_valid(p)
-    return _thresholds(p)
+quality_threshold = subsidy_threshold
 
 
 def adoption_decision(p: ModelParams, validate: bool = True) -> AdoptionDecision:

@@ -105,6 +105,48 @@ class ModelParams:
     def with_values(self, **changes: float) -> "ModelParams":
         return replace(self, **changes)
 
+    def subsidy(self, scenario: Scenario) -> float:
+        """One-time transfer B receives for the scenario's chain (none on P1)."""
+        if scenario is Scenario.COMPATIBLE:
+            return self.subsidy_p2
+        if scenario is Scenario.INCOMPATIBLE:
+            return self.subsidy_p3
+        return 0.0
+
+
+@dataclass(frozen=True)
+class EquilibriumOutcome:
+    """Prices, cutoffs, shares, and payoffs of one scenario's equilibrium.
+
+    cutoff_t is the marginal user type: types below choose firm A, types
+    above choose firm B. Aggregate profits exclude subsidies, which enter
+    only through profitB_with_subsidy. converged, iterations (best-response
+    sweeps) and residual (last polish step) describe a numerical solve; an
+    exact formula keeps the defaults.
+    """
+
+    scenario: Scenario
+    pA1: float
+    pB1: float
+    pA2: float
+    pB2: float
+    cutoff1: float
+    cutoff2: float
+    nA1: float
+    nB1: float
+    nA2: float
+    nB2: float
+    profitA1: float
+    profitA2: float
+    profitB1: float
+    profitB2: float
+    profitA: float
+    profitB: float
+    profitB_with_subsidy: float
+    converged: bool = True
+    iterations: int = 0
+    residual: float = 0.0
+
 
 @dataclass(frozen=True)
 class ValidationReport:

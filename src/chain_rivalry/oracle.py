@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, Scenario
+from .model import EquilibriumOutcome, ModelParams, Scenario
 
 MAX_SWEEPS = 500
 POLISH_ROUNDS = 12
@@ -64,29 +64,6 @@ class StageDemand(NamedTuple):
     @property
     def neither(self) -> float:
         return 1.0 - (self.nA + self.nB)
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Numerically found equilibrium. One-stage games repeat across periods,
-    so their period-2 entries mirror period 1; profits aggregate both periods."""
-
-    scenario: Scenario
-    pA1: float
-    pB1: float
-    pA2: float
-    pB2: float
-    cutoff1: float
-    cutoff2: float
-    nA1: float
-    nB1: float
-    nA2: float
-    nB2: float
-    profitA: float
-    profitB: float
-    converged: bool
-    iterations: int
-    residual: float
 
 
 def _demand(p: ModelParams, scenario: Scenario, pA, pB):
@@ -288,11 +265,12 @@ def _solve_game(prices: np.ndarray,
 def one_stage_nash(p: ModelParams, scenario: Scenario,
                    grid: PriceGrid | None = None,
                    start: tuple[float, float] | None = None,
-                   trace: list | None = None) -> OracleResult:
+                   trace: list | None = None) -> EquilibriumOutcome:
     """Best-response equilibrium of one pricing stage, reported over two periods.
 
     Valid for the scenarios without lock-in (the stage game simply repeats),
-    so aggregate profits are twice the stage profits.
+    so period-2 entries mirror period 1 and aggregate profits are twice the
+    stage profits.
     """
     if scenario is Scenario.INCOMPATIBLE:
         raise ValueError("the lock-in scenario needs two_stage_nash")
@@ -313,12 +291,16 @@ def one_stage_nash(p: ModelParams, scenario: Scenario,
     nA, nB, cutoff, _ = _demand(p, scenario, pA, pB)
     nA, nB, cutoff = float(nA), float(nB), float(cutoff)
     stage_a, stage_b = pA * nA, pB * nB
-    return OracleResult(
+    profitB = stage_b + stage_b
+    return EquilibriumOutcome(
         scenario=scenario,
         pA1=pA, pB1=pB, pA2=pA, pB2=pB,
         cutoff1=cutoff, cutoff2=cutoff,
         nA1=nA, nB1=nB, nA2=nA, nB2=nB,
-        profitA=stage_a + stage_a, profitB=stage_b + stage_b,
+        profitA1=stage_a, profitA2=stage_a,
+        profitB1=stage_b, profitB2=stage_b,
+        profitA=stage_a + stage_a, profitB=profitB,
+        profitB_with_subsidy=profitB + p.subsidy(scenario),
         converged=converged, iterations=sweeps, residual=residual,
     )
 
@@ -326,7 +308,7 @@ def one_stage_nash(p: ModelParams, scenario: Scenario,
 def two_stage_nash(p: ModelParams,
                    grid: PriceGrid | None = None,
                    start: tuple[float, float] | None = None,
-                   trace: list | None = None) -> OracleResult:
+                   trace: list | None = None) -> EquilibriumOutcome:
     """Backward-induction equilibrium of the lock-in game.
 
     For any period-1 price pair, each firm's continuation is the lock-in
@@ -363,18 +345,24 @@ def two_stage_nash(p: ModelParams,
     else:
         pB2, nB2 = 0.0, 0.0
 
-    return OracleResult(
+    profitA1, profitA2 = pA1 * nA1, pA2 * nA2
+    profitB1, profitB2 = pB1 * nB1, pB2 * nB2
+    profitB = profitB1 + profitB2
+    return EquilibriumOutcome(
         scenario=Scenario.INCOMPATIBLE,
         pA1=pA1, pB1=pB1, pA2=pA2, pB2=pB2,
         cutoff1=cutoff1, cutoff2=nA2,
         nA1=nA1, nB1=nB1, nA2=nA2, nB2=nB2,
-        profitA=pA1 * nA1 + pA2 * nA2, profitB=pB1 * nB1 + pB2 * nB2,
+        profitA1=profitA1, profitA2=profitA2,
+        profitB1=profitB1, profitB2=profitB2,
+        profitA=profitA1 + profitA2, profitB=profitB,
+        profitB_with_subsidy=profitB + p.subsidy(Scenario.INCOMPATIBLE),
         converged=converged, iterations=sweeps, residual=residual,
     )
 
 
 def oracle_equilibrium(p: ModelParams, scenario: Scenario,
-                       grid: PriceGrid | None = None) -> OracleResult:
+                       grid: PriceGrid | None = None) -> EquilibriumOutcome:
     """Dispatch to the right solver for the scenario."""
     if scenario is Scenario.INCOMPATIBLE:
         return two_stage_nash(p, grid=grid)

@@ -15,9 +15,8 @@ from typing import IO, Mapping, Optional
 import numpy as np
 
 from . import closed_form
-from .closed_form import (BracketError, CornerEquilibriumError,
-                          EquilibriumOutcome, ThresholdReport)
-from .model import ModelParams, Scenario, validate_params
+from .closed_form import CornerEquilibriumError, ThresholdReport
+from .model import EquilibriumOutcome, ModelParams, Scenario, validate_params
 
 SWEEPABLE = ("alpha", "s", "k", "n1", "n2", "n3", "d",
              "subsidy_p2", "subsidy_p3")
@@ -84,11 +83,7 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
             except CornerEquilibriumError:
                 outcomes[scenario] = None
                 notes.append(f"corner: {scenario.value}")
-        try:
-            thresholds = closed_form.subsidy_threshold(point, validate=False)
-        except BracketError:
-            thresholds = None
-            notes.append("thresholds: bracket failure")
+        thresholds = closed_form.subsidy_threshold(point, validate=False)
         if all(out is not None for out in outcomes.values()):
             chosen = closed_form.adoption_decision(point, validate=False).chosen
         else:

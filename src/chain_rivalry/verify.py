@@ -68,6 +68,7 @@ class VerificationReport:
     checks: tuple[QuantityCheck, ...]
     failures: tuple[str, ...]
     oracle_unconverged: int = 0
+    sim_unconverged: int = 0
 
 
 def _params_line(p: ModelParams) -> str:
@@ -82,6 +83,7 @@ class _Accumulator:
         self.cells: dict[tuple[str, Scenario, str], dict] = {}
         self.failures: list[str] = []
         self.oracle_unconverged = 0
+        self.sim_unconverged = 0
 
     def record(self, kind: str, scenario: Scenario, quantity: str,
                reference: float, checked: float, ok: bool, tol_note: str,
@@ -139,6 +141,14 @@ def _check_sim(acc: _Accumulator, label: str, p: ModelParams,
     run = simulate_game(p, scenario, (closed.pA1, closed.pB1,
                                       closed.pA2, closed.pB2),
                         m=m, validate=False)
+    stalled = [f"period {t} ({out.iterations} iterations)"
+               for t, out in ((1, run.period1), (2, run.period2))
+               if not out.converged]
+    if stalled:
+        acc.sim_unconverged += 1
+        acc.failures.append(
+            f"sim {scenario.value}: adoption fixed point did not converge in "
+            f"{', '.join(stalled)} at {label}: {_params_line(p)}")
     share_tol = 1.0 / m + 1e-6
     rev_tol_a = (abs(closed.pA1) + abs(closed.pA2)) / m + 1e-6
     rev_tol_b = (abs(closed.pB1) + abs(closed.pB2)) / m + 1e-6
@@ -163,8 +173,9 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
                      m: int = 10000) -> VerificationReport:
     """Check the base params plus `trials` seeded draws on every scenario.
 
-    An oracle game that reports no convergence is a failure in its own
-    right, named in `failures` and counted in `oracle_unconverged`.
+    An oracle or simulator game that reports no convergence is a failure
+    in its own right, named in `failures` and counted in
+    `oracle_unconverged` or `sim_unconverged`.
     """
     require_valid(base)
     if trials < 0:
@@ -185,8 +196,10 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
                 _check_sim(acc, label, p, scenario, closed, m)
 
     checks = acc.checks()
-    ok = all(c.ok for c in checks) and not acc.oracle_unconverged
+    ok = (all(c.ok for c in checks) and not acc.oracle_unconverged
+          and not acc.sim_unconverged)
     return VerificationReport(ok=ok, trials=trials, seed=seed, m=m,
                               oracle_used=use_oracle, sim_used=use_sim,
                               checks=checks, failures=tuple(acc.failures),
-                              oracle_unconverged=acc.oracle_unconverged)
+                              oracle_unconverged=acc.oracle_unconverged,
+                              sim_unconverged=acc.sim_unconverged)

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from chain_rivalry import ModelParams, cli
-from chain_rivalry import closed_form, oracle
+from chain_rivalry import closed_form, oracle, sim
 from chain_rivalry.sweep import CSV_HEADER
 
 import dataclasses
@@ -226,6 +226,17 @@ class TestVerifyCommand:
         assert "best-response search did not converge" in out
         assert out.rstrip().endswith(
             "check(s) outside tolerance, 3 oracle game(s) not converged")
+
+    def test_sim_non_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_FIXED_POINT_ITER", 0)
+        cfg = write_config(tmp_path)
+        code = cli.main(["verify", "--config", cfg, "--trials", "0", "--sim",
+                         "--pop", "100"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "adoption fixed point did not converge" in out
+        assert out.rstrip().endswith(
+            "check(s) outside tolerance, 3 simulator game(s) not converged")
 
 
 class TestExitCodes:

@@ -16,6 +16,7 @@ from chain_rivalry import (
     subsidy_threshold,
 )
 from chain_rivalry import closed_form
+from test_oracle import _off_gate_draws
 
 # Frozen reference-config values, confirmed against the grid best-response
 # solver before being pinned here (see test_oracle / test_acceptance).
@@ -375,3 +376,36 @@ class TestAdoptionSensitivity:
                 lo = equilibrium(reference.with_values(d=0.625 - h), scenario).cutoff1
                 diff = ((1.0 - hi) - (1.0 - lo)) / (2.0 * h)
                 assert diff == pytest.approx(slope, rel=1e-12)
+
+
+class TestThresholdCrossCheck:
+    def test_entrant_is_indifferent_at_each_threshold(self, reference):
+        # Checked on the equilibrium constructors' price-times-share profits,
+        # a route independent of the aggregate profit_* formulas the roots
+        # solve. The point's own edge and subsidies give way to the one
+        # threshold under test.
+        for p in [reference, *_off_gate_draws(seed=2024, count=30)]:
+            rep = subsidy_threshold(p)
+            bare = p.with_values(d=0.0, subsidy_p2=0.0, subsidy_p3=0.0)
+            at_threshold = {
+                "d2_star": compatible_equilibrium(bare.with_values(d=rep.d2_star)),
+                "d3_star": incompatible_equilibrium(bare.with_values(d=rep.d3_star)),
+                "c2_star": compatible_equilibrium(
+                    bare.with_values(subsidy_p2=rep.c2_star)),
+                "c3_star": incompatible_equilibrium(
+                    bare.with_values(subsidy_p3=rep.c3_star)),
+            }
+            target = same_chain_equilibrium(p).profitB
+            for case, out in at_threshold.items():
+                assert out.profitB_with_subsidy == pytest.approx(target, rel=1e-9), \
+                    (case, p)
+
+    def test_quality_threshold_is_an_alias(self):
+        assert quality_threshold is subsidy_threshold
+
+
+class TestOutcomeDiagnostics:
+    def test_closed_forms_keep_the_exact_defaults(self, reference):
+        for scenario in Scenario:
+            out = equilibrium(reference, scenario)
+            assert (out.converged, out.iterations, out.residual) == (True, 0, 0.0)

@@ -84,6 +84,14 @@ class TestModelParams:
         assert q.s == reference.s
 
 
+class TestSubsidy:
+    def test_each_scenario_gets_its_own_chains_transfer(self):
+        p = ModelParams(**REFERENCE, subsidy_p2=0.2, subsidy_p3=0.3)
+        assert p.subsidy(Scenario.SAME_CHAIN) == 0.0
+        assert p.subsidy(Scenario.COMPATIBLE) == 0.2
+        assert p.subsidy(Scenario.INCOMPATIBLE) == 0.3
+
+
 class TestValidateParams:
     def test_reference_is_valid(self, reference):
         report = validate_params(reference)

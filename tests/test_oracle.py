@@ -379,3 +379,24 @@ class TestJointPolish:
                     assert abs(ref - got) <= max(ORACLE_ABS_TOL,
                                                  ORACLE_REL_TOL * abs(ref)), \
                         f"{scenario.value} {name}: closed {ref} vs oracle {got} at {p}"
+
+
+class TestOracleOutcome:
+    FILLED = ("profitA1", "profitA2", "profitB1", "profitB2",
+              "profitB_with_subsidy")
+
+    def test_per_period_and_subsidy_payoffs_match_closed_forms(self):
+        # The family carries nonzero subsidies, so profitB_with_subsidy
+        # crosses routes through each scenario's own subsidy term.
+        for p in _off_gate_draws(seed=2024, count=30):
+            for scenario in Scenario:
+                closed = equilibrium(p, scenario)
+                found = oracle_equilibrium(p, scenario)
+                assert found.scenario is scenario
+                for name in self.FILLED:
+                    ref = float(getattr(closed, name))
+                    got = float(getattr(found, name))
+                    assert abs(ref - got) <= max(ORACLE_ABS_TOL,
+                                                 ORACLE_REL_TOL * abs(ref)), \
+                        f"{scenario.value} {name}: closed {ref} vs oracle {got}"
+

@@ -9,7 +9,7 @@ from chain_rivalry import (
     draw_params,
     run_verification,
 )
-from chain_rivalry import closed_form, oracle
+from chain_rivalry import closed_form, oracle, sim
 
 
 class TestDrawParams:
@@ -152,3 +152,40 @@ class TestOracleConvergence:
         report = run_verification(reference, trials=1, seed=3, use_sim=False)
         assert report.ok
         assert report.oracle_unconverged == 0
+
+
+class TestSimConvergence:
+    def test_non_convergence_fails_the_run(self, reference, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_FIXED_POINT_ITER", 0)
+        report = run_verification(reference, trials=0, use_oracle=False, m=100)
+        assert not report.ok
+        assert report.sim_unconverged == 3
+        assert report.oracle_unconverged == 0
+        stalled = [line for line in report.failures
+                   if "did not converge" in line]
+        assert len(stalled) == 3
+        for scenario, line in zip(Scenario, stalled):
+            assert line.startswith(f"sim {scenario.value}: ")
+            assert "period 1 (0 iterations), period 2 (0 iterations)" in line
+            assert "at config: alpha=" in line
+
+    def test_one_stalled_period_is_enough(self, reference, monkeypatch):
+        real = sim.simulate_period
+
+        def stall_second(pop, p, scenario, period, *args, **kwargs):
+            out = real(pop, p, scenario, period, *args, **kwargs)
+            if period == 2:
+                out = dataclasses.replace(out, converged=False)
+            return out
+
+        monkeypatch.setattr(sim, "simulate_period", stall_second)
+        report = run_verification(reference, trials=0, use_oracle=False, m=100)
+        assert not report.ok
+        assert report.sim_unconverged == 3
+        assert all(c.ok for c in report.checks)
+
+    def test_converged_runs_report_none(self, reference):
+        report = run_verification(reference, trials=1, seed=3, use_oracle=False,
+                                  m=1000)
+        assert report.ok
+        assert report.sim_unconverged == 0
