@@ -17,7 +17,6 @@ from .closed_form import (
     compatible_equilibrium,
     equilibrium,
     incompatible_equilibrium,
-    quality_threshold,
     same_chain_equilibrium,
     subsidy_threshold,
 )
@@ -36,11 +35,9 @@ from .model import (
 from .oracle import (
     PriceGrid,
     StageDemand,
-    one_stage_nash,
     oracle_equilibrium,
     period2_monopoly_price,
     stage_demand,
-    two_stage_nash,
 )
 from .sim import SimOutcome, SimRun, UserPopulation, simulate_game, simulate_period
 from .sweep import SweepRecord, SweepSpec, render_profit_svg, run_sweep, write_sweep_csv
@@ -76,10 +73,8 @@ __all__ = [
     "draw_params",
     "equilibrium",
     "incompatible_equilibrium",
-    "one_stage_nash",
     "oracle_equilibrium",
     "period2_monopoly_price",
-    "quality_threshold",
     "render_profit_svg",
     "run_sweep",
     "run_verification",
@@ -88,7 +83,6 @@ __all__ = [
     "simulate_period",
     "stage_demand",
     "subsidy_threshold",
-    "two_stage_nash",
     "user_utility",
     "validate_params",
     "write_sweep_csv",

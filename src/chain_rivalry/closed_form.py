@@ -226,9 +226,6 @@ def subsidy_threshold(p: ModelParams, validate: bool = True) -> ThresholdReport:
     )
 
 
-quality_threshold = subsidy_threshold
-
-
 def adoption_decision(p: ModelParams, validate: bool = True) -> AdoptionDecision:
     """B's platform choice: argmax of subsidy-inclusive payoff, ties to P1 > P2 > P3."""
     if validate:

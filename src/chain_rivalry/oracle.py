@@ -1,13 +1,15 @@
-"""Brute-force equilibrium solvers used to cross-check every closed form.
+"""Brute-force equilibrium solver used to cross-check every closed form.
 
 Nothing here reuses the closed-form answers: demand comes from the user
 utility comparisons, best responses from grid argmax over candidate prices,
-and the two-period lock-in game from backward induction. Each firm's
-objective is piecewise quadratic in both prices jointly, so a small stencil
-around the grid solution gives exact own and cross second differences on
-the local piece; one Newton step on both first-order conditions then lands
-on that piece's equilibrium, and a round or two more confirm that the step
-has shrunk to roundoff.
+and the two-period lock-in game from backward induction, each firm's
+period-1 objective carrying the exact monopoly value of harvesting its
+locked base in period 2. One solver, oracle_equilibrium, serves all three
+scenarios. Each firm's objective is piecewise quadratic in both prices
+jointly, so a small stencil around the grid solution gives exact own and
+cross second differences on the local piece; one Newton step on both
+first-order conditions then lands on that piece's equilibrium, and a round
+or two more confirm that the step has shrunk to roundoff.
 """
 
 from __future__ import annotations
@@ -114,18 +116,19 @@ def stage_demand(p: ModelParams, scenario: Scenario, pA: float, pB: float) -> St
                        full_participation=bool(full))
 
 
-def _lockin_value(K: float, u: float, n):
-    """Optimal period-2 monopoly profit over a locked base of measure n.
+def _lockin_harvest(K: float, u: float, n):
+    """Lock-in monopoly over a locked base of measure n: (price, retained).
 
-    The seller either retains everyone at the corner price K - u*n or, when
-    the base is large relative to K, serves only part of it at the
-    unconstrained vertex price K/2.
+    Demand at price q is min((K - q)/u, n) with u = s - alpha, so the
+    optimum is price = max(K - u*n, K/2) and retained = min((K - price)/u,
+    n): the seller keeps the whole base at the corner price K - u*n while
+    u*n <= K/2, and otherwise sheds part of it at the vertex price K/2.
+    Written as retained = min(K/(2u), n) and price = K - u*retained, the
+    corner value price*retained is exactly (K - u*n)*n. An empty base or
+    K <= 0 retains nothing and is worth 0. Vectorized over n.
     """
-    n = np.asarray(n, dtype=float)
-    corner = (K - u * n) * n
-    vertex = K * K / (4.0 * u)
-    value = np.where(u * n <= 0.5 * K, corner, vertex)
-    return np.where((n <= 0.0) | (K <= 0.0), 0.0, value)
+    retained = np.maximum(np.minimum(0.5 * K / u, n), 0.0)
+    return K - u * retained, retained
 
 
 def _harvest_base(p: ModelParams, firm: str) -> float:
@@ -136,32 +139,15 @@ def _harvest_base(p: ModelParams, firm: str) -> float:
     raise ValueError(f"firm must be 'A' or 'B', got {firm!r}")
 
 
-def period2_monopoly_price(p: ModelParams, firm: str, n_first: float,
-                           grid: PriceGrid | None = None) -> tuple[float, float]:
-    """Grid-scan the lock-in monopoly problem for one firm.
+def period2_monopoly_price(p: ModelParams, firm: str, n_first: float) -> tuple[float, float]:
+    """One firm's lock-in monopoly price and the share it retains.
 
-    Demand at price q is min((K - q)/(s - alpha), n_first) with
-    K = k + alpha * (own base) + quality edge for B. Returns the profit-
-    maximizing price and the share it retains. Two zoom rounds around the
-    best grid point resolve the corner to ~1e-9.
+    K = k + alpha * (own base) + quality edge for B; see _lockin_harvest.
     """
     if not 0.0 < n_first <= 1.0:
         raise ValueError(f"n_first must lie in (0, 1], got {n_first!r}")
-    grid = grid if grid is not None else PriceGrid.default_for(p)
-    K = _harvest_base(p, firm)
-    u = p.s - p.alpha
-
-    lo, hi, steps = grid.lo, grid.hi, grid.steps
-    best = 0.0
-    for _ in range(3):
-        prices = np.linspace(lo, hi, steps)
-        retained = np.clip(np.minimum((K - prices) / u, n_first), 0.0, None)
-        best_idx = int(np.argmax(prices * retained))
-        best = float(prices[best_idx])
-        width = prices[1] - prices[0]
-        lo, hi, steps = max(grid.lo, best - width), min(grid.hi, best + width), 2001
-    retained_at_best = float(np.clip(min((K - best) / u, n_first), 0.0, None))
-    return best, retained_at_best
+    price, retained = _lockin_harvest(_harvest_base(p, firm), p.s - p.alpha, n_first)
+    return float(price), float(retained)
 
 
 def _polish_step(prices: np.ndarray, obj_a: Callable, obj_b: Callable,
@@ -207,8 +193,7 @@ def _polish_step(prices: np.ndarray, obj_a: Callable, obj_b: Callable,
 
 def _solve_game(prices: np.ndarray,
                 obj_a: Callable, obj_b: Callable,
-                start: tuple[float, float],
-                trace: list | None) -> tuple[float, float, int, float, bool]:
+                start: tuple[float, float]) -> tuple[float, float, int, float, bool]:
     """Alternating grid best response, then a joint Newton polish.
 
     obj_a(own, rival) / obj_b(own, rival) evaluate a firm's full objective at
@@ -227,16 +212,8 @@ def _solve_game(prices: np.ndarray,
     exhausted = True
     for _ in range(MAX_SWEEPS):
         sweeps += 1
-        values_a = obj_a(prices, pB)
-        new_pA = float(prices[int(np.argmax(values_a))])
-        if trace is not None:
-            trace.append(("A", float(obj_a(pA, pB)), float(np.max(values_a))))
-
-        values_b = obj_b(prices, new_pA)
-        new_pB = float(prices[int(np.argmax(values_b))])
-        if trace is not None:
-            trace.append(("B", float(obj_b(pB, new_pA)), float(np.max(values_b))))
-
+        new_pA = float(prices[int(np.argmax(obj_a(prices, pB)))])
+        new_pB = float(prices[int(np.argmax(obj_b(prices, new_pA)))])
         moved = new_pA != pA or new_pB != pB
         pA, pB = new_pA, new_pB
         if not moved:
@@ -262,108 +239,57 @@ def _solve_game(prices: np.ndarray,
     return pA, pB, sweeps, residual, converged
 
 
-def one_stage_nash(p: ModelParams, scenario: Scenario,
-                   grid: PriceGrid | None = None,
-                   start: tuple[float, float] | None = None,
-                   trace: list | None = None) -> EquilibriumOutcome:
-    """Best-response equilibrium of one pricing stage, reported over two periods.
+def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome:
+    """Best-response equilibrium of the two-period game in one scenario.
 
-    Valid for the scenarios without lock-in (the stage game simply repeats),
-    so period-2 entries mirror period 1 and aggregate profits are twice the
-    stage profits.
+    Each firm maximizes its period-1 profit plus a continuation: the lock-in
+    harvest of its period-1 base under INCOMPATIBLE (backward induction),
+    and 0 otherwise, where the stage game simply repeats. Period 2 then
+    either mirrors period 1 or reports each firm's harvest at the converged
+    bases.
     """
-    if scenario is Scenario.INCOMPATIBLE:
-        raise ValueError("the lock-in scenario needs two_stage_nash")
-    grid = grid if grid is not None else PriceGrid.default_for(p)
-    start = start if start is not None else (p.s, p.s)
-
-    def obj_a(own, rival):
-        nA, _, _, _ = _demand(p, scenario, own, rival)
-        return own * nA
-
-    def obj_b(own, rival):
-        _, nB, _, _ = _demand(p, scenario, rival, own)
-        return own * nB
-
-    pA, pB, sweeps, residual, converged = _solve_game(
-        grid.prices(), obj_a, obj_b, start, trace)
-
-    nA, nB, cutoff, _ = _demand(p, scenario, pA, pB)
-    nA, nB, cutoff = float(nA), float(nB), float(cutoff)
-    stage_a, stage_b = pA * nA, pB * nB
-    profitB = stage_b + stage_b
-    return EquilibriumOutcome(
-        scenario=scenario,
-        pA1=pA, pB1=pB, pA2=pA, pB2=pB,
-        cutoff1=cutoff, cutoff2=cutoff,
-        nA1=nA, nB1=nB, nA2=nA, nB2=nB,
-        profitA1=stage_a, profitA2=stage_a,
-        profitB1=stage_b, profitB2=stage_b,
-        profitA=stage_a + stage_a, profitB=profitB,
-        profitB_with_subsidy=profitB + p.subsidy(scenario),
-        converged=converged, iterations=sweeps, residual=residual,
-    )
-
-
-def two_stage_nash(p: ModelParams,
-                   grid: PriceGrid | None = None,
-                   start: tuple[float, float] | None = None,
-                   trace: list | None = None) -> EquilibriumOutcome:
-    """Backward-induction equilibrium of the lock-in game.
-
-    For any period-1 price pair, each firm's continuation is the lock-in
-    monopoly value of its period-1 base; the grid search plays best responses
-    on aggregate (period-1 plus continuation) profit. Reported period-2
-    prices come from the independent period2_monopoly_price scan at the
-    converged bases.
-    """
-    grid = grid if grid is not None else PriceGrid.default_for(p)
-    start = start if start is not None else (p.s, p.s)
+    lock_in = scenario is Scenario.INCOMPATIBLE
     u = p.s - p.alpha
     K_a = _harvest_base(p, "A")
     K_b = _harvest_base(p, "B")
 
+    def continuation(K: float, n):
+        if not lock_in:
+            return 0.0
+        price, retained = _lockin_harvest(K, u, n)
+        return price * retained
+
     def obj_a(own, rival):
-        nA, _, _, _ = _demand(p, Scenario.INCOMPATIBLE, own, rival)
-        return own * nA + _lockin_value(K_a, u, nA)
+        nA, _, _, _ = _demand(p, scenario, own, rival)
+        return own * nA + continuation(K_a, nA)
 
     def obj_b(own, rival):
-        _, nB, _, _ = _demand(p, Scenario.INCOMPATIBLE, rival, own)
-        return own * nB + _lockin_value(K_b, u, nB)
+        _, nB, _, _ = _demand(p, scenario, rival, own)
+        return own * nB + continuation(K_b, nB)
 
     pA1, pB1, sweeps, residual, converged = _solve_game(
-        grid.prices(), obj_a, obj_b, start, trace)
+        PriceGrid.default_for(p).prices(), obj_a, obj_b, (p.s, p.s))
 
-    nA1, nB1, cutoff1, _ = _demand(p, Scenario.INCOMPATIBLE, pA1, pB1)
+    nA1, nB1, cutoff1, _ = _demand(p, scenario, pA1, pB1)
     nA1, nB1, cutoff1 = float(nA1), float(nB1), float(cutoff1)
-    if nA1 > 0.0:
-        pA2, nA2 = period2_monopoly_price(p, "A", nA1, grid)
+    if lock_in:
+        pA2, nA2 = period2_monopoly_price(p, "A", nA1) if nA1 > 0.0 else (0.0, 0.0)
+        pB2, nB2 = period2_monopoly_price(p, "B", nB1) if nB1 > 0.0 else (0.0, 0.0)
+        cutoff2 = nA2
     else:
-        pA2, nA2 = 0.0, 0.0
-    if nB1 > 0.0:
-        pB2, nB2 = period2_monopoly_price(p, "B", nB1, grid)
-    else:
-        pB2, nB2 = 0.0, 0.0
+        pA2, pB2, nA2, nB2, cutoff2 = pA1, pB1, nA1, nB1, cutoff1
 
     profitA1, profitA2 = pA1 * nA1, pA2 * nA2
     profitB1, profitB2 = pB1 * nB1, pB2 * nB2
     profitB = profitB1 + profitB2
     return EquilibriumOutcome(
-        scenario=Scenario.INCOMPATIBLE,
+        scenario=scenario,
         pA1=pA1, pB1=pB1, pA2=pA2, pB2=pB2,
-        cutoff1=cutoff1, cutoff2=nA2,
+        cutoff1=cutoff1, cutoff2=cutoff2,
         nA1=nA1, nB1=nB1, nA2=nA2, nB2=nB2,
         profitA1=profitA1, profitA2=profitA2,
         profitB1=profitB1, profitB2=profitB2,
         profitA=profitA1 + profitA2, profitB=profitB,
-        profitB_with_subsidy=profitB + p.subsidy(Scenario.INCOMPATIBLE),
+        profitB_with_subsidy=profitB + p.subsidy(scenario),
         converged=converged, iterations=sweeps, residual=residual,
     )
-
-
-def oracle_equilibrium(p: ModelParams, scenario: Scenario,
-                       grid: PriceGrid | None = None) -> EquilibriumOutcome:
-    """Dispatch to the right solver for the scenario."""
-    if scenario is Scenario.INCOMPATIBLE:
-        return two_stage_nash(p, grid=grid)
-    return one_stage_nash(p, scenario, grid=grid)

@@ -113,12 +113,12 @@ def write_sweep_csv(records: list[SweepRecord], stream: IO[str]) -> int:
                         _fmt(out.profitB)]
             else:
                 body = [""] * 7
-            if rec.valid and thresholds is not None:
+            if rec.valid:
                 tail = [_fmt(thresholds.c2_star), _fmt(thresholds.c3_star),
                         _fmt(thresholds.d2_star), _fmt(thresholds.d3_star)]
             else:
                 tail = [""] * 4
-            status = "ok" if rec.valid and out is not None else (rec.note or "ok")
+            status = "ok" if rec.valid and out is not None else rec.note
             writer.writerow([_fmt(rec.value), scenario.value, *body,
                              rec.chosen if rec.valid else "", *tail, status])
             rows += 1

@@ -11,7 +11,6 @@ from chain_rivalry import (
     compatible_equilibrium,
     equilibrium,
     incompatible_equilibrium,
-    quality_threshold,
     same_chain_equilibrium,
     subsidy_threshold,
 )
@@ -264,7 +263,7 @@ class TestThresholds:
             b_same - closed_form.profit_b_incompatible(p, d=0.0), abs=1e-12)
 
     def test_reference_quality_thresholds_match_analytic_roots(self, reference):
-        rep = quality_threshold(reference)
+        rep = subsidy_threshold(reference)
         u = reference.s - reference.alpha
         gap = reference.alpha * (reference.n1 - reference.n2)
         d2 = 3.0 * math.sqrt(reference.s * u) - 3.0 * u + gap
@@ -273,7 +272,7 @@ class TestThresholds:
         assert rep.d3_star == pytest.approx(d3, abs=2e-9)
 
     def test_quality_roots_satisfy_their_defining_equalities(self, reference):
-        rep = quality_threshold(reference)
+        rep = subsidy_threshold(reference)
         target = closed_form.profit_b_same(reference)
         assert closed_form.profit_b_compatible(reference, d=rep.d2_star) == \
             pytest.approx(target, abs=1e-8)
@@ -299,7 +298,7 @@ class TestThresholds:
 
     def test_both_ops_return_the_full_report(self, reference):
         a = subsidy_threshold(reference)
-        b = quality_threshold(reference)
+        b = subsidy_threshold(reference)
         assert a == b
 
 
@@ -399,9 +398,6 @@ class TestThresholdCrossCheck:
             for case, out in at_threshold.items():
                 assert out.profitB_with_subsidy == pytest.approx(target, rel=1e-9), \
                     (case, p)
-
-    def test_quality_threshold_is_an_alias(self):
-        assert quality_threshold is subsidy_threshold
 
 
 class TestOutcomeDiagnostics:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chain_rivalry import (
     ModelParams,
@@ -8,12 +10,10 @@ from chain_rivalry import (
     compatible_equilibrium,
     equilibrium,
     incompatible_equilibrium,
-    one_stage_nash,
     oracle_equilibrium,
     period2_monopoly_price,
     same_chain_equilibrium,
     stage_demand,
-    two_stage_nash,
     user_utility,
 )
 from chain_rivalry import oracle
@@ -162,10 +162,58 @@ class TestLockinMonopolyScan:
         with pytest.raises(ValueError, match="firm"):
             period2_monopoly_price(reference, "C", 0.5)
 
+    def test_harvest_is_continuous_and_worthless_without_a_base(self):
+        K, u = 10.0, 20.0  # the regimes meet at n = K/(2u) = 0.25
+        n = np.array([0.0, 0.25 - 1e-12, 0.25, 0.25 + 1e-12, 0.8])
+        price, retained = oracle._lockin_harvest(K, u, n)
+        value = price * retained
+        assert value[0] == 0.0
+        assert value[1:] == pytest.approx(K * K / (4.0 * u), rel=1e-10)
+        assert (price[-1], retained[-1]) == (K / 2.0, K / (2.0 * u))
+        price, retained = oracle._lockin_harvest(-1.0, u, np.array([0.0, 0.5]))
+        assert np.all(retained == 0.0)
+        assert np.all(price * retained == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.floats(0.5, 20.0), alpha_frac=st.floats(0.01, 0.99),
+           n1=st.floats(1.0, 50.0), n3_frac=st.floats(0.0, 0.99),
+           k_frac=st.floats(0.001, 2.0), d=st.floats(0.0, 5.0),
+           firm=st.sampled_from("AB"), n_first=st.floats(0.001, 1.0))
+    # k far below the participation bound: the vertex regime for both firms.
+    @example(s=3.0, alpha_frac=0.5, n1=10.0, n3_frac=0.5, k_frac=0.01, d=0.0,
+             firm="A", n_first=1.0)
+    @example(s=3.0, alpha_frac=0.5, n1=10.0, n3_frac=0.5, k_frac=0.01, d=0.0,
+             firm="B", n_first=0.8)
+    def test_attains_the_brute_force_harvest(self, s, alpha_frac, n1, n3_frac,
+                                             k_frac, d, firm, n_first):
+        # k ranges from far below the participation bound 4s + 4alpha(1 + n1
+        # + n3) to twice it, so both the corner and the vertex regime occur.
+        alpha = alpha_frac * s / (2.0 * n1 + 1.0)
+        n3 = n3_frac * n1
+        k = k_frac * (4.0 * s + 4.0 * alpha * (1.0 + n1 + n3))
+        p = ModelParams(alpha=alpha, s=s, k=k, n1=n1, n2=n3, n3=n3, d=d)
+        K = p.k + p.alpha * (p.n1 if firm == "A" else p.n3) \
+            + (p.d if firm == "B" else 0.0)
+        u = p.s - p.alpha
+
+        price, retained = period2_monopoly_price(p, firm, n_first)
+
+        assert retained <= n_first
+        assert retained == pytest.approx(min((K - price) / u, n_first),
+                                         rel=1e-12, abs=1e-12 * K / u)
+        prices = np.linspace(0.0, K, 20001)
+        values = prices * np.minimum((K - prices) / u, n_first)
+        step = prices[1] - prices[0]
+        best = int(np.argmax(values))
+        assert abs(price - prices[best]) <= step
+        assert price * retained >= values[best] * (1.0 - 1e-12)
+
 
 class TestOneStageNash:
+    """oracle_equilibrium on the scenarios without lock-in."""
+
     def test_shared_chain_reference(self, reference):
-        res = one_stage_nash(reference, Scenario.SAME_CHAIN)
+        res = oracle_equilibrium(reference, Scenario.SAME_CHAIN)
         assert res.converged
         assert res.pA1 == pytest.approx(3.0, abs=1e-8)
         assert res.pB1 == pytest.approx(3.0, abs=1e-8)
@@ -173,7 +221,7 @@ class TestOneStageNash:
 
     def test_compatible_reference(self, reference):
         closed = compatible_equilibrium(reference)
-        res = one_stage_nash(reference, Scenario.COMPATIBLE)
+        res = oracle_equilibrium(reference, Scenario.COMPATIBLE)
         assert res.converged
         assert res.pA1 == pytest.approx(closed.pA1, abs=1e-8)
         assert res.pB1 == pytest.approx(closed.pB1, abs=1e-8)
@@ -182,48 +230,40 @@ class TestOneStageNash:
         assert res.profitB == pytest.approx(closed.profitB, abs=1e-8)
 
     def test_periods_repeat_the_stage(self, reference):
-        res = one_stage_nash(reference, Scenario.COMPATIBLE)
-        assert res.pA2 == res.pA1
-        assert res.pB2 == res.pB1
-        assert res.cutoff2 == res.cutoff1
+        for scenario in (Scenario.SAME_CHAIN, Scenario.COMPATIBLE):
+            res = oracle_equilibrium(reference, scenario)
+            assert res.pA2 == res.pA1
+            assert res.pB2 == res.pB1
+            assert res.cutoff2 == res.cutoff1
+            assert (res.nA2, res.nB2) == (res.nA1, res.nB1)
 
-    @pytest.mark.parametrize("start", [(0.0, 0.0), (5.0, 5.0), (3.0, 3.0)])
-    def test_symmetric_game_lands_symmetric(self, reference, start):
+    @pytest.mark.parametrize("scenario", [Scenario.SAME_CHAIN, Scenario.COMPATIBLE],
+                             ids=lambda sc: sc.value)
+    def test_symmetric_game_lands_symmetric(self, reference, scenario):
         p = reference.with_values(n2=reference.n1)
-        res = one_stage_nash(p, Scenario.COMPATIBLE, start=start)
+        res = oracle_equilibrium(p, scenario)
         assert res.converged
         assert abs(res.pA1 - res.pB1) < 1e-9
 
-    def test_lock_in_scenario_refused(self, reference):
-        with pytest.raises(ValueError, match="two_stage"):
-            one_stage_nash(reference, Scenario.INCOMPATIBLE)
-
-    def test_best_response_sweeps_never_lose_profit(self, reference):
-        for scenario in (Scenario.SAME_CHAIN, Scenario.COMPATIBLE):
-            trace = []
-            one_stage_nash(reference, scenario, trace=trace)
-            assert trace
-            for _, before, after in trace:
-                assert after >= before - 1e-12
-
     def test_converged_implies_residual_below_step(self, reference, draws25):
         for p in [reference, *draws25[:5]]:
-            grid = PriceGrid.default_for(p)
-            res = one_stage_nash(p, Scenario.COMPATIBLE, grid=grid)
+            res = oracle_equilibrium(p, Scenario.COMPATIBLE)
             assert res.converged
-            assert res.residual <= grid.step
+            assert res.residual <= PriceGrid.default_for(p).step
 
     def test_sweep_exhaustion_reported_not_raised(self, reference, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_SWEEPS", 0)
-        res = one_stage_nash(reference, Scenario.COMPATIBLE)
+        res = oracle_equilibrium(reference, Scenario.COMPATIBLE)
         assert not res.converged
         assert res.iterations == 0
 
 
 class TestTwoStageNash:
+    """oracle_equilibrium on the lock-in game."""
+
     def test_reference_against_closed_form(self, reference):
         closed = incompatible_equilibrium(reference)
-        res = two_stage_nash(reference)
+        res = oracle_equilibrium(reference, Scenario.INCOMPATIBLE)
         assert res.converged
         assert res.pA1 == pytest.approx(closed.pA1, abs=1e-6)
         assert res.pB1 == pytest.approx(closed.pB1, abs=1e-6)
@@ -234,15 +274,16 @@ class TestTwoStageNash:
         assert res.profitB == pytest.approx(closed.profitB, abs=1e-6)
 
     def test_reference_point_decimals(self, reference):
-        res = two_stage_nash(reference)
+        res = oracle_equilibrium(reference, Scenario.INCOMPATIBLE)
         assert res.pA1 == pytest.approx(-14.8, abs=1e-3)
         assert res.pB1 == pytest.approx(-15.1, abs=1e-3)
         assert res.profitA == pytest.approx(2.485345, abs=1e-3)
         assert res.profitB == pytest.approx(1.885345, abs=1e-3)
 
     def test_stand_alone_value_only_shifts_discounts(self, reference):
-        base = two_stage_nash(reference)
-        moved = two_stage_nash(reference.with_values(k=reference.k + 1.0))
+        base = oracle_equilibrium(reference, Scenario.INCOMPATIBLE)
+        moved = oracle_equilibrium(reference.with_values(k=reference.k + 1.0),
+                                   Scenario.INCOMPATIBLE)
         assert moved.pA1 == pytest.approx(base.pA1 - 1.0, abs=1e-3)
         assert moved.pB1 == pytest.approx(base.pB1 - 1.0, abs=1e-3)
         assert moved.profitA == pytest.approx(base.profitA, abs=1e-3)
@@ -250,14 +291,17 @@ class TestTwoStageNash:
 
     def test_symmetric_bases_land_symmetric(self, reference):
         p = reference.with_values(n3=reference.n1)
-        res = two_stage_nash(p)
+        res = oracle_equilibrium(p, Scenario.INCOMPATIBLE)
         assert abs(res.pA1 - res.pB1) < 1e-6
         assert abs(res.profitA - res.profitB) < 1e-6
 
     def test_retention_equals_first_period_base(self, reference):
-        res = two_stage_nash(reference)
+        res = oracle_equilibrium(reference, Scenario.INCOMPATIBLE)
         assert res.nA2 == pytest.approx(res.nA1, abs=1e-6)
         assert res.nB2 == pytest.approx(res.nB1, abs=1e-6)
+        # Period 2 is reported by the lock-in monopoly at the period-1 bases.
+        assert (res.pA2, res.nA2) == period2_monopoly_price(reference, "A", res.nA1)
+        assert (res.pB2, res.nB2) == period2_monopoly_price(reference, "B", res.nB1)
 
 
 class TestOracleDispatch:
