@@ -26,7 +26,6 @@ from .model import (
     InvalidParamsError,
     ModelParams,
     Scenario,
-    UserChoice,
     ValidationReport,
     require_valid,
     user_utility,
@@ -63,7 +62,6 @@ __all__ = [
     "SweepRecord",
     "SweepSpec",
     "ThresholdReport",
-    "UserChoice",
     "UserPopulation",
     "ValidationReport",
     "VerificationReport",

@@ -154,28 +154,6 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class UserChoice:
-    """One user's action in one period.
-
-    locked marks a period-2 choice constrained by period-1 lock-in, which
-    only exists in the incompatible scenario.
-    """
-
-    x: float
-    period: int
-    choice: Choice
-    locked: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.x <= 1.0:
-            raise ValueError(f"user type x={self.x} outside [0, 1]")
-        if self.period not in (1, 2):
-            raise ValueError(f"period must be 1 or 2, got {self.period}")
-        if self.locked and self.period != 2:
-            raise ValueError("locked choices can only occur in period 2")
-
-
 class InvalidParamsError(ValueError):
     """Raised by operations whose precondition is a valid parameter set."""
 

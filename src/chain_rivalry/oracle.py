@@ -1,10 +1,11 @@
 """Brute-force equilibrium solver used to cross-check every closed form.
 
-Nothing here reuses the closed-form answers: demand comes from the user
-utility comparisons, best responses from grid argmax over candidate prices,
-and the two-period lock-in game from backward induction, each firm's
-period-1 objective carrying the exact monopoly value of harvesting its
-locked base in period 2. One solver, oracle_equilibrium, serves all three
+Nothing here reuses the closed-form answers: demand is solved exactly from
+the user utility comparisons (on the shared chain by cases on which
+participation bounds bind), best responses come from grid argmax over
+candidate prices, and the two-period lock-in game from backward induction,
+each firm's period-1 objective carrying the exact monopoly value of
+harvesting its locked base in period 2. One solver, oracle_equilibrium, serves all three
 scenarios. Each firm's objective is piecewise quadratic in both prices
 jointly, so a small stencil around the grid solution gives exact own and
 cross second differences on the local piece; one Newton step on both
@@ -23,8 +24,6 @@ from .model import EquilibriumOutcome, ModelParams, Scenario
 
 MAX_SWEEPS = 500
 POLISH_ROUNDS = 12
-SAME_CHAIN_FP_TOL = 1e-14
-SAME_CHAIN_FP_MAX_ITER = 400
 
 
 @dataclass(frozen=True)
@@ -71,11 +70,15 @@ class StageDemand(NamedTuple):
 def _demand(p: ModelParams, scenario: Scenario, pA, pB):
     """Vectorized stage demand (nA, nB, cutoff, full) at a price pair.
 
-    Cross-chain scenarios admit a closed demand form: the indifference point
-    under full coverage, capped by each firm's self-consistent participation
-    boundary (utility zero at the boundary type, network term included).
-    The shared chain couples both boundaries through total participation, so
-    that case iterates the participation total to its fixed point.
+    Each firm's share is the indifference point under full coverage, capped
+    by its self-consistent participation boundary (utility zero at the
+    boundary type, network term included). On the shared chain both
+    boundaries count the participation total T, and demand is the largest
+    self-consistent T. The indifferent type values both firms equally, so
+    coverage binds for both at once: either T = 1, or each firm sells
+    max((K + alpha*T)/s, 0) with K = k + alpha*n1 - price, which solves to
+    T = (K_A + K_B)/(s - 2*alpha) when both sell and to T = K/(s - alpha)
+    when only the larger-K firm does.
     """
     pA = np.asarray(pA, dtype=float)
     pB = np.asarray(pB, dtype=float)
@@ -83,19 +86,24 @@ def _demand(p: ModelParams, scenario: Scenario, pA, pB):
 
     if scenario is Scenario.SAME_CHAIN:
         raw = 0.5 + (pB - pA) / (2.0 * p.s)
-        total = np.ones(np.broadcast(pA, pB).shape)
-        nA = np.zeros_like(total)
-        nB = np.zeros_like(total)
-        for _ in range(SAME_CHAIN_FP_MAX_ITER):
+
+        def shares(total):
             reach_a = (p.k + p.alpha * (p.n1 + total) - pA) / p.s
             reach_b = (p.k + p.alpha * (p.n1 + total) - pB) / p.s
-            nA = np.clip(np.minimum(raw, reach_a), 0.0, 1.0)
-            nB = np.clip(np.minimum(1.0 - raw, reach_b), 0.0, 1.0)
-            new_total = nA + nB
-            if np.max(np.abs(new_total - total)) < SAME_CHAIN_FP_TOL:
-                total = new_total
-                break
-            total = new_total
+            return (np.clip(np.minimum(raw, reach_a), 0.0, 1.0),
+                    np.clip(np.minimum(1.0 - raw, reach_b), 0.0, 1.0))
+
+        nA, nB = shares(1.0)
+        short = nA + nB < 1.0
+        if np.any(short):
+            K_a = p.k + p.alpha * p.n1 - pA
+            K_b = p.k + p.alpha * p.n1 - pB
+            total = np.clip(np.maximum(K_a, K_b) / u, 0.0, 1.0)
+            if p.s > 2.0 * p.alpha:
+                both = (K_a + K_b) / (p.s - 2.0 * p.alpha)
+                total = np.where(np.minimum(K_a, K_b) + p.alpha * both >= 0.0,
+                                 both, total)
+            nA, nB = shares(np.where(short, total, 1.0))
     else:
         base_b = p.n2 if scenario is Scenario.COMPATIBLE else p.n3
         raw = (p.alpha * (p.n1 - base_b) + u - pA + pB - p.d) / (2.0 * u)

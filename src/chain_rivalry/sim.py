@@ -2,8 +2,10 @@
 
 Replaces the continuum of user types with m midpoint types of mass 1/m each
 and lets every user pick the utility-maximizing option, iterating on the
-conjectured adoption shares until they reproduce themselves. Shares are
-multiples of 1/m, so closed-form magnitudes should match to about 1/m.
+conjectured adoption shares until they repeat exactly. Shares are
+multiples of 1/m, so closed-form magnitudes should match to about 1/m. The
+reported cutoff is the upper edge of the last A-adopter's cell, so a
+contiguous block of A adopters has cutoff equal to its share.
 
 Tie rules: indifferent between the two firms picks B; indifferent between a
 firm and staying out participates. In the lock-in scenario, period-2 users
@@ -17,9 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Choice, ModelParams, Scenario, UserChoice, require_valid, user_utility
+from .model import Choice, ModelParams, Scenario, require_valid, user_utility
 
-SHARE_TOL = 1e-12
 MAX_FIXED_POINT_ITER = 1000
 
 
@@ -31,7 +32,6 @@ class UserPopulation:
     types: np.ndarray
     period1: Optional[np.ndarray] = field(default=None, repr=False)
     period2: Optional[np.ndarray] = field(default=None, repr=False)
-    locked2: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
     def create(cls, m: int) -> "UserPopulation":
@@ -39,19 +39,6 @@ class UserPopulation:
             raise ValueError(f"population needs at least one type, got m={m}")
         types = (np.arange(m, dtype=float) + 0.5) / m
         return cls(m=m, types=types)
-
-    def user_choice(self, period: int, i: int) -> UserChoice:
-        """Recorded decision of type i in the given period."""
-        if period not in (1, 2):
-            raise ValueError(f"period must be 1 or 2, got {period!r}")
-        choices = self.period1 if period == 1 else self.period2
-        if choices is None:
-            raise ValueError(f"period {period} has not been simulated yet")
-        if not 0 <= i < self.m:
-            raise IndexError(f"user index {i} outside population of {self.m}")
-        locked = bool(self.locked2[i]) if (period == 2 and self.locked2 is not None) else False
-        return UserChoice(x=float(self.types[i]), period=period,
-                          choice=Choice(int(choices[i])), locked=locked)
 
 
 @dataclass(frozen=True)
@@ -114,9 +101,9 @@ def simulate_period(pop: UserPopulation, p: ModelParams, scenario: Scenario,
                           Choice.NEITHER.value).astype(np.int8)
         new_a = np.count_nonzero(choice == Choice.FIRM_A.value) / pop.m
         new_b = np.count_nonzero(choice == Choice.FIRM_B.value) / pop.m
-        delta = max(abs(new_a - share_a), abs(new_b - share_b))
+        repeated = new_a == share_a and new_b == share_b
         share_a, share_b = new_a, new_b
-        if delta < SHARE_TOL:
+        if repeated:
             converged = True
             break
 
@@ -124,10 +111,9 @@ def simulate_period(pop: UserPopulation, p: ModelParams, scenario: Scenario,
         pop.period1 = choice
     else:
         pop.period2 = choice
-        pop.locked2 = (locks != Choice.NEITHER.value) if needs_locks else None
 
-    adopters_a = pop.types[choice == Choice.FIRM_A.value]
-    cutoff = float(adopters_a.max()) if adopters_a.size else 0.0
+    adopters_a = np.flatnonzero(choice == Choice.FIRM_A.value)
+    cutoff = (int(adopters_a[-1]) + 1) / pop.m if adopters_a.size else 0.0
     return SimOutcome(share_a=share_a, share_b=share_b, cutoff=cutoff,
                       revenue_a=pA * share_a, revenue_b=pB * share_b,
                       iterations=iterations, converged=converged)

@@ -8,7 +8,6 @@ from chain_rivalry import (
     InvalidParamsError,
     ModelParams,
     Scenario,
-    UserChoice,
     require_valid,
     user_utility,
     validate_params,
@@ -181,25 +180,6 @@ class TestEnums:
     def test_choice_codes_are_stable(self):
         # the simulator stores these as int8 codes
         assert (Choice.FIRM_A.value, Choice.FIRM_B.value, Choice.NEITHER.value) == (0, 1, 2)
-
-
-class TestUserChoice:
-    def test_valid_record(self):
-        uc = UserChoice(x=0.25, period=2, choice=Choice.FIRM_B, locked=True)
-        assert uc.locked
-
-    @pytest.mark.parametrize("x", [-0.1, 1.1])
-    def test_type_outside_unit_interval_rejected(self, x):
-        with pytest.raises(ValueError, match="outside"):
-            UserChoice(x=x, period=1, choice=Choice.FIRM_A)
-
-    def test_bad_period_rejected(self):
-        with pytest.raises(ValueError, match="period"):
-            UserChoice(x=0.5, period=3, choice=Choice.FIRM_A)
-
-    def test_lock_only_in_period_two(self):
-        with pytest.raises(ValueError, match="period 2"):
-            UserChoice(x=0.5, period=1, choice=Choice.FIRM_A, locked=True)
 
 
 class TestUserUtility:

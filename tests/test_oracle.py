@@ -62,6 +62,39 @@ def _brute_shares(p, scenario, pA, pB, nA, nB, m=200001):
     return share_a, share_b
 
 
+def _participation_excess(p, pA, pB, total):
+    """Shared-chain shares at a conjectured total, minus that total."""
+    raw = 0.5 + (pB - pA) / (2.0 * p.s)
+    reach_a = (p.k + p.alpha * (p.n1 + total) - pA) / p.s
+    reach_b = (p.k + p.alpha * (p.n1 + total) - pB) / p.s
+    return (min(max(min(raw, reach_a), 0.0), 1.0)
+            + min(max(min(1.0 - raw, reach_b), 0.0), 1.0) - total)
+
+
+def _participation_kinks(p, pA, pB):
+    """Totals in [0, 1] where a shared-chain share meets 0, 1 or its side of
+    the indifference point; the excess is linear between them."""
+    raw = 0.5 + (pB - pA) / (2.0 * p.s)
+    kinks = {0.0, 1.0}
+    for price in (pA, pB):
+        for level in (0.0, 1.0, raw, 1.0 - raw):
+            total = (level * p.s - (p.k + p.alpha * p.n1 - price)) / p.alpha
+            if 0.0 < total < 1.0:
+                kinks.add(total)
+    return sorted(kinks)
+
+
+def _largest_participation(p, pA, pB):
+    """Largest self-consistent shared-chain total, by kink enumeration."""
+    kinks = _participation_kinks(p, pA, pB)
+    excess = [_participation_excess(p, pA, pB, t) for t in kinks]
+    if excess[-1] >= 0.0:
+        return 1.0
+    i = max(j for j, value in enumerate(excess) if value >= 0.0)
+    lo, hi = kinks[i], kinks[i + 1]
+    return lo + excess[i] * (hi - lo) / (excess[i] - excess[i + 1])
+
+
 class TestStageDemand:
     def test_shared_chain_equal_prices(self, reference):
         dem = stage_demand(reference, Scenario.SAME_CHAIN, 3.0, 3.0)
@@ -121,6 +154,57 @@ class TestStageDemand:
                 nA, nB, _, _ = oracle._demand(reference, scenario, prices, rival)
                 total = (nA + nB) + (1.0 - (nA + nB))
                 assert np.all(total == 1.0)
+
+    def test_shared_chain_total_is_exact_near_unit_alpha_over_s(self):
+        # alpha/s = 0.98: where one firm's participation bound binds, a
+        # fixed-point iteration of the total would converge only at rate
+        # alpha/s, so meeting 1e-12 here takes an exact solve.
+        p = ModelParams(alpha=1.0, s=1.0201, k=12.0, n1=0.01, n2=0.0, n3=0.0)
+        require_valid(p)
+        prices = np.linspace(10.0, 14.0, 401)
+        partial = 0
+        for rival in np.linspace(11.0, 14.0, 31):
+            nA, nB, _, _ = oracle._demand(p, Scenario.SAME_CHAIN, prices, rival)
+            for own, total in zip(prices, nA + nB):
+                if total < 1.0:
+                    partial += 1
+                    assert total == pytest.approx(
+                        _largest_participation(p, own, rival), abs=1e-12)
+        assert partial > 3000
+
+    @settings(max_examples=300, deadline=None)
+    @given(n1=st.floats(0.01, 3.0), s=st.floats(0.5, 5.0),
+           alpha_frac=st.floats(0.01, 0.999), k_frac=st.floats(1.01, 2.0),
+           surplus=st.floats(-1.5, 2.0), gap=st.floats(-3.0, 3.0),
+           tie=st.booleans())
+    # alpha = 1, alpha/s = 0.98, A alone on its participation bound.
+    @example(n1=0.01, s=1.0201, alpha_frac=1.02 / 1.0201, k_frac=1.5,
+             surplus=0.005, gap=1.2, tie=False)
+    # s < 2*alpha at equal prices, on both sides of coverage.
+    @example(n1=0.2, s=1.5, alpha_frac=1.4 / 1.5, k_frac=1.2,
+             surplus=0.3, gap=0.0, tie=True)
+    @example(n1=0.2, s=1.5, alpha_frac=1.4 / 1.5, k_frac=1.2,
+             surplus=-0.3, gap=0.0, tie=True)
+    def test_shared_chain_total_is_the_largest_fixed_point(
+            self, n1, s, alpha_frac, k_frac, surplus, gap, tie):
+        # Prices sit around the stand-alone reach k + alpha*n1, so covered,
+        # partial and empty markets all occur; |gap| > 1 puts the
+        # indifference point outside [0, 1], and n1 < 0.5 allows s <= 2*alpha.
+        alpha = alpha_frac * s / (2.0 * n1 + 1.0)
+        k = k_frac * (4.0 * s + 4.0 * alpha * (1.0 + n1))
+        p = ModelParams(alpha=alpha, s=s, k=k, n1=n1, n2=0.0, n3=0.0)
+        require_valid(p)
+        pA = p.k + p.alpha * p.n1 - surplus * p.s
+        pB = pA if tie else pA + gap * p.s
+
+        dem = stage_demand(p, Scenario.SAME_CHAIN, pA, pB)
+        total = dem.nA + dem.nB
+
+        assert 0.0 <= dem.nA <= 1.0 and 0.0 <= dem.nB <= 1.0
+        assert abs(_participation_excess(p, pA, pB, total)) <= 1e-12
+        for t in _participation_kinks(p, pA, pB):
+            if t > total + 1e-9:
+                assert _participation_excess(p, pA, pB, t) < 0.0
 
 
 class TestLockinMonopolyScan:

@@ -29,27 +29,12 @@ class TestUserPopulation:
         with pytest.raises(ValueError, match="at least one"):
             UserPopulation.create(0)
 
-    def test_user_choice_before_simulation(self):
-        pop = UserPopulation.create(4)
-        with pytest.raises(ValueError, match="not been simulated"):
-            pop.user_choice(1, 0)
-
-    def test_user_choice_bad_inputs(self, reference):
-        pop = UserPopulation.create(4)
-        simulate_period(pop, reference, Scenario.SAME_CHAIN, 1, 3.0, 3.0)
-        with pytest.raises(ValueError, match="period"):
-            pop.user_choice(3, 0)
-        with pytest.raises(IndexError):
-            pop.user_choice(1, 4)
-
-    def test_user_choice_records_decisions(self, reference):
+    def test_period_choices_record_decisions(self, reference):
         pop = UserPopulation.create(10)
         simulate_period(pop, reference, Scenario.SAME_CHAIN, 1, 3.0, 3.0)
-        low = pop.user_choice(1, 0)
-        high = pop.user_choice(1, 9)
-        assert low.x == 0.05 and low.choice is Choice.FIRM_A
-        assert high.x == 0.95 and high.choice is Choice.FIRM_B
-        assert not low.locked and low.period == 1
+        assert pop.types[0] == 0.05 and pop.period1[0] == Choice.FIRM_A.value
+        assert pop.types[9] == 0.95 and pop.period1[9] == Choice.FIRM_B.value
+        assert pop.period2 is None
 
 
 class TestTieRules:
@@ -59,7 +44,7 @@ class TestTieRules:
         out = simulate_period(pop, reference, Scenario.SAME_CHAIN, 1, 3.0, 3.0)
         assert out.share_a == 0.4
         assert out.share_b == 0.6
-        assert pop.user_choice(1, 2).choice is Choice.FIRM_B
+        assert pop.period1[2] == Choice.FIRM_B.value
 
     def test_indifferent_with_staying_out_participates(self, reference):
         # alpha=0 kills the network feedback so utilities are exact in
@@ -69,8 +54,8 @@ class TestTieRules:
         out = simulate_period(pop, p, Scenario.SAME_CHAIN, 1,
                               p.k - 1.875, 100.0)
         assert out.share_a == 0.75
-        assert pop.user_choice(1, 2).choice is Choice.FIRM_A
-        assert pop.user_choice(1, 3).choice is Choice.NEITHER
+        assert pop.period1[2] == Choice.FIRM_A.value
+        assert pop.period1[3] == Choice.NEITHER.value
 
 
 class TestSimulatePeriod:
@@ -80,7 +65,7 @@ class TestSimulatePeriod:
         assert out.converged
         assert out.share_a == 0.5
         assert out.share_b == 0.5
-        assert out.cutoff == 0.45
+        assert out.cutoff == 0.5
         assert out.revenue_a == pytest.approx(1.5)
 
     @pytest.mark.parametrize("m,tol", [(1000, 1e-3), (10000, 1e-4)])
@@ -105,6 +90,8 @@ class TestSimulatePeriod:
         dem = stage_demand(reference, scenario, *prices)
         assert out.share_a == pytest.approx(dem.nA, abs=2.0 / m)
         assert out.share_b == pytest.approx(dem.nB, abs=2.0 / m)
+        # A's adopters are one block from x = 0, whose upper edge is the cutoff
+        assert out.cutoff == out.share_a
 
     def test_partial_participation(self, reference):
         # pricing at the stand-alone value leaves the middle out
@@ -120,7 +107,7 @@ class TestSimulatePeriod:
         pop = UserPopulation.create(2)
         out = simulate_period(pop, reference, Scenario.SAME_CHAIN, 1, 3.0, 3.0)
         assert out.share_a == 0.5 and out.share_b == 0.5
-        assert out.cutoff == 0.25
+        assert out.cutoff == 0.5
 
 
 class TestLockin:
@@ -149,9 +136,8 @@ class TestLockin:
                             m=10000)
         pop = run.population
         assert np.array_equal(pop.period1, pop.period2)
-        assert np.all(pop.locked2)
+        assert np.all(pop.period1 != Choice.NEITHER.value)
         assert run.period2.share_a == run.period1.share_a
-        assert pop.user_choice(2, 0).locked
 
     def test_locked_users_can_drop_out_but_not_switch(self, reference):
         pop = UserPopulation.create(1000)
@@ -175,7 +161,7 @@ class TestLockin:
         second = simulate_period(pop, reference, Scenario.INCOMPATIBLE, 2,
                                  0.0, 0.0, locks=pop.period1)
         assert second.share_a + second.share_b == 1.0
-        assert not np.any(pop.locked2)
+        assert np.all(pop.period1 == Choice.NEITHER.value)
 
 
 class TestSimulateGame:
@@ -209,4 +195,4 @@ class TestSimulateGame:
                             (3.0, 3.0, 3.0, 3.0), m=50)
         assert run.population.period1 is not None
         assert run.population.period2 is not None
-        assert run.population.user_choice(2, 25).period == 2
+        assert run.population.period2.shape == (50,)
