@@ -32,7 +32,6 @@ from .model import (
     validate_params,
 )
 from .oracle import (
-    PriceGrid,
     StageDemand,
     oracle_equilibrium,
     period2_monopoly_price,
@@ -53,7 +52,6 @@ __all__ = [
     "EquilibriumOutcome",
     "InvalidParamsError",
     "ModelParams",
-    "PriceGrid",
     "QuantityCheck",
     "Scenario",
     "SimOutcome",

@@ -120,9 +120,10 @@ class EquilibriumOutcome:
 
     cutoff_t is the marginal user type: types below choose firm A, types
     above choose firm B. Aggregate profits exclude subsidies, which enter
-    only through profitB_with_subsidy. converged, iterations (best-response
-    sweeps) and residual (last polish step) describe a numerical solve; an
-    exact formula keeps the defaults.
+    only through profitB_with_subsidy. converged (the grid deviation
+    certificate passed), iterations (certification rounds) and residual (last
+    polish step) describe a numerical solve; an exact formula keeps the
+    defaults.
     """
 
     scenario: Scenario

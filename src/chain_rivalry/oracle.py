@@ -2,58 +2,36 @@
 
 Nothing here reuses the closed-form answers: demand is solved exactly from
 the user utility comparisons (on the shared chain by cases on which
-participation bounds bind), best responses come from grid argmax over
-candidate prices, and the two-period lock-in game from backward induction,
-each firm's period-1 objective carrying the exact monopoly value of
-harvesting its locked base in period 2. One solver, oracle_equilibrium, serves all three
-scenarios. Each firm's objective is piecewise quadratic in both prices
-jointly, so a small stencil around the grid solution gives exact own and
-cross second differences on the local piece; one Newton step on both
-first-order conditions then lands on that piece's equilibrium, and a round
-or two more confirm that the step has shrunk to roundoff.
+participation bounds bind), and the two-period lock-in game by backward
+induction, each firm's period-1 objective carrying the exact monopoly value
+of harvesting its locked base in period 2. One solver, oracle_equilibrium,
+serves all three scenarios. Each firm's objective is piecewise quadratic in
+both prices jointly, so one Newton step on both first-order conditions
+lands on a piece's equilibrium; a full grid scan per firm then certifies
+that no price deviation pays more than roundoff.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .model import EquilibriumOutcome, ModelParams, Scenario
 
-MAX_SWEEPS = 500
+MAX_ROUNDS = 50
 POLISH_ROUNDS = 12
 
 
-@dataclass(frozen=True)
-class PriceGrid:
-    """Uniform candidate-price grid for best-response search."""
+def _price_grid(p: ModelParams) -> np.ndarray:
+    """Candidate prices for the deviation scans: 4001 points on [-span, span].
 
-    lo: float
-    hi: float
-    steps: int = 4001
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"grid bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
-        if self.steps < 2:
-            raise ValueError(f"grid needs at least 2 steps, got {self.steps}")
-
-    @classmethod
-    def default_for(cls, p: ModelParams, steps: int = 4001) -> "PriceGrid":
-        # Wide enough for every equilibrium price: period-1 discounts reach
-        # about -(k + alpha*n1) and period-2 harvest prices about k + alpha*n1
-        # + d, with s of slack.
-        span = p.k + p.alpha * p.n1 + p.s + p.d
-        return cls(lo=-span, hi=span, steps=steps)
-
-    @property
-    def step(self) -> float:
-        return (self.hi - self.lo) / (self.steps - 1)
-
-    def prices(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.steps)
+    Wide enough for every equilibrium price: period-1 discounts reach about
+    -(k + alpha*n1) and period-2 harvest prices about k + alpha*n1 + d, with
+    s of slack.
+    """
+    span = p.k + p.alpha * p.n1 + p.s + p.d
+    return np.linspace(-span, span, 4001)
 
 
 class StageDemand(NamedTuple):
@@ -202,49 +180,44 @@ def _polish_step(prices: np.ndarray, obj_a: Callable, obj_b: Callable,
 def _solve_game(prices: np.ndarray,
                 obj_a: Callable, obj_b: Callable,
                 start: tuple[float, float]) -> tuple[float, float, int, float, bool]:
-    """Alternating grid best response, then a joint Newton polish.
+    """Polish, then certify the polished pair against every grid deviation.
 
     obj_a(own, rival) / obj_b(own, rival) evaluate a firm's full objective at
-    candidate own and rival prices (vectorized, broadcast together). The
-    polish repeats _polish_step until its largest price move is at most
-    1e-13, or is at roundoff level (at most 1e-9) and no longer shrinks
-    tenfold, or POLISH_ROUNDS run out. Returns (pA, pB, sweeps, residual,
-    converged); residual is the last polish step's max price move.
+    candidate own and rival prices (vectorized, broadcast together). Each
+    round repeats _polish_step from the current pair until its largest price
+    move is at most 1e-13, or is below the grid step and no longer shrinking,
+    or POLISH_ROUNDS run out. It then scans each firm's whole grid at the
+    rival's polished price, with the polished price itself appended, so the
+    certificate costs no extra call. The pair is certified when neither firm
+    gains more than 1e-12 * max(1, |own objective|) by deviating; otherwise
+    both firms restart from their argmax of those same scans, for at most
+    MAX_ROUNDS rounds. Returns (pA, pB, rounds, residual, converged):
+    converged means certified, and residual is the last polish move.
     """
     step = float(prices[1] - prices[0])
-    pA = float(prices[np.argmin(np.abs(prices - start[0]))])
-    pB = float(prices[np.argmin(np.abs(prices - start[1]))])
-
-    seen = {(pA, pB)}
-    sweeps = 0
-    exhausted = True
-    for _ in range(MAX_SWEEPS):
-        sweeps += 1
-        new_pA = float(prices[int(np.argmax(obj_a(prices, pB)))])
-        new_pB = float(prices[int(np.argmax(obj_b(prices, new_pA)))])
-        moved = new_pA != pA or new_pB != pB
-        pA, pB = new_pA, new_pB
-        if not moved:
-            exhausted = False
-            break
-        if (pA, pB) in seen:
-            # Grid-resolution cycle; the polish below settles it.
-            exhausted = False
-            break
-        seen.add((pA, pB))
-
+    pA, pB = start
     residual = np.inf
-    for _ in range(POLISH_ROUNDS):
-        new_pA, new_pB = _polish_step(prices, obj_a, obj_b, pA, pB, step)
-        delta = max(abs(new_pA - pA), abs(new_pB - pB))
-        pA, pB = new_pA, new_pB
-        stalled = delta <= 1e-9 and delta > 0.1 * residual
-        residual = delta
-        if delta <= 1e-13 or stalled:
-            break
-
-    converged = (not exhausted) and residual <= step
-    return pA, pB, sweeps, residual, converged
+    for rounds in range(1, MAX_ROUNDS + 1):
+        residual = np.inf
+        for _ in range(POLISH_ROUNDS):
+            new_pA, new_pB = _polish_step(prices, obj_a, obj_b, pA, pB, step)
+            delta = max(abs(new_pA - pA), abs(new_pB - pB))
+            pA, pB = new_pA, new_pB
+            stopped_shrinking = residual <= delta <= step
+            residual = delta
+            if delta <= 1e-13 or stopped_shrinking:
+                break
+        restart, gains = [], []
+        for obj, own, rival in ((obj_a, pA, pB), (obj_b, pB, pA)):
+            values = obj(np.append(prices, own), rival)
+            best = int(np.argmax(values[:-1]))
+            restart.append(float(prices[best]))
+            gain = values[best] - values[-1]
+            gains.append(gain > 1e-12 * max(1.0, abs(values[-1])))
+        if not any(gains):
+            return pA, pB, rounds, residual, True
+        pA, pB = restart
+    return pA, pB, MAX_ROUNDS, residual, False
 
 
 def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome:
@@ -275,8 +248,8 @@ def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome
         _, nB, _, _ = _demand(p, scenario, rival, own)
         return own * nB + continuation(K_b, nB)
 
-    pA1, pB1, sweeps, residual, converged = _solve_game(
-        PriceGrid.default_for(p).prices(), obj_a, obj_b, (p.s, p.s))
+    pA1, pB1, rounds, residual, converged = _solve_game(
+        _price_grid(p), obj_a, obj_b, (p.s, p.s))
 
     nA1, nB1, cutoff1, _ = _demand(p, scenario, pA1, pB1)
     nA1, nB1, cutoff1 = float(nA1), float(nB1), float(cutoff1)
@@ -299,5 +272,5 @@ def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome
         profitB1=profitB1, profitB2=profitB2,
         profitA=profitA1 + profitA2, profitB=profitB,
         profitB_with_subsidy=profitB + p.subsidy(scenario),
-        converged=converged, iterations=sweeps, residual=residual,
+        converged=converged, iterations=rounds, residual=residual,
     )

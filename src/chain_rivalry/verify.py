@@ -125,7 +125,7 @@ def _check_oracle(acc: _Accumulator, label: str, p: ModelParams,
         acc.oracle_unconverged += 1
         acc.failures.append(
             f"oracle {scenario.value}: best-response search did not converge "
-            f"({found.iterations} sweeps, residual {found.residual:.3e}) "
+            f"({found.iterations} rounds, residual {found.residual:.3e}) "
             f"at {label}: {_params_line(p)}")
     for name in ORACLE_QUANTITIES:
         ref = float(getattr(closed, name))

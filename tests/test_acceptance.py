@@ -36,7 +36,8 @@ from chain_rivalry.closed_form import (
     profit_b_same,
 )
 from chain_rivalry.model import Choice
-from chain_rivalry.oracle import PriceGrid, _demand
+from chain_rivalry.oracle import _demand, _price_grid
+from test_oracle import _brute_shares
 
 
 @pytest.fixture
@@ -222,13 +223,22 @@ def test_simulated_users_reproduce_the_analytics(reference):
 
 
 def test_demand_conserves_mass_and_markets_stay_covered(reference, draws100):
-    grid_prices = PriceGrid.default_for(reference).prices()
+    # no share is negative and none is created: nA + nB <= 1 holds exactly
+    # on the whole grid, and sampled grid points match a brute-force count
+    # of user choices
+    grid_prices = _price_grid(reference)
     for scenario in Scenario:
         closed = equilibrium(reference, scenario)
         for rival in (closed.pB1, closed.pB2, reference.s, 0.0, -5.0):
             nA, nB, _, _ = _demand(reference, scenario, grid_prices, rival)
-            taken = nA + nB
-            assert np.all(taken + (1.0 - taken) == 1.0)
+            assert np.all(nA >= 0.0) and np.all(nB >= 0.0)
+            assert np.all(nA + nB <= 1.0)
+            for i in range(1700, 2301, 300):
+                share_a, share_b = _brute_shares(reference, scenario,
+                                                 grid_prices[i], rival,
+                                                 nA[i], nB[i])
+                assert share_a == pytest.approx(nA[i], abs=1e-5)
+                assert share_b == pytest.approx(nB[i], abs=1e-5)
 
     for p in [reference, *draws100]:
         for scenario in Scenario:

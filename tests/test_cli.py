@@ -1,8 +1,10 @@
 import csv
 import json
+import os
 import pathlib
 import shutil
 import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -217,13 +219,13 @@ class TestVerifyCommand:
         assert "FAIL: 1 check(s) outside tolerance" in out
 
     def test_oracle_non_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_SWEEPS", 0)
+        monkeypatch.setattr(oracle, "MAX_ROUNDS", 0)
         cfg = write_config(tmp_path)
         code = cli.main(["verify", "--config", cfg, "--trials", "0",
                          "--oracle"])
         out = capsys.readouterr().out
         assert code == 3
-        assert "best-response search did not converge" in out
+        assert "best-response search did not converge (0 rounds" in out
         assert out.rstrip().endswith(
             "check(s) outside tolerance, 3 oracle game(s) not converged")
 
@@ -343,3 +345,26 @@ class TestConsoleScript:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "chosen: P1" in proc.stdout
+
+    def test_declared_script_target_runs(self, tmp_path):
+        # Runs the [project.scripts] target in a fresh interpreter from the
+        # source tree, so it needs no install.
+        tomllib = pytest.importorskip("tomllib")
+        root = REPO_CONFIG.parent.parent
+        with open(root / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["chain-rivalry"]
+        module, func = target.split(":")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-c", f"from {module} import {func}; {func}()",
+                 *args], capture_output=True, text=True, env=env)
+
+        proc = run("compare", "--config", write_config(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert "chosen: P1" in proc.stdout
+        proc = run("compare", "--config", write_config(tmp_path, d=10.0))
+        assert proc.returncode == 2
+        assert "blockaded equilibrium" in proc.stderr

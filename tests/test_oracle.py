@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from chain_rivalry import (
     ModelParams,
-    PriceGrid,
     Scenario,
     compatible_equilibrium,
     equilibrium,
@@ -23,29 +22,18 @@ from chain_rivalry.verify import ORACLE_ABS_TOL, ORACLE_QUANTITIES, ORACLE_REL_T
 
 class TestPriceGrid:
     def test_default_bounds_cover_all_equilibrium_prices(self, reference):
-        grid = PriceGrid.default_for(reference)
+        prices = oracle._price_grid(reference)
         span = reference.k + reference.alpha * reference.n1 + reference.s
-        assert grid.lo == -span
-        assert grid.hi == span
-        assert grid.steps == 4001
+        assert prices[0] == -span
+        assert prices[-1] == span
+        assert prices.size == 4001
         out = incompatible_equilibrium(reference)
-        assert grid.lo < out.pA1 < grid.hi
-        assert grid.lo < out.pB2 < grid.hi
+        assert prices[0] < out.pA1 < prices[-1]
+        assert prices[0] < out.pB2 < prices[-1]
 
     def test_quality_edge_widens_the_default(self, reference):
-        grid = PriceGrid.default_for(reference.with_values(d=1.5))
-        assert grid.hi == reference.k + reference.alpha * reference.n1 + reference.s + 1.5
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError, match="lo < hi"):
-            PriceGrid(lo=1.0, hi=1.0)
-        with pytest.raises(ValueError, match="steps"):
-            PriceGrid(lo=0.0, hi=1.0, steps=1)
-
-    def test_prices_and_step(self):
-        grid = PriceGrid(lo=0.0, hi=1.0, steps=5)
-        assert grid.step == 0.25
-        assert np.array_equal(grid.prices(), [0.0, 0.25, 0.5, 0.75, 1.0])
+        prices = oracle._price_grid(reference.with_values(d=1.5))
+        assert prices[-1] == reference.k + reference.alpha * reference.n1 + reference.s + 1.5
 
 
 def _brute_shares(p, scenario, pA, pB, nA, nB, m=200001):
@@ -147,13 +135,21 @@ class TestStageDemand:
         assert share_a == pytest.approx(dem.nA, abs=1e-5)
 
     def test_conservation_is_exact_across_price_grids(self, reference):
-        prices = PriceGrid.default_for(reference, steps=401).prices()
+        # Shares never go negative and never sum past the whole market, with
+        # no roundoff allowance, and they match a brute-force user count at
+        # a few grid points.
+        prices = oracle._price_grid(reference)
         for scenario in Scenario:
             closed = equilibrium(reference, scenario)
             for rival in (closed.pB1, reference.s, 0.0):
                 nA, nB, _, _ = oracle._demand(reference, scenario, prices, rival)
-                total = (nA + nB) + (1.0 - (nA + nB))
-                assert np.all(total == 1.0)
+                assert np.all(nA >= 0.0) and np.all(nB >= 0.0)
+                assert np.all(nA + nB <= 1.0)
+                for i in range(1600, 2401, 200):
+                    share_a, share_b = _brute_shares(
+                        reference, scenario, prices[i], rival, nA[i], nB[i])
+                    assert share_a == pytest.approx(nA[i], abs=1e-5)
+                    assert share_b == pytest.approx(nB[i], abs=1e-5)
 
     def test_shared_chain_total_is_exact_near_unit_alpha_over_s(self):
         # alpha/s = 0.98: where one firm's participation bound binds, a
@@ -333,10 +329,11 @@ class TestOneStageNash:
         for p in [reference, *draws25[:5]]:
             res = oracle_equilibrium(p, Scenario.COMPATIBLE)
             assert res.converged
-            assert res.residual <= PriceGrid.default_for(p).step
+            prices = oracle._price_grid(p)
+            assert res.residual <= prices[1] - prices[0]
 
     def test_sweep_exhaustion_reported_not_raised(self, reference, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_SWEEPS", 0)
+        monkeypatch.setattr(oracle, "MAX_ROUNDS", 0)
         res = oracle_equilibrium(reference, Scenario.COMPATIBLE)
         assert not res.converged
         assert res.iterations == 0
@@ -405,8 +402,8 @@ class TestOracleDispatch:
 
 def _off_gate_draws(seed, count):
     """Draws the verify gate never makes: distinct rival bases n2 and n3, a
-    quality edge d in [0, half the corner bound) and nonzero subsidies, with
-    k above the participation bound for the larger rival base."""
+    quality edge d in [0, 0.95 x the corner bound) and nonzero subsidies,
+    with k above the participation bound for the larger rival base."""
     rng = np.random.default_rng(seed)
     draws = []
     while len(draws) < count:
@@ -421,7 +418,7 @@ def _off_gate_draws(seed, count):
         u = s - alpha
         corner = min(3.0 * u + alpha * (n1 - n2), 2.5 * u + alpha * (n1 - n3))
         p = ModelParams(alpha=alpha, s=s, k=k, n1=n1, n2=n2, n3=n3,
-                        d=float(rng.uniform(0.0, 0.5 * corner)),
+                        d=float(rng.uniform(0.0, 0.95 * corner)),
                         subsidy_p2=float(rng.uniform(0.01, 2.0)),
                         subsidy_p3=float(rng.uniform(0.01, 2.0)))
         require_valid(p)
@@ -451,9 +448,10 @@ class TestJointPolish:
                 calls[0] = 0
                 res = oracle_equilibrium(p, scenario)
                 assert res.converged
-                # Two grid scans per sweep, one 5-point stencil per firm per
-                # polish round, one demand evaluation at the solution.
-                budget = 2 * res.iterations + 2 * self.MAX_POLISH + 1
+                assert res.iterations == 1
+                # Two certificate scans, one 5-point stencil per firm per
+                # polish step, one demand evaluation at the solution.
+                budget = 2 + 2 * self.MAX_POLISH + 1
                 assert calls[0] <= budget, (scenario.value, calls[0], budget)
 
     PRICES = np.linspace(-100.0, 100.0, 2001)
@@ -484,6 +482,28 @@ class TestJointPolish:
         pA, pB = oracle._polish_step(self.PRICES, obj_a, obj_b, 7.0, 0.0, 0.1)
         assert pA == pytest.approx(7.0, abs=1e-12)
         assert pB == self.PRICES[-1]
+
+    def test_certificate_rejects_a_local_best_response(self, monkeypatch):
+        # B's profit has one peak at 1. A's has a local peak at 2, where the
+        # polish from the start settles, and a higher one at 60 that only
+        # the grid scan sees.
+        obj_a = lambda own, rival: np.maximum(-(own - 2.0) ** 2,
+                                              10.0 - (own - 60.0) ** 2)
+        obj_b = lambda own, rival: -(own - 1.0) ** 2
+        assert oracle._polish_step(self.PRICES, obj_a, obj_b, 0.0, 0.0, 0.1) \
+            == pytest.approx((2.0, 1.0), abs=1e-12)
+
+        pA, pB, rounds, residual, converged = oracle._solve_game(
+            self.PRICES, obj_a, obj_b, (0.0, 0.0))
+        assert converged
+        assert rounds == 2
+        assert pA == pytest.approx(60.0, abs=1e-12)
+        assert pB == pytest.approx(1.0, abs=1e-12)
+        assert residual <= 1e-13
+
+        monkeypatch.setattr(oracle, "MAX_ROUNDS", 1)
+        *_, converged = oracle._solve_game(self.PRICES, obj_a, obj_b, (0.0, 0.0))
+        assert not converged
 
     def test_polish_lands_on_the_grid_free_equilibrium(self, reference):
         # Off-grid closed-form prices are met to roundoff, far below the grid

@@ -137,7 +137,7 @@ class TestFaultDetection:
 
 class TestOracleConvergence:
     def test_non_convergence_fails_the_run(self, reference, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_SWEEPS", 0)
+        monkeypatch.setattr(oracle, "MAX_ROUNDS", 0)
         report = run_verification(reference, trials=0, use_sim=False)
         assert not report.ok
         assert report.oracle_unconverged == 3
@@ -146,7 +146,7 @@ class TestOracleConvergence:
         assert len(stalled) == 3
         for scenario, line in zip(Scenario, stalled):
             assert line.startswith(f"oracle {scenario.value}: ")
-            assert "0 sweeps" in line and "at config: alpha=" in line
+            assert "0 rounds" in line and "at config: alpha=" in line
 
     def test_converged_runs_report_none(self, reference):
         report = run_verification(reference, trials=1, seed=3, use_sim=False)
