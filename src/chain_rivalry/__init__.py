@@ -2,22 +2,19 @@
 platform choice (shared chain, compatible chain, or incompatible chain)
 shapes network effects and switching costs.
 
-Closed-form equilibria live in closed_form; oracle and sim provide two
-independent numerical routes to the same objects for verification.
+Closed-form equilibria live in closed_form, one equilibrium(p, scenario)
+for all three scenarios; oracle and sim provide two independent numerical
+routes to the same objects for verification.
 """
 
 from .closed_form import (
     AdoptionDecision,
     AdoptionSensitivity,
-    BracketError,
     CornerEquilibriumError,
     ThresholdReport,
     adoption_decision,
     adoption_sensitivity,
-    compatible_equilibrium,
     equilibrium,
-    incompatible_equilibrium,
-    same_chain_equilibrium,
     subsidy_threshold,
 )
 from .model import (
@@ -46,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdoptionDecision",
     "AdoptionSensitivity",
-    "BracketError",
     "Choice",
     "CornerEquilibriumError",
     "EquilibriumOutcome",
@@ -65,16 +61,13 @@ __all__ = [
     "VerificationReport",
     "adoption_decision",
     "adoption_sensitivity",
-    "compatible_equilibrium",
     "draw_params",
     "equilibrium",
-    "incompatible_equilibrium",
     "oracle_equilibrium",
     "period2_monopoly_price",
     "render_profit_svg",
     "run_sweep",
     "run_verification",
-    "same_chain_equilibrium",
     "simulate_game",
     "simulate_period",
     "stage_demand",

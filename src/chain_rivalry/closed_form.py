@@ -1,14 +1,16 @@
 """Closed-form equilibria, payoffs, thresholds, and the entrant's platform choice.
 
-Every operation is an explicit formula, parameterized by the quality edge d
-and the platform subsidies so the baseline model is the d=0, zero-subsidy
+equilibrium(p, scenario) is the one closed-form equilibrium for all three
+scenarios; subsidy_threshold and adoption_decision build on it. Every
+operation is an explicit formula, parameterized by the quality edge d and
+the platform subsidies so the baseline model is the d=0, zero-subsidy
 special case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model import (
     EquilibriumOutcome,
@@ -59,39 +61,15 @@ class AdoptionDecision:
             raise ValueError("chosen platform does not attain the payoff maximum")
 
 
-# Aggregate two-period payoff formulas. These define the thresholds and are
-# the cross-checks for the price-times-share route used by the equilibrium
-# constructors; they ignore participation corners, so callers wanting
-# interior-equilibrium guarantees go through the *_equilibrium operations
-# instead.
-
-def profit_a_same(p: ModelParams) -> float:
-    return p.s
-
-
-def profit_b_same(p: ModelParams) -> float:
-    return p.s
-
-
-def profit_a_compatible(p: ModelParams, d: float | None = None) -> float:
-    d = p.d if d is None else d
-    u = p.s - p.alpha
-    num = 3.0 * u - d + p.alpha * (p.n1 - p.n2)
-    return num * num / (9.0 * u)
-
+# B's aggregate two-period payoffs off the shared chain, as functions of d.
+# subsidy_threshold takes its payoff gaps from them; they ignore
+# participation corners, which equilibrium() checks.
 
 def profit_b_compatible(p: ModelParams, d: float | None = None) -> float:
     d = p.d if d is None else d
     u = p.s - p.alpha
     num = 3.0 * u + d + p.alpha * (p.n2 - p.n1)
     return num * num / (9.0 * u)
-
-
-def profit_a_incompatible(p: ModelParams, d: float | None = None) -> float:
-    d = p.d if d is None else d
-    u = p.s - p.alpha
-    num = -2.0 * d + 5.0 * u + 2.0 * p.alpha * (p.n1 - p.n3)
-    return 3.0 * num * num / (100.0 * u)
 
 
 def profit_b_incompatible(p: ModelParams, d: float | None = None) -> float:
@@ -101,108 +79,82 @@ def profit_b_incompatible(p: ModelParams, d: float | None = None) -> float:
     return 3.0 * num * num / (100.0 * u)
 
 
-def _interior(scenario: Scenario, cutoff: float) -> None:
+def _require_finite(what: str, result: EquilibriumOutcome | ThresholdReport) -> None:
+    """Raise a ValueError naming the result's first non-finite field, if it
+    has one: the inputs were finite, so float arithmetic overflowed."""
+    for field in fields(result):
+        value = getattr(result, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{what}: {field.name} overflows to {value!r}")
+
+
+def equilibrium(p: ModelParams, scenario: Scenario,
+                validate: bool = True) -> EquilibriumOutcome:
+    """The scenario's equilibrium prices, cutoffs, shares and payoffs.
+
+    SAME_CHAIN: the shared network term cancels from every user's A-vs-B
+    comparison, so the game is plain product differentiation with dispersion
+    s; each period both firms price at s and split the market at 1/2.
+
+    COMPATIBLE: users switch costlessly, so both periods repeat one Bertrand
+    stage game with effective dispersion u = s - alpha and a demand shift
+    from the base gap n1 - n2 and the quality edge d.
+
+    INCOMPATIBLE: adopters cannot switch firms in period 2, so each firm then
+    charges the highest price its whole period-1 base weakly accepts (the
+    full-retention corner). Anticipating that harvest, both firms bid for the
+    base with negative period-1 prices.
+
+    Shares are the same in both periods; profits are price times share, and
+    only profitB_with_subsidy adds the scenario's subsidy. Raises
+    CornerEquilibriumError when the cutoff leaves (0, 1), and ValueError
+    when a field overflows to a non-finite value.
+    """
+    if validate:
+        require_valid(p)
+    u = p.s - p.alpha
+    if scenario is Scenario.SAME_CHAIN:
+        pA1 = pB1 = p.s
+        cutoff = 0.5
+    elif scenario is Scenario.COMPATIBLE:
+        gap = p.alpha * (p.n1 - p.n2)
+        pA1 = u + (gap - p.d) / 3.0
+        pB1 = u + (-gap + p.d) / 3.0
+        cutoff = (3.0 * u + gap - p.d) / (6.0 * u)
+    else:
+        gap = p.alpha * (p.n1 - p.n3)
+        pA1 = (-4.0 * p.d + 10.0 * u - 5.0 * p.k - p.alpha * (p.n1 + 4.0 * p.n3)) / 5.0
+        pB1 = (-p.d + 10.0 * u - 5.0 * p.k - p.alpha * (4.0 * p.n1 + p.n3)) / 5.0
+        cutoff = (5.0 * u + 2.0 * gap - 2.0 * p.d) / (10.0 * u)
     if not 0.0 < cutoff < 1.0:
         raise CornerEquilibriumError(scenario, cutoff)
-
-
-def same_chain_equilibrium(p: ModelParams, validate: bool = True) -> EquilibriumOutcome:
-    """Both firms on the shared chain: symmetric Bertrand at price s.
-
-    The shared network term cancels from every user's A-vs-B comparison, so
-    the game is plain product differentiation with dispersion s; each period
-    both firms price at s and split the market at the cutoff 1/2.
-    """
-    if validate:
-        require_valid(p)
-    price = p.s
-    cutoff = 0.5
-    per_period = price * cutoff
-    return EquilibriumOutcome(
-        scenario=Scenario.SAME_CHAIN,
-        pA1=price, pB1=price, pA2=price, pB2=price,
-        cutoff1=cutoff, cutoff2=cutoff,
-        nA1=cutoff, nB1=1.0 - cutoff, nA2=cutoff, nB2=1.0 - cutoff,
-        profitA1=per_period, profitA2=per_period,
-        profitB1=per_period, profitB2=per_period,
-        profitA=per_period + per_period, profitB=per_period + per_period,
-        profitB_with_subsidy=per_period + per_period,
-    )
-
-
-def compatible_equilibrium(p: ModelParams, validate: bool = True) -> EquilibriumOutcome:
-    """B on a compatible separate chain: one-shot Bertrand, played twice.
-
-    Users can switch costlessly, so both periods repeat the same stage game
-    with effective dispersion s - alpha and a demand shift from the base gap
-    n1 - n2 and the quality edge d.
-    """
-    if validate:
-        require_valid(p)
-    u = p.s - p.alpha
-    gap = p.alpha * (p.n1 - p.n2)
-    pA = u + (gap - p.d) / 3.0
-    pB = u + (-gap + p.d) / 3.0
-    cutoff = (3.0 * u + gap - p.d) / (6.0 * u)
-    _interior(Scenario.COMPATIBLE, cutoff)
     nA, nB = cutoff, 1.0 - cutoff
-    profitA_t = pA * nA
-    profitB_t = pB * nB
-    profitB = profitB_t + profitB_t
-    return EquilibriumOutcome(
-        scenario=Scenario.COMPATIBLE,
-        pA1=pA, pB1=pB, pA2=pA, pB2=pB,
-        cutoff1=cutoff, cutoff2=cutoff,
-        nA1=nA, nB1=nB, nA2=nA, nB2=nB,
-        profitA1=profitA_t, profitA2=profitA_t,
-        profitB1=profitB_t, profitB2=profitB_t,
-        profitA=profitA_t + profitA_t, profitB=profitB,
-        profitB_with_subsidy=profitB + p.subsidy(Scenario.COMPATIBLE),
-    )
-
-
-def incompatible_equilibrium(p: ModelParams, validate: bool = True) -> EquilibriumOutcome:
-    """B on an incompatible chain: two-stage game with period-2 lock-in.
-
-    Adopters cannot switch firms in period 2, so each firm then charges the
-    highest price its whole period-1 base weakly accepts (the full-retention
-    corner). Anticipating that harvest, both firms bid for the base with
-    negative period-1 prices; shares are identical across periods.
-    """
-    if validate:
-        require_valid(p)
-    u = p.s - p.alpha
-    gap = p.alpha * (p.n1 - p.n3)
-    pA1 = (-4.0 * p.d + 10.0 * u - 5.0 * p.k - p.alpha * (p.n1 + 4.0 * p.n3)) / 5.0
-    pB1 = (-p.d + 10.0 * u - 5.0 * p.k - p.alpha * (4.0 * p.n1 + p.n3)) / 5.0
-    cutoff = (5.0 * u + 2.0 * gap - 2.0 * p.d) / (10.0 * u)
-    _interior(Scenario.INCOMPATIBLE, cutoff)
-    nA, nB = cutoff, 1.0 - cutoff
-    # Highest price retaining the whole period-1 base (marginal adopter at 0).
-    pA2 = p.k + p.alpha * p.n1 + (p.alpha - p.s) * nA
-    pB2 = p.k + p.alpha * p.n3 + p.d + (p.alpha - p.s) * nB
+    if scenario is Scenario.INCOMPATIBLE:
+        # Highest price retaining the whole period-1 base (marginal adopter at 0).
+        pA2 = p.k + p.alpha * p.n1 + (p.alpha - p.s) * nA
+        pB2 = p.k + p.alpha * p.n3 + p.d + (p.alpha - p.s) * nB
+    else:
+        pA2, pB2 = pA1, pB1
     profitA1, profitA2 = pA1 * nA, pA2 * nA
     profitB1, profitB2 = pB1 * nB, pB2 * nB
+    profitA = profitA1 + profitA2
     profitB = profitB1 + profitB2
-    return EquilibriumOutcome(
-        scenario=Scenario.INCOMPATIBLE,
+    paid = profitB + p.subsidy(scenario)
+    out = EquilibriumOutcome(
+        scenario=scenario,
         pA1=pA1, pB1=pB1, pA2=pA2, pB2=pB2,
         cutoff1=cutoff, cutoff2=cutoff,
         nA1=nA, nB1=nB, nA2=nA, nB2=nB,
         profitA1=profitA1, profitA2=profitA2,
         profitB1=profitB1, profitB2=profitB2,
-        profitA=profitA1 + profitA2, profitB=profitB,
-        profitB_with_subsidy=profitB + p.subsidy(Scenario.INCOMPATIBLE),
+        profitA=profitA, profitB=profitB, profitB_with_subsidy=paid,
     )
-
-
-def equilibrium(p: ModelParams, scenario: Scenario,
-                validate: bool = True) -> EquilibriumOutcome:
-    if scenario is Scenario.SAME_CHAIN:
-        return same_chain_equilibrium(p, validate=validate)
-    if scenario is Scenario.COMPATIBLE:
-        return compatible_equilibrium(p, validate=validate)
-    return incompatible_equilibrium(p, validate=validate)
+    # A sum is finite only if every term is; finite prices and totals (with
+    # the cutoff interior) leave no field to overflow. The sum itself may
+    # overflow, so the scan decides.
+    if not math.isfinite(pA1 + pB1 + pA2 + pB2 + profitA + paid):
+        _require_finite(f"{scenario.value} equilibrium", out)
+    return out
 
 
 def subsidy_threshold(p: ModelParams, validate: bool = True) -> ThresholdReport:
@@ -218,12 +170,18 @@ def subsidy_threshold(p: ModelParams, validate: bool = True) -> ThresholdReport:
     if validate:
         require_valid(p)
     u = p.s - p.alpha
-    return ThresholdReport(
+    rep = ThresholdReport(
         c2_star=p.s - profit_b_compatible(p, d=0.0),
         c3_star=p.s - profit_b_incompatible(p, d=0.0),
         d2_star=3.0 * math.sqrt(u * p.s) - 3.0 * u + p.alpha * (p.n1 - p.n2),
         d3_star=5.0 * math.sqrt(u * p.s / 3.0) - 2.5 * u + p.alpha * (p.n1 - p.n3),
     )
+    if not math.isfinite(rep.c2_star + rep.c3_star + rep.d2_star + rep.d3_star):
+        _require_finite("subsidy thresholds", rep)
+    return rep
+
+
+_PLATFORMS = tuple(zip(("P1", "P2", "P3"), Scenario))
 
 
 def adoption_decision(p: ModelParams, validate: bool = True) -> AdoptionDecision:
@@ -231,9 +189,8 @@ def adoption_decision(p: ModelParams, validate: bool = True) -> AdoptionDecision
     if validate:
         require_valid(p)
     payoffs = {
-        "P1": same_chain_equilibrium(p, validate=False).profitB_with_subsidy,
-        "P2": compatible_equilibrium(p, validate=False).profitB_with_subsidy,
-        "P3": incompatible_equilibrium(p, validate=False).profitB_with_subsidy,
+        platform: equilibrium(p, scenario, validate=False).profitB_with_subsidy
+        for platform, scenario in _PLATFORMS
     }
     chosen = "P1"
     for platform in ("P2", "P3"):

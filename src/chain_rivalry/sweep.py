@@ -16,10 +16,10 @@ import numpy as np
 
 from . import closed_form
 from .closed_form import CornerEquilibriumError, ThresholdReport
-from .model import EquilibriumOutcome, ModelParams, Scenario, validate_params
+from .model import (OPTIONAL_FIELDS, REQUIRED_FIELDS, EquilibriumOutcome,
+                    ModelParams, Scenario, validate_params)
 
-SWEEPABLE = ("alpha", "s", "k", "n1", "n2", "n3", "d",
-             "subsidy_p2", "subsidy_p3")
+SWEEPABLE = REQUIRED_FIELDS + OPTIONAL_FIELDS
 
 CSV_HEADER = ("param_value,scenario,pA1,pB1,pA2,pB2,cutoff,profitA,profitB,"
               "chosen,c2_star,c3_star,d2_star,d3_star,valid")
@@ -36,8 +36,10 @@ class SweepSpec:
         if self.param not in SWEEPABLE:
             raise ValueError(
                 f"cannot sweep {self.param!r}; choose one of {', '.join(SWEEPABLE)}")
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError(f"sweep range must be finite, got [{self.lo}, {self.hi}]")
+        # a finite width implies finite ends; linspace needs the width itself
+        if not np.isfinite(self.hi - self.lo):
+            raise ValueError("sweep range must be finite, and so must its width "
+                             f"hi - lo, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"sweep range needs lo < hi, got [{self.lo}, {self.hi}]")
         if self.steps < 2:
@@ -50,17 +52,14 @@ class SweepSpec:
 @dataclass(frozen=True)
 class SweepRecord:
     """All outcomes at one grid point. A scenario maps to None when its
-    equilibrium is blockaded (corner); note explains any missing pieces."""
+    equilibrium is blockaded (corner); an invalid point has no outcomes, no
+    choice and no thresholds. note explains any missing pieces."""
 
     value: float
     outcomes: Mapping[Scenario, Optional[EquilibriumOutcome]]
     chosen: str
     thresholds: Optional[ThresholdReport]
     note: str
-
-    @property
-    def valid(self) -> bool:
-        return not self.note.startswith("invalid")
 
 
 def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
@@ -105,7 +104,7 @@ def write_sweep_csv(records: list[SweepRecord], stream: IO[str]) -> int:
     rows = 0
     for rec in records:
         for scenario in Scenario:
-            out = rec.outcomes.get(scenario) if rec.valid else None
+            out = rec.outcomes.get(scenario)
             thresholds = rec.thresholds
             if out is not None:
                 body = [_fmt(out.pA1), _fmt(out.pB1), _fmt(out.pA2),
@@ -113,14 +112,14 @@ def write_sweep_csv(records: list[SweepRecord], stream: IO[str]) -> int:
                         _fmt(out.profitB)]
             else:
                 body = [""] * 7
-            if rec.valid:
+            if thresholds is not None:
                 tail = [_fmt(thresholds.c2_star), _fmt(thresholds.c3_star),
                         _fmt(thresholds.d2_star), _fmt(thresholds.d3_star)]
             else:
                 tail = [""] * 4
-            status = "ok" if rec.valid and out is not None else rec.note
+            status = "ok" if out is not None else rec.note
             writer.writerow([_fmt(rec.value), scenario.value, *body,
-                             rec.chosen if rec.valid else "", *tail, status])
+                             rec.chosen, *tail, status])
             rows += 1
     return rows
 
@@ -140,10 +139,6 @@ def render_profit_svg(records: list[SweepRecord], param: str) -> str:
 
     series: dict[Scenario, list[tuple[float, float]]] = {sc: [] for sc in Scenario}
     for rec in records:
-        if not rec.valid:
-            for sc in Scenario:
-                series[sc].append((rec.value, float("nan")))
-            continue
         for sc in Scenario:
             out = rec.outcomes.get(sc)
             series[sc].append((rec.value, out.profitB if out is not None else float("nan")))

@@ -17,27 +17,24 @@ from chain_rivalry import (
     adoption_decision,
     adoption_sensitivity,
     cli,
-    compatible_equilibrium,
     equilibrium,
-    incompatible_equilibrium,
     run_sweep,
     run_verification,
-    same_chain_equilibrium,
     simulate_game,
     stage_demand,
     subsidy_threshold,
 )
-from chain_rivalry.closed_form import (
+from chain_rivalry.closed_form import profit_b_compatible, profit_b_incompatible
+from chain_rivalry.model import Choice
+from chain_rivalry.oracle import _demand, _price_grid
+from test_closed_form import (
     profit_a_compatible,
     profit_a_incompatible,
     profit_a_same,
-    profit_b_compatible,
-    profit_b_incompatible,
     profit_b_same,
 )
-from chain_rivalry.model import Choice
-from chain_rivalry.oracle import _demand, _price_grid
 from test_oracle import _brute_shares
+
 
 
 @pytest.fixture
@@ -73,12 +70,12 @@ def test_entrant_prefers_the_shared_chain_without_edges(reference, draws100):
 
 
 def test_reference_point_shared_and_compatible_values(reference):
-    same = same_chain_equilibrium(reference)
+    same = equilibrium(reference, Scenario.SAME_CHAIN)
     assert same.pA1 == 3.0
     assert same.pB1 == 3.0
     assert same.pA1 == reference.s
 
-    compat = compatible_equilibrium(reference)
+    compat = equilibrium(reference, Scenario.COMPATIBLE)
     assert compat.pA1 == pytest.approx(3.066667, abs=1e-6)
     assert compat.pB1 == pytest.approx(2.733333, abs=1e-6)
     assert compat.cutoff1 == pytest.approx(0.528736, abs=1e-6)
@@ -87,7 +84,7 @@ def test_reference_point_shared_and_compatible_values(reference):
 
 
 def test_reference_point_lock_in_values(reference):
-    out = incompatible_equilibrium(reference)
+    out = equilibrium(reference, Scenario.INCOMPATIBLE)
     assert out.pA1 == pytest.approx(-14.8, abs=1e-6)
     assert out.pB1 == pytest.approx(-15.1, abs=1e-6)
     assert out.pA2 == pytest.approx(19.45, abs=1e-6)
@@ -100,7 +97,8 @@ def test_reference_point_lock_in_values(reference):
     # the stand-alone value cancels out of lock-in profits: a higher k only
     # deepens period-1 discounts one for one
     for shift in (1.0, -1.0):
-        moved = incompatible_equilibrium(reference.with_values(k=reference.k + shift))
+        moved = equilibrium(reference.with_values(k=reference.k + shift),
+                            Scenario.INCOMPATIBLE)
         assert moved.profitA == pytest.approx(out.profitA, abs=1e-9)
         assert moved.profitB == pytest.approx(out.profitB, abs=1e-9)
         assert moved.pA1 == pytest.approx(out.pA1 - shift, abs=1e-9)
@@ -122,8 +120,10 @@ def test_network_strength_widens_the_compatible_profit_gap(reference):
 
     spec = SweepSpec(param="alpha", lo=0.05, hi=0.13, steps=9)
     records = run_sweep(reference, spec)
-    assert [rec.valid for rec in records] == [True] * 8 + [False]
-    swept = [rec.outcomes[Scenario.COMPATIBLE] for rec in records if rec.valid]
+    valid = [rec.thresholds is not None for rec in records]
+    assert valid == [True] * 8 + [False]
+    swept = [rec.outcomes[Scenario.COMPATIBLE] for rec in records
+             if rec.thresholds is not None]
     swept_gaps = [out.profitA - out.profitB for out in swept]
     assert swept_gaps == pytest.approx(gaps[:8], rel=1e-12)
     for out, p_point in zip(swept, (reference.with_values(alpha=float(a))
@@ -134,7 +134,7 @@ def test_network_strength_widens_the_compatible_profit_gap(reference):
     # shared chain and prices below dispersion
     for n2 in (9.5, 9.0, 8.6):
         close = reference.with_values(k=25.0, n2=n2, n3=n2)
-        compat = compatible_equilibrium(close)
+        compat = equilibrium(close, Scenario.COMPATIBLE)
         assert compat.profitA < profit_a_same(close)
         assert compat.pA1 < close.s
 

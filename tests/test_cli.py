@@ -12,8 +12,7 @@ import pytest
 from chain_rivalry import ModelParams, cli
 from chain_rivalry import closed_form, oracle, sim
 from chain_rivalry.sweep import CSV_HEADER
-
-import dataclasses
+from test_verify import skew_compatible_profit_b
 
 REPO_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
@@ -203,13 +202,7 @@ class TestVerifyCommand:
         assert "sim" not in out.split("routes:")[1].splitlines()[0]
 
     def test_tolerance_breach_exits_3(self, tmp_path, capsys, monkeypatch):
-        real = closed_form.compatible_equilibrium
-
-        def skewed(p, validate=True):
-            out = real(p, validate=validate)
-            return dataclasses.replace(out, profitB=out.profitB + 0.05)
-
-        monkeypatch.setattr(closed_form, "compatible_equilibrium", skewed)
+        skew_compatible_profit_b(monkeypatch)
         cfg = write_config(tmp_path)
         code = cli.main(["verify", "--config", cfg, "--trials", "0",
                          "--oracle"])
@@ -292,6 +285,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"{field} must be finite: {field}={shown}" in captured.err
 
+    @pytest.mark.parametrize("command,overrides,reason", [
+        (["equilibrium", "--scenario", "incompatible"], dict(k=1e308),
+         "incompatible equilibrium: pA1 overflows to -inf"),
+        (["compare"], dict(k=1e308),
+         "incompatible equilibrium: pA1 overflows to -inf"),
+        (["thresholds"], dict(alpha=1e-3, s=1e200, k=5e200),
+         "subsidy thresholds: c2_star overflows to -inf"),
+    ], ids=["equilibrium", "compare", "thresholds"])
+    def test_overflowing_result_exits_1(self, tmp_path, capsys, command,
+                                        overrides, reason):
+        cfg = write_config(tmp_path, **overrides)
+        code = cli.main([command[0], "--config", cfg, *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"error: {reason}" in captured.err
+
     def test_corner_equilibrium(self, tmp_path, capsys):
         cfg = write_config(tmp_path, d=10.0)
         code = cli.main(["compare", "--config", cfg])
@@ -324,7 +334,8 @@ class TestExitCodes:
         assert code == 1
         assert "lo < hi" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lo,hi", [("0", "inf"), ("-inf", "1"), ("nan", "1")])
+    @pytest.mark.parametrize("lo,hi", [("0", "inf"), ("-inf", "1"), ("nan", "1"),
+                                       ("-1e308", "1e308")])
     def test_sweep_rejects_non_finite_range(self, tmp_path, capsys, lo, hi):
         cfg = write_config(tmp_path)
         out = tmp_path / "x.csv"

@@ -1,6 +1,9 @@
+import dataclasses
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chain_rivalry import (
     CornerEquilibriumError,
@@ -8,11 +11,9 @@ from chain_rivalry import (
     Scenario,
     adoption_decision,
     adoption_sensitivity,
-    compatible_equilibrium,
     equilibrium,
-    incompatible_equilibrium,
-    same_chain_equilibrium,
     subsidy_threshold,
+    validate_params,
 )
 from chain_rivalry import closed_form
 from test_oracle import _off_gate_draws
@@ -28,9 +29,33 @@ REF_INCOMPAT = dict(pA1=-14.8, pB1=-15.1, cutoff=0.5344827586206896,
 REF_THRESHOLDS = dict(c2=0.4237547892720306, c3=1.1146551724137932)
 
 
+# Aggregate two-period payoffs, each a single formula in d: the cross-check
+# for equilibrium()'s price-times-share profits. B's off-chain payoffs live
+# in closed_form because subsidy_threshold takes its gaps from them.
+
+def profit_a_same(p):
+    return p.s
+
+
+def profit_b_same(p):
+    return p.s
+
+
+def profit_a_compatible(p):
+    u = p.s - p.alpha
+    num = 3.0 * u - p.d + p.alpha * (p.n1 - p.n2)
+    return num * num / (9.0 * u)
+
+
+def profit_a_incompatible(p):
+    u = p.s - p.alpha
+    num = -2.0 * p.d + 5.0 * u + 2.0 * p.alpha * (p.n1 - p.n3)
+    return 3.0 * num * num / (100.0 * u)
+
+
 class TestSameChain:
     def test_reference_values(self, reference):
-        out = same_chain_equilibrium(reference)
+        out = equilibrium(reference, Scenario.SAME_CHAIN)
         assert (out.pA1, out.pB1, out.pA2, out.pB2) == (3.0, 3.0, 3.0, 3.0)
         assert out.cutoff1 == 0.5
         assert out.cutoff2 == 0.5
@@ -39,23 +64,23 @@ class TestSameChain:
 
     def test_cutoff_exactly_half_on_draws(self, draws25):
         for p in draws25:
-            out = same_chain_equilibrium(p)
+            out = equilibrium(p, Scenario.SAME_CHAIN)
             assert out.cutoff1 == 0.5
             assert out.nA1 == out.nB1 == 0.5
 
     def test_no_subsidy_applies_on_the_shared_chain(self, reference):
-        out = same_chain_equilibrium(reference.with_values(subsidy_p2=1.0,
-                                                           subsidy_p3=2.0))
+        out = equilibrium(reference.with_values(subsidy_p2=1.0, subsidy_p3=2.0),
+                          Scenario.SAME_CHAIN)
         assert out.profitB_with_subsidy == out.profitB
 
     def test_invalid_params_rejected(self, reference):
         with pytest.raises(ValueError):
-            same_chain_equilibrium(reference.with_values(alpha=-1.0))
+            equilibrium(reference.with_values(alpha=-1.0), Scenario.SAME_CHAIN)
 
 
 class TestCompatible:
     def test_reference_values(self, reference):
-        out = compatible_equilibrium(reference)
+        out = equilibrium(reference, Scenario.COMPATIBLE)
         assert out.pA1 == pytest.approx(REF_COMPAT["pA"], abs=1e-14)
         assert out.pB1 == pytest.approx(REF_COMPAT["pB"], abs=1e-14)
         assert out.cutoff1 == pytest.approx(REF_COMPAT["cutoff"], abs=1e-14)
@@ -67,7 +92,7 @@ class TestCompatible:
         assert out.profitA1 == pytest.approx(out.profitA / 2.0, abs=1e-14)
 
     def test_reference_decimals(self, reference):
-        out = compatible_equilibrium(reference)
+        out = equilibrium(reference, Scenario.COMPATIBLE)
         assert out.pA1 == pytest.approx(3.066667, abs=1e-6)
         assert out.pB1 == pytest.approx(2.733333, abs=1e-6)
         assert out.cutoff1 == pytest.approx(0.528736, abs=1e-6)
@@ -78,7 +103,7 @@ class TestCompatible:
         # equal bases need the validity override (n1 > n2 is the model's
         # baseline); dispersion collapses to s - alpha
         p = reference.with_values(n2=reference.n1)
-        out = compatible_equilibrium(p, validate=False)
+        out = equilibrium(p, Scenario.COMPATIBLE, validate=False)
         u = p.s - p.alpha
         assert out.pA1 == pytest.approx(u, abs=1e-12)
         assert out.pB1 == pytest.approx(u, abs=1e-12)
@@ -87,24 +112,24 @@ class TestCompatible:
         assert out.profitB == pytest.approx(u, abs=1e-12)
 
     def test_quality_edge_at_root_restores_entrant_payoff(self, reference):
-        out = compatible_equilibrium(reference.with_values(d=0.648728))
+        out = equilibrium(reference.with_values(d=0.648728), Scenario.COMPATIBLE)
         assert out.profitB == pytest.approx(3.0, abs=1e-5)
 
     def test_subsidy_added_to_entrant_payoff(self, reference):
-        out = compatible_equilibrium(reference.with_values(subsidy_p2=0.25))
+        out = equilibrium(reference.with_values(subsidy_p2=0.25), Scenario.COMPATIBLE)
         assert out.profitB_with_subsidy == out.profitB + 0.25
 
     def test_blockaded_cutoff_raises(self, reference):
         p = reference.with_values(k=60.0, d=10.0)
         with pytest.raises(CornerEquilibriumError) as err:
-            compatible_equilibrium(p)
+            equilibrium(p, Scenario.COMPATIBLE)
         assert err.value.scenario is Scenario.COMPATIBLE
         assert err.value.cutoff < 0.0
 
 
 class TestIncompatible:
     def test_reference_values(self, reference):
-        out = incompatible_equilibrium(reference)
+        out = equilibrium(reference, Scenario.INCOMPATIBLE)
         assert out.pA1 == pytest.approx(REF_INCOMPAT["pA1"], abs=1e-14)
         assert out.pB1 == pytest.approx(REF_INCOMPAT["pB1"], abs=1e-14)
         assert out.cutoff1 == pytest.approx(REF_INCOMPAT["cutoff"], abs=1e-14)
@@ -114,7 +139,7 @@ class TestIncompatible:
         assert out.profitB == pytest.approx(REF_INCOMPAT["profitB"], abs=1e-14)
 
     def test_reference_decimals(self, reference):
-        out = incompatible_equilibrium(reference)
+        out = equilibrium(reference, Scenario.INCOMPATIBLE)
         assert out.pA1 == pytest.approx(-14.8, abs=1e-6)
         assert out.pB1 == pytest.approx(-15.1, abs=1e-6)
         assert out.cutoff1 == pytest.approx(0.534483, abs=1e-6)
@@ -124,20 +149,21 @@ class TestIncompatible:
     def test_first_period_prices_negative_on_draws(self, draws25):
         # the stand-alone value floor guarantees aggressive period-1 discounts
         for p in draws25:
-            out = incompatible_equilibrium(p)
+            out = equilibrium(p, Scenario.INCOMPATIBLE)
             assert out.pA1 < 0.0
             assert out.pB1 < 0.0
 
     def test_adoption_carries_over_to_period_two(self, reference):
-        out = incompatible_equilibrium(reference)
+        out = equilibrium(reference, Scenario.INCOMPATIBLE)
         assert out.nA2 == out.nA1
         assert out.nB2 == out.nB1
         assert out.cutoff2 == out.cutoff1
 
     def test_aggregate_profits_free_of_k(self, reference):
-        base = incompatible_equilibrium(reference)
+        base = equilibrium(reference, Scenario.INCOMPATIBLE)
         for dk in (-1.0, 1.0):
-            moved = incompatible_equilibrium(reference.with_values(k=reference.k + dk))
+            moved = equilibrium(reference.with_values(k=reference.k + dk),
+                                Scenario.INCOMPATIBLE)
             assert moved.profitA == pytest.approx(base.profitA, abs=1e-12)
             assert moved.profitB == pytest.approx(base.profitB, abs=1e-12)
             assert moved.pA1 == pytest.approx(base.pA1 - dk, abs=1e-12)
@@ -146,7 +172,7 @@ class TestIncompatible:
     def test_period2_price_decomposition(self, reference):
         # the harvest price leaves the marginal period-1 adopter exactly at
         # zero switching margin: k + alpha*base + (alpha - s) * share
-        out = incompatible_equilibrium(reference)
+        out = equilibrium(reference, Scenario.INCOMPATIBLE)
         expected_a = reference.k + reference.alpha * reference.n1 \
             + (reference.alpha - reference.s) * out.nA1
         expected_b = reference.k + reference.alpha * reference.n3 + reference.d \
@@ -155,13 +181,13 @@ class TestIncompatible:
         assert out.pB2 == pytest.approx(expected_b, abs=1e-12)
 
     def test_subsidy_added_to_entrant_payoff(self, reference):
-        out = incompatible_equilibrium(reference.with_values(subsidy_p3=0.4))
+        out = equilibrium(reference.with_values(subsidy_p3=0.4), Scenario.INCOMPATIBLE)
         assert out.profitB_with_subsidy == out.profitB + 0.4
 
     def test_blockaded_cutoff_raises(self, reference):
         p = reference.with_values(k=60.0, d=10.0)
         with pytest.raises(CornerEquilibriumError) as err:
-            incompatible_equilibrium(p)
+            equilibrium(p, Scenario.INCOMPATIBLE)
         assert err.value.scenario is Scenario.INCOMPATIBLE
 
 
@@ -179,13 +205,13 @@ class TestFirstOrderConditions:
     def _residuals(self, p):
         u = p.s - p.alpha
         out = []
-        same = same_chain_equilibrium(p)
+        same = equilibrium(p, Scenario.SAME_CHAIN)
         out.append(0.5 + (same.pB1 - 2.0 * same.pA1) / (2.0 * p.s))
         out.append(0.5 + (same.pA1 - 2.0 * same.pB1) / (2.0 * p.s))
-        comp = compatible_equilibrium(p)
+        comp = equilibrium(p, Scenario.COMPATIBLE)
         out.append(comp.cutoff1 - comp.pA1 / (2.0 * u))
         out.append((1.0 - comp.cutoff1) - comp.pB1 / (2.0 * u))
-        inc = incompatible_equilibrium(p)
+        inc = equilibrium(p, Scenario.INCOMPATIBLE)
         x = inc.cutoff1
         k_a = p.k + p.alpha * p.n1
         k_b = p.k + p.alpha * p.n3 + p.d
@@ -205,25 +231,26 @@ class TestFirstOrderConditions:
 class TestOrderingProperties:
     def test_entrant_prefers_shared_then_compatible_then_locked(self, draws25):
         for p in draws25:
-            b_same = same_chain_equilibrium(p).profitB
-            b_comp = compatible_equilibrium(p).profitB
-            b_inc = incompatible_equilibrium(p).profitB
+            b_same = equilibrium(p, Scenario.SAME_CHAIN).profitB
+            b_comp = equilibrium(p, Scenario.COMPATIBLE).profitB
+            b_inc = equilibrium(p, Scenario.INCOMPATIBLE).profitB
             assert b_same > b_comp > b_inc
-            assert compatible_equilibrium(p).profitA > incompatible_equilibrium(p).profitA
+            assert (equilibrium(p, Scenario.COMPATIBLE).profitA
+                    > equilibrium(p, Scenario.INCOMPATIBLE).profitA)
 
     def test_incumbent_beats_entrant_on_compatible_chain(self, draws25):
         for p in draws25:
-            out = compatible_equilibrium(p)
+            out = equilibrium(p, Scenario.COMPATIBLE)
             assert out.profitB < out.profitA
 
     def test_profit_gap_widens_with_network_strength(self, reference):
-        lo = compatible_equilibrium(reference.with_values(alpha=0.06))
-        hi = compatible_equilibrium(reference.with_values(alpha=0.12))
+        lo = equilibrium(reference.with_values(alpha=0.06), Scenario.COMPATIBLE)
+        hi = equilibrium(reference.with_values(alpha=0.12), Scenario.COMPATIBLE)
         assert hi.profitA - hi.profitB > lo.profitA - lo.profitB
 
     def test_entrant_compatible_price_below_shared_price(self, draws25):
         for p in draws25:
-            assert compatible_equilibrium(p).pB1 < p.s
+            assert equilibrium(p, Scenario.COMPATIBLE).pB1 < p.s
 
     def test_small_base_gap_keeps_incumbent_below_shared_payoff(self, reference):
         # the payoff clause holds strictly when alpha*(n1-n2) stays below
@@ -233,8 +260,8 @@ class TestOrderingProperties:
             # base; none of the compared quantities involve k
             p = reference.with_values(k=25.0, n2=reference.n1 - gap,
                                       n3=reference.n1 - gap)
-            out = compatible_equilibrium(p)
-            assert out.profitA < same_chain_equilibrium(p).profitA
+            out = equilibrium(p, Scenario.COMPATIBLE)
+            assert out.profitA < equilibrium(p, Scenario.SAME_CHAIN).profitA
             assert out.pA1 < p.s
 
     def test_base_gap_three_is_the_price_boundary(self, reference):
@@ -242,9 +269,9 @@ class TestOrderingProperties:
         its payoff above the shared-chain payoff, so the payoff clause's
         stated gap bound of 3 is sharp only for prices."""
         p = reference.with_values(n2=7.0, n3=7.0)
-        out = compatible_equilibrium(p)
+        out = equilibrium(p, Scenario.COMPATIBLE)
         assert out.pA1 == pytest.approx(p.s, abs=1e-12)
-        assert out.profitA > same_chain_equilibrium(p).profitA
+        assert out.profitA > equilibrium(p, Scenario.SAME_CHAIN).profitA
 
 
 class TestThresholds:
@@ -256,7 +283,7 @@ class TestThresholds:
     def test_subsidy_thresholds_are_payoff_gaps_at_zero_edge(self, reference):
         p = reference.with_values(d=1.0)  # thresholds ignore the point's own d
         rep = subsidy_threshold(p)
-        b_same = closed_form.profit_b_same(p)
+        b_same = profit_b_same(p)
         assert rep.c2_star == pytest.approx(
             b_same - closed_form.profit_b_compatible(p, d=0.0), abs=1e-12)
         assert rep.c3_star == pytest.approx(
@@ -273,7 +300,7 @@ class TestThresholds:
 
     def test_quality_roots_satisfy_their_defining_equalities(self, reference):
         rep = subsidy_threshold(reference)
-        target = closed_form.profit_b_same(reference)
+        target = profit_b_same(reference)
         assert closed_form.profit_b_compatible(reference, d=rep.d2_star) == \
             pytest.approx(target, abs=1e-8)
         assert closed_form.profit_b_incompatible(reference, d=rep.d3_star) == \
@@ -377,9 +404,25 @@ class TestAdoptionSensitivity:
                 assert diff == pytest.approx(slope, rel=1e-12)
 
 
+class TestAggregatePayoffs:
+    def test_price_times_share_matches_the_aggregate_formulas(self, reference,
+                                                              draws25):
+        formulas = {
+            Scenario.SAME_CHAIN: (profit_a_same, profit_b_same),
+            Scenario.COMPATIBLE: (profit_a_compatible, closed_form.profit_b_compatible),
+            Scenario.INCOMPATIBLE: (profit_a_incompatible,
+                                    closed_form.profit_b_incompatible),
+        }
+        for p in [reference, *draws25, *_off_gate_draws(seed=2024, count=30)]:
+            for scenario, (profit_a, profit_b) in formulas.items():
+                out = equilibrium(p, scenario)
+                assert out.profitA == pytest.approx(profit_a(p), rel=1e-9, abs=1e-12)
+                assert out.profitB == pytest.approx(profit_b(p), rel=1e-9, abs=1e-12)
+
+
 class TestThresholdCrossCheck:
     def test_entrant_is_indifferent_at_each_threshold(self, reference):
-        # Checked on the equilibrium constructors' price-times-share profits,
+        # Checked on equilibrium()'s price-times-share profits,
         # a route independent of the aggregate profit_* formulas the roots
         # solve. The point's own edge and subsidies give way to the one
         # threshold under test.
@@ -387,14 +430,16 @@ class TestThresholdCrossCheck:
             rep = subsidy_threshold(p)
             bare = p.with_values(d=0.0, subsidy_p2=0.0, subsidy_p3=0.0)
             at_threshold = {
-                "d2_star": compatible_equilibrium(bare.with_values(d=rep.d2_star)),
-                "d3_star": incompatible_equilibrium(bare.with_values(d=rep.d3_star)),
-                "c2_star": compatible_equilibrium(
-                    bare.with_values(subsidy_p2=rep.c2_star)),
-                "c3_star": incompatible_equilibrium(
-                    bare.with_values(subsidy_p3=rep.c3_star)),
+                "d2_star": equilibrium(
+                    bare.with_values(d=rep.d2_star), Scenario.COMPATIBLE),
+                "d3_star": equilibrium(
+                    bare.with_values(d=rep.d3_star), Scenario.INCOMPATIBLE),
+                "c2_star": equilibrium(
+                    bare.with_values(subsidy_p2=rep.c2_star), Scenario.COMPATIBLE),
+                "c3_star": equilibrium(
+                    bare.with_values(subsidy_p3=rep.c3_star), Scenario.INCOMPATIBLE),
             }
-            target = same_chain_equilibrium(p).profitB
+            target = equilibrium(p, Scenario.SAME_CHAIN).profitB
             for case, out in at_threshold.items():
                 assert out.profitB_with_subsidy == pytest.approx(target, rel=1e-9), \
                     (case, p)
@@ -405,3 +450,100 @@ class TestOutcomeDiagnostics:
         for scenario in Scenario:
             out = equilibrium(reference, scenario)
             assert (out.converged, out.iterations, out.residual) == (True, 0, 0.0)
+
+
+class TestOverflow:
+    """Finite configs that pass validation but overflow float arithmetic."""
+
+    BIG_K = ModelParams(alpha=0.1, s=3.0, k=1e308, n1=10.0, n2=5.0, n3=5.0)
+    BIG_S = ModelParams(alpha=1e-3, s=1e200, k=5e200, n1=10.0, n2=5.0, n3=5.0)
+
+    def test_equilibrium_names_the_first_non_finite_field(self):
+        assert validate_params(self.BIG_K).ok
+        with pytest.raises(ValueError) as err:
+            equilibrium(self.BIG_K, Scenario.INCOMPATIBLE)
+        assert type(err.value) is ValueError  # not a corner
+        assert str(err.value) == "incompatible equilibrium: pA1 overflows to -inf"
+        with pytest.raises(ValueError, match="pA1 overflows to -inf"):
+            adoption_decision(self.BIG_K)
+        for scenario in (Scenario.SAME_CHAIN, Scenario.COMPATIBLE):
+            equilibrium(self.BIG_K, scenario)
+
+    def test_finite_fields_pass_even_when_their_sum_overflows(self):
+        p = ModelParams(alpha=0.1, s=4e307, k=1.7e308, n1=10.0, n2=5.0, n3=5.0)
+        out = equilibrium(p, Scenario.SAME_CHAIN)
+        assert (out.pA1, out.profitA, out.profitB_with_subsidy) == (4e307, 4e307, 4e307)
+
+    def test_thresholds_name_the_first_non_finite_field(self):
+        assert validate_params(self.BIG_S).ok
+        with pytest.raises(ValueError) as err:
+            subsidy_threshold(self.BIG_S)
+        assert str(err.value) == "subsidy thresholds: c2_star overflows to -inf"
+
+
+def _corner_bound(p, scenario):
+    """The quality edge d from which the scenario's cutoff leaves (0, 1),
+    in the same float operations as the closed form's cutoff numerator."""
+    u = p.s - p.alpha
+    if scenario is Scenario.COMPATIBLE:
+        return 3.0 * u + p.alpha * (p.n1 - p.n2)
+    return 2.5 * u + p.alpha * (p.n1 - p.n3)
+
+
+@st.composite
+def wide_params(draw):
+    """Valid configs the verify gate never draws: n3 != n2 and nonzero
+    subsidies, with k above the participation bound for the larger base."""
+    n1 = draw(st.floats(1.0, 50.0))
+    n2 = draw(st.floats(0.0, n1, exclude_max=True))
+    n3 = draw(st.floats(0.0, n1, exclude_max=True))
+    assume(n3 != n2)
+    s = draw(st.floats(0.5, 20.0))
+    alpha = s / (2.0 * n1 + 1.0) * draw(st.floats(0.01, 0.999))
+    k = (4.0 * s + 4.0 * alpha * (1.0 + n1 + max(n2, n3))) * draw(st.floats(1.01, 2.0))
+    p = ModelParams(alpha=alpha, s=s, k=k, n1=n1, n2=n2, n3=n3,
+                    subsidy_p2=draw(st.floats(0.01, 2.0)),
+                    subsidy_p3=draw(st.floats(0.01, 2.0)))
+    assert validate_params(p).ok
+    return p
+
+
+OFF_CHAIN = (Scenario.COMPATIBLE, Scenario.INCOMPATIBLE)
+
+
+class TestEquilibriumProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(p=wide_params(), lo=st.floats(0.0, 0.45), width=st.floats(0.05, 0.5))
+    def test_cutoff_falls_in_d_at_the_adoption_slopes(self, p, lo, width):
+        sens = adoption_sensitivity(p)
+        for scenario, slope in zip(OFF_CHAIN, (sens.compatible, sens.incompatible)):
+            bound = _corner_bound(p, scenario)
+            d1, d2 = lo * bound, (lo + width) * bound
+            c1 = equilibrium(p.with_values(d=d1), scenario).cutoff1
+            c2 = equilibrium(p.with_values(d=d2), scenario).cutoff1
+            assert (c1 - c2) / (d2 - d1) == pytest.approx(slope, rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=wide_params(), frac=st.floats(0.0, 2.0))
+    def test_corner_starts_exactly_at_the_bound(self, p, frac):
+        for scenario in OFF_CHAIN:
+            bound = _corner_bound(p, scenario)
+            for d in (frac * bound, bound, math.nextafter(bound, 0.0)):
+                point = p.with_values(d=d)
+                if d >= bound:
+                    with pytest.raises(CornerEquilibriumError):
+                        equilibrium(point, scenario)
+                else:
+                    assert 0.0 < equilibrium(point, scenario).cutoff1 < 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=wide_params(), frac=st.floats(0.0, 0.95))
+    def test_subsidies_move_only_the_subsidized_payoff(self, p, frac):
+        p = p.with_values(d=frac * min(_corner_bound(p, sc) for sc in OFF_CHAIN))
+        bare = p.with_values(subsidy_p2=0.0, subsidy_p3=0.0)
+        for scenario in Scenario:
+            paid = equilibrium(p, scenario)
+            unpaid = equilibrium(bare, scenario)
+            assert paid.profitB_with_subsidy == unpaid.profitB + p.subsidy(scenario)
+            assert dataclasses.replace(
+                paid, profitB_with_subsidy=unpaid.profitB_with_subsidy) == unpaid

@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 from chain_rivalry import (
     ModelParams,
     Scenario,
-    compatible_equilibrium,
     equilibrium,
-    incompatible_equilibrium,
     oracle_equilibrium,
     period2_monopoly_price,
-    same_chain_equilibrium,
     stage_demand,
     user_utility,
 )
@@ -27,7 +24,7 @@ class TestPriceGrid:
         assert prices[0] == -span
         assert prices[-1] == span
         assert prices.size == 4001
-        out = incompatible_equilibrium(reference)
+        out = equilibrium(reference, Scenario.INCOMPATIBLE)
         assert prices[0] < out.pA1 < prices[-1]
         assert prices[0] < out.pB2 < prices[-1]
 
@@ -90,7 +87,7 @@ class TestStageDemand:
         assert dem.neither == 0.0
 
     def test_compatible_at_equilibrium_prices(self, reference):
-        closed = compatible_equilibrium(reference)
+        closed = equilibrium(reference, Scenario.COMPATIBLE)
         dem = stage_demand(reference, Scenario.COMPATIBLE, closed.pA1, closed.pB1)
         assert dem.cutoff == pytest.approx(closed.cutoff1, abs=1e-12)
         assert dem.cutoff == pytest.approx(0.528736, abs=1e-6)
@@ -205,7 +202,7 @@ class TestStageDemand:
 
 class TestLockinMonopolyScan:
     def test_full_retention_corner_at_reference(self, reference):
-        closed = incompatible_equilibrium(reference)
+        closed = equilibrium(reference, Scenario.INCOMPATIBLE)
         price, retained = period2_monopoly_price(reference, "A", closed.nA1)
         assert price == pytest.approx(19.45, abs=1e-6)
         assert retained == pytest.approx(closed.nA1, abs=1e-6)
@@ -300,7 +297,7 @@ class TestOneStageNash:
         assert res.profitA == pytest.approx(3.0, abs=1e-8)
 
     def test_compatible_reference(self, reference):
-        closed = compatible_equilibrium(reference)
+        closed = equilibrium(reference, Scenario.COMPATIBLE)
         res = oracle_equilibrium(reference, Scenario.COMPATIBLE)
         assert res.converged
         assert res.pA1 == pytest.approx(closed.pA1, abs=1e-8)
@@ -343,7 +340,7 @@ class TestTwoStageNash:
     """oracle_equilibrium on the lock-in game."""
 
     def test_reference_against_closed_form(self, reference):
-        closed = incompatible_equilibrium(reference)
+        closed = equilibrium(reference, Scenario.INCOMPATIBLE)
         res = oracle_equilibrium(reference, Scenario.INCOMPATIBLE)
         assert res.converged
         assert res.pA1 == pytest.approx(closed.pA1, abs=1e-6)

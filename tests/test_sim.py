@@ -6,7 +6,6 @@ from chain_rivalry import (
     InvalidParamsError,
     Scenario,
     UserPopulation,
-    compatible_equilibrium,
     equilibrium,
     simulate_game,
     simulate_period,
@@ -70,7 +69,7 @@ class TestSimulatePeriod:
 
     @pytest.mark.parametrize("m,tol", [(1000, 1e-3), (10000, 1e-4)])
     def test_matches_analytic_split(self, reference, m, tol):
-        closed = compatible_equilibrium(reference)
+        closed = equilibrium(reference, Scenario.COMPATIBLE)
         pop = UserPopulation.create(m)
         out = simulate_period(pop, reference, Scenario.COMPATIBLE, 1,
                               closed.pA1, closed.pB1)
@@ -173,7 +172,7 @@ class TestSimulateGame:
         assert run.revenue_a == pytest.approx(3.0)
 
     def test_matches_closed_profits_at_equilibrium(self, reference):
-        closed = compatible_equilibrium(reference)
+        closed = equilibrium(reference, Scenario.COMPATIBLE)
         run = simulate_game(reference, Scenario.COMPATIBLE,
                             (closed.pA1, closed.pB1, closed.pA2, closed.pB2),
                             m=10000)

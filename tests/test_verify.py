@@ -5,7 +5,6 @@ import pytest
 
 from chain_rivalry import (
     Scenario,
-    compatible_equilibrium,
     draw_params,
     run_verification,
 )
@@ -88,15 +87,23 @@ class TestRunVerification:
         assert a == b
 
 
+def skew_compatible_profit_b(monkeypatch) -> None:
+    """Shift the closed-form compatible profitB by 0.05; other scenarios keep
+    their exact outcomes."""
+    real = closed_form.equilibrium
+
+    def skewed(p, scenario, validate=True):
+        out = real(p, scenario, validate=validate)
+        if scenario is Scenario.COMPATIBLE:
+            out = dataclasses.replace(out, profitB=out.profitB + 0.05)
+        return out
+
+    monkeypatch.setattr(closed_form, "equilibrium", skewed)
+
+
 class TestFaultDetection:
     def test_shifted_closed_form_is_flagged(self, reference, monkeypatch):
-        real = closed_form.compatible_equilibrium
-
-        def skewed(p, validate=True):
-            out = real(p, validate=validate)
-            return dataclasses.replace(out, profitB=out.profitB + 0.05)
-
-        monkeypatch.setattr(closed_form, "compatible_equilibrium", skewed)
+        skew_compatible_profit_b(monkeypatch)
         report = run_verification(reference, trials=0, use_sim=False)
         assert not report.ok
         bad = [c for c in report.checks if not c.ok]
@@ -108,26 +115,16 @@ class TestFaultDetection:
         assert "config" in message and "alpha=" in message
 
     def test_untouched_scenarios_still_pass(self, reference, monkeypatch):
-        real = closed_form.compatible_equilibrium
-
-        def skewed(p, validate=True):
-            out = real(p, validate=validate)
-            return dataclasses.replace(out, profitB=out.profitB + 0.05)
-
-        monkeypatch.setattr(closed_form, "compatible_equilibrium", skewed)
+        skew_compatible_profit_b(monkeypatch)
         report = run_verification(reference, trials=0, use_sim=False)
+        # the skew must land, or this test would pass without checking anything
+        assert not report.ok
         for check in report.checks:
             if check.scenario is not Scenario.COMPATIBLE:
                 assert check.ok
 
     def test_sim_route_catches_the_same_fault(self, reference, monkeypatch):
-        real = closed_form.compatible_equilibrium
-
-        def skewed(p, validate=True):
-            out = real(p, validate=validate)
-            return dataclasses.replace(out, profitB=out.profitB + 0.05)
-
-        monkeypatch.setattr(closed_form, "compatible_equilibrium", skewed)
+        skew_compatible_profit_b(monkeypatch)
         report = run_verification(reference, trials=0, use_oracle=False,
                                   m=1000)
         assert not report.ok
