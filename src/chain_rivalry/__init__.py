@@ -28,12 +28,7 @@ from .model import (
     user_utility,
     validate_params,
 )
-from .oracle import (
-    StageDemand,
-    oracle_equilibrium,
-    period2_monopoly_price,
-    stage_demand,
-)
+from .oracle import oracle_equilibrium, period2_monopoly_price
 from .sim import SimOutcome, SimRun, UserPopulation, simulate_game, simulate_period
 from .sweep import SweepRecord, SweepSpec, render_profit_svg, run_sweep, write_sweep_csv
 from .verify import QuantityCheck, VerificationReport, draw_params, run_verification
@@ -52,7 +47,6 @@ __all__ = [
     "Scenario",
     "SimOutcome",
     "SimRun",
-    "StageDemand",
     "SweepRecord",
     "SweepSpec",
     "ThresholdReport",
@@ -70,7 +64,6 @@ __all__ = [
     "run_verification",
     "simulate_game",
     "simulate_period",
-    "stage_demand",
     "subsidy_threshold",
     "user_utility",
     "validate_params",

@@ -120,12 +120,14 @@ def equilibrium(p: ModelParams, scenario: Scenario,
         gap = p.alpha * (p.n1 - p.n2)
         pA1 = u + (gap - p.d) / 3.0
         pB1 = u + (-gap + p.d) / 3.0
-        cutoff = (3.0 * u + gap - p.d) / (6.0 * u)
+        # Both cutoffs are scaled by an exact power of two, so the
+        # denominator cannot overflow on a valid config (s < k/4).
+        cutoff = (0.5 * (3.0 * u + gap - p.d)) / (3.0 * u)
     else:
         gap = p.alpha * (p.n1 - p.n3)
         pA1 = (-4.0 * p.d + 10.0 * u - 5.0 * p.k - p.alpha * (p.n1 + 4.0 * p.n3)) / 5.0
         pB1 = (-p.d + 10.0 * u - 5.0 * p.k - p.alpha * (4.0 * p.n1 + p.n3)) / 5.0
-        cutoff = (5.0 * u + 2.0 * gap - 2.0 * p.d) / (10.0 * u)
+        cutoff = (1.25 * u + 0.5 * gap - 0.5 * p.d) / (2.5 * u)
     if not 0.0 < cutoff < 1.0:
         raise CornerEquilibriumError(scenario, cutoff)
     nA, nB = cutoff, 1.0 - cutoff
@@ -214,9 +216,8 @@ class AdoptionSensitivity:
     ratio: float = 6.0 / 5.0
 
 
-def adoption_sensitivity(p: ModelParams, validate: bool = True) -> AdoptionSensitivity:
-    if validate:
-        require_valid(p)
+def adoption_sensitivity(p: ModelParams) -> AdoptionSensitivity:
+    require_valid(p)
     u = p.s - p.alpha
     return AdoptionSensitivity(
         compatible=1.0 / (6.0 * u),

@@ -215,44 +215,33 @@ def require_valid(p: ModelParams) -> None:
         raise InvalidParamsError(report)
 
 
-def user_utility(p: ModelParams, scenario: Scenario, x: ArrayLike, period: int,
-                 choice: Choice, pA: float, pB: float,
-                 nA: ArrayLike, nB: ArrayLike) -> ArrayLike:
-    """Per-period utility of a type-x user for a given choice.
+def user_utility(p: ModelParams, scenario: Scenario, x: ArrayLike,
+                 pA: float, pB: float, nA: ArrayLike,
+                 nB: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+    """Per-period utilities (uA, uB) of a type-x user from firm A and firm B.
 
     The network term counts the chain's existing base plus current-period
     adopters reachable there: on a shared chain both firms' adopters count
     for everyone; on separate chains each firm's chain carries its own base
     (n2 or n3 for B) plus its own adopters, and B's chain adds the quality
-    edge d. Taste distance is s*x to firm A and s*(1-x) to firm B, and
-    choosing neither yields exactly 0.
+    edge d. Taste distance is s*x to firm A and s*(1-x) to firm B. Choosing
+    neither is worth exactly 0 in every period.
 
-    Accepts a scalar or array x (the shares nA, nB broadcast against it) and
-    returns a matching scalar or array. Rejects x outside [0, 1].
+    Accepts a scalar or array x (the shares nA, nB broadcast against it).
+    Rejects x outside [0, 1].
     """
     x = np.asarray(x, dtype=float)
     if np.any((x < 0.0) | (x > 1.0)):
         raise ValueError("user type x outside [0, 1]")
-    if period not in (1, 2):
-        raise ValueError(f"period must be 1 or 2, got {period}")
-
-    if choice is Choice.NEITHER:
-        out = np.zeros_like(x)
-        return float(out) if out.ndim == 0 else out
 
     if scenario is Scenario.SAME_CHAIN:
-        network = p.n1 + np.asarray(nA, dtype=float) + np.asarray(nB, dtype=float)
-        edge = 0.0
-    elif choice is Choice.FIRM_A:
-        network = p.n1 + np.asarray(nA, dtype=float)
+        network_a = network_b = p.n1 + nA + nB
         edge = 0.0
     else:
+        network_a = p.n1 + nA
         base = p.n2 if scenario is Scenario.COMPATIBLE else p.n3
-        network = base + np.asarray(nB, dtype=float)
+        network_b = base + nB
         edge = p.d
-
-    if choice is Choice.FIRM_A:
-        out = p.alpha * network - pA - p.s * x + p.k
-    else:
-        out = p.alpha * network + edge - pB - p.s * (1.0 - x) + p.k
-    return float(out) if np.ndim(out) == 0 else out
+    uA = p.alpha * network_a - pA - p.s * x + p.k
+    uB = p.alpha * network_b + edge - pB - p.s * (1.0 - x) + p.k
+    return uA, uB

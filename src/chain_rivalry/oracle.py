@@ -13,7 +13,7 @@ that no price deviation pays more than roundoff.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -34,19 +34,8 @@ def _price_grid(p: ModelParams) -> np.ndarray:
     return np.linspace(-span, span, 4001)
 
 
-class StageDemand(NamedTuple):
-    nA: float
-    nB: float
-    cutoff: float
-    full_participation: bool
-
-    @property
-    def neither(self) -> float:
-        return 1.0 - (self.nA + self.nB)
-
-
 def _demand(p: ModelParams, scenario: Scenario, pA, pB):
-    """Vectorized stage demand (nA, nB, cutoff, full) at a price pair.
+    """Vectorized stage demand (nA, nB, cutoff) at a price pair.
 
     Each firm's share is the indifference point under full coverage, capped
     by its self-consistent participation boundary (utility zero at the
@@ -90,16 +79,7 @@ def _demand(p: ModelParams, scenario: Scenario, pA, pB):
         nA = np.clip(np.minimum(raw, reach_a), 0.0, 1.0)
         nB = np.clip(np.minimum(1.0 - raw, reach_b), 0.0, 1.0)
 
-    cutoff = np.clip(raw, 0.0, 1.0)
-    full = (nA + nB) == 1.0
-    return nA, nB, cutoff, full
-
-
-def stage_demand(p: ModelParams, scenario: Scenario, pA: float, pB: float) -> StageDemand:
-    """Demand split at one price pair: shares, cutoff, and participation flag."""
-    nA, nB, cutoff, full = _demand(p, scenario, pA, pB)
-    return StageDemand(nA=float(nA), nB=float(nB), cutoff=float(cutoff),
-                       full_participation=bool(full))
+    return nA, nB, np.clip(raw, 0.0, 1.0)
 
 
 def _lockin_harvest(K: float, u: float, n):
@@ -241,17 +221,17 @@ def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome
         return price * retained
 
     def obj_a(own, rival):
-        nA, _, _, _ = _demand(p, scenario, own, rival)
+        nA, _, _ = _demand(p, scenario, own, rival)
         return own * nA + continuation(K_a, nA)
 
     def obj_b(own, rival):
-        _, nB, _, _ = _demand(p, scenario, rival, own)
+        _, nB, _ = _demand(p, scenario, rival, own)
         return own * nB + continuation(K_b, nB)
 
     pA1, pB1, rounds, residual, converged = _solve_game(
         _price_grid(p), obj_a, obj_b, (p.s, p.s))
 
-    nA1, nB1, cutoff1, _ = _demand(p, scenario, pA1, pB1)
+    nA1, nB1, cutoff1 = _demand(p, scenario, pA1, pB1)
     nA1, nB1, cutoff1 = float(nA1), float(nB1), float(cutoff1)
     if lock_in:
         pA2, nA2 = period2_monopoly_price(p, "A", nA1) if nA1 > 0.0 else (0.0, 0.0)

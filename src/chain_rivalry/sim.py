@@ -7,9 +7,11 @@ multiples of 1/m, so closed-form magnitudes should match to about 1/m. The
 reported cutoff is the upper edge of the last A-adopter's cell, so a
 contiguous block of A adopters has cutoff equal to its share.
 
-Tie rules: indifferent between the two firms picks B; indifferent between a
-firm and staying out participates. In the lock-in scenario, period-2 users
-who adopted in period 1 can only keep their firm or drop out.
+Each fixed-point step makes one user_utility call for both firms' utilities
+of every type. Tie rules: indifferent between the two firms picks B;
+indifferent between a firm and staying out participates. In the lock-in
+scenario, period-2 users who adopted in period 1 can only keep their firm or
+drop out.
 """
 
 from __future__ import annotations
@@ -64,21 +66,15 @@ class SimRun:
 
 
 def simulate_period(pop: UserPopulation, p: ModelParams, scenario: Scenario,
-                    period: int, pA: float, pB: float,
-                    locks: Optional[np.ndarray] = None) -> SimOutcome:
+                    pA: float, pB: float, locks: Optional[np.ndarray] = None
+                    ) -> tuple[SimOutcome, np.ndarray]:
     """Fixed-point adoption split for one period at fixed prices.
 
-    locks is the period-1 choice array and is required exactly when period 2
-    of the lock-in scenario is simulated; it restricts adopters to their
-    period-1 firm (or dropping out).
+    locks, a previous period's choice array, locks users in: each adopter
+    can only keep its firm or drop out. Returns the outcome and the int8
+    Choice code of every type.
     """
-    needs_locks = period == 2 and scenario is Scenario.INCOMPATIBLE
-    if needs_locks and locks is None:
-        raise ValueError("period 2 of the lock-in scenario requires the period-1 choices")
-    if not needs_locks and locks is not None:
-        raise ValueError("locks are only meaningful in period 2 of the lock-in scenario")
-
-    if needs_locks:
+    if locks is not None:
         locked_a = locks == Choice.FIRM_A.value
         locked_b = locks == Choice.FIRM_B.value
     share_a, share_b = 0.5, 0.5
@@ -87,11 +83,8 @@ def simulate_period(pop: UserPopulation, p: ModelParams, scenario: Scenario,
     converged = False
     for _ in range(MAX_FIXED_POINT_ITER):
         iterations += 1
-        uA = user_utility(p, scenario, pop.types, period, Choice.FIRM_A,
-                          pA, pB, share_a, share_b)
-        uB = user_utility(p, scenario, pop.types, period, Choice.FIRM_B,
-                          pA, pB, share_a, share_b)
-        if needs_locks:
+        uA, uB = user_utility(p, scenario, pop.types, pA, pB, share_a, share_b)
+        if locks is not None:
             uA = np.where(locked_b, -np.inf, uA)
             uB = np.where(locked_a, -np.inf, uB)
         pick_b = uB >= uA
@@ -107,29 +100,25 @@ def simulate_period(pop: UserPopulation, p: ModelParams, scenario: Scenario,
             converged = True
             break
 
-    if period == 1:
-        pop.period1 = choice
-    else:
-        pop.period2 = choice
-
     adopters_a = np.flatnonzero(choice == Choice.FIRM_A.value)
     cutoff = (int(adopters_a[-1]) + 1) / pop.m if adopters_a.size else 0.0
-    return SimOutcome(share_a=share_a, share_b=share_b, cutoff=cutoff,
-                      revenue_a=pA * share_a, revenue_b=pB * share_b,
-                      iterations=iterations, converged=converged)
+    out = SimOutcome(share_a=share_a, share_b=share_b, cutoff=cutoff,
+                     revenue_a=pA * share_a, revenue_b=pB * share_b,
+                     iterations=iterations, converged=converged)
+    return out, choice
 
 
 def simulate_game(p: ModelParams, scenario: Scenario,
                   prices: tuple[float, float, float, float],
-                  m: int = 10000, validate: bool = True) -> SimRun:
-    """Run both periods at the given prices (pA1, pB1, pA2, pB2)."""
-    if validate:
-        require_valid(p)
+                  m: int = 10000) -> SimRun:
+    """Run both periods at the given prices (pA1, pB1, pA2, pB2); under
+    INCOMPATIBLE the period-1 choices lock adopters in for period 2."""
+    require_valid(p)
     pA1, pB1, pA2, pB2 = prices
     pop = UserPopulation.create(m)
-    first = simulate_period(pop, p, scenario, 1, pA1, pB1)
+    first, pop.period1 = simulate_period(pop, p, scenario, pA1, pB1)
     locks = pop.period1 if scenario is Scenario.INCOMPATIBLE else None
-    second = simulate_period(pop, p, scenario, 2, pA2, pB2, locks=locks)
+    second, pop.period2 = simulate_period(pop, p, scenario, pA2, pB2, locks=locks)
     return SimRun(period1=first, period2=second,
                   revenue_a=first.revenue_a + second.revenue_a,
                   revenue_b=first.revenue_b + second.revenue_b,

@@ -139,8 +139,7 @@ def _check_oracle(acc: _Accumulator, label: str, p: ModelParams,
 def _check_sim(acc: _Accumulator, label: str, p: ModelParams,
                scenario: Scenario, closed, m: int) -> None:
     run = simulate_game(p, scenario, (closed.pA1, closed.pB1,
-                                      closed.pA2, closed.pB2),
-                        m=m, validate=False)
+                                      closed.pA2, closed.pB2), m=m)
     stalled = [f"period {t} ({out.iterations} iterations)"
                for t, out in ((1, run.period1), (2, run.period2))
                if not out.converged]

@@ -21,7 +21,6 @@ from chain_rivalry import (
     run_sweep,
     run_verification,
     simulate_game,
-    stage_demand,
     subsidy_threshold,
 )
 from chain_rivalry.closed_form import profit_b_compatible, profit_b_incompatible
@@ -230,7 +229,7 @@ def test_demand_conserves_mass_and_markets_stay_covered(reference, draws100):
     for scenario in Scenario:
         closed = equilibrium(reference, scenario)
         for rival in (closed.pB1, closed.pB2, reference.s, 0.0, -5.0):
-            nA, nB, _, _ = _demand(reference, scenario, grid_prices, rival)
+            nA, nB, _ = _demand(reference, scenario, grid_prices, rival)
             assert np.all(nA >= 0.0) and np.all(nB >= 0.0)
             assert np.all(nA + nB <= 1.0)
             for i in range(1700, 2301, 300):
@@ -244,9 +243,9 @@ def test_demand_conserves_mass_and_markets_stay_covered(reference, draws100):
         for scenario in Scenario:
             out = equilibrium(p, scenario)
             assert out.nA1 + out.nB1 == 1.0
-            dem = stage_demand(p, scenario, out.pA1, out.pB1)
-            assert dem.full_participation
-            assert dem.neither == 0.0
+            nA, nB, _ = _demand(p, scenario, out.pA1, out.pB1)
+            assert nA + nB == 1.0
+            assert 1.0 - (nA + nB) == 0.0
 
 
 def test_cli_outputs_are_byte_identical_across_runs(config_file, tmp_path,

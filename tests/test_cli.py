@@ -292,7 +292,9 @@ class TestExitCodes:
          "incompatible equilibrium: pA1 overflows to -inf"),
         (["thresholds"], dict(alpha=1e-3, s=1e200, k=5e200),
          "subsidy thresholds: c2_star overflows to -inf"),
-    ], ids=["equilibrium", "compare", "thresholds"])
+        (["equilibrium", "--scenario", "incompatible"], dict(s=4e307, k=1.7e308),
+         "incompatible equilibrium: pA1 overflows to nan"),
+    ], ids=["equilibrium", "compare", "thresholds", "huge-dispersion"])
     def test_overflowing_result_exits_1(self, tmp_path, capsys, command,
                                         overrides, reason):
         cfg = write_config(tmp_path, **overrides)

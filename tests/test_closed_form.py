@@ -474,6 +474,16 @@ class TestOverflow:
         out = equilibrium(p, Scenario.SAME_CHAIN)
         assert (out.pA1, out.profitA, out.profitB_with_subsidy) == (4e307, 4e307, 4e307)
 
+    def test_cutoffs_stay_interior_when_their_denominators_would_overflow(self):
+        # 6u and 10u overflow at s = 4e307, although every cutoff is near 1/2
+        p = ModelParams(alpha=0.1, s=4e307, k=1.7e308, n1=10.0, n2=5.0, n3=5.0)
+        assert validate_params(p).ok
+        assert equilibrium(p, Scenario.COMPATIBLE).cutoff1 == 0.5
+        with pytest.raises(ValueError) as err:
+            equilibrium(p, Scenario.INCOMPATIBLE)
+        assert type(err.value) is ValueError  # not a corner
+        assert str(err.value) == "incompatible equilibrium: pA1 overflows to nan"
+
     def test_thresholds_name_the_first_non_finite_field(self):
         assert validate_params(self.BIG_S).ok
         with pytest.raises(ValueError) as err:

@@ -186,28 +186,17 @@ class TestUserUtility:
     def test_shared_chain_midpoint_is_symmetric(self, reference):
         """At equal prices the middle user gets the same utility from both
         firms, and the shared chain counts every adopter for both."""
-        args = dict(x=0.5, period=1, pA=3.0, pB=3.0, nA=0.5, nB=0.5)
-        uA = user_utility(reference, Scenario.SAME_CHAIN, choice=Choice.FIRM_A, **args)
-        uB = user_utility(reference, Scenario.SAME_CHAIN, choice=Choice.FIRM_B, **args)
+        uA, uB = user_utility(reference, Scenario.SAME_CHAIN, x=0.5, pA=3.0,
+                              pB=3.0, nA=0.5, nB=0.5)
         assert uA == pytest.approx(16.6, abs=1e-12)
         assert uB == pytest.approx(16.6, abs=1e-12)
 
     def test_shared_chain_boundary_user(self, reference):
         # full participation: network is n1 + 1, price s, taste cost 0 at x=0
-        u = user_utility(reference, Scenario.SAME_CHAIN, x=0.0, period=1,
-                         choice=Choice.FIRM_A, pA=reference.s, pB=reference.s,
-                         nA=0.5, nB=0.5)
+        u, _ = user_utility(reference, Scenario.SAME_CHAIN, x=0.0,
+                            pA=reference.s, pB=reference.s, nA=0.5, nB=0.5)
         expected = reference.alpha * (reference.n1 + 1.0) - reference.s + reference.k
         assert u == pytest.approx(expected, abs=1e-12)
-
-    def test_neither_is_exactly_zero(self, reference):
-        u = user_utility(reference, Scenario.COMPATIBLE, x=0.3, period=2,
-                         choice=Choice.NEITHER, pA=1.0, pB=1.0, nA=0.4, nB=0.4)
-        assert u == 0.0
-        arr = user_utility(reference, Scenario.SAME_CHAIN,
-                           x=np.array([0.0, 0.5, 1.0]), period=1,
-                           choice=Choice.NEITHER, pA=1.0, pB=1.0, nA=0.4, nB=0.4)
-        assert np.all(arr == 0.0)
 
     @pytest.mark.parametrize("scenario,base", [
         (Scenario.COMPATIBLE, 5.0),
@@ -216,36 +205,29 @@ class TestUserUtility:
     def test_entrant_chain_network_and_edge(self, reference, scenario, base):
         p = reference.with_values(d=0.7, n2=5.0, n3=5.0)
         x, nA, nB = 0.8, 0.6, 0.3
-        uB = user_utility(p, scenario, x=x, period=1, choice=Choice.FIRM_B,
-                          pA=2.0, pB=1.5, nA=nA, nB=nB)
+        _, uB = user_utility(p, scenario, x=x, pA=2.0, pB=1.5, nA=nA, nB=nB)
         expected = p.alpha * (base + nB) + p.d - 1.5 - p.s * (1.0 - x) + p.k
         assert uB == pytest.approx(expected, abs=1e-12)
 
     def test_incumbent_ignores_entrant_adopters_on_separate_chains(self, reference):
         x, nA = 0.2, 0.55
         for nB in (0.0, 0.45):
-            uA = user_utility(reference, Scenario.INCOMPATIBLE, x=x, period=1,
-                              choice=Choice.FIRM_A, pA=2.0, pB=1.5, nA=nA, nB=nB)
+            uA, _ = user_utility(reference, Scenario.INCOMPATIBLE, x=x,
+                                 pA=2.0, pB=1.5, nA=nA, nB=nB)
             expected = reference.alpha * (reference.n1 + nA) - 2.0 - reference.s * x + reference.k
             assert uA == pytest.approx(expected, abs=1e-12)
 
     def test_vectorized_matches_scalar(self, reference):
         xs = np.linspace(0.0, 1.0, 11)
-        arr = user_utility(reference, Scenario.COMPATIBLE, x=xs, period=1,
-                           choice=Choice.FIRM_A, pA=2.5, pB=2.0, nA=0.5, nB=0.5)
+        arr, _ = user_utility(reference, Scenario.COMPATIBLE, x=xs, pA=2.5,
+                              pB=2.0, nA=0.5, nB=0.5)
         assert arr.shape == xs.shape
         for x, v in zip(xs, arr):
-            scalar = user_utility(reference, Scenario.COMPATIBLE, x=float(x),
-                                  period=1, choice=Choice.FIRM_A, pA=2.5,
-                                  pB=2.0, nA=0.5, nB=0.5)
+            scalar, _ = user_utility(reference, Scenario.COMPATIBLE, x=float(x),
+                                     pA=2.5, pB=2.0, nA=0.5, nB=0.5)
             assert scalar == v
 
     def test_rejects_type_outside_unit_interval(self, reference):
         with pytest.raises(ValueError, match="outside"):
-            user_utility(reference, Scenario.SAME_CHAIN, x=1.5, period=1,
-                         choice=Choice.FIRM_A, pA=1.0, pB=1.0, nA=0.5, nB=0.5)
-
-    def test_rejects_bad_period(self, reference):
-        with pytest.raises(ValueError, match="period"):
-            user_utility(reference, Scenario.SAME_CHAIN, x=0.5, period=0,
-                         choice=Choice.FIRM_A, pA=1.0, pB=1.0, nA=0.5, nB=0.5)
+            user_utility(reference, Scenario.SAME_CHAIN, x=1.5, pA=1.0, pB=1.0,
+                         nA=0.5, nB=0.5)

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chain_rivalry import (
+    CornerEquilibriumError,
     ModelParams,
     Scenario,
     equilibrium,
     oracle_equilibrium,
     period2_monopoly_price,
-    stage_demand,
     user_utility,
+    validate_params,
 )
 from chain_rivalry import oracle
-from chain_rivalry.model import Choice, require_valid
+from chain_rivalry.model import require_valid
 from chain_rivalry.verify import ORACLE_ABS_TOL, ORACLE_QUANTITIES, ORACLE_REL_TOL
 
 
@@ -37,8 +38,7 @@ def _brute_shares(p, scenario, pA, pB, nA, nB, m=200001):
     """Integrate user choices on a fine type grid, taking the returned shares
     as given; an internally consistent demand must reproduce itself."""
     xs = (np.arange(m) + 0.5) / m
-    uA = user_utility(p, scenario, xs, 1, Choice.FIRM_A, pA, pB, nA, nB)
-    uB = user_utility(p, scenario, xs, 1, Choice.FIRM_B, pA, pB, nA, nB)
+    uA, uB = user_utility(p, scenario, xs, pA, pB, nA, nB)
     pick_b = uB >= uA
     best = np.where(pick_b, uB, uA)
     participate = best >= 0.0
@@ -82,25 +82,26 @@ def _largest_participation(p, pA, pB):
 
 class TestStageDemand:
     def test_shared_chain_equal_prices(self, reference):
-        dem = stage_demand(reference, Scenario.SAME_CHAIN, 3.0, 3.0)
-        assert dem == (0.5, 0.5, 0.5, True)
-        assert dem.neither == 0.0
+        nA, nB, cutoff = oracle._demand(reference, Scenario.SAME_CHAIN, 3.0, 3.0)
+        assert (nA, nB, cutoff, nA + nB == 1.0) == (0.5, 0.5, 0.5, True)
+        assert 1.0 - (nA + nB) == 0.0
 
     def test_compatible_at_equilibrium_prices(self, reference):
         closed = equilibrium(reference, Scenario.COMPATIBLE)
-        dem = stage_demand(reference, Scenario.COMPATIBLE, closed.pA1, closed.pB1)
-        assert dem.cutoff == pytest.approx(closed.cutoff1, abs=1e-12)
-        assert dem.cutoff == pytest.approx(0.528736, abs=1e-6)
-        assert dem.full_participation
+        nA, nB, cutoff = oracle._demand(reference, Scenario.COMPATIBLE,
+                                        closed.pA1, closed.pB1)
+        assert cutoff == pytest.approx(closed.cutoff1, abs=1e-12)
+        assert cutoff == pytest.approx(0.528736, abs=1e-6)
+        assert nA + nB == 1.0
 
     def test_prohibitive_prices_empty_the_market(self, reference):
         high = reference.k + reference.alpha * reference.n1 + reference.s + 1.0
         for scenario in Scenario:
-            dem = stage_demand(reference, scenario, high, high)
-            assert dem.nA == 0.0
-            assert dem.nB == 0.0
-            assert not dem.full_participation
-            assert dem.neither == 1.0
+            nA, nB, _ = oracle._demand(reference, scenario, high, high)
+            assert nA == 0.0
+            assert nB == 0.0
+            assert not nA + nB == 1.0
+            assert 1.0 - (nA + nB) == 1.0
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_self_consistent_with_user_utility(self, reference, scenario):
@@ -114,22 +115,48 @@ class TestStageDemand:
             (reference.k, reference.k),
         ]
         for pA, pB in price_pairs:
-            dem = stage_demand(reference, scenario, pA, pB)
-            share_a, share_b = _brute_shares(reference, scenario, pA, pB,
-                                             dem.nA, dem.nB)
-            assert share_a == pytest.approx(dem.nA, abs=1e-5)
-            assert share_b == pytest.approx(dem.nB, abs=1e-5)
+            nA, nB, _ = oracle._demand(reference, scenario, pA, pB)
+            share_a, share_b = _brute_shares(reference, scenario, pA, pB, nA, nB)
+            assert share_a == pytest.approx(nA, abs=1e-5)
+            assert share_b == pytest.approx(nB, abs=1e-5)
 
     def test_shared_chain_partial_participation(self, reference):
         # pricing at the stand-alone value strands middle users
         pA = pB = reference.k
-        dem = stage_demand(reference, Scenario.SAME_CHAIN, pA, pB)
-        assert not dem.full_participation
-        assert 0.0 < dem.nA < 0.5
-        assert dem.nA == dem.nB
+        nA, nB, _ = oracle._demand(reference, Scenario.SAME_CHAIN, pA, pB)
+        assert not nA + nB == 1.0
+        assert 0.0 < nA < 0.5
+        assert nA == nB
         share_a, share_b = _brute_shares(reference, Scenario.SAME_CHAIN,
-                                         pA, pB, dem.nA, dem.nB)
-        assert share_a == pytest.approx(dem.nA, abs=1e-5)
+                                         pA, pB, nA, nB)
+        assert share_a == pytest.approx(nA, abs=1e-5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n1=st.floats(1.0, 50.0), n2_frac=st.floats(0.0, 1.0, exclude_max=True),
+           n3_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           s=st.floats(0.5, 20.0), alpha_frac=st.floats(0.01, 0.999),
+           k_frac=st.floats(1.0, 1.01, exclude_min=True),
+           d_frac=st.floats(0.0, 1.0, exclude_max=True))
+    def test_markets_stay_covered_when_n3_exceeds_n2(
+            self, n1, n2_frac, n3_frac, s, alpha_frac, k_frac, d_frac):
+        # assumption_1_2 bounds k through n2 alone; with k just above that
+        # bound and n3 > n2, every interior equilibrium still serves every
+        # user at its period-1 prices.
+        n2 = n2_frac * n1
+        n3 = n2 + n3_frac * (n1 - n2)
+        alpha = alpha_frac * s / (2.0 * n1 + 1.0)
+        k = k_frac * (4.0 * s + 4.0 * alpha * (1.0 + n1 + n2))
+        u = s - alpha
+        d = d_frac * max(3.0 * u + alpha * (n1 - n2), 2.5 * u + alpha * (n1 - n3))
+        p = ModelParams(alpha=alpha, s=s, k=k, n1=n1, n2=n2, n3=n3, d=d)
+        assume(n3 > n2 and validate_params(p).ok)
+        for scenario in Scenario:
+            try:
+                out = equilibrium(p, scenario)
+            except CornerEquilibriumError:
+                continue
+            nA, nB, _ = oracle._demand(p, scenario, out.pA1, out.pB1)
+            assert nA + nB == 1.0
 
     def test_conservation_is_exact_across_price_grids(self, reference):
         # Shares never go negative and never sum past the whole market, with
@@ -139,7 +166,7 @@ class TestStageDemand:
         for scenario in Scenario:
             closed = equilibrium(reference, scenario)
             for rival in (closed.pB1, reference.s, 0.0):
-                nA, nB, _, _ = oracle._demand(reference, scenario, prices, rival)
+                nA, nB, _ = oracle._demand(reference, scenario, prices, rival)
                 assert np.all(nA >= 0.0) and np.all(nB >= 0.0)
                 assert np.all(nA + nB <= 1.0)
                 for i in range(1600, 2401, 200):
@@ -157,7 +184,7 @@ class TestStageDemand:
         prices = np.linspace(10.0, 14.0, 401)
         partial = 0
         for rival in np.linspace(11.0, 14.0, 31):
-            nA, nB, _, _ = oracle._demand(p, Scenario.SAME_CHAIN, prices, rival)
+            nA, nB, _ = oracle._demand(p, Scenario.SAME_CHAIN, prices, rival)
             for own, total in zip(prices, nA + nB):
                 if total < 1.0:
                     partial += 1
@@ -190,10 +217,10 @@ class TestStageDemand:
         pA = p.k + p.alpha * p.n1 - surplus * p.s
         pB = pA if tie else pA + gap * p.s
 
-        dem = stage_demand(p, Scenario.SAME_CHAIN, pA, pB)
-        total = dem.nA + dem.nB
+        nA, nB, _ = oracle._demand(p, Scenario.SAME_CHAIN, pA, pB)
+        total = nA + nB
 
-        assert 0.0 <= dem.nA <= 1.0 and 0.0 <= dem.nB <= 1.0
+        assert 0.0 <= nA <= 1.0 and 0.0 <= nB <= 1.0
         assert abs(_participation_excess(p, pA, pB, total)) <= 1e-12
         for t in _participation_kinks(p, pA, pB):
             if t > total + 1e-9:

@@ -168,12 +168,14 @@ class TestSimConvergence:
 
     def test_one_stalled_period_is_enough(self, reference, monkeypatch):
         real = sim.simulate_period
+        calls = []
 
-        def stall_second(pop, p, scenario, period, *args, **kwargs):
-            out = real(pop, p, scenario, period, *args, **kwargs)
-            if period == 2:
+        def stall_second(*args, **kwargs):
+            out, choices = real(*args, **kwargs)
+            calls.append(out)
+            if len(calls) % 2 == 0:  # each game simulates period 1, then 2
                 out = dataclasses.replace(out, converged=False)
-            return out
+            return out, choices
 
         monkeypatch.setattr(sim, "simulate_period", stall_second)
         report = run_verification(reference, trials=0, use_oracle=False, m=100)
