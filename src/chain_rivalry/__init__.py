@@ -2,71 +2,20 @@
 platform choice (shared chain, compatible chain, or incompatible chain)
 shapes network effects and switching costs.
 
-Closed-form equilibria live in closed_form, one equilibrium(p, scenario)
-for all three scenarios; oracle and sim provide two independent numerical
-routes to the same objects for verification.
+Import each name from the module that defines it:
+
+- model: ModelParams, Scenario, validate_params, user_utility;
+- closed_form: equilibrium(p, scenario) for all three scenarios,
+  adoption_decision, subsidy_threshold, adoption_sensitivity;
+- oracle: oracle_equilibrium, the best-response route;
+- sim: simulate_game, the discretized-user route;
+- verify: run_verification, which checks the two routes against the
+  closed forms;
+- sweep: run_sweep, write_sweep_csv, render_profit_svg;
+- cli: the chain-rivalry command.
+
+The closed-form queries need only model and closed_form, neither of which
+imports numpy.
 """
 
-from .closed_form import (
-    AdoptionDecision,
-    AdoptionSensitivity,
-    CornerEquilibriumError,
-    ThresholdReport,
-    adoption_decision,
-    adoption_sensitivity,
-    equilibrium,
-    subsidy_threshold,
-)
-from .model import (
-    Choice,
-    EquilibriumOutcome,
-    InvalidParamsError,
-    ModelParams,
-    Scenario,
-    ValidationReport,
-    require_valid,
-    user_utility,
-    validate_params,
-)
-from .oracle import oracle_equilibrium, period2_monopoly_price
-from .sim import SimOutcome, SimRun, UserPopulation, simulate_game, simulate_period
-from .sweep import SweepRecord, SweepSpec, render_profit_svg, run_sweep, write_sweep_csv
-from .verify import QuantityCheck, VerificationReport, draw_params, run_verification
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdoptionDecision",
-    "AdoptionSensitivity",
-    "Choice",
-    "CornerEquilibriumError",
-    "EquilibriumOutcome",
-    "InvalidParamsError",
-    "ModelParams",
-    "QuantityCheck",
-    "Scenario",
-    "SimOutcome",
-    "SimRun",
-    "SweepRecord",
-    "SweepSpec",
-    "ThresholdReport",
-    "UserPopulation",
-    "ValidationReport",
-    "VerificationReport",
-    "adoption_decision",
-    "adoption_sensitivity",
-    "draw_params",
-    "equilibrium",
-    "oracle_equilibrium",
-    "period2_monopoly_price",
-    "render_profit_svg",
-    "run_sweep",
-    "run_verification",
-    "simulate_game",
-    "simulate_period",
-    "subsidy_threshold",
-    "user_utility",
-    "validate_params",
-    "write_sweep_csv",
-    "__version__",
-]

@@ -2,6 +2,9 @@
 
 Exit codes are part of the contract: 0 success, 1 config/IO/usage error,
 2 blockaded (corner) equilibrium, 3 verification tolerance breach.
+
+sweep and verify are imported inside their commands, so the closed-form
+queries (equilibrium, compare, thresholds) never load numpy.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import closed_form, sweep as sweep_mod, verify as verify_mod
+from . import closed_form
 from .closed_form import CornerEquilibriumError
-from .model import InvalidParamsError, ModelParams, Scenario, require_valid
+from .model import (OPTIONAL_FIELDS, REQUIRED_FIELDS, InvalidParamsError,
+                    ModelParams, Scenario, require_valid)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -58,7 +62,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("sweep", help="vary one parameter and tabulate "
                                       "outcomes as CSV (optional SVG chart)")
     add_config(sp)
-    sp.add_argument("--param", required=True, choices=sweep_mod.SWEEPABLE)
+    sp.add_argument("--param", required=True, choices=REQUIRED_FIELDS + OPTIONAL_FIELDS)
     sp.add_argument("--lo", required=True, type=float)
     sp.add_argument("--hi", required=True, type=float)
     sp.add_argument("--steps", required=True, type=int)
@@ -138,14 +142,17 @@ def _cmd_thresholds(params: ModelParams) -> int:
 
 
 def _cmd_sweep(params: ModelParams, args: argparse.Namespace) -> int:
+    from . import sweep as sweep_mod
+
     spec = sweep_mod.SweepSpec(param=args.param, lo=args.lo, hi=args.hi,
                                steps=args.steps)
     records = sweep_mod.run_sweep(params, spec)
+    # render first: a sweep with nothing to plot fails before any file is written
+    chart = sweep_mod.render_profit_svg(records, spec.param) if args.svg else None
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         rows = sweep_mod.write_sweep_csv(records, fh)
     print(f"wrote {rows} rows ({spec.steps} grid points) to {args.out}")
-    if args.svg:
-        chart = sweep_mod.render_profit_svg(records, spec.param)
+    if chart is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(chart)
         print(f"wrote chart to {args.svg}")
@@ -153,6 +160,8 @@ def _cmd_sweep(params: ModelParams, args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(params: ModelParams, args: argparse.Namespace) -> int:
+    from . import verify as verify_mod
+
     use_oracle = args.oracle or not (args.oracle or args.sim)
     use_sim = args.sim or not (args.oracle or args.sim)
     report = verify_mod.run_verification(params, trials=args.trials,

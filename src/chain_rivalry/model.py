@@ -14,11 +14,10 @@ import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Union
+from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
-
-ArrayLike = Union[float, np.ndarray]
+if TYPE_CHECKING:
+    import numpy as np
 
 REQUIRED_FIELDS = ("alpha", "s", "k", "n1", "n2", "n3")
 OPTIONAL_FIELDS = ("d", "subsidy_p2", "subsidy_p3")
@@ -215,9 +214,10 @@ def require_valid(p: ModelParams) -> None:
         raise InvalidParamsError(report)
 
 
-def user_utility(p: ModelParams, scenario: Scenario, x: ArrayLike,
-                 pA: float, pB: float, nA: ArrayLike,
-                 nB: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+def user_utility(p: ModelParams, scenario: Scenario, x: float | np.ndarray,
+                 pA: float, pB: float, nA: float | np.ndarray,
+                 nB: float | np.ndarray
+                 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Per-period utilities (uA, uB) of a type-x user from firm A and firm B.
 
     The network term counts the chain's existing base plus current-period
@@ -228,8 +228,11 @@ def user_utility(p: ModelParams, scenario: Scenario, x: ArrayLike,
     neither is worth exactly 0 in every period.
 
     Accepts a scalar or array x (the shares nA, nB broadcast against it).
-    Rejects x outside [0, 1].
+    Rejects x outside [0, 1]. Imports numpy on first call, so the closed-form
+    queries, which never call it, load this module without numpy.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     if np.any((x < 0.0) | (x > 1.0)):
         raise ValueError("user type x outside [0, 1]")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chain_rivalry import ModelParams
+from chain_rivalry.model import ModelParams
 from chain_rivalry.verify import draw_params
 
 REFERENCE = dict(alpha=0.1, s=3.0, k=20.0, n1=10.0, n2=5.0, n3=5.0)

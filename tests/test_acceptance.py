@@ -11,21 +11,20 @@ import json
 import numpy as np
 import pytest
 
-from chain_rivalry import (
-    Scenario,
-    SweepSpec,
+from chain_rivalry import cli
+from chain_rivalry.closed_form import (
     adoption_decision,
     adoption_sensitivity,
-    cli,
     equilibrium,
-    run_sweep,
-    run_verification,
-    simulate_game,
+    profit_b_compatible,
+    profit_b_incompatible,
     subsidy_threshold,
 )
-from chain_rivalry.closed_form import profit_b_compatible, profit_b_incompatible
-from chain_rivalry.model import Choice
+from chain_rivalry.model import Choice, Scenario
 from chain_rivalry.oracle import _demand, _price_grid
+from chain_rivalry.sim import simulate_game
+from chain_rivalry.sweep import SweepSpec, run_sweep
+from chain_rivalry.verify import run_verification
 from test_closed_form import (
     profit_a_compatible,
     profit_a_incompatible,

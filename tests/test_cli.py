@@ -9,12 +9,21 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from chain_rivalry import ModelParams, cli
-from chain_rivalry import closed_form, oracle, sim
+from chain_rivalry import cli, closed_form, oracle, sim
+from chain_rivalry.model import ModelParams
 from chain_rivalry.sweep import CSV_HEADER
 from test_verify import skew_compatible_profit_b
 
 REPO_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+
+
+def fresh_python(*args):
+    """Run `python *args` in a new interpreter with the source tree on its path."""
+    src = REPO_CONFIG.parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
 
 
 def write_config(tmp_path, **overrides):
@@ -178,6 +187,19 @@ class TestSweepCommand:
         texts = [el.text for el in root.iter() if el.tag.endswith("text")]
         assert "d" in texts
         assert any(t.startswith("profitB") for t in texts if t)
+
+    def test_nothing_to_plot_writes_no_file(self, tmp_path, capsys):
+        # every alpha in [5, 6] breaks assumption 1.1, so no point is plottable
+        out_csv = tmp_path / "sweep.csv"
+        out_svg = tmp_path / "chart.svg"
+        code = cli.main(["sweep", "--config", str(REPO_CONFIG), "--param", "alpha",
+                         "--lo", "5", "--hi", "6", "--steps", "3",
+                         "--out", str(out_csv), "--svg", str(out_svg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "nothing to plot" in captured.err
+        assert "wrote" not in captured.out
+        assert not out_csv.exists() and not out_svg.exists()
 
 
 class TestVerifyCommand:
@@ -367,13 +389,9 @@ class TestConsoleScript:
         with open(root / "pyproject.toml", "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["chain-rivalry"]
         module, func = target.split(":")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
 
         def run(*args):
-            return subprocess.run(
-                [sys.executable, "-c", f"from {module} import {func}; {func}()",
-                 *args], capture_output=True, text=True, env=env)
+            return fresh_python("-c", f"from {module} import {func}; {func}()", *args)
 
         proc = run("compare", "--config", write_config(tmp_path))
         assert proc.returncode == 0, proc.stderr
@@ -381,3 +399,29 @@ class TestConsoleScript:
         proc = run("compare", "--config", write_config(tmp_path, d=10.0))
         assert proc.returncode == 2
         assert "blockaded equilibrium" in proc.stderr
+
+
+LEAN_QUERY_SCRIPT = """
+import contextlib, io, json, sys
+from chain_rivalry import cli
+
+config = sys.argv[1]
+results = []
+for argv in (["equilibrium", "--scenario", "incompatible"], ["compare"],
+             ["thresholds"], ["verify", "--trials", "0"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*argv, "--config", config])
+    results.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+class TestLeanQueryPath:
+    def test_closed_form_queries_never_import_numpy(self):
+        # one fresh interpreter runs the queries in order; verify comes last
+        # because it is the command that needs numpy
+        proc = fresh_python("-c", LEAN_QUERY_SCRIPT, str(REPO_CONFIG))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            ["equilibrium", 0, False], ["compare", 0, False],
+            ["thresholds", 0, False], ["verify", 0, True]]

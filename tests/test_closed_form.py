@@ -5,17 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chain_rivalry import (
+from chain_rivalry import closed_form
+from chain_rivalry.closed_form import (
     CornerEquilibriumError,
-    ModelParams,
-    Scenario,
     adoption_decision,
     adoption_sensitivity,
     equilibrium,
     subsidy_threshold,
-    validate_params,
 )
-from chain_rivalry import closed_form
+from chain_rivalry.model import ModelParams, Scenario, validate_params
 from test_oracle import _off_gate_draws
 
 # Frozen reference-config values, confirmed against the grid best-response

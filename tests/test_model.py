@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from chain_rivalry import (
+from chain_rivalry.model import (
     Choice,
     InvalidParamsError,
     ModelParams,

@@ -3,18 +3,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chain_rivalry import (
-    CornerEquilibriumError,
+from chain_rivalry import oracle
+from chain_rivalry.closed_form import CornerEquilibriumError, equilibrium
+from chain_rivalry.model import (
     ModelParams,
     Scenario,
-    equilibrium,
-    oracle_equilibrium,
-    period2_monopoly_price,
+    require_valid,
     user_utility,
     validate_params,
 )
-from chain_rivalry import oracle
-from chain_rivalry.model import require_valid
+from chain_rivalry.oracle import oracle_equilibrium, period2_monopoly_price
 from chain_rivalry.verify import ORACLE_ABS_TOL, ORACLE_QUANTITIES, ORACLE_REL_TOL
 
 

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from chain_rivalry import (
-    Choice,
-    InvalidParamsError,
-    Scenario,
-    UserPopulation,
-    equilibrium,
-    simulate_game,
-    simulate_period,
-)
 from chain_rivalry import model, sim
+from chain_rivalry.closed_form import equilibrium
+from chain_rivalry.model import Choice, InvalidParamsError, Scenario
+from chain_rivalry.sim import UserPopulation, simulate_game, simulate_period
 from chain_rivalry.oracle import _demand
 
 

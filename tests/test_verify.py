@@ -3,12 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chain_rivalry import (
-    Scenario,
-    draw_params,
-    run_verification,
-)
 from chain_rivalry import closed_form, oracle, sim
+from chain_rivalry.model import Scenario
+from chain_rivalry.verify import draw_params, run_verification
 
 
 class TestDrawParams:
