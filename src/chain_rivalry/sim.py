@@ -8,10 +8,13 @@ reported cutoff is the upper edge of the last A-adopter's cell, so a
 contiguous block of A adopters has cutoff equal to its share.
 
 Each fixed-point step makes one user_utility call for both firms' utilities
-of every type. Tie rules: indifferent between the two firms picks B;
-indifferent between a firm and staying out participates. In the lock-in
-scenario, period-2 users who adopted in period 1 can only keep their firm or
-drop out.
+of every type and counts the shares on boolean masks; the int8 choice array
+is built once, from the final masks. Tie rules: indifferent between the two
+firms picks B; indifferent between a firm and staying out participates. In
+the lock-in scenario, period-2 users who adopted in period 1 can only keep
+their firm or drop out. Without locks, a period 2 at exactly period 1's
+prices faces the same deterministic fixed point, so simulate_game reuses
+period 1's outcome instead of solving it again.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def simulate_period(pop: UserPopulation, p: ModelParams, scenario: Scenario,
         locked_a = locks == Choice.FIRM_A.value
         locked_b = locks == Choice.FIRM_B.value
     share_a, share_b = 0.5, 0.5
-    choice = np.full(pop.m, Choice.NEITHER.value, dtype=np.int8)
+    take_a = take_b = np.zeros(pop.m, dtype=bool)
     iterations = 0
     converged = False
     for _ in range(MAX_FIXED_POINT_ITER):
@@ -88,19 +91,20 @@ def simulate_period(pop: UserPopulation, p: ModelParams, scenario: Scenario,
             uA = np.where(locked_b, -np.inf, uA)
             uB = np.where(locked_a, -np.inf, uB)
         pick_b = uB >= uA
-        best = np.where(pick_b, uB, uA)
-        choice = np.where(best >= 0.0,
-                          np.where(pick_b, Choice.FIRM_B.value, Choice.FIRM_A.value),
-                          Choice.NEITHER.value).astype(np.int8)
-        new_a = np.count_nonzero(choice == Choice.FIRM_A.value) / pop.m
-        new_b = np.count_nonzero(choice == Choice.FIRM_B.value) / pop.m
+        take_b = pick_b & (uB >= 0.0)
+        take_a = ~pick_b & (uA >= 0.0)
+        new_a = np.count_nonzero(take_a) / pop.m
+        new_b = np.count_nonzero(take_b) / pop.m
         repeated = new_a == share_a and new_b == share_b
         share_a, share_b = new_a, new_b
         if repeated:
             converged = True
             break
 
-    adopters_a = np.flatnonzero(choice == Choice.FIRM_A.value)
+    choice = np.full(pop.m, Choice.NEITHER.value, dtype=np.int8)
+    choice[take_a] = Choice.FIRM_A.value
+    choice[take_b] = Choice.FIRM_B.value
+    adopters_a = np.flatnonzero(take_a)
     cutoff = (int(adopters_a[-1]) + 1) / pop.m if adopters_a.size else 0.0
     out = SimOutcome(share_a=share_a, share_b=share_b, cutoff=cutoff,
                      revenue_a=pA * share_a, revenue_b=pB * share_b,
@@ -112,13 +116,21 @@ def simulate_game(p: ModelParams, scenario: Scenario,
                   prices: tuple[float, float, float, float],
                   m: int = 10000) -> SimRun:
     """Run both periods at the given prices (pA1, pB1, pA2, pB2); under
-    INCOMPATIBLE the period-1 choices lock adopters in for period 2."""
+    INCOMPATIBLE the period-1 choices lock adopters in for period 2.
+    Elsewhere, when period 2 repeats period 1's prices exactly, period 2
+    reuses period 1's outcome and a copy of its choices."""
     require_valid(p)
     pA1, pB1, pA2, pB2 = prices
     pop = UserPopulation.create(m)
     first, pop.period1 = simulate_period(pop, p, scenario, pA1, pB1)
     locks = pop.period1 if scenario is Scenario.INCOMPATIBLE else None
-    second, pop.period2 = simulate_period(pop, p, scenario, pA2, pB2, locks=locks)
+    if locks is None and (pA2, pB2) == (pA1, pB1):
+        # same population, params, scenario and prices, and no locks: the
+        # fixed point is the one period 1 just found
+        second, pop.period2 = first, pop.period1.copy()
+    else:
+        second, pop.period2 = simulate_period(pop, p, scenario, pA2, pB2,
+                                              locks=locks)
     return SimRun(period1=first, period2=second,
                   revenue_a=first.revenue_a + second.revenue_a,
                   revenue_b=first.revenue_b + second.revenue_b,

@@ -14,7 +14,7 @@ from chain_rivalry.closed_form import (
     subsidy_threshold,
 )
 from chain_rivalry.model import ModelParams, Scenario, validate_params
-from test_oracle import _off_gate_draws
+from conftest import _off_gate_draws
 
 # Frozen reference-config values, confirmed against the grid best-response
 # solver before being pinned here (see test_oracle / test_acceptance).

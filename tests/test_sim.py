@@ -6,6 +6,8 @@ from chain_rivalry.closed_form import equilibrium
 from chain_rivalry.model import Choice, InvalidParamsError, Scenario
 from chain_rivalry.sim import UserPopulation, simulate_game, simulate_period
 from chain_rivalry.oracle import _demand
+from chain_rivalry.verify import run_verification
+from conftest import _off_gate_draws
 
 
 class TestUserPopulation:
@@ -105,6 +107,31 @@ class TestSimulatePeriod:
         assert out.cutoff == 0.5
 
     @pytest.mark.parametrize("scenario", list(Scenario))
+    @pytest.mark.parametrize("prices", [(3.0, 3.0), (-5.0, 2.0), (20.0, 20.0)])
+    def test_choices_are_best_replies_to_the_converged_shares(
+            self, reference, scenario, prices):
+        pop = UserPopulation.create(1000)
+        out, choices = simulate_period(pop, reference, scenario, *prices)
+        uA, uB = model.user_utility(reference, scenario, pop.types, *prices,
+                                    out.share_a, out.share_b)
+        best = np.where(np.maximum(uA, uB) >= 0.0,
+                        np.where(uB >= uA, Choice.FIRM_B.value,
+                                 Choice.FIRM_A.value),
+                        Choice.NEITHER.value)
+        assert out.converged
+        assert np.array_equal(choices, best)
+
+    def test_zero_iterations_leave_everyone_out(self, reference, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_FIXED_POINT_ITER", 0)
+        pop = UserPopulation.create(10)
+        out, choices = simulate_period(pop, reference, Scenario.SAME_CHAIN,
+                                       3.0, 3.0)
+        assert not out.converged and out.iterations == 0
+        assert out.cutoff == 0.0
+        assert choices.dtype == np.int8
+        assert np.all(choices == Choice.NEITHER.value)
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
     def test_one_utility_call_per_fixed_point_step(self, reference, scenario,
                                                    monkeypatch):
         calls = []
@@ -187,3 +214,48 @@ class TestSimulateGame:
         assert run.population.period1 is not None
         assert run.population.period2 is not None
         assert run.population.period2.shape == (50,)
+
+    def test_agrees_with_closed_forms_off_the_gate(self):
+        # n3 != n2, a quality edge and subsidies: parameters the verify gate
+        # never varies, checked at its own simulator tolerances
+        for p in _off_gate_draws(seed=2024, count=30):
+            report = run_verification(p, trials=0, use_oracle=False, m=10000)
+            assert report.sim_unconverged == 0
+            assert report.ok, report.failures
+
+
+class TestRepeatedPeriod:
+    @pytest.mark.parametrize("scenario", [Scenario.SAME_CHAIN,
+                                          Scenario.COMPATIBLE])
+    def test_repeated_prices_give_a_fresh_solve(self, reference, scenario):
+        closed = equilibrium(reference, scenario)
+        prices = (closed.pA1, closed.pB1, closed.pA2, closed.pB2)
+        assert prices[2:] == prices[:2]
+        run = simulate_game(reference, scenario, prices, m=10000)
+        fresh, choices = simulate_period(UserPopulation.create(10000), reference,
+                                         scenario, closed.pA2, closed.pB2)
+        assert run.period2 == fresh
+        assert np.array_equal(run.population.period2, choices)
+        assert run.population.period2.dtype == np.int8
+        assert run.population.period2 is not run.population.period1
+
+    @pytest.mark.parametrize("scenario,prices,periods", [
+        (Scenario.SAME_CHAIN, (3.0, 3.0, 3.0, 3.0), 1),
+        (Scenario.COMPATIBLE, (3.0, 3.0, 3.0, 3.0), 1),
+        (Scenario.INCOMPATIBLE, (3.0, 3.0, 3.0, 3.0), 2),
+        (Scenario.SAME_CHAIN, (3.0, 3.0, 4.0, 2.0), 2),
+        (Scenario.COMPATIBLE, (3.0, 3.0, 4.0, 2.0), 2),
+        (Scenario.INCOMPATIBLE, (3.0, 3.0, 4.0, 2.0), 2),
+    ])
+    def test_period_2_is_solved_only_when_it_can_differ(
+            self, reference, monkeypatch, scenario, prices, periods):
+        calls = []
+        real = sim.simulate_period
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "simulate_period", counted)
+        simulate_game(reference, scenario, prices, m=100)
+        assert len(calls) == periods

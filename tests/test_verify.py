@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chain_rivalry import closed_form, oracle, sim
+from chain_rivalry import closed_form, oracle, sim, verify
 from chain_rivalry.model import Scenario
 from chain_rivalry.verify import draw_params, run_verification
 
@@ -164,17 +164,14 @@ class TestSimConvergence:
             assert "at config: alpha=" in line
 
     def test_one_stalled_period_is_enough(self, reference, monkeypatch):
-        real = sim.simulate_period
-        calls = []
+        real = verify.simulate_game
 
         def stall_second(*args, **kwargs):
-            out, choices = real(*args, **kwargs)
-            calls.append(out)
-            if len(calls) % 2 == 0:  # each game simulates period 1, then 2
-                out = dataclasses.replace(out, converged=False)
-            return out, choices
+            run = real(*args, **kwargs)
+            stalled = dataclasses.replace(run.period2, converged=False)
+            return dataclasses.replace(run, period2=stalled)
 
-        monkeypatch.setattr(sim, "simulate_period", stall_second)
+        monkeypatch.setattr(verify, "simulate_game", stall_second)
         report = run_verification(reference, trials=0, use_oracle=False, m=100)
         assert not report.ok
         assert report.sim_unconverged == 3
