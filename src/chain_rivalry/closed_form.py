@@ -62,8 +62,9 @@ class AdoptionDecision:
 
 
 # B's aggregate two-period payoffs off the shared chain, as functions of d.
-# subsidy_threshold takes its payoff gaps from them; they ignore
-# participation corners, which equilibrium() checks.
+# subsidy_threshold's gaps and roots are these payoffs' differences from s,
+# solved in closed form; they ignore participation corners, which
+# equilibrium() checks.
 
 def profit_b_compatible(p: ModelParams, d: float | None = None) -> float:
     d = p.d if d is None else d
@@ -79,7 +80,7 @@ def profit_b_incompatible(p: ModelParams, d: float | None = None) -> float:
     return 3.0 * num * num / (100.0 * u)
 
 
-def _require_finite(what: str, result: EquilibriumOutcome | ThresholdReport) -> None:
+def _require_finite(what: str, result: EquilibriumOutcome) -> None:
     """Raise a ValueError naming the result's first non-finite field, if it
     has one: the inputs were finite, so float arithmetic overflowed."""
     for field in fields(result):
@@ -163,24 +164,31 @@ def subsidy_threshold(p: ModelParams, validate: bool = True) -> ThresholdReport:
     """Subsidies (c2_star, c3_star) and quality edges (d2_star, d3_star)
     at which B's P2 or P3 payoff matches its P1 payoff.
 
-    The subsidies are payoff gaps at d = 0. Each quality edge solves a
-    quadratic equality in d; with u = s - alpha > 0 (assumption 1.1) its
-    positive root is d2 = 3*sqrt(u*s) - 3u + alpha*(n1 - n2) and
-    d3 = 5*sqrt(u*s/3) - 5u/2 + alpha*(n1 - n3). None of the four depends
-    on p.d or the subsidies.
+    With u = s - alpha and the base gap g = alpha*(n1 - n2) for P2 or
+    alpha*(n1 - n3) for P3, the subsidies are the payoff gaps at d = 0:
+    s - profit_b_compatible(d=0) = alpha + 2g/3 - g^2/(9u) and
+    s - profit_b_incompatible(d=0) = s/4 + 3*alpha/4 + 3g/5 - 3g^2/(25u).
+    The quality edges are the positive roots of the payoff equalities in d,
+    d2 = 3*sqrt(u*s) - 3u + g and d3 = 5*sqrt(u*s/3) - 5u/2 + g, computed
+    rationalized: d2 = 3*alpha*sqrt(u)/(sqrt(s) + sqrt(u)) + g, and d3
+    likewise. No form subtracts nearly equal terms or squares a number of
+    order s; on a valid config g < u/2 and alpha < s, so all four stay
+    finite. None of the four depends on p.d or the subsidies.
     """
     if validate:
         require_valid(p)
     u = p.s - p.alpha
-    rep = ThresholdReport(
-        c2_star=p.s - profit_b_compatible(p, d=0.0),
-        c3_star=p.s - profit_b_incompatible(p, d=0.0),
-        d2_star=3.0 * math.sqrt(u * p.s) - 3.0 * u + p.alpha * (p.n1 - p.n2),
-        d3_star=5.0 * math.sqrt(u * p.s / 3.0) - 2.5 * u + p.alpha * (p.n1 - p.n3),
+    gap2 = p.alpha * (p.n1 - p.n2)
+    gap3 = p.alpha * (p.n1 - p.n3)
+    root_u = math.sqrt(u)
+    return ThresholdReport(
+        c2_star=p.alpha + (2.0 / 3.0) * gap2 - gap2 * (gap2 / (9.0 * u)),
+        c3_star=(0.25 * p.s + 0.75 * p.alpha + 0.6 * gap3
+                 - 0.12 * gap3 * (gap3 / u)),
+        d2_star=3.0 * p.alpha * (root_u / (math.sqrt(p.s) + root_u)) + gap2,
+        d3_star=(2.5 * (p.s / 3.0 + p.alpha)
+                 * (root_u / (2.0 * math.sqrt(p.s / 3.0) + root_u)) + gap3),
     )
-    if not math.isfinite(rep.c2_star + rep.c3_star + rep.d2_star + rep.d3_star):
-        _require_finite("subsidy thresholds", rep)
-    return rep
 
 
 _PLATFORMS = tuple(zip(("P1", "P2", "P3"), Scenario))

@@ -116,6 +116,18 @@ class TestThresholdsCommand:
         assert "d3_star = 1.764693" in out
         assert "c3_star > c2_star: ok" in out
 
+    def test_huge_dispersion_thresholds_stay_finite(self, tmp_path, capsys):
+        # B's squared payoff numerators overflow here, but the thresholds
+        # are written without them.
+        cfg = write_config(tmp_path, alpha=1e-3, s=1e200, k=5e200)
+        code = cli.main(["thresholds", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert "c2_star = 0.004333" in captured.out
+        assert "d2_star = 0.006500" in captured.out
+        assert "c3_star > c2_star: ok" in captured.out
+
 
 class TestSweepCommand:
     def test_csv_contract(self, tmp_path, capsys):
@@ -312,11 +324,9 @@ class TestExitCodes:
          "incompatible equilibrium: pA1 overflows to -inf"),
         (["compare"], dict(k=1e308),
          "incompatible equilibrium: pA1 overflows to -inf"),
-        (["thresholds"], dict(alpha=1e-3, s=1e200, k=5e200),
-         "subsidy thresholds: c2_star overflows to -inf"),
         (["equilibrium", "--scenario", "incompatible"], dict(s=4e307, k=1.7e308),
          "incompatible equilibrium: pA1 overflows to nan"),
-    ], ids=["equilibrium", "compare", "thresholds", "huge-dispersion"])
+    ], ids=["equilibrium", "compare", "huge-dispersion"])
     def test_overflowing_result_exits_1(self, tmp_path, capsys, command,
                                         overrides, reason):
         cfg = write_config(tmp_path, **overrides)

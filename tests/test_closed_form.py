@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,7 +31,7 @@ REF_THRESHOLDS = dict(c2=0.4237547892720306, c3=1.1146551724137932)
 
 # Aggregate two-period payoffs, each a single formula in d: the cross-check
 # for equilibrium()'s price-times-share profits. B's off-chain payoffs live
-# in closed_form because subsidy_threshold takes its gaps from them.
+# in closed_form, next to the thresholds that solve them against s.
 
 def profit_a_same(p):
     return p.s
@@ -287,6 +289,31 @@ class TestThresholds:
         assert rep.c3_star == pytest.approx(
             b_same - closed_form.profit_b_incompatible(p, d=0.0), abs=1e-12)
 
+    def test_thresholds_match_exact_arithmetic(self, reference, draws25):
+        # Rational arithmetic on the float inputs for the subsidies, and
+        # 250-digit decimals for the square roots of the quality edges: at
+        # s = 1e200 their terms cancel over more than 200 digits.
+        configs = [reference, *draws25, *_off_gate_draws(seed=31, count=200),
+                   TestOverflow.BIG_S]
+        with decimal.localcontext(decimal.Context(prec=250)):
+            for p in configs:
+                rep = subsidy_threshold(p)
+                alpha, s = Fraction(p.alpha), Fraction(p.s)
+                n1, n2, n3 = Fraction(p.n1), Fraction(p.n2), Fraction(p.n3)
+                u = s - alpha
+                c2 = s - (3 * u + alpha * (n2 - n1)) ** 2 / (9 * u)
+                c3 = s - 3 * (5 * u + 2 * alpha * (n3 - n1)) ** 2 / (100 * u)
+                assert abs(Fraction(rep.c2_star) - c2) <= abs(c2) / 10 ** 15, p
+                assert abs(Fraction(rep.c3_star) - c3) <= abs(c3) / 10 ** 15, p
+
+                a, sd = decimal.Decimal(p.alpha), decimal.Decimal(p.s)
+                n1, n2, n3 = (decimal.Decimal(n) for n in (p.n1, p.n2, p.n3))
+                u = sd - a
+                d2 = 3 * (u * sd).sqrt() - 3 * u + a * (n1 - n2)
+                d3 = 5 * (u * sd / 3).sqrt() - u * 5 / 2 + a * (n1 - n3)
+                assert abs(decimal.Decimal(rep.d2_star) - d2) <= abs(d2) / 10 ** 15, p
+                assert abs(decimal.Decimal(rep.d3_star) - d3) <= abs(d3) / 10 ** 15, p
+
     def test_reference_quality_thresholds_match_analytic_roots(self, reference):
         rep = subsidy_threshold(reference)
         u = reference.s - reference.alpha
@@ -482,11 +509,32 @@ class TestOverflow:
         assert type(err.value) is ValueError  # not a corner
         assert str(err.value) == "incompatible equilibrium: pA1 overflows to nan"
 
-    def test_thresholds_name_the_first_non_finite_field(self):
+    def test_thresholds_stay_finite_where_the_payoffs_overflow(self):
+        # num^2 in B's aggregate payoffs overflows here, but the thresholds
+        # are written without it.
         assert validate_params(self.BIG_S).ok
-        with pytest.raises(ValueError) as err:
-            subsidy_threshold(self.BIG_S)
-        assert str(err.value) == "subsidy thresholds: c2_star overflows to -inf"
+        assert not math.isfinite(closed_form.profit_b_compatible(self.BIG_S))
+        rep = subsidy_threshold(self.BIG_S)
+        assert rep.c2_star == pytest.approx(0.013 / 3.0, rel=1e-15)
+        assert rep.d2_star == pytest.approx(0.0065, rel=1e-15)
+        assert rep.c3_star == pytest.approx(2.5e199, rel=1e-15)
+        assert math.isfinite(rep.d3_star)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_s=st.floats(-300.0, 307.0), n1=st.floats(1e-3, 1e3),
+           alpha_frac=st.floats(1e-6, 1.0, exclude_max=True),
+           base_frac=st.floats(0.0, 1.0, exclude_max=True))
+    def test_thresholds_are_finite_on_every_valid_config(
+            self, log_s, n1, alpha_frac, base_frac):
+        s = 10.0 ** log_s
+        alpha = alpha_frac * s / (2.0 * n1 + 1.0)
+        n2 = base_frac * n1
+        p = ModelParams(alpha=alpha, s=s, n1=n1, n2=n2, n3=n2,
+                        k=min(1.01 * (4.0 * s + 4.0 * alpha * (1.0 + n1 + n2)),
+                              1.7976931348623157e308))
+        assume(validate_params(p).ok)
+        rep = subsidy_threshold(p)
+        assert all(math.isfinite(x) for x in dataclasses.astuple(rep))
 
 
 def _corner_bound(p, scenario):

@@ -174,6 +174,28 @@ class TestStageDemand:
                     assert share_a == pytest.approx(nA[i], abs=1e-5)
                     assert share_b == pytest.approx(nB[i], abs=1e-5)
 
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_stacked_prices_match_separate_calls(self, reference, scenario):
+        # The joint polish stencil evaluates both firms' points in one call,
+        # so a batch must give each price pair exactly what it gets alone.
+        # The first half sits near the equilibrium, where the market is
+        # covered; the second half near the stand-alone reach, where the
+        # shared chain is short of coverage and its total is re-solved for
+        # the whole batch.
+        rng = np.random.default_rng(5)
+        reach = reference.k + reference.alpha * reference.n1
+        pA1, pB1 = rng.uniform(-1.0, 4.0, size=(2, 40))
+        pA2, pB2 = reach + rng.uniform(-2.0, 1.0, size=(2, 40))
+        first = oracle._demand(reference, scenario, pA1, pB1)
+        second = oracle._demand(reference, scenario, pA2, pB2)
+        stacked = oracle._demand(reference, scenario, np.concatenate((pA1, pA2)),
+                                 np.concatenate((pB1, pB2)))
+        for one, two, both in zip(first, second, stacked):
+            assert np.array_equal(both, np.concatenate((one, two)))
+        if scenario is Scenario.SAME_CHAIN:
+            assert not np.any(first[0] + first[1] < 1.0)
+            assert np.any(second[0] + second[1] < 1.0)
+
     def test_shared_chain_total_is_exact_near_unit_alpha_over_s(self):
         # alpha/s = 0.98: where one firm's participation bound binds, a
         # fixed-point iteration of the total would converge only at rate
@@ -446,37 +468,50 @@ class TestJointPolish:
                 res = oracle_equilibrium(p, scenario)
                 assert res.converged
                 assert res.iterations == 1
-                # Two certificate scans, one 5-point stencil per firm per
-                # polish step, one demand evaluation at the solution.
-                budget = 2 + 2 * self.MAX_POLISH + 1
+                # Two certificate scans, one call for both firms' stencils
+                # per polish step, one demand evaluation at the solution.
+                budget = 2 + self.MAX_POLISH + 1
                 assert calls[0] <= budget, (scenario.value, calls[0], budget)
 
+    def test_about_six_demand_calls_per_game(self, reference, draws100,
+                                             monkeypatch):
+        # About three polish steps, two scans and the outcome evaluation: a
+        # polish step that went back to one call per firm would make about 9.
+        calls = self._count_demand_calls(monkeypatch)
+        configs = [reference, *draws100]
+        for p in configs:
+            for scenario in Scenario:
+                oracle_equilibrium(p, scenario)
+        assert calls[0] / (3 * len(configs)) <= 6.1
+
     PRICES = np.linspace(-100.0, 100.0, 2001)
+
+    def _polish(self, play, pA, pB):
+        return oracle._polish_step(self.PRICES, play, pA, pB, 0.1,
+                                   oracle._stencil(0.1))
 
     @staticmethod
     def _linear_demand_game(a, b, c, e):
         # Profit own * (intercept - own + slope * rival) for both firms.
-        return (lambda own, rival: own * (a - own + b * rival),
-                lambda own, rival: own * (c - own + e * rival))
+        return lambda pA, pB: (pA * (a - pA + b * pB), pB * (c - pB + e * pA))
 
     def test_one_step_solves_a_quadratic_game(self):
         a, b, c, e = 3.0, 0.5, 2.0, 0.8
-        obj_a, obj_b = self._linear_demand_game(a, b, c, e)
-        pA, pB = oracle._polish_step(self.PRICES, obj_a, obj_b, 0.0, 0.0, 0.1)
+        play = self._linear_demand_game(a, b, c, e)
+        pA, pB = self._polish(play, 0.0, 0.0)
         assert pA == pytest.approx((2 * a + b * c) / (4 - b * e), abs=1e-10)
         assert pB == pytest.approx((2 * c + e * a) / (4 - b * e), abs=1e-10)
 
     def test_dominant_cross_terms_fall_back_to_own_vertices(self):
         a, b, c, e = 3.0, 3.0, 2.0, 3.0  # 4 - b*e < 0: no joint maximum
-        obj_a, obj_b = self._linear_demand_game(a, b, c, e)
-        pA, pB = oracle._polish_step(self.PRICES, obj_a, obj_b, 1.0, 2.0, 0.1)
+        play = self._linear_demand_game(a, b, c, e)
+        pA, pB = self._polish(play, 1.0, 2.0)
         assert pA == pytest.approx((a + b * 2.0) / 2, abs=1e-10)
         assert pB == pytest.approx((c + e * 1.0) / 2, abs=1e-10)
 
     def test_convex_firm_stays_put_and_steps_stay_on_the_grid(self):
-        obj_a = lambda own, rival: own * own
-        obj_b = lambda own, rival: own * (1e6 - own)
-        pA, pB = oracle._polish_step(self.PRICES, obj_a, obj_b, 7.0, 0.0, 0.1)
+        play = lambda pA, pB: (pA * pA, pB * (1e6 - pB))
+        pA, pB = self._polish(play, 7.0, 0.0)
         assert pA == pytest.approx(7.0, abs=1e-12)
         assert pB == self.PRICES[-1]
 
@@ -484,14 +519,13 @@ class TestJointPolish:
         # B's profit has one peak at 1. A's has a local peak at 2, where the
         # polish from the start settles, and a higher one at 60 that only
         # the grid scan sees.
-        obj_a = lambda own, rival: np.maximum(-(own - 2.0) ** 2,
-                                              10.0 - (own - 60.0) ** 2)
-        obj_b = lambda own, rival: -(own - 1.0) ** 2
-        assert oracle._polish_step(self.PRICES, obj_a, obj_b, 0.0, 0.0, 0.1) \
-            == pytest.approx((2.0, 1.0), abs=1e-12)
+        play = lambda pA, pB: (np.maximum(-(pA - 2.0) ** 2,
+                                          10.0 - (pA - 60.0) ** 2),
+                               -(pB - 1.0) ** 2)
+        assert self._polish(play, 0.0, 0.0) == pytest.approx((2.0, 1.0), abs=1e-12)
 
         pA, pB, rounds, residual, converged = oracle._solve_game(
-            self.PRICES, obj_a, obj_b, (0.0, 0.0))
+            self.PRICES, play, (0.0, 0.0))
         assert converged
         assert rounds == 2
         assert pA == pytest.approx(60.0, abs=1e-12)
@@ -499,7 +533,7 @@ class TestJointPolish:
         assert residual <= 1e-13
 
         monkeypatch.setattr(oracle, "MAX_ROUNDS", 1)
-        *_, converged = oracle._solve_game(self.PRICES, obj_a, obj_b, (0.0, 0.0))
+        *_, converged = oracle._solve_game(self.PRICES, play, (0.0, 0.0))
         assert not converged
 
     def test_polish_lands_on_the_grid_free_equilibrium(self, reference):
