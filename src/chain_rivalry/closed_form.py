@@ -39,8 +39,9 @@ class ThresholdReport:
     """Minimum subsidy (c) and quality edge (d) flipping B off the shared chain.
 
     c2_star and c3_star are B's payoff gaps to the shared chain at d = 0;
-    d2_star and d3_star are the exact roots of profit_b_compatible(d) = s
-    and profit_b_incompatible(d) = s (see subsidy_threshold).
+    d2_star and d3_star are the exact roots in d of B's compatible and
+    incompatible two-period payoffs equal to its shared-chain payoff s
+    (see subsidy_threshold).
     """
 
     c2_star: float
@@ -59,25 +60,6 @@ class AdoptionDecision:
         best = max(self.payoffs.values())
         if self.payoffs[self.chosen] != best:
             raise ValueError("chosen platform does not attain the payoff maximum")
-
-
-# B's aggregate two-period payoffs off the shared chain, as functions of d.
-# subsidy_threshold's gaps and roots are these payoffs' differences from s,
-# solved in closed form; they ignore participation corners, which
-# equilibrium() checks.
-
-def profit_b_compatible(p: ModelParams, d: float | None = None) -> float:
-    d = p.d if d is None else d
-    u = p.s - p.alpha
-    num = 3.0 * u + d + p.alpha * (p.n2 - p.n1)
-    return num * num / (9.0 * u)
-
-
-def profit_b_incompatible(p: ModelParams, d: float | None = None) -> float:
-    d = p.d if d is None else d
-    u = p.s - p.alpha
-    num = 2.0 * d + 5.0 * u + 2.0 * p.alpha * (p.n3 - p.n1)
-    return 3.0 * num * num / (100.0 * u)
 
 
 def _require_finite(what: str, result: EquilibriumOutcome) -> None:
@@ -165,10 +147,13 @@ def subsidy_threshold(p: ModelParams, validate: bool = True) -> ThresholdReport:
     at which B's P2 or P3 payoff matches its P1 payoff.
 
     With u = s - alpha and the base gap g = alpha*(n1 - n2) for P2 or
-    alpha*(n1 - n3) for P3, the subsidies are the payoff gaps at d = 0:
-    s - profit_b_compatible(d=0) = alpha + 2g/3 - g^2/(9u) and
-    s - profit_b_incompatible(d=0) = s/4 + 3*alpha/4 + 3g/5 - 3g^2/(25u).
-    The quality edges are the positive roots of the payoff equalities in d,
+    alpha*(n1 - n3) for P3, B's two-period payoff is s on P1,
+    (3u + d - g)^2/(9u) on P2 and 3*(5u + 2d - 2g)^2/(100u) on P3. The
+    subsidies are the payoff gaps at d = 0:
+    s - (3u - g)^2/(9u) = alpha + 2g/3 - g^2/(9u) and
+    s - 3*(5u - 2g)^2/(100u) = s/4 + 3*alpha/4 + 3g/5 - 3g^2/(25u).
+    The quality edges are the positive roots in d of the payoff equalities
+    (3u + d - g)^2/(9u) = s and 3*(5u + 2d - 2g)^2/(100u) = s,
     d2 = 3*sqrt(u*s) - 3u + g and d3 = 5*sqrt(u*s/3) - 5u/2 + g, computed
     rationalized: d2 = 3*alpha*sqrt(u)/(sqrt(s) + sqrt(u)) + g, and d3
     likewise. No form subtracts nearly equal terms or squares a number of

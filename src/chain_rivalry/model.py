@@ -39,14 +39,6 @@ class Scenario(Enum):
                          f"{[m.value for m in cls]}")
 
 
-class Choice(Enum):
-    """A user's per-period action."""
-
-    FIRM_A = 0
-    FIRM_B = 1
-    NEITHER = 2
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Exogenous model parameters.

@@ -8,35 +8,32 @@ reported cutoff is the upper edge of the last A-adopter's cell, so a
 contiguous block of A adopters has cutoff equal to its share.
 
 Each fixed-point step makes one user_utility call for both firms' utilities
-of every type and counts the shares on boolean masks; the int8 choice array
-is built once, from the final masks. Tie rules: indifferent between the two
-firms picks B; indifferent between a firm and staying out participates. In
-the lock-in scenario, period-2 users who adopted in period 1 can only keep
-their firm or drop out. Without locks, a period 2 at exactly period 1's
-prices faces the same deterministic fixed point, so simulate_game reuses
-period 1's outcome instead of solving it again.
+of every type and counts the shares on boolean masks; a period returns its
+final A and B adopter masks. Tie rules: indifferent between the two firms
+picks B; indifferent between a firm and staying out participates. In the
+lock-in scenario, period 1's masks lock its adopters in for period 2, where
+they can only keep their firm or drop out. Without locks, a period 2 at
+exactly period 1's prices faces the same deterministic fixed point, so
+simulate_game reuses period 1's outcome instead of solving it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Choice, ModelParams, Scenario, require_valid, user_utility
+from .model import ModelParams, Scenario, require_valid, user_utility
 
 MAX_FIXED_POINT_ITER = 1000
 
 
 @dataclass
 class UserPopulation:
-    """m user types at midpoints (i + 1/2) / m with recorded period choices."""
+    """m user types at midpoints (i + 1/2) / m."""
 
     m: int
     types: np.ndarray
-    period1: Optional[np.ndarray] = field(default=None, repr=False)
-    period2: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
     def create(cls, m: int) -> "UserPopulation":
@@ -69,17 +66,17 @@ class SimRun:
 
 
 def simulate_period(pop: UserPopulation, p: ModelParams, scenario: Scenario,
-                    pA: float, pB: float, locks: Optional[np.ndarray] = None
-                    ) -> tuple[SimOutcome, np.ndarray]:
+                    pA: float, pB: float,
+                    locks: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> tuple[SimOutcome, tuple[np.ndarray, np.ndarray]]:
     """Fixed-point adoption split for one period at fixed prices.
 
-    locks, a previous period's choice array, locks users in: each adopter
-    can only keep its firm or drop out. Returns the outcome and the int8
-    Choice code of every type.
+    locks, a previous period's adopter masks, locks users in: each adopter
+    can only keep its firm or drop out. Returns the outcome and the boolean
+    masks (take_a, take_b) of the types adopting A and B.
     """
     if locks is not None:
-        locked_a = locks == Choice.FIRM_A.value
-        locked_b = locks == Choice.FIRM_B.value
+        locked_a, locked_b = locks
     share_a, share_b = 0.5, 0.5
     take_a = take_b = np.zeros(pop.m, dtype=bool)
     iterations = 0
@@ -101,36 +98,32 @@ def simulate_period(pop: UserPopulation, p: ModelParams, scenario: Scenario,
             converged = True
             break
 
-    choice = np.full(pop.m, Choice.NEITHER.value, dtype=np.int8)
-    choice[take_a] = Choice.FIRM_A.value
-    choice[take_b] = Choice.FIRM_B.value
     adopters_a = np.flatnonzero(take_a)
     cutoff = (int(adopters_a[-1]) + 1) / pop.m if adopters_a.size else 0.0
     out = SimOutcome(share_a=share_a, share_b=share_b, cutoff=cutoff,
                      revenue_a=pA * share_a, revenue_b=pB * share_b,
                      iterations=iterations, converged=converged)
-    return out, choice
+    return out, (take_a, take_b)
 
 
 def simulate_game(p: ModelParams, scenario: Scenario,
                   prices: tuple[float, float, float, float],
                   m: int = 10000) -> SimRun:
     """Run both periods at the given prices (pA1, pB1, pA2, pB2); under
-    INCOMPATIBLE the period-1 choices lock adopters in for period 2.
+    INCOMPATIBLE period 1's adopter masks lock adopters in for period 2.
     Elsewhere, when period 2 repeats period 1's prices exactly, period 2
-    reuses period 1's outcome and a copy of its choices."""
+    reuses period 1's outcome."""
     require_valid(p)
     pA1, pB1, pA2, pB2 = prices
     pop = UserPopulation.create(m)
-    first, pop.period1 = simulate_period(pop, p, scenario, pA1, pB1)
-    locks = pop.period1 if scenario is Scenario.INCOMPATIBLE else None
+    first, takes = simulate_period(pop, p, scenario, pA1, pB1)
+    locks = takes if scenario is Scenario.INCOMPATIBLE else None
     if locks is None and (pA2, pB2) == (pA1, pB1):
         # same population, params, scenario and prices, and no locks: the
         # fixed point is the one period 1 just found
-        second, pop.period2 = first, pop.period1.copy()
+        second = first
     else:
-        second, pop.period2 = simulate_period(pop, p, scenario, pA2, pB2,
-                                              locks=locks)
+        second, _ = simulate_period(pop, p, scenario, pA2, pB2, locks=locks)
     return SimRun(period1=first, period2=second,
                   revenue_a=first.revenue_a + second.revenue_a,
                   revenue_b=first.revenue_b + second.revenue_b,

@@ -16,19 +16,19 @@ from chain_rivalry.closed_form import (
     adoption_decision,
     adoption_sensitivity,
     equilibrium,
-    profit_b_compatible,
-    profit_b_incompatible,
     subsidy_threshold,
 )
-from chain_rivalry.model import Choice, Scenario
+from chain_rivalry.model import Scenario
 from chain_rivalry.oracle import _demand, _price_grid
-from chain_rivalry.sim import simulate_game
+from chain_rivalry.sim import UserPopulation, simulate_game, simulate_period
 from chain_rivalry.sweep import SweepSpec, run_sweep
 from chain_rivalry.verify import run_verification
 from test_closed_form import (
     profit_a_compatible,
     profit_a_incompatible,
     profit_a_same,
+    profit_b_compatible,
+    profit_b_incompatible,
     profit_b_same,
 )
 from test_oracle import _brute_shares
@@ -209,11 +209,15 @@ def test_simulated_users_reproduce_the_analytics(reference):
         assert run.revenue_b == pytest.approx(closed.profitB, abs=rev_tol)
 
         if scenario is Scenario.INCOMPATIBLE:
-            pop = run.population
-            was_a = pop.period1 == Choice.FIRM_A.value
-            was_b = pop.period1 == Choice.FIRM_B.value
-            now_a = pop.period2 == Choice.FIRM_A.value
-            now_b = pop.period2 == Choice.FIRM_B.value
+            # the same two periods, chained by hand: period 1's adopter
+            # masks lock period 2, and no adopter switches firms
+            pop = UserPopulation.create(m)
+            first, locks = simulate_period(pop, reference, scenario,
+                                           closed.pA1, closed.pB1)
+            second, (now_a, now_b) = simulate_period(
+                pop, reference, scenario, closed.pA2, closed.pB2, locks=locks)
+            assert (first, second) == (run.period1, run.period2)
+            was_a, was_b = locks
             assert np.count_nonzero(was_a & now_b) == 0
             assert np.count_nonzero(was_b & now_a) == 0
             assert run.period2.share_a == run.period1.share_a

@@ -9,9 +9,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from chain_rivalry import cli, closed_form, oracle, sim
+from chain_rivalry import cli, oracle, sim
 from chain_rivalry.model import ModelParams
 from chain_rivalry.sweep import CSV_HEADER
+from test_closed_form import profit_b_compatible
 from test_verify import skew_compatible_profit_b
 
 REPO_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference.json"
@@ -94,7 +95,7 @@ class TestCompareCommand:
 
     def test_exact_payoff_tie_renders_equals(self, tmp_path, capsys):
         # a subsidy equal to the gap makes P2 match P1 bitwise
-        gap = 3.0 - closed_form.profit_b_compatible(
+        gap = 3.0 - profit_b_compatible(
             ModelParams(alpha=0.1, s=3.0, k=20.0, n1=10.0, n2=5.0, n3=5.0))
         cfg = write_config(tmp_path, subsidy_p2=gap)
         code = cli.main(["compare", "--config", cfg])

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chain_rivalry import closed_form
 from chain_rivalry.closed_form import (
     CornerEquilibriumError,
     adoption_decision,
@@ -30,8 +29,9 @@ REF_THRESHOLDS = dict(c2=0.4237547892720306, c3=1.1146551724137932)
 
 
 # Aggregate two-period payoffs, each a single formula in d: the cross-check
-# for equilibrium()'s price-times-share profits. B's off-chain payoffs live
-# in closed_form, next to the thresholds that solve them against s.
+# for equilibrium()'s price-times-share profits. B's off-chain payoffs also
+# take d as an argument, so the thresholds can be checked against s at
+# d = 0 and at their roots.
 
 def profit_a_same(p):
     return p.s
@@ -50,6 +50,20 @@ def profit_a_compatible(p):
 def profit_a_incompatible(p):
     u = p.s - p.alpha
     num = -2.0 * p.d + 5.0 * u + 2.0 * p.alpha * (p.n1 - p.n3)
+    return 3.0 * num * num / (100.0 * u)
+
+
+def profit_b_compatible(p, d=None):
+    d = p.d if d is None else d
+    u = p.s - p.alpha
+    num = 3.0 * u + d + p.alpha * (p.n2 - p.n1)
+    return num * num / (9.0 * u)
+
+
+def profit_b_incompatible(p, d=None):
+    d = p.d if d is None else d
+    u = p.s - p.alpha
+    num = 2.0 * d + 5.0 * u + 2.0 * p.alpha * (p.n3 - p.n1)
     return 3.0 * num * num / (100.0 * u)
 
 
@@ -285,9 +299,9 @@ class TestThresholds:
         rep = subsidy_threshold(p)
         b_same = profit_b_same(p)
         assert rep.c2_star == pytest.approx(
-            b_same - closed_form.profit_b_compatible(p, d=0.0), abs=1e-12)
+            b_same - profit_b_compatible(p, d=0.0), abs=1e-12)
         assert rep.c3_star == pytest.approx(
-            b_same - closed_form.profit_b_incompatible(p, d=0.0), abs=1e-12)
+            b_same - profit_b_incompatible(p, d=0.0), abs=1e-12)
 
     def test_thresholds_match_exact_arithmetic(self, reference, draws25):
         # Rational arithmetic on the float inputs for the subsidies, and
@@ -326,10 +340,10 @@ class TestThresholds:
     def test_quality_roots_satisfy_their_defining_equalities(self, reference):
         rep = subsidy_threshold(reference)
         target = profit_b_same(reference)
-        assert closed_form.profit_b_compatible(reference, d=rep.d2_star) == \
-            pytest.approx(target, abs=1e-8)
-        assert closed_form.profit_b_incompatible(reference, d=rep.d3_star) == \
-            pytest.approx(target, abs=1e-8)
+        assert profit_b_compatible(reference, d=rep.d2_star) == pytest.approx(
+            target, abs=1e-8)
+        assert profit_b_incompatible(reference, d=rep.d3_star) == pytest.approx(
+            target, abs=1e-8)
 
     def test_threshold_ordering_on_draws(self, draws25):
         for p in draws25:
@@ -434,9 +448,8 @@ class TestAggregatePayoffs:
                                                               draws25):
         formulas = {
             Scenario.SAME_CHAIN: (profit_a_same, profit_b_same),
-            Scenario.COMPATIBLE: (profit_a_compatible, closed_form.profit_b_compatible),
-            Scenario.INCOMPATIBLE: (profit_a_incompatible,
-                                    closed_form.profit_b_incompatible),
+            Scenario.COMPATIBLE: (profit_a_compatible, profit_b_compatible),
+            Scenario.INCOMPATIBLE: (profit_a_incompatible, profit_b_incompatible),
         }
         for p in [reference, *draws25, *_off_gate_draws(seed=2024, count=30)]:
             for scenario, (profit_a, profit_b) in formulas.items():
@@ -513,7 +526,7 @@ class TestOverflow:
         # num^2 in B's aggregate payoffs overflows here, but the thresholds
         # are written without it.
         assert validate_params(self.BIG_S).ok
-        assert not math.isfinite(closed_form.profit_b_compatible(self.BIG_S))
+        assert not math.isfinite(profit_b_compatible(self.BIG_S))
         rep = subsidy_threshold(self.BIG_S)
         assert rep.c2_star == pytest.approx(0.013 / 3.0, rel=1e-15)
         assert rep.d2_star == pytest.approx(0.0065, rel=1e-15)

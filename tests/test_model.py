@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chain_rivalry.model import (
-    Choice,
     InvalidParamsError,
     ModelParams,
     Scenario,
@@ -176,10 +175,6 @@ class TestEnums:
     def test_scenario_from_name_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             Scenario.from_name("hybrid")
-
-    def test_choice_codes_are_stable(self):
-        # the simulator stores these as int8 codes
-        assert (Choice.FIRM_A.value, Choice.FIRM_B.value, Choice.NEITHER.value) == (0, 1, 2)
 
 
 class TestUserUtility:

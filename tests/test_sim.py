@@ -3,7 +3,7 @@ import pytest
 
 from chain_rivalry import model, sim
 from chain_rivalry.closed_form import equilibrium
-from chain_rivalry.model import Choice, InvalidParamsError, Scenario
+from chain_rivalry.model import InvalidParamsError, Scenario
 from chain_rivalry.sim import UserPopulation, simulate_game, simulate_period
 from chain_rivalry.oracle import _demand
 from chain_rivalry.verify import run_verification
@@ -15,7 +15,6 @@ class TestUserPopulation:
         pop = UserPopulation.create(4)
         assert np.array_equal(pop.types, [0.125, 0.375, 0.625, 0.875])
         assert pop.m == 4
-        assert pop.period1 is None and pop.period2 is None
 
     def test_single_user(self):
         pop = UserPopulation.create(1)
@@ -27,32 +26,32 @@ class TestUserPopulation:
 
     def test_period_choices_record_decisions(self, reference):
         pop = UserPopulation.create(10)
-        _, choices = simulate_period(pop, reference, Scenario.SAME_CHAIN, 3.0, 3.0)
-        assert pop.types[0] == 0.05 and choices[0] == Choice.FIRM_A.value
-        assert pop.types[9] == 0.95 and choices[9] == Choice.FIRM_B.value
-        assert pop.period1 is None and pop.period2 is None
+        _, (take_a, take_b) = simulate_period(pop, reference,
+                                              Scenario.SAME_CHAIN, 3.0, 3.0)
+        assert pop.types[0] == 0.05 and take_a[0] and not take_b[0]
+        assert pop.types[9] == 0.95 and take_b[9] and not take_a[9]
 
 
 class TestTieRules:
     def test_indifferent_between_firms_picks_b(self, reference):
         # equal shared-chain prices make the middle type exactly indifferent
         pop = UserPopulation.create(5)
-        out, choices = simulate_period(pop, reference, Scenario.SAME_CHAIN,
-                                       3.0, 3.0)
+        out, (take_a, take_b) = simulate_period(pop, reference,
+                                                Scenario.SAME_CHAIN, 3.0, 3.0)
         assert out.share_a == 0.4
         assert out.share_b == 0.6
-        assert choices[2] == Choice.FIRM_B.value
+        assert take_b[2] and not take_a[2]
 
     def test_indifferent_with_staying_out_participates(self, reference):
         # alpha=0 kills the network feedback so utilities are exact in
         # binary arithmetic: type 0.625 gets utility exactly 0 from A
         p = reference.with_values(alpha=0.0)
         pop = UserPopulation.create(4)
-        out, choices = simulate_period(pop, p, Scenario.SAME_CHAIN,
-                                       p.k - 1.875, 100.0)
+        out, (take_a, take_b) = simulate_period(pop, p, Scenario.SAME_CHAIN,
+                                                p.k - 1.875, 100.0)
         assert out.share_a == 0.75
-        assert choices[2] == Choice.FIRM_A.value
-        assert choices[3] == Choice.NEITHER.value
+        assert take_a[2] and not take_b[2]
+        assert not take_a[3] and not take_b[3]
 
 
 class TestSimulatePeriod:
@@ -111,25 +110,25 @@ class TestSimulatePeriod:
     def test_choices_are_best_replies_to_the_converged_shares(
             self, reference, scenario, prices):
         pop = UserPopulation.create(1000)
-        out, choices = simulate_period(pop, reference, scenario, *prices)
+        out, (take_a, take_b) = simulate_period(pop, reference, scenario,
+                                                *prices)
         uA, uB = model.user_utility(reference, scenario, pop.types, *prices,
                                     out.share_a, out.share_b)
-        best = np.where(np.maximum(uA, uB) >= 0.0,
-                        np.where(uB >= uA, Choice.FIRM_B.value,
-                                 Choice.FIRM_A.value),
-                        Choice.NEITHER.value)
+        participates = np.maximum(uA, uB) >= 0.0
         assert out.converged
-        assert np.array_equal(choices, best)
+        assert np.array_equal(take_b, participates & (uB >= uA))
+        assert np.array_equal(take_a, participates & (uB < uA))
 
     def test_zero_iterations_leave_everyone_out(self, reference, monkeypatch):
         monkeypatch.setattr(sim, "MAX_FIXED_POINT_ITER", 0)
         pop = UserPopulation.create(10)
-        out, choices = simulate_period(pop, reference, Scenario.SAME_CHAIN,
-                                       3.0, 3.0)
+        out, (take_a, take_b) = simulate_period(pop, reference,
+                                                Scenario.SAME_CHAIN, 3.0, 3.0)
         assert not out.converged and out.iterations == 0
         assert out.cutoff == 0.0
-        assert choices.dtype == np.int8
-        assert np.all(choices == Choice.NEITHER.value)
+        for take in (take_a, take_b):
+            assert take.dtype == bool and take.shape == (10,)
+            assert not np.any(take)
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_one_utility_call_per_fixed_point_step(self, reference, scenario,
@@ -154,9 +153,15 @@ class TestLockin:
         run = simulate_game(reference, Scenario.INCOMPATIBLE,
                             (closed.pA1, closed.pB1, closed.pA2, closed.pB2),
                             m=10000)
-        pop = run.population
-        assert np.array_equal(pop.period1, pop.period2)
-        assert np.all(pop.period1 != Choice.NEITHER.value)
+        pop = UserPopulation.create(10000)
+        first, (was_a, was_b) = simulate_period(
+            pop, reference, Scenario.INCOMPATIBLE, closed.pA1, closed.pB1)
+        second, (now_a, now_b) = simulate_period(
+            pop, reference, Scenario.INCOMPATIBLE, closed.pA2, closed.pB2,
+            locks=(was_a, was_b))
+        assert (first, second) == (run.period1, run.period2)
+        assert np.array_equal(was_a, now_a) and np.array_equal(was_b, now_b)
+        assert np.all(was_a | was_b)
         assert run.period2.share_a == run.period1.share_a
 
     def test_locked_users_can_drop_out_but_not_switch(self, reference):
@@ -168,8 +173,8 @@ class TestLockin:
         out, second = simulate_period(pop, reference, Scenario.INCOMPATIBLE,
                                       reference.k + reference.alpha * reference.n1,
                                       19.15, locks=first)
-        was_a = first == Choice.FIRM_A.value
-        now_b = second == Choice.FIRM_B.value
+        was_a, _ = first
+        _, now_b = second
         assert not np.any(was_a & now_b)
         assert out.share_a < 0.9 * np.count_nonzero(was_a) / pop.m
 
@@ -182,7 +187,7 @@ class TestLockin:
         second, _ = simulate_period(pop, reference, Scenario.INCOMPATIBLE,
                                     0.0, 0.0, locks=locks)
         assert second.share_a + second.share_b == 1.0
-        assert np.all(locks == Choice.NEITHER.value)
+        assert not np.any(locks[0]) and not np.any(locks[1])
 
 
 class TestSimulateGame:
@@ -208,13 +213,6 @@ class TestSimulateGame:
         with pytest.raises(InvalidParamsError):
             simulate_game(bad, Scenario.SAME_CHAIN, (3.0, 3.0, 3.0, 3.0), m=10)
 
-    def test_population_is_returned_with_both_periods(self, reference):
-        run = simulate_game(reference, Scenario.COMPATIBLE,
-                            (3.0, 3.0, 3.0, 3.0), m=50)
-        assert run.population.period1 is not None
-        assert run.population.period2 is not None
-        assert run.population.period2.shape == (50,)
-
     def test_agrees_with_closed_forms_off_the_gate(self):
         # n3 != n2, a quality edge and subsidies: parameters the verify gate
         # never varies, checked at its own simulator tolerances
@@ -222,6 +220,36 @@ class TestSimulateGame:
             report = run_verification(p, trials=0, use_oracle=False, m=10000)
             assert report.sim_unconverged == 0
             assert report.ok, report.failures
+
+    def test_lock_in_at_shifted_period_2_prices_off_the_gate(self):
+        # away from the harvest prices: the game is period 1, then period 2
+        # locked by period 1's adopter masks. The firm that raises its price
+        # sheds adopters, the locks keep them from the rival's lowered
+        # price, and the rival keeps exactly its period-1 base.
+        m = 2000
+        scenario = Scenario.INCOMPATIBLE
+        for p in _off_gate_draws(seed=2024, count=30):
+            closed = equilibrium(p, scenario)
+            for shift in (0.1 * p.s, -0.1 * p.s):
+                prices = (closed.pA1, closed.pB1,
+                          closed.pA2 + shift, closed.pB2 - shift)
+                run = simulate_game(p, scenario, prices, m=m)
+                pop = UserPopulation.create(m)
+                first, locks = simulate_period(pop, p, scenario, *prices[:2])
+                second, (now_a, now_b) = simulate_period(
+                    pop, p, scenario, *prices[2:], locks=locks)
+                assert (run.period1, run.period2) == (first, second)
+                assert run.revenue_a == first.revenue_a + second.revenue_a
+                assert run.revenue_b == first.revenue_b + second.revenue_b
+                was_a, was_b = locks
+                assert not np.any(was_a & now_b)
+                assert not np.any(was_b & now_a)
+                if shift > 0.0:
+                    assert second.share_a < first.share_a
+                    assert second.share_b == first.share_b
+                else:
+                    assert second.share_b < first.share_b
+                    assert second.share_a == first.share_a
 
 
 class TestRepeatedPeriod:
@@ -232,12 +260,9 @@ class TestRepeatedPeriod:
         prices = (closed.pA1, closed.pB1, closed.pA2, closed.pB2)
         assert prices[2:] == prices[:2]
         run = simulate_game(reference, scenario, prices, m=10000)
-        fresh, choices = simulate_period(UserPopulation.create(10000), reference,
-                                         scenario, closed.pA2, closed.pB2)
+        fresh, _ = simulate_period(UserPopulation.create(10000), reference,
+                                   scenario, closed.pA2, closed.pB2)
         assert run.period2 == fresh
-        assert np.array_equal(run.population.period2, choices)
-        assert run.population.period2.dtype == np.int8
-        assert run.population.period2 is not run.population.period1
 
     @pytest.mark.parametrize("scenario,prices,periods", [
         (Scenario.SAME_CHAIN, (3.0, 3.0, 3.0, 3.0), 1),
