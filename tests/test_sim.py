@@ -189,6 +189,18 @@ class TestLockin:
         assert second.share_a + second.share_b == 1.0
         assert not np.any(locks[0]) and not np.any(locks[1])
 
+    def test_locked_period_leaves_the_locks_unchanged(self, reference):
+        pop = UserPopulation.create(200)
+        _, locks = simulate_period(pop, reference, Scenario.INCOMPATIBLE,
+                                   3.0, 3.0)
+        saved = (locks[0].copy(), locks[1].copy())
+        _, takes = simulate_period(pop, reference, Scenario.INCOMPATIBLE,
+                                   reference.k + reference.alpha * reference.n1,
+                                   19.15, locks=locks)
+        assert np.array_equal(locks[0], saved[0])
+        assert np.array_equal(locks[1], saved[1])
+        assert takes[0] is not locks[0] and takes[1] is not locks[1]
+
 
 class TestSimulateGame:
     def test_aggregates_revenue_across_periods(self, reference):
@@ -212,6 +224,14 @@ class TestSimulateGame:
         bad = reference.with_values(alpha=0.13)
         with pytest.raises(InvalidParamsError):
             simulate_game(bad, Scenario.SAME_CHAIN, (3.0, 3.0, 3.0, 3.0), m=10)
+
+    def test_population_is_returned_without_period_state(self, reference):
+        run = simulate_game(reference, Scenario.COMPATIBLE,
+                            (3.0, 3.0, 3.0, 3.0), m=50)
+        assert run.population.m == 50
+        assert np.array_equal(run.population.types,
+                              UserPopulation.create(50).types)
+        assert list(vars(run.population)) == ["m", "types"]
 
     def test_agrees_with_closed_forms_off_the_gate(self):
         # n3 != n2, a quality edge and subsidies: parameters the verify gate
