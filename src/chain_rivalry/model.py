@@ -5,7 +5,9 @@ entrant B picks one of three homes: the same chain (shared network), a
 compatible chain (separate network, costless switching), or an incompatible
 chain (separate network, users locked in after period 1). A continuum of
 users indexed by x in [0, 1] trades off price, taste distance, network size,
-and a stand-alone value k each period.
+and a stand-alone value k each period. taste_distances gives each type's
+distance to both firms, and user_utility turns those distances into both
+firms' utilities at given prices and adoption shares.
 """
 
 from __future__ import annotations
@@ -206,29 +208,46 @@ def require_valid(p: ModelParams) -> None:
         raise InvalidParamsError(report)
 
 
-def user_utility(p: ModelParams, scenario: Scenario, x: float | np.ndarray,
+def taste_distances(p: ModelParams, x: float | np.ndarray
+                    ) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Taste distances (s*x, s*(1-x)) of type x to firm A and to firm B.
+
+    Accepts a scalar or array x and rejects any x outside [0, 1], NaN
+    included. A caller that evaluates the same types many times, such as the
+    simulator's fixed point, computes these once and passes them to
+    user_utility. Imports numpy on first call, so the closed-form queries,
+    which never call it, load this module without numpy.
+    """
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError("user type x outside [0, 1]")
+    return p.s * x, p.s * (1.0 - x)
+
+
+def user_utility(p: ModelParams, scenario: Scenario,
+                 distances: tuple[float | np.ndarray, float | np.ndarray],
                  pA: float, pB: float, nA: float | np.ndarray,
-                 nB: float | np.ndarray
+                 nB: float | np.ndarray,
+                 out: tuple[np.ndarray, np.ndarray] | None = None
                  ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Per-period utilities (uA, uB) of a type-x user from firm A and firm B.
+    """Per-period utilities (uA, uB) from firm A and firm B of the types
+    whose taste distances (to A, to B) are given, as taste_distances
+    returns them.
 
     The network term counts the chain's existing base plus current-period
     adopters reachable there: on a shared chain both firms' adopters count
     for everyone; on separate chains each firm's chain carries its own base
     (n2 or n3 for B) plus its own adopters, and B's chain adds the quality
-    edge d. Taste distance is s*x to firm A and s*(1-x) to firm B. Choosing
-    neither is worth exactly 0 in every period.
+    edge d. Choosing neither is worth exactly 0 in every period. The shares
+    nA, nB broadcast against the distances.
 
-    Accepts a scalar or array x (the shares nA, nB broadcast against it).
-    Rejects x outside [0, 1]. Imports numpy on first call, so the closed-form
-    queries, which never call it, load this module without numpy.
+    With out=(bufA, bufB), two float arrays of the broadcast shape, the
+    utilities are written into those buffers, which are returned; the
+    values are bitwise those of the allocating call.
     """
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
-        raise ValueError("user type x outside [0, 1]")
-
+    dist_a, dist_b = distances
     if scenario is Scenario.SAME_CHAIN:
         network_a = network_b = p.n1 + nA + nB
         edge = 0.0
@@ -237,6 +256,17 @@ def user_utility(p: ModelParams, scenario: Scenario, x: float | np.ndarray,
         base = p.n2 if scenario is Scenario.COMPATIBLE else p.n3
         network_b = base + nB
         edge = p.d
-    uA = p.alpha * network_a - pA - p.s * x + p.k
-    uB = p.alpha * network_b + edge - pB - p.s * (1.0 - x) + p.k
+    # each utility is (network value - price) - distance + k, in that order
+    # on both paths, so the buffered values are bitwise the allocated ones
+    net_a = p.alpha * network_a - pA
+    net_b = p.alpha * network_b + edge - pB
+    if out is None:
+        return net_a - dist_a + p.k, net_b - dist_b + p.k
+    import numpy as np
+
+    uA, uB = out
+    np.subtract(net_a, dist_a, out=uA)
+    uA += p.k
+    np.subtract(net_b, dist_b, out=uB)
+    uB += p.k
     return uA, uB

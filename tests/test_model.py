@@ -8,6 +8,7 @@ from chain_rivalry.model import (
     ModelParams,
     Scenario,
     require_valid,
+    taste_distances,
     user_utility,
     validate_params,
 )
@@ -178,17 +179,21 @@ class TestEnums:
 
 
 class TestUserUtility:
+    @staticmethod
+    def utility(p, scenario, x, **kwargs):
+        return user_utility(p, scenario, taste_distances(p, x), **kwargs)
+
     def test_shared_chain_midpoint_is_symmetric(self, reference):
         """At equal prices the middle user gets the same utility from both
         firms, and the shared chain counts every adopter for both."""
-        uA, uB = user_utility(reference, Scenario.SAME_CHAIN, x=0.5, pA=3.0,
+        uA, uB = self.utility(reference, Scenario.SAME_CHAIN, 0.5, pA=3.0,
                               pB=3.0, nA=0.5, nB=0.5)
         assert uA == pytest.approx(16.6, abs=1e-12)
         assert uB == pytest.approx(16.6, abs=1e-12)
 
     def test_shared_chain_boundary_user(self, reference):
         # full participation: network is n1 + 1, price s, taste cost 0 at x=0
-        u, _ = user_utility(reference, Scenario.SAME_CHAIN, x=0.0,
+        u, _ = self.utility(reference, Scenario.SAME_CHAIN, 0.0,
                             pA=reference.s, pB=reference.s, nA=0.5, nB=0.5)
         expected = reference.alpha * (reference.n1 + 1.0) - reference.s + reference.k
         assert u == pytest.approx(expected, abs=1e-12)
@@ -200,29 +205,50 @@ class TestUserUtility:
     def test_entrant_chain_network_and_edge(self, reference, scenario, base):
         p = reference.with_values(d=0.7, n2=5.0, n3=5.0)
         x, nA, nB = 0.8, 0.6, 0.3
-        _, uB = user_utility(p, scenario, x=x, pA=2.0, pB=1.5, nA=nA, nB=nB)
+        _, uB = self.utility(p, scenario, x, pA=2.0, pB=1.5, nA=nA, nB=nB)
         expected = p.alpha * (base + nB) + p.d - 1.5 - p.s * (1.0 - x) + p.k
         assert uB == pytest.approx(expected, abs=1e-12)
 
     def test_incumbent_ignores_entrant_adopters_on_separate_chains(self, reference):
         x, nA = 0.2, 0.55
         for nB in (0.0, 0.45):
-            uA, _ = user_utility(reference, Scenario.INCOMPATIBLE, x=x,
+            uA, _ = self.utility(reference, Scenario.INCOMPATIBLE, x,
                                  pA=2.0, pB=1.5, nA=nA, nB=nB)
             expected = reference.alpha * (reference.n1 + nA) - 2.0 - reference.s * x + reference.k
             assert uA == pytest.approx(expected, abs=1e-12)
 
     def test_vectorized_matches_scalar(self, reference):
         xs = np.linspace(0.0, 1.0, 11)
-        arr, _ = user_utility(reference, Scenario.COMPATIBLE, x=xs, pA=2.5,
+        arr, _ = self.utility(reference, Scenario.COMPATIBLE, xs, pA=2.5,
                               pB=2.0, nA=0.5, nB=0.5)
         assert arr.shape == xs.shape
         for x, v in zip(xs, arr):
-            scalar, _ = user_utility(reference, Scenario.COMPATIBLE, x=float(x),
+            scalar, _ = self.utility(reference, Scenario.COMPATIBLE, float(x),
                                      pA=2.5, pB=2.0, nA=0.5, nB=0.5)
             assert scalar == v
 
-    def test_rejects_type_outside_unit_interval(self, reference):
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_out_buffers_are_returned_bitwise_equal(self, reference, scenario):
+        p = reference.with_values(d=0.7, n3=4.0)
+        distances = taste_distances(p, (np.arange(97) + 0.5) / 97)
+        args = (p, scenario, distances, 2.5, 2.0, 0.37, 0.41)
+        fresh = user_utility(*args)
+        out = (np.full(97, np.nan), np.full(97, np.nan))
+        written = user_utility(*args, out=out)
+        assert written[0] is out[0] and written[1] is out[1]
+        for got, want in zip(written, fresh):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestTasteDistances:
+    def test_distances_to_both_firms(self, reference):
+        xs = np.array([0.0, 0.25, 1.0])
+        to_a, to_b = taste_distances(reference, xs)
+        assert np.array_equal(to_a, reference.s * xs)
+        assert np.array_equal(to_b, reference.s * (1.0 - xs))
+
+    @pytest.mark.parametrize("x", [1.5, -0.25, np.nan, np.inf, -np.inf,
+                                   [0.5, np.nan], [0.0, 1.0 + 1e-15]])
+    def test_rejects_type_outside_unit_interval(self, reference, x):
         with pytest.raises(ValueError, match="outside"):
-            user_utility(reference, Scenario.SAME_CHAIN, x=1.5, pA=1.0, pB=1.0,
-                         nA=0.5, nB=0.5)
+            taste_distances(reference, x)

@@ -9,6 +9,7 @@ from chain_rivalry.model import (
     ModelParams,
     Scenario,
     require_valid,
+    taste_distances,
     user_utility,
     validate_params,
 )
@@ -37,7 +38,7 @@ def _brute_shares(p, scenario, pA, pB, nA, nB, m=200001):
     """Integrate user choices on a fine type grid, taking the returned shares
     as given; an internally consistent demand must reproduce itself."""
     xs = (np.arange(m) + 0.5) / m
-    uA, uB = user_utility(p, scenario, xs, pA, pB, nA, nB)
+    uA, uB = user_utility(p, scenario, taste_distances(p, xs), pA, pB, nA, nB)
     pick_b = uB >= uA
     best = np.where(pick_b, uB, uA)
     participate = best >= 0.0

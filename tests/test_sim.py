@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from chain_rivalry import model, sim
 from chain_rivalry.closed_form import equilibrium
 from chain_rivalry.model import InvalidParamsError, Scenario
-from chain_rivalry.sim import UserPopulation, simulate_game, simulate_period
+from chain_rivalry.sim import (SimOutcome, UserPopulation, simulate_game,
+                               simulate_period)
 from chain_rivalry.oracle import _demand
 from chain_rivalry.verify import run_verification
 from conftest import _off_gate_draws
@@ -52,6 +55,16 @@ class TestTieRules:
         assert out.share_a == 0.75
         assert take_a[2] and not take_b[2]
         assert not take_a[3] and not take_b[3]
+
+    def test_indifferent_between_b_and_staying_out_participates(self, reference):
+        # the mirror case: type 0.375 gets utility exactly 0 from B
+        p = reference.with_values(alpha=0.0)
+        pop = UserPopulation.create(4)
+        out, (take_a, take_b) = simulate_period(pop, p, Scenario.SAME_CHAIN,
+                                                100.0, p.k - 1.875)
+        assert out.share_b == 0.75
+        assert take_b[1] and not take_a[1]
+        assert not take_a[0] and not take_b[0]
 
 
 class TestSimulatePeriod:
@@ -112,8 +125,9 @@ class TestSimulatePeriod:
         pop = UserPopulation.create(1000)
         out, (take_a, take_b) = simulate_period(pop, reference, scenario,
                                                 *prices)
-        uA, uB = model.user_utility(reference, scenario, pop.types, *prices,
-                                    out.share_a, out.share_b)
+        uA, uB = model.user_utility(reference, scenario,
+                                    model.taste_distances(reference, pop.types),
+                                    *prices, out.share_a, out.share_b)
         participates = np.maximum(uA, uB) >= 0.0
         assert out.converged
         assert np.array_equal(take_b, participates & (uB >= uA))
@@ -133,18 +147,35 @@ class TestSimulatePeriod:
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_one_utility_call_per_fixed_point_step(self, reference, scenario,
                                                    monkeypatch):
-        calls = []
+        calls, distance_calls = [], []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return model.user_utility(*args, **kwargs)
 
+        def counted_distances(*args, **kwargs):
+            distance_calls.append(args)
+            return model.taste_distances(*args, **kwargs)
+
         monkeypatch.setattr(sim, "user_utility", counted)
+        monkeypatch.setattr(sim, "taste_distances", counted_distances)
         closed = equilibrium(reference, scenario)
         pop = UserPopulation.create(1000)
         out, _ = simulate_period(pop, reference, scenario, closed.pA1, closed.pB1)
         assert out.converged
         assert len(calls) == out.iterations
+        assert len(distance_calls) == 1
+
+    @pytest.mark.parametrize("prices,name", [
+        ((np.nan, 3.0, 3.0, 3.0), "pA"),
+        ((np.inf, 3.0, np.inf, 3.0), "pA"),
+        ((3.0, -np.inf, 3.0, 3.0), "pB"),
+        ((3.0, 3.0, 3.0, np.nan), "pB"),
+    ])
+    def test_rejects_non_finite_prices(self, reference, prices, name):
+        for scenario in Scenario:
+            with pytest.raises(ValueError, match=f"price {name} must be finite"):
+                simulate_game(reference, scenario, prices, m=100)
 
 
 class TestLockin:
@@ -233,6 +264,17 @@ class TestSimulateGame:
                               UserPopulation.create(50).types)
         assert list(vars(run.population)) == ["m", "types"]
 
+    def test_games_share_one_read_only_population(self, reference):
+        runs = [simulate_game(reference, scenario, (3.0, 3.0, 4.0, 2.0), m=60)
+                for scenario in Scenario]
+        pop = runs[0].population
+        assert all(run.population is pop for run in runs)
+        assert not pop.types.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pop.types[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pop.m = 3
+
     def test_agrees_with_closed_forms_off_the_gate(self):
         # n3 != n2, a quality edge and subsidies: parameters the verify gate
         # never varies, checked at its own simulator tolerances
@@ -304,3 +346,67 @@ class TestRepeatedPeriod:
         monkeypatch.setattr(sim, "simulate_period", counted)
         simulate_game(reference, scenario, prices, m=100)
         assert len(calls) == periods
+
+
+def _reference_period(pop, p, scenario, pA, pB, locks=None):
+    """The simulator's fixed point written plainly: utilities from the types
+    inline, fresh arrays each step, np.where locks, a flatnonzero cutoff."""
+    x = pop.types
+    share_a, share_b = 0.5, 0.5
+    take_a = take_b = np.zeros(pop.m, dtype=bool)
+    iterations, converged = 0, False
+    for _ in range(sim.MAX_FIXED_POINT_ITER):
+        iterations += 1
+        if scenario is Scenario.SAME_CHAIN:
+            network_a = network_b = p.n1 + share_a + share_b
+            edge = 0.0
+        else:
+            network_a = p.n1 + share_a
+            base = p.n2 if scenario is Scenario.COMPATIBLE else p.n3
+            network_b = base + share_b
+            edge = p.d
+        uA = p.alpha * network_a - pA - p.s * x + p.k
+        uB = p.alpha * network_b + edge - pB - p.s * (1.0 - x) + p.k
+        if locks is not None:
+            uA = np.where(locks[1], -np.inf, uA)
+            uB = np.where(locks[0], -np.inf, uB)
+        pick_b = uB >= uA
+        take_b = pick_b & (uB >= 0.0)
+        take_a = ~pick_b & (uA >= 0.0)
+        new_a = np.count_nonzero(take_a) / pop.m
+        new_b = np.count_nonzero(take_b) / pop.m
+        repeated = new_a == share_a and new_b == share_b
+        share_a, share_b = new_a, new_b
+        if repeated:
+            converged = True
+            break
+    adopters_a = np.flatnonzero(take_a)
+    cutoff = (int(adopters_a[-1]) + 1) / pop.m if adopters_a.size else 0.0
+    out = SimOutcome(share_a=share_a, share_b=share_b, cutoff=cutoff,
+                     revenue_a=pA * share_a, revenue_b=pB * share_b,
+                     iterations=iterations, converged=converged)
+    return out, (take_a, take_b)
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_matches_the_plain_reference_simulator(reference, draws100, scenario):
+    # every outcome field and both revenues are bitwise those of the plain
+    # fixed point, at the closed-form prices and, on the lock path, at
+    # shifted period-2 prices; period 2 of the reference is always solved
+    m = 2000
+    pop = UserPopulation.create(m)
+    configs = [reference] + draws100[:30] + _off_gate_draws(seed=2024, count=30)
+    for p in configs:
+        closed = equilibrium(p, scenario)
+        for shift in (0.0, 0.1 * p.s, -0.1 * p.s):
+            prices = (closed.pA1, closed.pB1,
+                      closed.pA2 + shift, closed.pB2 - shift)
+            first, locks = _reference_period(pop, p, scenario, *prices[:2])
+            if scenario is not Scenario.INCOMPATIBLE:
+                locks = None
+            second, _ = _reference_period(pop, p, scenario, *prices[2:],
+                                          locks=locks)
+            run = simulate_game(p, scenario, prices, m=m)
+            assert run.period1 == first and run.period2 == second
+            assert run.revenue_a == first.revenue_a + second.revenue_a
+            assert run.revenue_b == first.revenue_b + second.revenue_b
