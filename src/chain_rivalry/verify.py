@@ -1,14 +1,19 @@
 """Cross-route agreement checks.
 
-Runs the closed forms against the brute-force solvers and the user simulator
-on a base parameter set plus seeded random draws, tracking the worst
-deviation per quantity. The draw recipe samples inside the validity region
-by construction, so every draw exercises interior equilibria.
+Runs the closed forms against the best-response oracle and the user
+simulator on a base parameter set plus seeded random draws. Each route
+function only runs its route: it returns a stall reason (None when the
+route converged) and one row per quantity, (quantity, closed value, route
+value, tolerance, tolerance note). One loop records every row with the
+same test, |closed - route| <= tolerance, keeps the worst deviation per
+(route, scenario, quantity) cell and names every stall and breach. The draw
+recipe samples inside the validity region by construction, so every draw
+exercises interior equilibria.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,14 +51,16 @@ def draw_params(rng: np.random.Generator) -> ModelParams:
 
 @dataclass(frozen=True)
 class QuantityCheck:
-    """Worst deviation observed for one (route, scenario, quantity) cell."""
+    """Worst deviation observed for one (route, scenario, quantity) cell.
+
+    A cell that has seen a NaN deviation reports NaN in both columns.
+    """
 
     kind: str
     scenario: Scenario
     quantity: str
     max_abs: float
     max_rel: float
-    tol_note: str
     ok: bool
 
 
@@ -72,99 +79,47 @@ class VerificationReport:
 
 
 def _params_line(p: ModelParams) -> str:
-    return (f"alpha={p.alpha:.17g}, s={p.s:.17g}, k={p.k:.17g}, "
-            f"n1={p.n1:.17g}, n2={p.n2:.17g}, n3={p.n3:.17g}, "
-            f"d={p.d:.17g}, subsidy_p2={p.subsidy_p2:.17g}, "
-            f"subsidy_p3={p.subsidy_p3:.17g}")
+    return ", ".join(f"{f.name}={getattr(p, f.name):.17g}" for f in fields(p))
 
 
-class _Accumulator:
-    def __init__(self) -> None:
-        self.cells: dict[tuple[str, Scenario, str], dict] = {}
-        self.failures: list[str] = []
-        self.oracle_unconverged = 0
-        self.sim_unconverged = 0
-
-    def record(self, kind: str, scenario: Scenario, quantity: str,
-               reference: float, checked: float, ok: bool, tol_note: str,
-               label: str, p: ModelParams) -> None:
-        abs_err = abs(reference - checked)
-        rel_err = abs_err / max(abs(reference), 1e-300)
-        cell = self.cells.setdefault((kind, scenario, quantity), {
-            "max_abs": 0.0, "max_rel": 0.0, "ok": True, "tol_note": tol_note,
-        })
-        cell["max_abs"] = max(cell["max_abs"], abs_err)
-        cell["max_rel"] = max(cell["max_rel"], rel_err)
-        if not ok:
-            cell["ok"] = False
-            self.failures.append(
-                f"{kind} {scenario.value} {quantity}: |closed-{kind}| = "
-                f"{abs_err:.3e} (rel {rel_err:.3e}) exceeds {tol_note} "
-                f"at {label}: {_params_line(p)}")
-
-    def checks(self) -> tuple[QuantityCheck, ...]:
-        scenario_rank = {sc: i for i, sc in enumerate(Scenario)}
-        keys = sorted(self.cells,
-                      key=lambda k: (k[0], scenario_rank[k[1]], k[2]))
-        out = []
-        for key in keys:
-            cell = self.cells[key]
-            out.append(QuantityCheck(kind=key[0], scenario=key[1],
-                                     quantity=key[2],
-                                     max_abs=cell["max_abs"],
-                                     max_rel=cell["max_rel"],
-                                     tol_note=cell["tol_note"],
-                                     ok=cell["ok"]))
-        return tuple(out)
-
-
-def _check_oracle(acc: _Accumulator, label: str, p: ModelParams,
-                  scenario: Scenario, closed) -> None:
+def _oracle_route(p: ModelParams, scenario: Scenario, closed, m: int):
     found = oracle_equilibrium(p, scenario)
-    if not found.converged:
-        acc.oracle_unconverged += 1
-        acc.failures.append(
-            f"oracle {scenario.value}: best-response search did not converge "
-            f"({found.iterations} rounds, residual {found.residual:.3e}) "
-            f"at {label}: {_params_line(p)}")
+    stall = None if found.converged else (
+        f"best-response search did not converge ({found.iterations} rounds, "
+        f"residual {found.residual:.3e})")
+    rows = []
     for name in ORACLE_QUANTITIES:
         ref = float(getattr(closed, name))
-        got = float(getattr(found, name))
-        abs_err = abs(ref - got)
-        ok = abs_err <= ORACLE_ABS_TOL or abs_err <= ORACLE_REL_TOL * abs(ref)
-        acc.record("oracle", scenario, name, ref, got, ok,
-                   "rel 1e-03 or abs 1e-04", label, p)
+        rows.append((name, ref, float(getattr(found, name)),
+                     max(ORACLE_ABS_TOL, ORACLE_REL_TOL * abs(ref)),
+                     "rel 1e-03 or abs 1e-04"))
+    return stall, rows
 
 
-def _check_sim(acc: _Accumulator, label: str, p: ModelParams,
-               scenario: Scenario, closed, m: int) -> None:
+def _sim_route(p: ModelParams, scenario: Scenario, closed, m: int):
     run = simulate_game(p, scenario, (closed.pA1, closed.pB1,
                                       closed.pA2, closed.pB2), m=m)
     stalled = [f"period {t} ({out.iterations} iterations)"
                for t, out in ((1, run.period1), (2, run.period2))
                if not out.converged]
-    if stalled:
-        acc.sim_unconverged += 1
-        acc.failures.append(
-            f"sim {scenario.value}: adoption fixed point did not converge in "
-            f"{', '.join(stalled)} at {label}: {_params_line(p)}")
+    stall = (f"adoption fixed point did not converge in {', '.join(stalled)}"
+             if stalled else None)
     share_tol = 1.0 / m + 1e-6
-    rev_tol_a = (abs(closed.pA1) + abs(closed.pA2)) / m + 1e-6
-    rev_tol_b = (abs(closed.pB1) + abs(closed.pB2)) / m + 1e-6
-    pairs = (
-        ("cutoff1", closed.cutoff1, run.period1.cutoff, share_tol, "1/m + 1e-06"),
-        ("cutoff2", closed.cutoff2, run.period2.cutoff, share_tol, "1/m + 1e-06"),
-        ("share_a1", closed.nA1, run.period1.share_a, share_tol, "1/m + 1e-06"),
-        ("share_b1", closed.nB1, run.period1.share_b, share_tol, "1/m + 1e-06"),
-        ("share_a2", closed.nA2, run.period2.share_a, share_tol, "1/m + 1e-06"),
-        ("share_b2", closed.nB2, run.period2.share_b, share_tol, "1/m + 1e-06"),
-        ("revenue_a", closed.profitA, run.revenue_a, rev_tol_a, "(|pA1|+|pA2|)/m + 1e-06"),
-        ("revenue_b", closed.profitB, run.revenue_b, rev_tol_b, "(|pB1|+|pB2|)/m + 1e-06"),
-    )
-    for name, ref, got, tol, note in pairs:
-        ok = abs(ref - got) <= tol
-        acc.record("sim", scenario, name, float(ref), float(got), ok, note,
-                   label, p)
+    shares = (("cutoff1", closed.cutoff1, run.period1.cutoff),
+              ("cutoff2", closed.cutoff2, run.period2.cutoff),
+              ("share_a1", closed.nA1, run.period1.share_a),
+              ("share_b1", closed.nB1, run.period1.share_b),
+              ("share_a2", closed.nA2, run.period2.share_a),
+              ("share_b2", closed.nB2, run.period2.share_b))
+    rows = [(name, float(ref), float(got), share_tol, "1/m + 1e-06")
+            for name, ref, got in shares]
+    rows.append(("revenue_a", float(closed.profitA), float(run.revenue_a),
+                 (abs(closed.pA1) + abs(closed.pA2)) / m + 1e-6,
+                 "(|pA1|+|pA2|)/m + 1e-06"))
+    rows.append(("revenue_b", float(closed.profitB), float(run.revenue_b),
+                 (abs(closed.pB1) + abs(closed.pB2)) / m + 1e-6,
+                 "(|pB1|+|pB2|)/m + 1e-06"))
+    return stall, rows
 
 
 def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
@@ -174,31 +129,58 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
 
     An oracle or simulator game that reports no convergence is a failure
     in its own right, named in `failures` and counted in
-    `oracle_unconverged` or `sim_unconverged`.
+    `oracle_unconverged` or `sim_unconverged`. Raises ValueError when
+    neither route is used, since a run that checks nothing cannot pass.
     """
     require_valid(base)
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if m < 2:
         raise ValueError(f"simulated population needs m >= 2, got {m}")
+    routes = [("oracle", _oracle_route)] if use_oracle else []
+    routes += [("sim", _sim_route)] if use_sim else []
+    if not routes:
+        raise ValueError("no route to check: use_oracle and use_sim are both False")
     rng = np.random.default_rng(seed)
     cases = [("config", base)]
     cases += [(f"draw {i}", draw_params(rng)) for i in range(1, trials + 1)]
 
-    acc = _Accumulator()
+    cells: dict[tuple[str, Scenario, str], list] = {}
+    failures: list[str] = []
+    stalls = {kind: 0 for kind, _ in routes}
     for label, p in cases:
         for scenario in Scenario:
             closed = closed_form.equilibrium(p, scenario, validate=False)
-            if use_oracle:
-                _check_oracle(acc, label, p, scenario, closed)
-            if use_sim:
-                _check_sim(acc, label, p, scenario, closed, m)
+            for kind, route in routes:
+                stall, rows = route(p, scenario, closed, m)
+                if stall is not None:
+                    stalls[kind] += 1
+                    failures.append(f"{kind} {scenario.value}: {stall} at "
+                                    f"{label}: {_params_line(p)}")
+                for name, ref, got, tol, note in rows:
+                    abs_err = abs(ref - got)
+                    rel_err = abs_err / max(abs(ref), 1e-300)
+                    cell = cells.setdefault((kind, scenario, name),
+                                            [0.0, 0.0, True])
+                    # a NaN deviation, once seen, stays the cell's worst
+                    if abs_err > cell[0] or abs_err != abs_err:
+                        cell[0] = abs_err
+                    if rel_err > cell[1] or rel_err != rel_err:
+                        cell[1] = rel_err
+                    if not abs_err <= tol:
+                        cell[2] = False
+                        failures.append(
+                            f"{kind} {scenario.value} {name}: |closed-{kind}| = "
+                            f"{abs_err:.3e} (rel {rel_err:.3e}) exceeds {note} "
+                            f"at {label}: {_params_line(p)}")
 
-    checks = acc.checks()
-    ok = (all(c.ok for c in checks) and not acc.oracle_unconverged
-          and not acc.sim_unconverged)
+    rank = {sc: i for i, sc in enumerate(Scenario)}
+    checks = tuple(QuantityCheck(kind, sc, name, *cells[kind, sc, name])
+                   for kind, sc, name in sorted(
+                       cells, key=lambda k: (k[0], rank[k[1]], k[2])))
+    ok = all(c.ok for c in checks) and not any(stalls.values())
     return VerificationReport(ok=ok, trials=trials, seed=seed, m=m,
                               oracle_used=use_oracle, sim_used=use_sim,
-                              checks=checks, failures=tuple(acc.failures),
-                              oracle_unconverged=acc.oracle_unconverged,
-                              sim_unconverged=acc.sim_unconverged)
+                              checks=checks, failures=tuple(failures),
+                              oracle_unconverged=stalls.get("oracle", 0),
+                              sim_unconverged=stalls.get("sim", 0))

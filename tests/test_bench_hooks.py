@@ -29,5 +29,7 @@ def test_traced_verify_sees_the_oracle_layers(capsys):
     assert code == 0 and result["correct"]
     metrics = result["metrics"]
     for name in ("oracle.period2_scan.busy_s", "oracle.sweeps_per_game",
-                 "oracle.demand_calls_per_game"):
+                 "oracle.demand_calls_per_game", "sim.busy_s",
+                 "model.user_utility.busy_s", "verify.draw_params.busy_s",
+                 "closed_form.equilibrium.busy_s"):
         assert metrics[name]["value"] > 0, name

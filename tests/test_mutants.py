@@ -1,0 +1,110 @@
+"""Seeded slips in the closed forms, and the route that must catch them.
+
+Each slip is a wrapper around the real closed form that returns what a
+one-line mistake in its formula would, not a rewrite of the source. The
+oracle route runs on the wide draws of `conftest._off_gate_draws`, which
+vary the quality edge d, the subsidies and n3 apart from n2: inputs the
+default `verify` draws hold fixed, so its seed-42 run passes every slip
+below. A slip no route checks yet is a strict xfail, so the test turns red
+once a route starts catching it.
+"""
+
+import dataclasses
+
+import pytest
+
+from chain_rivalry import closed_form, verify
+from chain_rivalry.closed_form import CornerEquilibriumError
+from chain_rivalry.model import Scenario
+from conftest import _off_gate_draws
+
+WIDE = _off_gate_draws(2024, 30)
+
+equilibrium = closed_form.equilibrium
+subsidy_threshold = closed_form.subsidy_threshold
+
+
+def compatible_gap_uses_n3(p, scenario, validate=True):
+    if scenario is Scenario.COMPATIBLE:
+        p = p.with_values(n2=p.n3)
+    return equilibrium(p, scenario, validate=validate)
+
+
+def incompatible_gap_uses_n2(p, scenario, validate=True):
+    if scenario is Scenario.INCOMPATIBLE:
+        p = p.with_values(n3=p.n2)
+    return equilibrium(p, scenario, validate=validate)
+
+
+def compatible_pa1_flips_d(p, scenario, validate=True):
+    out = equilibrium(p, scenario, validate=validate)
+    if scenario is Scenario.COMPATIBLE:
+        flipped = equilibrium(p.with_values(d=-p.d), scenario, validate=False)
+        out = dataclasses.replace(out, pA1=flipped.pA1)
+    return out
+
+
+def incompatible_pb2_drops_d(p, scenario, validate=True):
+    out = equilibrium(p, scenario, validate=validate)
+    if scenario is Scenario.INCOMPATIBLE:
+        out = dataclasses.replace(out, pB2=out.pB2 - p.d)
+    return out
+
+
+def subsidies_swapped(p, scenario, validate=True):
+    out = equilibrium(p, scenario, validate=validate)
+    other = {Scenario.COMPATIBLE: Scenario.INCOMPATIBLE,
+             Scenario.INCOMPATIBLE: Scenario.COMPATIBLE}.get(scenario, scenario)
+    return dataclasses.replace(
+        out, profitB_with_subsidy=out.profitB + p.subsidy(other))
+
+
+def d3_star_uses_n2(p, validate=True):
+    out = subsidy_threshold(p, validate=validate)
+    slipped = subsidy_threshold(p.with_values(n3=p.n2), validate=False)
+    return dataclasses.replace(out, d3_star=slipped.d3_star)
+
+
+def oracle_catches():
+    """Per wide draw, whether the oracle route flags it: a breach or stall
+    line, or a closed form that raises CornerEquilibriumError."""
+    caught = []
+    for p in WIDE:
+        try:
+            report = verify.run_verification(p, trials=0, use_sim=False)
+        except CornerEquilibriumError:
+            caught.append(True)
+        else:
+            caught.append(bool(report.failures))
+    return caught
+
+
+def test_unpatched_forms_pass():
+    assert not any(oracle_catches())
+
+
+def test_uncaught_slips_change_their_output():
+    # Else their xfails below would hold without a slip to miss.
+    for p in WIDE:
+        assert (subsidies_swapped(p, Scenario.COMPATIBLE)
+                != equilibrium(p, Scenario.COMPATIBLE))
+        assert d3_star_uses_n2(p) != subsidy_threshold(p)
+
+
+NOT_CHECKED = "no route checks this until ROADMAP item 2"
+
+
+@pytest.mark.parametrize("name, slip", [
+    ("equilibrium", compatible_gap_uses_n3),
+    ("equilibrium", incompatible_gap_uses_n2),
+    ("equilibrium", compatible_pa1_flips_d),
+    ("equilibrium", incompatible_pb2_drops_d),
+    pytest.param("equilibrium", subsidies_swapped,
+                 marks=pytest.mark.xfail(strict=True, reason=NOT_CHECKED)),
+    pytest.param("subsidy_threshold", d3_star_uses_n2,
+                 marks=pytest.mark.xfail(strict=True, reason=NOT_CHECKED)),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_oracle_route_catches_the_slip_on_every_wide_draw(monkeypatch, name,
+                                                          slip):
+    monkeypatch.setattr(closed_form, name, slip)
+    assert all(oracle_catches())

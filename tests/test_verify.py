@@ -1,11 +1,16 @@
 import dataclasses
+import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from chain_rivalry import closed_form, oracle, sim, verify
-from chain_rivalry.model import Scenario
+from chain_rivalry import cli, closed_form, oracle, sim, verify
+from chain_rivalry.model import ModelParams, Scenario
 from chain_rivalry.verify import draw_params, run_verification
+
+REPO_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
 
 class TestDrawParams:
@@ -77,6 +82,9 @@ class TestRunVerification:
             run_verification(reference, trials=-1)
         with pytest.raises(ValueError, match="m >= 2"):
             run_verification(reference, m=1)
+        with pytest.raises(ValueError, match="no route"):
+            run_verification(reference, trials=3, use_oracle=False,
+                             use_sim=False)
 
     def test_results_are_deterministic(self, reference):
         a = run_verification(reference, trials=2, seed=11, use_sim=False)
@@ -96,6 +104,123 @@ def skew_compatible_profit_b(monkeypatch) -> None:
         return out
 
     monkeypatch.setattr(closed_form, "equilibrium", skewed)
+
+
+class TestReportLayout:
+    def test_row_order(self, capsys):
+        code = cli.main(["verify", "--config", str(REPO_CONFIG), "--trials", "0",
+                         "--pop", "100"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        header = lines.index("route   scenario      quantity   max_abs     max_rel     status")
+        rows = [line.split()[:3] for line in lines[header + 1:-1]]
+        oracle_names = ["cutoff1", "cutoff2", "pA1", "pA2", "pB1", "pB2",
+                        "profitA", "profitB"]
+        sim_names = ["cutoff1", "cutoff2", "revenue_a", "revenue_b",
+                     "share_a1", "share_a2", "share_b1", "share_b2"]
+        expected = [[kind, scenario.value, name]
+                    for kind, names in (("oracle", oracle_names),
+                                        ("sim", sim_names))
+                    for scenario in Scenario for name in names]
+        assert len(rows) == 48
+        assert rows == expected
+        assert lines[-1] == "PASS: all checks within tolerance"
+
+    def test_breach_lines_carry_the_note_and_every_parameter(self, monkeypatch):
+        skew_compatible_profit_b(monkeypatch)
+        p = ModelParams(alpha=0.1, s=3.0, k=20.0, n1=10.0, n2=5.0, n3=4.0,
+                        d=0.25, subsidy_p2=0.5, subsidy_p3=0.75)
+        params = ("alpha=0.10000000000000001, s=3, k=20, n1=10, n2=5, n3=4, "
+                  "d=0.25, subsidy_p2=0.5, subsidy_p3=0.75")
+        assert verify._params_line(p) == params
+        report = run_verification(p, trials=0, m=1000)
+        number = r"\d\.\d{3}e[+-]\d\d"
+        for kind, name, note in (("oracle", "profitB", "rel 1e-03 or abs 1e-04"),
+                                 ("sim", "revenue_b", "(|pB1|+|pB2|)/m + 1e-06")):
+            pattern = (rf"{kind} compatible {name}: \|closed-{kind}\| = "
+                       rf"{number} \(rel {number}\) exceeds {re.escape(note)} "
+                       rf"at config: {re.escape(params)}")
+            assert [line for line in report.failures
+                    if re.fullmatch(pattern, line)], kind
+
+
+class TestToleranceEdges:
+    """A deviation of 0.9x its tolerance passes, one of 1.1x fails."""
+
+    @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
+    @pytest.mark.parametrize("ref, tol", [(0.05, 1e-4), (-2.0, 2e-3)],
+                             ids=["absolute", "relative"])
+    def test_oracle(self, reference, monkeypatch, ref, tol, factor, ok):
+        # the closed-form pA1 is pinned to ref; the oracle returns the exact
+        # closed form with pA1 = ref + factor * tol
+        real = closed_form.equilibrium
+
+        def pinned(p, scenario, validate=True):
+            return dataclasses.replace(real(p, scenario, validate=validate),
+                                       pA1=ref)
+
+        monkeypatch.setattr(closed_form, "equilibrium", pinned)
+        monkeypatch.setattr(verify, "oracle_equilibrium", lambda p, scenario:
+                            dataclasses.replace(real(p, scenario),
+                                                pA1=ref + factor * tol))
+        report = run_verification(reference, trials=0, use_sim=False)
+        assert report.ok is ok
+        bad = {(c.scenario, c.quantity) for c in report.checks if not c.ok}
+        assert bad == (set() if ok else {(sc, "pA1") for sc in Scenario})
+
+    @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
+    @pytest.mark.parametrize("quantity", ["share_a1", "revenue_a"])
+    def test_sim(self, reference, monkeypatch, quantity, factor, ok):
+        m = 100
+        real = verify.simulate_game
+
+        def shifted(p, scenario, prices, m):
+            run = real(p, scenario, prices, m=m)
+            closed = closed_form.equilibrium(p, scenario)
+            if quantity == "share_a1":
+                share = closed.nA1 + factor * (1.0 / m + 1e-6)
+                return dataclasses.replace(run, period1=dataclasses.replace(
+                    run.period1, share_a=share))
+            tol = (abs(closed.pA1) + abs(closed.pA2)) / m + 1e-6
+            return dataclasses.replace(run, revenue_a=closed.profitA + factor * tol)
+
+        monkeypatch.setattr(verify, "simulate_game", shifted)
+        report = run_verification(reference, trials=0, use_oracle=False, m=m)
+        assert report.ok is ok
+        bad = {(c.scenario, c.quantity) for c in report.checks if not c.ok}
+        assert bad == (set() if ok else {(sc, quantity) for sc in Scenario})
+
+
+class TestNanDeviation:
+    @pytest.mark.parametrize("game", [0, 1], ids=["then-finite", "after-finite"])
+    @pytest.mark.parametrize("kind, attr, quantity",
+                             [("oracle", "oracle_equilibrium", "pA1"),
+                              ("sim", "simulate_game", "revenue_a")])
+    def test_cell_reports_nan(self, reference, monkeypatch, kind, attr,
+                              quantity, game):
+        real = getattr(verify, attr)
+        compatible_games = []
+
+        def poisoned(p, scenario, *args, **kwargs):
+            out = real(p, scenario, *args, **kwargs)
+            if scenario is Scenario.COMPATIBLE:
+                compatible_games.append(p)
+                if len(compatible_games) == game + 1:
+                    out = dataclasses.replace(out, **{quantity: math.nan})
+            return out
+
+        monkeypatch.setattr(verify, attr, poisoned)
+        report = run_verification(reference, trials=1, seed=3,
+                                  use_oracle=kind == "oracle",
+                                  use_sim=kind == "sim", m=1000)
+        assert len(compatible_games) == 2
+        assert not report.ok
+        (cell,) = [c for c in report.checks if not c.ok]
+        assert (cell.kind, cell.scenario, cell.quantity) == \
+            (kind, Scenario.COMPATIBLE, quantity)
+        assert math.isnan(cell.max_abs) and math.isnan(cell.max_rel)
+        (line,) = report.failures
+        assert f"|closed-{kind}| = nan (rel nan)" in line
 
 
 class TestFaultDetection:
