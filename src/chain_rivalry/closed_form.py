@@ -1,7 +1,10 @@
 """Closed-form equilibria, payoffs, thresholds, and the entrant's platform choice.
 
 equilibrium(p, scenario) is the one closed-form equilibrium for all three
-scenarios; subsidy_threshold and adoption_decision build on it. Every
+scenarios; subsidy_threshold and adoption_decision build on it. The
+platform choice is a function of solved outcomes alone
+(AdoptionDecision.from_outcomes), so a caller holding the three outcomes
+decides without solving them again. Every
 operation is an explicit formula, parameterized by the quality edge d and
 the platform subsidies so the baseline model is the d=0, zero-subsidy
 special case.
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Mapping
 
 from .model import (
     EquilibriumOutcome,
@@ -50,16 +54,32 @@ class ThresholdReport:
     d3_star: float
 
 
+_PLATFORMS = tuple(zip(("P1", "P2", "P3"), Scenario))
+
+
 @dataclass(frozen=True)
 class AdoptionDecision:
-    chosen: str                                # 'P1' | 'P2' | 'P3'
-    payoffs: dict[str, float]                  # B's payoff with subsidy, per platform
-    rationale: tuple[tuple[str, float], ...]   # payoffs sorted best-first
+    """B's subsidy-inclusive payoff per platform, and the choice it implies."""
 
-    def __post_init__(self) -> None:
-        best = max(self.payoffs.values())
-        if self.payoffs[self.chosen] != best:
-            raise ValueError("chosen platform does not attain the payoff maximum")
+    payoffs: dict[str, float]   # 'P1' | 'P2' | 'P3' -> B's payoff with subsidy
+
+    @classmethod
+    def from_outcomes(cls, outcomes: Mapping[Scenario, EquilibriumOutcome]
+                      ) -> "AdoptionDecision":
+        """The decision over solved outcomes, one per scenario."""
+        return cls({platform: outcomes[scenario].profitB_with_subsidy
+                    for platform, scenario in _PLATFORMS})
+
+    @property
+    def rationale(self) -> tuple[tuple[str, float], ...]:
+        """The payoffs sorted best-first, ties by platform name."""
+        return tuple(sorted(self.payoffs.items(),
+                            key=lambda item: (-item[1], item[0])))
+
+    @property
+    def chosen(self) -> str:
+        """The first payoff maximum in P1, P2, P3 order."""
+        return self.rationale[0][0]
 
 
 def _require_finite(what: str, result: EquilibriumOutcome) -> None:
@@ -176,23 +196,12 @@ def subsidy_threshold(p: ModelParams, validate: bool = True) -> ThresholdReport:
     )
 
 
-_PLATFORMS = tuple(zip(("P1", "P2", "P3"), Scenario))
-
-
 def adoption_decision(p: ModelParams, validate: bool = True) -> AdoptionDecision:
-    """B's platform choice: argmax of subsidy-inclusive payoff, ties to P1 > P2 > P3."""
+    """B's platform choice over the three solved scenarios, ties to P1 > P2 > P3."""
     if validate:
         require_valid(p)
-    payoffs = {
-        platform: equilibrium(p, scenario, validate=False).profitB_with_subsidy
-        for platform, scenario in _PLATFORMS
-    }
-    chosen = "P1"
-    for platform in ("P2", "P3"):
-        if payoffs[platform] > payoffs[chosen]:
-            chosen = platform
-    order = sorted(payoffs.items(), key=lambda item: (-item[1], item[0]))
-    return AdoptionDecision(chosen=chosen, payoffs=payoffs, rationale=tuple(order))
+    return AdoptionDecision.from_outcomes(
+        {scenario: equilibrium(p, scenario, validate=False) for scenario in Scenario})
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,14 @@ those buffers, and mask operations in place that count the shares. A
 period returns its final A and B adopter masks. Tie rules: indifferent
 between the two firms picks B; indifferent between a firm and staying out
 participates. In the lock-in scenario, period 1's masks lock its adopters
-in for period 2, where they can only keep their firm or drop out. Without
-locks, a period 2 at exactly period 1's prices faces the same
-deterministic fixed point, so simulate_game reuses period 1's outcome
-instead of solving it again. simulate_game takes its population from a
-small cache keyed by m; populations are immutable, with read-only types.
+in for period 2, where they can only keep their firm or drop out: before
+its first step, a locked period sets each adopter's taste distance to the
+rival firm to infinity, so the rival's utility is -inf, and locked and
+free periods run the same fixed-point step. Without locks, a period 2 at
+exactly period 1's prices faces the same deterministic fixed point, so
+simulate_game reuses period 1's outcome instead of solving it again.
+simulate_game takes its population from a small cache keyed by m;
+populations are immutable, with read-only types.
 """
 
 from __future__ import annotations
@@ -92,10 +95,12 @@ def simulate_period(pop: UserPopulation, p: ModelParams, scenario: Scenario,
     for name, price in (("pA", pA), ("pB", pB)):
         if not math.isfinite(price):
             raise ValueError(f"price {name} must be finite: {name}={price!r}")
-    if locks is not None:
-        locked_a, locked_b = locks
     m = pop.m
-    distances = taste_distances(p, pop.types)
+    distances = dist_a, dist_b = taste_distances(p, pop.types)
+    if locks is not None:
+        # the distances are this period's own arrays: a locked adopter's
+        # rival is infinitely far
+        dist_a[locks[1]] = dist_b[locks[0]] = np.inf
     utilities = uA, uB = np.empty(m), np.empty(m)
     pick_b = np.empty(m, dtype=bool)
     take_a = np.zeros(m, dtype=bool)
@@ -107,9 +112,6 @@ def simulate_period(pop: UserPopulation, p: ModelParams, scenario: Scenario,
         iterations += 1
         user_utility(p, scenario, distances, pA, pB, share_a, share_b,
                      out=utilities)
-        if locks is not None:
-            np.copyto(uA, -np.inf, where=locked_b)
-            np.copyto(uB, -np.inf, where=locked_a)
         np.greater_equal(uB, uA, out=pick_b)
         np.greater_equal(uB, 0.0, out=take_b)
         take_b &= pick_b

@@ -15,7 +15,8 @@ from typing import IO, Mapping, Optional
 import numpy as np
 
 from . import closed_form
-from .closed_form import CornerEquilibriumError, ThresholdReport
+from .closed_form import (AdoptionDecision, CornerEquilibriumError,
+                          ThresholdReport)
 from .model import (OPTIONAL_FIELDS, REQUIRED_FIELDS, EquilibriumOutcome,
                     ModelParams, Scenario, validate_params)
 
@@ -83,10 +84,7 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
                 outcomes[scenario] = None
                 notes.append(f"corner: {scenario.value}")
         thresholds = closed_form.subsidy_threshold(point, validate=False)
-        if all(out is not None for out in outcomes.values()):
-            chosen = closed_form.adoption_decision(point, validate=False).chosen
-        else:
-            chosen = ""
+        chosen = "" if notes else AdoptionDecision.from_outcomes(outcomes).chosen
         records.append(SweepRecord(value=value, outcomes=outcomes,
                                    chosen=chosen, thresholds=thresholds,
                                    note="; ".join(notes)))
@@ -101,27 +99,23 @@ def write_sweep_csv(records: list[SweepRecord], stream: IO[str]) -> int:
     """Write the long-format table; returns the number of data rows."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    rows = 0
     for rec in records:
+        value = _fmt(rec.value)
+        thresholds = rec.thresholds
+        if thresholds is not None:
+            tail = [rec.chosen, _fmt(thresholds.c2_star), _fmt(thresholds.c3_star),
+                    _fmt(thresholds.d2_star), _fmt(thresholds.d3_star)]
+        else:
+            tail = [rec.chosen] + [""] * 4
         for scenario in Scenario:
             out = rec.outcomes.get(scenario)
-            thresholds = rec.thresholds
             if out is not None:
-                body = [_fmt(out.pA1), _fmt(out.pB1), _fmt(out.pA2),
-                        _fmt(out.pB2), _fmt(out.cutoff1), _fmt(out.profitA),
-                        _fmt(out.profitB)]
+                writer.writerow([value, scenario.value, _fmt(out.pA1), _fmt(out.pB1),
+                                 _fmt(out.pA2), _fmt(out.pB2), _fmt(out.cutoff1),
+                                 _fmt(out.profitA), _fmt(out.profitB), *tail, "ok"])
             else:
-                body = [""] * 7
-            if thresholds is not None:
-                tail = [_fmt(thresholds.c2_star), _fmt(thresholds.c3_star),
-                        _fmt(thresholds.d2_star), _fmt(thresholds.d3_star)]
-            else:
-                tail = [""] * 4
-            status = "ok" if out is not None else rec.note
-            writer.writerow([_fmt(rec.value), scenario.value, *body,
-                             rec.chosen, *tail, status])
-            rows += 1
-    return rows
+                writer.writerow([value, scenario.value, *[""] * 7, *tail, rec.note])
+    return len(records) * len(Scenario)
 
 
 SVG_COLORS = {

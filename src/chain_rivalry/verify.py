@@ -135,6 +135,8 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
     require_valid(base)
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if m < 2:
         raise ValueError(f"simulated population needs m >= 2, got {m}")
     routes = [("oracle", _oracle_route)] if use_oracle else []

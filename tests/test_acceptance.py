@@ -6,7 +6,12 @@ values, threshold flips, sensitivity slopes, simulator fidelity, demand
 conservation, and bit-for-bit reproducibility of the CLI outputs.
 """
 
+import contextlib
+import hashlib
+import io
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -272,3 +277,55 @@ def test_cli_outputs_are_byte_identical_across_runs(config_file, tmp_path,
         assert code == 0
         outputs.append((csv_path.read_bytes(), svg_path.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+# sha256 of the sweep CSV and SVG and of the compare stdout at the reference
+# config. These outputs are a byte-for-byte contract, so any byte that moves
+# fails here, even where two runs of the same tree still agree.
+PINNED_SWEEPS = {
+    ("0", "2", "21"): (
+        "9bd640db4f12fbadc2082341587421d14ea8f7b43ad5bb1675feb5c95a02c45c",
+        "c24123a20090c09843f3c41801629030d94c9f0bd59c24a91b311b5d53e997a0"),
+    # invalid below 0, cornered past 7.75 (incompatible) and 9.2 (compatible)
+    ("-1", "10", "23"): (
+        "72c49b792202577c4f7029cf95fe2f05dd231492d2b5805766f2bf6ef90a1d58",
+        "7ce15cdee26384858002539ed31cf06a195996351d9c2b4d178bdcb0f2f95406"),
+}
+PINNED_COMPARE = "faf13c776bc02483a8ced16f107b1f02de260567c92e3388e21c359e60df2594"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("lo,hi,steps", sorted(PINNED_SWEEPS))
+def test_sweep_outputs_match_their_pinned_bytes(config_file, tmp_path, capsys,
+                                                lo, hi, steps):
+    csv_path, svg_path = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+    code = cli.main(["sweep", "--config", config_file, "--param", "d",
+                     "--lo", lo, "--hi", hi, "--steps", steps,
+                     "--out", str(csv_path), "--svg", str(svg_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert (_sha256(csv_path.read_bytes()), _sha256(svg_path.read_bytes())) \
+        == PINNED_SWEEPS[(lo, hi, steps)]
+
+
+def test_compare_output_matches_its_pinned_bytes(config_file, capsys):
+    assert cli.main(["compare", "--config", config_file]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("ordering: P1 > P2 > P3\nchosen: P1\n")
+    assert _sha256(out.encode()) == PINNED_COMPARE
+
+
+def test_readme_library_snippet_prints_its_stated_output():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    stated = [line.split("# ", 1)[1] for line in snippet.splitlines()
+              if line.startswith("print(")]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        exec(snippet, {})
+    assert buf.getvalue().splitlines() == stated
+    assert stated == ["-14.8 19.45 2.4853448275862062", "P1"]

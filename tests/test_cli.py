@@ -357,6 +357,15 @@ class TestExitCodes:
                          "--out", "x.csv"]) == 1
         capsys.readouterr()
 
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code = cli.main(["verify", "--config", cfg, "--trials", "1",
+                         "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error: seed must be nonnegative, got -1" in captured.err
+
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "equilibrium" in capsys.readouterr().out

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chain_rivalry.closed_form import (
+    AdoptionDecision,
     CornerEquilibriumError,
     adoption_decision,
     adoption_sensitivity,
@@ -414,6 +415,30 @@ class TestAdoptionDecision:
         shifted = {name: value + 17.25 for name, value in dec.payoffs.items()}
         best = max(sorted(shifted), key=lambda name: (shifted[name], -ord(name[1])))
         assert best == dec.chosen
+
+    def test_holds_only_the_payoffs(self):
+        assert [f.name for f in dataclasses.fields(AdoptionDecision)] == ["payoffs"]
+
+    def test_ties_go_to_the_lower_platform_number(self):
+        # dicts built out of platform order, so insertion order cannot decide
+        assert AdoptionDecision({"P3": 2.0, "P2": 2.0, "P1": 1.0}).chosen == "P2"
+        assert AdoptionDecision({"P3": 1.5, "P2": 1.5, "P1": 1.5}).chosen == "P1"
+        assert AdoptionDecision({"P3": 3.0, "P1": 3.0, "P2": 0.0}).chosen == "P1"
+
+    def test_rationale_breaks_ties_by_name(self):
+        dec = AdoptionDecision({"P3": 1.0, "P1": 0.5, "P2": 1.0})
+        assert dec.rationale == (("P2", 1.0), ("P3", 1.0), ("P1", 0.5))
+        assert dec.chosen == dec.rationale[0][0] == "P2"
+
+    def test_from_outcomes_reads_the_subsidized_payoffs(self, reference):
+        p = reference.with_values(subsidy_p2=0.25, subsidy_p3=1.2)
+        outcomes = {sc: equilibrium(p, sc) for sc in Scenario}
+        dec = AdoptionDecision.from_outcomes(outcomes)
+        assert dec.payoffs == {
+            name: outcomes[sc].profitB_with_subsidy
+            for name, sc in zip(("P1", "P2", "P3"), Scenario)}
+        assert dec == adoption_decision(p)
+        assert dec.chosen == "P3"
 
 
 class TestAdoptionSensitivity:

@@ -80,6 +80,9 @@ class TestRunVerification:
     def test_rejects_bad_arguments(self, reference):
         with pytest.raises(ValueError, match="trials"):
             run_verification(reference, trials=-1)
+        with pytest.raises(ValueError,
+                           match="^seed must be nonnegative, got -1$"):
+            run_verification(reference, trials=0, seed=-1)
         with pytest.raises(ValueError, match="m >= 2"):
             run_verification(reference, m=1)
         with pytest.raises(ValueError, match="no route"):
