@@ -113,10 +113,11 @@ class EquilibriumOutcome:
 
     cutoff_t is the marginal user type: types below choose firm A, types
     above choose firm B. Aggregate profits exclude subsidies, which enter
-    only through profitB_with_subsidy. converged (the grid deviation
-    certificate passed), iterations (certification rounds) and residual (last
-    polish step) describe a numerical solve; an exact formula keeps the
-    defaults.
+    only through profitB_with_subsidy. converged (a price pair is certified:
+    no price gains either firm more than roundoff), iterations (the distinct
+    certified pairs) and residual (the reported pair's largest relative gain
+    from a deviation) describe the oracle's solve; an exact formula keeps
+    the defaults.
     """
 
     scenario: Scenario

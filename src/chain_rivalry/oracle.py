@@ -1,16 +1,20 @@
-"""Brute-force equilibrium solver used to cross-check every closed form.
+"""Exact equilibrium solver used to cross-check every closed form.
 
 Nothing here reuses the closed-form answers: demand is solved exactly from
 the user utility comparisons (on the shared chain by cases on which
 participation bounds bind), and the two-period lock-in game by backward
 induction, each firm's period-1 objective carrying the exact monopoly value
 of harvesting its locked base in period 2. One solver, oracle_equilibrium,
-serves all three scenarios. One objective callable, play(pA, pB), returns
-both firms' objectives from one demand evaluation. Each firm's objective is
-piecewise quadratic in both prices jointly, so one Newton step on both
-first-order conditions, sampled for both firms in one demand call, lands on
-a piece's equilibrium; a full grid scan per firm then certifies that no
-price deviation pays more than roundoff.
+serves all three scenarios.
+
+Each firm's objective is quadratic in its own price between breakpoints,
+and every breakpoint and every piece's vertex is affine in the rival's
+price. _lines tabulates them, from _demand's own expressions, as lines
+own = a + b * rival, so a firm's exact best response to any rival price is
+the best of its lines there. An equilibrium lies on one of A's lines and
+one of B's, so every intersection of an A-line with a B-line is a
+candidate. A candidate is certified when neither firm gains, beyond
+roundoff, by moving to any price on its own lines: no price pays.
 """
 
 from __future__ import annotations
@@ -20,20 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .model import EquilibriumOutcome, ModelParams, Scenario
-
-MAX_ROUNDS = 50
-POLISH_ROUNDS = 12
-
-
-def _price_grid(p: ModelParams) -> np.ndarray:
-    """Candidate prices for the deviation scans: 4001 points on [-span, span].
-
-    Wide enough for every equilibrium price: period-1 discounts reach about
-    -(k + alpha*n1) and period-2 harvest prices about k + alpha*n1 + d, with
-    s of slack.
-    """
-    span = p.k + p.alpha * p.n1 + p.s + p.d
-    return np.linspace(-span, span, 4001)
 
 
 def _unit(x):
@@ -60,12 +50,12 @@ def _demand(p: ModelParams, scenario: Scenario, pA, pB):
 
     if scenario is Scenario.SAME_CHAIN:
         raw = 0.5 + (pB - pA) / (2.0 * p.s)
+        rest = 1.0 - raw
 
         def shares(total):
-            reach_a = (p.k + p.alpha * (p.n1 + total) - pA) / p.s
-            reach_b = (p.k + p.alpha * (p.n1 + total) - pB) / p.s
-            return (_unit(np.minimum(raw, reach_a)),
-                    _unit(np.minimum(1.0 - raw, reach_b)))
+            reach = p.k + p.alpha * (p.n1 + total)
+            return (_unit(np.minimum(raw, (reach - pA) / p.s)),
+                    _unit(np.minimum(rest, (reach - pB) / p.s)))
 
         nA, nB = shares(1.0)
         short = nA + nB < 1.0
@@ -123,110 +113,126 @@ def period2_monopoly_price(p: ModelParams, firm: str, n_first: float) -> tuple[f
     return float(price), float(retained)
 
 
-def _stencil(step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets (for pA, for pB) of both firms' polish stencils in one call.
+def _line(form: tuple, level: float = 0.0) -> tuple[float, float]:
+    """(a, b) of the line own = a + b*rival on which an affine form, a
+    triple (constant, own coefficient, rival coefficient), equals level."""
+    c0, c1, c2 = form
+    return (level - c0) / c1, -c2 / c1
 
-    Each firm's 5-point stencil puts its own price at -h, 0, +h at the
-    rival's price and at -h, +h at rival + h, with h the grid step. The
-    first five points are A's (own pA, rival pB), the last five B's.
+
+def _peak(n: tuple, u: float = 0.0, K: float = 0.0) -> tuple[float, float]:
+    """(a, b) of the line where own*n peaks in own price, n an affine share
+    form; (u, K) adds the harvest value K*n - u*n^2 below its kink. Solves
+    the first-order condition n*m + c1*(own + K) = 0, m = 1 - 2*u*c1."""
+    c0, c1, c2 = n
+    m = 1.0 - 2.0 * u * c1
+    return -(c0 * m + K * c1) / (c1 * (m + 1.0)), -c2 * m / (c1 * (m + 1.0))
+
+
+def _lines(p: ModelParams, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """A's lines pA = a + b*pB and B's lines pB = a + b*pA, as rows (a, b).
+
+    Each restates one of _demand's expressions as an affine form in (own,
+    rival) prices. Separate chains: a share is clip(min(mine, reach)), the
+    firm's side of the indifference point and its participation reach.
+    Lock-in adds the harvest kink at share K/(2u) and, on mine, a second
+    vertex; on reach both are the plain vertex K/2. Shared chain: both firms
+    see the same forms, a share being clip(min(raw, reach(T))) at each
+    total T of _demand: 1, K_own/u, K_rival/u or both-sell, K = k +
+    alpha*n1 - price. T switches where K_own = K_rival, where the rival's
+    both-sell reach is 0, and where the shares at T = 1 sum to 1, which is
+    raw = reach(1). The own both-sell reach is reach(K_rival/u) times
+    u/(s - 2*alpha) and meets raw on raw = reach(1): only its level 1 is new.
     """
-    own = np.array([-step, 0.0, step, -step, step])
-    rival = np.array([0.0, 0.0, 0.0, step, step])
-    return np.concatenate((own, rival)), np.concatenate((rival, own))
+    s, alpha, u = p.s, p.alpha, p.s - p.alpha
+    if scenario is Scenario.SAME_CHAIN:
+        R = p.k + alpha * p.n1
+        raw = (0.5, -0.5 / s, 0.5 / s)
+        reach = [((R + alpha) / s, -1.0 / s, 0.0),   # T = 1
+                 (R / u, -1.0 / u, 0.0),             # T = K_own/u
+                 (R / u, -1.0 / s, -alpha / (u * s))]  # T = K_rival/u
+        lines = [_line(n, level) for n in (raw, reach[0], reach[2]) for level in (0.0, 1.0)]
+        lines += [_line(reach[1])]  # its level 1 is reach(1)'s, price R - u
+        lines += [_line([x - y for x, y in zip(raw, r)]) for r in reach] + [(0.0, 1.0)]
+        if s > 2.0 * alpha:
+            w = s * (s - 2.0 * alpha)
+            lines += [_line((R / (s - 2.0 * alpha), -u / w, -alpha / w), 1.0),
+                      _line((R / (s - 2.0 * alpha), -alpha / w, -u / w))]
+        table = np.array(lines + [_peak(n) for n in (raw, *reach)])
+        return table, table
+    base_b = p.n2 if scenario is Scenario.COMPATIBLE else p.n3
+    raw = (alpha * (p.n1 - base_b) + u - p.d) / (2.0 * u)
+    tables = []
+    for side, K in ((raw, p.k + alpha * p.n1), (1.0 - raw, p.k + alpha * base_b + p.d)):
+        mine, reach = (side, -0.5 / u, 0.5 / u), (K / u, -1.0 / u, 0.0)
+        lines = [_line(mine), _line(mine, 1.0), _line(reach), _line(reach, 1.0),
+                 _line([x - y for x, y in zip(mine, reach)]), _peak(mine), _peak(reach)]
+        if scenario is Scenario.INCOMPATIBLE:
+            lines += [_line(mine, 0.5 * K / u), _peak(mine, u, K)]
+        tables.append(np.array(lines))
+    return tables[0], tables[1]
 
 
-def _fit(f: list[float]) -> tuple[float, float, float]:
-    """Own gradient, own curvature and cross term from one 5-point stencil."""
-    grad = 0.5 * (f[2] - f[0])
-    curv = f[0] - 2.0 * f[1] + f[2]
-    cross = 0.5 * ((f[4] - f[3]) - (f[2] - f[0]))
-    return grad, curv, cross
+def _worst_gain(play: Callable, pA: np.ndarray, pB: np.ndarray, moves_a, moves_b):
+    """Each candidate's largest relative gain from a deviation, and its
+    demand (nA, nB, cutoff), from one play call.
 
-
-def _polish_step(prices: np.ndarray, play: Callable, pA: float, pB: float,
-                 step: float, offsets: tuple[np.ndarray, np.ndarray]
-                 ) -> tuple[float, float]:
-    """One joint Newton step on both firms' first-order conditions.
-
-    One play call evaluates both firms' 5-point stencils (offsets from
-    _stencil(step)): A's objective on A's points, B's on B's. Central
-    differences give each firm's own gradient and curvature, and the
-    forward column gives the cross term; all three are exact on a piece
-    where profit is quadratic in both prices. Solving the 2x2 linear system
-    of both first-order conditions then lands on that piece's equilibrium.
-    Where that system does not describe a joint maximum (a firm's own
-    curvature is not negative, or the cross terms outweigh the own ones so
-    the determinant is not positive), each firm takes its own parabola
-    vertex instead, and a firm without negative curvature stays put. The
-    result is clamped to the grid.
+    Row r of moves_a holds A's prices to try at pB, row r of moves_b B's
+    at pA. A gain counts relative to the larger of the two objectives'
+    terms, |price*share| + |harvest value|, so it is scale-free; the
+    candidate itself is one of the moves, so the result is never negative.
     """
-    value_a, value_b = play(pA + offsets[0], pB + offsets[1])
-    g_a, c_aa, c_ab = _fit(value_a[:5].tolist())
-    g_b, c_bb, c_ba = _fit(value_b[5:].tolist())
-    det = c_aa * c_bb - c_ab * c_ba
-    if c_aa < 0.0 and c_bb < 0.0 and det > 0.0:
-        # Offsets in units of h solve [c_aa c_ab; c_ba c_bb] x = -g.
-        x_a = (c_ab * g_b - c_bb * g_a) / det
-        x_b = (c_ba * g_a - c_aa * g_b) / det
-    else:
-        x_a = -g_a / c_aa if c_aa < 0.0 else 0.0
-        x_b = -g_b / c_bb if c_bb < 0.0 else 0.0
-    lo, hi = float(prices[0]), float(prices[-1])
-    return (min(max(pA + step * x_a, lo), hi),
-            min(max(pB + step * x_b, lo), hi))
+    ra, rb = len(moves_a), len(moves_b)
+    prices = np.empty((2, 1 + ra + rb, pA.size))
+    prices[:, 0] = pA, pB
+    prices[0, 1:ra + 1], prices[0, ra + 1:] = moves_a, pA
+    prices[1, 1:ra + 1], prices[1, ra + 1:] = pB, moves_b
+    value, terms, demand = play(prices)
+    # |gain| <= the sum of both terms, so the floor only turns 0/0 into 0
+    rel = (value - value[:, :1]) / np.maximum(np.maximum(terms, terms[:, :1]),
+                                              np.finfo(float).tiny)
+    rel[0, ra + 1:] = rel[1, 1:ra + 1] = 0.0  # a firm gains nothing from its rival's move
+    return rel.max(axis=1).max(axis=0), [d[0] for d in demand]
 
 
-def _best_deviation(values: np.ndarray) -> tuple[int, bool]:
-    """Grid argmax of a scan whose last entry is the polished price, and
-    whether deviating to it gains more than 1e-12 * max(1, |objective|)."""
-    best = int(np.argmax(values[:-1]))
-    gain = values[best] - values[-1]
-    return best, bool(gain > 1e-12 * max(1.0, abs(values[-1])))
+def _solve_game(p: ModelParams, scenario: Scenario, play: Callable):
+    """Enumerate the candidates, certify them, and pick one.
 
-
-def _solve_game(prices: np.ndarray, play: Callable,
-                start: tuple[float, float]) -> tuple[float, float, int, float, bool]:
-    """Polish, then certify the polished pair against every grid deviation.
-
-    play(pA, pB) returns both firms' full objectives (value_a, value_b) at
-    candidate prices (vectorized, broadcast together). Each round repeats
-    _polish_step from the current pair until its largest price move is at
-    most 1e-13, or is below the grid step and no longer shrinking, or
-    POLISH_ROUNDS run out; each step is one play call for both firms. It
-    then scans each firm's whole grid at the rival's polished price, one
-    play call per firm, with the polished price itself in the scan's last
-    slot, so the certificate costs no extra call. The pair is certified
-    when neither firm gains more than 1e-12 * max(1, |own objective|) by
-    deviating; otherwise both firms restart from their argmax of those same
-    scans, for at most MAX_ROUNDS rounds. Returns (pA, pB, rounds, residual,
-    converged): converged means certified, and residual is the last polish
-    move.
+    A screen drops each candidate that a probe step h = 1e-6*(s + |price|)
+    either way improves for either firm by more than 1e-11 relative. A
+    survivor is certified when no price on either firm's lines improves on
+    it by more. The certified pair whose smaller share is largest is
+    reported; with none, the candidate whose worst relative gain found (the
+    residual) is smallest. Returns (pA, pB, its demand, distinct pairs
+    certified, residual).
     """
-    step = float(prices[1] - prices[0])
-    offsets = _stencil(step)
-    scan = np.append(prices, 0.0)
-    pA, pB = start
-    residual = np.inf
-    for rounds in range(1, MAX_ROUNDS + 1):
-        residual = np.inf
-        for _ in range(POLISH_ROUNDS):
-            new_pA, new_pB = _polish_step(prices, play, pA, pB, step, offsets)
-            delta = max(abs(new_pA - pA), abs(new_pB - pB))
-            pA, pB = new_pA, new_pB
-            stopped_shrinking = residual <= delta <= step
-            residual = delta
-            if delta <= 1e-13 or stopped_shrinking:
-                break
-        # Two 4002-point calls: stacking both scans into one 8004-point call
-        # was measured to make a whole game about 1.5x slower.
-        scan[-1] = pA
-        best_a, pays_a = _best_deviation(play(scan, pB)[0])
-        scan[-1] = pB
-        best_b, pays_b = _best_deviation(play(pA, scan)[1])
-        if not (pays_a or pays_b):
-            return pA, pB, rounds, residual, True
-        pA, pB = float(prices[best_a]), float(prices[best_b])
-    return pA, pB, MAX_ROUNDS, residual, False
+    lines_a, lines_b = _lines(p, scenario)
+    # A's lines as columns and B's as rows broadcast to every pair
+    (a_a, b_a), (a_b, b_b) = lines_a.T[:, :, None], lines_b.T
+    det = 1.0 - b_a * b_b
+    i, j = np.nonzero(det)  # parallel lines never meet
+    pA = (a_a + b_a * a_b)[i, j] / det[i, j]
+    pB = (a_b + b_b * a_a)[i, j] / det[i, j]
+    step = 1e-6 * (p.s + np.abs((pA, pB)))
+    worst, demand = _worst_gain(play, pA, pB, (pA - step[0], pA + step[0]),
+                                (pB - step[1], pB + step[1]))
+    keep = worst <= 1e-11
+    if keep.any():
+        pA, pB, step, worst = pA[keep], pB[keep], step[:, keep], worst[keep]
+        gain, demand = _worst_gain(play, pA, pB, a_a + b_a * pB,
+                                   a_b[:, None] + b_b[:, None] * pA)
+        worst = np.maximum(worst, gain)
+    certified = worst <= 1e-11
+    pairs = int(np.count_nonzero(certified))
+    best = int(np.argmax(np.where(certified, np.minimum(demand[0], demand[1]), -1.0))
+               if pairs else np.argmin(worst))
+    if pairs > 1:  # a certified pair is distinct unless one before it is within h
+        qA, qB, (hA, hB) = pA[certified], pB[certified], step[:, certified]
+        near = ((np.abs(qA[:, None] - qA) <= hA[:, None])
+                & (np.abs(qB[:, None] - qB) <= hB[:, None]))
+        pairs = int(np.count_nonzero(near.argmax(axis=1) == np.arange(pairs)))
+    return (float(pA[best]), float(pB[best]), [float(d[best]) for d in demand],
+            pairs, float(worst[best]))
 
 
 def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome:
@@ -235,30 +241,24 @@ def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome
     Each firm maximizes its period-1 profit plus a continuation: the lock-in
     harvest of its period-1 base under INCOMPATIBLE (backward induction),
     and 0 otherwise, where the stage game simply repeats. Period 2 then
-    either mirrors period 1 or reports each firm's harvest at the converged
-    bases.
+    either mirrors period 1 or reports each firm's harvest at its base.
     """
     lock_in = scenario is Scenario.INCOMPATIBLE
-    u = p.s - p.alpha
-    K_a = _harvest_base(p, "A")
-    K_b = _harvest_base(p, "B")
+    bases = np.array([[[_harvest_base(p, "A")]], [[_harvest_base(p, "B")]]])
 
-    def continuation(K: float, n):
+    def play(prices):
+        """Both firms' objectives and their terms, stacked like the prices
+        (pA, pB) they are played at, and the demand there."""
+        demand = _demand(p, scenario, prices[0], prices[1])
+        shares = np.array(demand[:2])
+        sell = prices * shares
         if not lock_in:
-            return 0.0
-        price, retained = _lockin_harvest(K, u, n)
-        return price * retained
+            return sell, np.abs(sell), demand
+        price, retained = _lockin_harvest(bases, p.s - p.alpha, shares)
+        keep = price * retained
+        return sell + keep, np.abs(sell) + np.abs(keep), demand
 
-    def play(pA, pB):
-        nA, nB, _ = _demand(p, scenario, pA, pB)
-        return (pA * nA + continuation(K_a, nA),
-                pB * nB + continuation(K_b, nB))
-
-    pA1, pB1, rounds, residual, converged = _solve_game(
-        _price_grid(p), play, (p.s, p.s))
-
-    nA1, nB1, cutoff1 = _demand(p, scenario, pA1, pB1)
-    nA1, nB1, cutoff1 = float(nA1), float(nB1), float(cutoff1)
+    pA1, pB1, (nA1, nB1, cutoff1), pairs, residual = _solve_game(p, scenario, play)
     if lock_in:
         pA2, nA2 = period2_monopoly_price(p, "A", nA1) if nA1 > 0.0 else (0.0, 0.0)
         pB2, nB2 = period2_monopoly_price(p, "B", nB1) if nB1 > 0.0 else (0.0, 0.0)
@@ -278,5 +278,5 @@ def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome
         profitB1=profitB1, profitB2=profitB2,
         profitA=profitA1 + profitA2, profitB=profitB,
         profitB_with_subsidy=profitB + p.subsidy(scenario),
-        converged=converged, iterations=rounds, residual=residual,
+        converged=pairs > 0, iterations=pairs, residual=residual,
     )

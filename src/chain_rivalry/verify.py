@@ -85,8 +85,8 @@ def _params_line(p: ModelParams) -> str:
 def _oracle_route(p: ModelParams, scenario: Scenario, closed, m: int):
     found = oracle_equilibrium(p, scenario)
     stall = None if found.converged else (
-        f"best-response search did not converge ({found.iterations} rounds, "
-        f"residual {found.residual:.3e})")
+        f"best-response search did not converge (no price pair certified, "
+        f"smallest worst relative gain {found.residual:.3e})")
     rows = []
     for name in ORACLE_QUANTITIES:
         ref = float(getattr(closed, name))

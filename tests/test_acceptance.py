@@ -24,10 +24,11 @@ from chain_rivalry.closed_form import (
     subsidy_threshold,
 )
 from chain_rivalry.model import Scenario
-from chain_rivalry.oracle import _demand, _price_grid
+from chain_rivalry.oracle import _demand
 from chain_rivalry.sim import UserPopulation, simulate_game, simulate_period
 from chain_rivalry.sweep import SweepSpec, run_sweep
 from chain_rivalry.verify import run_verification
+from conftest import grid_prices
 from test_closed_form import (
     profit_a_compatible,
     profit_a_incompatible,
@@ -233,16 +234,16 @@ def test_demand_conserves_mass_and_markets_stay_covered(reference, draws100):
     # no share is negative and none is created: nA + nB <= 1 holds exactly
     # on the whole grid, and sampled grid points match a brute-force count
     # of user choices
-    grid_prices = _price_grid(reference)
+    prices = grid_prices(reference)
     for scenario in Scenario:
         closed = equilibrium(reference, scenario)
         for rival in (closed.pB1, closed.pB2, reference.s, 0.0, -5.0):
-            nA, nB, _ = _demand(reference, scenario, grid_prices, rival)
+            nA, nB, _ = _demand(reference, scenario, prices, rival)
             assert np.all(nA >= 0.0) and np.all(nB >= 0.0)
             assert np.all(nA + nB <= 1.0)
             for i in range(1700, 2301, 300):
                 share_a, share_b = _brute_shares(reference, scenario,
-                                                 grid_prices[i], rival,
+                                                 prices[i], rival,
                                                  nA[i], nB[i])
                 assert share_a == pytest.approx(nA[i], abs=1e-5)
                 assert share_b == pytest.approx(nB[i], abs=1e-5)

@@ -9,9 +9,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from chain_rivalry import cli, oracle, sim
+from chain_rivalry import cli, sim
 from chain_rivalry.model import ModelParams
 from chain_rivalry.sweep import CSV_HEADER
+from conftest import without_equilibrium_lines
 from test_closed_form import profit_b_compatible
 from test_verify import skew_compatible_profit_b
 
@@ -236,6 +237,17 @@ class TestVerifyCommand:
         assert "routes: oracle\n" in out
         assert "sim" not in out.split("routes:")[1].splitlines()[0]
 
+    def test_oracle_converges_with_stand_alone_value_far_above_u(self, tmp_path,
+                                                                 capsys):
+        # 20 times the participation bound, with half the incompatible corner
+        # edge: the grid oracle stalled here after 50 rounds.
+        cfg = write_config(tmp_path, k=368.0, d=3.875)
+        code = cli.main(["verify", "--config", cfg, "--trials", "0",
+                         "--oracle"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "PASS: all checks within tolerance" in out
+
     def test_tolerance_breach_exits_3(self, tmp_path, capsys, monkeypatch):
         skew_compatible_profit_b(monkeypatch)
         cfg = write_config(tmp_path)
@@ -247,13 +259,14 @@ class TestVerifyCommand:
         assert "FAIL: 1 check(s) outside tolerance" in out
 
     def test_oracle_non_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_ROUNDS", 0)
+        without_equilibrium_lines(monkeypatch)
         cfg = write_config(tmp_path)
         code = cli.main(["verify", "--config", cfg, "--trials", "0",
                          "--oracle"])
         out = capsys.readouterr().out
         assert code == 3
-        assert "best-response search did not converge (0 rounds" in out
+        assert ("best-response search did not converge (no price pair "
+                "certified, smallest worst relative gain ") in out
         assert out.rstrip().endswith(
             "check(s) outside tolerance, 3 oracle game(s) not converged")
 

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,23 +18,11 @@ from chain_rivalry.model import (
 )
 from chain_rivalry.oracle import oracle_equilibrium, period2_monopoly_price
 from chain_rivalry.verify import ORACLE_ABS_TOL, ORACLE_QUANTITIES, ORACLE_REL_TOL
-from conftest import _off_gate_draws
+from conftest import _edge_draws, _off_gate_draws, grid_prices, without_equilibrium_lines
 
-
-class TestPriceGrid:
-    def test_default_bounds_cover_all_equilibrium_prices(self, reference):
-        prices = oracle._price_grid(reference)
-        span = reference.k + reference.alpha * reference.n1 + reference.s
-        assert prices[0] == -span
-        assert prices[-1] == span
-        assert prices.size == 4001
-        out = equilibrium(reference, Scenario.INCOMPATIBLE)
-        assert prices[0] < out.pA1 < prices[-1]
-        assert prices[0] < out.pB2 < prices[-1]
-
-    def test_quality_edge_widens_the_default(self, reference):
-        prices = oracle._price_grid(reference.with_values(d=1.5))
-        assert prices[-1] == reference.k + reference.alpha * reference.n1 + reference.s + 1.5
+# The certificate's bound on a deviation's gain, relative to the objective's
+# terms |price*share| + |harvest value|.
+GAIN_TOL = 1e-11
 
 
 def _brute_shares(p, scenario, pA, pB, nA, nB, m=200001):
@@ -162,7 +153,7 @@ class TestStageDemand:
         # Shares never go negative and never sum past the whole market, with
         # no roundoff allowance, and they match a brute-force user count at
         # a few grid points.
-        prices = oracle._price_grid(reference)
+        prices = grid_prices(reference)
         for scenario in Scenario:
             closed = equilibrium(reference, scenario)
             for rival in (closed.pB1, reference.s, 0.0):
@@ -177,8 +168,9 @@ class TestStageDemand:
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_stacked_prices_match_separate_calls(self, reference, scenario):
-        # The joint polish stencil evaluates both firms' points in one call,
-        # so a batch must give each price pair exactly what it gets alone.
+        # The screen and the certificate evaluate every candidate and its
+        # deviations in one call, so a batch must give each price pair
+        # exactly what it gets alone.
         # The first half sits near the equilibrium, where the market is
         # covered; the second half near the stand-alone reach, where the
         # shared chain is short of coverage and its total is re-solved for
@@ -371,18 +363,19 @@ class TestOneStageNash:
         assert res.converged
         assert abs(res.pA1 - res.pB1) < 1e-9
 
-    def test_converged_implies_residual_below_step(self, reference, draws25):
+    def test_converged_implies_residual_within_tolerance(self, reference, draws25):
         for p in [reference, *draws25[:5]]:
             res = oracle_equilibrium(p, Scenario.COMPATIBLE)
             assert res.converged
-            prices = oracle._price_grid(p)
-            assert res.residual <= prices[1] - prices[0]
+            assert res.iterations == 1
+            assert 0.0 <= res.residual <= GAIN_TOL
 
-    def test_sweep_exhaustion_reported_not_raised(self, reference, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_ROUNDS", 0)
+    def test_no_certified_pair_reported_not_raised(self, reference, monkeypatch):
+        without_equilibrium_lines(monkeypatch)
         res = oracle_equilibrium(reference, Scenario.COMPATIBLE)
         assert not res.converged
         assert res.iterations == 0
+        assert res.residual > GAIN_TOL
 
 
 class TestTwoStageNash:
@@ -446,9 +439,64 @@ class TestOracleDispatch:
                         f"{scenario.value} {name}: closed {ref} vs oracle {got}"
 
 
-class TestJointPolish:
-    MAX_POLISH = 6
+def _objectives(p, scenario, pA, pB):
+    """Both firms' objectives and their terms at prices (broadcast), from
+    _demand and the lock-in harvest q*min((K - q)/u, n) at its best q."""
+    nA, nB, _ = oracle._demand(p, scenario, pA, pB)
+    u = p.s - p.alpha
+    out = []
+    for price, n, K in ((pA, nA, p.k + p.alpha * p.n1),
+                        (pB, nB, p.k + p.alpha * p.n3 + p.d)):
+        keep = 0.0
+        if scenario is Scenario.INCOMPATIBLE:
+            kept = np.clip(np.minimum(K / (2.0 * u), n), 0.0, None)
+            keep = (K - u * kept) * kept
+        out.append((price * n + keep, np.abs(price * n) + np.abs(keep)))
+    return out
 
+
+def _grid_gain(p, scenario, found):
+    """The largest relative gain of either firm from a grid price at the
+    rival's certified price."""
+    prices = grid_prices(p)
+    assert prices[0] < min(found.pA1, found.pB1) <= max(found.pA1, found.pB1) < prices[-1]
+    worst = 0.0
+    for firm, (pA, pB) in enumerate(((prices, found.pB1), (found.pA1, prices))):
+        value, terms = _objectives(p, scenario, found.pA1, found.pB1)[firm]
+        grid_value, grid_terms = _objectives(p, scenario, pA, pB)[firm]
+        gain = (grid_value - value) / np.maximum(grid_terms, terms)
+        worst = max(worst, float(np.max(gain)))
+    return worst
+
+
+# Games the grid-based oracle got wrong: it stalled (k far above u), or
+# certified a pair between whose grid points a deviation paid (a grid step
+# above u), or could certify nothing with a tolerance of 1e-12*max(1, |f|)
+# on an objective of nearly cancelling terms.
+REFERENCE_LARGE_K = (dict(k=368.0, d=3.875), dict(k=5520.0, d=0.0))
+FALSE_CERTIFICATE = (ModelParams(
+    alpha=0.019337136525927844, s=0.02004917821890436, k=7.476370036414617,
+    n1=0.018411204628969766, n2=0.018411204526837057, n3=0.018411204255168415,
+    d=0.0016658092945236113, subsidy_p2=0.006321611355359189,
+    subsidy_p3=0.0003066170886293875), Scenario.COMPATIBLE)
+CANCELLING_TERMS = (ModelParams(
+    alpha=149512.5054041958, s=371632.4142877395, k=136689159.68906707,
+    n1=0.7428130254713854, n2=0.6995617672497213, n3=0.5815516784215168,
+    d=543931.020664266), Scenario.INCOMPATIBLE)
+
+
+def _assert_agrees(p, scenario, found, rel=None):
+    closed = equilibrium(p, scenario)
+    for name in ORACLE_QUANTITIES:
+        ref = float(getattr(closed, name))
+        got = float(getattr(found, name))
+        tol = (max(ORACLE_ABS_TOL, ORACLE_REL_TOL * abs(ref)) if rel is None
+               else rel * max(1.0, abs(ref)))
+        assert abs(ref - got) <= tol, \
+            f"{scenario.value} {name}: closed {ref} vs oracle {got} at {p}"
+
+
+class TestExactSolve:
     def _count_demand_calls(self, monkeypatch):
         calls = [0]
         real = oracle._demand
@@ -460,105 +508,151 @@ class TestJointPolish:
         monkeypatch.setattr(oracle, "_demand", counted)
         return calls
 
-    def test_polish_stops_within_a_few_rounds(self, reference, draws25,
-                                              monkeypatch):
+    def test_two_demand_calls_per_game(self, reference, draws100, monkeypatch):
+        # One call screens every candidate, one certifies the survivors and
+        # gives the reported pair's demand.
         calls = self._count_demand_calls(monkeypatch)
-        for p in [reference, *draws25[:8]]:
+        for p in [reference, *draws100]:
             for scenario in Scenario:
                 calls[0] = 0
                 res = oracle_equilibrium(p, scenario)
                 assert res.converged
-                assert res.iterations == 1
-                # Two certificate scans, one call for both firms' stencils
-                # per polish step, one demand evaluation at the solution.
-                budget = 2 + self.MAX_POLISH + 1
-                assert calls[0] <= budget, (scenario.value, calls[0], budget)
+                assert calls[0] == 2, (scenario.value, calls[0])
 
-    def test_about_six_demand_calls_per_game(self, reference, draws100,
-                                             monkeypatch):
-        # About three polish steps, two scans and the outcome evaluation: a
-        # polish step that went back to one call per firm would make about 9.
-        calls = self._count_demand_calls(monkeypatch)
-        configs = [reference, *draws100]
-        for p in configs:
-            for scenario in Scenario:
-                oracle_equilibrium(p, scenario)
-        assert calls[0] / (3 * len(configs)) <= 6.1
+    def test_certificate_rejects_a_local_best_response(self, reference,
+                                                       monkeypatch):
+        # B's objective peaks at 1. A's has a local peak at 2, which passes
+        # the probe screen, and a higher one at 60 on another of its lines.
+        lines = (np.array([[2.0, 0.0], [60.0, 0.0]]), np.array([[1.0, 0.0]]))
+        monkeypatch.setattr(oracle, "_lines", lambda p, scenario: lines)
 
-    PRICES = np.linspace(-100.0, 100.0, 2001)
+        def play(prices):
+            pA, pB = prices
+            value = np.array((np.maximum(-(pA - 2.0) ** 2, 10.0 - (pA - 60.0) ** 2),
+                              -(pB - 1.0) ** 2))
+            zeros = np.zeros_like(pA)
+            return value, np.ones_like(value), (zeros, zeros, zeros)
 
-    def _polish(self, play, pA, pB):
-        return oracle._polish_step(self.PRICES, play, pA, pB, 0.1,
-                                   oracle._stencil(0.1))
+        local = np.array([2.0]), np.array([1.0])
+        screen, _ = oracle._worst_gain(play, *local, local[0] + [[-1e-3], [1e-3]],
+                                       local[1] + [[-1e-3], [1e-3]])
+        assert screen[0] == 0.0
+        gain, _ = oracle._worst_gain(play, *local, lines[0][:, :1] + 0.0 * local[1],
+                                     lines[1][:, :1] + 0.0 * local[0])
+        assert gain[0] == 10.0
 
-    @staticmethod
-    def _linear_demand_game(a, b, c, e):
-        # Profit own * (intercept - own + slope * rival) for both firms.
-        return lambda pA, pB: (pA * (a - pA + b * pB), pB * (c - pB + e * pA))
+        pA, pB, _, pairs, residual = oracle._solve_game(reference, Scenario.COMPATIBLE, play)
+        assert (pA, pB, pairs, residual) == (60.0, 1.0, 1, 0.0)
 
-    def test_one_step_solves_a_quadratic_game(self):
-        a, b, c, e = 3.0, 0.5, 2.0, 0.8
-        play = self._linear_demand_game(a, b, c, e)
-        pA, pB = self._polish(play, 0.0, 0.0)
-        assert pA == pytest.approx((2 * a + b * c) / (4 - b * e), abs=1e-10)
-        assert pB == pytest.approx((2 * c + e * a) / (4 - b * e), abs=1e-10)
-
-    def test_dominant_cross_terms_fall_back_to_own_vertices(self):
-        a, b, c, e = 3.0, 3.0, 2.0, 3.0  # 4 - b*e < 0: no joint maximum
-        play = self._linear_demand_game(a, b, c, e)
-        pA, pB = self._polish(play, 1.0, 2.0)
-        assert pA == pytest.approx((a + b * 2.0) / 2, abs=1e-10)
-        assert pB == pytest.approx((c + e * 1.0) / 2, abs=1e-10)
-
-    def test_convex_firm_stays_put_and_steps_stay_on_the_grid(self):
-        play = lambda pA, pB: (pA * pA, pB * (1e6 - pB))
-        pA, pB = self._polish(play, 7.0, 0.0)
-        assert pA == pytest.approx(7.0, abs=1e-12)
-        assert pB == self.PRICES[-1]
-
-    def test_certificate_rejects_a_local_best_response(self, monkeypatch):
-        # B's profit has one peak at 1. A's has a local peak at 2, where the
-        # polish from the start settles, and a higher one at 60 that only
-        # the grid scan sees.
-        play = lambda pA, pB: (np.maximum(-(pA - 2.0) ** 2,
-                                          10.0 - (pA - 60.0) ** 2),
-                               -(pB - 1.0) ** 2)
-        assert self._polish(play, 0.0, 0.0) == pytest.approx((2.0, 1.0), abs=1e-12)
-
-        pA, pB, rounds, residual, converged = oracle._solve_game(
-            self.PRICES, play, (0.0, 0.0))
-        assert converged
-        assert rounds == 2
-        assert pA == pytest.approx(60.0, abs=1e-12)
-        assert pB == pytest.approx(1.0, abs=1e-12)
-        assert residual <= 1e-13
-
-        monkeypatch.setattr(oracle, "MAX_ROUNDS", 1)
-        *_, converged = oracle._solve_game(self.PRICES, play, (0.0, 0.0))
-        assert not converged
-
-    def test_polish_lands_on_the_grid_free_equilibrium(self, reference):
-        # Off-grid closed-form prices are met to roundoff, far below the grid
-        # step of about 0.012.
+    def test_lands_on_the_closed_form_equilibrium(self, reference):
+        # Off any grid, the closed-form prices are met to roundoff.
         for scenario in (Scenario.COMPATIBLE, Scenario.INCOMPATIBLE):
             closed = equilibrium(reference, scenario)
             res = oracle_equilibrium(reference, scenario)
             assert res.pA1 == pytest.approx(closed.pA1, abs=1e-9)
             assert res.pB1 == pytest.approx(closed.pB1, abs=1e-9)
-            assert res.residual <= 1e-9
+            assert res.residual <= GAIN_TOL
 
     def test_agrees_with_closed_forms_off_the_gate(self):
         for p in _off_gate_draws(seed=2024, count=30):
             for scenario in Scenario:
-                closed = equilibrium(p, scenario)
                 found = oracle_equilibrium(p, scenario)
                 assert found.converged
-                for name in ORACLE_QUANTITIES:
-                    ref = float(getattr(closed, name))
-                    got = float(getattr(found, name))
-                    assert abs(ref - got) <= max(ORACLE_ABS_TOL,
-                                                 ORACLE_REL_TOL * abs(ref)), \
-                        f"{scenario.value} {name}: closed {ref} vs oracle {got} at {p}"
+                _assert_agrees(p, scenario, found)
+
+    @pytest.mark.parametrize("family,rel", [("gate", 1.5e-13), ("wide", 3.1e-13)])
+    def test_one_certified_pair_that_no_grid_price_beats(self, reference, draws100,
+                                                         family, rel):
+        draws = ([reference, *draws100] if family == "gate"
+                 else _off_gate_draws(seed=2024, count=100))
+        for p in draws:
+            for scenario in Scenario:
+                found = oracle_equilibrium(p, scenario)
+                assert (found.converged, found.iterations) == (True, 1)
+                _assert_agrees(p, scenario, found, rel=rel)
+                assert _grid_gain(p, scenario, found) <= GAIN_TOL
+
+    @pytest.mark.parametrize("changes", REFERENCE_LARGE_K, ids=("k368", "k5520"))
+    def test_stand_alone_value_far_above_u(self, reference, changes):
+        # The grid oracle walked a price war down by about d + 2u per two
+        # rounds, k/(d + 2u) rounds in all, and stalled after 50.
+        p = reference.with_values(**changes)
+        for scenario in Scenario:
+            found = oracle_equilibrium(p, scenario)
+            assert found.converged
+            _assert_agrees(p, scenario, found, rel=1e-12)
+            assert _grid_gain(p, scenario, found) <= GAIN_TOL
+
+    @pytest.mark.parametrize("game", [FALSE_CERTIFICATE, CANCELLING_TERMS],
+                             ids=("grid_step_above_u", "cancelling_terms"))
+    def test_games_the_grid_oracle_got_wrong(self, game):
+        p, scenario = game
+        found = oracle_equilibrium(p, scenario)
+        assert (found.converged, found.iterations) == (True, 1)
+        _assert_agrees(p, scenario, found)
+        assert _grid_gain(p, scenario, found) <= GAIN_TOL
+        if game is FALSE_CERTIFICATE:
+            # the grid oracle certified pA1 = pB1 = 3.749e-3 here
+            assert found.pA1 == pytest.approx(1.5677192879363e-4, rel=1e-9)
+            assert found.pB1 == pytest.approx(1.2673114571594e-3, rel=1e-9)
+
+    def test_edge_draws(self):
+        # Near every validity bound, s <= 2*alpha included: no stall, and
+        # no grid price beats a certified pair. A few near-corner games
+        # certify a second pair that gives one firm almost no share.
+        for p in _edge_draws(seed=123, count=400):
+            for scenario in Scenario:
+                found = oracle_equilibrium(p, scenario)
+                assert found.converged and found.iterations >= 1
+                _assert_agrees(p, scenario, found)
+                assert _grid_gain(p, scenario, found) <= GAIN_TOL
+
+    @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda sc: sc.value)
+    def test_lines_hold_every_best_response(self, reference, draws25, scenario):
+        # At any rival price, no grid price beats the best of a firm's own
+        # lines. Rival prices run from deep discounts to three times the
+        # stand-alone reach k + alpha*n1, so participation binds, a share
+        # switches to its reach and the shared chain's total switches branch.
+        # A k far below the participation bound puts those kinks, and the
+        # reach's own vertex, where they are the best response. Where s <=
+        # 2*alpha the shared chain's largest self-consistent total can jump
+        # down as a price rises, and a best response just below the jump is
+        # a supremum no price attains, so those configs are left out there.
+        rng = np.random.default_rng(11)
+        low_k = [q.with_values(k=k * q.s) for k in (0.1, 0.7, 2.0)
+                 for q in (reference, ModelParams(alpha=1.0, s=2.1, k=1.0, n1=0.02,
+                                                  n2=0.0, n3=0.0),
+                           ModelParams(alpha=1.0, s=1.5, k=1.0, n1=0.2, n2=0.1, n3=0.1))]
+        configs = [reference, *low_k, *draws25[:10], *_edge_draws(seed=5, count=10)]
+        for p in configs:
+            if scenario is Scenario.SAME_CHAIN and p.s <= 2.0 * p.alpha:
+                continue
+            reach = p.k + p.alpha * p.n1
+            rivals = np.concatenate((rng.uniform(-reach, 3.0 * reach, 40),
+                                     reach + p.s * rng.uniform(-3.0, 1.0, 20)))
+            tables = oracle._lines(p, scenario)
+            grid = grid_prices(p)
+            for firm, table in enumerate(tables):
+                for rival in rivals:
+                    own = table[:, 0] + table[:, 1] * rival
+                    pair = (own, rival) if firm == 0 else (rival, own)
+                    grid_pair = (grid, rival) if firm == 0 else (rival, grid)
+                    best, terms = (np.max(x) for x in _objectives(p, scenario, *pair)[firm])
+                    grid_best, grid_terms = (np.max(x) for x in
+                                             _objectives(p, scenario, *grid_pair)[firm])
+                    assert grid_best - best <= GAIN_TOL * max(terms, grid_terms), \
+                        (firm, rival, p)
+
+    def test_route_never_imports_the_closed_forms(self):
+        tree = ast.parse(inspect.getsource(oracle))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any("closed_form" in name for name in names), ast.dump(node)
 
 
 class TestOracleOutcome:

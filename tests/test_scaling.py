@@ -1,0 +1,73 @@
+"""The model's scaling relation, held bitwise by every route.
+
+Multiplying alpha, s, k, d and both subsidies by a factor c multiplies every
+utility by c, so every price and profit scales by c and every share and
+cutoff stays the same. A power of two scales each float exactly, so a route
+whose arithmetic only combines quantities of one unit reproduces the
+relation bit for bit; an absolute constant, such as a tolerance or a step
+that does not scale with the prices, breaks it.
+"""
+
+import pytest
+
+from chain_rivalry.closed_form import equilibrium
+from chain_rivalry.model import Scenario
+from chain_rivalry.oracle import oracle_equilibrium
+from chain_rivalry.sim import simulate_game
+from conftest import _off_gate_draws
+
+DRAWS = _off_gate_draws(7, 40)
+FACTORS = (0.25, 8.0)
+
+SCALED = ("pA1", "pB1", "pA2", "pB2", "profitA1", "profitA2", "profitB1",
+          "profitB2", "profitA", "profitB", "profitB_with_subsidy")
+UNITLESS = ("cutoff1", "cutoff2", "nA1", "nB1", "nA2", "nB2", "converged",
+            "iterations", "residual")
+PERIOD = ("share_a", "share_b", "cutoff", "iterations", "converged")
+
+
+def _scaled(p, factor):
+    return p.with_values(alpha=p.alpha * factor, s=p.s * factor, k=p.k * factor,
+                         d=p.d * factor, subsidy_p2=p.subsidy_p2 * factor,
+                         subsidy_p3=p.subsidy_p3 * factor)
+
+
+def _departures(solve):
+    """(draw, factor, scenario) of every game where an outcome departs."""
+    out = []
+    for i, p in enumerate(DRAWS):
+        for factor in FACTORS:
+            q = _scaled(p, factor)
+            for scenario in Scenario:
+                base, moved = solve(p, scenario), solve(q, scenario)
+                if not all(getattr(moved, f) == getattr(base, f) * factor for f in SCALED) \
+                        or not all(getattr(moved, f) == getattr(base, f) for f in UNITLESS):
+                    out.append((i, factor, scenario.value))
+    return out
+
+
+@pytest.mark.parametrize("solve", [equilibrium, oracle_equilibrium],
+                         ids=("closed_form", "oracle"))
+def test_equilibria_scale_exactly(solve):
+    assert _departures(solve) == []
+
+
+def test_simulated_play_scales_exactly():
+    departures = []
+    for i, p in enumerate(DRAWS):
+        for factor in FACTORS:
+            q = _scaled(p, factor)
+            for scenario in Scenario:
+                runs = []
+                for params in (p, q):
+                    closed = equilibrium(params, scenario)
+                    runs.append(simulate_game(params, scenario, (closed.pA1, closed.pB1,
+                                                                 closed.pA2, closed.pB2),
+                                              m=2000))
+                base, moved = runs
+                same = all(getattr(getattr(moved, t), f) == getattr(getattr(base, t), f)
+                           for t in ("period1", "period2") for f in PERIOD)
+                if not (same and moved.revenue_a == base.revenue_a * factor
+                        and moved.revenue_b == base.revenue_b * factor):
+                    departures.append((i, factor, scenario.value))
+    assert departures == []

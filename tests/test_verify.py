@@ -6,9 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from chain_rivalry import cli, closed_form, oracle, sim, verify
+from chain_rivalry import cli, closed_form, sim, verify
 from chain_rivalry.model import ModelParams, Scenario
 from chain_rivalry.verify import draw_params, run_verification
+from conftest import without_equilibrium_lines
 
 REPO_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
@@ -259,7 +260,7 @@ class TestFaultDetection:
 
 class TestOracleConvergence:
     def test_non_convergence_fails_the_run(self, reference, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_ROUNDS", 0)
+        without_equilibrium_lines(monkeypatch)
         report = run_verification(reference, trials=0, use_sim=False)
         assert not report.ok
         assert report.oracle_unconverged == 3
@@ -268,7 +269,7 @@ class TestOracleConvergence:
         assert len(stalled) == 3
         for scenario, line in zip(Scenario, stalled):
             assert line.startswith(f"oracle {scenario.value}: ")
-            assert "0 rounds" in line and "at config: alpha=" in line
+            assert "no price pair certified" in line and "at config: alpha=" in line
 
     def test_converged_runs_report_none(self, reference):
         report = run_verification(reference, trials=1, seed=3, use_sim=False)
