@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import hashlib
 import inspect
 
 import numpy as np
@@ -496,6 +498,13 @@ def _assert_agrees(p, scenario, found, rel=None):
             f"{scenario.value} {name}: closed {ref} vs oracle {got} at {p}"
 
 
+# sha256 over every outcome field but the scenario (floats as float.hex())
+# on the reference, draws100 and _off_gate_draws(2024, 100), in every
+# scenario. The oracle uses only correctly rounded elementwise operations,
+# min/max and argmax, so the digest is the same on every IEEE-754 platform.
+OUTCOME_DIGEST = "3c746c04c50275d905a1998af6e5c9c3b638144370244e68107668d3329029f7"
+
+
 class TestExactSolve:
     def _count_demand_calls(self, monkeypatch):
         calls = [0]
@@ -518,6 +527,17 @@ class TestExactSolve:
                 res = oracle_equilibrium(p, scenario)
                 assert res.converged
                 assert calls[0] == 2, (scenario.value, calls[0])
+
+    def test_outcomes_match_their_pinned_bits(self, reference, draws100):
+        # A refactor of the oracle must leave every outcome bitwise as it was.
+        digest = hashlib.sha256()
+        for p in [reference, *draws100, *_off_gate_draws(seed=2024, count=100)]:
+            for scenario in Scenario:
+                out = oracle_equilibrium(p, scenario)
+                fields = (getattr(out, f.name) for f in dataclasses.fields(out)[1:])
+                digest.update(" ".join(v.hex() if isinstance(v, float) else repr(v)
+                                       for v in fields).encode() + b"\n")
+        assert digest.hexdigest() == OUTCOME_DIGEST
 
     def test_certificate_rejects_a_local_best_response(self, reference,
                                                        monkeypatch):
