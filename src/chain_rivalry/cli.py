@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes are part of the contract: 0 success, 1 config/IO/usage error,
-2 blockaded (corner) equilibrium, 3 verification tolerance breach.
+2 blockaded (corner) equilibrium, 3 verification tolerance breach or, from
+thresholds, a violated subsidy ordering c2_star < c3_star.
 
 sweep and verify are imported inside their commands, so the closed-form
 queries (equilibrium, compare, thresholds) never load numpy.
@@ -106,18 +107,12 @@ def _cmd_equilibrium(params: ModelParams, scenario_name: str) -> int:
     return EXIT_OK
 
 
-_PLATFORM_LABELS = {
-    "P1": "P1 (same chain)",
-    "P2": "P2 (compatible chain)",
-    "P3": "P3 (incompatible chain)",
-}
-
-
 def _cmd_compare(params: ModelParams) -> int:
     decision = closed_form.adoption_decision(params)
     print("firm B payoff by platform:")
-    for name in ("P1", "P2", "P3"):
-        print(f"  {_PLATFORM_LABELS[name]:<24} {decision.payoffs[name]:.6f}")
+    for name, scenario in closed_form.PLATFORMS:
+        label = f"{name} ({scenario.value} chain)"
+        print(f"  {label:<24} {decision.payoffs[name]:.6f}")
     ordered = decision.rationale
     pieces = [ordered[0][0]]
     for (_, prev), (name, val) in zip(ordered, ordered[1:]):

@@ -54,7 +54,8 @@ class ThresholdReport:
     d3_star: float
 
 
-_PLATFORMS = tuple(zip(("P1", "P2", "P3"), Scenario))
+# Each platform the entrant can choose and the scenario it plays there.
+PLATFORMS = tuple(zip(("P1", "P2", "P3"), Scenario))
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class AdoptionDecision:
                       ) -> "AdoptionDecision":
         """The decision over solved outcomes, one per scenario."""
         return cls({platform: outcomes[scenario].profitB_with_subsidy
-                    for platform, scenario in _PLATFORMS})
+                    for platform, scenario in PLATFORMS})
 
     @property
     def rationale(self) -> tuple[tuple[str, float], ...]:

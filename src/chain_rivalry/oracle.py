@@ -11,10 +11,12 @@ Each firm's objective is quadratic in its own price between breakpoints,
 and every breakpoint and every piece's vertex is affine in the rival's
 price. _lines tabulates them, from _demand's own expressions, as lines
 own = a + b * rival, so a firm's exact best response to any rival price is
-the best of its lines there. An equilibrium lies on one of A's lines and
-one of B's, so every intersection of an A-line with a B-line is a
-candidate. A candidate is certified when neither firm gains, beyond
-roundoff, by moving to any price on its own lines: no price pays.
+the best of its lines there (a price where its share is 0 earns 0, as the
+exit line does). An equilibrium lies on one of A's lines and one of B's, so
+every intersection of an A-line with a B-line is a candidate. A candidate
+is certified when neither firm gains, beyond roundoff, by moving to any
+price on its own lines: no price pays. The reported outcome, period 2
+included, is read off the certified pair's own evaluation.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from typing import Callable
 import numpy as np
 
 from .model import EquilibriumOutcome, ModelParams, Scenario
+
+# The certificate's bound on a deviation's gain, relative to the objective's
+# terms |price*share| + |harvest value|.
+GAIN_TOL = 1e-11
 
 
 def _unit(x):
@@ -79,38 +85,23 @@ def _demand(p: ModelParams, scenario: Scenario, pA, pB):
     return nA, nB, _unit(raw)
 
 
-def _lockin_harvest(K: float, u: float, n):
-    """Lock-in monopoly over a locked base of measure n: (price, retained).
+def period2_monopoly_price(p: ModelParams, shares):
+    """Both firms' lock-in harvest (price, retained) of their locked bases.
 
-    Demand at price q is min((K - q)/u, n) with u = s - alpha, so the
-    optimum is price = max(K - u*n, K/2) and retained = min((K - price)/u,
-    n): the seller keeps the whole base at the corner price K - u*n while
-    u*n <= K/2, and otherwise sheds part of it at the vertex price K/2.
-    Written as retained = min(K/(2u), n) and price = K - u*retained, the
-    corner value price*retained is exactly (K - u*n)*n. An empty base or
-    K <= 0 retains nothing and is worth 0. Vectorized over n.
+    shares stacks A's and B's period-1 shares n on its first axis. A firm
+    is a monopolist over its base, with demand min((K - q)/u, n) at price
+    q, u = s - alpha and K = k + alpha*n1 for A, k + alpha*n3 + d for B.
+    The optimum keeps the whole base at the corner price K - u*n while u*n
+    <= K/2, and otherwise sheds part of it at the vertex price K/2:
+    retained = min(K/(2u), n) and price = K - u*retained, so the corner
+    value price*retained is exactly (K - u*n)*n. A firm that retains
+    nothing is priced at 0 and its harvest is worth 0.
     """
-    retained = np.maximum(np.minimum(0.5 * K / u, n), 0.0)
-    return K - u * retained, retained
-
-
-def _harvest_base(p: ModelParams, firm: str) -> float:
-    if firm == "A":
-        return p.k + p.alpha * p.n1
-    if firm == "B":
-        return p.k + p.alpha * p.n3 + p.d
-    raise ValueError(f"firm must be 'A' or 'B', got {firm!r}")
-
-
-def period2_monopoly_price(p: ModelParams, firm: str, n_first: float) -> tuple[float, float]:
-    """One firm's lock-in monopoly price and the share it retains.
-
-    K = k + alpha * (own base) + quality edge for B; see _lockin_harvest.
-    """
-    if not 0.0 < n_first <= 1.0:
-        raise ValueError(f"n_first must lie in (0, 1], got {n_first!r}")
-    price, retained = _lockin_harvest(_harvest_base(p, firm), p.s - p.alpha, n_first)
-    return float(price), float(retained)
+    u = p.s - p.alpha
+    K = np.array([p.k + p.alpha * p.n1, p.k + p.alpha * p.n3 + p.d])
+    K = K.reshape((2,) + (1,) * (np.ndim(shares) - 1))
+    retained = np.maximum(np.minimum(0.5 * K / u, shares), 0.0)
+    return np.where(retained > 0.0, K - u * retained, 0.0), retained
 
 
 def _line(form: tuple, level: float = 0.0) -> tuple[float, float]:
@@ -142,7 +133,16 @@ def _lines(p: ModelParams, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     alpha*n1 - price. T switches where K_own = K_rival, where the rival's
     both-sell reach is 0, and where the shares at T = 1 sum to 1, which is
     raw = reach(1). The own both-sell reach is reach(K_rival/u) times
-    u/(s - 2*alpha) and meets raw on raw = reach(1): only its level 1 is new.
+    u/(s - 2*alpha) and meets raw on raw = reach(1): only its level 1 is
+    new, as reach(K_own/u) = 1 is reach(1) = 1.
+
+    A share's level-0 lines give way to the exit line, reach = 0 (reach(1)
+    = 0 on the shared chain, as no total exceeds 1), written as _demand
+    writes the reach so that the firm's share there is exactly 0 at every
+    rival price. At a share-zero price a firm sells nothing, so its
+    objective is exactly 0: revenue 0 plus the harvest of an empty base.
+    The exit line gives the certificate the same 0, and no pair in which
+    both firms sell lies on a share-zero line.
     """
     s, alpha, u = p.s, p.alpha, p.s - p.alpha
     if scenario is Scenario.SAME_CHAIN:
@@ -151,8 +151,8 @@ def _lines(p: ModelParams, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
         reach = [((R + alpha) / s, -1.0 / s, 0.0),   # T = 1
                  (R / u, -1.0 / u, 0.0),             # T = K_own/u
                  (R / u, -1.0 / s, -alpha / (u * s))]  # T = K_rival/u
-        lines = [_line(n, level) for n in (raw, reach[0], reach[2]) for level in (0.0, 1.0)]
-        lines += [_line(reach[1])]  # its level 1 is reach(1)'s, price R - u
+        lines = [(p.k + alpha * (p.n1 + 1.0), 0.0)]  # the exit line
+        lines += [_line(n, 1.0) for n in (raw, reach[0], reach[2])]
         lines += [_line([x - y for x, y in zip(raw, r)]) for r in reach] + [(0.0, 1.0)]
         if s > 2.0 * alpha:
             w = s * (s - 2.0 * alpha)
@@ -165,7 +165,7 @@ def _lines(p: ModelParams, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     tables = []
     for side, K in ((raw, p.k + alpha * p.n1), (1.0 - raw, p.k + alpha * base_b + p.d)):
         mine, reach = (side, -0.5 / u, 0.5 / u), (K / u, -1.0 / u, 0.0)
-        lines = [_line(mine), _line(mine, 1.0), _line(reach), _line(reach, 1.0),
+        lines = [(K, 0.0), _line(mine, 1.0), _line(reach, 1.0),
                  _line([x - y for x, y in zip(mine, reach)]), _peak(mine), _peak(reach)]
         if scenario is Scenario.INCOMPATIBLE:
             lines += [_line(mine, 0.5 * K / u), _peak(mine, u, K)]
@@ -174,8 +174,8 @@ def _lines(p: ModelParams, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _worst_gain(play: Callable, pA: np.ndarray, pB: np.ndarray, moves_a, moves_b):
-    """Each candidate's largest relative gain from a deviation, and its
-    demand (nA, nB, cutoff), from one play call.
+    """Each candidate's largest relative gain from a deviation, and the
+    outcome play reports at it, from one play call.
 
     Row r of moves_a holds A's prices to try at pB, row r of moves_b B's
     at pA. A gain counts relative to the larger of the two objectives'
@@ -199,12 +199,12 @@ def _solve_game(p: ModelParams, scenario: Scenario, play: Callable):
     """Enumerate the candidates, certify them, and pick one.
 
     A screen drops each candidate that a probe step h = 1e-6*(s + |price|)
-    either way improves for either firm by more than 1e-11 relative. A
+    either way improves for either firm by more than GAIN_TOL relative. A
     survivor is certified when no price on either firm's lines improves on
     it by more. The certified pair whose smaller share is largest is
     reported; with none, the candidate whose worst relative gain found (the
-    residual) is smallest. Returns (pA, pB, its demand, distinct pairs
-    certified, residual).
+    residual) is smallest. Returns (pA, pB, the outcome play reports
+    there, distinct pairs certified, residual).
     """
     lines_a, lines_b = _lines(p, scenario)
     # A's lines as columns and B's as rows broadcast to every pair
@@ -216,13 +216,13 @@ def _solve_game(p: ModelParams, scenario: Scenario, play: Callable):
     step = 1e-6 * (p.s + np.abs((pA, pB)))
     worst, demand = _worst_gain(play, pA, pB, (pA - step[0], pA + step[0]),
                                 (pB - step[1], pB + step[1]))
-    keep = worst <= 1e-11
+    keep = worst <= GAIN_TOL
     if keep.any():
         pA, pB, step, worst = pA[keep], pB[keep], step[:, keep], worst[keep]
         gain, demand = _worst_gain(play, pA, pB, a_a + b_a * pB,
                                    a_b[:, None] + b_b[:, None] * pA)
         worst = np.maximum(worst, gain)
-    certified = worst <= 1e-11
+    certified = worst <= GAIN_TOL
     pairs = int(np.count_nonzero(certified))
     best = int(np.argmax(np.where(certified, np.minimum(demand[0], demand[1]), -1.0))
                if pairs else np.argmin(worst))
@@ -241,30 +241,27 @@ def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome
     Each firm maximizes its period-1 profit plus a continuation: the lock-in
     harvest of its period-1 base under INCOMPATIBLE (backward induction),
     and 0 otherwise, where the stage game simply repeats. Period 2 then
-    either mirrors period 1 or reports each firm's harvest at its base.
+    either mirrors period 1 or reports each firm's harvest at its base, as
+    evaluated at the certified pair.
     """
     lock_in = scenario is Scenario.INCOMPATIBLE
-    bases = np.array([[[_harvest_base(p, "A")]], [[_harvest_base(p, "B")]]])
 
     def play(prices):
         """Both firms' objectives and their terms, stacked like the prices
-        (pA, pB) they are played at, and the demand there."""
+        (pA, pB) they are played at, and the outcome there: the demand (nA,
+        nB, cutoff) and period 2's (pA2, pB2, nA2, nB2)."""
         demand = _demand(p, scenario, prices[0], prices[1])
         shares = np.array(demand[:2])
         sell = prices * shares
-        if not lock_in:
-            return sell, np.abs(sell), demand
-        price, retained = _lockin_harvest(bases, p.s - p.alpha, shares)
+        if not lock_in:  # the stage repeats
+            return sell, np.abs(sell), (*demand, *prices, *shares)
+        price, retained = period2_monopoly_price(p, shares)
         keep = price * retained
-        return sell + keep, np.abs(sell) + np.abs(keep), demand
+        return sell + keep, np.abs(sell) + np.abs(keep), (*demand, *price, *retained)
 
-    pA1, pB1, (nA1, nB1, cutoff1), pairs, residual = _solve_game(p, scenario, play)
-    if lock_in:
-        pA2, nA2 = period2_monopoly_price(p, "A", nA1) if nA1 > 0.0 else (0.0, 0.0)
-        pB2, nB2 = period2_monopoly_price(p, "B", nB1) if nB1 > 0.0 else (0.0, 0.0)
-        cutoff2 = nA2
-    else:
-        pA2, pB2, nA2, nB2, cutoff2 = pA1, pB1, nA1, nB1, cutoff1
+    pA1, pB1, (nA1, nB1, cutoff1, pA2, pB2, nA2, nB2), pairs, residual = \
+        _solve_game(p, scenario, play)
+    cutoff2 = nA2 if lock_in else cutoff1
 
     profitA1, profitA2 = pA1 * nA1, pA2 * nA2
     profitB1, profitB2 = pB1 * nB1, pB2 * nB2

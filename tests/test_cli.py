@@ -131,6 +131,21 @@ class TestThresholdsCommand:
         assert "c3_star > c2_star: ok" in captured.out
 
 
+    def test_subsidy_ordering_can_fail_and_exits_3(self, tmp_path, capsys):
+        # A valid, interior config with n3 far above n2: B earns more on the
+        # incompatible chain than on the compatible one, so a smaller subsidy
+        # moves it there and the paper's ordering c2* < c3* fails.
+        cfg = write_config(tmp_path, n1=14.4, n2=0.0, n3=14.39)
+        code = cli.main(["thresholds", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VERIFY == 3
+        assert captured.err == ""
+        assert captured.out == (
+            "subsidy thresholds   c2_star = 0.980552   c3_star = 0.825600\n"
+            "quality thresholds   d2_star = 1.588729   d3_star = 1.265693\n"
+            "c3_star > c2_star: VIOLATED\n")
+
+
 class TestSweepCommand:
     def test_csv_contract(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
