@@ -130,7 +130,6 @@ class TestThresholdsCommand:
         assert "d2_star = 0.006500" in captured.out
         assert "c3_star > c2_star: ok" in captured.out
 
-
     def test_subsidy_ordering_can_fail_and_exits_3(self, tmp_path, capsys):
         # A valid, interior config with n3 far above n2: B earns more on the
         # incompatible chain than on the compatible one, so a smaller subsidy
