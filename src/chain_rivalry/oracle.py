@@ -249,18 +249,19 @@ def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome
     def play(prices):
         """Both firms' objectives and their terms, stacked like the prices
         (pA, pB) they are played at, and the outcome there: the demand (nA,
-        nB, cutoff) and period 2's (pA2, pB2, nA2, nB2)."""
+        nB, cutoff), then under lock-in the harvest (pA2, pB2, nA2, nB2)."""
         demand = _demand(p, scenario, prices[0], prices[1])
         shares = np.array(demand[:2])
         sell = prices * shares
-        if not lock_in:  # the stage repeats
-            return sell, np.abs(sell), (*demand, *prices, *shares)
+        if not lock_in:
+            return sell, np.abs(sell), demand
         price, retained = period2_monopoly_price(p, shares)
         keep = price * retained
         return sell + keep, np.abs(sell) + np.abs(keep), (*demand, *price, *retained)
 
-    pA1, pB1, (nA1, nB1, cutoff1, pA2, pB2, nA2, nB2), pairs, residual = \
+    pA1, pB1, (nA1, nB1, cutoff1, *harvest), pairs, residual = \
         _solve_game(p, scenario, play)
+    pA2, pB2, nA2, nB2 = harvest if lock_in else (pA1, pB1, nA1, nB1)
     cutoff2 = nA2 if lock_in else cutoff1
 
     profitA1, profitA2 = pA1 * nA1, pA2 * nA2
