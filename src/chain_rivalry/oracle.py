@@ -9,14 +9,16 @@ serves all three scenarios.
 
 Each firm's objective is quadratic in its own price between breakpoints,
 and every breakpoint and every piece's vertex is affine in the rival's
-price. _lines tabulates them, from _demand's own expressions, as lines
-own = a + b * rival, so a firm's exact best response to any rival price is
-the best of its lines there (a price where its share is 0 earns 0, as the
-exit line does). An equilibrium lies on one of A's lines and one of B's, so
-every intersection of an A-line with a B-line is a candidate. A candidate
-is certified when neither firm gains, beyond roundoff, by moving to any
-price on its own lines: no price pays. The reported outcome, period 2
-included, is read off the certified pair's own evaluation.
+price. _lines tabulates, from _demand's own expressions, those that can be
+a best response as lines own = a + b * rival (6 per firm on the separate
+chains, 8 on the shared chain; its docstring proves why each other one is
+dropped), so a firm's exact best response to any rival price is the best
+of its lines there (a price where its share is 0 earns 0, as the exit line
+does). An equilibrium lies on one of A's lines and one of B's, so every
+intersection of an A-line with a B-line is a candidate. A candidate is
+certified when neither firm gains, beyond roundoff, by moving to any price
+on its own lines: no price pays. The reported outcome, period 2 included,
+is read off the certified pair's own evaluation.
 """
 
 from __future__ import annotations
@@ -124,17 +126,51 @@ def _lines(p: ModelParams, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """A's lines pA = a + b*pB and B's lines pB = a + b*pA, as rows (a, b).
 
     Each restates one of _demand's expressions as an affine form in (own,
-    rival) prices. Separate chains: a share is clip(min(mine, reach)), the
-    firm's side of the indifference point and its participation reach.
-    Lock-in adds the harvest kink at share K/(2u) and, on mine, a second
-    vertex; on reach both are the plain vertex K/2. Shared chain: both firms
-    see the same forms, a share being clip(min(raw, reach(T))) at each
-    total T of _demand: 1, K_own/u, K_rival/u or both-sell, K = k +
-    alpha*n1 - price. T switches where K_own = K_rival, where the rival's
-    both-sell reach is 0, and where the shares at T = 1 sum to 1, which is
-    raw = reach(1). The own both-sell reach is reach(K_rival/u) times
-    u/(s - 2*alpha) and meets raw on raw = reach(1): only its level 1 is
-    new, as reach(K_own/u) = 1 is reach(1) = 1.
+    rival) prices, and together they hold every price that can be a best
+    response: each breakpoint of the objective that can be a maximum and
+    each piece's vertex that can lie inside its piece. Separate chains: a
+    share is clip(min(mine, reach)), the firm's side of the indifference
+    point and its participation reach; the lines are the exit line, mine =
+    1, reach = 1, mine = reach and the vertices of mine (under lock-in,
+    with the harvest) and reach. Shared chain: both firms see the same
+    forms, a share being clip(min(raw, reach(T))) at each total T of
+    _demand: 1, K_own/u, K_rival/u or both-sell, K = k + alpha*n1 - price.
+    The lines are the exit line, raw = 1, reach(1) = 1 (which is also
+    reach(K_own/u) = 1), raw = reach(1) (where the shares at T = 1 sum to
+    1), K_own = K_rival (pA = pB) and the vertices of raw, reach(K_own/u)
+    and reach(K_rival/u); the own both-sell reach is reach(K_rival/u) times
+    u/(s - 2*alpha), so it peaks at the same price. Every other breakpoint
+    and vertex is dropped, each for a reason:
+
+    (i) Short of coverage, every selling firm is at its reach at the
+    realized total T < 1: the indifferent type values both firms equally,
+    so a share held by its raw side would leave that type willing to join
+    either firm, and the market would be covered. So no share reaches 1 and
+    raw never binds: reach(K_rival/u) = 1, the own both-sell reach = 1,
+    raw = reach(K_own/u) and raw = reach(K_rival/u) are never breakpoints.
+    (ii) At T = 1, reach(1) binds only on its boundary raw = reach(1): a
+    share held below its raw side by reach(1) makes nA + nB < 1, so the
+    pair is short of coverage. The vertex of reach(1) therefore never lies
+    inside its piece.
+    (iii) The rival's both-sell reach = 0, where T switches from both-sell
+    to K_own/u, is a convex kink. The own share is continuous there, and
+    as the own price rises its slope goes from -u/(s*(s - 2*alpha)) to
+    -1/u; since u^2 > s*(s - 2*alpha), demand flattens and revenue's slope
+    jumps up. Such a kink is never a maximum at a positive price, and at a
+    price <= 0 the exit line earns at least as much. This takes the whole
+    both-sell case (s > 2*alpha) out of the table.
+    (iv) Lock-in adds the harvest K*n - u*n^2 below n = K/(2u) and K^2/(4u)
+    above it, K = k + alpha*n1 for A and k + alpha*n3 + d for B. It is C^1
+    at the kink, where its slope K - 2u*n is 0, so the kink is no
+    breakpoint: the objective's slope is 0 at a maximum there, which is
+    then the vertex of the piece below, the one line for mine's vertex.
+    The plain vertex of mine above the kink would sit at pA = 2u*n > K,
+    where the reach is negative and the share is 0. On reach both vertices
+    are the plain vertex K/2.
+
+    pA = pB is never a unique best response either, but it is kept: it
+    meets the vertices of raw exactly at the symmetric pair (s, s). Without
+    it the reported prices move by some ulps, on 11 of the 101 gate games.
 
     A share's level-0 lines give way to the exit line, reach = 0 (reach(1)
     = 0 on the shared chain, as no total exceeds 1), written as _demand
@@ -147,29 +183,22 @@ def _lines(p: ModelParams, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     s, alpha, u = p.s, p.alpha, p.s - p.alpha
     if scenario is Scenario.SAME_CHAIN:
         R = p.k + alpha * p.n1
-        raw = (0.5, -0.5 / s, 0.5 / s)
-        reach = [((R + alpha) / s, -1.0 / s, 0.0),   # T = 1
-                 (R / u, -1.0 / u, 0.0),             # T = K_own/u
-                 (R / u, -1.0 / s, -alpha / (u * s))]  # T = K_rival/u
-        lines = [(p.k + alpha * (p.n1 + 1.0), 0.0)]  # the exit line
-        lines += [_line(n, 1.0) for n in (raw, reach[0], reach[2])]
-        lines += [_line([x - y for x, y in zip(raw, r)]) for r in reach] + [(0.0, 1.0)]
-        if s > 2.0 * alpha:
-            w = s * (s - 2.0 * alpha)
-            lines += [_line((R / (s - 2.0 * alpha), -u / w, -alpha / w), 1.0),
-                      _line((R / (s - 2.0 * alpha), -alpha / w, -u / w))]
-        table = np.array(lines + [_peak(n) for n in (raw, *reach)])
+        raw, reach = (0.5, -0.5 / s, 0.5 / s), ((R + alpha) / s, -1.0 / s, 0.0)  # T = 1
+        table = np.array([(p.k + alpha * (p.n1 + 1.0), 0.0),  # the exit line
+                          _line(raw, 1.0), _line(reach, 1.0),
+                          _line([x - y for x, y in zip(raw, reach)]), (0.0, 1.0),
+                          _peak(raw), _peak((R / u, -1.0 / u, 0.0)),  # T = K_own/u
+                          _peak((R / u, -1.0 / s, -alpha / (u * s)))])  # T = K_rival/u
         return table, table
     base_b = p.n2 if scenario is Scenario.COMPATIBLE else p.n3
     raw = (alpha * (p.n1 - base_b) + u - p.d) / (2.0 * u)
     tables = []
     for side, K in ((raw, p.k + alpha * p.n1), (1.0 - raw, p.k + alpha * base_b + p.d)):
         mine, reach = (side, -0.5 / u, 0.5 / u), (K / u, -1.0 / u, 0.0)
-        lines = [(K, 0.0), _line(mine, 1.0), _line(reach, 1.0),
-                 _line([x - y for x, y in zip(mine, reach)]), _peak(mine), _peak(reach)]
-        if scenario is Scenario.INCOMPATIBLE:
-            lines += [_line(mine, 0.5 * K / u), _peak(mine, u, K)]
-        tables.append(np.array(lines))
+        harvest = (u, K) if scenario is Scenario.INCOMPATIBLE else ()
+        tables.append(np.array([(K, 0.0), _line(mine, 1.0), _line(reach, 1.0),
+                                _line([x - y for x, y in zip(mine, reach)]),
+                                _peak(mine, *harvest), _peak(reach)]))
     return tables[0], tables[1]
 
 

@@ -92,7 +92,7 @@ def _oracle_route(p: ModelParams, scenario: Scenario, closed, m: int):
         ref = float(getattr(closed, name))
         rows.append((name, ref, float(getattr(found, name)),
                      max(ORACLE_ABS_TOL, ORACLE_REL_TOL * abs(ref)),
-                     "rel 1e-03 or abs 1e-04"))
+                     f"rel {ORACLE_REL_TOL:.0e} or abs {ORACLE_ABS_TOL:.0e}"))
     return stall, rows
 
 
@@ -104,21 +104,22 @@ def _sim_route(p: ModelParams, scenario: Scenario, closed, m: int):
                if not out.converged]
     stall = (f"adoption fixed point did not converge in {', '.join(stalled)}"
              if stalled else None)
-    share_tol = 1.0 / m + 1e-6
+    floor = 1e-6
+    share_tol = 1.0 / m + floor
     shares = (("cutoff1", closed.cutoff1, run.period1.cutoff),
               ("cutoff2", closed.cutoff2, run.period2.cutoff),
               ("share_a1", closed.nA1, run.period1.share_a),
               ("share_b1", closed.nB1, run.period1.share_b),
               ("share_a2", closed.nA2, run.period2.share_a),
               ("share_b2", closed.nB2, run.period2.share_b))
-    rows = [(name, float(ref), float(got), share_tol, "1/m + 1e-06")
+    rows = [(name, float(ref), float(got), share_tol, f"1/m + {floor:.0e}")
             for name, ref, got in shares]
     rows.append(("revenue_a", float(closed.profitA), float(run.revenue_a),
-                 (abs(closed.pA1) + abs(closed.pA2)) / m + 1e-6,
-                 "(|pA1|+|pA2|)/m + 1e-06"))
+                 (abs(closed.pA1) + abs(closed.pA2)) / m + floor,
+                 f"(|pA1|+|pA2|)/m + {floor:.0e}"))
     rows.append(("revenue_b", float(closed.profitB), float(run.revenue_b),
-                 (abs(closed.pB1) + abs(closed.pB2)) / m + 1e-6,
-                 "(|pB1|+|pB2|)/m + 1e-06"))
+                 (abs(closed.pB1) + abs(closed.pB2)) / m + floor,
+                 f"(|pB1|+|pB2|)/m + {floor:.0e}"))
     return stall, rows
 
 

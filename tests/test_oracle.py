@@ -238,6 +238,37 @@ class TestStageDemand:
             if t > total + 1e-9:
                 assert _participation_excess(p, pA, pB, t) < 0.0
 
+    def test_shared_chain_short_of_coverage_every_seller_is_at_its_reach(
+            self, reference):
+        # The premise that drops the raw lines short of coverage from
+        # oracle._lines: the indifferent type values both firms equally, so
+        # where nA + nB < 1 no share is held by its side of the indifference
+        # point. Every positive share is its reach at the realized total,
+        # (k + alpha*(n1 + nA + nB) - price)/s to roundoff, and below 1.
+        # Where s <= 2*alpha the both-sell total does not exist.
+        rng = np.random.default_rng(17)
+        low_k = _low_k(reference)
+        configs = [*low_k, *(q.with_values(k=f * q.s) for q in low_k[:3]
+                             for f in (0.01, 30.0)),
+                   *_edge_draws(seed=5, count=40)]
+        short_points = 0
+        for p in configs:
+            if p.s <= 2.0 * p.alpha:
+                continue
+            R = p.k + p.alpha * p.n1
+            own, rival = rng.uniform(-R, 3.0 * R, (200, 1)), rng.uniform(-R, 3.0 * R, 200)
+            nA, nB, _ = oracle._demand(p, Scenario.SAME_CHAIN, own, rival)
+            short = nA + nB < 1.0
+            short_points += int(np.count_nonzero(short))
+            for share, price in ((nA, own + 0.0 * rival), (nB, rival + 0.0 * own)):
+                sells = short & (share > 0.0)
+                total = (nA + nB)[sells]
+                reach = (p.k + p.alpha * (p.n1 + total) - price[sells]) / p.s
+                terms = (R + p.alpha * total + np.abs(price[sells])) / p.s
+                assert np.all(np.abs(share[sells] - reach) <= 1e-15 * terms), p
+                assert np.all(share[sells] < 1.0), p
+        assert short_points > 100000
+
 
 class TestLockinMonopolyScan:
     def test_full_retention_corner_at_reference(self, reference):
@@ -295,6 +326,18 @@ class TestLockinMonopolyScan:
         assert value[:, 1:] == pytest.approx(K * K / (4.0 * u), rel=1e-10)
         assert np.all(price[:, -1] == K / 2.0)
         assert np.all(retained[:, -1] == K / (2.0 * u))
+        # The value is C^1 at the kink: its slope K - 2u*n is 0 there from
+        # both sides, so the kink is no breakpoint of a lock-in objective.
+        # A one-sided three-point slope is exact on a quadratic piece; below
+        # the kink, at n = 0.1, it reads K - 2u*n = 6.
+        h = 1e-3
+        for at, slope in ((0.25, 0.0), (0.1, 6.0)):
+            n = at + h * np.arange(-2.0, 3.0)
+            f = np.prod(period2_monopoly_price(p, (n, n)), axis=0)
+            left = (3.0 * f[:, 2] - 4.0 * f[:, 1] + f[:, 0]) / (2.0 * h)
+            right = (4.0 * f[:, 3] - 3.0 * f[:, 2] - f[:, 4]) / (2.0 * h)
+            assert np.all(np.abs(left - slope) <= 1e-10 * K), (at, left)
+            assert np.all(np.abs(right - slope) <= 1e-10 * K), (at, right)
         price, retained = period2_monopoly_price(p.with_values(k=-2.0),  # K = -1
                                                  np.array([[0.0, 0.5]] * 2))
         assert np.all(retained == 0.0)
@@ -515,8 +558,8 @@ OUTCOME_DIGEST = "3c746c04c50275d905a1998af6e5c9c3b638144370244e68107668d3329029
 
 def _low_k(reference):
     """Configs with k far below the participation bound, where share kinks
-    and the reach's own vertex are best responses; the last family has s <=
-    2*alpha."""
+    and the vertex of a share held by its reach are best responses; the
+    last family has s <= 2*alpha."""
     return [q.with_values(k=k * q.s) for k in (0.1, 0.7, 2.0)
             for q in (reference, ModelParams(alpha=1.0, s=2.1, k=1.0, n1=0.02,
                                              n2=0.0, n3=0.0),
@@ -660,10 +703,11 @@ class TestExactSolve:
         # stand-alone reach k + alpha*n1, so participation binds, a share
         # switches to its reach and the shared chain's total switches branch.
         # A k far below the participation bound puts those kinks, and the
-        # reach's own vertex, where they are the best response. Where s <=
-        # 2*alpha the shared chain's largest self-consistent total can jump
-        # down as a price rises, and a best response just below the jump is
-        # a supremum no price attains, so those configs are left out there
+        # vertex of a share held by its reach, where they are the best
+        # response. Where s <= 2*alpha the shared chain's largest
+        # self-consistent total can jump down as a price rises, and a best
+        # response just below the jump is a supremum no price attains, so
+        # those configs are left out there
         # (test_shared_chain_supremum_below_a_total_jump).
         rng = np.random.default_rng(11)
         configs = [reference, *_low_k(reference), *draws25[:10],
