@@ -87,12 +87,12 @@ def _oracle_route(p: ModelParams, scenario: Scenario, closed, m: int):
     stall = None if found.converged else (
         f"best-response search did not converge (no price pair certified, "
         f"smallest worst relative gain {found.residual:.3e})")
+    note = f"rel {ORACLE_REL_TOL:.0e} or abs {ORACLE_ABS_TOL:.0e}"
     rows = []
     for name in ORACLE_QUANTITIES:
         ref = float(getattr(closed, name))
         rows.append((name, ref, float(getattr(found, name)),
-                     max(ORACLE_ABS_TOL, ORACLE_REL_TOL * abs(ref)),
-                     f"rel {ORACLE_REL_TOL:.0e} or abs {ORACLE_ABS_TOL:.0e}"))
+                     max(ORACLE_ABS_TOL, ORACLE_REL_TOL * abs(ref)), note))
     return stall, rows
 
 
@@ -105,6 +105,7 @@ def _sim_route(p: ModelParams, scenario: Scenario, closed, m: int):
     stall = (f"adoption fixed point did not converge in {', '.join(stalled)}"
              if stalled else None)
     floor = 1e-6
+    plus_floor = f" + {floor:.0e}"
     share_tol = 1.0 / m + floor
     shares = (("cutoff1", closed.cutoff1, run.period1.cutoff),
               ("cutoff2", closed.cutoff2, run.period2.cutoff),
@@ -112,14 +113,14 @@ def _sim_route(p: ModelParams, scenario: Scenario, closed, m: int):
               ("share_b1", closed.nB1, run.period1.share_b),
               ("share_a2", closed.nA2, run.period2.share_a),
               ("share_b2", closed.nB2, run.period2.share_b))
-    rows = [(name, float(ref), float(got), share_tol, f"1/m + {floor:.0e}")
+    rows = [(name, float(ref), float(got), share_tol, "1/m" + plus_floor)
             for name, ref, got in shares]
     rows.append(("revenue_a", float(closed.profitA), float(run.revenue_a),
                  (abs(closed.pA1) + abs(closed.pA2)) / m + floor,
-                 f"(|pA1|+|pA2|)/m + {floor:.0e}"))
+                 "(|pA1|+|pA2|)/m" + plus_floor))
     rows.append(("revenue_b", float(closed.profitB), float(run.revenue_b),
                  (abs(closed.pB1) + abs(closed.pB2)) / m + floor,
-                 f"(|pB1|+|pB2|)/m + {floor:.0e}"))
+                 "(|pB1|+|pB2|)/m" + plus_floor))
     return stall, rows
 
 
