@@ -554,6 +554,21 @@ def _assert_agrees(p, scenario, found, rel=None):
 # scenario. The oracle uses only correctly rounded elementwise operations,
 # min/max and argmax, so the digest is the same on every IEEE-754 platform.
 OUTCOME_DIGEST = "3c746c04c50275d905a1998af6e5c9c3b638144370244e68107668d3329029f7"
+# The same over _edge_draws(123, 400), in every scenario.
+EDGE_OUTCOME_DIGEST = "a38a4a678afcec4f412351ada7f063694ee800442137f6f12ec1a9b211183590"
+
+
+def _outcome_digest(configs):
+    """sha256 of every outcome field but the scenario of each config's
+    oracle outcome in every scenario, floats as float.hex()."""
+    digest = hashlib.sha256()
+    for p in configs:
+        for scenario in Scenario:
+            out = oracle_equilibrium(p, scenario)
+            fields = (getattr(out, f.name) for f in dataclasses.fields(out)[1:])
+            digest.update(" ".join(v.hex() if isinstance(v, float) else repr(v)
+                                   for v in fields).encode() + b"\n")
+    return digest.hexdigest()
 
 
 def _low_k(reference):
@@ -599,14 +614,13 @@ class TestExactSolve:
 
     def test_outcomes_match_their_pinned_bits(self, reference, draws100):
         # A refactor of the oracle must leave every outcome bitwise as it was.
-        digest = hashlib.sha256()
-        for p in [reference, *draws100, *_off_gate_draws(seed=2024, count=100)]:
-            for scenario in Scenario:
-                out = oracle_equilibrium(p, scenario)
-                fields = (getattr(out, f.name) for f in dataclasses.fields(out)[1:])
-                digest.update(" ".join(v.hex() if isinstance(v, float) else repr(v)
-                                       for v in fields).encode() + b"\n")
-        assert digest.hexdigest() == OUTCOME_DIGEST
+        assert _outcome_digest([reference, *draws100,
+                                *_off_gate_draws(seed=2024, count=100)]) == OUTCOME_DIGEST
+
+    def test_edge_outcomes_match_their_pinned_bits(self):
+        # Near every validity bound too, where a few games certify a second
+        # pair and the reported one is picked among them.
+        assert _outcome_digest(_edge_draws(seed=123, count=400)) == EDGE_OUTCOME_DIGEST
 
     def test_certificate_rejects_a_local_best_response(self, reference,
                                                        monkeypatch):
