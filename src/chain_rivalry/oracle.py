@@ -17,8 +17,10 @@ of its lines there (a price where its share is 0 earns 0, as the exit line
 does). An equilibrium lies on one of A's lines and one of B's, so every
 intersection of an A-line with a B-line is a candidate. A candidate is
 certified when neither firm gains, beyond roundoff, by moving to any price
-on its own lines: no price pays. The reported outcome, period 2 included,
-is read off the certified pair's own evaluation.
+on its own lines or by a small probe step either way: no price pays. One
+_demand call evaluates every candidate at all of those moves, and the
+reported outcome, period 2 included, is read off the candidate's own
+evaluation there.
 """
 
 from __future__ import annotations
@@ -227,13 +229,16 @@ def _worst_gain(play: Callable, pA: np.ndarray, pB: np.ndarray, moves_a, moves_b
 def _solve_game(p: ModelParams, scenario: Scenario, play: Callable):
     """Enumerate the candidates, certify them, and pick one.
 
-    A screen drops each candidate that a probe step h = 1e-6*(s + |price|)
-    either way improves for either firm by more than GAIN_TOL relative. A
-    survivor is certified when no price on either firm's lines improves on
-    it by more. The certified pair whose smaller share is largest is
-    reported; with none, the candidate whose worst relative gain found (the
-    residual) is smallest. Returns (pA, pB, the outcome play reports
-    there, distinct pairs certified, residual).
+    One play call tries every firm's moves at every candidate: a probe
+    step h = 1e-6*(s + |price|) either way, and every price on its own
+    lines at the rival's price. A candidate is certified when no move
+    improves either firm's objective by more than GAIN_TOL relative. The
+    probes can see a gain no line holds, such as the shared chain's
+    supremum just below a drop of its total. The certified pair whose
+    smaller share is largest is reported; with none, the candidate whose
+    worst relative gain over all moves (the residual) is smallest. Returns
+    (pA, pB, the outcome play reports there, distinct pairs certified,
+    residual).
     """
     lines_a, lines_b = _lines(p, scenario)
     # A's lines as columns and B's as rows broadcast to every pair
@@ -243,14 +248,10 @@ def _solve_game(p: ModelParams, scenario: Scenario, play: Callable):
     pA = (a_a + b_a * a_b)[i, j] / det[i, j]
     pB = (a_b + b_b * a_a)[i, j] / det[i, j]
     step = 1e-6 * (p.s + np.abs((pA, pB)))
-    worst, demand = _worst_gain(play, pA, pB, (pA - step[0], pA + step[0]),
-                                (pB - step[1], pB + step[1]))
-    keep = worst <= GAIN_TOL
-    if keep.any():
-        pA, pB, step, worst = pA[keep], pB[keep], step[:, keep], worst[keep]
-        gain, demand = _worst_gain(play, pA, pB, a_a + b_a * pB,
-                                   a_b[:, None] + b_b[:, None] * pA)
-        worst = np.maximum(worst, gain)
+    # each firm's two probes, then every price on its own lines
+    worst, demand = _worst_gain(
+        play, pA, pB, (pA - step[0], pA + step[0], *(a_a + b_a * pB)),
+        (pB - step[1], pB + step[1], *(a_b[:, None] + b_b[:, None] * pA)))
     certified = worst <= GAIN_TOL
     pairs = int(np.count_nonzero(certified))
     best = int(np.argmax(np.where(certified, np.minimum(demand[0], demand[1]), -1.0))

@@ -166,9 +166,9 @@ class TestStageDemand:
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_stacked_prices_match_separate_calls(self, reference, scenario):
-        # The screen and the certificate evaluate every candidate and its
-        # deviations in one call, so a batch must give each price pair
-        # exactly what it gets alone.
+        # The certificate evaluates every candidate and its deviations in
+        # one call, so a batch must give each price pair exactly what it
+        # gets alone.
         # The first half sits near the equilibrium, where the market is
         # covered; the second half near the stand-alone reach, where the
         # shared chain is short of coverage and its total is re-solved for
@@ -601,16 +601,16 @@ class TestExactSolve:
         monkeypatch.setattr(oracle, "_demand", counted)
         return calls
 
-    def test_two_demand_calls_per_game(self, reference, draws100, monkeypatch):
-        # One call screens every candidate, one certifies the survivors and
-        # gives the reported pair's demand.
+    def test_one_demand_call_per_game(self, reference, draws100, monkeypatch):
+        # One call evaluates every candidate at its probes and at every
+        # price on its lines, and gives the reported pair's demand.
         calls = self._count_demand_calls(monkeypatch)
         for p in [reference, *draws100]:
             for scenario in Scenario:
                 calls[0] = 0
                 res = oracle_equilibrium(p, scenario)
                 assert res.converged
-                assert calls[0] == 2, (scenario.value, calls[0])
+                assert calls[0] == 1, (scenario.value, calls[0])
 
     def test_outcomes_match_their_pinned_bits(self, reference, draws100):
         # A refactor of the oracle must leave every outcome bitwise as it was.
@@ -624,8 +624,8 @@ class TestExactSolve:
 
     def test_certificate_rejects_a_local_best_response(self, reference,
                                                        monkeypatch):
-        # B's objective peaks at 1. A's has a local peak at 2, which passes
-        # the probe screen, and a higher one at 60 on another of its lines.
+        # B's objective peaks at 1. A's has a local peak at 2, which no
+        # probe improves on, and a higher one at 60 on another of its lines.
         lines = (np.array([[2.0, 0.0], [60.0, 0.0]]), np.array([[1.0, 0.0]]))
         monkeypatch.setattr(oracle, "_lines", lambda p, scenario: lines)
 
@@ -637,15 +637,50 @@ class TestExactSolve:
             return value, np.ones_like(value), (zeros, zeros, zeros)
 
         local = np.array([2.0]), np.array([1.0])
-        screen, _ = oracle._worst_gain(play, *local, local[0] + [[-1e-3], [1e-3]],
+        probes, _ = oracle._worst_gain(play, *local, local[0] + [[-1e-3], [1e-3]],
                                        local[1] + [[-1e-3], [1e-3]])
-        assert screen[0] == 0.0
+        assert probes[0] == 0.0
         gain, _ = oracle._worst_gain(play, *local, lines[0][:, :1] + 0.0 * local[1],
                                      lines[1][:, :1] + 0.0 * local[0])
         assert gain[0] == 10.0
 
         pA, pB, _, pairs, residual = oracle._solve_game(reference, Scenario.COMPATIBLE, play)
         assert (pA, pB, pairs, residual) == (60.0, 1.0, 1, 0.0)
+
+    def test_a_probe_gain_alone_refuses_a_candidate(self, reference, monkeypatch):
+        # A's objective |pA - 2| has a local minimum at the one candidate
+        # (2, 1), and its lines hold only that price, so only the probes
+        # see that either step pays.
+        lines = (np.array([[2.0, 0.0]]), np.array([[1.0, 0.0]]))
+        monkeypatch.setattr(oracle, "_lines", lambda p, scenario: lines)
+
+        def play(prices):
+            pA, _ = prices
+            value = np.array((np.abs(pA - 2.0), np.zeros_like(pA)))
+            zeros = np.zeros_like(pA)
+            return value, np.ones_like(value), (zeros, zeros, zeros)
+
+        pA, pB, _, pairs, residual = oracle._solve_game(reference, Scenario.COMPATIBLE, play)
+        assert (pA, pB, pairs) == (2.0, 1.0, 0)
+        assert residual > GAIN_TOL
+
+    def test_with_none_certified_the_smallest_worst_gain_is_reported(
+            self, reference, monkeypatch):
+        # X = (2, 1) gains A 0.5 on a probe and nothing on a line; Y = (60, 1)
+        # passes its probes and gains A 2.0 on the line through 2. The
+        # residual counts probes and line prices alike, so X is reported.
+        lines = (np.array([[2.0, 0.0], [60.0, 0.0]]), np.array([[1.0, 0.0]]))
+        monkeypatch.setattr(oracle, "_lines", lambda p, scenario: lines)
+
+        def play(prices):
+            pA, _ = prices
+            a = np.where(pA == 2.0, 0.0, np.where(np.abs(pA - 2.0) < 1.0, 0.5, -2.0))
+            value = np.array((a, np.zeros_like(pA)))
+            zeros = np.zeros_like(pA)
+            return value, np.ones_like(value), (zeros, zeros, zeros)
+
+        pA, pB, _, pairs, residual = oracle._solve_game(reference, Scenario.COMPATIBLE, play)
+        assert (pA, pB, pairs, residual) == (2.0, 1.0, 0, 0.5)
 
     def test_lands_on_the_closed_form_equilibrium(self, reference):
         # Off any grid, the closed-form prices are met to roundoff.
