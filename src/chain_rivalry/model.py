@@ -214,15 +214,21 @@ def taste_distances(p: ModelParams, x: float | np.ndarray
     """Taste distances (s*x, s*(1-x)) of type x to firm A and to firm B.
 
     Accepts a scalar or array x and rejects any x outside [0, 1], NaN
-    included. A caller that evaluates the same types many times, such as the
-    simulator's fixed point, computes these once and passes them to
-    user_utility. Imports numpy on first call, so the closed-form queries,
-    which never call it, load this module without numpy.
+    included. A float x takes a path without numpy, so the simulator, which
+    evaluates a few types per fixed-point step, pays no array overhead per
+    type; an array x imports numpy on first call, so the closed-form
+    queries, which never call it, load this module without numpy. Both
+    paths do the same float arithmetic, so a type's distances are bitwise
+    the same either way.
     """
-    import numpy as np
+    if isinstance(x, float):
+        inside = 0.0 <= x <= 1.0
+    else:
+        import numpy as np
 
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= 1.0)):
+        x = np.asarray(x, dtype=float)
+        inside = np.all((x >= 0.0) & (x <= 1.0))
+    if not inside:
         raise ValueError("user type x outside [0, 1]")
     return p.s * x, p.s * (1.0 - x)
 
@@ -230,8 +236,7 @@ def taste_distances(p: ModelParams, x: float | np.ndarray
 def user_utility(p: ModelParams, scenario: Scenario,
                  distances: tuple[float | np.ndarray, float | np.ndarray],
                  pA: float, pB: float, nA: float | np.ndarray,
-                 nB: float | np.ndarray,
-                 out: tuple[np.ndarray, np.ndarray] | None = None
+                 nB: float | np.ndarray
                  ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Per-period utilities (uA, uB) from firm A and firm B of the types
     whose taste distances (to A, to B) are given, as taste_distances
@@ -242,11 +247,9 @@ def user_utility(p: ModelParams, scenario: Scenario,
     for everyone; on separate chains each firm's chain carries its own base
     (n2 or n3 for B) plus its own adopters, and B's chain adds the quality
     edge d. Choosing neither is worth exactly 0 in every period. The shares
-    nA, nB broadcast against the distances.
-
-    With out=(bufA, bufB), two float arrays of the broadcast shape, the
-    utilities are written into those buffers, which are returned; the
-    values are bitwise those of the allocating call.
+    nA, nB broadcast against the distances. Each utility is evaluated as
+    ((network value - price) - distance) + k, in that order, for scalars
+    and arrays alike.
     """
     dist_a, dist_b = distances
     if scenario is Scenario.SAME_CHAIN:
@@ -257,17 +260,6 @@ def user_utility(p: ModelParams, scenario: Scenario,
         base = p.n2 if scenario is Scenario.COMPATIBLE else p.n3
         network_b = base + nB
         edge = p.d
-    # each utility is (network value - price) - distance + k, in that order
-    # on both paths, so the buffered values are bitwise the allocated ones
     net_a = p.alpha * network_a - pA
     net_b = p.alpha * network_b + edge - pB
-    if out is None:
-        return net_a - dist_a + p.k, net_b - dist_b + p.k
-    import numpy as np
-
-    uA, uB = out
-    np.subtract(net_a, dist_a, out=uA)
-    uA += p.k
-    np.subtract(net_b, dist_b, out=uB)
-    uB += p.k
-    return uA, uB
+    return net_a - dist_a + p.k, net_b - dist_b + p.k

@@ -227,18 +227,6 @@ class TestUserUtility:
                                      pA=2.5, pB=2.0, nA=0.5, nB=0.5)
             assert scalar == v
 
-    @pytest.mark.parametrize("scenario", list(Scenario))
-    def test_out_buffers_are_returned_bitwise_equal(self, reference, scenario):
-        p = reference.with_values(d=0.7, n3=4.0)
-        distances = taste_distances(p, (np.arange(97) + 0.5) / 97)
-        args = (p, scenario, distances, 2.5, 2.0, 0.37, 0.41)
-        fresh = user_utility(*args)
-        out = (np.full(97, np.nan), np.full(97, np.nan))
-        written = user_utility(*args, out=out)
-        assert written[0] is out[0] and written[1] is out[1]
-        for got, want in zip(written, fresh):
-            assert got.tobytes() == want.tobytes()
-
 
 class TestTasteDistances:
     def test_distances_to_both_firms(self, reference):
@@ -246,6 +234,15 @@ class TestTasteDistances:
         to_a, to_b = taste_distances(reference, xs)
         assert np.array_equal(to_a, reference.s * xs)
         assert np.array_equal(to_b, reference.s * (1.0 - xs))
+
+    def test_float_type_gives_the_array_path_bits(self, reference):
+        p = reference.with_values(s=0.1)
+        xs = (np.arange(997) + 0.5) / 997
+        to_a, to_b = taste_distances(p, xs)
+        for i in (0, 1, 333, 498, 996):
+            scalar = taste_distances(p, xs.item(i))
+            assert all(type(d) is float for d in scalar)
+            assert scalar == (to_a[i], to_b[i])
 
     @pytest.mark.parametrize("x", [1.5, -0.25, np.nan, np.inf, -np.inf,
                                    [0.5, np.nan], [0.0, 1.0 + 1e-15]])

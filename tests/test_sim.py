@@ -1,16 +1,19 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chain_rivalry import model, sim
 from chain_rivalry.closed_form import equilibrium
-from chain_rivalry.model import InvalidParamsError, Scenario
+from chain_rivalry.model import InvalidParamsError, ModelParams, Scenario
 from chain_rivalry.sim import (SimOutcome, UserPopulation, simulate_game,
                                simulate_period)
 from chain_rivalry.oracle import _demand
 from chain_rivalry.verify import run_verification
-from conftest import _off_gate_draws
+from conftest import REFERENCE, _edge_draws, _off_gate_draws
 
 
 class TestUserPopulation:
@@ -145,26 +148,35 @@ class TestSimulatePeriod:
             assert not np.any(take)
 
     @pytest.mark.parametrize("scenario", list(Scenario))
-    def test_one_utility_call_per_fixed_point_step(self, reference, scenario,
-                                                   monkeypatch):
-        calls, distance_calls = [], []
+    def test_types_evaluated_per_step_do_not_grow_with_m(self, reference,
+                                                         scenario,
+                                                         monkeypatch):
+        # a step searches for its boundaries from their analytic positions,
+        # so it evaluates the same few types at a thousand types as at a
+        # million; a walk or a pass over the types would grow with m
+        per_step = []
+        real_step = sim._step
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return model.user_utility(*args, **kwargs)
+        def counted_step(*args):
+            per_step.append(0)
+            return real_step(*args)
 
-        def counted_distances(*args, **kwargs):
-            distance_calls.append(args)
-            return model.taste_distances(*args, **kwargs)
+        def counted_distances(*args):
+            per_step[-1] += 1
+            return model.taste_distances(*args)
 
-        monkeypatch.setattr(sim, "user_utility", counted)
+        monkeypatch.setattr(sim, "_step", counted_step)
         monkeypatch.setattr(sim, "taste_distances", counted_distances)
         closed = equilibrium(reference, scenario)
-        pop = UserPopulation.create(1000)
-        out, _ = simulate_period(pop, reference, scenario, closed.pA1, closed.pB1)
-        assert out.converged
-        assert len(calls) == out.iterations
-        assert len(distance_calls) == 1
+        prices = (closed.pA1, closed.pB1, closed.pA2, closed.pB2)
+        counts = []
+        for m in (1000, 1000000):
+            per_step.clear()
+            run = simulate_game(reference, scenario, prices, m=m)
+            assert run.period1.converged and run.period2.converged
+            counts.append((per_step[0], max(per_step)))
+        assert counts[0] == counts[1]
+        assert counts[0][1] <= 3
 
     @pytest.mark.parametrize("prices,name", [
         ((np.nan, 3.0, 3.0, 3.0), "pA"),
@@ -231,6 +243,45 @@ class TestLockin:
         assert np.array_equal(locks[0], saved[0])
         assert np.array_equal(locks[1], saved[1])
         assert takes[0] is not locks[0] and takes[1] is not locks[1]
+
+
+class TestLockValidation:
+    @pytest.mark.parametrize("row_a,row_b,problem", [
+        ("A.A.......", "..........", "locked A adopters must be a prefix"),
+        (".AA.......", "..........", "locked A adopters must be a prefix"),
+        ("..........", ".....B...B", "locked B adopters must be a suffix"),
+        ("..........", "BB........", "locked B adopters must be a suffix"),
+        ("AAAAAAA...", "...BBBBBBB", "4 types are locked to both firms"),
+    ])
+    def test_rejects_locks_a_period_cannot_return(self, reference, row_a,
+                                                  row_b, problem):
+        # a letter marks a type locked to that firm
+        locks = tuple(np.array([c != "." for c in row]) for row in (row_a, row_b))
+        pop = UserPopulation.create(10)
+        with pytest.raises(ValueError, match=problem):
+            simulate_period(pop, reference, Scenario.INCOMPATIBLE, 3.0, 3.0,
+                            locks=locks)
+
+    @pytest.mark.parametrize("lock", [np.zeros(9, dtype=bool),
+                                      np.zeros(10, dtype=int),
+                                      np.zeros((10, 1), dtype=bool)])
+    def test_rejects_masks_of_another_shape_or_type(self, reference, lock):
+        pop = UserPopulation.create(10)
+        with pytest.raises(ValueError, match=r"boolean masks of shape \(10,\)"):
+            simulate_period(pop, reference, Scenario.INCOMPATIBLE, 3.0, 3.0,
+                            locks=(np.zeros(10, dtype=bool), lock))
+
+    def test_accepts_every_prefix_and_suffix(self, reference):
+        pop = UserPopulation.create(4)
+        for lo in range(5):
+            for hi in range(lo, 5):
+                lock_a, lock_b = np.zeros(4, dtype=bool), np.zeros(4, dtype=bool)
+                lock_a[:lo] = lock_b[hi:] = True
+                _, (take_a, take_b) = simulate_period(
+                    pop, reference, Scenario.INCOMPATIBLE, 3.0, 3.0,
+                    locks=(lock_a, lock_b))
+                assert not np.any(lock_a & take_b)
+                assert not np.any(lock_b & take_a)
 
 
 class TestSimulateGame:
@@ -410,3 +461,67 @@ def test_matches_the_plain_reference_simulator(reference, draws100, scenario):
             assert run.period1 == first and run.period2 == second
             assert run.revenue_a == first.revenue_a + second.revenue_a
             assert run.revenue_b == first.revenue_b + second.revenue_b
+
+
+# a narrow taste spread: prices of 1e300 put every analytic boundary far
+# outside the types, and prices near the float range's edge put it past
+# that range
+TINY_S = ModelParams(alpha=1e-4, s=1e-3, k=0.01, n1=1.0, n2=0.5, n3=0.25,
+                     d=1e-4)
+PROPERTY_CONFIGS = ([ModelParams(**REFERENCE), TINY_S]
+                    + _edge_draws(seed=2026, count=40)
+                    + _off_gate_draws(seed=2026, count=10))
+
+
+@st.composite
+def _periods(draw):
+    """A config, scenario and m, period-1 prices and period-2 prices that
+    are independent or period 1's shifted by up to 5 s."""
+    p = draw(st.sampled_from(PROPERTY_CONFIGS))
+    span = p.k + p.alpha * p.n1 + p.s + p.d
+    price = st.one_of(st.floats(-1.5, 1.5).map(lambda f: f * span),
+                      st.sampled_from([-1e300, 1e300, -1.7e308, 1.7e308]),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    first = (draw(price), draw(price))
+    shifted = st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).map(
+        lambda shift: (first[0] + shift[0] * p.s, first[1] + shift[1] * p.s))
+    second = draw(st.one_of(st.tuples(price, price), shifted))
+    m = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 2000)))
+    return p, draw(st.sampled_from(list(Scenario))), m, first, second
+
+
+@settings(max_examples=300, deadline=None)
+@given(game=_periods())
+@example(game=(TINY_S, Scenario.SAME_CHAIN, 2000, (1e300, -1e300), (-1e300, 1e300)))
+@example(game=(TINY_S, Scenario.COMPATIBLE, 3, (-1e300, -1e300), (1e300, 1e300)))
+@example(game=(TINY_S, Scenario.INCOMPATIBLE, 1999, (0.0, 0.0), (1e300, -1e300)))
+@example(game=(TINY_S, Scenario.COMPATIBLE, 1000, (-1.7e308, 1.7e308),
+               (-1.7e308, -1.7e308)))
+# alpha = 0 makes utilities exact: at a price of k - 1.875 type 0.625 gets
+# exactly 0 from A, and type 0.375 exactly 0 from B
+@example(game=(ModelParams(**{**REFERENCE, "alpha": 0.0}), Scenario.SAME_CHAIN,
+               4, (18.125, 100.0), (100.0, 100.0)))
+@example(game=(ModelParams(**{**REFERENCE, "alpha": 0.0}), Scenario.SAME_CHAIN,
+               4, (100.0, 18.125), (100.0, 100.0)))
+def test_bitwise_equal_to_the_plain_reference_simulator(game):
+    # both periods, period 2 locked by period 1's masks, against the plain
+    # fixed point; every search step is counted, so a walk over the types
+    # where the analytic start lands far off fails even when it is right
+    p, scenario, m, first_prices, second_prices = game
+    pop = UserPopulation.create(m)
+    want1, locks = _reference_period(pop, p, scenario, *first_prices)
+    want2, want_takes = _reference_period(pop, p, scenario, *second_prices,
+                                          locks=locks)
+    with mock.patch.object(sim, "taste_distances",
+                           wraps=model.taste_distances) as evaluated:
+        got1, got_locks = simulate_period(pop, p, scenario, *first_prices)
+        got2, got_takes = simulate_period(pop, p, scenario, *second_prices,
+                                          locks=got_locks)
+    assert (got1, got2) == (want1, want2)
+    for got, want in zip(got_locks + got_takes, locks + want_takes):
+        assert got.dtype == bool and got.shape == (m,)
+        assert np.array_equal(got, want)
+    # five searches per step, each a start, a gallop and a bisection
+    per_search = 2 * m.bit_length() + 2
+    assert evaluated.call_count <= 5 * per_search * (got1.iterations
+                                                     + got2.iterations)
