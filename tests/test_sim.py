@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -397,6 +398,44 @@ class TestRepeatedPeriod:
         monkeypatch.setattr(sim, "simulate_period", counted)
         simulate_game(reference, scenario, prices, m=100)
         assert len(calls) == periods
+
+
+# sha256 of _run_digest over the reference and draws100 (gate),
+# _off_gate_draws(2024, 100) (wide) and _edge_draws(123, 400) (edge) at
+# m = 7, 999 and 10 000: every outcome field of both periods and both
+# revenues, floats as float.hex(). A game plays the closed-form prices, and
+# again with period 2 shifted by 0.1*s, which locks a part of period 1's
+# adopters under lock-in. The simulator uses only correctly rounded scalar
+# arithmetic and comparisons, so the digest is the same on every IEEE-754
+# platform.
+RUN_DIGEST = "3ffecaed0e21d97feb06ee3a9bfedcc73add185cc331c28f95db5b06fe1b027b"
+
+
+def _run_digest(configs, ms):
+    digest = hashlib.sha256()
+    for m in ms:
+        for p in configs:
+            for scenario in Scenario:
+                closed = equilibrium(p, scenario)
+                for shift in (0.0, 0.1 * p.s):
+                    run = simulate_game(p, scenario,
+                                        (closed.pA1, closed.pB1,
+                                         closed.pA2 + shift, closed.pB2 - shift),
+                                        m=m)
+                    values = [*dataclasses.astuple(run.period1),
+                              *dataclasses.astuple(run.period2),
+                              run.revenue_a, run.revenue_b]
+                    digest.update(" ".join(v.hex() if isinstance(v, float)
+                                           else repr(v) for v in values).encode()
+                                  + b"\n")
+    return digest.hexdigest()
+
+
+def test_games_match_their_pinned_bits(reference, draws100):
+    # A rewrite of the simulator must leave every outcome bitwise as it was.
+    configs = ([reference, *draws100] + _off_gate_draws(seed=2024, count=100)
+               + _edge_draws(seed=123, count=400))
+    assert _run_digest(configs, (7, 999, 10000)) == RUN_DIGEST
 
 
 def _reference_period(pop, p, scenario, pA, pB, locks=None):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import pathlib
 import re
@@ -311,3 +312,91 @@ class TestSimConvergence:
                                   m=1000)
         assert report.ok
         assert report.sim_unconverged == 0
+
+
+def _words(value):
+    """A report field as text: floats as float.hex(), scenarios by value,
+    tuples and check cells field by field, anything else by repr."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Scenario):
+        return value.value
+    if isinstance(value, tuple):
+        return "(" + " ".join(_words(v) for v in value) + ")"
+    if isinstance(value, verify.QuantityCheck):
+        return _words(dataclasses.astuple(value))
+    return repr(value)
+
+
+def _report_digest(reports):
+    """sha256 over every field of each report, in field order."""
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(" ".join(f"{f.name}={_words(getattr(report, f.name))}"
+                               for f in dataclasses.fields(report)).encode()
+                      + b"\n")
+    return digest.hexdigest()
+
+
+# sha256 of _report_digest over the reports of TestPinnedReports: both
+# routes, each route alone, a closed form skewed in two scenarios, a NaN
+# deviation in each route, and both routes stalled.
+REPORT_DIGEST = "44c0a711ff0f5f89fb7d8c6a286b185b2f27d20c438359bafccac838a094898a"
+
+
+class TestPinnedReports:
+    def test_reports_match_their_pinned_bits(self, reference, monkeypatch):
+        # A rewrite of the check accounting must leave every report field,
+        # the order and text of failures included, bitwise as it was.
+        reports = [run_verification(reference, trials=3, seed=seed, m=1000)
+                   for seed in (0, 5)]
+        reports.append(run_verification(reference, trials=3, seed=11,
+                                        use_sim=False))
+        reports += [run_verification(reference, trials=20, seed=seed,
+                                     use_oracle=False, m=m)
+                    for seed, m in ((12, 999), (13, 10000))]
+
+        real = closed_form.equilibrium
+
+        def skewed(p, scenario, validate=True):
+            # breaches in both routes and every game of two scenarios
+            out = real(p, scenario, validate=validate)
+            if scenario is Scenario.COMPATIBLE:
+                return dataclasses.replace(out, profitB=out.profitB + 0.05)
+            if scenario is Scenario.INCOMPATIBLE:
+                return dataclasses.replace(out, cutoff1=out.cutoff1 + 0.01)
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(closed_form, "equilibrium", skewed)
+            reports.append(run_verification(reference, trials=3, seed=4,
+                                            m=1000))
+
+        def poisoned(attr, quantity):
+            route, games = getattr(verify, attr), []
+
+            def poison(p, scenario, *args, **kwargs):
+                out = route(p, scenario, *args, **kwargs)
+                if scenario is Scenario.COMPATIBLE:
+                    games.append(p)
+                    if len(games) == 2:
+                        out = dataclasses.replace(out, **{quantity: math.nan})
+                return out
+            return poison
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "oracle_equilibrium",
+                          poisoned("oracle_equilibrium", "pA1"))
+            patch.setattr(verify, "simulate_game",
+                          poisoned("simulate_game", "revenue_a"))
+            reports.append(run_verification(reference, trials=2, seed=6,
+                                            m=1000))
+
+        with monkeypatch.context() as patch:
+            without_equilibrium_lines(patch)
+            patch.setattr(sim, "MAX_FIXED_POINT_ITER", 1)
+            reports.append(run_verification(reference, trials=1, seed=7,
+                                            m=100))
+
+        assert not any(r.ok for r in reports[5:])
+        assert _report_digest(reports) == REPORT_DIGEST
