@@ -11,35 +11,38 @@ Tie rules: indifferent between the two firms picks B; indifferent between a
 firm and staying out participates. So a type adopts A when uA >= 0 and
 uB < uA, and B when uB >= 0 and uB >= uA.
 
-A fixed-point step counts the adopters without visiting every type. The
-types (i + 1/2)/m increase with i and IEEE-754 rounding is monotone, so in
-floating point uA = ((alpha*network_a - pA) - s*x) + k never rises with i
-and uB never falls. "uB >= uA" and "uB >= 0" therefore hold on a suffix of
-the types and "uA >= 0" on a prefix: A's adopters are a prefix and B's a
+A fixed-point step counts the adopters without visiting every type, and
+holds no array of them: type i is computed when needed as (i + 1/2)/m. The
+types increase with i and IEEE-754 rounding is monotone, so in floating
+point uA = ((alpha*network_a - pA) - s*x) + k never rises with i and uB
+never falls. "uB >= uA" and "uB >= 0" therefore hold on a suffix of the
+types and "uA >= 0" on a prefix: A's adopters are a prefix and B's a
 suffix. A step's shares follow from three boundary indices: the first type
 that picks B over A, the first type before it with uA < 0, and the first
 type after it with uB >= 0. Each is found by a search over the type index
 that starts at its analytic position (m*(uA at x = 0)/s for A's exit) and
 repairs a miss from rounding or a far-off start by galloping, then
 bisection. A step evaluates O(log m) types through user_utility, usually
-two per boundary, and the period builds its two adopter masks once from
-the final boundaries.
+two per boundary, so a game's cost and memory do not grow with m.
 
-In the lock-in scenario, period 1's masks lock its adopters in for period
-2, where they can only keep their firm or drop out. Period 1's A adopters
-are a prefix and its B adopters a suffix, so the locks cut the types into
-three segments: in the locked A prefix a user keeps A while uA >= 0, in the
-locked B suffix a user keeps B where uB >= 0, and the free middle follows
-the rules above; that is five boundaries. Without locks, a period 2 at
-exactly period 1's prices faces the same deterministic fixed point, so
-simulate_game reuses period 1's outcome instead of solving it again.
-simulate_game takes its population from a small cache keyed by m;
-populations are immutable, with read-only types.
+In the lock-in scenario, period 1's adopters are locked in for period 2,
+where they can only keep their firm or drop out. Period 1's A adopters are
+a prefix [0, lo) and its B adopters a suffix [hi, m), so period 1 hands
+period 2 the lock segment (lo, hi), its two final boundaries. The locks cut
+the types into three segments: in the locked A prefix a user keeps A while
+uA >= 0, in the locked B suffix a user keeps B where uB >= 0, and the free
+middle [lo, hi) follows the rules above; that is five boundaries. Without
+locks, a period 2 at exactly period 1's prices faces the same
+deterministic fixed point, so simulate_game reuses period 1's outcome
+instead of solving it again. The UserPopulation a SimRun carries, from a
+small cache keyed by m, holds the same types in a read-only array; the
+simulation never reads it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,8 +63,7 @@ class UserPopulation:
 
     @classmethod
     def create(cls, m: int) -> "UserPopulation":
-        if m < 1:
-            raise ValueError(f"population needs at least one type, got m={m}")
+        m = _population_size(m)
         types = (np.arange(m, dtype=float) + 0.5) / m
         types.flags.writeable = False
         return cls(m=m, types=types)
@@ -137,21 +139,18 @@ def _first(holds, lo: int, hi: int, guess: float) -> int:
     return above
 
 
-def _step(p: ModelParams, scenario: Scenario, types: np.ndarray,
-          pA: float, pB: float, nA: float, nB: float, lo: int, hi: int
-          ) -> tuple[int, int, int, int]:
+def _step(p: ModelParams, scenario: Scenario, m: int, pA: float, pB: float,
+          nA: float, nB: float, lo: int, hi: int) -> tuple[int, int, int, int]:
     """One fixed-point step at conjectured shares nA, nB: the boundaries
     (a_locked, a_free, b_free, b_locked) such that A's adopters are the
     types [0, a_locked) and [lo, a_free), and B's are [b_free, hi) and
     [b_locked, m), where [lo, hi) is the free middle between the locks."""
-    m = types.size
     s = p.s
     seen = {}  # the searches meet at shared indices: evaluate each type once
 
     def utilities(i):
         if i not in seen:
-            seen[i] = user_utility(p, scenario,
-                                   taste_distances(p, types.item(i)),
+            seen[i] = user_utility(p, scenario, taste_distances(p, (i + 0.5) / m),
                                    pA, pB, nA, nB)
         return seen[i]
 
@@ -177,44 +176,58 @@ def _step(p: ModelParams, scenario: Scenario, types: np.ndarray,
             _first(b_in, split, hi, b_entry), _first(b_in, hi, m, b_entry))
 
 
-def _free_segment(m: int, locks: tuple[np.ndarray, np.ndarray] | None
-                  ) -> tuple[int, int]:
-    """(lo, hi) such that locks hold a locked A prefix [0, lo) and a locked
-    B suffix [hi, m); rejects masks of another shape or pattern."""
+def _as_int(n) -> int | None:
+    """n as an int, or None for a bool or a value that is not an integer."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        return None
+    return int(n)
+
+
+def _population_size(m) -> int:
+    size = _as_int(m)
+    if size is None:
+        raise ValueError(f"population size m must be an integer, got {m!r}")
+    if size < 1:
+        raise ValueError(f"population needs at least one type, got m={m}")
+    return size
+
+
+def _free_segment(m: int, locks) -> tuple[int, int]:
+    """The free middle (lo, hi) between a locked A prefix [0, lo) and a
+    locked B suffix [hi, m): (0, m) without locks, else the lock segment,
+    which must be two integers with 0 <= lo <= hi <= m."""
     if locks is None:
         return 0, m
-    lock_a, lock_b = (np.asarray(lock) for lock in locks)
-    for lock in (lock_a, lock_b):
-        if lock.dtype != bool or lock.shape != (m,):
-            raise ValueError(f"locks must be two boolean masks of shape ({m},), "
-                             f"got {lock.dtype} of shape {lock.shape}")
-    lo = int(np.count_nonzero(lock_a))
-    hi = m - int(np.count_nonzero(lock_b))
-    if not lock_a[:lo].all():
-        raise ValueError("locked A adopters must be a prefix of the types")
-    if not lock_b[hi:].all():
-        raise ValueError("locked B adopters must be a suffix of the types")
+    lo, hi = (map(_as_int, locks) if isinstance(locks, tuple) and len(locks) == 2
+              else (None, None))
+    if lo is None or hi is None:
+        raise ValueError(f"locks must be two integers (lo, hi), got {locks!r}")
     if lo > hi:
         raise ValueError(f"{lo - hi} types are locked to both firms")
+    if lo < 0 or hi > m:
+        raise ValueError(f"locks must satisfy 0 <= lo <= hi <= m={m}, "
+                         f"got {locks!r}")
     return lo, hi
 
 
-def simulate_period(pop: UserPopulation, p: ModelParams, scenario: Scenario,
-                    pA: float, pB: float,
-                    locks: tuple[np.ndarray, np.ndarray] | None = None
-                    ) -> tuple[SimOutcome, tuple[np.ndarray, np.ndarray]]:
-    """Fixed-point adoption split for one period at fixed prices.
+def simulate_period(m: int, p: ModelParams, scenario: Scenario,
+                    pA: float, pB: float, locks: tuple[int, int] | None = None
+                    ) -> tuple[SimOutcome, tuple[int, int]]:
+    """Fixed-point adoption split of m types for one period at fixed prices.
 
-    locks, a previous period's adopter masks, locks users in: each adopter
-    can only keep its firm or drop out. They must be what a period returns,
-    A's adopters a prefix of the types and B's a suffix; other masks are
-    rejected. Returns the outcome and the boolean masks (take_a, take_b) of
-    the types adopting A and B. Rejects a non-finite price.
+    locks = (lo, hi), a previous period's boundaries, locks the types
+    [0, lo) to A and [hi, m) to B: each can only keep its firm or drop out.
+    Returns the outcome and the free middle's final boundaries (a_free,
+    b_free): its A adopters are [lo, a_free) and its B adopters [b_free,
+    hi). Without locks these are all the adopters, so the pair locks a
+    following period. Rejects a non-integral or bool m, a lock segment
+    that is not two integers with 0 <= lo <= hi <= m, and a non-finite
+    price, each with a ValueError naming the problem.
     """
+    m = _population_size(m)
     for name, price in (("pA", pA), ("pB", pB)):
         if not math.isfinite(price):
             raise ValueError(f"price {name} must be finite: {name}={price!r}")
-    m = pop.m
     lo, hi = _free_segment(m, locks)
     bounds = (0, lo, hi, m)  # nobody adopts before the first step
     share_a, share_b = 0.5, 0.5
@@ -223,7 +236,7 @@ def simulate_period(pop: UserPopulation, p: ModelParams, scenario: Scenario,
     for _ in range(MAX_FIXED_POINT_ITER):
         iterations += 1
         bounds = a_locked, a_free, b_free, b_locked = _step(
-            p, scenario, pop.types, pA, pB, share_a, share_b, lo, hi)
+            p, scenario, m, pA, pB, share_a, share_b, lo, hi)
         new_a = (a_locked + a_free - lo) / m
         new_b = (hi - b_free + m - b_locked) / m
         repeated = new_a == share_a and new_b == share_b
@@ -232,39 +245,35 @@ def simulate_period(pop: UserPopulation, p: ModelParams, scenario: Scenario,
             converged = True
             break
 
-    a_locked, a_free, b_free, b_locked = bounds
-    take_a = np.zeros(m, dtype=bool)
-    take_b = np.zeros(m, dtype=bool)
-    take_a[:a_locked] = take_a[lo:a_free] = True
-    take_b[b_free:hi] = take_b[b_locked:] = True
+    a_locked, a_free, b_free, _ = bounds
     # the last A adopter's cell ends at the end of A's last segment
     cutoff = (a_free if a_free > lo else a_locked) / m
     out = SimOutcome(share_a=share_a, share_b=share_b, cutoff=cutoff,
                      revenue_a=pA * share_a, revenue_b=pB * share_b,
                      iterations=iterations, converged=converged)
-    return out, (take_a, take_b)
+    return out, (a_free, b_free)
 
 
 def simulate_game(p: ModelParams, scenario: Scenario,
                   prices: tuple[float, float, float, float],
                   m: int = 10000) -> SimRun:
     """Run both periods at the given prices (pA1, pB1, pA2, pB2); under
-    INCOMPATIBLE period 1's adopter masks lock adopters in for period 2.
+    INCOMPATIBLE period 1's boundaries lock its adopters in for period 2.
     Elsewhere, when period 2 repeats period 1's prices exactly, period 2
     reuses period 1's outcome. The returned population is shared with every
     other game of the same m."""
     require_valid(p)
+    m = _population_size(m)
     pA1, pB1, pA2, pB2 = prices
-    pop = _population(m)
-    first, takes = simulate_period(pop, p, scenario, pA1, pB1)
-    locks = takes if scenario is Scenario.INCOMPATIBLE else None
+    first, bounds = simulate_period(m, p, scenario, pA1, pB1)
+    locks = bounds if scenario is Scenario.INCOMPATIBLE else None
     if locks is None and (pA2, pB2) == (pA1, pB1):
-        # same population, params, scenario and prices, and no locks: the
-        # fixed point is the one period 1 just found
+        # same types, params, scenario and prices, and no locks: the fixed
+        # point is the one period 1 just found
         second = first
     else:
-        second, _ = simulate_period(pop, p, scenario, pA2, pB2, locks=locks)
+        second, _ = simulate_period(m, p, scenario, pA2, pB2, locks=locks)
     return SimRun(period1=first, period2=second,
                   revenue_a=first.revenue_a + second.revenue_a,
                   revenue_b=first.revenue_b + second.revenue_b,
-                  population=pop)
+                  population=_population(m))

@@ -3,17 +3,20 @@
 Runs the closed forms against the best-response oracle and the user
 simulator on a base parameter set plus seeded random draws. Each route
 function only runs its route: it returns a stall reason (None when the
-route converged) and one row per quantity, (quantity, closed value, route
-value, tolerance, tolerance note). One loop records every row with the
-same test, |closed - route| <= tolerance, keeps the worst deviation per
-(route, scenario, quantity) cell and names every stall and breach. The draw
-recipe samples inside the validity region by construction, so every draw
-exercises interior equilibria.
+route converged) and its values of the route's quantities. run_verification
+collects the closed forms and the route values game by game, then checks
+them in one pass over columns: |closed - route| <= tolerance for every
+(game, quantity), and the worst deviation per (route, scenario, quantity)
+cell. Only stalls and breaches are written out as failure lines, in game
+order. The draw recipe samples inside the validity region by construction,
+so every draw exercises interior equilibria.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -24,9 +27,15 @@ from .sim import simulate_game
 
 ORACLE_REL_TOL = 1e-3
 ORACLE_ABS_TOL = 1e-4
+SIM_ABS_FLOOR = 1e-6  # added to every simulator tolerance
 
 ORACLE_QUANTITIES = ("pA1", "pB1", "pA2", "pB2", "cutoff1", "cutoff2",
                      "profitA", "profitB")
+SIM_QUANTITIES = ("cutoff1", "cutoff2", "share_a1", "share_b1", "share_a2",
+                  "share_b2", "revenue_a", "revenue_b")
+# the closed-form fields the checks read, one column each
+CLOSED_FIELDS = ("pA1", "pB1", "pA2", "pB2", "cutoff1", "cutoff2", "nA1",
+                 "nB1", "nA2", "nB2", "profitA", "profitB")
 
 
 def draw_params(rng: np.random.Generator) -> ModelParams:
@@ -87,41 +96,51 @@ def _oracle_route(p: ModelParams, scenario: Scenario, closed, m: int):
     stall = None if found.converged else (
         f"best-response search did not converge (no price pair certified, "
         f"smallest worst relative gain {found.residual:.3e})")
+    return stall, _oracle_values(found)
+
+
+_oracle_values = attrgetter(*ORACLE_QUANTITIES)
+
+
+def _oracle_tolerances(closed: dict, m: int):
+    """The closed values, tolerances and tolerance notes of the oracle's
+    quantities, from the closed-form columns."""
+    ref = np.column_stack([closed[name] for name in ORACLE_QUANTITIES])
+    # fmax, like max(ORACLE_ABS_TOL, ...), keeps the floor next to a NaN
+    tol = np.fmax(ORACLE_ABS_TOL, ORACLE_REL_TOL * np.abs(ref))
     note = f"rel {ORACLE_REL_TOL:.0e} or abs {ORACLE_ABS_TOL:.0e}"
-    rows = []
-    for name in ORACLE_QUANTITIES:
-        ref = float(getattr(closed, name))
-        rows.append((name, ref, float(getattr(found, name)),
-                     max(ORACLE_ABS_TOL, ORACLE_REL_TOL * abs(ref)), note))
-    return stall, rows
+    return ref, tol, (note,) * len(ORACLE_QUANTITIES)
 
 
 def _sim_route(p: ModelParams, scenario: Scenario, closed, m: int):
     run = simulate_game(p, scenario, (closed.pA1, closed.pB1,
                                       closed.pA2, closed.pB2), m=m)
+    first, second = run.period1, run.period2
     stalled = [f"period {t} ({out.iterations} iterations)"
-               for t, out in ((1, run.period1), (2, run.period2))
-               if not out.converged]
+               for t, out in ((1, first), (2, second)) if not out.converged]
     stall = (f"adoption fixed point did not converge in {', '.join(stalled)}"
              if stalled else None)
-    floor = 1e-6
-    plus_floor = f" + {floor:.0e}"
-    share_tol = 1.0 / m + floor
-    shares = (("cutoff1", closed.cutoff1, run.period1.cutoff),
-              ("cutoff2", closed.cutoff2, run.period2.cutoff),
-              ("share_a1", closed.nA1, run.period1.share_a),
-              ("share_b1", closed.nB1, run.period1.share_b),
-              ("share_a2", closed.nA2, run.period2.share_a),
-              ("share_b2", closed.nB2, run.period2.share_b))
-    rows = [(name, float(ref), float(got), share_tol, "1/m" + plus_floor)
-            for name, ref, got in shares]
-    rows.append(("revenue_a", float(closed.profitA), float(run.revenue_a),
-                 (abs(closed.pA1) + abs(closed.pA2)) / m + floor,
-                 "(|pA1|+|pA2|)/m" + plus_floor))
-    rows.append(("revenue_b", float(closed.profitB), float(run.revenue_b),
-                 (abs(closed.pB1) + abs(closed.pB2)) / m + floor,
-                 "(|pB1|+|pB2|)/m" + plus_floor))
-    return stall, rows
+    return stall, (first.cutoff, second.cutoff, first.share_a, first.share_b,
+                   second.share_a, second.share_b, run.revenue_a, run.revenue_b)
+
+
+def _sim_tolerances(closed: dict, m: int):
+    """The closed values, tolerances and tolerance notes of the simulator's
+    quantities: 1/m for a share or cutoff, (|p1| + |p2|)/m for a firm's
+    revenue, each plus SIM_ABS_FLOOR."""
+    ref = np.column_stack([closed[name] for name in (
+        "cutoff1", "cutoff2", "nA1", "nB1", "nA2", "nB2", "profitA", "profitB")])
+    tol = np.full_like(ref, 1.0 / m + SIM_ABS_FLOOR)
+    tol[:, 6] = (np.abs(closed["pA1"]) + np.abs(closed["pA2"])) / m + SIM_ABS_FLOOR
+    tol[:, 7] = (np.abs(closed["pB1"]) + np.abs(closed["pB2"])) / m + SIM_ABS_FLOOR
+    floor = f" + {SIM_ABS_FLOOR:.0e}"
+    notes = (("1/m" + floor,) * 6
+             + ("(|pA1|+|pA2|)/m" + floor, "(|pB1|+|pB2|)/m" + floor))
+    return ref, tol, notes
+
+
+ROUTES = {"oracle": (_oracle_route, _oracle_tolerances, ORACLE_QUANTITIES),
+          "sim": (_sim_route, _sim_tolerances, SIM_QUANTITIES)}
 
 
 def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
@@ -139,52 +158,77 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"population size m must be an integer, got {m!r}")
+    m = int(m)
     if m < 2:
         raise ValueError(f"simulated population needs m >= 2, got {m}")
-    routes = [("oracle", _oracle_route)] if use_oracle else []
-    routes += [("sim", _sim_route)] if use_sim else []
-    if not routes:
+    kinds = ["oracle"] if use_oracle else []
+    kinds += ["sim"] if use_sim else []
+    if not kinds:
         raise ValueError("no route to check: use_oracle and use_sim are both False")
     rng = np.random.default_rng(seed)
     cases = [("config", base)]
     cases += [(f"draw {i}", draw_params(rng)) for i in range(1, trials + 1)]
 
-    cells: dict[tuple[str, Scenario, str], list] = {}
-    failures: list[str] = []
-    stalls = {kind: 0 for kind, _ in routes}
-    for label, p in cases:
-        for scenario in Scenario:
-            closed = closed_form.equilibrium(p, scenario, validate=False)
-            for kind, route in routes:
-                stall, rows = route(p, scenario, closed, m)
-                if stall is not None:
-                    stalls[kind] += 1
-                    failures.append(f"{kind} {scenario.value}: {stall} at "
-                                    f"{label}: {_params_line(p)}")
-                for name, ref, got, tol, note in rows:
-                    abs_err = abs(ref - got)
-                    rel_err = abs_err / max(abs(ref), 1e-300)
-                    cell = cells.setdefault((kind, scenario, name),
-                                            [0.0, 0.0, True])
-                    # a NaN deviation, once seen, stays the cell's worst
-                    if abs_err > cell[0] or abs_err != abs_err:
-                        cell[0] = abs_err
-                    if rel_err > cell[1] or rel_err != rel_err:
-                        cell[1] = rel_err
-                    if not abs_err <= tol:
-                        cell[2] = False
-                        failures.append(
-                            f"{kind} {scenario.value} {name}: |closed-{kind}| = "
-                            f"{abs_err:.3e} (rel {rel_err:.3e}) exceeds {note} "
-                            f"at {label}: {_params_line(p)}")
+    games = [(label, p, scenario) for label, p in cases for scenario in Scenario]
+    closed_rows = []
+    stalls = {kind: [] for kind in kinds}
+    values = {kind: [] for kind in kinds}
+    closed_row = attrgetter(*CLOSED_FIELDS)
+    for _, p, scenario in games:
+        closed = closed_form.equilibrium(p, scenario, validate=False)
+        closed_rows.append(closed_row(closed))
+        for kind in kinds:
+            stall, got = ROUTES[kind][0](p, scenario, closed, m)
+            stalls[kind].append(stall)
+            values[kind].append(got)
 
-    rank = {sc: i for i, sc in enumerate(Scenario)}
-    checks = tuple(QuantityCheck(kind, sc, name, *cells[kind, sc, name])
-                   for kind, sc, name in sorted(
-                       cells, key=lambda k: (k[0], rank[k[1]], k[2])))
-    ok = all(c.ok for c in checks) and not any(stalls.values())
+    closed = dict(zip(CLOSED_FIELDS, np.array(closed_rows, dtype=float).T))
+    checks = []
+    flagged = np.zeros(len(games), dtype=bool)
+    errors = {}
+    for kind in kinds:
+        _, tolerances, names = ROUTES[kind]
+        ref, tol, notes = tolerances(closed, m)
+        with np.errstate(invalid="ignore", over="ignore"):
+            abs_err = np.abs(ref - np.array(values[kind], dtype=float))
+            rel_err = abs_err / np.maximum(np.abs(ref), 1e-300)
+        breach = ~(abs_err <= tol)  # a NaN deviation breaches
+        flagged |= breach.any(axis=1)
+        flagged |= [stall is not None for stall in stalls[kind]]
+        errors[kind] = abs_err, rel_err, breach, notes
+        # each cell's worst over the cases; np.max keeps a NaN as the worst
+        cell = (len(cases), len(Scenario), len(names))
+        worst_abs = abs_err.reshape(cell).max(axis=0).tolist()
+        worst_rel = rel_err.reshape(cell).max(axis=0).tolist()
+        cell_ok = (~breach.reshape(cell).any(axis=0)).tolist()
+        for i, scenario in enumerate(Scenario):
+            for q in sorted(range(len(names)), key=names.__getitem__):
+                checks.append(QuantityCheck(kind, scenario, names[q],
+                                            worst_abs[i][q], worst_rel[i][q],
+                                            cell_ok[i][q]))
+
+    failures = []
+    for g in np.flatnonzero(flagged).tolist():
+        label, p, scenario = games[g]
+        for kind in kinds:
+            if stalls[kind][g] is not None:
+                failures.append(f"{kind} {scenario.value}: {stalls[kind][g]} "
+                                f"at {label}: {_params_line(p)}")
+            abs_err, rel_err, breach, notes = errors[kind]
+            for q in np.flatnonzero(breach[g]).tolist():
+                failures.append(
+                    f"{kind} {scenario.value} {ROUTES[kind][2][q]}: "
+                    f"|closed-{kind}| = {abs_err[g, q]:.3e} (rel "
+                    f"{rel_err[g, q]:.3e}) exceeds {notes[q]} at {label}: "
+                    f"{_params_line(p)}")
+
+    unconverged = {kind: sum(stall is not None for stall in stalls[kind])
+                   for kind in kinds}
+    ok = all(c.ok for c in checks) and not any(unconverged.values())
     return VerificationReport(ok=ok, trials=trials, seed=seed, m=m,
                               oracle_used=use_oracle, sim_used=use_sim,
-                              checks=checks, failures=tuple(failures),
-                              oracle_unconverged=stalls.get("oracle", 0),
-                              sim_unconverged=stalls.get("sim", 0))
+                              checks=tuple(checks), failures=tuple(failures),
+                              oracle_unconverged=unconverged.get("oracle", 0),
+                              sim_unconverged=unconverged.get("sim", 0))

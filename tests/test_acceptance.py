@@ -25,7 +25,7 @@ from chain_rivalry.closed_form import (
 )
 from chain_rivalry.model import Scenario
 from chain_rivalry.oracle import _demand
-from chain_rivalry.sim import UserPopulation, simulate_game, simulate_period
+from chain_rivalry.sim import simulate_game, simulate_period
 from chain_rivalry.sweep import SweepSpec, run_sweep
 from chain_rivalry.verify import run_verification
 from conftest import grid_prices
@@ -215,17 +215,16 @@ def test_simulated_users_reproduce_the_analytics(reference):
         assert run.revenue_b == pytest.approx(closed.profitB, abs=rev_tol)
 
         if scenario is Scenario.INCOMPATIBLE:
-            # the same two periods, chained by hand: period 1's adopter
-            # masks lock period 2, and no adopter switches firms
-            pop = UserPopulation.create(m)
-            first, locks = simulate_period(pop, reference, scenario,
-                                           closed.pA1, closed.pB1)
-            second, (now_a, now_b) = simulate_period(
-                pop, reference, scenario, closed.pA2, closed.pB2, locks=locks)
+            # the same two periods, chained by hand: period 1's A adopters
+            # [0, lo) and B adopters [hi, m) lock period 2, and no adopter
+            # switches firms: A's period-2 adopters stay in [0, hi) and B's
+            # in [lo, m), disjoint
+            first, (lo, hi) = simulate_period(m, reference, scenario,
+                                              closed.pA1, closed.pB1)
+            second, (a_free, b_free) = simulate_period(
+                m, reference, scenario, closed.pA2, closed.pB2, locks=(lo, hi))
             assert (first, second) == (run.period1, run.period2)
-            was_a, was_b = locks
-            assert np.count_nonzero(was_a & now_b) == 0
-            assert np.count_nonzero(was_b & now_a) == 0
+            assert lo <= a_free <= b_free <= hi
             assert run.period2.share_a == run.period1.share_a
             assert run.period2.share_b == run.period1.share_b
 

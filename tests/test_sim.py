@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,23 @@ from chain_rivalry.verify import run_verification
 from conftest import REFERENCE, _edge_draws, _off_gate_draws
 
 
+def _masks(m, out, bounds, locks=None):
+    """A period's adopter masks (take_a, take_b), built from its outcome and
+    returned boundaries (a_free, b_free): A's adopters are [0, a_locked) and
+    [lo, a_free), B's are [b_free, hi) and [b_locked, m), where the locked
+    segments' lengths follow from the shares."""
+    lo, hi = (0, m) if locks is None else locks
+    a_free, b_free = bounds
+    a_locked = round(out.share_a * m) - (a_free - lo)
+    b_locked = m - (round(out.share_b * m) - (hi - b_free))
+    assert 0 <= a_locked <= lo <= a_free <= b_free <= hi <= b_locked <= m
+    take_a = np.zeros(m, dtype=bool)
+    take_b = np.zeros(m, dtype=bool)
+    take_a[:a_locked] = take_a[lo:a_free] = True
+    take_b[b_free:hi] = take_b[b_locked:] = True
+    return take_a, take_b
+
+
 class TestUserPopulation:
     def test_midpoint_types(self):
         pop = UserPopulation.create(4)
@@ -32,49 +50,54 @@ class TestUserPopulation:
             UserPopulation.create(0)
 
     def test_period_choices_record_decisions(self, reference):
-        pop = UserPopulation.create(10)
-        _, (take_a, take_b) = simulate_period(pop, reference,
-                                              Scenario.SAME_CHAIN, 3.0, 3.0)
-        assert pop.types[0] == 0.05 and take_a[0] and not take_b[0]
-        assert pop.types[9] == 0.95 and take_b[9] and not take_a[9]
+        # A's adopters are [0, a_free) and B's [b_free, 10)
+        out, (a_free, b_free) = simulate_period(10, reference,
+                                                Scenario.SAME_CHAIN, 3.0, 3.0)
+        assert (a_free, b_free) == (5, 5)
+        assert out.share_a == 0.5 and out.share_b == 0.5
+
+    @pytest.mark.parametrize("m", [7, 999, 10000])
+    def test_simulated_types_are_the_population_types(self, reference, m):
+        # type i is computed as (i + 1/2)/m, bitwise what the population holds
+        types = set(UserPopulation.create(m).types.tolist())
+        with mock.patch.object(sim, "taste_distances",
+                               wraps=model.taste_distances) as evaluated:
+            for scenario in Scenario:
+                simulate_game(reference, scenario, (3.0, 3.0, 4.0, 2.0), m=m)
+        seen = {call.args[1] for call in evaluated.call_args_list}
+        assert seen and seen <= types
 
 
 class TestTieRules:
     def test_indifferent_between_firms_picks_b(self, reference):
         # equal shared-chain prices make the middle type exactly indifferent
-        pop = UserPopulation.create(5)
-        out, (take_a, take_b) = simulate_period(pop, reference,
-                                                Scenario.SAME_CHAIN, 3.0, 3.0)
+        out, bounds = simulate_period(5, reference, Scenario.SAME_CHAIN,
+                                      3.0, 3.0)
         assert out.share_a == 0.4
         assert out.share_b == 0.6
-        assert take_b[2] and not take_a[2]
+        assert bounds == (2, 2)  # type 2 is B's first adopter
 
     def test_indifferent_with_staying_out_participates(self, reference):
         # alpha=0 kills the network feedback so utilities are exact in
         # binary arithmetic: type 0.625 gets utility exactly 0 from A
         p = reference.with_values(alpha=0.0)
-        pop = UserPopulation.create(4)
-        out, (take_a, take_b) = simulate_period(pop, p, Scenario.SAME_CHAIN,
-                                                p.k - 1.875, 100.0)
-        assert out.share_a == 0.75
-        assert take_a[2] and not take_b[2]
-        assert not take_a[3] and not take_b[3]
+        out, bounds = simulate_period(4, p, Scenario.SAME_CHAIN,
+                                      p.k - 1.875, 100.0)
+        assert out.share_a == 0.75 and out.share_b == 0.0
+        assert bounds == (3, 4)  # type 2 adopts A, type 3 nothing
 
     def test_indifferent_between_b_and_staying_out_participates(self, reference):
         # the mirror case: type 0.375 gets utility exactly 0 from B
         p = reference.with_values(alpha=0.0)
-        pop = UserPopulation.create(4)
-        out, (take_a, take_b) = simulate_period(pop, p, Scenario.SAME_CHAIN,
-                                                100.0, p.k - 1.875)
-        assert out.share_b == 0.75
-        assert take_b[1] and not take_a[1]
-        assert not take_a[0] and not take_b[0]
+        out, bounds = simulate_period(4, p, Scenario.SAME_CHAIN,
+                                      100.0, p.k - 1.875)
+        assert out.share_b == 0.75 and out.share_a == 0.0
+        assert bounds == (0, 1)  # type 1 adopts B, type 0 nothing
 
 
 class TestSimulatePeriod:
     def test_even_split_at_equal_prices(self, reference):
-        pop = UserPopulation.create(10)
-        out, _ = simulate_period(pop, reference, Scenario.SAME_CHAIN, 3.0, 3.0)
+        out, _ = simulate_period(10, reference, Scenario.SAME_CHAIN, 3.0, 3.0)
         assert out.converged
         assert out.share_a == 0.5
         assert out.share_b == 0.5
@@ -84,8 +107,7 @@ class TestSimulatePeriod:
     @pytest.mark.parametrize("m,tol", [(1000, 1e-3), (10000, 1e-4)])
     def test_matches_analytic_split(self, reference, m, tol):
         closed = equilibrium(reference, Scenario.COMPATIBLE)
-        pop = UserPopulation.create(m)
-        out, _ = simulate_period(pop, reference, Scenario.COMPATIBLE,
+        out, _ = simulate_period(m, reference, Scenario.COMPATIBLE,
                                  closed.pA1, closed.pB1)
         assert out.converged
         assert out.share_a == pytest.approx(closed.nA1, abs=tol)
@@ -98,8 +120,7 @@ class TestSimulatePeriod:
     ])
     def test_agrees_with_demand_solver(self, reference, scenario, prices):
         m = 4000
-        pop = UserPopulation.create(m)
-        out, _ = simulate_period(pop, reference, scenario, *prices)
+        out, _ = simulate_period(m, reference, scenario, *prices)
         nA, nB, _ = _demand(reference, scenario, *prices)
         assert out.share_a == pytest.approx(nA, abs=2.0 / m)
         assert out.share_b == pytest.approx(nB, abs=2.0 / m)
@@ -108,8 +129,7 @@ class TestSimulatePeriod:
 
     def test_partial_participation(self, reference):
         # pricing at the stand-alone value leaves the middle out
-        pop = UserPopulation.create(10000)
-        out, _ = simulate_period(pop, reference, Scenario.SAME_CHAIN,
+        out, _ = simulate_period(10000, reference, Scenario.SAME_CHAIN,
                                  reference.k, reference.k)
         nA, _, _ = _demand(reference, Scenario.SAME_CHAIN,
                            reference.k, reference.k)
@@ -117,8 +137,7 @@ class TestSimulatePeriod:
         assert out.share_a == pytest.approx(nA, abs=2e-4)
 
     def test_two_user_lattice(self, reference):
-        pop = UserPopulation.create(2)
-        out, _ = simulate_period(pop, reference, Scenario.SAME_CHAIN, 3.0, 3.0)
+        out, _ = simulate_period(2, reference, Scenario.SAME_CHAIN, 3.0, 3.0)
         assert out.share_a == 0.5 and out.share_b == 0.5
         assert out.cutoff == 0.5
 
@@ -126,11 +145,12 @@ class TestSimulatePeriod:
     @pytest.mark.parametrize("prices", [(3.0, 3.0), (-5.0, 2.0), (20.0, 20.0)])
     def test_choices_are_best_replies_to_the_converged_shares(
             self, reference, scenario, prices):
-        pop = UserPopulation.create(1000)
-        out, (take_a, take_b) = simulate_period(pop, reference, scenario,
-                                                *prices)
+        m = 1000
+        out, bounds = simulate_period(m, reference, scenario, *prices)
+        take_a, take_b = _masks(m, out, bounds)
         uA, uB = model.user_utility(reference, scenario,
-                                    model.taste_distances(reference, pop.types),
+                                    model.taste_distances(
+                                        reference, UserPopulation.create(m).types),
                                     *prices, out.share_a, out.share_b)
         participates = np.maximum(uA, uB) >= 0.0
         assert out.converged
@@ -139,14 +159,11 @@ class TestSimulatePeriod:
 
     def test_zero_iterations_leave_everyone_out(self, reference, monkeypatch):
         monkeypatch.setattr(sim, "MAX_FIXED_POINT_ITER", 0)
-        pop = UserPopulation.create(10)
-        out, (take_a, take_b) = simulate_period(pop, reference,
-                                                Scenario.SAME_CHAIN, 3.0, 3.0)
+        out, bounds = simulate_period(10, reference, Scenario.SAME_CHAIN,
+                                      3.0, 3.0)
         assert not out.converged and out.iterations == 0
         assert out.cutoff == 0.0
-        for take in (take_a, take_b):
-            assert take.dtype == bool and take.shape == (10,)
-            assert not np.any(take)
+        assert bounds == (0, 10)  # A's adopters [0, 0), B's [10, 10)
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_types_evaluated_per_step_do_not_grow_with_m(self, reference,
@@ -179,6 +196,26 @@ class TestSimulatePeriod:
         assert counts[0] == counts[1]
         assert counts[0][1] <= 3
 
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_a_game_allocates_nothing_that_grows_with_m(self, reference,
+                                                        scenario):
+        # a game holds no array over the types: after a warm-up call, which
+        # fills the population cache, the heap peak of a game at a million
+        # types stays far below one byte per type. Period 2 is shifted, so
+        # it is solved in every scenario.
+        m = 2 ** 20
+        closed = equilibrium(reference, scenario)
+        prices = (closed.pA1, closed.pB1,
+                  closed.pA2 + 0.1 * reference.s, closed.pB2 - 0.1 * reference.s)
+        simulate_game(reference, scenario, prices, m=m)
+        tracemalloc.start()
+        try:
+            simulate_game(reference, scenario, prices, m=m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     @pytest.mark.parametrize("prices,name", [
         ((np.nan, 3.0, 3.0, 3.0), "pA"),
         ((np.inf, 3.0, np.inf, 3.0), "pA"),
@@ -191,98 +228,119 @@ class TestSimulatePeriod:
                 simulate_game(reference, scenario, prices, m=100)
 
 
+class TestPopulationSize:
+    @pytest.mark.parametrize("m", [100.5, 100.0, True, "100", None])
+    def test_rejects_a_size_that_is_not_an_integer(self, reference, m):
+        with pytest.raises(ValueError, match="population size m must be an "
+                                             "integer, got "):
+            simulate_period(m, reference, Scenario.SAME_CHAIN, 3.0, 3.0)
+        with pytest.raises(ValueError, match="population size m must be an "
+                                             "integer, got "):
+            simulate_game(reference, Scenario.SAME_CHAIN, (3.0, 3.0, 3.0, 3.0),
+                          m=m)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_rejects_an_empty_population(self, reference, m):
+        with pytest.raises(ValueError, match="at least one type"):
+            simulate_period(m, reference, Scenario.SAME_CHAIN, 3.0, 3.0)
+        with pytest.raises(ValueError, match="at least one type"):
+            simulate_game(reference, Scenario.SAME_CHAIN, (3.0, 3.0, 3.0, 3.0),
+                          m=m)
+
+    def test_numpy_integers_count_as_integers(self, reference):
+        prices = (3.0, 3.0, 4.0, 2.0)
+        for scenario in Scenario:
+            run = simulate_game(reference, scenario, prices, m=np.int64(999))
+            want = simulate_game(reference, scenario, prices, m=999)
+            assert (run.period1, run.period2) == (want.period1, want.period2)
+            assert type(run.period1.share_a) is float
+
+
 class TestLockin:
     def test_equilibrium_prices_retain_every_adopter(self, reference):
+        m = 10000
         closed = equilibrium(reference, Scenario.INCOMPATIBLE)
         run = simulate_game(reference, Scenario.INCOMPATIBLE,
                             (closed.pA1, closed.pB1, closed.pA2, closed.pB2),
-                            m=10000)
-        pop = UserPopulation.create(10000)
-        first, (was_a, was_b) = simulate_period(
-            pop, reference, Scenario.INCOMPATIBLE, closed.pA1, closed.pB1)
-        second, (now_a, now_b) = simulate_period(
-            pop, reference, Scenario.INCOMPATIBLE, closed.pA2, closed.pB2,
-            locks=(was_a, was_b))
+                            m=m)
+        first, locks = simulate_period(m, reference, Scenario.INCOMPATIBLE,
+                                       closed.pA1, closed.pB1)
+        second, bounds = simulate_period(m, reference, Scenario.INCOMPATIBLE,
+                                         closed.pA2, closed.pB2, locks=locks)
         assert (first, second) == (run.period1, run.period2)
+        was_a, was_b = _masks(m, first, locks)
+        now_a, now_b = _masks(m, second, bounds, locks)
         assert np.array_equal(was_a, now_a) and np.array_equal(was_b, now_b)
         assert np.all(was_a | was_b)
         assert run.period2.share_a == run.period1.share_a
 
     def test_locked_users_can_drop_out_but_not_switch(self, reference):
-        pop = UserPopulation.create(1000)
-        _, first = simulate_period(pop, reference, Scenario.INCOMPATIBLE,
+        m = 1000
+        _, locks = simulate_period(m, reference, Scenario.INCOMPATIBLE,
                                    -14.8, -15.1)
         # pushing A's harvest price past its base's reach sheds users to
         # NEITHER, never to B
-        out, second = simulate_period(pop, reference, Scenario.INCOMPATIBLE,
+        out, bounds = simulate_period(m, reference, Scenario.INCOMPATIBLE,
                                       reference.k + reference.alpha * reference.n1,
-                                      19.15, locks=first)
-        was_a, _ = first
-        _, now_b = second
-        assert not np.any(was_a & now_b)
-        assert out.share_a < 0.9 * np.count_nonzero(was_a) / pop.m
+                                      19.15, locks=locks)
+        _, now_b = _masks(m, out, bounds, locks)
+        assert not np.any(now_b[:locks[0]])
+        assert out.share_a < 0.9 * locks[0] / m
 
     def test_unattached_users_join_freely_in_period_2(self, reference):
-        pop = UserPopulation.create(1000)
+        m = 1000
         stay_out = reference.k + reference.alpha * reference.n1
-        first, locks = simulate_period(pop, reference, Scenario.INCOMPATIBLE,
+        first, locks = simulate_period(m, reference, Scenario.INCOMPATIBLE,
                                        stay_out, stay_out)
         assert first.share_a == 0.0 and first.share_b == 0.0
-        second, _ = simulate_period(pop, reference, Scenario.INCOMPATIBLE,
+        assert locks == (0, m)  # nobody is locked
+        second, _ = simulate_period(m, reference, Scenario.INCOMPATIBLE,
                                     0.0, 0.0, locks=locks)
         assert second.share_a + second.share_b == 1.0
-        assert not np.any(locks[0]) and not np.any(locks[1])
 
-    def test_locked_period_leaves_the_locks_unchanged(self, reference):
-        pop = UserPopulation.create(200)
-        _, locks = simulate_period(pop, reference, Scenario.INCOMPATIBLE,
+    def test_boundaries_are_plain_ints(self, reference):
+        # a lock segment of numpy integers is read as the same ints
+        _, locks = simulate_period(200, reference, Scenario.INCOMPATIBLE,
                                    3.0, 3.0)
-        saved = (locks[0].copy(), locks[1].copy())
-        _, takes = simulate_period(pop, reference, Scenario.INCOMPATIBLE,
-                                   reference.k + reference.alpha * reference.n1,
-                                   19.15, locks=locks)
-        assert np.array_equal(locks[0], saved[0])
-        assert np.array_equal(locks[1], saved[1])
-        assert takes[0] is not locks[0] and takes[1] is not locks[1]
+        assert all(type(b) is int for b in locks)
+        prices = (reference.k + reference.alpha * reference.n1, 19.15)
+        want = simulate_period(200, reference, Scenario.INCOMPATIBLE, *prices,
+                               locks=locks)
+        got = simulate_period(200, reference, Scenario.INCOMPATIBLE, *prices,
+                              locks=tuple(np.int64(b) for b in locks))
+        assert got == want
+        assert all(type(b) is int for b in got[1])
 
 
 class TestLockValidation:
-    @pytest.mark.parametrize("row_a,row_b,problem", [
-        ("A.A.......", "..........", "locked A adopters must be a prefix"),
-        (".AA.......", "..........", "locked A adopters must be a prefix"),
-        ("..........", ".....B...B", "locked B adopters must be a suffix"),
-        ("..........", "BB........", "locked B adopters must be a suffix"),
-        ("AAAAAAA...", "...BBBBBBB", "4 types are locked to both firms"),
+    @pytest.mark.parametrize("locks,problem", [
+        ((-1, 5), r"0 <= lo <= hi <= m=10, got \(-1, 5\)"),
+        ((0, 11), r"0 <= lo <= hi <= m=10, got \(0, 11\)"),
+        ((7, 3), "4 types are locked to both firms"),
+        ((12, 11), "1 types are locked to both firms"),
+        ((3.0, 5), "two integers"),
+        ((True, 5), "two integers"),
+        ((3, None), "two integers"),
+        ((3, 5, 7), "two integers"),
+        ([3, 5], "two integers"),
+        ((np.zeros(10, dtype=bool), np.zeros(10, dtype=bool)), "two integers"),
     ])
-    def test_rejects_locks_a_period_cannot_return(self, reference, row_a,
-                                                  row_b, problem):
-        # a letter marks a type locked to that firm
-        locks = tuple(np.array([c != "." for c in row]) for row in (row_a, row_b))
-        pop = UserPopulation.create(10)
+    def test_rejects_lock_segments_a_period_cannot_return(self, reference,
+                                                          locks, problem):
         with pytest.raises(ValueError, match=problem):
-            simulate_period(pop, reference, Scenario.INCOMPATIBLE, 3.0, 3.0,
+            simulate_period(10, reference, Scenario.INCOMPATIBLE, 3.0, 3.0,
                             locks=locks)
 
-    @pytest.mark.parametrize("lock", [np.zeros(9, dtype=bool),
-                                      np.zeros(10, dtype=int),
-                                      np.zeros((10, 1), dtype=bool)])
-    def test_rejects_masks_of_another_shape_or_type(self, reference, lock):
-        pop = UserPopulation.create(10)
-        with pytest.raises(ValueError, match=r"boolean masks of shape \(10,\)"):
-            simulate_period(pop, reference, Scenario.INCOMPATIBLE, 3.0, 3.0,
-                            locks=(np.zeros(10, dtype=bool), lock))
-
-    def test_accepts_every_prefix_and_suffix(self, reference):
-        pop = UserPopulation.create(4)
-        for lo in range(5):
-            for hi in range(lo, 5):
-                lock_a, lock_b = np.zeros(4, dtype=bool), np.zeros(4, dtype=bool)
-                lock_a[:lo] = lock_b[hi:] = True
-                _, (take_a, take_b) = simulate_period(
-                    pop, reference, Scenario.INCOMPATIBLE, 3.0, 3.0,
-                    locks=(lock_a, lock_b))
-                assert not np.any(lock_a & take_b)
-                assert not np.any(lock_b & take_a)
+    def test_accepts_every_segment(self, reference):
+        # no locked user switches firms: A's adopters stay in [0, hi) and
+        # B's in [lo, m)
+        m = 4
+        for lo in range(m + 1):
+            for hi in range(lo, m + 1):
+                out, bounds = simulate_period(m, reference, Scenario.INCOMPATIBLE,
+                                              3.0, 3.0, locks=(lo, hi))
+                take_a, take_b = _masks(m, out, bounds, (lo, hi))
+                assert not np.any(take_b[:lo]) and not np.any(take_a[hi:])
 
 
 class TestSimulateGame:
@@ -337,7 +395,7 @@ class TestSimulateGame:
 
     def test_lock_in_at_shifted_period_2_prices_off_the_gate(self):
         # away from the harvest prices: the game is period 1, then period 2
-        # locked by period 1's adopter masks. The firm that raises its price
+        # locked by period 1's lock segment. The firm that raises its price
         # sheds adopters, the locks keep them from the rival's lowered
         # price, and the rival keeps exactly its period-1 base.
         m = 2000
@@ -348,14 +406,14 @@ class TestSimulateGame:
                 prices = (closed.pA1, closed.pB1,
                           closed.pA2 + shift, closed.pB2 - shift)
                 run = simulate_game(p, scenario, prices, m=m)
-                pop = UserPopulation.create(m)
-                first, locks = simulate_period(pop, p, scenario, *prices[:2])
-                second, (now_a, now_b) = simulate_period(
-                    pop, p, scenario, *prices[2:], locks=locks)
+                first, locks = simulate_period(m, p, scenario, *prices[:2])
+                second, bounds = simulate_period(m, p, scenario, *prices[2:],
+                                                 locks=locks)
                 assert (run.period1, run.period2) == (first, second)
                 assert run.revenue_a == first.revenue_a + second.revenue_a
                 assert run.revenue_b == first.revenue_b + second.revenue_b
-                was_a, was_b = locks
+                was_a, was_b = _masks(m, first, locks)
+                now_a, now_b = _masks(m, second, bounds, locks)
                 assert not np.any(was_a & now_b)
                 assert not np.any(was_b & now_a)
                 if shift > 0.0:
@@ -374,8 +432,8 @@ class TestRepeatedPeriod:
         prices = (closed.pA1, closed.pB1, closed.pA2, closed.pB2)
         assert prices[2:] == prices[:2]
         run = simulate_game(reference, scenario, prices, m=10000)
-        fresh, _ = simulate_period(UserPopulation.create(10000), reference,
-                                   scenario, closed.pA2, closed.pB2)
+        fresh, _ = simulate_period(10000, reference, scenario,
+                                   closed.pA2, closed.pB2)
         assert run.period2 == fresh
 
     @pytest.mark.parametrize("scenario,prices,periods", [
@@ -405,9 +463,7 @@ class TestRepeatedPeriod:
 # m = 7, 999 and 10 000: every outcome field of both periods and both
 # revenues, floats as float.hex(). A game plays the closed-form prices, and
 # again with period 2 shifted by 0.1*s, which locks a part of period 1's
-# adopters under lock-in. The simulator uses only correctly rounded scalar
-# arithmetic and comparisons, so the digest is the same on every IEEE-754
-# platform.
+# adopters under lock-in.
 RUN_DIGEST = "3ffecaed0e21d97feb06ee3a9bfedcc73add185cc331c28f95db5b06fe1b027b"
 
 
@@ -438,12 +494,14 @@ def test_games_match_their_pinned_bits(reference, draws100):
     assert _run_digest(configs, (7, 999, 10000)) == RUN_DIGEST
 
 
-def _reference_period(pop, p, scenario, pA, pB, locks=None):
-    """The simulator's fixed point written plainly: utilities from the types
-    inline, fresh arrays each step, np.where locks, a flatnonzero cutoff."""
-    x = pop.types
+def _reference_period(m, p, scenario, pA, pB, locks=None):
+    """The simulator's fixed point written plainly: every type's utilities
+    inline, fresh arrays each step, np.where locks from the lock masks
+    (lock_a, lock_b), a flatnonzero cutoff. Returns the outcome and the
+    adopter masks (take_a, take_b)."""
+    x = (np.arange(m, dtype=float) + 0.5) / m
     share_a, share_b = 0.5, 0.5
-    take_a = take_b = np.zeros(pop.m, dtype=bool)
+    take_a = take_b = np.zeros(m, dtype=bool)
     iterations, converged = 0, False
     for _ in range(sim.MAX_FIXED_POINT_ITER):
         iterations += 1
@@ -463,15 +521,15 @@ def _reference_period(pop, p, scenario, pA, pB, locks=None):
         pick_b = uB >= uA
         take_b = pick_b & (uB >= 0.0)
         take_a = ~pick_b & (uA >= 0.0)
-        new_a = np.count_nonzero(take_a) / pop.m
-        new_b = np.count_nonzero(take_b) / pop.m
+        new_a = np.count_nonzero(take_a) / m
+        new_b = np.count_nonzero(take_b) / m
         repeated = new_a == share_a and new_b == share_b
         share_a, share_b = new_a, new_b
         if repeated:
             converged = True
             break
     adopters_a = np.flatnonzero(take_a)
-    cutoff = (int(adopters_a[-1]) + 1) / pop.m if adopters_a.size else 0.0
+    cutoff = (int(adopters_a[-1]) + 1) / m if adopters_a.size else 0.0
     out = SimOutcome(share_a=share_a, share_b=share_b, cutoff=cutoff,
                      revenue_a=pA * share_a, revenue_b=pB * share_b,
                      iterations=iterations, converged=converged)
@@ -484,17 +542,16 @@ def test_matches_the_plain_reference_simulator(reference, draws100, scenario):
     # fixed point, at the closed-form prices and, on the lock path, at
     # shifted period-2 prices; period 2 of the reference is always solved
     m = 2000
-    pop = UserPopulation.create(m)
     configs = [reference] + draws100[:30] + _off_gate_draws(seed=2024, count=30)
     for p in configs:
         closed = equilibrium(p, scenario)
         for shift in (0.0, 0.1 * p.s, -0.1 * p.s):
             prices = (closed.pA1, closed.pB1,
                       closed.pA2 + shift, closed.pB2 - shift)
-            first, locks = _reference_period(pop, p, scenario, *prices[:2])
+            first, locks = _reference_period(m, p, scenario, *prices[:2])
             if scenario is not Scenario.INCOMPATIBLE:
                 locks = None
-            second, _ = _reference_period(pop, p, scenario, *prices[2:],
+            second, _ = _reference_period(m, p, scenario, *prices[2:],
                                           locks=locks)
             run = simulate_game(p, scenario, prices, m=m)
             assert run.period1 == first and run.period2 == second
@@ -543,22 +600,24 @@ def _periods(draw):
 @example(game=(ModelParams(**{**REFERENCE, "alpha": 0.0}), Scenario.SAME_CHAIN,
                4, (100.0, 18.125), (100.0, 100.0)))
 def test_bitwise_equal_to_the_plain_reference_simulator(game):
-    # both periods, period 2 locked by period 1's masks, against the plain
-    # fixed point; every search step is counted, so a walk over the types
-    # where the analytic start lands far off fails even when it is right
+    # both periods, period 2 locked by period 1, against the plain fixed
+    # point: the reference locks by its own period-1 masks, the simulator by
+    # its returned segment, and the masks built from each period's
+    # boundaries are the reference's. Every search step is counted, so a
+    # walk over the types where the analytic start lands far off fails even
+    # when it is right.
     p, scenario, m, first_prices, second_prices = game
-    pop = UserPopulation.create(m)
-    want1, locks = _reference_period(pop, p, scenario, *first_prices)
-    want2, want_takes = _reference_period(pop, p, scenario, *second_prices,
-                                          locks=locks)
+    want1, want_locks = _reference_period(m, p, scenario, *first_prices)
+    want2, want_takes = _reference_period(m, p, scenario, *second_prices,
+                                          locks=want_locks)
     with mock.patch.object(sim, "taste_distances",
                            wraps=model.taste_distances) as evaluated:
-        got1, got_locks = simulate_period(pop, p, scenario, *first_prices)
-        got2, got_takes = simulate_period(pop, p, scenario, *second_prices,
-                                          locks=got_locks)
+        got1, locks = simulate_period(m, p, scenario, *first_prices)
+        got2, bounds = simulate_period(m, p, scenario, *second_prices,
+                                       locks=locks)
     assert (got1, got2) == (want1, want2)
-    for got, want in zip(got_locks + got_takes, locks + want_takes):
-        assert got.dtype == bool and got.shape == (m,)
+    for got, want in zip(_masks(m, got1, locks) + _masks(m, got2, bounds, locks),
+                         want_locks + want_takes):
         assert np.array_equal(got, want)
     # five searches per step, each a start, a gallop and a bisection
     per_search = 2 * m.bit_length() + 2

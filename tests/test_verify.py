@@ -91,6 +91,20 @@ class TestRunVerification:
             run_verification(reference, trials=3, use_oracle=False,
                              use_sim=False)
 
+    @pytest.mark.parametrize("m", [1000.5, 1000.0, True, "1000"])
+    def test_rejects_a_population_size_that_is_not_an_integer(self, reference,
+                                                              m):
+        with pytest.raises(ValueError, match="^population size m must be an "
+                                             "integer, got "):
+            run_verification(reference, trials=0, use_oracle=False, m=m)
+
+    def test_numpy_integer_size_gives_the_int_report(self, reference):
+        report = run_verification(reference, trials=1, use_oracle=False,
+                                  m=np.int64(1000))
+        assert type(report.m) is int
+        assert report == run_verification(reference, trials=1,
+                                          use_oracle=False, m=1000)
+
     def test_results_are_deterministic(self, reference):
         a = run_verification(reference, trials=2, seed=11, use_sim=False)
         b = run_verification(reference, trials=2, seed=11, use_sim=False)
