@@ -1,42 +1,28 @@
 """Discretized user-base simulator.
 
-Replaces the continuum of user types with m midpoint types of mass 1/m each
-and lets every user pick the utility-maximizing option, iterating on the
-conjectured adoption shares until they repeat exactly. Shares are
-multiples of 1/m, so closed-form magnitudes should match to about 1/m. The
-reported cutoff is the upper edge of the last A-adopter's cell, so a
-contiguous block of A adopters has cutoff equal to its share.
+Replaces the continuum of user types with m midpoint types x_i = (i + 1/2)/m
+of mass 1/m each and lets every user pick the utility-maximizing option,
+iterating on the conjectured adoption shares until they repeat exactly, so
+closed-form magnitudes should match to about 1/m. The reported cutoff is the
+upper edge of the last A-adopter's cell. A type indifferent between the
+firms picks B, and one indifferent to staying out participates: it adopts A
+when uA >= 0 and uB < uA, and B when uB >= 0 and uB >= uA.
 
-Tie rules: indifferent between the two firms picks B; indifferent between a
-firm and staying out participates. So a type adopts A when uA >= 0 and
-uB < uA, and B when uB >= 0 and uB >= uA.
+No array of types or choices is built, so a game's time and memory do not
+grow with m. The types increase with i and IEEE-754 rounding is monotone,
+so in floating point uA = ((alpha*network_a - pA) - s*x) + k never rises
+with i and uB never falls: A's adopters are a prefix of the types and B's a
+suffix. A fixed-point step finds the first type that picks B over A, the
+first before it with uA < 0 and the first after it with uB >= 0, each by a
+search that starts at the analytic boundary and repairs a miss by
+galloping, then bisection: it computes x_i for O(log m) types only.
 
-A fixed-point step counts the adopters without visiting every type, and
-holds no array of them: type i is computed when needed as (i + 1/2)/m. The
-types increase with i and IEEE-754 rounding is monotone, so in floating
-point uA = ((alpha*network_a - pA) - s*x) + k never rises with i and uB
-never falls. "uB >= uA" and "uB >= 0" therefore hold on a suffix of the
-types and "uA >= 0" on a prefix: A's adopters are a prefix and B's a
-suffix. A step's shares follow from three boundary indices: the first type
-that picks B over A, the first type before it with uA < 0, and the first
-type after it with uB >= 0. Each is found by a search over the type index
-that starts at its analytic position (m*(uA at x = 0)/s for A's exit) and
-repairs a miss from rounding or a far-off start by galloping, then
-bisection. A step evaluates O(log m) types through user_utility, usually
-two per boundary, so a game's cost and memory do not grow with m.
-
-In the lock-in scenario, period 1's adopters are locked in for period 2,
-where they can only keep their firm or drop out. Period 1's A adopters are
-a prefix [0, lo) and its B adopters a suffix [hi, m), so period 1 hands
-period 2 the lock segment (lo, hi), its two final boundaries. The locks cut
-the types into three segments: in the locked A prefix a user keeps A while
-uA >= 0, in the locked B suffix a user keeps B where uB >= 0, and the free
-middle [lo, hi) follows the rules above; that is five boundaries. Without
-locks, a period 2 at exactly period 1's prices faces the same
-deterministic fixed point, so simulate_game reuses period 1's outcome
-instead of solving it again. The UserPopulation a SimRun carries, from a
-small cache keyed by m, holds the same types in a read-only array; the
-simulation never reads it.
+Under lock-in, period 1's adopters [0, lo) of A and [hi, m) of B are locked
+in for period 2 by the lock segment (lo, hi), period 1's final boundaries.
+A locked user keeps its firm while that utility is nonnegative, else drops
+out, and the free middle [lo, hi) follows the rules above: five boundaries.
+Without locks, a period 2 at period 1's prices reuses period 1's outcome.
+A SimRun's cached UserPopulation holds the types in a read-only array.
 """
 
 from __future__ import annotations
@@ -176,32 +162,27 @@ def _step(p: ModelParams, scenario: Scenario, m: int, pA: float, pB: float,
             _first(b_in, split, hi, b_entry), _first(b_in, hi, m, b_entry))
 
 
-def _as_int(n) -> int | None:
-    """n as an int, or None for a bool or a value that is not an integer."""
+def _integer(n, what: str) -> int:
+    """n as an int; rejects a bool and a value that is not an integer."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        return None
+        raise ValueError(f"{what} must be an integer, got {n!r}")
     return int(n)
 
 
 def _population_size(m) -> int:
-    size = _as_int(m)
-    if size is None:
-        raise ValueError(f"population size m must be an integer, got {m!r}")
-    if size < 1:
+    m = _integer(m, "population size m")
+    if m < 1:
         raise ValueError(f"population needs at least one type, got m={m}")
-    return size
+    return m
 
 
 def _free_segment(m: int, locks) -> tuple[int, int]:
-    """The free middle (lo, hi) between a locked A prefix [0, lo) and a
-    locked B suffix [hi, m): (0, m) without locks, else the lock segment,
-    which must be two integers with 0 <= lo <= hi <= m."""
+    """The free middle (lo, hi): (0, m) without locks, else the locks."""
     if locks is None:
         return 0, m
-    lo, hi = (map(_as_int, locks) if isinstance(locks, tuple) and len(locks) == 2
-              else (None, None))
-    if lo is None or hi is None:
+    if not (isinstance(locks, tuple) and len(locks) == 2):
         raise ValueError(f"locks must be two integers (lo, hi), got {locks!r}")
+    lo, hi = (_integer(bound, "each lock boundary") for bound in locks)
     if lo > hi:
         raise ValueError(f"{lo - hi} types are locked to both firms")
     if lo < 0 or hi > m:
@@ -215,14 +196,12 @@ def simulate_period(m: int, p: ModelParams, scenario: Scenario,
                     ) -> tuple[SimOutcome, tuple[int, int]]:
     """Fixed-point adoption split of m types for one period at fixed prices.
 
-    locks = (lo, hi), a previous period's boundaries, locks the types
-    [0, lo) to A and [hi, m) to B: each can only keep its firm or drop out.
-    Returns the outcome and the free middle's final boundaries (a_free,
-    b_free): its A adopters are [lo, a_free) and its B adopters [b_free,
-    hi). Without locks these are all the adopters, so the pair locks a
-    following period. Rejects a non-integral or bool m, a lock segment
-    that is not two integers with 0 <= lo <= hi <= m, and a non-finite
-    price, each with a ValueError naming the problem.
+    locks = (lo, hi) locks the types [0, lo) to A and [hi, m) to B: each can
+    only keep its firm or drop out. Returns the outcome and the boundaries
+    (a_free, b_free) such that A's adopters in the free middle [lo, hi) are
+    [lo, a_free) and B's [b_free, hi); without locks, that pair locks a next
+    period. A ValueError names a non-integral or bool m, locks that are not
+    two integers with 0 <= lo <= hi <= m, or a non-finite price.
     """
     m = _population_size(m)
     for name, price in (("pA", pA), ("pB", pB)):
@@ -259,17 +238,14 @@ def simulate_game(p: ModelParams, scenario: Scenario,
                   m: int = 10000) -> SimRun:
     """Run both periods at the given prices (pA1, pB1, pA2, pB2); under
     INCOMPATIBLE period 1's boundaries lock its adopters in for period 2.
-    Elsewhere, when period 2 repeats period 1's prices exactly, period 2
-    reuses period 1's outcome. The returned population is shared with every
-    other game of the same m."""
+    Elsewhere a period 2 at exactly period 1's prices reuses its outcome.
+    The returned population is shared with every game of the same m."""
     require_valid(p)
-    m = _population_size(m)
     pA1, pB1, pA2, pB2 = prices
     first, bounds = simulate_period(m, p, scenario, pA1, pB1)
     locks = bounds if scenario is Scenario.INCOMPATIBLE else None
     if locks is None and (pA2, pB2) == (pA1, pB1):
-        # same types, params, scenario and prices, and no locks: the fixed
-        # point is the one period 1 just found
+        # no locks and the same prices: period 1's fixed point
         second = first
     else:
         second, _ = simulate_period(m, p, scenario, pA2, pB2, locks=locks)

@@ -1,20 +1,17 @@
 """Cross-route agreement checks.
 
 Runs the closed forms against the best-response oracle and the user
-simulator on a base parameter set plus seeded random draws. Each route
-function only runs its route: it returns a stall reason (None when the
-route converged) and its values of the route's quantities. run_verification
-collects the closed forms and the route values game by game, then checks
-them in one pass over columns: |closed - route| <= tolerance for every
-(game, quantity), and the worst deviation per (route, scenario, quantity)
-cell. Only stalls and breaches are written out as failure lines, in game
-order. The draw recipe samples inside the validity region by construction,
-so every draw exercises interior equilibria.
+simulator on a base parameter set plus seeded random draws. A route
+function only runs its route and returns a stall reason (None when it
+converged) and its values. run_verification stacks the closed forms and
+route values into columns and checks |closed - route| <= tolerance, and the
+worst deviation per (route, scenario, quantity) cell, in one pass; it
+writes failure lines only for stalls and breaches, in game order. The draws
+lie inside the validity region, so each exercises interior equilibria.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -23,7 +20,7 @@ import numpy as np
 from . import closed_form
 from .model import ModelParams, Scenario, require_valid
 from .oracle import oracle_equilibrium
-from .sim import simulate_game
+from .sim import _integer, simulate_game
 
 ORACLE_REL_TOL = 1e-3
 ORACLE_ABS_TOL = 1e-4
@@ -33,9 +30,8 @@ ORACLE_QUANTITIES = ("pA1", "pB1", "pA2", "pB2", "cutoff1", "cutoff2",
                      "profitA", "profitB")
 SIM_QUANTITIES = ("cutoff1", "cutoff2", "share_a1", "share_b1", "share_a2",
                   "share_b2", "revenue_a", "revenue_b")
-# the closed-form fields the checks read, one column each
-CLOSED_FIELDS = ("pA1", "pB1", "pA2", "pB2", "cutoff1", "cutoff2", "nA1",
-                 "nB1", "nA2", "nB2", "profitA", "profitB")
+# the closed-form fields the checks read: the oracle's quantities, shares
+CLOSED_FIELDS = ORACLE_QUANTITIES + ("nA1", "nB1", "nA2", "nB2")
 
 
 def draw_params(rng: np.random.Generator) -> ModelParams:
@@ -60,10 +56,8 @@ def draw_params(rng: np.random.Generator) -> ModelParams:
 
 @dataclass(frozen=True)
 class QuantityCheck:
-    """Worst deviation observed for one (route, scenario, quantity) cell.
-
-    A cell that has seen a NaN deviation reports NaN in both columns.
-    """
+    """Worst deviation observed for one (route, scenario, quantity) cell;
+    a cell that has seen a NaN deviation reports NaN in both columns."""
 
     kind: str
     scenario: Scenario
@@ -96,20 +90,17 @@ def _oracle_route(p: ModelParams, scenario: Scenario, closed, m: int):
     stall = None if found.converged else (
         f"best-response search did not converge (no price pair certified, "
         f"smallest worst relative gain {found.residual:.3e})")
-    return stall, _oracle_values(found)
-
-
-_oracle_values = attrgetter(*ORACLE_QUANTITIES)
+    return stall, attrgetter(*ORACLE_QUANTITIES)(found)
 
 
 def _oracle_tolerances(closed: dict, m: int):
     """The closed values, tolerances and tolerance notes of the oracle's
-    quantities, from the closed-form columns."""
+    quantities, from the closed-form columns; like max(), fmax keeps the
+    absolute floor where the relative term is NaN."""
     ref = np.column_stack([closed[name] for name in ORACLE_QUANTITIES])
-    # fmax, like max(ORACLE_ABS_TOL, ...), keeps the floor next to a NaN
-    tol = np.fmax(ORACLE_ABS_TOL, ORACLE_REL_TOL * np.abs(ref))
     note = f"rel {ORACLE_REL_TOL:.0e} or abs {ORACLE_ABS_TOL:.0e}"
-    return ref, tol, (note,) * len(ORACLE_QUANTITIES)
+    return (ref, np.fmax(ORACLE_ABS_TOL, ORACLE_REL_TOL * np.abs(ref)),
+            (note,) * len(ORACLE_QUANTITIES))
 
 
 def _sim_route(p: ModelParams, scenario: Scenario, closed, m: int):
@@ -126,17 +117,16 @@ def _sim_route(p: ModelParams, scenario: Scenario, closed, m: int):
 
 def _sim_tolerances(closed: dict, m: int):
     """The closed values, tolerances and tolerance notes of the simulator's
-    quantities: 1/m for a share or cutoff, (|p1| + |p2|)/m for a firm's
-    revenue, each plus SIM_ABS_FLOOR."""
+    quantities: a share or cutoff gets 1/m, a firm's revenue the sum of its
+    two prices' magnitudes over m, each plus SIM_ABS_FLOOR."""
     ref = np.column_stack([closed[name] for name in (
         "cutoff1", "cutoff2", "nA1", "nB1", "nA2", "nB2", "profitA", "profitB")])
-    tol = np.full_like(ref, 1.0 / m + SIM_ABS_FLOOR)
-    tol[:, 6] = (np.abs(closed["pA1"]) + np.abs(closed["pA2"])) / m + SIM_ABS_FLOOR
-    tol[:, 7] = (np.abs(closed["pB1"]) + np.abs(closed["pB2"])) / m + SIM_ABS_FLOOR
-    floor = f" + {SIM_ABS_FLOOR:.0e}"
-    notes = (("1/m" + floor,) * 6
-             + ("(|pA1|+|pA2|)/m" + floor, "(|pB1|+|pB2|)/m" + floor))
-    return ref, tol, notes
+    grains = [np.ones(len(ref))] * 6 + [np.abs(closed[f"p{firm}1"])
+                                         + np.abs(closed[f"p{firm}2"])
+                                         for firm in "AB"]
+    notes = [f"{grain}/m + {SIM_ABS_FLOOR:.0e}"
+             for grain in ["1"] * 6 + ["(|pA1|+|pA2|)", "(|pB1|+|pB2|)"]]
+    return ref, np.column_stack(grains) / m + SIM_ABS_FLOOR, notes
 
 
 ROUTES = {"oracle": (_oracle_route, _oracle_tolerances, ORACLE_QUANTITIES),
@@ -158,13 +148,11 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-        raise ValueError(f"population size m must be an integer, got {m!r}")
-    m = int(m)
+    m = _integer(m, "population size m")
     if m < 2:
         raise ValueError(f"simulated population needs m >= 2, got {m}")
-    kinds = ["oracle"] if use_oracle else []
-    kinds += ["sim"] if use_sim else []
+    kinds = [kind for kind, used in (("oracle", use_oracle), ("sim", use_sim))
+             if used]
     if not kinds:
         raise ValueError("no route to check: use_oracle and use_sim are both False")
     rng = np.random.default_rng(seed)
@@ -172,63 +160,46 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
     cases += [(f"draw {i}", draw_params(rng)) for i in range(1, trials + 1)]
 
     games = [(label, p, scenario) for label, p in cases for scenario in Scenario]
-    closed_rows = []
-    stalls = {kind: [] for kind in kinds}
-    values = {kind: [] for kind in kinds}
-    closed_row = attrgetter(*CLOSED_FIELDS)
-    for _, p, scenario in games:
-        closed = closed_form.equilibrium(p, scenario, validate=False)
-        closed_rows.append(closed_row(closed))
-        for kind in kinds:
-            stall, got = ROUTES[kind][0](p, scenario, closed, m)
-            stalls[kind].append(stall)
-            values[kind].append(got)
-
-    closed = dict(zip(CLOSED_FIELDS, np.array(closed_rows, dtype=float).T))
-    checks = []
-    flagged = np.zeros(len(games), dtype=bool)
-    errors = {}
+    outcomes = [closed_form.equilibrium(p, scenario, validate=False)
+                for _, p, scenario in games]
+    closed = dict(zip(CLOSED_FIELDS, np.array(
+        list(map(attrgetter(*CLOSED_FIELDS), outcomes)), dtype=float).T))
+    checks, unconverged = [], {}
+    lines = [[] for _ in games]  # each game's failure lines, route by route
     for kind in kinds:
-        _, tolerances, names = ROUTES[kind]
+        route, tolerances, names = ROUTES[kind]
+        stalls, values = zip(*(route(p, scenario, outcome, m) for
+                               (_, p, scenario), outcome in zip(games, outcomes)))
+        stalled = [stall is not None for stall in stalls]
+        unconverged[kind] = sum(stalled)
         ref, tol, notes = tolerances(closed, m)
         with np.errstate(invalid="ignore", over="ignore"):
-            abs_err = np.abs(ref - np.array(values[kind], dtype=float))
+            abs_err = np.abs(ref - np.array(values, dtype=float))
             rel_err = abs_err / np.maximum(np.abs(ref), 1e-300)
         breach = ~(abs_err <= tol)  # a NaN deviation breaches
-        flagged |= breach.any(axis=1)
-        flagged |= [stall is not None for stall in stalls[kind]]
-        errors[kind] = abs_err, rel_err, breach, notes
+        for g in np.flatnonzero(breach.any(axis=1) | stalled).tolist():
+            label, p, scenario = games[g]
+            where = f"at {label}: {_params_line(p)}"
+            if stalled[g]:
+                lines[g].append(f"{kind} {scenario.value}: {stalls[g]} {where}")
+            lines[g] += [f"{kind} {scenario.value} {names[q]}: |closed-{kind}| = "
+                         f"{abs_err[g, q]:.3e} (rel {rel_err[g, q]:.3e}) exceeds "
+                         f"{notes[q]} {where}"
+                         for q in np.flatnonzero(breach[g]).tolist()]
         # each cell's worst over the cases; np.max keeps a NaN as the worst
         cell = (len(cases), len(Scenario), len(names))
         worst_abs = abs_err.reshape(cell).max(axis=0).tolist()
         worst_rel = rel_err.reshape(cell).max(axis=0).tolist()
         cell_ok = (~breach.reshape(cell).any(axis=0)).tolist()
         for i, scenario in enumerate(Scenario):
-            for q in sorted(range(len(names)), key=names.__getitem__):
-                checks.append(QuantityCheck(kind, scenario, names[q],
-                                            worst_abs[i][q], worst_rel[i][q],
-                                            cell_ok[i][q]))
+            checks += [QuantityCheck(kind, scenario, names[q], worst_abs[i][q],
+                                     worst_rel[i][q], cell_ok[i][q])
+                       for q in sorted(range(len(names)), key=names.__getitem__)]
 
-    failures = []
-    for g in np.flatnonzero(flagged).tolist():
-        label, p, scenario = games[g]
-        for kind in kinds:
-            if stalls[kind][g] is not None:
-                failures.append(f"{kind} {scenario.value}: {stalls[kind][g]} "
-                                f"at {label}: {_params_line(p)}")
-            abs_err, rel_err, breach, notes = errors[kind]
-            for q in np.flatnonzero(breach[g]).tolist():
-                failures.append(
-                    f"{kind} {scenario.value} {ROUTES[kind][2][q]}: "
-                    f"|closed-{kind}| = {abs_err[g, q]:.3e} (rel "
-                    f"{rel_err[g, q]:.3e}) exceeds {notes[q]} at {label}: "
-                    f"{_params_line(p)}")
-
-    unconverged = {kind: sum(stall is not None for stall in stalls[kind])
-                   for kind in kinds}
     ok = all(c.ok for c in checks) and not any(unconverged.values())
     return VerificationReport(ok=ok, trials=trials, seed=seed, m=m,
                               oracle_used=use_oracle, sim_used=use_sim,
-                              checks=tuple(checks), failures=tuple(failures),
+                              checks=tuple(checks),
+                              failures=tuple(line for game in lines for line in game),
                               oracle_unconverged=unconverged.get("oracle", 0),
                               sim_unconverged=unconverged.get("sim", 0))

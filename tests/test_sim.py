@@ -318,12 +318,13 @@ class TestLockValidation:
         ((0, 11), r"0 <= lo <= hi <= m=10, got \(0, 11\)"),
         ((7, 3), "4 types are locked to both firms"),
         ((12, 11), "1 types are locked to both firms"),
-        ((3.0, 5), "two integers"),
-        ((True, 5), "two integers"),
-        ((3, None), "two integers"),
+        ((3.0, 5), "each lock boundary must be an integer, got 3.0"),
+        ((True, 5), "each lock boundary must be an integer, got True"),
+        ((3, None), "each lock boundary must be an integer, got None"),
         ((3, 5, 7), "two integers"),
         ([3, 5], "two integers"),
-        ((np.zeros(10, dtype=bool), np.zeros(10, dtype=bool)), "two integers"),
+        ((np.zeros(10, dtype=bool), np.zeros(10, dtype=bool)),
+         "each lock boundary must be an integer"),
     ])
     def test_rejects_lock_segments_a_period_cannot_return(self, reference,
                                                           locks, problem):
