@@ -31,7 +31,7 @@ ORACLE_QUANTITIES = ("pA1", "pB1", "pA2", "pB2", "cutoff1", "cutoff2",
 SIM_QUANTITIES = ("cutoff1", "cutoff2", "share_a1", "share_b1", "share_a2",
                   "share_b2", "revenue_a", "revenue_b")
 # the closed-form fields the checks read: the oracle's quantities, shares
-CLOSED_FIELDS = ORACLE_QUANTITIES + ("nA1", "nB1", "nA2", "nB2")
+_CLOSED_FIELDS = ORACLE_QUANTITIES + ("nA1", "nB1", "nA2", "nB2")
 
 
 def draw_params(rng: np.random.Generator) -> ModelParams:
@@ -129,8 +129,8 @@ def _sim_tolerances(closed: dict, m: int):
     return ref, np.column_stack(grains) / m + SIM_ABS_FLOOR, notes
 
 
-ROUTES = {"oracle": (_oracle_route, _oracle_tolerances, ORACLE_QUANTITIES),
-          "sim": (_sim_route, _sim_tolerances, SIM_QUANTITIES)}
+_ROUTES = {"oracle": (_oracle_route, _oracle_tolerances, ORACLE_QUANTITIES),
+           "sim": (_sim_route, _sim_tolerances, SIM_QUANTITIES)}
 
 
 def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
@@ -162,12 +162,12 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
     games = [(label, p, scenario) for label, p in cases for scenario in Scenario]
     outcomes = [closed_form.equilibrium(p, scenario, validate=False)
                 for _, p, scenario in games]
-    closed = dict(zip(CLOSED_FIELDS, np.array(
-        list(map(attrgetter(*CLOSED_FIELDS), outcomes)), dtype=float).T))
+    closed = dict(zip(_CLOSED_FIELDS, np.array(
+        list(map(attrgetter(*_CLOSED_FIELDS), outcomes)), dtype=float).T))
     checks, unconverged = [], {}
     lines = [[] for _ in games]  # each game's failure lines, route by route
     for kind in kinds:
-        route, tolerances, names = ROUTES[kind]
+        route, tolerances, names = _ROUTES[kind]
         stalls, values = zip(*(route(p, scenario, outcome, m) for
                                (_, p, scenario), outcome in zip(games, outcomes)))
         stalled = [stall is not None for stall in stalls]
