@@ -15,8 +15,8 @@ Import each name from the module that defines it:
 - sweep: run_sweep, write_sweep_csv, render_profit_svg;
 - cli: the chain-rivalry command.
 
-The closed-form queries need only model and closed_form, neither of which
-imports numpy.
+The closed-form queries need only model and closed_form, and sweeps add
+sweep; none of the three imports numpy.
 """
 
 __version__ = "0.1.0"

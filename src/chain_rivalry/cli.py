@@ -4,8 +4,9 @@ Exit codes are part of the contract: 0 success, 1 config/IO/usage error,
 2 blockaded (corner) equilibrium, 3 verification tolerance breach or, from
 thresholds, a violated subsidy ordering c2_star < c3_star.
 
-sweep and verify are imported inside their commands, so the closed-form
-queries (equilibrium, compare, thresholds) never load numpy.
+sweep and verify are imported inside their commands. Only verify needs
+numpy, so the closed-form queries (equilibrium, compare, thresholds) and
+sweep never load it.
 """
 
 from __future__ import annotations

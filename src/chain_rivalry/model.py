@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping
 
@@ -23,6 +24,7 @@ if TYPE_CHECKING:
 
 REQUIRED_FIELDS = ("alpha", "s", "k", "n1", "n2", "n3")
 OPTIONAL_FIELDS = ("d", "subsidy_p2", "subsidy_p3")
+_FIELDS = frozenset(REQUIRED_FIELDS + OPTIONAL_FIELDS)
 
 
 class Scenario(Enum):
@@ -96,7 +98,15 @@ class ModelParams:
         return cls.from_mapping(data)
 
     def with_values(self, **changes: float) -> "ModelParams":
-        return replace(self, **changes)
+        """A copy with the named fields changed, as dataclasses.replace
+        makes it. The copy skips the frozen __init__, which only sets each
+        field through object.__setattr__; a sweep makes one per grid point."""
+        unknown = changes.keys() - _FIELDS
+        if unknown:
+            raise TypeError(f"ModelParams has no field {min(unknown)!r}")
+        new = object.__new__(type(self))
+        vars(new).update(vars(self), **changes)
+        return new
 
     def subsidy(self, scenario: Scenario) -> float:
         """One-time transfer B receives for the scenario's chain (none on P1)."""
@@ -149,6 +159,9 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
+_VALID = ValidationReport(ok=True, violations=())
+
+
 class InvalidParamsError(ValueError):
     """Raised by operations whose precondition is a valid parameter set."""
 
@@ -157,34 +170,27 @@ class InvalidParamsError(ValueError):
         super().__init__("invalid params: " + "; ".join(report.violations))
 
 
+# Each field's sign constraint, checked in this order after finiteness.
+_SIGNS = (("alpha", "positive"), ("s", "positive"), ("k", "positive"),
+          ("n1", "nonnegative"), ("n2", "nonnegative"), ("n3", "nonnegative"),
+          ("d", "nonnegative"), ("subsidy_p2", "nonnegative"),
+          ("subsidy_p3", "nonnegative"))
+
+
 def validate_params(p: ModelParams) -> ValidationReport:
     """Check every parameter constraint; report violations, never raise.
 
     Each violated constraint is named with both sides of the inequality so
-    the caller can see how far off the input is.
+    the caller can see how far off the input is. Every valid set gets the
+    same report.
     """
     violations = []
-
-    def strict_positive(name: str, value: float) -> None:
+    for name, sign in _SIGNS:
+        value = getattr(p, name)
         if not math.isfinite(value):
             violations.append(f"{name} must be finite: {name}={value!r}")
-        elif not value > 0.0:
-            violations.append(f"{name} must be positive: {name}={value!r}")
-
-    def nonnegative(name: str, value: float) -> None:
-        if not math.isfinite(value):
-            violations.append(f"{name} must be finite: {name}={value!r}")
-        elif not value >= 0.0:
-            violations.append(f"{name} must be nonnegative: {name}={value!r}")
-
-    strict_positive("alpha", p.alpha)
-    strict_positive("s", p.s)
-    strict_positive("k", p.k)
-    for name in ("n1", "n2", "n3"):
-        nonnegative(name, getattr(p, name))
-    nonnegative("d", p.d)
-    nonnegative("subsidy_p2", p.subsidy_p2)
-    nonnegative("subsidy_p3", p.subsidy_p3)
+        elif not (value > 0.0 if sign == "positive" else value >= 0.0):
+            violations.append(f"{name} must be {sign}: {name}={value!r}")
 
     if not p.n1 > p.n2:
         violations.append(f"dominant-chain base: n1={p.n1!r} must exceed n2={p.n2!r}")
@@ -200,13 +206,22 @@ def validate_params(p: ModelParams) -> ValidationReport:
         violations.append(
             f"assumption_1_2: k={p.k!r} must exceed 4*s+4*alpha*(1+n1+n2)={bound2!r}")
 
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    if not violations:
+        return _VALID
+    return ValidationReport(ok=False, violations=tuple(violations))
 
 
 def require_valid(p: ModelParams) -> None:
     report = validate_params(p)
     if not report.ok:
         raise InvalidParamsError(report)
+
+
+def require_integer(n, what: str) -> int:
+    """n as an int; rejects a bool and a value that is not an integer."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {n!r}")
+    return int(n)
 
 
 def taste_distances(p: ModelParams, x: float | np.ndarray

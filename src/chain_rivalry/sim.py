@@ -28,14 +28,13 @@ A SimRun's cached UserPopulation holds the types in a read-only array.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import (ModelParams, Scenario, require_valid, taste_distances,
-                    user_utility)
+from .model import (ModelParams, Scenario, require_integer, require_valid,
+                    taste_distances, user_utility)
 
 MAX_FIXED_POINT_ITER = 1000
 
@@ -162,15 +161,8 @@ def _step(p: ModelParams, scenario: Scenario, m: int, pA: float, pB: float,
             _first(b_in, split, hi, b_entry), _first(b_in, hi, m, b_entry))
 
 
-def _integer(n, what: str) -> int:
-    """n as an int; rejects a bool and a value that is not an integer."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {n!r}")
-    return int(n)
-
-
 def _population_size(m) -> int:
-    m = _integer(m, "population size m")
+    m = require_integer(m, "population size m")
     if m < 1:
         raise ValueError(f"population needs at least one type, got m={m}")
     return m
@@ -182,7 +174,7 @@ def _free_segment(m: int, locks) -> tuple[int, int]:
         return 0, m
     if not (isinstance(locks, tuple) and len(locks) == 2):
         raise ValueError(f"locks must be two integers (lo, hi), got {locks!r}")
-    lo, hi = (_integer(bound, "each lock boundary") for bound in locks)
+    lo, hi = (require_integer(bound, "each lock boundary") for bound in locks)
     if lo > hi:
         raise ValueError(f"{lo - hi} types are locked to both firms")
     if lo < 0 or hi > m:

@@ -3,24 +3,25 @@
 One parameter varies over a uniform grid while the rest stay at the base
 values. Every grid point gets three CSV rows (one per scenario) so the file
 stays flat and parseable; rows at invalid parameter points keep only the
-sweep value, scenario, and the violation note.
+sweep value, scenario, and the violation note. No field the writer emits
+holds a comma, a quote or a line break, so each row is one formatted line.
+The module does not import numpy.
 """
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 from typing import IO, Mapping, Optional
-
-import numpy as np
 
 from . import closed_form
 from .closed_form import (AdoptionDecision, CornerEquilibriumError,
                           ThresholdReport)
 from .model import (OPTIONAL_FIELDS, REQUIRED_FIELDS, EquilibriumOutcome,
-                    ModelParams, Scenario, validate_params)
+                    ModelParams, Scenario, require_integer, validate_params)
 
 SWEEPABLE = REQUIRED_FIELDS + OPTIONAL_FIELDS
+_SCENARIOS = tuple(Scenario)
 
 CSV_HEADER = ("param_value,scenario,pA1,pB1,pA2,pB2,cutoff,profitA,profitB,"
               "chosen,c2_star,c3_star,d2_star,d3_star,valid")
@@ -37,17 +38,30 @@ class SweepSpec:
         if self.param not in SWEEPABLE:
             raise ValueError(
                 f"cannot sweep {self.param!r}; choose one of {', '.join(SWEEPABLE)}")
-        # a finite width implies finite ends; linspace needs the width itself
-        if not np.isfinite(self.hi - self.lo):
+        # a finite width implies finite ends; the grid needs the width itself
+        if not math.isfinite(self.hi - self.lo):
             raise ValueError("sweep range must be finite, and so must its width "
                              f"hi - lo, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"sweep range needs lo < hi, got [{self.lo}, {self.hi}]")
-        if self.steps < 2:
-            raise ValueError(f"sweep needs at least 2 steps, got {self.steps}")
+        steps = require_integer(self.steps, "sweep steps")
+        if steps < 2:
+            raise ValueError(f"sweep needs at least 2 steps, got {steps}")
+        object.__setattr__(self, "steps", steps)
 
-    def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.steps)
+    def values(self) -> list[float]:
+        """The grid, bitwise np.linspace(lo, hi, steps): i*step + lo, or
+        (i/div)*width + lo where the step underflows to 0, and hi last."""
+        lo, hi = float(self.lo), float(self.hi)
+        div = self.steps - 1
+        width = hi - lo
+        step = width / div
+        if step == 0.0:
+            grid = [(i / div) * width + lo for i in range(div)]
+        else:
+            grid = [i * step + lo for i in range(div)]
+        grid.append(hi)
+        return grid
 
 
 @dataclass(frozen=True)
@@ -64,10 +78,12 @@ class SweepRecord:
 
 
 def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
+    """One record per grid point, in grid order. A point whose equilibrium
+    overflows raises ValueError naming the swept value."""
     records = []
+    param = spec.param
     for value in spec.values():
-        value = float(value)
-        point = base.with_values(**{spec.param: value})
+        point = base.with_values(**{param: value})
         report = validate_params(point)
         if not report.ok:
             records.append(SweepRecord(value=value, outcomes={}, chosen="",
@@ -76,13 +92,15 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
             continue
         notes = []
         outcomes: dict[Scenario, Optional[EquilibriumOutcome]] = {}
-        for scenario in Scenario:
+        for scenario in _SCENARIOS:
             try:
                 outcomes[scenario] = closed_form.equilibrium(point, scenario,
                                                              validate=False)
             except CornerEquilibriumError:
                 outcomes[scenario] = None
                 notes.append(f"corner: {scenario.value}")
+            except ValueError as exc:
+                raise ValueError(f"{param}={value!r}: {exc}") from exc
         thresholds = closed_form.subsidy_threshold(point, validate=False)
         chosen = "" if notes else AdoptionDecision.from_outcomes(outcomes).chosen
         records.append(SweepRecord(value=value, outcomes=outcomes,
@@ -91,31 +109,31 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
     return records
 
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else format(float(x), ".9g")
-
-
 def write_sweep_csv(records: list[SweepRecord], stream: IO[str]) -> int:
-    """Write the long-format table; returns the number of data rows."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    """Write the long-format table; returns the number of data rows.
+
+    Floats print with 9 significant digits and a missing value as an empty
+    field, one formatted line per row."""
+    lines = [CSV_HEADER + "\n"]
     for rec in records:
-        value = _fmt(rec.value)
-        thresholds = rec.thresholds
-        if thresholds is not None:
-            tail = [rec.chosen, _fmt(thresholds.c2_star), _fmt(thresholds.c3_star),
-                    _fmt(thresholds.d2_star), _fmt(thresholds.d3_star)]
+        value = f"{rec.value:.9g}"
+        th = rec.thresholds
+        if th is None:
+            tail = f"{rec.chosen},,,,"
         else:
-            tail = [rec.chosen] + [""] * 4
-        for scenario in Scenario:
-            out = rec.outcomes.get(scenario)
+            tail = (f"{rec.chosen},{th.c2_star:.9g},{th.c3_star:.9g},"
+                    f"{th.d2_star:.9g},{th.d3_star:.9g}")
+        outcomes = rec.outcomes
+        for scenario in _SCENARIOS:
+            out = outcomes.get(scenario)
             if out is not None:
-                writer.writerow([value, scenario.value, _fmt(out.pA1), _fmt(out.pB1),
-                                 _fmt(out.pA2), _fmt(out.pB2), _fmt(out.cutoff1),
-                                 _fmt(out.profitA), _fmt(out.profitB), *tail, "ok"])
+                lines.append(f"{value},{scenario.value},{out.pA1:.9g},{out.pB1:.9g},"
+                             f"{out.pA2:.9g},{out.pB2:.9g},{out.cutoff1:.9g},"
+                             f"{out.profitA:.9g},{out.profitB:.9g},{tail},ok\n")
             else:
-                writer.writerow([value, scenario.value, *[""] * 7, *tail, rec.note])
-    return len(records) * len(Scenario)
+                lines.append(f"{value},{scenario.value},,,,,,,,{tail},{rec.note}\n")
+    stream.write("".join(lines))
+    return len(records) * len(_SCENARIOS)
 
 
 SVG_COLORS = {
@@ -131,27 +149,22 @@ def render_profit_svg(records: list[SweepRecord], param: str) -> str:
     left, right, top, bottom = 60, 20, 20, 50
     plot_w, plot_h = width - left - right, height - top - bottom
 
-    series: dict[Scenario, list[tuple[float, float]]] = {sc: [] for sc in Scenario}
-    for rec in records:
-        for sc in Scenario:
-            out = rec.outcomes.get(sc)
-            series[sc].append((rec.value, out.profitB if out is not None else float("nan")))
-
+    # one column of B's profits per scenario, NaN where there is no outcome
+    nan = float("nan")
+    profits = [[nan if out is None else out.profitB
+                for out in (rec.outcomes.get(scenario) for rec in records)]
+               for scenario in _SCENARIOS]
     xs = [rec.value for rec in records]
-    ys = [y for pts in series.values() for _, y in pts if y == y]
+    ys = [y for column in profits for y in column if y == y]
     if not xs or not ys:
         raise ValueError("nothing to plot: no valid sweep points")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-    x_span = x_hi - x_lo
-
-    def sx(x: float) -> float:
-        return left + (x - x_lo) / x_span * plot_w
-
-    def sy(y: float) -> float:
-        return top + (y_hi - y) / (y_hi - y_lo) * plot_h
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
+    # every scenario's line shares the points' x coordinates
+    x_text = [f"{left + (x - x_lo) / x_span * plot_w:.2f}," for x in xs]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -161,15 +174,14 @@ def render_profit_svg(records: list[SweepRecord], param: str) -> str:
         f'y2="{top + plot_h}" stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
     ]
-    for scenario in Scenario:
-        pts = series[scenario]
+    for scenario, column in zip(_SCENARIOS, profits):
         segments: list[list[str]] = [[]]
-        for x, y in pts:
+        for x, y in zip(x_text, column):
             if y != y:
                 if segments[-1]:
                     segments.append([])
                 continue
-            segments[-1].append(f"{sx(x):.2f},{sy(y):.2f}")
+            segments[-1].append(f"{x}{top + (y_hi - y) / y_span * plot_h:.2f}")
         for seg in segments:
             if len(seg) >= 2:
                 parts.append(f'<polyline fill="none" stroke="{SVG_COLORS[scenario]}" '
@@ -185,7 +197,7 @@ def render_profit_svg(records: list[SweepRecord], param: str) -> str:
         parts.append(f'<text x="{x:.0f}" y="{y:.0f}" font-size="12" '
                      f'text-anchor="{anchor}" font-family="sans-serif">{text}</text>')
     legend_y = top + 14
-    for scenario in Scenario:
+    for scenario in _SCENARIOS:
         parts.append(f'<rect x="{left + 10}" y="{legend_y - 9}" width="12" height="3" '
                      f'fill="{SVG_COLORS[scenario]}"/>')
         parts.append(f'<text x="{left + 28}" y="{legend_y - 4}" font-size="12" '

@@ -18,9 +18,9 @@ from operator import attrgetter
 import numpy as np
 
 from . import closed_form
-from .model import ModelParams, Scenario, require_valid
+from .model import ModelParams, Scenario, require_integer, require_valid
 from .oracle import oracle_equilibrium
-from .sim import _integer, simulate_game
+from .sim import simulate_game
 
 ORACLE_REL_TOL = 1e-3
 ORACLE_ABS_TOL = 1e-4
@@ -148,7 +148,7 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    m = _integer(m, "population size m")
+    m = require_integer(m, "population size m")
     if m < 2:
         raise ValueError(f"simulated population needs m >= 2, got {m}")
     kinds = [kind for kind, used in (("oracle", use_oracle), ("sim", use_sim))

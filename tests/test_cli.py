@@ -364,6 +364,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"error: {reason}" in captured.err
 
+    def test_overflowing_sweep_point_is_named(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = cli.main(["sweep", "--config", write_config(tmp_path),
+                         "--param", "k", "--lo", "1e307", "--hi", "1.7e308",
+                         "--steps", "5", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: k=5e+307: incompatible equilibrium: "
+                                "pA1 overflows to -inf\n")
+        assert not out.exists()
+
     def test_corner_equilibrium(self, tmp_path, capsys):
         cfg = write_config(tmp_path, d=10.0)
         code = cli.main(["compare", "--config", cfg])
@@ -463,7 +475,27 @@ print(json.dumps(results))
 """
 
 
+SWEEP_SCRIPT = """
+import contextlib, io, sys
+from chain_rivalry import cli
+
+config, out, svg = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["sweep", "--config", config, "--param", "d", "--lo", "-1",
+                     "--hi", "10", "--steps", "23", "--out", out, "--svg", svg])
+print(code, "numpy" in sys.modules)
+"""
+
+
 class TestLeanQueryPath:
+    def test_sweep_never_imports_numpy(self, tmp_path):
+        out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        proc = fresh_python("-c", SWEEP_SCRIPT, str(REPO_CONFIG), str(out),
+                            str(svg))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 False\n"
+        assert out.stat().st_size > 0 and svg.stat().st_size > 0
+
     def test_closed_form_queries_never_import_numpy(self):
         # one fresh interpreter runs the queries in order; verify comes last
         # because it is the command that needs numpy

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -81,6 +82,14 @@ class TestModelParams:
         assert q.d == 2.0
         assert reference.d == 0.0
         assert q.s == reference.s
+        assert q == ModelParams(**REFERENCE, d=2.0)
+        assert hash(q) == hash(ModelParams(**REFERENCE, d=2.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.d = 1.0
+
+    def test_with_values_rejects_an_unknown_field(self, reference):
+        with pytest.raises(TypeError, match="zeta"):
+            reference.with_values(d=1.0, zeta=2.0)
 
 
 class TestSubsidy:

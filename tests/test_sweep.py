@@ -2,13 +2,16 @@
 the entrant's platform choice over that point's solved outcomes."""
 
 import csv
+import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from chain_rivalry import closed_form
 from chain_rivalry.closed_form import adoption_decision, subsidy_threshold
-from chain_rivalry.sweep import SweepSpec, run_sweep, write_sweep_csv
+from chain_rivalry.sweep import (SweepSpec, render_profit_svg, run_sweep,
+                                 write_sweep_csv)
 from conftest import _off_gate_draws
 
 
@@ -84,3 +87,118 @@ def test_chosen_column_is_the_adoption_decision(base, reference):
         if spec.param != "alpha":
             # each threshold sweep crosses a flip of the entrant's choice
             assert len(seen) > 1, spec
+
+
+def pinned_sweeps(p, steps=41):
+    """Every kind of row: d past the corner bound, alpha past validity, d and
+    the subsidies across their thresholds, and d from a negative lo."""
+    return (past_the_bounds(p, steps) + across_the_thresholds(p, steps)
+            + [SweepSpec("d", -0.5 * corner_d(p), 1.1 * corner_d(p), steps)])
+
+
+def sweep_bytes(p, spec):
+    records = run_sweep(p, spec)
+    buf = io.StringIO()
+    write_sweep_csv(records, buf)
+    return buf.getvalue(), render_profit_svg(records, spec.param)
+
+
+# sha256 over the CSV and SVG text of pinned_sweeps on the reference and two
+# off-gate bases, in that order. The sweep's output is a byte-for-byte
+# contract, so a rewrite of its writers must reproduce this.
+PINNED_SWEEP_DIGEST = (
+    "54cedaa079d7c47dbc0c8c027f4994bf04b5d40b41de3828dffb0334f964a4c4")
+
+
+def test_sweep_bytes_match_their_pin(reference):
+    digest = hashlib.sha256()
+    for p in [reference, *_off_gate_draws(2024, 2)]:
+        for spec in pinned_sweeps(p):
+            for text in sweep_bytes(p, spec):
+                digest.update(text.encode())
+    assert digest.hexdigest() == PINNED_SWEEP_DIGEST
+
+
+def test_written_lines_need_no_quoting(reference):
+    """Each line is written unquoted, so no field may hold a comma, a quote
+    or a line break: every line must parse to its plain split."""
+    specs = [SweepSpec("alpha", -0.1, 0.2, 16),  # alpha <= 0 and both bounds
+             SweepSpec("d", -1.0, 10.0, 23),  # d < 0 and both corners
+             SweepSpec("n2", 0.0, 12.0, 7), SweepSpec("n3", 0.0, 12.0, 7),
+             SweepSpec("subsidy_p2", -1.0, 1.0, 3)]
+    notes = set()
+    for spec in specs:
+        text, _ = sweep_bytes(reference, spec)
+        lines = text.splitlines()
+        assert len(lines) == 1 + 3 * spec.steps
+        for line in lines:
+            fields = line.split(",")
+            assert next(csv.reader([line])) == fields
+            notes.add(fields[-1])
+    for kind in ("alpha must be positive", "d must be nonnegative",
+                 "subsidy_p2 must be nonnegative", "must exceed n2=",
+                 "must exceed n3=", "assumption_1_1: ", "assumption_1_2: ",
+                 "corner: compatible; corner: incompatible"):
+        assert any(kind in note for note in notes), kind
+
+
+def grid_specs(seed, count):
+    """Random specs: ends of any magnitude and sign, widths down to a few
+    subnormal steps (where linspace's step underflows to 0), 2 to 1000 steps."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    while len(specs) < count:
+        kind = rng.integers(3)
+        if kind == 0:
+            lo = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320, 300))
+            hi = lo + float(10.0 ** rng.uniform(-320, 300))
+        elif kind == 1:
+            lo = float(rng.uniform(-1.0, 1.0)) * 1e-320
+            hi = lo + float(rng.integers(1, 40)) * 5e-324
+        else:
+            lo = float(rng.uniform(-5.0, 5.0))
+            hi = float(np.nextafter(lo, np.inf, dtype=float)) + float(
+                rng.uniform(0.0, 10.0)) * (rng.random() < 0.5)
+        steps = int(rng.choice([2, 3, int(rng.integers(2, 1001))]))
+        if lo < hi and np.isfinite(hi - lo):
+            specs.append(SweepSpec("d", lo, hi, steps))
+    return specs
+
+
+class TestGrid:
+    def test_grid_is_bitwise_linspace(self):
+        specs = grid_specs(22, 3000)
+        underflows = sum((s.hi - s.lo) / (s.steps - 1) == 0.0 for s in specs)
+        assert underflows > 50 and sum(s.steps == 2 for s in specs) > 50
+        for spec in specs:
+            got = spec.values()
+            assert all(type(v) is float for v in got)
+            want = np.linspace(spec.lo, spec.hi, spec.steps)
+            assert np.array_equal(np.array(got).view(np.int64),
+                                  want.view(np.int64)), spec
+
+    def test_integer_ends_give_floats(self):
+        assert SweepSpec("d", 0, 1, 5).values() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert all(type(v) is float for v in SweepSpec("d", 0, 1, 3).values())
+
+    @pytest.mark.parametrize("steps", [2.0, 2.5, True, False, "3", None])
+    def test_steps_must_be_an_integer(self, steps):
+        with pytest.raises(ValueError, match=r"^sweep steps must be an "
+                                             r"integer, got "):
+            SweepSpec("d", 0.0, 1.0, steps)
+
+    def test_numpy_integer_steps_become_an_int(self):
+        spec = SweepSpec("d", 0.0, 1.0, np.int64(4))
+        assert type(spec.steps) is int and spec == SweepSpec("d", 0.0, 1.0, 4)
+        assert all(type(v) is float for v in spec.values())
+
+    @pytest.mark.parametrize("steps", [1, 0, -3])
+    def test_needs_two_steps(self, steps):
+        with pytest.raises(ValueError, match=f"at least 2 steps, got {steps}$"):
+            SweepSpec("d", 0.0, 1.0, steps)
+
+
+def test_an_overflowing_point_names_its_value(reference):
+    with pytest.raises(ValueError, match=r"^k=5e\+307: incompatible "
+                                         r"equilibrium: pA1 overflows to -inf$"):
+        run_sweep(reference, SweepSpec("k", 1e307, 1.7e308, 5))
