@@ -5,9 +5,10 @@ entrant B picks one of three homes: the same chain (shared network), a
 compatible chain (separate network, costless switching), or an incompatible
 chain (separate network, users locked in after period 1). A continuum of
 users indexed by x in [0, 1] trades off price, taste distance, network size,
-and a stand-alone value k each period. taste_distances gives each type's
-distance to both firms, and user_utility turns those distances into both
-firms' utilities at given prices and adoption shares.
+and a stand-alone value k each period. taste_distances gives one type's
+distances to both firms, and user_utility turns them into both firms'
+utilities at given prices and adoption shares; the simulator calls both on
+one float type at a time.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Mapping
 
 REQUIRED_FIELDS = ("alpha", "s", "k", "n1", "n2", "n3")
 OPTIONAL_FIELDS = ("d", "subsidy_p2", "subsidy_p3")
@@ -224,36 +222,18 @@ def require_integer(n, what: str) -> int:
     return int(n)
 
 
-def taste_distances(p: ModelParams, x: float | np.ndarray
-                    ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Taste distances (s*x, s*(1-x)) of type x to firm A and to firm B.
-
-    Accepts a scalar or array x and rejects any x outside [0, 1], NaN
-    included. A float x takes a path without numpy, so the simulator, which
-    evaluates a few types per fixed-point step, pays no array overhead per
-    type; an array x imports numpy on first call, so the closed-form
-    queries, which never call it, load this module without numpy. Both
-    paths do the same float arithmetic, so a type's distances are bitwise
-    the same either way.
-    """
-    if isinstance(x, float):
-        inside = 0.0 <= x <= 1.0
-    else:
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        inside = np.all((x >= 0.0) & (x <= 1.0))
-    if not inside:
+def taste_distances(p: ModelParams, x: float) -> tuple[float, float]:
+    """Taste distances (s*x, s*(1-x)) of type x to firm A and to firm B;
+    rejects any x outside [0, 1], NaN included."""
+    if not 0.0 <= x <= 1.0:
         raise ValueError("user type x outside [0, 1]")
     return p.s * x, p.s * (1.0 - x)
 
 
 def user_utility(p: ModelParams, scenario: Scenario,
-                 distances: tuple[float | np.ndarray, float | np.ndarray],
-                 pA: float, pB: float, nA: float | np.ndarray,
-                 nB: float | np.ndarray
-                 ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Per-period utilities (uA, uB) from firm A and firm B of the types
+                 distances: tuple[float, float], pA: float, pB: float,
+                 nA: float, nB: float) -> tuple[float, float]:
+    """Per-period utilities (uA, uB) from firm A and firm B of the type
     whose taste distances (to A, to B) are given, as taste_distances
     returns them.
 
@@ -261,10 +241,10 @@ def user_utility(p: ModelParams, scenario: Scenario,
     adopters reachable there: on a shared chain both firms' adopters count
     for everyone; on separate chains each firm's chain carries its own base
     (n2 or n3 for B) plus its own adopters, and B's chain adds the quality
-    edge d. Choosing neither is worth exactly 0 in every period. The shares
-    nA, nB broadcast against the distances. Each utility is evaluated as
-    ((network value - price) - distance) + k, in that order, for scalars
-    and arrays alike.
+    edge d. Choosing neither is worth exactly 0 in every period. Each
+    utility is evaluated as ((network value - price) - distance) + k, in
+    that order. It stays plain arithmetic because the tests' brute-force
+    references evaluate it on arrays of distances.
     """
     dist_a, dist_b = distances
     if scenario is Scenario.SAME_CHAIN:

@@ -75,6 +75,14 @@ def _edge_draws(seed, count):
     return draws
 
 
+def midpoint_types(p, m):
+    """The m midpoint types x = (i + 1/2)/m as an array, with their taste
+    distance pair (s*x, s*(1-x)) in taste_distances' arithmetic, for the
+    tests' array references of the simulator and the demand."""
+    x = (np.arange(m) + 0.5) / m
+    return x, (p.s * x, p.s * (1.0 - x))
+
+
 def grid_prices(p):
     """4001 prices on [-span, span], span = k + alpha*n1 + s + d: wide enough
     for every equilibrium price (period-1 discounts reach about -(k +

@@ -242,6 +242,14 @@ class TestVerifyCommand:
         assert "PASS: all checks within tolerance" in out
         assert "FAIL" not in out
 
+    def test_sim_at_a_billion_types(self, capsys):
+        code = cli.main(["verify", "--config", str(REPO_CONFIG), "--sim",
+                         "--pop", "1073741824", "--trials", "2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "routes: sim (m=1073741824)" in out
+        assert "PASS: all checks within tolerance" in out
+
     def test_single_route_flags(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = cli.main(["verify", "--config", cfg, "--trials", "0",

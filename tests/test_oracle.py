@@ -14,20 +14,20 @@ from chain_rivalry.model import (
     ModelParams,
     Scenario,
     require_valid,
-    taste_distances,
     user_utility,
     validate_params,
 )
 from chain_rivalry.oracle import GAIN_TOL, oracle_equilibrium, period2_monopoly_price
 from chain_rivalry.verify import ORACLE_ABS_TOL, ORACLE_QUANTITIES, ORACLE_REL_TOL
-from conftest import _edge_draws, _off_gate_draws, grid_prices, without_equilibrium_lines
+from conftest import (_edge_draws, _off_gate_draws, grid_prices, midpoint_types,
+                      without_equilibrium_lines)
 
 
 def _brute_shares(p, scenario, pA, pB, nA, nB, m=200001):
     """Integrate user choices on a fine type grid, taking the returned shares
     as given; an internally consistent demand must reproduce itself."""
-    xs = (np.arange(m) + 0.5) / m
-    uA, uB = user_utility(p, scenario, taste_distances(p, xs), pA, pB, nA, nB)
+    _, distances = midpoint_types(p, m)
+    uA, uB = user_utility(p, scenario, distances, pA, pB, nA, nB)
     pick_b = uB >= uA
     best = np.where(pick_b, uB, uA)
     participate = best >= 0.0

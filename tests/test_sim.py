@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 from unittest import mock
 
@@ -11,11 +12,10 @@ from hypothesis import strategies as st
 from chain_rivalry import model, sim
 from chain_rivalry.closed_form import equilibrium
 from chain_rivalry.model import InvalidParamsError, ModelParams, Scenario
-from chain_rivalry.sim import (SimOutcome, UserPopulation, simulate_game,
-                               simulate_period)
+from chain_rivalry.sim import SimOutcome, simulate_game, simulate_period
 from chain_rivalry.oracle import _demand
 from chain_rivalry.verify import run_verification
-from conftest import REFERENCE, _edge_draws, _off_gate_draws
+from conftest import REFERENCE, _edge_draws, _off_gate_draws, midpoint_types
 
 
 def _masks(m, out, bounds, locks=None):
@@ -36,19 +36,6 @@ def _masks(m, out, bounds, locks=None):
 
 
 class TestUserPopulation:
-    def test_midpoint_types(self):
-        pop = UserPopulation.create(4)
-        assert np.array_equal(pop.types, [0.125, 0.375, 0.625, 0.875])
-        assert pop.m == 4
-
-    def test_single_user(self):
-        pop = UserPopulation.create(1)
-        assert np.array_equal(pop.types, [0.5])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            UserPopulation.create(0)
-
     def test_period_choices_record_decisions(self, reference):
         # A's adopters are [0, a_free) and B's [b_free, 10)
         out, (a_free, b_free) = simulate_period(10, reference,
@@ -58,14 +45,39 @@ class TestUserPopulation:
 
     @pytest.mark.parametrize("m", [7, 999, 10000])
     def test_simulated_types_are_the_population_types(self, reference, m):
-        # type i is computed as (i + 1/2)/m, bitwise what the population holds
-        types = set(UserPopulation.create(m).types.tolist())
+        # type i is computed as (i + 1/2)/m, bitwise the tests' array of types
+        types = set(midpoint_types(reference, m)[0].tolist())
         with mock.patch.object(sim, "taste_distances",
                                wraps=model.taste_distances) as evaluated:
             for scenario in Scenario:
                 simulate_game(reference, scenario, (3.0, 3.0, 4.0, 2.0), m=m)
         seen = {call.args[1] for call in evaluated.call_args_list}
         assert seen and seen <= types
+
+
+class TestFirst:
+    def test_returns_the_boundary_within_its_call_budget(self):
+        # a clamped guess at the boundary or just below it costs two calls;
+        # a miss, or a guess that is NaN or infinite, costs a bisection more
+        for lo in range(10):
+            for hi in range(lo, 10):
+                for b in range(lo, hi + 1):
+                    guesses = [g + half for g in range(lo - 2, hi + 3)
+                               for half in (0.0, 0.5)]
+                    for guess in guesses + [math.nan, math.inf, -math.inf]:
+                        calls = []
+
+                        def holds(i):
+                            assert lo <= i < hi
+                            calls.append(i)
+                            return i >= b
+
+                        assert sim._first(holds, lo, hi, guess) == b
+                        start = (lo if math.isnan(guess)
+                                 else math.floor(min(max(guess, lo), hi - 1)))
+                        budget = (2 if start in (b - 1, b)
+                                  else (hi - lo).bit_length() + 2)
+                        assert len(calls) <= budget, (lo, hi, b, guess)
 
 
 class TestTieRules:
@@ -148,10 +160,9 @@ class TestSimulatePeriod:
         m = 1000
         out, bounds = simulate_period(m, reference, scenario, *prices)
         take_a, take_b = _masks(m, out, bounds)
-        uA, uB = model.user_utility(reference, scenario,
-                                    model.taste_distances(
-                                        reference, UserPopulation.create(m).types),
-                                    *prices, out.share_a, out.share_b)
+        _, distances = midpoint_types(reference, m)
+        uA, uB = model.user_utility(reference, scenario, distances, *prices,
+                                    out.share_a, out.share_b)
         participates = np.maximum(uA, uB) >= 0.0
         assert out.converged
         assert np.array_equal(take_b, participates & (uB >= uA))
@@ -199,15 +210,15 @@ class TestSimulatePeriod:
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_a_game_allocates_nothing_that_grows_with_m(self, reference,
                                                         scenario):
-        # a game holds no array over the types: after a warm-up call, which
-        # fills the population cache, the heap peak of a game at a million
-        # types stays far below one byte per type. Period 2 is shifted, so
-        # it is solved in every scenario.
+        # a game holds no array over the types: after a warm-up call at a
+        # thousand types, the heap peak of the first game at a million types
+        # stays far below one byte per type, so nothing sized by m is built
+        # or cached. Period 2 is shifted, so it is solved in every scenario.
         m = 2 ** 20
         closed = equilibrium(reference, scenario)
         prices = (closed.pA1, closed.pB1,
                   closed.pA2 + 0.1 * reference.s, closed.pB2 - 0.1 * reference.s)
-        simulate_game(reference, scenario, prices, m=m)
+        simulate_game(reference, scenario, prices, m=1000)
         tracemalloc.start()
         try:
             simulate_game(reference, scenario, prices, m=m)
@@ -367,25 +378,6 @@ class TestSimulateGame:
         with pytest.raises(InvalidParamsError):
             simulate_game(bad, Scenario.SAME_CHAIN, (3.0, 3.0, 3.0, 3.0), m=10)
 
-    def test_population_is_returned_without_period_state(self, reference):
-        run = simulate_game(reference, Scenario.COMPATIBLE,
-                            (3.0, 3.0, 3.0, 3.0), m=50)
-        assert run.population.m == 50
-        assert np.array_equal(run.population.types,
-                              UserPopulation.create(50).types)
-        assert list(vars(run.population)) == ["m", "types"]
-
-    def test_games_share_one_read_only_population(self, reference):
-        runs = [simulate_game(reference, scenario, (3.0, 3.0, 4.0, 2.0), m=60)
-                for scenario in Scenario]
-        pop = runs[0].population
-        assert all(run.population is pop for run in runs)
-        assert not pop.types.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            pop.types[0] = 0.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            pop.m = 3
-
     def test_agrees_with_closed_forms_off_the_gate(self):
         # n3 != n2, a quality edge and subsidies: parameters the verify gate
         # never varies, checked at its own simulator tolerances
@@ -500,7 +492,7 @@ def _reference_period(m, p, scenario, pA, pB, locks=None):
     inline, fresh arrays each step, np.where locks from the lock masks
     (lock_a, lock_b), a flatnonzero cutoff. Returns the outcome and the
     adopter masks (take_a, take_b)."""
-    x = (np.arange(m, dtype=float) + 0.5) / m
+    _, (dist_a, dist_b) = midpoint_types(p, m)
     share_a, share_b = 0.5, 0.5
     take_a = take_b = np.zeros(m, dtype=bool)
     iterations, converged = 0, False
@@ -514,8 +506,8 @@ def _reference_period(m, p, scenario, pA, pB, locks=None):
             base = p.n2 if scenario is Scenario.COMPATIBLE else p.n3
             network_b = base + share_b
             edge = p.d
-        uA = p.alpha * network_a - pA - p.s * x + p.k
-        uB = p.alpha * network_b + edge - pB - p.s * (1.0 - x) + p.k
+        uA = p.alpha * network_a - pA - dist_a + p.k
+        uB = p.alpha * network_b + edge - pB - dist_b + p.k
         if locks is not None:
             uA = np.where(locks[1], -np.inf, uA)
             uB = np.where(locks[0], -np.inf, uB)
@@ -620,7 +612,8 @@ def test_bitwise_equal_to_the_plain_reference_simulator(game):
     for got, want in zip(_masks(m, got1, locks) + _masks(m, got2, bounds, locks),
                          want_locks + want_takes):
         assert np.array_equal(got, want)
-    # five searches per step, each a start, a gallop and a bisection
-    per_search = 2 * m.bit_length() + 2
+    # five searches per step, each the clamped guess, its neighbour and a
+    # bisection of what they leave open
+    per_search = m.bit_length() + 2
     assert evaluated.call_count <= 5 * per_search * (got1.iterations
                                                      + got2.iterations)

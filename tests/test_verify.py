@@ -73,6 +73,14 @@ class TestRunVerification:
         assert not report.oracle_used
         assert {c.kind for c in report.checks} == {"sim"}
 
+    def test_sim_only_at_a_billion_types(self, reference):
+        # a game computes its types on demand, so m = 2^30 costs a few more
+        # boundary steps, not an array of 2^30 types
+        report = run_verification(reference, trials=2, use_oracle=False,
+                                  m=2 ** 30)
+        assert report.ok, report.failures
+        assert report.m == 2 ** 30
+
     def test_config_alone_when_trials_zero(self, reference):
         report = run_verification(reference, trials=0, seed=1,
                                   use_sim=False)
