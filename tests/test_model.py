@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from chain_rivalry.model import (
     validate_params,
 )
 
-from conftest import REFERENCE
+from conftest import REFERENCE, midpoint_types
 
 
 class TestModelParams:
@@ -226,6 +227,18 @@ class TestUserUtility:
             expected = reference.alpha * (reference.n1 + nA) - 2.0 - reference.s * x + reference.k
             assert uA == pytest.approx(expected, abs=1e-12)
 
+    def test_vectorized_matches_scalar(self, reference):
+        # the tests' brute-force references evaluate user_utility on arrays
+        # of distances; each entry is bitwise the scalar call at its type
+        xs, distances = midpoint_types(reference, 11)
+        arr, _ = user_utility(reference, Scenario.COMPATIBLE, distances,
+                              pA=2.5, pB=2.0, nA=0.5, nB=0.5)
+        assert arr.shape == xs.shape
+        for x, v in zip(xs.tolist(), arr.tolist()):
+            scalar, _ = self.utility(reference, Scenario.COMPATIBLE, x,
+                                     pA=2.5, pB=2.0, nA=0.5, nB=0.5)
+            assert scalar == v
+
 
 class TestTasteDistances:
     def test_distances_to_both_firms(self, reference):
@@ -236,7 +249,21 @@ class TestTasteDistances:
             assert got == want
             assert all(type(d) is float for d in got)
 
-    @pytest.mark.parametrize("x", [1.5, -0.25, np.nan, np.inf, -np.inf])
+    def test_scalar_distances_match_the_tests_array_reference(self, reference):
+        # the tests' array references build their distances with
+        # conftest.midpoint_types, in the same arithmetic as a float type
+        p = reference.with_values(s=0.1)
+        xs, (to_a, to_b) = midpoint_types(p, 997)
+        for i in (0, 1, 333, 498, 996):
+            assert taste_distances(p, (i + 0.5) / 997) == (to_a[i], to_b[i])
+            assert xs[i] == (i + 0.5) / 997
+
+    # the last two lie one ulp outside each end of the interval
+    @pytest.mark.parametrize("x", [1.5, -0.25, np.nan, np.inf, -np.inf,
+                                   pytest.param(math.nextafter(1.0, 2.0),
+                                                id="x5"),
+                                   pytest.param(math.nextafter(0.0, -1.0),
+                                                id="x6")])
     def test_rejects_type_outside_unit_interval(self, reference, x):
         with pytest.raises(ValueError, match="outside"):
             taste_distances(reference, x)

@@ -35,7 +35,30 @@ def _masks(m, out, bounds, locks=None):
     return take_a, take_b
 
 
+def _evaluated_types(p, prices, m):
+    """The set of types whose taste distances a game evaluates, over every
+    scenario."""
+    with mock.patch.object(sim, "taste_distances",
+                           wraps=model.taste_distances) as evaluated:
+        runs = [simulate_game(p, scenario, prices, m=m) for scenario in Scenario]
+    return {call.args[1] for call in evaluated.call_args_list}, runs
+
+
 class TestUserPopulation:
+    def test_midpoint_types(self, reference):
+        seen, _ = _evaluated_types(reference, (3.0, 3.0, 4.0, 2.0), 4)
+        assert seen and seen <= {0.125, 0.375, 0.625, 0.875}
+
+    def test_single_user(self, reference):
+        # one type of mass 1, at the middle of the taste line
+        seen, runs = _evaluated_types(reference, (3.0, 3.0, 4.0, 2.0), 1)
+        assert seen == {0.5}
+        for run in runs:
+            for out in (run.period1, run.period2):
+                assert out.converged
+                assert {out.share_a, out.share_b} <= {0.0, 1.0}
+                assert out.share_a + out.share_b <= 1.0
+
     def test_period_choices_record_decisions(self, reference):
         # A's adopters are [0, a_free) and B's [b_free, 10)
         out, (a_free, b_free) = simulate_period(10, reference,
@@ -47,11 +70,7 @@ class TestUserPopulation:
     def test_simulated_types_are_the_population_types(self, reference, m):
         # type i is computed as (i + 1/2)/m, bitwise the tests' array of types
         types = set(midpoint_types(reference, m)[0].tolist())
-        with mock.patch.object(sim, "taste_distances",
-                               wraps=model.taste_distances) as evaluated:
-            for scenario in Scenario:
-                simulate_game(reference, scenario, (3.0, 3.0, 4.0, 2.0), m=m)
-        seen = {call.args[1] for call in evaluated.call_args_list}
+        seen, _ = _evaluated_types(reference, (3.0, 3.0, 4.0, 2.0), m)
         assert seen and seen <= types
 
 
@@ -377,6 +396,15 @@ class TestSimulateGame:
         bad = reference.with_values(alpha=0.13)
         with pytest.raises(InvalidParamsError):
             simulate_game(bad, Scenario.SAME_CHAIN, (3.0, 3.0, 3.0, 3.0), m=10)
+
+    def test_population_argument_is_accepted_and_ignored(self, reference):
+        # a run holds no population; the argument is only accepted, so that
+        # dataclasses.replace(run, population=None) still copies a run
+        run = simulate_game(reference, Scenario.COMPATIBLE,
+                            (3.0, 3.0, 4.0, 2.0), m=50)
+        assert "population" not in [f.name for f in dataclasses.fields(run)]
+        assert "population" not in vars(run)
+        assert dataclasses.replace(run, population=None) == run
 
     def test_agrees_with_closed_forms_off_the_gate(self):
         # n3 != n2, a quality edge and subsidies: parameters the verify gate
