@@ -13,13 +13,14 @@ special case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Mapping
 
 from .model import (
     EquilibriumOutcome,
     ModelParams,
     Scenario,
+    record,
     require_valid,
 )
 
@@ -38,7 +39,7 @@ class BracketError(RuntimeError):
     """Root bracket does not straddle a sign change (no longer raised)."""
 
 
-@dataclass(frozen=True)
+@record
 class ThresholdReport:
     """Minimum subsidy (c) and quality edge (d) flipping B off the shared chain.
 
@@ -58,7 +59,7 @@ class ThresholdReport:
 PLATFORMS = tuple(zip(("P1", "P2", "P3"), Scenario))
 
 
-@dataclass(frozen=True)
+@record
 class AdoptionDecision:
     """B's subsidy-inclusive payoff per platform, and the choice it implies."""
 
@@ -79,8 +80,10 @@ class AdoptionDecision:
 
     @property
     def chosen(self) -> str:
-        """The first payoff maximum in P1, P2, P3 order."""
-        return self.rationale[0][0]
+        """The first payoff maximum in P1, P2, P3 order: rationale's first
+        platform, without its sort."""
+        payoffs = self.payoffs
+        return max(sorted(payoffs), key=payoffs.__getitem__)
 
 
 def _require_finite(what: str, result: EquilibriumOutcome) -> None:
@@ -205,7 +208,7 @@ def adoption_decision(p: ModelParams, validate: bool = True) -> AdoptionDecision
         {scenario: equilibrium(p, scenario, validate=False) for scenario in Scenario})
 
 
-@dataclass(frozen=True)
+@record
 class AdoptionSensitivity:
     """Slopes of B's adoption share in the quality edge d, per scenario.
 

@@ -13,10 +13,11 @@ one float type at a time.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import Mapping
 
@@ -25,12 +26,67 @@ OPTIONAL_FIELDS = ("d", "subsidy_p2", "subsidy_p3")
 _FIELDS = frozenset(REQUIRED_FIELDS + OPTIONAL_FIELDS)
 
 
+def record(cls):
+    """Class decorator: dataclass(frozen=True), with an __init__ that fills
+    the instance __dict__ in one update.
+
+    A frozen dataclass's own __init__ sets each field through
+    object.__setattr__, which for a 21-field outcome costs about as much as
+    solving the game. The generated __init__ has the same signature and
+    defaults; eq, hash, repr, fields, replace and astuple stay dataclass's,
+    and assignment still raises FrozenInstanceError. It sets plain fields
+    only, so a class with __post_init__, an InitVar or a default_factory is
+    refused with a TypeError. init=False spares dataclass's own __init__,
+    so a record costs no more to define than a frozen dataclass.
+    """
+    name = cls.__qualname__
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"record {name} cannot run __post_init__")
+    # dataclass fills a missing docstring from the class signature, which
+    # here would still be object.__init__'s, parsed at the cost of a regex
+    # compile per import; the docstring is filled below instead
+    undocumented = not cls.__doc__
+    if undocumented:
+        cls.__doc__ = name
+    cls = dataclass(frozen=True, init=False)(cls)
+    plain = fields(cls)
+    # dataclass lists an InitVar in __match_args__ but not among the fields
+    initvars = set(cls.__match_args__) - {f.name for f in plain}
+    if initvars:
+        raise TypeError(f"record {name} cannot take InitVar {min(initvars)!r}")
+    params, namespace = [], {"__name__": cls.__module__}
+    for f in plain:
+        if f.default_factory is not MISSING:
+            raise TypeError(f"record {name} cannot build field {f.name!r} "
+                            "with a default_factory")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    items = ", ".join(f"{f.name!r}: {f.name}" for f in plain)
+    exec(f"def __init__(self, {', '.join(params)}):\n"
+         f"    self.__dict__.update({{{items}}})\n", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{name}.__init__"
+    init.__annotations__ = {f.name: f.type for f in plain} | {"return": None}
+    cls.__init__ = init
+    if undocumented:
+        signature = str(inspect.signature(cls)).replace(" -> None", "")
+        cls.__doc__ = cls.__name__ + signature
+    return cls
+
+
 class Scenario(Enum):
     """Entrant B's platform choice relative to the incumbent's chain P1."""
 
     SAME_CHAIN = "same"
     COMPATIBLE = "compatible"
     INCOMPATIBLE = "incompatible"
+
+    # the members are singletons compared by identity, so hash by identity
+    # too: Enum hashes the member's name in Python
+    __hash__ = object.__hash__
 
     @classmethod
     def from_name(cls, name: str) -> "Scenario":
@@ -41,7 +97,7 @@ class Scenario(Enum):
                          f"{[m.value for m in cls]}")
 
 
-@dataclass(frozen=True)
+@record
 class ModelParams:
     """Exogenous model parameters.
 
@@ -97,14 +153,12 @@ class ModelParams:
 
     def with_values(self, **changes: float) -> "ModelParams":
         """A copy with the named fields changed, as dataclasses.replace
-        makes it. The copy skips the frozen __init__, which only sets each
-        field through object.__setattr__; a sweep makes one per grid point."""
+        makes it, without replace's walk over the fields; a sweep makes one
+        per grid point."""
         unknown = changes.keys() - _FIELDS
         if unknown:
             raise TypeError(f"ModelParams has no field {min(unknown)!r}")
-        new = object.__new__(type(self))
-        vars(new).update(vars(self), **changes)
-        return new
+        return type(self)(**vars(self) | changes)
 
     def subsidy(self, scenario: Scenario) -> float:
         """One-time transfer B receives for the scenario's chain (none on P1)."""
@@ -115,7 +169,7 @@ class ModelParams:
         return 0.0
 
 
-@dataclass(frozen=True)
+@record
 class EquilibriumOutcome:
     """Prices, cutoffs, shares, and payoffs of one scenario's equilibrium.
 
@@ -151,7 +205,7 @@ class EquilibriumOutcome:
     residual: float = 0.0
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     ok: bool
     violations: tuple[str, ...]

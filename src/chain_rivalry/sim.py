@@ -30,13 +30,13 @@ import bisect
 import math
 from dataclasses import InitVar, dataclass
 
-from .model import (ModelParams, Scenario, require_integer, require_valid,
-                    taste_distances, user_utility)
+from .model import (ModelParams, Scenario, record, require_integer,
+                    require_valid, taste_distances, user_utility)
 
 MAX_FIXED_POINT_ITER = 1000
 
 
-@dataclass(frozen=True)
+@record
 class SimOutcome:
     """One period's converged adoption pattern."""
 
@@ -57,7 +57,8 @@ class SimRun:
     revenue_b: float
     # accepted and ignored, only so that the benchmark's
     # dataclasses.replace(run, population=None) (bench/workloads.py:152)
-    # keeps running; it goes when ROADMAP item 3 drops that tap
+    # keeps running; it goes when ROADMAP item 3 drops that tap, and SimRun
+    # then becomes a @record like SimOutcome (record refuses an InitVar)
     population: InitVar[None] = None
 
 

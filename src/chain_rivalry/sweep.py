@@ -18,13 +18,17 @@ from . import closed_form
 from .closed_form import (AdoptionDecision, CornerEquilibriumError,
                           ThresholdReport)
 from .model import (OPTIONAL_FIELDS, REQUIRED_FIELDS, EquilibriumOutcome,
-                    ModelParams, Scenario, require_integer, validate_params)
+                    ModelParams, Scenario, record, require_integer,
+                    validate_params)
 
 SWEEPABLE = REQUIRED_FIELDS + OPTIONAL_FIELDS
 _SCENARIOS = tuple(Scenario)
+_SCENARIO_NAMES = tuple(scenario.value for scenario in _SCENARIOS)
 
 CSV_HEADER = ("param_value,scenario,pA1,pB1,pA2,pB2,cutoff,profitA,profitB,"
               "chosen,c2_star,c3_star,d2_star,d3_star,valid")
+# one outcome row: the value, the scenario, seven outcome fields, the tail
+_OUTCOME_ROW = "%s,%s,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s,ok\n"
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,7 @@ class SweepSpec:
         return grid
 
 
-@dataclass(frozen=True)
+@record
 class SweepRecord:
     """All outcomes at one grid point. A scenario maps to None when its
     equilibrium is blockaded (corner); an invalid point has no outcomes, no
@@ -124,14 +128,14 @@ def write_sweep_csv(records: list[SweepRecord], stream: IO[str]) -> int:
             tail = (f"{rec.chosen},{th.c2_star:.9g},{th.c3_star:.9g},"
                     f"{th.d2_star:.9g},{th.d3_star:.9g}")
         outcomes = rec.outcomes
-        for scenario in _SCENARIOS:
+        for scenario, name in zip(_SCENARIOS, _SCENARIO_NAMES):
             out = outcomes.get(scenario)
             if out is not None:
-                lines.append(f"{value},{scenario.value},{out.pA1:.9g},{out.pB1:.9g},"
-                             f"{out.pA2:.9g},{out.pB2:.9g},{out.cutoff1:.9g},"
-                             f"{out.profitA:.9g},{out.profitB:.9g},{tail},ok\n")
+                lines.append(_OUTCOME_ROW % (
+                    value, name, out.pA1, out.pB1, out.pA2, out.pB2,
+                    out.cutoff1, out.profitA, out.profitB, tail))
             else:
-                lines.append(f"{value},{scenario.value},,,,,,,,{tail},{rec.note}\n")
+                lines.append(f"{value},{name},,,,,,,,{tail},{rec.note}\n")
     stream.write("".join(lines))
     return len(records) * len(_SCENARIOS)
 

@@ -12,13 +12,14 @@ lie inside the validity region, so each exercises interior equilibria.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from operator import attrgetter
 
 import numpy as np
 
 from . import closed_form
-from .model import ModelParams, Scenario, require_integer, require_valid
+from .model import (ModelParams, Scenario, record, require_integer,
+                    require_valid)
 from .oracle import oracle_equilibrium
 from .sim import simulate_game
 
@@ -54,7 +55,7 @@ def draw_params(rng: np.random.Generator) -> ModelParams:
     return p
 
 
-@dataclass(frozen=True)
+@record
 class QuantityCheck:
     """Worst deviation observed for one (route, scenario, quantity) cell;
     a cell that has seen a NaN deviation reports NaN in both columns."""
@@ -67,7 +68,7 @@ class QuantityCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     ok: bool
     trials: int
@@ -155,9 +156,10 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
              if used]
     if not kinds:
         raise ValueError("no route to check: use_oracle and use_sim are both False")
-    rng = np.random.default_rng(seed)
     cases = [("config", base)]
-    cases += [(f"draw {i}", draw_params(rng)) for i in range(1, trials + 1)]
+    if trials:  # only the draws import numpy.random, a cost on a cold start
+        rng = np.random.default_rng(seed)
+        cases += [(f"draw {i}", draw_params(rng)) for i in range(1, trials + 1)]
 
     games = [(label, p, scenario) for label, p in cases for scenario in Scenario]
     outcomes = [closed_form.equilibrium(p, scenario, validate=False)

@@ -495,6 +495,20 @@ print(code, "numpy" in sys.modules)
 """
 
 
+VERIFY_RANDOM_SCRIPT = """
+import contextlib, io, json, sys
+from chain_rivalry import cli
+
+results = []
+for trials in ("0", "1"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "--trials", trials, "--config", sys.argv[1]])
+    results.append([trials, code, "numpy" in sys.modules,
+                    "numpy.random" in sys.modules])
+print(json.dumps(results))
+"""
+
+
 class TestLeanQueryPath:
     def test_sweep_never_imports_numpy(self, tmp_path):
         out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
@@ -512,3 +526,11 @@ class TestLeanQueryPath:
         assert json.loads(proc.stdout) == [
             ["equilibrium", 0, False], ["compare", 0, False],
             ["thresholds", 0, False], ["verify", 0, True]]
+
+    def test_verify_without_draws_never_imports_numpy_random(self):
+        # the draws are the only use of numpy.random; the run with one draw
+        # shows that the probe sees the import
+        proc = fresh_python("-c", VERIFY_RANDOM_SCRIPT, str(REPO_CONFIG))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [["0", 0, True, False],
+                                           ["1", 0, True, True]]

@@ -409,6 +409,7 @@ class TestAdoptionDecision:
         for p in draws25:
             dec = adoption_decision(p)
             assert dec.payoffs[dec.chosen] == max(dec.payoffs.values())
+            assert dec.chosen == dec.rationale[0][0]
 
     def test_argmax_invariant_to_common_payoff_shift(self, reference):
         dec = adoption_decision(reference.with_values(subsidy_p2=0.5))
@@ -420,10 +421,13 @@ class TestAdoptionDecision:
         assert [f.name for f in dataclasses.fields(AdoptionDecision)] == ["payoffs"]
 
     def test_ties_go_to_the_lower_platform_number(self):
-        # dicts built out of platform order, so insertion order cannot decide
-        assert AdoptionDecision({"P3": 2.0, "P2": 2.0, "P1": 1.0}).chosen == "P2"
-        assert AdoptionDecision({"P3": 1.5, "P2": 1.5, "P1": 1.5}).chosen == "P1"
-        assert AdoptionDecision({"P3": 3.0, "P1": 3.0, "P2": 0.0}).chosen == "P1"
+        # dicts built out of platform order, so insertion order cannot decide;
+        # chosen does not read rationale, so the two must agree
+        for payoffs, best in (({"P3": 2.0, "P2": 2.0, "P1": 1.0}, "P2"),
+                              ({"P3": 1.5, "P2": 1.5, "P1": 1.5}, "P1"),
+                              ({"P3": 3.0, "P1": 3.0, "P2": 0.0}, "P1")):
+            dec = AdoptionDecision(payoffs)
+            assert dec.chosen == dec.rationale[0][0] == best
 
     def test_rationale_breaks_ties_by_name(self):
         dec = AdoptionDecision({"P3": 1.0, "P1": 0.5, "P2": 1.0})
