@@ -65,6 +65,9 @@ class AdoptionDecision:
 
     payoffs: dict[str, float]   # 'P1' | 'P2' | 'P3' -> B's payoff with subsidy
 
+    # frozen records promise a hash, which the payoffs dict cannot give
+    __hash__ = None
+
     @classmethod
     def from_outcomes(cls, outcomes: Mapping[Scenario, EquilibriumOutcome]
                       ) -> "AdoptionDecision":

@@ -20,7 +20,11 @@ certified when neither firm gains, beyond roundoff, by moving to any price
 on its own lines or by a small probe step either way: no price pays. One
 _demand call evaluates every candidate at all of those moves, and the
 reported outcome, period 2 included, is read off the candidate's own
-evaluation there.
+evaluation there. The moves fill one price array of shape (2, rows,
+candidates), A's prices then B's, one column per candidate: row 0 holds
+the candidates, the next rows A's moves (its two probes, then its lines)
+with B at its candidate price, and the last rows B's moves in the same
+order with A at its candidate price.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from .model import EquilibriumOutcome, ModelParams, Scenario
 # The certificate's bound on a deviation's gain, relative to the objective's
 # terms |price*share| + |harvest value|.
 GAIN_TOL = 1e-11
+# The smallest normal float, the floor under a gain's denominator.
+_TINY = np.finfo(float).tiny
 
 
 def _unit(x):
@@ -59,25 +65,30 @@ def _demand(p: ModelParams, scenario: Scenario, pA, pB):
     u = p.s - p.alpha
 
     if scenario is Scenario.SAME_CHAIN:
+        if pA.shape != pB.shape:
+            pA, pB = np.broadcast_arrays(pA, pB)
         raw = 0.5 + (pB - pA) / (2.0 * p.s)
-        rest = 1.0 - raw
 
-        def shares(total):
+        def shares(total, raw, pA, pB):
             reach = p.k + p.alpha * (p.n1 + total)
             return (_unit(np.minimum(raw, (reach - pA) / p.s)),
-                    _unit(np.minimum(rest, (reach - pB) / p.s)))
+                    _unit(np.minimum(1.0 - raw, (reach - pB) / p.s)))
 
-        nA, nB = shares(1.0)
+        nA, nB = shares(1.0, raw, pA, pB)
         short = nA + nB < 1.0
-        if np.any(short):
-            K_a = p.k + p.alpha * p.n1 - pA
-            K_b = p.k + p.alpha * p.n1 - pB
+        if short.any():  # re-solve the total only where coverage fails
+            a, b = pA[short], pB[short]
+            K_a = p.k + p.alpha * p.n1 - a
+            K_b = p.k + p.alpha * p.n1 - b
             total = _unit(np.maximum(K_a, K_b) / u)
             if p.s > 2.0 * p.alpha:
                 both = (K_a + K_b) / (p.s - 2.0 * p.alpha)
                 total = np.where(np.minimum(K_a, K_b) + p.alpha * both >= 0.0,
                                  both, total)
-            nA, nB = shares(np.where(short, total, 1.0))
+            # a 0-d batch gave numpy scalars, which take no assignment
+            nA, nB = np.asarray(nA), np.asarray(nB)
+            nA[short], nB[short] = shares(total, raw[short], a, b)
+            nA, nB = nA[()], nB[()]
     else:
         base_b = p.n2 if scenario is Scenario.COMPATIBLE else p.n3
         raw = (p.alpha * (p.n1 - base_b) + u - pA + pB - p.d) / (2.0 * u)
@@ -204,26 +215,22 @@ def _lines(p: ModelParams, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return tables[0], tables[1]
 
 
-def _worst_gain(play: Callable, pA: np.ndarray, pB: np.ndarray, moves_a, moves_b):
+def _worst_gain(play: Callable, prices: np.ndarray, ra: int):
     """Each candidate's largest relative gain from a deviation, and the
     outcome play reports at it, from one play call.
 
-    Row r of moves_a holds A's prices to try at pB, row r of moves_b B's
-    at pA. A gain counts relative to the larger of the two objectives'
-    terms, |price*share| + |harvest value|, so it is scale-free; the
-    candidate itself is one of the moves, so the result is never negative.
+    prices is laid out as in _solve_game: row 0 holds the candidates,
+    rows 1 to ra A's moves at B's candidate price and the rows after them
+    B's moves at A's. A gain counts relative to the larger of the two
+    objectives' terms, |price*share| + |harvest value|, so it is
+    scale-free; the candidate itself is one of the moves, so the result is
+    never negative.
     """
-    ra, rb = len(moves_a), len(moves_b)
-    prices = np.empty((2, 1 + ra + rb, pA.size))
-    prices[:, 0] = pA, pB
-    prices[0, 1:ra + 1], prices[0, ra + 1:] = moves_a, pA
-    prices[1, 1:ra + 1], prices[1, ra + 1:] = pB, moves_b
     value, terms, demand = play(prices)
     # |gain| <= the sum of both terms, so the floor only turns 0/0 into 0
-    rel = (value - value[:, :1]) / np.maximum(np.maximum(terms, terms[:, :1]),
-                                              np.finfo(float).tiny)
+    rel = (value - value[:, :1]) / np.maximum(np.maximum(terms, terms[:, :1]), _TINY)
     rel[0, ra + 1:] = rel[1, 1:ra + 1] = 0.0  # a firm gains nothing from its rival's move
-    return rel.max(axis=1).max(axis=0), [d[0] for d in demand]
+    return rel.max(axis=(0, 1)), [d[0] for d in demand]
 
 
 def _solve_game(p: ModelParams, scenario: Scenario, play: Callable):
@@ -239,28 +246,47 @@ def _solve_game(p: ModelParams, scenario: Scenario, play: Callable):
     worst relative gain over all moves (the residual) is smallest. Returns
     (pA, pB, the outcome play reports there, distinct pairs certified,
     residual).
+
+    Every price is written into one array of shape (2, rows, candidates):
+    prices[0] holds A's prices and prices[1] B's, column c for candidate c.
+    Row 0 is the candidate pair. Rows 1 to ra = 2 + (A's lines) are A's
+    moves with B at its candidate price: the probe down, the probe up, then
+    A's price on each of its lines at B's price. The rows after them are
+    B's moves in the same order, with A at its candidate price.
     """
     lines_a, lines_b = _lines(p, scenario)
     # A's lines as columns and B's as rows broadcast to every pair
     (a_a, b_a), (a_b, b_b) = lines_a.T[:, :, None], lines_b.T
     det = 1.0 - b_a * b_b
-    i, j = np.nonzero(det)  # parallel lines never meet
-    pA = (a_a + b_a * a_b)[i, j] / det[i, j]
-    pB = (a_b + b_b * a_a)[i, j] / det[i, j]
-    step = 1e-6 * (p.s + np.abs((pA, pB)))
-    # each firm's two probes, then every price on its own lines
-    worst, demand = _worst_gain(
-        play, pA, pB, (pA - step[0], pA + step[0], *(a_a + b_a * pB)),
-        (pB - step[1], pB + step[1], *(a_b[:, None] + b_b[:, None] * pA)))
+    meet = det != 0.0  # parallel lines never meet
+    det = det[meet]
+    ra = 2 + len(lines_a)
+    prices = np.empty((2, 1 + ra + 2 + len(lines_b), det.size))
+    pA, pB = prices[:, 0]
+    np.divide((a_a + b_a * a_b)[meet], det, out=pA)
+    np.divide((a_b + b_b * a_a)[meet], det, out=pB)
+    step = 1e-6 * (p.s + np.abs(prices[:, 0]))
+    moves_a, moves_b = prices[0, 1:ra + 1], prices[1, ra + 1:]
+    np.subtract(pA, step[0], out=moves_a[0])
+    np.add(pA, step[0], out=moves_a[1])
+    np.multiply(b_a, pB, out=moves_a[2:])
+    moves_a[2:] += a_a
+    np.subtract(pB, step[1], out=moves_b[0])
+    np.add(pB, step[1], out=moves_b[1])
+    np.multiply(b_b[:, None], pA, out=moves_b[2:])
+    moves_b[2:] += a_b[:, None]
+    prices[1, 1:ra + 1] = pB
+    prices[0, ra + 1:] = pA
+    worst, demand = _worst_gain(play, prices, ra)
     certified = worst <= GAIN_TOL
     pairs = int(np.count_nonzero(certified))
-    best = int(np.argmax(np.where(certified, np.minimum(demand[0], demand[1]), -1.0))
-               if pairs else np.argmin(worst))
+    best = int(np.where(certified, np.minimum(demand[0], demand[1]), -1.0).argmax()
+               if pairs else worst.argmin())
     if pairs > 1:  # a certified pair is distinct unless one before it is within h
-        qA, qB, (hA, hB) = pA[certified], pB[certified], step[:, certified]
-        near = ((np.abs(qA[:, None] - qA) <= hA[:, None])
-                & (np.abs(qB[:, None] - qB) <= hB[:, None]))
-        pairs = int(np.count_nonzero(near.argmax(axis=1) == np.arange(pairs)))
+        found = np.concatenate((prices[:, 0], step), axis=0)[:, certified].T.tolist()
+        pairs = sum(not any(abs(qA - rA) <= hA and abs(qB - rB) <= hB
+                            for rA, rB, _, _ in found[:n])
+                    for n, (qA, qB, hA, hB) in enumerate(found))
     return (float(pA[best]), float(pB[best]), [float(d[best]) for d in demand],
             pairs, float(worst[best]))
 

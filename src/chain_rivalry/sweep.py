@@ -80,6 +80,9 @@ class SweepRecord:
     thresholds: Optional[ThresholdReport]
     note: str
 
+    # frozen records promise a hash, which the outcomes mapping cannot give
+    __hash__ = None
+
 
 def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
     """One record per grid point, in grid order. A point whose equilibrium

@@ -36,6 +36,16 @@ def _brute_shares(p, scenario, pA, pB, nA, nB, m=200001):
     return share_a, share_b
 
 
+def _demand_pair_by_pair(p, scenario, pA, pB):
+    """oracle._demand on each pair of the broadcast prices alone, as
+    Python floats, stacked like the batch result."""
+    pA, pB = np.broadcast_arrays(pA, pB)
+    out = np.empty((3, *pA.shape))
+    for i in np.ndindex(pA.shape):
+        out[(slice(None), *i)] = oracle._demand(p, scenario, float(pA[i]), float(pB[i]))
+    return out
+
+
 def _participation_excess(p, pA, pB, total):
     """Shared-chain shares at a conjectured total, minus that total."""
     raw = 0.5 + (pB - pA) / (2.0 * p.s)
@@ -171,8 +181,8 @@ class TestStageDemand:
         # gets alone.
         # The first half sits near the equilibrium, where the market is
         # covered; the second half near the stand-alone reach, where the
-        # shared chain is short of coverage and its total is re-solved for
-        # the whole batch.
+        # shared chain is short of coverage and its total is re-solved at
+        # those entries alone.
         rng = np.random.default_rng(5)
         reach = reference.k + reference.alpha * reference.n1
         pA1, pB1 = rng.uniform(-1.0, 4.0, size=(2, 40))
@@ -186,6 +196,26 @@ class TestStageDemand:
         if scenario is Scenario.SAME_CHAIN:
             assert not np.any(first[0] + first[1] < 1.0)
             assert np.any(second[0] + second[1] < 1.0)
+
+        # Every shape the certificate and the tests pass: the certificate's
+        # (rows, candidates) layout, a row against a column, a scalar
+        # against an array in either order, and 0-d prices. Each element
+        # must be what the pair gets alone, also where s <= 2*alpha and the
+        # both-sell total does not exist.
+        for p in (reference, _low_k(reference)[-1]):
+            pA, pB = (p.k + p.alpha * p.n1
+                      + p.s * rng.uniform(-2.0, 1.0, size=(2, 6, 7)))
+            for a, b in ((pA, pB), (pA[:, :1], pB[0]), (float(pA[0, 0]), pB),
+                         (pA, float(pB[0, 0])), (pA[1, 1], pB[1, 1]),
+                         (np.asarray(pA[2, 2]), np.asarray(pB[2, 2]))):
+                alone = _demand_pair_by_pair(p, scenario, a, b)
+                for got, want in zip(oracle._demand(p, scenario, a, b), alone):
+                    assert np.shape(got) == want.shape
+                    assert np.asarray(got).tobytes() == want.tobytes()
+                    assert want.shape or isinstance(got, float)  # not a 0-d array
+            if scenario is Scenario.SAME_CHAIN:
+                nA, nB, _ = oracle._demand(p, scenario, pA, pB)
+                assert 0 < np.count_nonzero(nA + nB < 1.0) < nA.size
 
     def test_shared_chain_total_is_exact_near_unit_alpha_over_s(self):
         # alpha/s = 0.98: where one firm's participation bound binds, a
@@ -556,6 +586,10 @@ def _assert_agrees(p, scenario, found, rel=None):
 OUTCOME_DIGEST = "3c746c04c50275d905a1998af6e5c9c3b638144370244e68107668d3329029f7"
 # The same over _edge_draws(123, 400), in every scenario.
 EDGE_OUTCOME_DIGEST = "a38a4a678afcec4f412351ada7f063694ee800442137f6f12ec1a9b211183590"
+# The same over _low_k(reference), in every scenario: best responses on
+# share kinks, and on the shared chain 11-47% of the prices each game tries
+# short of coverage.
+LOW_K_OUTCOME_DIGEST = "54e3e17b385099ceee6f49f4f4c543e756f8bb90cd02836da8f5c56e2b53113b"
 
 
 def _outcome_digest(configs):
@@ -589,28 +623,49 @@ def _rival_prices(p, rng):
                            reach + p.s * rng.uniform(-3.0, 1.0, 20)))
 
 
+def _certify(play, pair, moves_a, moves_b):
+    """oracle._worst_gain on one candidate pair and the given moves of A
+    (at B's price) and of B (at A's), laid out as _solve_game lays them."""
+    ra, rb = len(moves_a), len(moves_b)
+    prices = np.array([(pair[0], *moves_a, *[pair[0]] * rb),
+                       (pair[1], *[pair[1]] * ra, *moves_b)])
+    return oracle._worst_gain(play, prices[:, :, None], ra)
+
+
 class TestExactSolve:
-    def _count_demand_calls(self, monkeypatch):
+    def _count_calls(self, monkeypatch, name):
         calls = [0]
-        real = oracle._demand
+        real = getattr(oracle, name)
 
         def counted(*args, **kwargs):
             calls[0] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "_demand", counted)
+        monkeypatch.setattr(oracle, name, counted)
         return calls
 
     def test_one_demand_call_per_game(self, reference, draws100, monkeypatch):
         # One call evaluates every candidate at its probes and at every
         # price on its lines, and gives the reported pair's demand.
-        calls = self._count_demand_calls(monkeypatch)
+        calls = self._count_calls(monkeypatch, "_demand")
         for p in [reference, *draws100]:
             for scenario in Scenario:
                 calls[0] = 0
                 res = oracle_equilibrium(p, scenario)
                 assert res.converged
                 assert calls[0] == 1, (scenario.value, calls[0])
+
+    def test_one_harvest_call_per_lock_in_game(self, reference, draws100,
+                                               monkeypatch):
+        # The same call prices every candidate's lock-in harvest, through
+        # the module global; without lock-in there is no harvest to price.
+        calls = self._count_calls(monkeypatch, "period2_monopoly_price")
+        for p in [reference, *draws100]:
+            for scenario in Scenario:
+                calls[0] = 0
+                oracle_equilibrium(p, scenario)
+                expected = 1 if scenario is Scenario.INCOMPATIBLE else 0
+                assert calls[0] == expected, (scenario.value, calls[0])
 
     def test_outcomes_match_their_pinned_bits(self, reference, draws100):
         # A refactor of the oracle must leave every outcome bitwise as it was.
@@ -621,6 +676,14 @@ class TestExactSolve:
         # Near every validity bound too, where a few games certify a second
         # pair and the reported one is picked among them.
         assert _outcome_digest(_edge_draws(seed=123, count=400)) == EDGE_OUTCOME_DIGEST
+
+    def test_low_k_outcomes_match_their_pinned_bits(self, reference):
+        # And far below the participation bound, where the shared chain's
+        # total is re-solved at many of the prices a game tries.
+        configs = _low_k(reference)
+        assert all(oracle_equilibrium(p, scenario).converged
+                   for p in configs for scenario in Scenario)
+        assert _outcome_digest(configs) == LOW_K_OUTCOME_DIGEST
 
     def test_certificate_rejects_a_local_best_response(self, reference,
                                                        monkeypatch):
@@ -636,12 +699,10 @@ class TestExactSolve:
             zeros = np.zeros_like(pA)
             return value, np.ones_like(value), (zeros, zeros, zeros)
 
-        local = np.array([2.0]), np.array([1.0])
-        probes, _ = oracle._worst_gain(play, *local, local[0] + [[-1e-3], [1e-3]],
-                                       local[1] + [[-1e-3], [1e-3]])
+        probes, _ = _certify(play, (2.0, 1.0), (2.0 - 1e-3, 2.0 + 1e-3),
+                             (1.0 - 1e-3, 1.0 + 1e-3))
         assert probes[0] == 0.0
-        gain, _ = oracle._worst_gain(play, *local, lines[0][:, :1] + 0.0 * local[1],
-                                     lines[1][:, :1] + 0.0 * local[0])
+        gain, _ = _certify(play, (2.0, 1.0), lines[0][:, 0], lines[1][:, 0])
         assert gain[0] == 10.0
 
         pA, pB, _, pairs, residual = oracle._solve_game(reference, Scenario.COMPATIBLE, play)

@@ -6,6 +6,7 @@ the checks see real field values (floats, enums, dicts, nested records).
 
 import dataclasses
 import inspect
+from collections.abc import Hashable
 from dataclasses import MISSING, FrozenInstanceError, InitVar, field, fields
 
 import pytest
@@ -87,11 +88,13 @@ class TestRecordClasses:
         values = tuple(getattr(sample, f.name) for f in fields(sample))
         try:
             expected = hash(values)
-        except TypeError:  # a field holds a dict, as dataclass's hash finds
+        except TypeError:  # a field holds a dict, so the record says no hash
             with pytest.raises(TypeError):
                 hash(sample)
+            assert not isinstance(sample, Hashable)
         else:
             assert hash(sample) == hash(rebuilt) == expected
+            assert isinstance(sample, Hashable)
         assert type(sample)(*values) == sample
         assert vars(sample) == dict(zip((f.name for f in fields(sample)), values))
 
