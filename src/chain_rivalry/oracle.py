@@ -65,7 +65,7 @@ def _demand(p: ModelParams, scenario: Scenario, pA, pB):
     u = p.s - p.alpha
 
     if scenario is Scenario.SAME_CHAIN:
-        if pA.shape != pB.shape:
+        if pA.shape != pB.shape:  # the coverage mask below indexes both
             pA, pB = np.broadcast_arrays(pA, pB)
         raw = 0.5 + (pB - pA) / (2.0 * p.s)
 
