@@ -1,13 +1,13 @@
 """Closed-form equilibria, payoffs, thresholds, and the entrant's platform choice.
 
 equilibrium(p, scenario) is the one closed-form equilibrium for all three
-scenarios; subsidy_threshold and adoption_decision build on it. The
+scenarios, its payoffs computed by EquilibriumOutcome.from_periods as the
+oracle's are; subsidy_threshold and adoption_decision build on it. The
 platform choice is a function of solved outcomes alone
 (AdoptionDecision.from_outcomes), so a caller holding the three outcomes
-decides without solving them again. Every
-operation is an explicit formula, parameterized by the quality edge d and
-the platform subsidies so the baseline model is the d=0, zero-subsidy
-special case.
+decides without solving them again. Every operation is an explicit formula,
+parameterized by the quality edge d and the platform subsidies so the
+baseline model is the d=0, zero-subsidy special case.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     full-retention corner). Anticipating that harvest, both firms bid for the
     base with negative period-1 prices.
 
-    Shares are the same in both periods; profits are price times share, and
-    only profitB_with_subsidy adds the scenario's subsidy. Raises
+    Shares are the same in both periods; EquilibriumOutcome.from_periods
+    computes the payoffs from the prices and shares. Raises
     CornerEquilibriumError when the cutoff leaves (0, 1), and ValueError
     when a field overflows to a non-finite value.
     """
@@ -141,30 +141,17 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     if not 0.0 < cutoff < 1.0:
         raise CornerEquilibriumError(scenario, cutoff)
     nA, nB = cutoff, 1.0 - cutoff
+    harvest = ()
     if scenario is Scenario.INCOMPATIBLE:
         # Highest price retaining the whole period-1 base (marginal adopter at 0).
-        pA2 = p.k + p.alpha * p.n1 + (p.alpha - p.s) * nA
-        pB2 = p.k + p.alpha * p.n3 + p.d + (p.alpha - p.s) * nB
-    else:
-        pA2, pB2 = pA1, pB1
-    profitA1, profitA2 = pA1 * nA, pA2 * nA
-    profitB1, profitB2 = pB1 * nB, pB2 * nB
-    profitA = profitA1 + profitA2
-    profitB = profitB1 + profitB2
-    paid = profitB + p.subsidy(scenario)
-    out = EquilibriumOutcome(
-        scenario=scenario,
-        pA1=pA1, pB1=pB1, pA2=pA2, pB2=pB2,
-        cutoff1=cutoff, cutoff2=cutoff,
-        nA1=nA, nB1=nB, nA2=nA, nB2=nB,
-        profitA1=profitA1, profitA2=profitA2,
-        profitB1=profitB1, profitB2=profitB2,
-        profitA=profitA, profitB=profitB, profitB_with_subsidy=paid,
-    )
-    # A sum is finite only if every term is; finite prices and totals (with
-    # the cutoff interior) leave no field to overflow. The sum itself may
-    # overflow, so the scan decides.
-    if not math.isfinite(pA1 + pB1 + pA2 + pB2 + profitA + paid):
+        harvest = (p.k + p.alpha * p.n1 + (p.alpha - p.s) * nA,
+                   p.k + p.alpha * p.n3 + p.d + (p.alpha - p.s) * nB, nA, nB)
+    out = EquilibriumOutcome.from_periods(p, scenario, pA1, pB1, cutoff, nA, nB,
+                                          harvest)
+    # With both shares positive, a non-finite price or profit makes a total
+    # non-finite, so finite totals leave no field to overflow. Their sum may
+    # itself overflow, so the scan decides.
+    if not math.isfinite(out.profitA + out.profitB_with_subsidy):
         _require_finite(f"{scenario.value} equilibrium", out)
     return out
 

@@ -122,15 +122,14 @@ class ModelParams:
     @classmethod
     def from_mapping(cls, data: Mapping) -> "ModelParams":
         """Build params from a JSON-style mapping with exactly these field names."""
-        allowed = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)
-        unknown = sorted(set(data) - allowed)
+        unknown = sorted(set(data) - _FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         missing = [name for name in REQUIRED_FIELDS if name not in data]
         if missing:
             raise ValueError(f"missing config keys: {', '.join(missing)}")
         values = {}
-        for name in allowed & set(data):
+        for name in data:  # all known; the mapping's order names the first bad one
             value = data[name]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"config key {name!r} must be a number, got {value!r}")
@@ -178,8 +177,9 @@ class EquilibriumOutcome:
     only through profitB_with_subsidy. converged (a price pair is certified:
     no price gains either firm more than roundoff), iterations (the distinct
     certified pairs) and residual (the reported pair's largest relative gain
-    from a deviation) describe the oracle's solve; an exact formula keeps
-    the defaults.
+    from a deviation) describe the oracle's solve. The closed forms and the
+    oracle both build theirs with from_periods, which alone states period 2
+    and the payoffs; an exact formula keeps the solve's defaults.
     """
 
     scenario: Scenario
@@ -203,6 +203,27 @@ class EquilibriumOutcome:
     converged: bool = True
     iterations: int = 0
     residual: float = 0.0
+
+    @classmethod
+    def from_periods(cls, p: ModelParams, scenario: Scenario, pA1, pB1, cutoff1,
+                     nA1, nB1, harvest=(), converged=True, iterations=0,
+                     residual=0.0) -> "EquilibriumOutcome":
+        """The outcome of period 1 and a lock-in harvest (pA2, pB2, nA2, nB2).
+
+        With no harvest period 2 repeats period 1; with one, A's retained
+        base nA2 is the period-2 cutoff. A period's profit is price times
+        share, the totals add both periods, and only profitB_with_subsidy
+        adds the subsidy. Only + and * are used, so exact numbers stay exact.
+        """
+        pA2, pB2, nA2, nB2 = harvest or (pA1, pB1, nA1, nB1)
+        cutoff2 = nA2 if harvest else cutoff1
+        profitA1, profitA2 = pA1 * nA1, pA2 * nA2
+        profitB1, profitB2 = pB1 * nB1, pB2 * nB2
+        profitB = profitB1 + profitB2
+        return cls(scenario, pA1, pB1, pA2, pB2, cutoff1, cutoff2,
+                   nA1, nB1, nA2, nB2, profitA1, profitA2, profitB1, profitB2,
+                   profitA1 + profitA2, profitB, profitB + p.subsidy(scenario),
+                   converged, iterations, residual)
 
 
 @record

@@ -19,12 +19,13 @@ intersection of an A-line with a B-line is a candidate. A candidate is
 certified when neither firm gains, beyond roundoff, by moving to any price
 on its own lines or by a small probe step either way: no price pays. One
 _demand call evaluates every candidate at all of those moves, and the
-reported outcome, period 2 included, is read off the candidate's own
-evaluation there. The moves fill one price array of shape (2, rows,
-candidates), A's prices then B's, one column per candidate: row 0 holds
-the candidates, the next rows A's moves (its two probes, then its lines)
-with B at its candidate price, and the last rows B's moves in the same
-order with A at its candidate price.
+reported prices, shares and lock-in harvest are read off the candidate's
+own evaluation there; EquilibriumOutcome.from_periods turns them into the
+outcome and its payoffs. The moves fill one price array of shape (2, rows,
+candidates), A's prices then B's, one column per candidate: row 0 holds the
+candidates, the next rows A's moves (its two probes, then its lines) with B
+at its candidate price, and the last rows B's moves in the same order with
+A at its candidate price.
 """
 
 from __future__ import annotations
@@ -296,9 +297,10 @@ def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome
 
     Each firm maximizes its period-1 profit plus a continuation: the lock-in
     harvest of its period-1 base under INCOMPATIBLE (backward induction),
-    and 0 otherwise, where the stage game simply repeats. Period 2 then
-    either mirrors period 1 or reports each firm's harvest at its base, as
-    evaluated at the certified pair.
+    and 0 otherwise, where the stage game simply repeats. Under lock-in
+    the harvest evaluated at the certified pair is period 2;
+    EquilibriumOutcome.from_periods otherwise repeats period 1, and
+    computes the payoffs in both cases.
     """
     lock_in = scenario is Scenario.INCOMPATIBLE
 
@@ -317,20 +319,6 @@ def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome
 
     pA1, pB1, (nA1, nB1, cutoff1, *harvest), pairs, residual = \
         _solve_game(p, scenario, play)
-    pA2, pB2, nA2, nB2 = harvest if lock_in else (pA1, pB1, nA1, nB1)
-    cutoff2 = nA2 if lock_in else cutoff1
-
-    profitA1, profitA2 = pA1 * nA1, pA2 * nA2
-    profitB1, profitB2 = pB1 * nB1, pB2 * nB2
-    profitB = profitB1 + profitB2
-    return EquilibriumOutcome(
-        scenario=scenario,
-        pA1=pA1, pB1=pB1, pA2=pA2, pB2=pB2,
-        cutoff1=cutoff1, cutoff2=cutoff2,
-        nA1=nA1, nB1=nB1, nA2=nA2, nB2=nB2,
-        profitA1=profitA1, profitA2=profitA2,
-        profitB1=profitB1, profitB2=profitB2,
-        profitA=profitA1 + profitA2, profitB=profitB,
-        profitB_with_subsidy=profitB + p.subsidy(scenario),
-        converged=pairs > 0, iterations=pairs, residual=residual,
-    )
+    return EquilibriumOutcome.from_periods(p, scenario, pA1, pB1, cutoff1, nA1,
+                                           nB1, harvest, pairs > 0, pairs,
+                                           residual)

@@ -145,8 +145,10 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
     neither route is used, since a run that checks nothing cannot pass.
     """
     require_valid(base)
+    trials = require_integer(trials, "trials")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    seed = require_integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     m = require_integer(m, "population size m")

@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chain_rivalry.closed_form import equilibrium
 from chain_rivalry.model import (
+    EquilibriumOutcome,
     InvalidParamsError,
     ModelParams,
     Scenario,
@@ -15,7 +18,9 @@ from chain_rivalry.model import (
     validate_params,
 )
 
-from conftest import REFERENCE, midpoint_types
+from chain_rivalry.oracle import oracle_equilibrium
+
+from conftest import REFERENCE, _off_gate_draws, midpoint_types
 
 
 class TestModelParams:
@@ -49,6 +54,16 @@ class TestModelParams:
     def test_non_numeric_value_rejected(self, bad):
         with pytest.raises(ValueError, match="must be a number"):
             ModelParams.from_mapping({**REFERENCE, "s": bad})
+
+    @pytest.mark.parametrize("first, second", [("s", "k"), ("k", "s")])
+    def test_the_first_bad_value_in_mapping_order_is_named(self, first,
+                                                          second):
+        # not the first in a set's hash order, which varies between runs
+        data = {first: "x", second: "y"} | {
+            name: value for name, value in REFERENCE.items()
+            if name not in (first, second)}
+        with pytest.raises(ValueError, match=f"^config key {first!r} must be"):
+            ModelParams.from_mapping(data)
 
     @pytest.mark.parametrize("field", ["k", "d"])
     @pytest.mark.parametrize("bad,shown", [
@@ -99,6 +114,91 @@ class TestSubsidy:
         assert p.subsidy(Scenario.SAME_CHAIN) == 0.0
         assert p.subsidy(Scenario.COMPATIBLE) == 0.2
         assert p.subsidy(Scenario.INCOMPATIBLE) == 0.3
+
+
+class TestOutcomeFromPeriods:
+    # pA1, pB1, cutoff1, nA1, nB1: the oracle's cutoff can differ from A's
+    # share short of coverage, so the two are distinct here
+    PERIOD1 = (1.5, 2.5, 0.45, 0.375, 0.5)
+    HARVEST = (7.0, 5.0, 0.25, 0.125)  # pA2, pB2, nA2, nB2
+    REPEATED = (("pA1", "pA2"), ("pB1", "pB2"), ("cutoff1", "cutoff2"),
+                ("nA1", "nA2"), ("nB1", "nB2"), ("profitA1", "profitA2"),
+                ("profitB1", "profitB2"))
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_without_a_harvest_period_2_repeats_period_1(self, reference,
+                                                         scenario):
+        out = EquilibriumOutcome.from_periods(reference, scenario,
+                                              *self.PERIOD1)
+        assert out.scenario is scenario
+        for first, second in self.REPEATED:
+            assert getattr(out, second) == getattr(out, first), second
+        assert (out.profitA1, out.profitB1) == (1.5 * 0.375, 2.5 * 0.5)
+        assert (out.converged, out.iterations, out.residual) == (True, 0, 0.0)
+
+    def test_a_harvest_is_period_2_and_its_cutoff_is_a_retained_base(
+            self, reference):
+        out = EquilibriumOutcome.from_periods(
+            reference, Scenario.INCOMPATIBLE, *self.PERIOD1, self.HARVEST,
+            False, 3, 0.5)
+        assert (out.pA1, out.pB1, out.cutoff1, out.nA1, out.nB1) == self.PERIOD1
+        assert (out.pA2, out.pB2, out.nA2, out.nB2) == self.HARVEST
+        assert out.cutoff2 == out.nA2 == 0.25
+        assert (out.profitA2, out.profitB2) == (7.0 * 0.25, 5.0 * 0.125)
+        assert (out.converged, out.iterations, out.residual) == (False, 3, 0.5)
+
+    @pytest.mark.parametrize("scenario, paid", [
+        (Scenario.SAME_CHAIN, 0.0), (Scenario.COMPATIBLE, 0.25),
+        (Scenario.INCOMPATIBLE, 0.5)])
+    def test_only_the_subsidized_payoff_carries_its_own_chains_subsidy(
+            self, reference, scenario, paid):
+        subsidized = reference.with_values(subsidy_p2=0.25, subsidy_p3=0.5)
+        harvest = self.HARVEST if scenario is Scenario.INCOMPATIBLE else ()
+        bare = EquilibriumOutcome.from_periods(reference, scenario,
+                                               *self.PERIOD1, harvest)
+        out = EquilibriumOutcome.from_periods(subsidized, scenario,
+                                              *self.PERIOD1, harvest)
+        assert out.profitB_with_subsidy == bare.profitB + paid
+        assert dataclasses.replace(
+            out, profitB_with_subsidy=bare.profitB_with_subsidy) == bare
+
+    def test_exact_numbers_stay_exact(self):
+        p = ModelParams(**{name: Fraction(value) for name, value
+                           in REFERENCE.items()}, subsidy_p3=Fraction(1, 3))
+        third = Fraction(1, 3)
+        out = EquilibriumOutcome.from_periods(
+            p, Scenario.INCOMPATIBLE, -third, -third, third, third, 1 - third,
+            (Fraction(7, 3), Fraction(5, 3), third, 1 - third))
+        assert out.profitA == -third * third + Fraction(7, 3) * third
+        assert out.profitB == (-third + Fraction(5, 3)) * (1 - third)
+        assert out.profitB_with_subsidy == out.profitB + third
+        # every field from pA1 to profitB_with_subsidy
+        assert all(type(value) is Fraction
+                   for value in list(vars(out).values())[1:18])
+
+    @pytest.mark.parametrize("solve", [equilibrium, oracle_equilibrium],
+                             ids=["closed_form", "oracle"])
+    def test_payoffs_are_price_times_share_over_both_periods(self, solve):
+        # The accounting written out by hand, apart from from_periods; the
+        # draws carry distinct nonzero subsidies on P2 and P3.
+        for p in _off_gate_draws(2024, 30):
+            paid = {Scenario.SAME_CHAIN: 0.0, Scenario.COMPATIBLE: p.subsidy_p2,
+                    Scenario.INCOMPATIBLE: p.subsidy_p3}
+            for scenario in Scenario:
+                out = solve(p, scenario)
+                assert out.profitA1 == out.pA1 * out.nA1
+                assert out.profitA2 == out.pA2 * out.nA2
+                assert out.profitB1 == out.pB1 * out.nB1
+                assert out.profitB2 == out.pB2 * out.nB2
+                assert out.profitA == out.profitA1 + out.profitA2
+                assert out.profitB == out.profitB1 + out.profitB2
+                assert out.profitB_with_subsidy == out.profitB + paid[scenario]
+                if scenario is Scenario.INCOMPATIBLE:
+                    assert out.cutoff2 == out.nA2
+                else:
+                    assert ((out.pA2, out.pB2, out.cutoff2, out.nA2, out.nB2)
+                            == (out.pA1, out.pB1, out.cutoff1, out.nA1,
+                                out.nB1))
 
 
 class TestValidateParams:

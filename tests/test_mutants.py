@@ -91,7 +91,8 @@ def test_uncaught_slips_change_their_output():
         assert d3_star_uses_n2(p) != subsidy_threshold(p)
 
 
-NOT_CHECKED = "no route checks this until ROADMAP item 4"
+NOT_CHECKED = ("no route checks this until the ROADMAP item \"Carry the "
+               "headline claims and the subsidy through the routes\"")
 
 
 @pytest.mark.parametrize("name, slip", [

@@ -95,6 +95,13 @@ class TestRunVerification:
             run_verification(reference, trials=0, seed=-1)
         with pytest.raises(ValueError, match="m >= 2"):
             run_verification(reference, m=1)
+        for trials, seed, bad in [(True, 42, "trials"), (2.5, 42, "trials"),
+                                  (0, True, "seed"), (0, 2.5, "seed"),
+                                  (0, 1.5, "seed"), ("3", 42, "trials")]:
+            value = trials if bad == "trials" else seed
+            with pytest.raises(ValueError, match=f"^{bad} must be an integer, "
+                                                 f"got {value!r}$"):
+                run_verification(reference, trials=trials, seed=seed)
         with pytest.raises(ValueError, match="no route"):
             run_verification(reference, trials=3, use_oracle=False,
                              use_sim=False)
