@@ -21,6 +21,7 @@ from .model import (
     ModelParams,
     Scenario,
     record,
+    require_scenario,
     require_valid,
 )
 
@@ -118,9 +119,12 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     Shares are the same in both periods; EquilibriumOutcome.from_periods
     computes the payoffs from the prices and shares. Raises
     CornerEquilibriumError when the cutoff leaves (0, 1), and ValueError
-    when a field overflows to a non-finite value.
+    when a field overflows to a non-finite value. validate=True also checks
+    p and raises a TypeError for a scenario that is not a Scenario;
+    validate=False trusts both.
     """
     if validate:
+        require_scenario(scenario)
         require_valid(p)
     u = p.s - p.alpha
     if scenario is Scenario.SAME_CHAIN:

@@ -165,6 +165,7 @@ class ModelParams:
             return self.subsidy_p2
         if scenario is Scenario.INCOMPATIBLE:
             return self.subsidy_p3
+        require_scenario(scenario)
         return 0.0
 
 
@@ -255,15 +256,27 @@ def validate_params(p: ModelParams) -> ValidationReport:
 
     Each violated constraint is named with both sides of the inequality so
     the caller can see how far off the input is. Every valid set gets the
-    same report.
+    same report. A field that is not a number, or an integer past the float
+    range, is reported, and the checks that combine fields are then skipped.
     """
     violations = []
+    numeric = True
     for name, sign in _SIGNS:
         value = getattr(p, name)
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            violations.append(f"{name} must be a number, got {value!r}")
+            numeric = False
+            continue
+        except OverflowError:  # an integer past the float range
+            finite = numeric = False
+        if not finite:
             violations.append(f"{name} must be finite: {name}={value!r}")
         elif not (value > 0.0 if sign == "positive" else value >= 0.0):
             violations.append(f"{name} must be {sign}: {name}={value!r}")
+    if not numeric:
+        return ValidationReport(ok=False, violations=tuple(violations))
 
     if not p.n1 > p.n2:
         violations.append(f"dominant-chain base: n1={p.n1!r} must exceed n2={p.n2!r}")
@@ -288,6 +301,14 @@ def require_valid(p: ModelParams) -> None:
     report = validate_params(p)
     if not report.ok:
         raise InvalidParamsError(report)
+
+
+def require_scenario(scenario) -> None:
+    """Raise a TypeError naming a scenario that is not a Scenario member: a
+    route dispatches on identity, so any other value, its name included,
+    would silently solve another scenario."""
+    if not isinstance(scenario, Scenario):
+        raise TypeError(f"scenario must be a Scenario, got {scenario!r}")
 
 
 def require_integer(n, what: str) -> int:

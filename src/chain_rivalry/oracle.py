@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import EquilibriumOutcome, ModelParams, Scenario
+from .model import EquilibriumOutcome, ModelParams, Scenario, require_scenario
 
 # The certificate's bound on a deviation's gain, relative to the objective's
 # terms |price*share| + |harvest value|.
@@ -301,7 +301,16 @@ def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome
     the harvest evaluated at the certified pair is period 2;
     EquilibriumOutcome.from_periods otherwise repeats period 1, and
     computes the payoffs in both cases.
+
+    It is meant for valid configs, and certifies them. It does not
+    validate p, because tests solve invalid configs on purpose. Its one
+    known gap lies among those: on the shared chain, where s <= 2*alpha
+    and k is far below the participation bound, a best response can be a
+    supremum that no price attains (the strict xfail
+    test_shared_chain_supremum_below_a_total_jump). A scenario that is not
+    a Scenario raises a TypeError.
     """
+    require_scenario(scenario)
     lock_in = scenario is Scenario.INCOMPATIBLE
 
     def play(prices):

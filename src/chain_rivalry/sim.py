@@ -17,11 +17,13 @@ first before it with uA < 0 and the first after it with uB >= 0, each by a
 search that starts at the analytic boundary and repairs a miss by
 bisection: it computes x_i for O(log m) types only.
 
-Under lock-in, period 1's adopters [0, lo) of A and [hi, m) of B are locked
-in for period 2 by the lock segment (lo, hi), period 1's final boundaries.
-A locked user keeps its firm while that utility is nonnegative, else drops
-out, and the free middle [lo, hi) follows the rules above: five boundaries.
-Without locks, a period 2 at period 1's prices reuses period 1's outcome.
+simulate_game is the one public entry: it validates the config, m and the
+four prices once per game and plays period 1 on all m types. Under lock-in
+it hands period 1's final boundaries (lo, hi) to period 2, whose types
+[0, lo) stay locked to A and [hi, m) to B: a locked user keeps its firm
+while that utility is nonnegative, else drops out, and the free middle
+[lo, hi) follows the rules above, five boundaries in all. Without lock-in,
+a period 2 at period 1's prices reuses period 1's outcome.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import math
 from dataclasses import InitVar, dataclass
 
 from .model import (ModelParams, Scenario, record, require_integer,
-                    require_valid, taste_distances, user_utility)
+                    require_scenario, require_valid, taste_distances,
+                    user_utility)
 
 MAX_FIXED_POINT_ITER = 1000
 
@@ -127,45 +130,16 @@ def _step(p: ModelParams, scenario: Scenario, m: int, pA: float, pB: float,
             _first(b_in, split, hi, b_entry), _first(b_in, hi, m, b_entry))
 
 
-def _population_size(m) -> int:
-    m = require_integer(m, "population size m")
-    if m < 1:
-        raise ValueError(f"population needs at least one type, got m={m}")
-    return m
+def _play(m: int, p: ModelParams, scenario: Scenario, pA: float, pB: float,
+          lo: int, hi: int) -> tuple[SimOutcome, tuple[int, int]]:
+    """Fixed-point adoption split of m types for one period at fixed prices,
+    with the types [0, lo) locked to A and [hi, m) to B: each can only keep
+    its firm or drop out, and (0, m) locks nobody.
 
-
-def _free_segment(m: int, locks) -> tuple[int, int]:
-    """The free middle (lo, hi): (0, m) without locks, else the locks."""
-    if locks is None:
-        return 0, m
-    if not (isinstance(locks, tuple) and len(locks) == 2):
-        raise ValueError(f"locks must be two integers (lo, hi), got {locks!r}")
-    lo, hi = (require_integer(bound, "each lock boundary") for bound in locks)
-    if lo > hi:
-        raise ValueError(f"{lo - hi} types are locked to both firms")
-    if lo < 0 or hi > m:
-        raise ValueError(f"locks must satisfy 0 <= lo <= hi <= m={m}, "
-                         f"got {locks!r}")
-    return lo, hi
-
-
-def simulate_period(m: int, p: ModelParams, scenario: Scenario,
-                    pA: float, pB: float, locks: tuple[int, int] | None = None
-                    ) -> tuple[SimOutcome, tuple[int, int]]:
-    """Fixed-point adoption split of m types for one period at fixed prices.
-
-    locks = (lo, hi) locks the types [0, lo) to A and [hi, m) to B: each can
-    only keep its firm or drop out. Returns the outcome and the boundaries
-    (a_free, b_free) such that A's adopters in the free middle [lo, hi) are
-    [lo, a_free) and B's [b_free, hi); without locks, that pair locks a next
-    period. A ValueError names a non-integral or bool m, locks that are not
-    two integers with 0 <= lo <= hi <= m, or a non-finite price.
+    Returns the outcome and the boundaries (a_free, b_free) such that A's
+    adopters in the free middle [lo, hi) are [lo, a_free) and B's
+    [b_free, hi). Validates nothing: simulate_game does.
     """
-    m = _population_size(m)
-    for name, price in (("pA", pA), ("pB", pB)):
-        if not math.isfinite(price):
-            raise ValueError(f"price {name} must be finite: {name}={price!r}")
-    lo, hi = _free_segment(m, locks)
     bounds = (0, lo, hi, m)  # nobody adopts before the first step
     share_a, share_b = 0.5, 0.5
     iterations = 0
@@ -194,18 +168,32 @@ def simulate_period(m: int, p: ModelParams, scenario: Scenario,
 def simulate_game(p: ModelParams, scenario: Scenario,
                   prices: tuple[float, float, float, float],
                   m: int = 10000) -> SimRun:
-    """Run both periods at the given prices (pA1, pB1, pA2, pB2); under
-    INCOMPATIBLE period 1's boundaries lock its adopters in for period 2.
-    Elsewhere a period 2 at exactly period 1's prices reuses its outcome."""
+    """Run m types through both periods at the given prices (pA1, pB1, pA2,
+    pB2).
+
+    Under INCOMPATIBLE, period 1's final boundaries lock its adopters in
+    for period 2; elsewhere a period 2 at exactly period 1's prices reuses
+    its outcome. An invalid p raises InvalidParamsError, an m that is not a
+    positive integer (a bool included) or a non-finite price a ValueError
+    naming it, and a scenario that is not a Scenario a TypeError.
+    """
+    require_scenario(scenario)
     require_valid(p)
+    m = require_integer(m, "population size m")
+    if m < 1:
+        raise ValueError(f"population needs at least one type, got m={m}")
     pA1, pB1, pA2, pB2 = prices
-    first, bounds = simulate_period(m, p, scenario, pA1, pB1)
-    locks = bounds if scenario is Scenario.INCOMPATIBLE else None
-    if locks is None and (pA2, pB2) == (pA1, pB1):
+    for name, price in zip(("pA", "pB", "pA", "pB"), prices):
+        if not math.isfinite(price):
+            raise ValueError(f"price {name} must be finite: {name}={price!r}")
+    first, (lo, hi) = _play(m, p, scenario, pA1, pB1, 0, m)
+    if scenario is Scenario.INCOMPATIBLE:
+        second, _ = _play(m, p, scenario, pA2, pB2, lo, hi)
+    elif (pA2, pB2) == (pA1, pB1):
         # no locks and the same prices: period 1's fixed point
         second = first
     else:
-        second, _ = simulate_period(m, p, scenario, pA2, pB2, locks=locks)
+        second, _ = _play(m, p, scenario, pA2, pB2, 0, m)
     return SimRun(period1=first, period2=second,
                   revenue_a=first.revenue_a + second.revenue_a,
                   revenue_b=first.revenue_b + second.revenue_b)

@@ -25,7 +25,7 @@ from chain_rivalry.closed_form import (
 )
 from chain_rivalry.model import Scenario
 from chain_rivalry.oracle import _demand
-from chain_rivalry.sim import simulate_game, simulate_period
+from chain_rivalry.sim import _play, simulate_game
 from chain_rivalry.sweep import SweepSpec, run_sweep
 from chain_rivalry.verify import run_verification
 from conftest import grid_prices
@@ -219,10 +219,10 @@ def test_simulated_users_reproduce_the_analytics(reference):
             # [0, lo) and B adopters [hi, m) lock period 2, and no adopter
             # switches firms: A's period-2 adopters stay in [0, hi) and B's
             # in [lo, m), disjoint
-            first, (lo, hi) = simulate_period(m, reference, scenario,
-                                              closed.pA1, closed.pB1)
-            second, (a_free, b_free) = simulate_period(
-                m, reference, scenario, closed.pA2, closed.pB2, locks=(lo, hi))
+            first, (lo, hi) = _play(m, reference, scenario,
+                                    closed.pA1, closed.pB1, 0, m)
+            second, (a_free, b_free) = _play(m, reference, scenario,
+                                             closed.pA2, closed.pB2, lo, hi)
             assert (first, second) == (run.period1, run.period2)
             assert lo <= a_free <= b_free <= hi
             assert run.period2.share_a == run.period1.share_a

@@ -212,6 +212,13 @@ class TestEquilibriumDispatch:
         assert equilibrium(reference, Scenario.COMPATIBLE).scenario is Scenario.COMPATIBLE
         assert equilibrium(reference, Scenario.INCOMPATIBLE).pA1 < 0.0
 
+    @pytest.mark.parametrize("name", [sc.value for sc in Scenario])
+    def test_rejects_a_scenario_name(self, reference, name):
+        # dispatch is by identity: unchecked, "compatible" would solve the
+        # incompatible game (pA1 -14.8, not 3.0667)
+        with pytest.raises(TypeError, match=f"must be a Scenario, got '{name}'"):
+            equilibrium(reference, name)
+
 
 class TestFirstOrderConditions:
     """Marginal stage profit in a firm's own price vanishes at every

@@ -115,6 +115,13 @@ class TestSubsidy:
         assert p.subsidy(Scenario.COMPATIBLE) == 0.2
         assert p.subsidy(Scenario.INCOMPATIBLE) == 0.3
 
+    @pytest.mark.parametrize("name", [sc.value for sc in Scenario])
+    def test_rejects_a_scenario_name(self, name):
+        # unchecked, "compatible" would get the shared chain's 0.0
+        p = ModelParams(**REFERENCE, subsidy_p2=0.2, subsidy_p3=0.3)
+        with pytest.raises(TypeError, match=f"must be a Scenario, got '{name}'"):
+            p.subsidy(name)
+
 
 class TestOutcomeFromPeriods:
     # pA1, pB1, cutoff1, nA1, nB1: the oracle's cutoff can differ from A's
@@ -259,6 +266,14 @@ class TestValidateParams:
                         n1=-3.0, n2=0.0, n3=0.0)
         report = validate_params(p)
         assert not report.ok
+        # a directly built ModelParams is not type-checked: a field that is
+        # not a number is reported, and the checks combining fields skipped
+        p = ModelParams(alpha="x", s=3.0, k=20.0, n1=10.0, n2=5.0, n3=None,
+                        d=10 ** 400)
+        assert validate_params(p).violations == (
+            "alpha must be a number, got 'x'",
+            "n3 must be a number, got None",
+            f"d must be finite: d={10 ** 400!r}")
 
     def test_require_valid_raises_with_report(self, reference):
         bad = reference.with_values(alpha=-1.0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from chain_rivalry import model, sim
 from chain_rivalry.closed_form import equilibrium
 from chain_rivalry.model import InvalidParamsError, ModelParams, Scenario
-from chain_rivalry.sim import SimOutcome, simulate_game, simulate_period
+from chain_rivalry.sim import SimOutcome, _play, simulate_game
 from chain_rivalry.oracle import _demand
 from chain_rivalry.verify import run_verification
 from conftest import REFERENCE, _edge_draws, _off_gate_draws, midpoint_types
@@ -44,7 +44,7 @@ def _evaluated_types(p, prices, m):
     return {call.args[1] for call in evaluated.call_args_list}, runs
 
 
-class TestUserPopulation:
+class TestMidpointTypes:
     def test_midpoint_types(self, reference):
         seen, _ = _evaluated_types(reference, (3.0, 3.0, 4.0, 2.0), 4)
         assert seen and seen <= {0.125, 0.375, 0.625, 0.875}
@@ -61,8 +61,8 @@ class TestUserPopulation:
 
     def test_period_choices_record_decisions(self, reference):
         # A's adopters are [0, a_free) and B's [b_free, 10)
-        out, (a_free, b_free) = simulate_period(10, reference,
-                                                Scenario.SAME_CHAIN, 3.0, 3.0)
+        out, (a_free, b_free) = _play(10, reference, Scenario.SAME_CHAIN,
+                                      3.0, 3.0, 0, 10)
         assert (a_free, b_free) == (5, 5)
         assert out.share_a == 0.5 and out.share_b == 0.5
 
@@ -102,8 +102,7 @@ class TestFirst:
 class TestTieRules:
     def test_indifferent_between_firms_picks_b(self, reference):
         # equal shared-chain prices make the middle type exactly indifferent
-        out, bounds = simulate_period(5, reference, Scenario.SAME_CHAIN,
-                                      3.0, 3.0)
+        out, bounds = _play(5, reference, Scenario.SAME_CHAIN, 3.0, 3.0, 0, 5)
         assert out.share_a == 0.4
         assert out.share_b == 0.6
         assert bounds == (2, 2)  # type 2 is B's first adopter
@@ -112,23 +111,23 @@ class TestTieRules:
         # alpha=0 kills the network feedback so utilities are exact in
         # binary arithmetic: type 0.625 gets utility exactly 0 from A
         p = reference.with_values(alpha=0.0)
-        out, bounds = simulate_period(4, p, Scenario.SAME_CHAIN,
-                                      p.k - 1.875, 100.0)
+        out, bounds = _play(4, p, Scenario.SAME_CHAIN, p.k - 1.875, 100.0,
+                            0, 4)
         assert out.share_a == 0.75 and out.share_b == 0.0
         assert bounds == (3, 4)  # type 2 adopts A, type 3 nothing
 
     def test_indifferent_between_b_and_staying_out_participates(self, reference):
         # the mirror case: type 0.375 gets utility exactly 0 from B
         p = reference.with_values(alpha=0.0)
-        out, bounds = simulate_period(4, p, Scenario.SAME_CHAIN,
-                                      100.0, p.k - 1.875)
+        out, bounds = _play(4, p, Scenario.SAME_CHAIN, 100.0, p.k - 1.875,
+                            0, 4)
         assert out.share_b == 0.75 and out.share_a == 0.0
         assert bounds == (0, 1)  # type 1 adopts B, type 0 nothing
 
 
 class TestSimulatePeriod:
     def test_even_split_at_equal_prices(self, reference):
-        out, _ = simulate_period(10, reference, Scenario.SAME_CHAIN, 3.0, 3.0)
+        out, _ = _play(10, reference, Scenario.SAME_CHAIN, 3.0, 3.0, 0, 10)
         assert out.converged
         assert out.share_a == 0.5
         assert out.share_b == 0.5
@@ -138,8 +137,8 @@ class TestSimulatePeriod:
     @pytest.mark.parametrize("m,tol", [(1000, 1e-3), (10000, 1e-4)])
     def test_matches_analytic_split(self, reference, m, tol):
         closed = equilibrium(reference, Scenario.COMPATIBLE)
-        out, _ = simulate_period(m, reference, Scenario.COMPATIBLE,
-                                 closed.pA1, closed.pB1)
+        out, _ = _play(m, reference, Scenario.COMPATIBLE, closed.pA1,
+                       closed.pB1, 0, m)
         assert out.converged
         assert out.share_a == pytest.approx(closed.nA1, abs=tol)
         assert out.share_b == pytest.approx(closed.nB1, abs=tol)
@@ -151,7 +150,7 @@ class TestSimulatePeriod:
     ])
     def test_agrees_with_demand_solver(self, reference, scenario, prices):
         m = 4000
-        out, _ = simulate_period(m, reference, scenario, *prices)
+        out, _ = _play(m, reference, scenario, *prices, 0, m)
         nA, nB, _ = _demand(reference, scenario, *prices)
         assert out.share_a == pytest.approx(nA, abs=2.0 / m)
         assert out.share_b == pytest.approx(nB, abs=2.0 / m)
@@ -160,15 +159,15 @@ class TestSimulatePeriod:
 
     def test_partial_participation(self, reference):
         # pricing at the stand-alone value leaves the middle out
-        out, _ = simulate_period(10000, reference, Scenario.SAME_CHAIN,
-                                 reference.k, reference.k)
+        out, _ = _play(10000, reference, Scenario.SAME_CHAIN,
+                       reference.k, reference.k, 0, 10000)
         nA, _, _ = _demand(reference, Scenario.SAME_CHAIN,
                            reference.k, reference.k)
         assert out.share_a + out.share_b < 1.0
         assert out.share_a == pytest.approx(nA, abs=2e-4)
 
     def test_two_user_lattice(self, reference):
-        out, _ = simulate_period(2, reference, Scenario.SAME_CHAIN, 3.0, 3.0)
+        out, _ = _play(2, reference, Scenario.SAME_CHAIN, 3.0, 3.0, 0, 2)
         assert out.share_a == 0.5 and out.share_b == 0.5
         assert out.cutoff == 0.5
 
@@ -177,7 +176,7 @@ class TestSimulatePeriod:
     def test_choices_are_best_replies_to_the_converged_shares(
             self, reference, scenario, prices):
         m = 1000
-        out, bounds = simulate_period(m, reference, scenario, *prices)
+        out, bounds = _play(m, reference, scenario, *prices, 0, m)
         take_a, take_b = _masks(m, out, bounds)
         _, distances = midpoint_types(reference, m)
         uA, uB = model.user_utility(reference, scenario, distances, *prices,
@@ -189,8 +188,7 @@ class TestSimulatePeriod:
 
     def test_zero_iterations_leave_everyone_out(self, reference, monkeypatch):
         monkeypatch.setattr(sim, "MAX_FIXED_POINT_ITER", 0)
-        out, bounds = simulate_period(10, reference, Scenario.SAME_CHAIN,
-                                      3.0, 3.0)
+        out, bounds = _play(10, reference, Scenario.SAME_CHAIN, 3.0, 3.0, 0, 10)
         assert not out.converged and out.iterations == 0
         assert out.cutoff == 0.0
         assert bounds == (0, 10)  # A's adopters [0, 0), B's [10, 10)
@@ -263,16 +261,11 @@ class TestPopulationSize:
     def test_rejects_a_size_that_is_not_an_integer(self, reference, m):
         with pytest.raises(ValueError, match="population size m must be an "
                                              "integer, got "):
-            simulate_period(m, reference, Scenario.SAME_CHAIN, 3.0, 3.0)
-        with pytest.raises(ValueError, match="population size m must be an "
-                                             "integer, got "):
             simulate_game(reference, Scenario.SAME_CHAIN, (3.0, 3.0, 3.0, 3.0),
                           m=m)
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_rejects_an_empty_population(self, reference, m):
-        with pytest.raises(ValueError, match="at least one type"):
-            simulate_period(m, reference, Scenario.SAME_CHAIN, 3.0, 3.0)
         with pytest.raises(ValueError, match="at least one type"):
             simulate_game(reference, Scenario.SAME_CHAIN, (3.0, 3.0, 3.0, 3.0),
                           m=m)
@@ -293,10 +286,10 @@ class TestLockin:
         run = simulate_game(reference, Scenario.INCOMPATIBLE,
                             (closed.pA1, closed.pB1, closed.pA2, closed.pB2),
                             m=m)
-        first, locks = simulate_period(m, reference, Scenario.INCOMPATIBLE,
-                                       closed.pA1, closed.pB1)
-        second, bounds = simulate_period(m, reference, Scenario.INCOMPATIBLE,
-                                         closed.pA2, closed.pB2, locks=locks)
+        first, locks = _play(m, reference, Scenario.INCOMPATIBLE,
+                             closed.pA1, closed.pB1, 0, m)
+        second, bounds = _play(m, reference, Scenario.INCOMPATIBLE,
+                               closed.pA2, closed.pB2, *locks)
         assert (first, second) == (run.period1, run.period2)
         was_a, was_b = _masks(m, first, locks)
         now_a, now_b = _masks(m, second, bounds, locks)
@@ -306,13 +299,13 @@ class TestLockin:
 
     def test_locked_users_can_drop_out_but_not_switch(self, reference):
         m = 1000
-        _, locks = simulate_period(m, reference, Scenario.INCOMPATIBLE,
-                                   -14.8, -15.1)
+        _, locks = _play(m, reference, Scenario.INCOMPATIBLE, -14.8, -15.1,
+                         0, m)
         # pushing A's harvest price past its base's reach sheds users to
         # NEITHER, never to B
-        out, bounds = simulate_period(m, reference, Scenario.INCOMPATIBLE,
-                                      reference.k + reference.alpha * reference.n1,
-                                      19.15, locks=locks)
+        out, bounds = _play(m, reference, Scenario.INCOMPATIBLE,
+                            reference.k + reference.alpha * reference.n1,
+                            19.15, *locks)
         _, now_b = _masks(m, out, bounds, locks)
         assert not np.any(now_b[:locks[0]])
         assert out.share_a < 0.9 * locks[0] / m
@@ -320,56 +313,33 @@ class TestLockin:
     def test_unattached_users_join_freely_in_period_2(self, reference):
         m = 1000
         stay_out = reference.k + reference.alpha * reference.n1
-        first, locks = simulate_period(m, reference, Scenario.INCOMPATIBLE,
-                                       stay_out, stay_out)
+        first, locks = _play(m, reference, Scenario.INCOMPATIBLE,
+                             stay_out, stay_out, 0, m)
         assert first.share_a == 0.0 and first.share_b == 0.0
         assert locks == (0, m)  # nobody is locked
-        second, _ = simulate_period(m, reference, Scenario.INCOMPATIBLE,
-                                    0.0, 0.0, locks=locks)
+        second, _ = _play(m, reference, Scenario.INCOMPATIBLE, 0.0, 0.0,
+                          *locks)
         assert second.share_a + second.share_b == 1.0
 
     def test_boundaries_are_plain_ints(self, reference):
-        # a lock segment of numpy integers is read as the same ints
-        _, locks = simulate_period(200, reference, Scenario.INCOMPATIBLE,
-                                   3.0, 3.0)
+        _, locks = _play(200, reference, Scenario.INCOMPATIBLE, 3.0, 3.0,
+                         0, 200)
         assert all(type(b) is int for b in locks)
-        prices = (reference.k + reference.alpha * reference.n1, 19.15)
-        want = simulate_period(200, reference, Scenario.INCOMPATIBLE, *prices,
-                               locks=locks)
-        got = simulate_period(200, reference, Scenario.INCOMPATIBLE, *prices,
-                              locks=tuple(np.int64(b) for b in locks))
-        assert got == want
-        assert all(type(b) is int for b in got[1])
+        _, bounds = _play(200, reference, Scenario.INCOMPATIBLE,
+                          reference.k + reference.alpha * reference.n1, 19.15,
+                          *locks)
+        assert all(type(b) is int for b in bounds)
 
 
 class TestLockValidation:
-    @pytest.mark.parametrize("locks,problem", [
-        ((-1, 5), r"0 <= lo <= hi <= m=10, got \(-1, 5\)"),
-        ((0, 11), r"0 <= lo <= hi <= m=10, got \(0, 11\)"),
-        ((7, 3), "4 types are locked to both firms"),
-        ((12, 11), "1 types are locked to both firms"),
-        ((3.0, 5), "each lock boundary must be an integer, got 3.0"),
-        ((True, 5), "each lock boundary must be an integer, got True"),
-        ((3, None), "each lock boundary must be an integer, got None"),
-        ((3, 5, 7), "two integers"),
-        ([3, 5], "two integers"),
-        ((np.zeros(10, dtype=bool), np.zeros(10, dtype=bool)),
-         "each lock boundary must be an integer"),
-    ])
-    def test_rejects_lock_segments_a_period_cannot_return(self, reference,
-                                                          locks, problem):
-        with pytest.raises(ValueError, match=problem):
-            simulate_period(10, reference, Scenario.INCOMPATIBLE, 3.0, 3.0,
-                            locks=locks)
-
     def test_accepts_every_segment(self, reference):
         # no locked user switches firms: A's adopters stay in [0, hi) and
         # B's in [lo, m)
         m = 4
         for lo in range(m + 1):
             for hi in range(lo, m + 1):
-                out, bounds = simulate_period(m, reference, Scenario.INCOMPATIBLE,
-                                              3.0, 3.0, locks=(lo, hi))
+                out, bounds = _play(m, reference, Scenario.INCOMPATIBLE,
+                                    3.0, 3.0, lo, hi)
                 take_a, take_b = _masks(m, out, bounds, (lo, hi))
                 assert not np.any(take_b[:lo]) and not np.any(take_a[hi:])
 
@@ -396,6 +366,14 @@ class TestSimulateGame:
         bad = reference.with_values(alpha=0.13)
         with pytest.raises(InvalidParamsError):
             simulate_game(bad, Scenario.SAME_CHAIN, (3.0, 3.0, 3.0, 3.0), m=10)
+
+    @pytest.mark.parametrize("name", [sc.value for sc in Scenario])
+    def test_rejects_a_scenario_name(self, reference, name):
+        # dispatch is by identity: unchecked, "same" would play B on n3,
+        # and with n3=4 split 0.6/0.4 at equal prices, not 0.5/0.5
+        with pytest.raises(TypeError, match=f"must be a Scenario, got '{name}'"):
+            simulate_game(reference.with_values(n3=4.0), name,
+                          (3.0, 3.0, 3.0, 3.0), m=100)
 
     def test_population_argument_is_accepted_and_ignored(self, reference):
         # a run holds no population; the argument is only accepted, so that
@@ -427,9 +405,8 @@ class TestSimulateGame:
                 prices = (closed.pA1, closed.pB1,
                           closed.pA2 + shift, closed.pB2 - shift)
                 run = simulate_game(p, scenario, prices, m=m)
-                first, locks = simulate_period(m, p, scenario, *prices[:2])
-                second, bounds = simulate_period(m, p, scenario, *prices[2:],
-                                                 locks=locks)
+                first, locks = _play(m, p, scenario, *prices[:2], 0, m)
+                second, bounds = _play(m, p, scenario, *prices[2:], *locks)
                 assert (run.period1, run.period2) == (first, second)
                 assert run.revenue_a == first.revenue_a + second.revenue_a
                 assert run.revenue_b == first.revenue_b + second.revenue_b
@@ -453,8 +430,8 @@ class TestRepeatedPeriod:
         prices = (closed.pA1, closed.pB1, closed.pA2, closed.pB2)
         assert prices[2:] == prices[:2]
         run = simulate_game(reference, scenario, prices, m=10000)
-        fresh, _ = simulate_period(10000, reference, scenario,
-                                   closed.pA2, closed.pB2)
+        fresh, _ = _play(10000, reference, scenario, closed.pA2, closed.pB2,
+                         0, 10000)
         assert run.period2 == fresh
 
     @pytest.mark.parametrize("scenario,prices,periods", [
@@ -468,13 +445,13 @@ class TestRepeatedPeriod:
     def test_period_2_is_solved_only_when_it_can_differ(
             self, reference, monkeypatch, scenario, prices, periods):
         calls = []
-        real = sim.simulate_period
+        real = sim._play
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args)
-            return real(*args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(sim, "simulate_period", counted)
+        monkeypatch.setattr(sim, "_play", counted)
         simulate_game(reference, scenario, prices, m=100)
         assert len(calls) == periods
 
@@ -633,9 +610,8 @@ def test_bitwise_equal_to_the_plain_reference_simulator(game):
                                           locks=want_locks)
     with mock.patch.object(sim, "taste_distances",
                            wraps=model.taste_distances) as evaluated:
-        got1, locks = simulate_period(m, p, scenario, *first_prices)
-        got2, bounds = simulate_period(m, p, scenario, *second_prices,
-                                       locks=locks)
+        got1, locks = _play(m, p, scenario, *first_prices, 0, m)
+        got2, bounds = _play(m, p, scenario, *second_prices, *locks)
     assert (got1, got2) == (want1, want2)
     for got, want in zip(_masks(m, got1, locks) + _masks(m, got2, bounds, locks),
                          want_locks + want_takes):
