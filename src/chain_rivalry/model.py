@@ -256,19 +256,20 @@ def validate_params(p: ModelParams) -> ValidationReport:
 
     Each violated constraint is named with both sides of the inequality so
     the caller can see how far off the input is. Every valid set gets the
-    same report. A field that is not a number, or an integer past the float
-    range, is reported, and the checks that combine fields are then skipped.
+    same report. A field that is not a number (see is_number), or an
+    integer past the float range, is reported, and the checks that combine
+    fields are then skipped.
     """
     violations = []
     numeric = True
     for name, sign in _SIGNS:
         value = getattr(p, name)
-        try:
-            finite = math.isfinite(value)
-        except TypeError:
+        if not is_number(value):
             violations.append(f"{name} must be a number, got {value!r}")
             numeric = False
             continue
+        try:
+            finite = math.isfinite(value)
         except OverflowError:  # an integer past the float range
             finite = numeric = False
         if not finite:
@@ -309,6 +310,15 @@ def require_scenario(scenario) -> None:
     would silently solve another scenario."""
     if not isinstance(scenario, Scenario):
         raise TypeError(f"scenario must be a Scenario, got {scenario!r}")
+
+
+def is_number(x) -> bool:
+    """Whether x is a real number and not a bool: a float, an int, a
+    Fraction or a numpy float or integer (numpy's bool is no numbers.Real).
+    A float skips the numbers.Real check, an ABC lookup that costs many
+    times the type test, as validate_params runs once per sweep point."""
+    return type(x) is float or (not isinstance(x, bool)
+                                and isinstance(x, numbers.Real))
 
 
 def require_integer(n, what: str) -> int:

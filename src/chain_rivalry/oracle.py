@@ -49,47 +49,38 @@ def _unit(x):
 
 
 def _demand(p: ModelParams, scenario: Scenario, pA, pB):
-    """Vectorized stage demand (nA, nB, cutoff) at a price pair.
+    """Vectorized stage demand (nA, nB, cutoff) at broadcastable prices.
 
     Each firm's share is the indifference point under full coverage, capped
     by its self-consistent participation boundary (utility zero at the
     boundary type, network term included). On the shared chain both
     boundaries count the participation total T, and demand is the largest
-    self-consistent T. The indifferent type values both firms equally, so
-    coverage binds for both at once: either T = 1, or each firm sells
-    max((K + alpha*T)/s, 0) with K = k + alpha*n1 - price, which solves to
-    T = (K_A + K_B)/(s - 2*alpha) when both sell and to T = K/(s - alpha)
-    when only the larger-K firm does.
+    self-consistent T, then each firm's capped share at T. The indifferent
+    type values both firms equally, so coverage binds for both at once.
+    Short of coverage each firm sells max((K + alpha*T)/s, 0) with K = k +
+    alpha*n1 - price, which solves to T = (K_A + K_B)/(s - 2*alpha) when
+    both sell and to T = K/(s - alpha) when only the larger-K firm does;
+    T = 1 wherever the shares at T = 1 sum to at least 1.
     """
-    pA = np.asarray(pA, dtype=float)
-    pB = np.asarray(pB, dtype=float)
     u = p.s - p.alpha
 
     if scenario is Scenario.SAME_CHAIN:
-        if pA.shape != pB.shape:  # the coverage mask below indexes both
-            pA, pB = np.broadcast_arrays(pA, pB)
         raw = 0.5 + (pB - pA) / (2.0 * p.s)
+        K_a = p.k + p.alpha * p.n1 - pA
+        K_b = p.k + p.alpha * p.n1 - pB
+        short_total = _unit(np.maximum(K_a, K_b) / u)
+        if p.s > 2.0 * p.alpha:
+            both = (K_a + K_b) / (p.s - 2.0 * p.alpha)
+            short_total = np.where(np.minimum(K_a, K_b) + p.alpha * both >= 0.0,
+                                   both, short_total)
 
-        def shares(total, raw, pA, pB):
+        def shares(total):
             reach = p.k + p.alpha * (p.n1 + total)
             return (_unit(np.minimum(raw, (reach - pA) / p.s)),
                     _unit(np.minimum(1.0 - raw, (reach - pB) / p.s)))
 
-        nA, nB = shares(1.0, raw, pA, pB)
-        short = nA + nB < 1.0
-        if short.any():  # re-solve the total only where coverage fails
-            a, b = pA[short], pB[short]
-            K_a = p.k + p.alpha * p.n1 - a
-            K_b = p.k + p.alpha * p.n1 - b
-            total = _unit(np.maximum(K_a, K_b) / u)
-            if p.s > 2.0 * p.alpha:
-                both = (K_a + K_b) / (p.s - 2.0 * p.alpha)
-                total = np.where(np.minimum(K_a, K_b) + p.alpha * both >= 0.0,
-                                 both, total)
-            # a 0-d batch gave numpy scalars, which take no assignment
-            nA, nB = np.asarray(nA), np.asarray(nB)
-            nA[short], nB[short] = shares(total, raw[short], a, b)
-            nA, nB = nA[()], nB[()]
+        nA, nB = shares(1.0)
+        nA, nB = shares(np.where(nA + nB < 1.0, short_total, 1.0))
     else:
         base_b = p.n2 if scenario is Scenario.COMPATIBLE else p.n3
         raw = (p.alpha * (p.n1 - base_b) + u - pA + pB - p.d) / (2.0 * u)

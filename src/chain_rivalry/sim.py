@@ -32,9 +32,9 @@ import bisect
 import math
 from dataclasses import InitVar, dataclass
 
-from .model import (ModelParams, Scenario, record, require_integer,
-                    require_scenario, require_valid, taste_distances,
-                    user_utility)
+from .model import (ModelParams, Scenario, is_number, record,
+                    require_integer, require_scenario, require_valid,
+                    taste_distances, user_utility)
 
 MAX_FIXED_POINT_ITER = 1000
 
@@ -173,18 +173,28 @@ def simulate_game(p: ModelParams, scenario: Scenario,
 
     Under INCOMPATIBLE, period 1's final boundaries lock its adopters in
     for period 2; elsewhere a period 2 at exactly period 1's prices reuses
-    its outcome. An invalid p raises InvalidParamsError, an m that is not a
-    positive integer (a bool included) or a non-finite price a ValueError
-    naming it, and a scenario that is not a Scenario a TypeError.
+    its outcome. An invalid p raises InvalidParamsError; an m that is not a
+    positive integer (a bool included), prices that are not four, or a
+    price that is not a finite number (see model.is_number) a ValueError
+    naming it; and a scenario that is not a Scenario a TypeError.
     """
     require_scenario(scenario)
     require_valid(p)
     m = require_integer(m, "population size m")
     if m < 1:
         raise ValueError(f"population needs at least one type, got m={m}")
+    if len(prices) != 4:
+        raise ValueError("prices must be four numbers (pA1, pB1, pA2, pB2), "
+                         f"got {len(prices)}")
     pA1, pB1, pA2, pB2 = prices
     for name, price in zip(("pA", "pB", "pA", "pB"), prices):
-        if not math.isfinite(price):
+        if not is_number(price):
+            raise ValueError(f"price {name} must be a number, got {price!r}")
+        try:
+            finite = math.isfinite(price)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite:
             raise ValueError(f"price {name} must be finite: {name}={price!r}")
     first, (lo, hi) = _play(m, p, scenario, pA1, pB1, 0, m)
     if scenario is Scenario.INCOMPATIBLE:

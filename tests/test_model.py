@@ -275,6 +275,19 @@ class TestValidateParams:
             "n3 must be a number, got None",
             f"d must be finite: d={10 ** 400!r}")
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_reports_a_bool_field(self, reference, flag):
+        # a bool is no number, as in from_mapping and require_integer
+        assert validate_params(reference.with_values(d=flag)).violations == (
+            f"d must be a number, got {flag!r}",)
+
+    def test_exact_and_numpy_numbers_are_numbers(self):
+        exact = ModelParams(**{name: Fraction(value) for name, value
+                               in REFERENCE.items()}, d=Fraction(1, 3))
+        assert validate_params(exact).ok
+        assert validate_params(exact.with_values(
+            alpha=np.float32(0.1), n2=np.int64(5))).ok
+
     def test_require_valid_raises_with_report(self, reference):
         bad = reference.with_values(alpha=-1.0)
         with pytest.raises(InvalidParamsError) as err:

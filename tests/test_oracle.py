@@ -181,8 +181,8 @@ class TestStageDemand:
         # gets alone.
         # The first half sits near the equilibrium, where the market is
         # covered; the second half near the stand-alone reach, where the
-        # shared chain is short of coverage and its total is re-solved at
-        # those entries alone.
+        # shared chain is short of coverage and its shares are taken at the
+        # short total, not at 1.
         rng = np.random.default_rng(5)
         reach = reference.k + reference.alpha * reference.n1
         pA1, pB1 = rng.uniform(-1.0, 4.0, size=(2, 40))
@@ -686,7 +686,7 @@ class TestExactSolve:
 
     def test_low_k_outcomes_match_their_pinned_bits(self, reference):
         # And far below the participation bound, where the shared chain's
-        # total is re-solved at many of the prices a game tries.
+        # total falls short of 1 at many of the prices a game tries.
         configs = _low_k(reference)
         assert all(oracle_equilibrium(p, scenario).converged
                    for p in configs for scenario in Scenario)

@@ -125,7 +125,7 @@ class TestTieRules:
         assert bounds == (0, 1)  # type 1 adopts B, type 0 nothing
 
 
-class TestSimulatePeriod:
+class TestPeriod:
     def test_even_split_at_equal_prices(self, reference):
         out, _ = _play(10, reference, Scenario.SAME_CHAIN, 3.0, 3.0, 0, 10)
         assert out.converged
@@ -330,8 +330,6 @@ class TestLockin:
                           *locks)
         assert all(type(b) is int for b in bounds)
 
-
-class TestLockValidation:
     def test_accepts_every_segment(self, reference):
         # no locked user switches firms: A's adopters stay in [0, hi) and
         # B's in [lo, m)
@@ -420,6 +418,28 @@ class TestSimulateGame:
                 else:
                     assert second.share_b < first.share_b
                     assert second.share_a == first.share_a
+
+    @pytest.mark.parametrize("prices,problem", [
+        ((True, 3.0, 3.0, 3.0), "price pA must be a number, got True"),
+        ((3.0, np.True_, 3.0, 3.0), "price pB must be a number, got np.True_"),
+        ((3.0, 3.0, "3", 3.0), "price pA must be a number, got '3'"),
+        ((3.0, 3.0, 3.0), r"must be four numbers \(pA1, pB1, pA2, pB2\), got 3"),
+        ((3.0,) * 5, r"must be four numbers \(pA1, pB1, pA2, pB2\), got 5"),
+        ((3.0, 3.0, 3.0, 10 ** 400), "price pB must be finite"),
+    ])
+    def test_rejects_prices_that_are_not_four_numbers(self, reference, prices,
+                                                      problem):
+        for scenario in Scenario:
+            with pytest.raises(ValueError, match=problem):
+                simulate_game(reference, scenario, prices, m=100)
+
+    def test_numpy_and_integer_prices_are_numbers(self, reference):
+        for scenario in Scenario:
+            run = simulate_game(reference, scenario,
+                                (np.float64(3.0), np.int64(3), 4, 2), m=100)
+            want = simulate_game(reference, scenario, (3.0, 3.0, 4.0, 2.0),
+                                 m=100)
+            assert (run.period1, run.period2) == (want.period1, want.period2)
 
 
 class TestRepeatedPeriod:
