@@ -4,6 +4,10 @@ Exit codes are part of the contract: 0 success, 1 config/IO/usage error,
 2 blockaded (corner) equilibrium, 3 verification tolerance breach or, from
 thresholds, a violated subsidy ordering c2_star < c3_star.
 
+Each command is one subparser, built with its --config and registered with
+its handler, a function of the parameters and the parsed arguments; main
+loads and validates the config and dispatches through that handler.
+
 sweep and verify are imported inside their commands. Only verify needs
 numpy, so the closed-form queries (equilibrium, compare, thresholds) and
 sweep never load it.
@@ -14,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import closed_form
 from .closed_form import CornerEquilibriumError
@@ -43,37 +47,32 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def add_config(sp: argparse.ArgumentParser) -> None:
+    def add(name: str, run: Callable[[ModelParams, argparse.Namespace], int],
+            help: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--config", required=True,
                         help="path to a JSON parameter file")
+        sp.set_defaults(run=run)
+        return sp
 
-    sp = sub.add_parser("equilibrium", help="prices, cutoffs, and profits "
-                                            "for one scenario")
-    add_config(sp)
+    sp = add("equilibrium", _cmd_equilibrium,
+             "prices, cutoffs, and profits for one scenario")
     sp.add_argument("--scenario", required=True,
                     choices=[sc.value for sc in Scenario])
-
-    sp = sub.add_parser("compare", help="entrant payoffs across the three "
-                                        "platform choices")
-    add_config(sp)
-
-    sp = sub.add_parser("thresholds", help="subsidy and quality levels that "
-                                           "flip the platform choice")
-    add_config(sp)
-
-    sp = sub.add_parser("sweep", help="vary one parameter and tabulate "
-                                      "outcomes as CSV (optional SVG chart)")
-    add_config(sp)
+    add("compare", _cmd_compare,
+        "entrant payoffs across the three platform choices")
+    add("thresholds", _cmd_thresholds,
+        "subsidy and quality levels that flip the platform choice")
+    sp = add("sweep", _cmd_sweep, "vary one parameter and tabulate outcomes "
+                                  "as CSV (optional SVG chart)")
     sp.add_argument("--param", required=True, choices=REQUIRED_FIELDS + OPTIONAL_FIELDS)
     sp.add_argument("--lo", required=True, type=float)
     sp.add_argument("--hi", required=True, type=float)
     sp.add_argument("--steps", required=True, type=int)
     sp.add_argument("--out", required=True, help="CSV output path")
     sp.add_argument("--svg", help="optional SVG chart path")
-
-    sp = sub.add_parser("verify", help="closed forms vs brute-force solver "
-                                       "and user simulator")
-    add_config(sp)
+    sp = add("verify", _cmd_verify,
+             "closed forms vs brute-force solver and user simulator")
     sp.add_argument("--oracle", action="store_true",
                     help="check against the best-response solver only")
     sp.add_argument("--sim", action="store_true",
@@ -86,14 +85,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path: str) -> ModelParams:
-    params = ModelParams.from_json_file(path)
-    require_valid(params)
-    return params
-
-
-def _cmd_equilibrium(params: ModelParams, scenario_name: str) -> int:
-    scenario = Scenario.from_name(scenario_name)
+def _cmd_equilibrium(params: ModelParams, args: argparse.Namespace) -> int:
+    scenario = Scenario.from_name(args.scenario)
     out = closed_form.equilibrium(params, scenario)
     print(f"scenario: {scenario.value}")
     print(f"period-1 prices    pA1 = {out.pA1:.6f}   pB1 = {out.pB1:.6f}")
@@ -108,7 +101,7 @@ def _cmd_equilibrium(params: ModelParams, scenario_name: str) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(params: ModelParams) -> int:
+def _cmd_compare(params: ModelParams, args: argparse.Namespace) -> int:
     decision = closed_form.adoption_decision(params)
     print("firm B payoff by platform:")
     for name, scenario in closed_form.PLATFORMS:
@@ -124,7 +117,7 @@ def _cmd_compare(params: ModelParams) -> int:
     return EXIT_OK
 
 
-def _cmd_thresholds(params: ModelParams) -> int:
+def _cmd_thresholds(params: ModelParams, args: argparse.Namespace) -> int:
     rep = closed_form.subsidy_threshold(params)
     print(f"subsidy thresholds   c2_star = {rep.c2_star:.6f}   "
           f"c3_star = {rep.c3_star:.6f}")
@@ -158,8 +151,8 @@ def _cmd_sweep(params: ModelParams, args: argparse.Namespace) -> int:
 def _cmd_verify(params: ModelParams, args: argparse.Namespace) -> int:
     from . import verify as verify_mod
 
-    use_oracle = args.oracle or not (args.oracle or args.sim)
-    use_sim = args.sim or not (args.oracle or args.sim)
+    use_oracle = args.oracle or not args.sim
+    use_sim = args.sim or not args.oracle
     report = verify_mod.run_verification(params, trials=args.trials,
                                          seed=args.seed,
                                          use_oracle=use_oracle,
@@ -201,16 +194,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
 
     try:
-        params = _load_config(args.config)
-        if args.command == "equilibrium":
-            return _cmd_equilibrium(params, args.scenario)
-        if args.command == "compare":
-            return _cmd_compare(params)
-        if args.command == "thresholds":
-            return _cmd_thresholds(params)
-        if args.command == "sweep":
-            return _cmd_sweep(params, args)
-        return _cmd_verify(params, args)
+        params = ModelParams.from_json_file(args.config)
+        require_valid(params)
+        return args.run(params, args)
     except CornerEquilibriumError as exc:
         print(f"error: blockaded equilibrium: {exc}", file=sys.stderr)
         return EXIT_CORNER
@@ -220,10 +206,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

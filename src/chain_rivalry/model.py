@@ -313,12 +313,15 @@ def require_scenario(scenario) -> None:
 
 
 def is_number(x) -> bool:
-    """Whether x is a real number and not a bool: a float, an int, a
-    Fraction or a numpy float or integer (numpy's bool is no numbers.Real).
-    A float skips the numbers.Real check, an ABC lookup that costs many
-    times the type test, as validate_params runs once per sweep point."""
-    return type(x) is float or (not isinstance(x, bool)
-                                and isinstance(x, numbers.Real))
+    """Whether x is a number the routes compute with in double precision:
+    a float (numpy.float64 included) or an exact rational that is not a
+    bool (an int, a numpy integer, a Fraction; numpy's bool is no number).
+    numpy.float32, float16 and longdouble are rejected: they would carry
+    their own precision through every route. A float skips the
+    numbers.Rational check, an ABC lookup that costs many times the type
+    test, as validate_params runs once per sweep point."""
+    return isinstance(x, float) or (not isinstance(x, bool)
+                                    and isinstance(x, numbers.Rational))
 
 
 def require_integer(n, what: str) -> int:

@@ -417,6 +417,19 @@ class TestExitCodes:
         assert cli.main(["--help"]) == 0
         assert "equilibrium" in capsys.readouterr().out
 
+    def test_no_command_is_a_usage_error(self, capsys):
+        assert cli.main([]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("the following arguments are required: command"
+                in captured.err)
+
+    @pytest.mark.parametrize("command", ["equilibrium", "compare",
+                                         "thresholds", "sweep", "verify"])
+    def test_every_command_takes_a_config(self, capsys, command):
+        assert cli.main([command, "--help"]) == 0
+        assert "--config CONFIG" in capsys.readouterr().out
+
     def test_sweep_rejects_bad_range(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = cli.main(["sweep", "--config", cfg, "--param", "d",

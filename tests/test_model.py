@@ -286,7 +286,10 @@ class TestValidateParams:
                                in REFERENCE.items()}, d=Fraction(1, 3))
         assert validate_params(exact).ok
         assert validate_params(exact.with_values(
-            alpha=np.float32(0.1), n2=np.int64(5))).ok
+            alpha=np.float64(0.1), n2=np.int64(5))).ok
+        # a narrower float would carry its own precision through every route
+        assert validate_params(exact.with_values(alpha=np.float32(0.1))).violations == (
+            "alpha must be a number, got np.float32(0.1)",)
 
     def test_require_valid_raises_with_report(self, reference):
         bad = reference.with_values(alpha=-1.0)

@@ -426,6 +426,8 @@ class TestSimulateGame:
         ((3.0, 3.0, 3.0), r"must be four numbers \(pA1, pB1, pA2, pB2\), got 3"),
         ((3.0,) * 5, r"must be four numbers \(pA1, pB1, pA2, pB2\), got 5"),
         ((3.0, 3.0, 3.0, 10 ** 400), "price pB must be finite"),
+        ((3.0, 3.0, 3.0, np.float32(3.0)),
+         r"price pB must be a number, got np.float32\(3.0\)"),
     ])
     def test_rejects_prices_that_are_not_four_numbers(self, reference, prices,
                                                       problem):

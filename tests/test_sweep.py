@@ -4,6 +4,7 @@ the entrant's platform choice over that point's solved outcomes."""
 import csv
 import hashlib
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,6 +181,8 @@ class TestGrid:
     def test_integer_ends_give_floats(self):
         assert SweepSpec("d", 0, 1, 5).values() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert all(type(v) is float for v in SweepSpec("d", 0, 1, 3).values())
+        assert SweepSpec("d", Fraction(0), np.int64(2), 3).values() == [
+            0.0, 1.0, 2.0]
 
     @pytest.mark.parametrize("steps", [2.0, 2.5, True, False, "3", None])
     def test_steps_must_be_an_integer(self, steps):
@@ -196,6 +199,20 @@ class TestGrid:
     def test_needs_two_steps(self, steps):
         with pytest.raises(ValueError, match=f"at least 2 steps, got {steps}$"):
             SweepSpec("d", 0.0, 1.0, steps)
+
+    @pytest.mark.parametrize("lo,hi,problem", [
+        (True, 2.0, "sweep bound lo must be a number, got True"),
+        (0.0, np.True_, "sweep bound hi must be a number, got np.True_"),
+        ("0", "2", "sweep bound lo must be a number, got '0'"),
+        (0.0, None, "sweep bound hi must be a number, got None"),
+        (0.0, np.float32(2.0), r"sweep bound hi must be a number, got "
+                               r"np.float32\(2.0\)"),
+        (0.0, 10 ** 400, "sweep range must be finite"),
+        (-10 ** 400, 0, "sweep range must be finite"),
+    ])
+    def test_bounds_must_be_finite_numbers(self, lo, hi, problem):
+        with pytest.raises(ValueError, match=f"^{problem}"):
+            SweepSpec("d", lo, hi, 3)
 
 
 def test_an_overflowing_point_names_its_value(reference):
