@@ -131,12 +131,9 @@ class ModelParams:
         values = {}
         for name in data:  # all known; the mapping's order names the first bad one
             value = data[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            number = as_float(value)
+            if number is None:
                 raise ValueError(f"config key {name!r} must be a number, got {value!r}")
-            try:
-                number = float(value)
-            except OverflowError:  # an integer beyond the float range
-                number = math.inf if value > 0 else -math.inf
             if not math.isfinite(number):
                 raise ValueError(f"{name} must be finite: {name}={number!r}")
             values[name] = number
@@ -256,27 +253,24 @@ def validate_params(p: ModelParams) -> ValidationReport:
 
     Each violated constraint is named with both sides of the inequality so
     the caller can see how far off the input is. Every valid set gets the
-    same report. A field that is not a number (see is_number), or an
-    integer past the float range, is reported, and the checks that combine
+    same report. A field that is not a number (see as_float) or not finite
+    is reported, a non-finite one by its float, and the checks that combine
     fields are then skipped.
     """
     violations = []
-    numeric = True
+    finite = True
     for name, sign in _SIGNS:
         value = getattr(p, name)
-        if not is_number(value):
+        number = as_float(value)
+        if number is None:
             violations.append(f"{name} must be a number, got {value!r}")
-            numeric = False
-            continue
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer past the float range
-            finite = numeric = False
-        if not finite:
-            violations.append(f"{name} must be finite: {name}={value!r}")
+            finite = False
+        elif not math.isfinite(number):
+            violations.append(f"{name} must be finite: {name}={number!r}")
+            finite = False
         elif not (value > 0.0 if sign == "positive" else value >= 0.0):
             violations.append(f"{name} must be {sign}: {name}={value!r}")
-    if not numeric:
+    if not finite:
         return ValidationReport(ok=False, violations=tuple(violations))
 
     if not p.n1 > p.n2:
@@ -312,16 +306,23 @@ def require_scenario(scenario) -> None:
         raise TypeError(f"scenario must be a Scenario, got {scenario!r}")
 
 
-def is_number(x) -> bool:
-    """Whether x is a number the routes compute with in double precision:
-    a float (numpy.float64 included) or an exact rational that is not a
-    bool (an int, a numpy integer, a Fraction; numpy's bool is no number).
-    numpy.float32, float16 and longdouble are rejected: they would carry
-    their own precision through every route. A float skips the
-    numbers.Rational check, an ABC lookup that costs many times the type
-    test, as validate_params runs once per sweep point."""
-    return isinstance(x, float) or (not isinstance(x, bool)
-                                    and isinstance(x, numbers.Rational))
+def as_float(x) -> float | None:
+    """x as a double when it is a number the routes compute with: a float
+    (numpy.float64 included) or an exact rational that is not a bool (an
+    int, a numpy integer, a Fraction; numpy's bool is no number). An
+    integer past the float range gives inf or -inf. Anything else gives
+    None, numpy.float32, float16 and longdouble included: they would carry
+    their own precision through every route. A plain float returns at
+    once, before the numbers.Rational check, an ABC lookup that costs many
+    times the type test, as validate_params runs once per sweep point."""
+    if type(x) is float:
+        return x
+    if isinstance(x, bool) or not isinstance(x, (float, numbers.Rational)):
+        return None
+    try:
+        return float(x)
+    except OverflowError:  # an integer past the float range
+        return math.inf if x > 0 else -math.inf
 
 
 def require_integer(n, what: str) -> int:

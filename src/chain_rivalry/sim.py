@@ -32,7 +32,7 @@ import bisect
 import math
 from dataclasses import InitVar, dataclass
 
-from .model import (ModelParams, Scenario, is_number, record,
+from .model import (ModelParams, Scenario, as_float, record,
                     require_integer, require_scenario, require_valid,
                     taste_distances, user_utility)
 
@@ -175,8 +175,8 @@ def simulate_game(p: ModelParams, scenario: Scenario,
     for period 2; elsewhere a period 2 at exactly period 1's prices reuses
     its outcome. An invalid p raises InvalidParamsError; an m that is not a
     positive integer (a bool included), prices that are not four, or a
-    price that is not a finite number (see model.is_number) a ValueError
-    naming it; and a scenario that is not a Scenario a TypeError.
+    price that is not a finite number a ValueError naming it; and a
+    scenario that is not a Scenario a TypeError.
     """
     require_scenario(scenario)
     require_valid(p)
@@ -188,14 +188,11 @@ def simulate_game(p: ModelParams, scenario: Scenario,
                          f"got {len(prices)}")
     pA1, pB1, pA2, pB2 = prices
     for name, price in zip(("pA", "pB", "pA", "pB"), prices):
-        if not is_number(price):
+        number = as_float(price)
+        if number is None:
             raise ValueError(f"price {name} must be a number, got {price!r}")
-        try:
-            finite = math.isfinite(price)
-        except OverflowError:  # an integer past the float range
-            finite = False
-        if not finite:
-            raise ValueError(f"price {name} must be finite: {name}={price!r}")
+        if not math.isfinite(number):
+            raise ValueError(f"price {name} must be finite: {name}={number!r}")
     first, (lo, hi) = _play(m, p, scenario, pA1, pB1, 0, m)
     if scenario is Scenario.INCOMPATIBLE:
         second, _ = _play(m, p, scenario, pA2, pB2, lo, hi)

@@ -18,7 +18,7 @@ from . import closed_form
 from .closed_form import (AdoptionDecision, CornerEquilibriumError,
                           ThresholdReport)
 from .model import (OPTIONAL_FIELDS, REQUIRED_FIELDS, EquilibriumOutcome,
-                    ModelParams, Scenario, is_number, record,
+                    ModelParams, Scenario, as_float, record,
                     require_integer, validate_params)
 
 SWEEPABLE = REQUIRED_FIELDS + OPTIONAL_FIELDS
@@ -42,18 +42,15 @@ class SweepSpec:
         if self.param not in SWEEPABLE:
             raise ValueError(
                 f"cannot sweep {self.param!r}; choose one of {', '.join(SWEEPABLE)}")
-        for name, bound in (("lo", self.lo), ("hi", self.hi)):
-            if not is_number(bound):
+        lo, hi = as_float(self.lo), as_float(self.hi)
+        for name, bound, number in (("lo", self.lo, lo), ("hi", self.hi, hi)):
+            if number is None:
                 raise ValueError(f"sweep bound {name} must be a number, "
                                  f"got {bound!r}")
-        try:
-            lo, hi = float(self.lo), float(self.hi)
-        except OverflowError:  # an integer past the float range
-            lo = hi = math.inf
         # a finite width implies finite ends; the grid needs the width itself
         if not math.isfinite(hi - lo):
             raise ValueError("sweep range must be finite, and so must its width "
-                             f"hi - lo, got [{self.lo}, {self.hi}]")
+                             f"hi - lo, got [{lo}, {hi}]")
         if not lo < hi:
             raise ValueError(f"sweep range needs lo < hi, got [{self.lo}, {self.hi}]")
         steps = require_integer(self.steps, "sweep steps")

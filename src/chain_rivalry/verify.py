@@ -18,8 +18,8 @@ from operator import attrgetter
 import numpy as np
 
 from . import closed_form
-from .model import (ModelParams, Scenario, record, require_integer,
-                    require_valid)
+from .model import (ModelParams, Scenario, as_float, record,
+                    require_integer, require_valid)
 from .oracle import oracle_equilibrium
 from .sim import simulate_game
 
@@ -145,6 +145,9 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
     neither route is used, since a run that checks nothing cannot pass.
     """
     require_valid(base)
+    # the routes run in double precision: an exact field runs as its float
+    base = ModelParams(**{name: as_float(value)
+                          for name, value in vars(base).items()})
     trials = require_integer(trials, "trials")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")

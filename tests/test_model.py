@@ -36,9 +36,10 @@ class TestModelParams:
         assert p.subsidy_p3 == 0.3
 
     def test_integer_values_become_floats(self):
-        p = ModelParams.from_mapping({**REFERENCE, "k": 20, "n1": 10})
-        assert isinstance(p.k, float)
-        assert isinstance(p.n1, float)
+        for k, n1 in [(20, 10), (Fraction(20), np.int64(10))]:
+            p = ModelParams.from_mapping({**REFERENCE, "k": k, "n1": n1})
+            assert type(p.k) is float and p.k == 20.0
+            assert type(p.n1) is float and p.n1 == 10.0
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys: beta"):
@@ -69,6 +70,8 @@ class TestModelParams:
     @pytest.mark.parametrize("bad,shown", [
         (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"),
         (10 ** 400, "inf"),
+        # pytest cannot name a value past Python's int-to-str digit limit
+        pytest.param(10 ** 5000, "inf", id="10**5000-inf"),
     ])
     def test_non_finite_value_rejected(self, field, bad, shown):
         message = f"{field} must be finite: {field}={shown}"
@@ -269,11 +272,12 @@ class TestValidateParams:
         # a directly built ModelParams is not type-checked: a field that is
         # not a number is reported, and the checks combining fields skipped
         p = ModelParams(alpha="x", s=3.0, k=20.0, n1=10.0, n2=5.0, n3=None,
-                        d=10 ** 400)
+                        d=10 ** 400, subsidy_p3=-10 ** 5000)
         assert validate_params(p).violations == (
             "alpha must be a number, got 'x'",
             "n3 must be a number, got None",
-            f"d must be finite: d={10 ** 400!r}")
+            "d must be finite: d=inf",
+            "subsidy_p3 must be finite: subsidy_p3=-inf")
 
     @pytest.mark.parametrize("flag", [True, np.True_])
     def test_reports_a_bool_field(self, reference, flag):

@@ -428,6 +428,7 @@ class TestSimulateGame:
         ((3.0, 3.0, 3.0, 10 ** 400), "price pB must be finite"),
         ((3.0, 3.0, 3.0, np.float32(3.0)),
          r"price pB must be a number, got np.float32\(3.0\)"),
+        ((3.0, 3.0, 10 ** 5000, 3.0), "price pA must be finite: pA=inf$"),
     ])
     def test_rejects_prices_that_are_not_four_numbers(self, reference, prices,
                                                       problem):

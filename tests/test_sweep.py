@@ -209,6 +209,10 @@ class TestGrid:
                                r"np.float32\(2.0\)"),
         (0.0, 10 ** 400, "sweep range must be finite"),
         (-10 ** 400, 0, "sweep range must be finite"),
+        # pytest cannot name a value past Python's int-to-str digit limit
+        pytest.param(0.0, 10 ** 5000, r"sweep range must be finite, and so "
+                     r"must its width hi - lo, got \[0.0, inf\]$",
+                     id="0.0-10**5000-sweep range must be finite"),
     ])
     def test_bounds_must_be_finite_numbers(self, lo, hi, problem):
         with pytest.raises(ValueError, match=f"^{problem}"):
