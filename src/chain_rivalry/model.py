@@ -241,11 +241,11 @@ class InvalidParamsError(ValueError):
         super().__init__("invalid params: " + "; ".join(report.violations))
 
 
-# Each field's sign constraint, checked in this order after finiteness.
-_SIGNS = (("alpha", "positive"), ("s", "positive"), ("k", "positive"),
-          ("n1", "nonnegative"), ("n2", "nonnegative"), ("n3", "nonnegative"),
-          ("d", "nonnegative"), ("subsidy_p2", "nonnegative"),
-          ("subsidy_p3", "nonnegative"))
+# Each field and whether it must be positive (else nonnegative), checked
+# in this order after finiteness.
+_SIGNS = (("alpha", True), ("s", True), ("k", True), ("n1", False),
+          ("n2", False), ("n3", False), ("d", False), ("subsidy_p2", False),
+          ("subsidy_p3", False))
 
 
 def validate_params(p: ModelParams) -> ValidationReport:
@@ -255,20 +255,22 @@ def validate_params(p: ModelParams) -> ValidationReport:
     the caller can see how far off the input is. Every valid set gets the
     same report. A field that is not a number (see as_float) or not finite
     is reported, a non-finite one by its float, and the checks that combine
-    fields are then skipped.
+    fields are then skipped. A plain float field skips the as_float call,
+    as simulate_game validates once per game.
     """
     violations = []
     finite = True
-    for name, sign in _SIGNS:
+    for name, positive in _SIGNS:
         value = getattr(p, name)
-        number = as_float(value)
+        number = value if type(value) is float else as_float(value)
         if number is None:
             violations.append(f"{name} must be a number, got {value!r}")
             finite = False
         elif not math.isfinite(number):
             violations.append(f"{name} must be finite: {name}={number!r}")
             finite = False
-        elif not (value > 0.0 if sign == "positive" else value >= 0.0):
+        elif not (value > 0.0 if positive else value >= 0.0):
+            sign = "positive" if positive else "nonnegative"
             violations.append(f"{name} must be {sign}: {name}={value!r}")
     if not finite:
         return ValidationReport(ok=False, violations=tuple(violations))
@@ -326,7 +328,11 @@ def as_float(x) -> float | None:
 
 
 def require_integer(n, what: str) -> int:
-    """n as an int; rejects a bool and a value that is not an integer."""
+    """n as an int; rejects a bool and a value that is not an integer. A
+    plain int returns at once, before the numbers.Integral ABC lookup, as
+    simulate_game checks its m once per game."""
+    if type(n) is int:
+        return n
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {n!r}")
     return int(n)

@@ -102,13 +102,18 @@ def period2_monopoly_price(p: ModelParams, shares):
     <= K/2, and otherwise sheds part of it at the vertex price K/2:
     retained = min(K/(2u), n) and price = K - u*retained, so the corner
     value price*retained is exactly (K - u*n)*n. A firm that retains
-    nothing is priced at 0 and its harvest is worth 0.
+    nothing is priced at 0 and its harvest is worth 0: the price is zeroed
+    in place, only where a base is empty.
     """
     u = p.s - p.alpha
-    K = np.array([p.k + p.alpha * p.n1, p.k + p.alpha * p.n3 + p.d])
-    K = K.reshape((2,) + (1,) * (np.ndim(shares) - 1))
-    retained = np.maximum(np.minimum(0.5 * K / u, shares), 0.0)
-    return np.where(retained > 0.0, K - u * retained, 0.0), retained
+    K_a, K_b = p.k + p.alpha * p.n1, p.k + p.alpha * p.n3 + p.d
+    # both firms' K and K/(2u) from scalars, shaped to broadcast with shares
+    K, cap = np.array([K_a, K_b, 0.5 * K_a / u, 0.5 * K_b / u]).reshape(
+        (2, 2) + (1,) * (np.ndim(shares) - 1))
+    retained = np.maximum(np.minimum(cap, shares), 0.0)
+    price = K - u * retained
+    np.copyto(price, 0.0, where=~(retained > 0.0))
+    return price, retained
 
 
 def _line(form: tuple, level: float = 0.0) -> tuple[float, float]:
@@ -300,6 +305,11 @@ def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome
     supremum that no price attains (the strict xfail
     test_shared_chain_supremum_below_a_total_jump). A scenario that is not
     a Scenario raises a TypeError.
+
+    It takes float fields, as the CLI and run_verification pass them (each
+    field a double from model.as_float). An exact field such as a Fraction
+    turns its price arrays into object arrays that numpy cannot write back
+    as floats, and the solve raises a TypeError (numpy's UFuncTypeError).
     """
     require_scenario(scenario)
     lock_in = scenario is Scenario.INCOMPATIBLE

@@ -126,6 +126,9 @@ def _step(p: ModelParams, scenario: Scenario, m: int, pA: float, pB: float,
     b_entry = m * (1.0 - zero_b / s) - 0.5
     split = _first(picks_b, lo, hi,
                    m * (0.5 + (zero_a - zero_b) / (2.0 * s)) - 0.5)
+    if lo == 0 and hi == m:  # no lock: both locked segments are empty
+        return (0, _first(a_out, 0, split, a_exit),
+                _first(b_in, split, m, b_entry), m)
     return (_first(a_out, 0, lo, a_exit), _first(a_out, lo, split, a_exit),
             _first(b_in, split, hi, b_entry), _first(b_in, hi, m, b_entry))
 

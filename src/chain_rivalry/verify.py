@@ -39,17 +39,23 @@ def draw_params(rng: np.random.Generator) -> ModelParams:
     """One random parameter set satisfying every validity constraint.
 
     Sampling order is part of the reproducibility contract: n1, then the
-    shared rival base, then s, then alpha below the dispersion bound, then k
-    in (bound, 2*bound] above the participation bound.
+    shared rival base, then s, then alpha below the dispersion bound (drawn
+    again while it is 0), then k in (bound, 2*bound] above the
+    participation bound. The first four come from one rng.random(4) call:
+    Generator.uniform(low, high) returns low + (high - low)*U for the next
+    U that random() would return, so scaling each U the same way keeps the
+    stream and every bit of the uniform-call draws.
     """
-    n1 = float(rng.uniform(1.0, 50.0))
-    n_rival = float(rng.uniform(0.0, n1))
-    s = float(rng.uniform(0.5, 20.0))
-    alpha = float(rng.uniform(0.0, s / (2.0 * n1 + 1.0)))
+    u_n1, u_rival, u_s, u_alpha = rng.random(4).tolist()
+    n1 = 1.0 + 49.0 * u_n1
+    n_rival = n1 * u_rival
+    s = 0.5 + 19.5 * u_s
+    top = s / (2.0 * n1 + 1.0)
+    alpha = top * u_alpha
     while alpha == 0.0:
-        alpha = float(rng.uniform(0.0, s / (2.0 * n1 + 1.0)))
+        alpha = top * rng.random()
     bound = 4.0 * s + 4.0 * alpha * (1.0 + n1 + n_rival)
-    k = bound + bound * (1.0 - float(rng.uniform(0.0, 1.0)))
+    k = bound + bound * (1.0 - rng.random())
     p = ModelParams(alpha=alpha, s=s, k=k, n1=n1, n2=n_rival, n3=n_rival)
     require_valid(p)
     return p
@@ -108,10 +114,11 @@ def _sim_route(p: ModelParams, scenario: Scenario, closed, m: int):
     run = simulate_game(p, scenario, (closed.pA1, closed.pB1,
                                       closed.pA2, closed.pB2), m=m)
     first, second = run.period1, run.period2
-    stalled = [f"period {t} ({out.iterations} iterations)"
-               for t, out in ((1, first), (2, second)) if not out.converged]
-    stall = (f"adoption fixed point did not converge in {', '.join(stalled)}"
-             if stalled else None)
+    stall = None
+    if not (first.converged and second.converged):
+        stalled = [f"period {t} ({out.iterations} iterations)"
+                   for t, out in ((1, first), (2, second)) if not out.converged]
+        stall = f"adoption fixed point did not converge in {', '.join(stalled)}"
     return stall, (first.cutoff, second.cutoff, first.share_a, first.share_b,
                    second.share_a, second.share_b, run.revenue_a, run.revenue_b)
 

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import inspect
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -514,6 +515,18 @@ class TestOracleDispatch:
         # separate-chain game on n3 (pA1 3.0667, not 3.0)
         with pytest.raises(TypeError, match=f"must be a Scenario, got '{name}'"):
             oracle_equilibrium(reference, name)
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_exact_fields_raise_numpys_type_error(self, reference, scenario):
+        # The oracle takes float fields, as the CLI and run_verification
+        # pass them. A Fraction field makes object arrays, which numpy will
+        # not write back into the float price arrays.
+        exact = ModelParams(**{name: Fraction(value)
+                               for name, value in vars(reference).items()})
+        with pytest.raises(TypeError, match=r"Cannot cast ufunc '\w+' output "
+                                            r"from dtype\('O'\)") as raised:
+            oracle_equilibrium(exact, scenario)
+        assert "UFuncTypeError" in [c.__name__ for c in type(raised.value).__mro__]
 
     def test_matches_closed_form_on_a_few_draws(self, draws25):
         for p in draws25[:8]:

@@ -16,7 +16,60 @@ from conftest import without_equilibrium_lines
 REPO_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
 
+def _uniform_draw(rng):
+    """draw_params written with one Generator.uniform call per field: the
+    reference its one-call draw must reproduce bit for bit."""
+    n1 = float(rng.uniform(1.0, 50.0))
+    n_rival = float(rng.uniform(0.0, n1))
+    s = float(rng.uniform(0.5, 20.0))
+    alpha = float(rng.uniform(0.0, s / (2.0 * n1 + 1.0)))
+    while alpha == 0.0:
+        alpha = float(rng.uniform(0.0, s / (2.0 * n1 + 1.0)))
+    bound = 4.0 * s + 4.0 * alpha * (1.0 + n1 + n_rival)
+    k = bound + bound * (1.0 - float(rng.uniform(0.0, 1.0)))
+    return ModelParams(alpha=alpha, s=s, k=k, n1=n1, n2=n_rival, n3=n_rival)
+
+
+class _AlphaZeroOnce:
+    """A generator over a real one's first six random() values with the
+    fourth, alpha's draw, set to 0.0. random() and uniform() read the same
+    values, as Generator's do, and raise StopIteration past the sixth."""
+
+    def __init__(self, seed):
+        values = np.random.default_rng(seed).random(6)
+        values[3] = 0.0
+        self.values = iter(values.tolist())
+
+    def random(self, size=None):
+        if size is None:
+            return next(self.values)
+        return np.array([next(self.values) for _ in range(size)])
+
+    def uniform(self, low, high):
+        return low + (high - low) * next(self.values)
+
+
+def _bits(p):
+    return [value.hex() for value in vars(p).values()]
+
+
 class TestDrawParams:
+    @pytest.mark.parametrize("seed", [0, 9, 42, 123, 2024])
+    def test_matches_the_uniform_call_reference_bitwise(self, seed):
+        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2000):
+            assert _bits(draw_params(fast)) == _bits(_uniform_draw(ref))
+        assert fast.random() == ref.random()  # the streams stay in step
+
+    def test_a_zero_alpha_is_drawn_again(self):
+        stub = _AlphaZeroOnce(7)
+        p = draw_params(stub)
+        assert _bits(p) == _bits(_uniform_draw(_AlphaZeroOnce(7)))
+        values = np.random.default_rng(7).random(6)
+        assert p.alpha == p.s / (2.0 * p.n1 + 1.0) * values[4] > 0.0
+        with pytest.raises(StopIteration):  # k took the sixth value
+            stub.random()
+
     def test_draws_stay_inside_every_constraint(self):
         rng = np.random.default_rng(123)
         for _ in range(200):
