@@ -4,8 +4,8 @@ shapes network effects and switching costs.
 
 Import each name from the module that defines it:
 
-- model: ModelParams, Scenario, validate_params, taste_distances,
-  user_utility;
+- model: ModelParams, Scenario (SCENARIOS holds its members in order),
+  validate_params, taste_distances, user_utility;
 - closed_form: equilibrium(p, scenario) for all three scenarios,
   adoption_decision, subsidy_threshold, adoption_sensitivity;
 - oracle: oracle_equilibrium, the best-response route;

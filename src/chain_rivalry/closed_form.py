@@ -17,6 +17,10 @@ from dataclasses import fields
 from typing import Mapping
 
 from .model import (
+    COMPATIBLE,
+    INCOMPATIBLE,
+    SAME_CHAIN,
+    SCENARIOS,
     EquilibriumOutcome,
     ModelParams,
     Scenario,
@@ -57,7 +61,7 @@ class ThresholdReport:
 
 
 # Each platform the entrant can choose and the scenario it plays there.
-PLATFORMS = tuple(zip(("P1", "P2", "P3"), Scenario))
+PLATFORMS = tuple(zip(("P1", "P2", "P3"), SCENARIOS))
 
 
 @record
@@ -127,10 +131,10 @@ def equilibrium(p: ModelParams, scenario: Scenario,
         require_scenario(scenario)
         require_valid(p)
     u = p.s - p.alpha
-    if scenario is Scenario.SAME_CHAIN:
+    if scenario is SAME_CHAIN:
         pA1 = pB1 = p.s
         cutoff = 0.5
-    elif scenario is Scenario.COMPATIBLE:
+    elif scenario is COMPATIBLE:
         gap = p.alpha * (p.n1 - p.n2)
         pA1 = u + (gap - p.d) / 3.0
         pB1 = u + (-gap + p.d) / 3.0
@@ -146,7 +150,7 @@ def equilibrium(p: ModelParams, scenario: Scenario,
         raise CornerEquilibriumError(scenario, cutoff)
     nA, nB = cutoff, 1.0 - cutoff
     harvest = ()
-    if scenario is Scenario.INCOMPATIBLE:
+    if scenario is INCOMPATIBLE:
         # Highest price retaining the whole period-1 base (marginal adopter at 0).
         harvest = (p.k + p.alpha * p.n1 + (p.alpha - p.s) * nA,
                    p.k + p.alpha * p.n3 + p.d + (p.alpha - p.s) * nB, nA, nB)
@@ -199,7 +203,7 @@ def adoption_decision(p: ModelParams, validate: bool = True) -> AdoptionDecision
     if validate:
         require_valid(p)
     return AdoptionDecision.from_outcomes(
-        {scenario: equilibrium(p, scenario, validate=False) for scenario in Scenario})
+        {scenario: equilibrium(p, scenario, validate=False) for scenario in SCENARIOS})
 
 
 @record

@@ -34,7 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import EquilibriumOutcome, ModelParams, Scenario, require_scenario
+from .model import (COMPATIBLE, INCOMPATIBLE, SAME_CHAIN, EquilibriumOutcome,
+                    ModelParams, Scenario, require_scenario)
 
 # The certificate's bound on a deviation's gain, relative to the objective's
 # terms |price*share| + |harvest value|.
@@ -64,7 +65,7 @@ def _demand(p: ModelParams, scenario: Scenario, pA, pB):
     """
     u = p.s - p.alpha
 
-    if scenario is Scenario.SAME_CHAIN:
+    if scenario is SAME_CHAIN:
         raw = 0.5 + (pB - pA) / (2.0 * p.s)
         K_a = p.k + p.alpha * p.n1 - pA
         K_b = p.k + p.alpha * p.n1 - pB
@@ -82,7 +83,7 @@ def _demand(p: ModelParams, scenario: Scenario, pA, pB):
         nA, nB = shares(1.0)
         nA, nB = shares(np.where(nA + nB < 1.0, short_total, 1.0))
     else:
-        base_b = p.n2 if scenario is Scenario.COMPATIBLE else p.n3
+        base_b = p.n2 if scenario is COMPATIBLE else p.n3
         raw = (p.alpha * (p.n1 - base_b) + u - pA + pB - p.d) / (2.0 * u)
         reach_a = (p.k + p.alpha * p.n1 - pA) / u
         reach_b = (p.k + p.alpha * base_b + p.d - pB) / u
@@ -191,7 +192,7 @@ def _lines(p: ModelParams, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     both firms sell lies on a share-zero line.
     """
     s, alpha, u = p.s, p.alpha, p.s - p.alpha
-    if scenario is Scenario.SAME_CHAIN:
+    if scenario is SAME_CHAIN:
         R = p.k + alpha * p.n1
         raw, reach = (0.5, -0.5 / s, 0.5 / s), ((R + alpha) / s, -1.0 / s, 0.0)  # T = 1
         table = np.array([(p.k + alpha * (p.n1 + 1.0), 0.0),  # the exit line
@@ -200,12 +201,12 @@ def _lines(p: ModelParams, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
                           _peak(raw), _peak((R / u, -1.0 / u, 0.0)),  # T = K_own/u
                           _peak((R / u, -1.0 / s, -alpha / (u * s)))])  # T = K_rival/u
         return table, table
-    base_b = p.n2 if scenario is Scenario.COMPATIBLE else p.n3
+    base_b = p.n2 if scenario is COMPATIBLE else p.n3
     raw = (alpha * (p.n1 - base_b) + u - p.d) / (2.0 * u)
     tables = []
     for side, K in ((raw, p.k + alpha * p.n1), (1.0 - raw, p.k + alpha * base_b + p.d)):
         mine, reach = (side, -0.5 / u, 0.5 / u), (K / u, -1.0 / u, 0.0)
-        harvest = (u, K) if scenario is Scenario.INCOMPATIBLE else ()
+        harvest = (u, K) if scenario is INCOMPATIBLE else ()
         tables.append(np.array([(K, 0.0), _line(mine, 1.0), _line(reach, 1.0),
                                 _line([x - y for x, y in zip(mine, reach)]),
                                 _peak(mine, *harvest), _peak(reach)]))
@@ -312,7 +313,7 @@ def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome
     as floats, and the solve raises a TypeError (numpy's UFuncTypeError).
     """
     require_scenario(scenario)
-    lock_in = scenario is Scenario.INCOMPATIBLE
+    lock_in = scenario is INCOMPATIBLE
 
     def play(prices):
         """Both firms' objectives and their terms, stacked like the prices

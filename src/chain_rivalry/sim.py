@@ -12,10 +12,15 @@ No array of types or choices is built, so a game's time and memory do not
 grow with m. The types increase with i and IEEE-754 rounding is monotone,
 so in floating point uA = ((alpha*network_a - pA) - s*x) + k never rises
 with i and uB never falls: A's adopters are a prefix of the types and B's a
-suffix. A fixed-point step finds the first type that picks B over A, the
-first before it with uA < 0 and the first after it with uB >= 0, each by a
+suffix. A fixed-point step finds the first type that picks B over A by a
 search that starts at the analytic boundary and repairs a miss by
-bisection: it computes x_i for O(log m) types only.
+bisection: it computes x_i for O(log m) types only. The split's two
+neighbours then settle the free exits: when the type just below the split
+still has uA >= 0, every A-picker does, and when the split itself has
+uB >= 0, every B-picker does, so the first type with uA < 0 before the
+split and the first with uB >= 0 after it are the split itself. Only a
+step where some free type stays out searches for them the same way; with
+full participation an unlocked step costs the split search alone.
 
 simulate_game is the one public entry: it validates the config, m and the
 four prices once per game and plays period 1 on all m types. Under lock-in
@@ -32,7 +37,7 @@ import bisect
 import math
 from dataclasses import InitVar, dataclass
 
-from .model import (ModelParams, Scenario, as_float, record,
+from .model import (INCOMPATIBLE, ModelParams, Scenario, as_float, record,
                     require_integer, require_scenario, require_valid,
                     taste_distances, user_utility)
 
@@ -98,7 +103,12 @@ def _step(p: ModelParams, scenario: Scenario, m: int, pA: float, pB: float,
     """One fixed-point step at conjectured shares nA, nB: the boundaries
     (a_locked, a_free, b_free, b_locked) such that A's adopters are the
     types [0, a_locked) and [lo, a_free), and B's are [b_free, hi) and
-    [b_locked, m), where [lo, hi) is the free middle between the locks."""
+    [b_locked, m), where [lo, hi) is the free middle between the locks.
+
+    a_free is the split when the split's lower neighbour keeps uA >= 0,
+    and b_free is the split when the split keeps uB >= 0, as uA never
+    rises with i and uB never falls; each is searched for only otherwise.
+    An empty side of the split settles its boundary too."""
     s = p.s
     seen = {}  # the searches meet at shared indices: evaluate each type once
 
@@ -126,11 +136,15 @@ def _step(p: ModelParams, scenario: Scenario, m: int, pA: float, pB: float,
     b_entry = m * (1.0 - zero_b / s) - 0.5
     split = _first(picks_b, lo, hi,
                    m * (0.5 + (zero_a - zero_b) / (2.0 * s)) - 0.5)
+    # a split found within one of its guess has evaluated both neighbours
+    a_free = (split if split == lo or not a_out(split - 1)
+              else _first(a_out, lo, split, a_exit))
+    b_free = (split if split == hi or b_in(split)
+              else _first(b_in, split, hi, b_entry))
     if lo == 0 and hi == m:  # no lock: both locked segments are empty
-        return (0, _first(a_out, 0, split, a_exit),
-                _first(b_in, split, m, b_entry), m)
-    return (_first(a_out, 0, lo, a_exit), _first(a_out, lo, split, a_exit),
-            _first(b_in, split, hi, b_entry), _first(b_in, hi, m, b_entry))
+        return 0, a_free, b_free, m
+    return (_first(a_out, 0, lo, a_exit), a_free, b_free,
+            _first(b_in, hi, m, b_entry))
 
 
 def _play(m: int, p: ModelParams, scenario: Scenario, pA: float, pB: float,
@@ -197,7 +211,7 @@ def simulate_game(p: ModelParams, scenario: Scenario,
         if not math.isfinite(number):
             raise ValueError(f"price {name} must be finite: {name}={number!r}")
     first, (lo, hi) = _play(m, p, scenario, pA1, pB1, 0, m)
-    if scenario is Scenario.INCOMPATIBLE:
+    if scenario is INCOMPATIBLE:
         second, _ = _play(m, p, scenario, pA2, pB2, lo, hi)
     elif (pA2, pB2) == (pA1, pB1):
         # no locks and the same prices: period 1's fixed point

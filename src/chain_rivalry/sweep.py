@@ -18,12 +18,11 @@ from . import closed_form
 from .closed_form import (AdoptionDecision, CornerEquilibriumError,
                           ThresholdReport)
 from .model import (OPTIONAL_FIELDS, REQUIRED_FIELDS, EquilibriumOutcome,
-                    ModelParams, Scenario, as_float, record,
+                    SCENARIOS, ModelParams, Scenario, as_float, record,
                     require_integer, validate_params)
 
 SWEEPABLE = REQUIRED_FIELDS + OPTIONAL_FIELDS
-_SCENARIOS = tuple(Scenario)
-_SCENARIO_NAMES = tuple(scenario.value for scenario in _SCENARIOS)
+_SCENARIO_NAMES = tuple(scenario.value for scenario in SCENARIOS)
 
 CSV_HEADER = ("param_value,scenario,pA1,pB1,pA2,pB2,cutoff,profitA,profitB,"
               "chosen,c2_star,c3_star,d2_star,d3_star,valid")
@@ -104,7 +103,7 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
             continue
         notes = []
         outcomes: dict[Scenario, Optional[EquilibriumOutcome]] = {}
-        for scenario in _SCENARIOS:
+        for scenario in SCENARIOS:
             try:
                 outcomes[scenario] = closed_form.equilibrium(point, scenario,
                                                              validate=False)
@@ -136,7 +135,7 @@ def write_sweep_csv(records: list[SweepRecord], stream: IO[str]) -> int:
             tail = (f"{rec.chosen},{th.c2_star:.9g},{th.c3_star:.9g},"
                     f"{th.d2_star:.9g},{th.d3_star:.9g}")
         outcomes = rec.outcomes
-        for scenario, name in zip(_SCENARIOS, _SCENARIO_NAMES):
+        for scenario, name in zip(SCENARIOS, _SCENARIO_NAMES):
             out = outcomes.get(scenario)
             if out is not None:
                 lines.append(_OUTCOME_ROW % (
@@ -145,7 +144,7 @@ def write_sweep_csv(records: list[SweepRecord], stream: IO[str]) -> int:
             else:
                 lines.append(f"{value},{name},,,,,,,,{tail},{rec.note}\n")
     stream.write("".join(lines))
-    return len(records) * len(_SCENARIOS)
+    return len(records) * len(SCENARIOS)
 
 
 SVG_COLORS = {
@@ -165,7 +164,7 @@ def render_profit_svg(records: list[SweepRecord], param: str) -> str:
     nan = float("nan")
     profits = [[nan if out is None else out.profitB
                 for out in (rec.outcomes.get(scenario) for rec in records)]
-               for scenario in _SCENARIOS]
+               for scenario in SCENARIOS]
     xs = [rec.value for rec in records]
     ys = [y for column in profits for y in column if y == y]
     if not xs or not ys:
@@ -186,7 +185,7 @@ def render_profit_svg(records: list[SweepRecord], param: str) -> str:
         f'y2="{top + plot_h}" stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
     ]
-    for scenario, column in zip(_SCENARIOS, profits):
+    for scenario, column in zip(SCENARIOS, profits):
         segments: list[list[str]] = [[]]
         for x, y in zip(x_text, column):
             if y != y:
@@ -209,7 +208,7 @@ def render_profit_svg(records: list[SweepRecord], param: str) -> str:
         parts.append(f'<text x="{x:.0f}" y="{y:.0f}" font-size="12" '
                      f'text-anchor="{anchor}" font-family="sans-serif">{text}</text>')
     legend_y = top + 14
-    for scenario in _SCENARIOS:
+    for scenario in SCENARIOS:
         parts.append(f'<rect x="{left + 10}" y="{legend_y - 9}" width="12" height="3" '
                      f'fill="{SVG_COLORS[scenario]}"/>')
         parts.append(f'<text x="{left + 28}" y="{legend_y - 4}" font-size="12" '

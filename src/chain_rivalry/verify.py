@@ -18,7 +18,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import closed_form
-from .model import (ModelParams, Scenario, as_float, record,
+from .model import (SCENARIOS, ModelParams, Scenario, as_float, record,
                     require_integer, require_valid)
 from .oracle import oracle_equilibrium
 from .sim import simulate_game
@@ -173,7 +173,7 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
         rng = np.random.default_rng(seed)
         cases += [(f"draw {i}", draw_params(rng)) for i in range(1, trials + 1)]
 
-    games = [(label, p, scenario) for label, p in cases for scenario in Scenario]
+    games = [(label, p, scenario) for label, p in cases for scenario in SCENARIOS]
     outcomes = [closed_form.equilibrium(p, scenario, validate=False)
                 for _, p, scenario in games]
     closed = dict(zip(_CLOSED_FIELDS, np.array(
@@ -201,11 +201,11 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
                          f"{notes[q]} {where}"
                          for q in np.flatnonzero(breach[g]).tolist()]
         # each cell's worst over the cases; np.max keeps a NaN as the worst
-        cell = (len(cases), len(Scenario), len(names))
+        cell = (len(cases), len(SCENARIOS), len(names))
         worst_abs = abs_err.reshape(cell).max(axis=0).tolist()
         worst_rel = rel_err.reshape(cell).max(axis=0).tolist()
         cell_ok = (~breach.reshape(cell).any(axis=0)).tolist()
-        for i, scenario in enumerate(Scenario):
+        for i, scenario in enumerate(SCENARIOS):
             checks += [QuantityCheck(kind, scenario, names[q], worst_abs[i][q],
                                      worst_rel[i][q], cell_ok[i][q])
                        for q in sorted(range(len(names)), key=names.__getitem__)]

@@ -1,11 +1,15 @@
+import ast
 import dataclasses
+import inspect
 import json
 import math
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chain_rivalry import closed_form, model, oracle, sim, verify
 from chain_rivalry.closed_form import equilibrium
 from chain_rivalry.model import (
     EquilibriumOutcome,
@@ -321,6 +325,30 @@ class TestEnums:
     def test_scenario_from_name_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             Scenario.from_name("hybrid")
+
+    def test_constants_are_the_members_in_order(self):
+        assert model.SCENARIOS == tuple(Scenario)
+        assert (model.SAME_CHAIN, model.COMPATIBLE,
+                model.INCOMPATIBLE) == tuple(Scenario)
+
+    @pytest.mark.parametrize("function", [
+        model.user_utility, ModelParams.subsidy, closed_form.equilibrium,
+        sim._step, sim.simulate_game, verify.run_verification,
+        oracle._demand, oracle._lines, oracle.oracle_equilibrium,
+    ], ids=lambda function: function.__qualname__)
+    def test_per_game_paths_name_no_scenario_class(self, function):
+        # the paths that run once per game or more compare with the module
+        # constants and iterate SCENARIOS: before Python 3.12 each
+        # Scenario.<member> costs a pass through EnumType's __getattr__, and
+        # each walk over Scenario builds an iterator over its members
+        lines, first = inspect.getsourcelines(function)
+        definition = ast.parse(textwrap.dedent("".join(lines))).body[0]
+        named = [first - 1 + node.lineno for statement in definition.body
+                 for node in ast.walk(statement)
+                 if isinstance(node, ast.Name) and node.id == "Scenario"]
+        assert not named, (f"{function.__qualname__} names Scenario in its "
+                           f"body, at lines {named} of "
+                           f"{inspect.getsourcefile(function)}")
 
 
 class TestUserUtility:

@@ -224,6 +224,32 @@ class TestPeriod:
         assert counts[0] == counts[1]
         assert counts[0][1] <= 3
 
+    def test_a_step_without_locks_searches_only_for_its_split(
+            self, reference, draws100, monkeypatch):
+        # at the closed-form prices every type participates, so the split's
+        # neighbours settle A's exit and B's entry, and a step without
+        # locks makes one search, for the split
+        steps = []  # [free of locks, searches] per step
+        real_step, real_first = sim._step, sim._first
+
+        def counted_step(p, scenario, m, pA, pB, nA, nB, lo, hi):
+            steps.append([lo == 0 and hi == m, 0])
+            return real_step(p, scenario, m, pA, pB, nA, nB, lo, hi)
+
+        def counted_first(*args):
+            steps[-1][1] += 1
+            return real_first(*args)
+
+        monkeypatch.setattr(sim, "_step", counted_step)
+        monkeypatch.setattr(sim, "_first", counted_first)
+        for p in [reference, *draws100]:
+            for scenario in Scenario:
+                closed = equilibrium(p, scenario)
+                simulate_game(p, scenario, (closed.pA1, closed.pB1,
+                                            closed.pA2, closed.pB2))
+        free = [searches for unlocked, searches in steps if unlocked]
+        assert len(free) > 300 and set(free) == {1}
+
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_a_game_allocates_nothing_that_grows_with_m(self, reference,
                                                         scenario):
