@@ -31,13 +31,21 @@ from .model import (
 
 
 class CornerEquilibriumError(ValueError):
-    """Indifference cutoff left (0,1): the equilibrium is blockaded/cornered."""
+    """Indifference cutoff left (0,1): the equilibrium is blockaded/cornered.
+
+    args is (scenario, cutoff), so the error pickles; str() formats the
+    message on demand, and a caller that catches the error without showing
+    it, as a sweep past the corner bound does, formats nothing.
+    """
 
     def __init__(self, scenario: Scenario, cutoff: float):
+        super().__init__(scenario, cutoff)
         self.scenario = scenario
         self.cutoff = cutoff
-        super().__init__(
-            f"{scenario.value} equilibrium cutoff {cutoff!r} outside (0, 1)")
+
+    def __str__(self) -> str:
+        return (f"{self.scenario.value} equilibrium cutoff {self.cutoff!r} "
+                "outside (0, 1)")
 
 
 class BracketError(RuntimeError):
@@ -189,12 +197,12 @@ def subsidy_threshold(p: ModelParams, validate: bool = True) -> ThresholdReport:
     gap3 = p.alpha * (p.n1 - p.n3)
     root_u = math.sqrt(u)
     return ThresholdReport(
-        c2_star=p.alpha + (2.0 / 3.0) * gap2 - gap2 * (gap2 / (9.0 * u)),
-        c3_star=(0.25 * p.s + 0.75 * p.alpha + 0.6 * gap3
-                 - 0.12 * gap3 * (gap3 / u)),
-        d2_star=3.0 * p.alpha * (root_u / (math.sqrt(p.s) + root_u)) + gap2,
-        d3_star=(2.5 * (p.s / 3.0 + p.alpha)
-                 * (root_u / (2.0 * math.sqrt(p.s / 3.0) + root_u)) + gap3),
+        # c2_star, c3_star, d2_star, d3_star
+        p.alpha + (2.0 / 3.0) * gap2 - gap2 * (gap2 / (9.0 * u)),
+        0.25 * p.s + 0.75 * p.alpha + 0.6 * gap3 - 0.12 * gap3 * (gap3 / u),
+        3.0 * p.alpha * (root_u / (math.sqrt(p.s) + root_u)) + gap2,
+        (2.5 * (p.s / 3.0 + p.alpha)
+         * (root_u / (2.0 * math.sqrt(p.s / 3.0) + root_u)) + gap3),
     )
 
 

@@ -158,8 +158,7 @@ class ModelParams:
 
     def with_values(self, **changes: float) -> "ModelParams":
         """A copy with the named fields changed, as dataclasses.replace
-        makes it, without replace's walk over the fields; a sweep makes one
-        per grid point."""
+        makes it, without replace's walk over the fields."""
         unknown = changes.keys() - _FIELDS
         if unknown:
             raise TypeError(f"ModelParams has no field {min(unknown)!r}")

@@ -4,8 +4,13 @@ One parameter varies over a uniform grid while the rest stay at the base
 values. Every grid point gets three CSV rows (one per scenario) so the file
 stays flat and parseable; rows at invalid parameter points keep only the
 sweep value, scenario, and the violation note. No field the writer emits
-holds a comma, a quote or a line break, so each row is one formatted line.
-The module does not import numpy.
+holds a comma, a quote or a line break, so each row is one formatted line:
+numbers print as %.9g, scenario and platform names are fixed words, and a
+note names each number by a float's repr, because the grid runs on the
+base's fields as doubles (an exact field such as Fraction(10, 1) would
+otherwise show its comma). Only a base field that is no number at all,
+which from_mapping and the CLI refuse, shows its own repr. The module does
+not import numpy.
 """
 
 from __future__ import annotations
@@ -90,33 +95,41 @@ class SweepRecord:
 
 def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
     """One record per grid point, in grid order. A point whose equilibrium
-    overflows raises ValueError naming the swept value."""
+    overflows raises ValueError naming the swept value.
+
+    The grid runs in double precision: every point is the base's fields as
+    model.as_float gives them, with the swept field set to the grid value.
+    A field as_float rejects stays as given, so the point's violation names
+    it."""
+    fields = {}
+    for name, value in vars(base).items():
+        number = as_float(value)
+        fields[name] = value if number is None else number
     records = []
     param = spec.param
     for value in spec.values():
-        point = base.with_values(**{param: value})
+        fields[param] = value
+        point = ModelParams(**fields)
         report = validate_params(point)
         if not report.ok:
-            records.append(SweepRecord(value=value, outcomes={}, chosen="",
-                                       thresholds=None,
-                                       note="invalid: " + "; ".join(report.violations)))
+            records.append(SweepRecord(
+                value, {}, "", None, "invalid: " + "; ".join(report.violations)))
             continue
         notes = []
         outcomes: dict[Scenario, Optional[EquilibriumOutcome]] = {}
-        for scenario in SCENARIOS:
+        for scenario, name in zip(SCENARIOS, _SCENARIO_NAMES):
             try:
                 outcomes[scenario] = closed_form.equilibrium(point, scenario,
                                                              validate=False)
             except CornerEquilibriumError:
                 outcomes[scenario] = None
-                notes.append(f"corner: {scenario.value}")
+                notes.append("corner: " + name)
             except ValueError as exc:
                 raise ValueError(f"{param}={value!r}: {exc}") from exc
         thresholds = closed_form.subsidy_threshold(point, validate=False)
         chosen = "" if notes else AdoptionDecision.from_outcomes(outcomes).chosen
-        records.append(SweepRecord(value=value, outcomes=outcomes,
-                                   chosen=chosen, thresholds=thresholds,
-                                   note="; ".join(notes)))
+        records.append(SweepRecord(value, outcomes, chosen, thresholds,
+                                   "; ".join(notes)))
     return records
 
 

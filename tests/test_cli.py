@@ -388,7 +388,9 @@ class TestExitCodes:
         cfg = write_config(tmp_path, d=10.0)
         code = cli.main(["compare", "--config", cfg])
         assert code == 2
-        assert "blockaded equilibrium" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: blockaded equilibrium: compatible equilibrium cutoff "
+            "-0.04597701149425292 outside (0, 1)\n")
 
     def test_usage_errors(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

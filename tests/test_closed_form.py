@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,48 @@ class TestCompatible:
             equilibrium(p, Scenario.COMPATIBLE)
         assert err.value.scenario is Scenario.COMPATIBLE
         assert err.value.cutoff < 0.0
+
+
+class CountingCutoff(float):
+    """A cutoff that counts the calls to its repr."""
+
+    calls = 0
+
+    def __repr__(self):
+        type(self).calls += 1
+        return float.__repr__(self)
+
+
+class TestCornerError:
+    """The error carries (scenario, cutoff) and formats its message only
+    when shown: a sweep catches up to two per point and prints none."""
+
+    @pytest.mark.parametrize("scenario,text", [
+        (Scenario.COMPATIBLE,
+         "compatible equilibrium cutoff -0.04597701149425292 outside (0, 1)"),
+        (Scenario.INCOMPATIBLE,
+         "incompatible equilibrium cutoff -0.15517241379310345 outside (0, 1)"),
+    ], ids=["compatible", "incompatible"])
+    def test_message_and_args(self, reference, scenario, text):
+        with pytest.raises(CornerEquilibriumError) as err:
+            equilibrium(reference.with_values(d=10.0), scenario)
+        assert str(err.value) == text
+        assert err.value.args == (scenario, err.value.cutoff)
+        assert err.value.scenario is scenario
+
+    def test_pickle_round_trip(self):
+        exc = CornerEquilibriumError(Scenario.INCOMPATIBLE, 1.25)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is CornerEquilibriumError
+        assert back.args == exc.args and back.scenario is Scenario.INCOMPATIBLE
+        assert back.cutoff == 1.25 and str(back) == str(exc)
+
+    def test_construction_formats_nothing(self, monkeypatch):
+        monkeypatch.setattr(CountingCutoff, "calls", 0)
+        exc = CornerEquilibriumError(Scenario.COMPATIBLE, CountingCutoff(-0.5))
+        assert CountingCutoff.calls == 0
+        assert str(exc) == "compatible equilibrium cutoff -0.5 outside (0, 1)"
+        assert CountingCutoff.calls == 1
 
 
 class TestIncompatible:

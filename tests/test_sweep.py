@@ -143,6 +143,22 @@ def test_written_lines_need_no_quoting(reference):
         assert any(kind in note for note in notes), kind
 
 
+@pytest.mark.parametrize("exact", [Fraction, np.int64])
+def test_an_exact_base_sweeps_as_its_floats(reference, exact):
+    """The grid runs on the base's fields as doubles, so a note names an
+    exact field by a float's repr: Fraction(10, 1) would split its row."""
+    fields = {name: Fraction(value).limit_denominator()
+              for name, value in vars(reference).items()}
+    if exact is np.int64:
+        fields.update(s=np.int64(3), k=np.int64(20), n1=np.int64(10))
+    base = type(reference)(**fields)
+    spec = SweepSpec("n2", 0, 15, 5)
+    text, svg = sweep_bytes(base, spec)
+    assert (text, svg) == sweep_bytes(reference, spec)
+    assert "invalid: dominant-chain base: n1=10.0 must exceed" in text
+    assert {len(line.split(",")) for line in text.splitlines()} == {15}
+
+
 def grid_specs(seed, count):
     """Random specs: ends of any magnitude and sign, widths down to a few
     subnormal steps (where linspace's step underflows to 0), 2 to 1000 steps."""
