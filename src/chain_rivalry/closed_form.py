@@ -216,16 +216,18 @@ def adoption_decision(p: ModelParams, validate: bool = True) -> AdoptionDecision
 
 @record
 class AdoptionSensitivity:
-    """Slopes of B's adoption share in the quality edge d, per scenario.
-
-    ratio is exactly 6/5: the dispersion factors cancel, so it carries no
-    parameter dependence (the incompatible scenario converts quality into
-    adoption faster).
-    """
+    """Slopes of B's adoption share in the quality edge d, per scenario."""
 
     compatible: float
     incompatible: float
-    ratio: float = 6.0 / 5.0
+
+    @property
+    def ratio(self) -> float:
+        """incompatible / compatible: 6/5 in exact arithmetic, as the
+        dispersion factors cancel (the incompatible scenario converts
+        quality into adoption faster); within a few ulps of 1.2 in floats,
+        as each slope is rounded on its own."""
+        return self.incompatible / self.compatible
 
 
 def adoption_sensitivity(p: ModelParams) -> AdoptionSensitivity:

@@ -12,23 +12,30 @@ No array of types or choices is built, so a game's time and memory do not
 grow with m. The types increase with i and IEEE-754 rounding is monotone,
 so in floating point uA = ((alpha*network_a - pA) - s*x) + k never rises
 with i and uB never falls: A's adopters are a prefix of the types and B's a
-suffix. A fixed-point step finds the first type that picks B over A by a
-search that starts at the analytic boundary and repairs a miss by
-bisection: it computes x_i for O(log m) types only. The split's two
-neighbours then settle the free exits: when the type just below the split
-still has uA >= 0, every A-picker does, and when the split itself has
-uB >= 0, every B-picker does, so the first type with uA < 0 before the
-split and the first with uB >= 0 after it are the split itself. Only a
-step where some free type stays out searches for them the same way; with
-full participation an unlocked step costs the split search alone.
+suffix, in every period, locked or not. A fixed-point step finds the split,
+the first type that picks B over A, by a search that starts at the
+analytic boundary and repairs a miss by bisection: it computes x_i for
+O(log m) types only. A's adopters are then [0, a_exit), where a_exit is
+the first type before the split with uA < 0, and B's are [b_entry, m),
+where b_entry is the first type from the split on with uB >= 0. The
+split's two neighbours settle both exits when it lies inside the free
+middle: when the type just below it still has uA >= 0, a_exit is the
+split, and when the split itself has uB >= 0, so is b_entry. Only a step
+where some type stays out, or whose split sits on a lock, searches for
+them the same way; with full participation an unlocked step costs the
+split search alone. The shares
+are a_exit/m and (m - b_entry)/m, and the cutoff, the upper edge of A's
+last cell, is a_exit/m.
 
 simulate_game is the one public entry: it validates the config, m and the
 four prices once per game and plays period 1 on all m types. Under lock-in
-it hands period 1's final boundaries (lo, hi) to period 2, whose types
-[0, lo) stay locked to A and [hi, m) to B: a locked user keeps its firm
-while that utility is nonnegative, else drops out, and the free middle
-[lo, hi) follows the rules above, five boundaries in all. Without lock-in,
-a period 2 at period 1's prices reuses period 1's outcome.
+it hands period 1's final boundaries (lo, hi) = (a_exit, b_entry) to
+period 2, whose types [0, lo) stay locked to A and [hi, m) to B: a locked
+user keeps its firm while that utility is nonnegative, else drops out, and
+the free middle [lo, hi) follows the rules above. The locks only bound
+where the split can fall, so period 2 too has one prefix and one suffix.
+Without lock-in, a period 2 at period 1's prices reuses period 1's
+outcome.
 """
 
 from __future__ import annotations
@@ -99,16 +106,17 @@ def _first(holds, lo: int, hi: int, guess: float) -> int:
 
 
 def _step(p: ModelParams, scenario: Scenario, m: int, pA: float, pB: float,
-          nA: float, nB: float, lo: int, hi: int) -> tuple[int, int, int, int]:
+          nA: float, nB: float, lo: int, hi: int) -> tuple[int, int]:
     """One fixed-point step at conjectured shares nA, nB: the boundaries
-    (a_locked, a_free, b_free, b_locked) such that A's adopters are the
-    types [0, a_locked) and [lo, a_free), and B's are [b_free, hi) and
-    [b_locked, m), where [lo, hi) is the free middle between the locks.
+    (a_exit, b_entry) such that A's adopters are the types [0, a_exit) and
+    B's [b_entry, m), where only the free middle [lo, hi) between the
+    locks may choose between the firms.
 
-    a_free is the split when the split's lower neighbour keeps uA >= 0,
-    and b_free is the split when the split keeps uB >= 0, as uA never
-    rises with i and uB never falls; each is searched for only otherwise.
-    An empty side of the split settles its boundary too."""
+    The split is the first free type that picks B over A, or hi. Before it
+    a type adopts A while uA >= 0, and from it on B while uB >= 0, as uA
+    never rises with i and uB never falls. Inside the free middle the
+    split's neighbours settle a_exit when the type below keeps uA >= 0 and
+    b_entry when the split keeps uB >= 0; each is searched for otherwise."""
     s = p.s
     seen = {}  # the searches meet at shared indices: evaluate each type once
 
@@ -132,19 +140,14 @@ def _step(p: ModelParams, scenario: Scenario, m: int, pA: float, pB: float,
     # uA < 0 past x = zero_a/s, uB >= 0 from x = 1 - zero_b/s, and B beats
     # A from x = 1/2 + (zero_a - zero_b)/(2s); type x sits at index m*x - 1/2
     zero_a, zero_b = user_utility(p, scenario, (0.0, 0.0), pA, pB, nA, nB)
-    a_exit = m * (zero_a / s) - 0.5
-    b_entry = m * (1.0 - zero_b / s) - 0.5
     split = _first(picks_b, lo, hi,
                    m * (0.5 + (zero_a - zero_b) / (2.0 * s)) - 0.5)
     # a split found within one of its guess has evaluated both neighbours
-    a_free = (split if split == lo or not a_out(split - 1)
-              else _first(a_out, lo, split, a_exit))
-    b_free = (split if split == hi or b_in(split)
-              else _first(b_in, split, hi, b_entry))
-    if lo == 0 and hi == m:  # no lock: both locked segments are empty
-        return 0, a_free, b_free, m
-    return (_first(a_out, 0, lo, a_exit), a_free, b_free,
-            _first(b_in, hi, m, b_entry))
+    a_exit = (split if split > lo and not a_out(split - 1)
+              else _first(a_out, 0, split, m * (zero_a / s) - 0.5))
+    b_entry = (split if split < hi and b_in(split)
+               else _first(b_in, split, m, m * (1.0 - zero_b / s) - 0.5))
+    return a_exit, b_entry
 
 
 def _play(m: int, p: ModelParams, scenario: Scenario, pA: float, pB: float,
@@ -153,33 +156,29 @@ def _play(m: int, p: ModelParams, scenario: Scenario, pA: float, pB: float,
     with the types [0, lo) locked to A and [hi, m) to B: each can only keep
     its firm or drop out, and (0, m) locks nobody.
 
-    Returns the outcome and the boundaries (a_free, b_free) such that A's
-    adopters in the free middle [lo, hi) are [lo, a_free) and B's
-    [b_free, hi). Validates nothing: simulate_game does.
+    Returns the outcome and the final boundaries (a_exit, b_entry): A's
+    adopters are [0, a_exit) and B's [b_entry, m). Validates nothing:
+    simulate_game does.
     """
-    bounds = (0, lo, hi, m)  # nobody adopts before the first step
+    a_exit, b_entry = 0, m  # nobody adopts before the first step
     share_a, share_b = 0.5, 0.5
     iterations = 0
     converged = False
     for _ in range(MAX_FIXED_POINT_ITER):
         iterations += 1
-        bounds = a_locked, a_free, b_free, b_locked = _step(
-            p, scenario, m, pA, pB, share_a, share_b, lo, hi)
-        new_a = (a_locked + a_free - lo) / m
-        new_b = (hi - b_free + m - b_locked) / m
+        a_exit, b_entry = _step(p, scenario, m, pA, pB, share_a, share_b,
+                                lo, hi)
+        new_a, new_b = a_exit / m, (m - b_entry) / m
         repeated = new_a == share_a and new_b == share_b
         share_a, share_b = new_a, new_b
         if repeated:
             converged = True
             break
 
-    a_locked, a_free, b_free, _ = bounds
-    # the last A adopter's cell ends at the end of A's last segment
-    cutoff = (a_free if a_free > lo else a_locked) / m
-    out = SimOutcome(share_a=share_a, share_b=share_b, cutoff=cutoff,
+    out = SimOutcome(share_a=share_a, share_b=share_b, cutoff=a_exit / m,
                      revenue_a=pA * share_a, revenue_b=pB * share_b,
                      iterations=iterations, converged=converged)
-    return out, (a_free, b_free)
+    return out, (a_exit, b_entry)
 
 
 def simulate_game(p: ModelParams, scenario: Scenario,

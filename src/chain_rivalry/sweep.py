@@ -8,9 +8,8 @@ holds a comma, a quote or a line break, so each row is one formatted line:
 numbers print as %.9g, scenario and platform names are fixed words, and a
 note names each number by a float's repr, because the grid runs on the
 base's fields as doubles (an exact field such as Fraction(10, 1) would
-otherwise show its comma). Only a base field that is no number at all,
-which from_mapping and the CLI refuse, shows its own repr. The module does
-not import numpy.
+otherwise show its comma), and a base field that is no number at all is
+refused before the grid runs. The module does not import numpy.
 """
 
 from __future__ import annotations
@@ -99,14 +98,17 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
 
     The grid runs in double precision: every point is the base's fields as
     model.as_float gives them, with the swept field set to the grid value.
-    A field as_float rejects stays as given, so the point's violation names
-    it."""
-    fields = {}
-    for name, value in vars(base).items():
-        number = as_float(value)
-        fields[name] = value if number is None else number
-    records = []
+    A base field other than the swept one that as_float rejects raises a
+    ValueError naming it before any point is solved."""
     param = spec.param
+    fields, bad = {}, []
+    for name, value in vars(base).items():
+        fields[name] = as_float(value)
+        if fields[name] is None and name != param:
+            bad.append(f"{name} must be a number, got {value!r}")
+    if bad:
+        raise ValueError("sweep base: " + "; ".join(bad))
+    records = []
     for value in spec.values():
         fields[param] = value
         point = ModelParams(**fields)

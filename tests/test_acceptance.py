@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import pathlib
 import re
 
@@ -181,7 +182,8 @@ def test_quality_sensitivity_slopes_are_exact(reference, draws25):
         sens = adoption_sensitivity(p)
         assert sens.compatible == 1.0 / (6.0 * (p.s - p.alpha))
         assert sens.incompatible == 1.0 / (5.0 * (p.s - p.alpha))
-        assert sens.ratio == 1.2
+        assert sens.ratio == sens.incompatible / sens.compatible
+        assert abs(sens.ratio - 1.2) <= 4 * math.ulp(1.2)
         assert sens.incompatible / sens.compatible == pytest.approx(1.2, abs=5e-16)
 
     # the entrant share is linear in d, so central differences are
@@ -217,14 +219,14 @@ def test_simulated_users_reproduce_the_analytics(reference):
         if scenario is Scenario.INCOMPATIBLE:
             # the same two periods, chained by hand: period 1's A adopters
             # [0, lo) and B adopters [hi, m) lock period 2, and no adopter
-            # switches firms: A's period-2 adopters stay in [0, hi) and B's
-            # in [lo, m), disjoint
+            # switches firms: A's period-2 adopters [0, a_exit) stay in
+            # [0, hi) and B's [b_entry, m) in [lo, m), disjoint
             first, (lo, hi) = _play(m, reference, scenario,
                                     closed.pA1, closed.pB1, 0, m)
-            second, (a_free, b_free) = _play(m, reference, scenario,
-                                             closed.pA2, closed.pB2, lo, hi)
+            second, (a_exit, b_entry) = _play(m, reference, scenario,
+                                              closed.pA2, closed.pB2, lo, hi)
             assert (first, second) == (run.period1, run.period2)
-            assert lo <= a_free <= b_free <= hi
+            assert a_exit <= hi and b_entry >= lo and a_exit <= b_entry
             assert run.period2.share_a == run.period1.share_a
             assert run.period2.share_b == run.period1.share_b
 

@@ -139,7 +139,7 @@ class TestRecordClasses:
 
 def test_repr_pins():
     assert repr(closed_form.AdoptionSensitivity(compatible=0.5, incompatible=0.25)) \
-        == "AdoptionSensitivity(compatible=0.5, incompatible=0.25, ratio=1.2)"
+        == "AdoptionSensitivity(compatible=0.5, incompatible=0.25)"
     assert repr(model.ValidationReport(True, ())) == \
         "ValidationReport(ok=True, violations=())"
 

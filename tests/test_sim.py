@@ -19,19 +19,18 @@ from conftest import REFERENCE, _edge_draws, _off_gate_draws, midpoint_types
 
 
 def _masks(m, out, bounds, locks=None):
-    """A period's adopter masks (take_a, take_b), built from its outcome and
-    returned boundaries (a_free, b_free): A's adopters are [0, a_locked) and
-    [lo, a_free), B's are [b_free, hi) and [b_locked, m), where the locked
-    segments' lengths follow from the shares."""
+    """A period's adopter masks (take_a, take_b), built from its returned
+    boundaries (a_exit, b_entry): A's adopters are [0, a_exit) and B's
+    [b_entry, m), and the shares count them. Under locks (lo, hi) no locked
+    user switches: A's adopters stay in [0, hi) and B's in [lo, m)."""
     lo, hi = (0, m) if locks is None else locks
-    a_free, b_free = bounds
-    a_locked = round(out.share_a * m) - (a_free - lo)
-    b_locked = m - (round(out.share_b * m) - (hi - b_free))
-    assert 0 <= a_locked <= lo <= a_free <= b_free <= hi <= b_locked <= m
+    a_exit, b_entry = bounds
+    assert 0 <= a_exit <= hi and lo <= b_entry <= m and a_exit <= b_entry
+    assert out.share_a == a_exit / m and out.share_b == (m - b_entry) / m
     take_a = np.zeros(m, dtype=bool)
     take_b = np.zeros(m, dtype=bool)
-    take_a[:a_locked] = take_a[lo:a_free] = True
-    take_b[b_free:hi] = take_b[b_locked:] = True
+    take_a[:a_exit] = True
+    take_b[b_entry:] = True
     return take_a, take_b
 
 
@@ -60,10 +59,10 @@ class TestMidpointTypes:
                 assert out.share_a + out.share_b <= 1.0
 
     def test_period_choices_record_decisions(self, reference):
-        # A's adopters are [0, a_free) and B's [b_free, 10)
-        out, (a_free, b_free) = _play(10, reference, Scenario.SAME_CHAIN,
-                                      3.0, 3.0, 0, 10)
-        assert (a_free, b_free) == (5, 5)
+        # A's adopters are [0, a_exit) and B's [b_entry, 10)
+        out, (a_exit, b_entry) = _play(10, reference, Scenario.SAME_CHAIN,
+                                       3.0, 3.0, 0, 10)
+        assert (a_exit, b_entry) == (5, 5)
         assert out.share_a == 0.5 and out.share_b == 0.5
 
     @pytest.mark.parametrize("m", [7, 999, 10000])
@@ -665,8 +664,8 @@ def test_bitwise_equal_to_the_plain_reference_simulator(game):
     for got, want in zip(_masks(m, got1, locks) + _masks(m, got2, bounds, locks),
                          want_locks + want_takes):
         assert np.array_equal(got, want)
-    # five searches per step, each the clamped guess, its neighbour and a
-    # bisection of what they leave open
+    # three searches per step (the split, A's exit and B's entry), each the
+    # clamped guess, its neighbour and a bisection of what they leave open
     per_search = m.bit_length() + 2
-    assert evaluated.call_count <= 5 * per_search * (got1.iterations
+    assert evaluated.call_count <= 3 * per_search * (got1.iterations
                                                      + got2.iterations)

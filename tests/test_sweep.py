@@ -159,6 +159,31 @@ def test_an_exact_base_sweeps_as_its_floats(reference, exact):
     assert {len(line.split(",")) for line in text.splitlines()} == {15}
 
 
+
+def test_a_base_field_that_is_no_number_is_refused_up_front(reference,
+                                                             monkeypatch):
+    """alpha=(0.1, 0.2) swept over d would write its repr's comma into the
+    note, 17 fields under the 15-field header: the sweep refuses the base
+    before it solves a point. Swept itself, the field is the grid's."""
+    base = reference.with_values(alpha=(0.1, 0.2))
+    calls = []
+    real = closed_form.equilibrium
+
+    def counting(point, scenario, validate=True):
+        calls.append(scenario)
+        return real(point, scenario, validate=validate)
+
+    monkeypatch.setattr(closed_form, "equilibrium", counting)
+    with pytest.raises(ValueError, match=r"^sweep base: alpha must be a "
+                                         r"number, got \(0\.1, 0\.2\)$"):
+        run_sweep(base, SweepSpec("d", 0.0, 2.0, 5))
+    with pytest.raises(ValueError, match=r"\(0\.1, 0\.2\); n3 must be a "
+                                         r"number, got None$"):
+        run_sweep(base.with_values(n3=None), SweepSpec("d", 0.0, 2.0, 5))
+    assert calls == []
+    spec = SweepSpec("alpha", 0.05, 0.2, 4)
+    assert sweep_bytes(base, spec) == sweep_bytes(reference, spec)
+
 def grid_specs(seed, count):
     """Random specs: ends of any magnitude and sign, widths down to a few
     subnormal steps (where linspace's step underflows to 0), 2 to 1000 steps."""
