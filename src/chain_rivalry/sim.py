@@ -23,9 +23,11 @@ middle: when the type just below it still has uA >= 0, a_exit is the
 split, and when the split itself has uB >= 0, so is b_entry. Only a step
 where some type stays out, or whose split sits on a lock, searches for
 them the same way; with full participation an unlocked step costs the
-split search alone. The shares
-are a_exit/m and (m - b_entry)/m, and the cutoff, the upper edge of A's
-last cell, is a_exit/m.
+split search alone. The searches of a step read one table of utilities by
+type index, which evaluates a type on its first lookup, so a type they
+share is evaluated once per step. The shares are a_exit/m and
+(m - b_entry)/m, and the cutoff, the upper edge of A's last cell, is
+a_exit/m.
 
 simulate_game is the one public entry: it validates the config, m and the
 four prices once per game and plays period 1 on all m types. Under lock-in
@@ -42,7 +44,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import InitVar, dataclass
+import sys
+from dataclasses import dataclass
 
 from .model import (INCOMPATIBLE, ModelParams, Scenario, as_float, record,
                     require_integer, require_scenario, require_valid,
@@ -64,17 +67,31 @@ class SimOutcome:
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimRun:
     period1: SimOutcome
     period2: SimOutcome
     revenue_a: float
     revenue_b: float
+
+    # fills __dict__ in one update, as a @record does. population is
     # accepted and ignored, only so that the benchmark's
     # dataclasses.replace(run, population=None) (bench/workloads.py:152)
     # keeps running; it goes when ROADMAP item 3 drops that tap, and SimRun
-    # then becomes a @record like SimOutcome (record refuses an InitVar)
-    population: InitVar[None] = None
+    # then becomes a @record like SimOutcome
+    def __init__(self, period1: SimOutcome, period2: SimOutcome,
+                 revenue_a: float, revenue_b: float, population=None) -> None:
+        self.__dict__.update({"period1": period1, "period2": period2,
+                              "revenue_a": revenue_a, "revenue_b": revenue_b})
+
+
+def _require_indexable(m: int) -> None:
+    """Rejects a population size m past sys.maxsize, the largest size whose
+    types the searches can index (a range over them needs its length to
+    fit in a C ssize_t)."""
+    if m > sys.maxsize:
+        raise ValueError("population size m must be at most sys.maxsize "
+                         f"= {sys.maxsize}")
 
 
 def _first(holds, lo: int, hi: int, guess: float) -> int:
@@ -105,6 +122,36 @@ def _first(holds, lo: int, hi: int, guess: float) -> int:
     return bisect.bisect_left(range(hi), True, below, above, key=holds)
 
 
+class _Table(dict):
+    """One fixed-point step's utilities (uA, uB) by type index. The step's
+    searches meet at shared types, so each type is evaluated once, on its
+    first lookup.
+
+    __missing__ calls taste_distances and user_utility through the module
+    globals, so a patched or traced sim.taste_distances or sim.user_utility
+    sees every evaluation. a_out, b_in and picks_b are the searches'
+    predicates: uA < 0, uB >= 0 and uB >= uA.
+    """
+
+    __slots__ = ("p", "scenario", "m", "pA", "pB", "nA", "nB")
+
+    def __missing__(self, i):
+        utilities = self[i] = user_utility(
+            self.p, self.scenario, taste_distances(self.p, (i + 0.5) / self.m),
+            self.pA, self.pB, self.nA, self.nB)
+        return utilities
+
+    def a_out(self, i):
+        return self[i][0] < 0.0
+
+    def b_in(self, i):
+        return self[i][1] >= 0.0
+
+    def picks_b(self, i):
+        uA, uB = self[i]
+        return uB >= uA
+
+
 def _step(p: ModelParams, scenario: Scenario, m: int, pA: float, pB: float,
           nA: float, nB: float, lo: int, hi: int) -> tuple[int, int]:
     """One fixed-point step at conjectured shares nA, nB: the boundaries
@@ -116,37 +163,24 @@ def _step(p: ModelParams, scenario: Scenario, m: int, pA: float, pB: float,
     a type adopts A while uA >= 0, and from it on B while uB >= 0, as uA
     never rises with i and uB never falls. Inside the free middle the
     split's neighbours settle a_exit when the type below keeps uA >= 0 and
-    b_entry when the split keeps uB >= 0; each is searched for otherwise."""
+    b_entry when the split keeps uB >= 0; each is searched for otherwise.
+    All three searches read one _Table, so a type they share is evaluated
+    once per step."""
+    table = _Table()
+    table.p, table.scenario, table.m = p, scenario, m
+    table.pA, table.pB, table.nA, table.nB = pA, pB, nA, nB
     s = p.s
-    seen = {}  # the searches meet at shared indices: evaluate each type once
-
-    def utilities(i):
-        if i not in seen:
-            seen[i] = user_utility(p, scenario, taste_distances(p, (i + 0.5) / m),
-                                   pA, pB, nA, nB)
-        return seen[i]
-
-    def a_out(i):
-        return utilities(i)[0] < 0.0
-
-    def b_in(i):
-        return utilities(i)[1] >= 0.0
-
-    def picks_b(i):
-        uA, uB = utilities(i)
-        return uB >= uA
-
     # the analytic boundaries, from the utilities at zero taste distance:
     # uA < 0 past x = zero_a/s, uB >= 0 from x = 1 - zero_b/s, and B beats
     # A from x = 1/2 + (zero_a - zero_b)/(2s); type x sits at index m*x - 1/2
     zero_a, zero_b = user_utility(p, scenario, (0.0, 0.0), pA, pB, nA, nB)
-    split = _first(picks_b, lo, hi,
+    split = _first(table.picks_b, lo, hi,
                    m * (0.5 + (zero_a - zero_b) / (2.0 * s)) - 0.5)
     # a split found within one of its guess has evaluated both neighbours
-    a_exit = (split if split > lo and not a_out(split - 1)
-              else _first(a_out, 0, split, m * (zero_a / s) - 0.5))
-    b_entry = (split if split < hi and b_in(split)
-               else _first(b_in, split, m, m * (1.0 - zero_b / s) - 0.5))
+    a_exit = (split if split > lo and not table.a_out(split - 1)
+              else _first(table.a_out, 0, split, m * (zero_a / s) - 0.5))
+    b_entry = (split if split < hi and table.b_in(split)
+               else _first(table.b_in, split, m, m * (1.0 - zero_b / s) - 0.5))
     return a_exit, b_entry
 
 
@@ -175,9 +209,8 @@ def _play(m: int, p: ModelParams, scenario: Scenario, pA: float, pB: float,
             converged = True
             break
 
-    out = SimOutcome(share_a=share_a, share_b=share_b, cutoff=a_exit / m,
-                     revenue_a=pA * share_a, revenue_b=pB * share_b,
-                     iterations=iterations, converged=converged)
+    out = SimOutcome(share_a, share_b, a_exit / m, pA * share_a, pB * share_b,
+                     iterations, converged)
     return out, (a_exit, b_entry)
 
 
@@ -190,18 +223,24 @@ def simulate_game(p: ModelParams, scenario: Scenario,
     Under INCOMPATIBLE, period 1's final boundaries lock its adopters in
     for period 2; elsewhere a period 2 at exactly period 1's prices reuses
     its outcome. An invalid p raises InvalidParamsError; an m that is not a
-    positive integer (a bool included), prices that are not four, or a
-    price that is not a finite number a ValueError naming it; and a
-    scenario that is not a Scenario a TypeError.
+    positive integer (a bool included) or exceeds sys.maxsize, prices that
+    are not four (an iterator or a bare number included), or a price that
+    is not a finite number a ValueError naming it; and a scenario that is
+    not a Scenario a TypeError.
     """
     require_scenario(scenario)
     require_valid(p)
     m = require_integer(m, "population size m")
     if m < 1:
         raise ValueError(f"population needs at least one type, got m={m}")
-    if len(prices) != 4:
+    _require_indexable(m)
+    try:
+        count = len(prices)
+    except TypeError:  # an iterator or a bare number
+        count = f"{prices!r}, which has no length"
+    if count != 4:
         raise ValueError("prices must be four numbers (pA1, pB1, pA2, pB2), "
-                         f"got {len(prices)}")
+                         f"got {count}")
     pA1, pB1, pA2, pB2 = prices
     for name, price in zip(("pA", "pB", "pA", "pB"), prices):
         number = as_float(price)
@@ -217,6 +256,5 @@ def simulate_game(p: ModelParams, scenario: Scenario,
         second = first
     else:
         second, _ = _play(m, p, scenario, pA2, pB2, 0, m)
-    return SimRun(period1=first, period2=second,
-                  revenue_a=first.revenue_a + second.revenue_a,
-                  revenue_b=first.revenue_b + second.revenue_b)
+    return SimRun(first, second, first.revenue_a + second.revenue_a,
+                  first.revenue_b + second.revenue_b)

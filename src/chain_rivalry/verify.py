@@ -21,7 +21,7 @@ from . import closed_form
 from .model import (SCENARIOS, ModelParams, Scenario, as_float, record,
                     require_integer, require_valid)
 from .oracle import oracle_equilibrium
-from .sim import simulate_game
+from .sim import _require_indexable, simulate_game
 
 ORACLE_REL_TOL = 1e-3
 ORACLE_ABS_TOL = 1e-4
@@ -164,6 +164,7 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
     m = require_integer(m, "population size m")
     if m < 2:
         raise ValueError(f"simulated population needs m >= 2, got {m}")
+    _require_indexable(m)
     kinds = [kind for kind, used in (("oracle", use_oracle), ("sim", use_sim))
              if used]
     if not kinds:

@@ -250,6 +250,15 @@ class TestVerifyCommand:
         assert "routes: sim (m=1073741824)" in out
         assert "PASS: all checks within tolerance" in out
 
+    def test_population_past_sys_maxsize_is_one_error_line(self, capsys):
+        code = cli.main(["verify", "--config", str(REPO_CONFIG), "--sim",
+                         "--trials", "0", "--pop", str(10 ** 30)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: population size m must be at most "
+                                f"sys.maxsize = {sys.maxsize}\n")
+
     def test_single_route_flags(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = cli.main(["verify", "--config", cfg, "--trials", "0",

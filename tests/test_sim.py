@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -223,6 +224,35 @@ class TestPeriod:
         assert counts[0] == counts[1]
         assert counts[0][1] <= 3
 
+    def test_a_step_evaluates_each_type_once(self, reference, draws100,
+                                             monkeypatch):
+        # the split's and the exits' searches meet at shared types; one
+        # table per step evaluates each of them once. Period 2 is shifted,
+        # so the locked steps of lock-in are played too.
+        per_step = []  # the types each step evaluates, in order
+        real_step = sim._step
+
+        def counted_step(*args):
+            per_step.append([])
+            return real_step(*args)
+
+        def recorded_distances(p, x):
+            per_step[-1].append(x)
+            return model.taste_distances(p, x)
+
+        monkeypatch.setattr(sim, "_step", counted_step)
+        monkeypatch.setattr(sim, "taste_distances", recorded_distances)
+        for p in [reference, *draws100]:
+            for scenario in Scenario:
+                closed = equilibrium(p, scenario)
+                for shift in (0.0, 0.1 * p.s):
+                    simulate_game(p, scenario, (closed.pA1, closed.pB1,
+                                                closed.pA2 + shift,
+                                                closed.pB2 - shift))
+        assert len(per_step) > 1000
+        assert sum(map(len, per_step)) > 2 * len(per_step)
+        assert all(len(set(types)) == len(types) for types in per_step)
+
     def test_a_step_without_locks_searches_only_for_its_split(
             self, reference, draws100, monkeypatch):
         # at the closed-form prices every type participates, so the split's
@@ -294,6 +324,30 @@ class TestPopulationSize:
         with pytest.raises(ValueError, match="at least one type"):
             simulate_game(reference, Scenario.SAME_CHAIN, (3.0, 3.0, 3.0, 3.0),
                           m=m)
+
+    @pytest.mark.parametrize("m", [2 ** 63, 10 ** 400, 10 ** 5000],
+                             ids=["2**63", "10**400", "10**5000"])
+    def test_rejects_a_size_past_sys_maxsize(self, reference, m):
+        # no range over the types has a length past sys.maxsize, so the
+        # searches could not index them
+        for scenario in Scenario:
+            with pytest.raises(ValueError, match="^population size m must be "
+                               f"at most sys.maxsize = {sys.maxsize}$"):
+                simulate_game(reference, scenario, (3.0, 3.0, 4.0, 2.0), m=m)
+
+    @pytest.mark.parametrize("m", [2 ** 62, sys.maxsize],
+                             ids=["2**62", "sys.maxsize"])
+    def test_plays_up_to_sys_maxsize(self, reference, m):
+        # period 2 shifted, so it is solved in every scenario; each share
+        # matches the closed form as far as doubles resolve it
+        for scenario in Scenario:
+            closed = equilibrium(reference, scenario)
+            run = simulate_game(reference, scenario,
+                                (closed.pA1, closed.pB1, closed.pA2 + 0.3,
+                                 closed.pB2 - 0.3), m=m)
+            assert run.period1.converged and run.period2.converged
+            assert run.period1.share_a == pytest.approx(closed.nA1, abs=1e-12)
+            assert run.period1.share_b == pytest.approx(closed.nB1, abs=1e-12)
 
     def test_numpy_integers_count_as_integers(self, reference):
         prices = (3.0, 3.0, 4.0, 2.0)
@@ -454,6 +508,16 @@ class TestSimulateGame:
         ((3.0, 3.0, 3.0, np.float32(3.0)),
          r"price pB must be a number, got np.float32\(3.0\)"),
         ((3.0, 3.0, 10 ** 5000, 3.0), "price pA must be finite: pA=inf$"),
+        (iter((3.0,) * 4),
+         r"four numbers \(pA1, pB1, pA2, pB2\), got <tuple_iterator object "
+         r"at 0x[0-9a-f]+>, which has no length$"),
+        ((price for price in (3.0,) * 4),
+         r"four numbers \(pA1, pB1, pA2, pB2\), got <generator object "
+         r".*>, which has no length$"),
+        (3.0, r"four numbers \(pA1, pB1, pA2, pB2\), got 3.0, which has no "
+              r"length$"),
+        (3, r"four numbers \(pA1, pB1, pA2, pB2\), got 3, which has no "
+            r"length$"),
     ])
     def test_rejects_prices_that_are_not_four_numbers(self, reference, prices,
                                                       problem):

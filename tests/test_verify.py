@@ -3,6 +3,7 @@ import hashlib
 import math
 import pathlib
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +135,18 @@ class TestRunVerification:
                                   m=2 ** 30)
         assert report.ok, report.failures
         assert report.m == 2 ** 30
+
+    def test_rejects_a_population_past_sys_maxsize_before_any_game(
+            self, reference, monkeypatch):
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game was played")
+
+        monkeypatch.setattr(verify, "simulate_game", no_game)
+        monkeypatch.setattr(verify, "oracle_equilibrium", no_game)
+        for m in (2 ** 63, 10 ** 400):
+            with pytest.raises(ValueError, match="^population size m must be "
+                               f"at most sys.maxsize = {sys.maxsize}$"):
+                run_verification(reference, trials=2, m=m)
 
     def test_config_alone_when_trials_zero(self, reference):
         report = run_verification(reference, trials=0, seed=1,
