@@ -152,7 +152,7 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     else:
         gap = p.alpha * (p.n1 - p.n3)
         pA1 = (-4.0 * p.d + 10.0 * u - 5.0 * p.k - p.alpha * (p.n1 + 4.0 * p.n3)) / 5.0
-        pB1 = (-p.d + 10.0 * u - 5.0 * p.k - p.alpha * (4.0 * p.n1 + p.n3)) / 5.0
+        pB1 = (10.0 * u - p.d - 5.0 * p.k - p.alpha * (4.0 * p.n1 + p.n3)) / 5.0
         cutoff = (1.25 * u + 0.5 * gap - 0.5 * p.d) / (2.5 * u)
     if not 0.0 < cutoff < 1.0:
         raise CornerEquilibriumError(scenario, cutoff)

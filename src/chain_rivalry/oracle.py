@@ -195,11 +195,12 @@ def _lines(p: ModelParams, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     if scenario is SAME_CHAIN:
         R = p.k + alpha * p.n1
         raw, reach = (0.5, -0.5 / s, 0.5 / s), ((R + alpha) / s, -1.0 / s, 0.0)  # T = 1
+        # the last row takes -alpha / u / s: u * s can leave the float range
         table = np.array([(p.k + alpha * (p.n1 + 1.0), 0.0),  # the exit line
                           _line(raw, 1.0), _line(reach, 1.0),
                           _line([x - y for x, y in zip(raw, reach)]), (0.0, 1.0),
                           _peak(raw), _peak((R / u, -1.0 / u, 0.0)),  # T = K_own/u
-                          _peak((R / u, -1.0 / s, -alpha / (u * s)))])  # T = K_rival/u
+                          _peak((R / u, -1.0 / s, -alpha / u / s))])  # T = K_rival/u
         return table, table
     base_b = p.n2 if scenario is COMPATIBLE else p.n3
     raw = (alpha * (p.n1 - base_b) + u - p.d) / (2.0 * u)

@@ -29,8 +29,8 @@ share is evaluated once per step. The shares are a_exit/m and
 (m - b_entry)/m, and the cutoff, the upper edge of A's last cell, is
 a_exit/m.
 
-simulate_game is the one public entry: it validates the config, m and the
-four prices once per game and plays period 1 on all m types. Under lock-in
+simulate_game is the one public entry. It checks its arguments once per
+game, by model's rules, and plays period 1 on all m types. Under lock-in
 it hands period 1's final boundaries (lo, hi) = (a_exit, b_entry) to
 period 2, whose types [0, lo) stay locked to A and [hi, m) to B: a locked
 user keeps its firm while that utility is nonnegative, else drops out, and
@@ -43,12 +43,11 @@ outcome.
 from __future__ import annotations
 
 import bisect
-import math
 import sys
 from dataclasses import dataclass
 
-from .model import (INCOMPATIBLE, ModelParams, Scenario, as_float, record,
-                    require_integer, require_scenario, require_valid,
+from .model import (INCOMPATIBLE, ModelParams, Scenario, record, require_count,
+                    require_number, require_scenario, require_valid, shown,
                     taste_distances, user_utility)
 
 MAX_FIXED_POINT_ITER = 1000
@@ -83,15 +82,6 @@ class SimRun:
                  revenue_a: float, revenue_b: float, population=None) -> None:
         self.__dict__.update({"period1": period1, "period2": period2,
                               "revenue_a": revenue_a, "revenue_b": revenue_b})
-
-
-def _require_indexable(m: int) -> None:
-    """Rejects a population size m past sys.maxsize, the largest size whose
-    types the searches can index (a range over them needs its length to
-    fit in a C ssize_t)."""
-    if m > sys.maxsize:
-        raise ValueError("population size m must be at most sys.maxsize "
-                         f"= {sys.maxsize}")
 
 
 def _first(holds, lo: int, hi: int, guess: float) -> int:
@@ -222,32 +212,23 @@ def simulate_game(p: ModelParams, scenario: Scenario,
 
     Under INCOMPATIBLE, period 1's final boundaries lock its adopters in
     for period 2; elsewhere a period 2 at exactly period 1's prices reuses
-    its outcome. An invalid p raises InvalidParamsError; an m that is not a
-    positive integer (a bool included) or exceeds sys.maxsize, prices that
-    are not four (an iterator or a bare number included), or a price that
-    is not a finite number a ValueError naming it; and a scenario that is
-    not a Scenario a TypeError.
+    its outcome. An invalid p raises InvalidParamsError; an m outside [1,
+    sys.maxsize] (the most types a range indexes), prices that are not four
+    (an iterator or a bare number included) or no finite numbers a
+    ValueError; and a scenario that is not a Scenario a TypeError.
     """
     require_scenario(scenario)
     require_valid(p)
-    m = require_integer(m, "population size m")
-    if m < 1:
-        raise ValueError(f"population needs at least one type, got m={m}")
-    _require_indexable(m)
+    m = require_count(m, "population size m", 1, sys.maxsize)
     try:
         count = len(prices)
     except TypeError:  # an iterator or a bare number
-        count = f"{prices!r}, which has no length"
+        count = f"{shown(prices)}, which has no length"
     if count != 4:
         raise ValueError("prices must be four numbers (pA1, pB1, pA2, pB2), "
                          f"got {count}")
-    pA1, pB1, pA2, pB2 = prices
-    for name, price in zip(("pA", "pB", "pA", "pB"), prices):
-        number = as_float(price)
-        if number is None:
-            raise ValueError(f"price {name} must be a number, got {price!r}")
-        if not math.isfinite(number):
-            raise ValueError(f"price {name} must be finite: {name}={number!r}")
+    pA1, pB1, pA2, pB2 = map(require_number, prices,
+                             ("price pA", "price pB") * 2)
     first, (lo, hi) = _play(m, p, scenario, pA1, pB1, 0, m)
     if scenario is INCOMPATIBLE:
         second, _ = _play(m, p, scenario, pA2, pB2, lo, hi)

@@ -21,9 +21,10 @@ from typing import IO, Mapping, Optional
 from . import closed_form
 from .closed_form import (AdoptionDecision, CornerEquilibriumError,
                           ThresholdReport)
-from .model import (OPTIONAL_FIELDS, REQUIRED_FIELDS, EquilibriumOutcome,
-                    SCENARIOS, ModelParams, Scenario, as_float, record,
-                    require_integer, validate_params)
+from .model import (MAX_COUNT, OPTIONAL_FIELDS, REQUIRED_FIELDS,
+                    EquilibriumOutcome, SCENARIOS, ModelParams, Scenario,
+                    as_float, record, require_count, require_number, shown,
+                    validate_params)
 
 SWEEPABLE = REQUIRED_FIELDS + OPTIONAL_FIELDS
 _SCENARIO_NAMES = tuple(scenario.value for scenario in SCENARIOS)
@@ -44,22 +45,21 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.param not in SWEEPABLE:
             raise ValueError(
-                f"cannot sweep {self.param!r}; choose one of {', '.join(SWEEPABLE)}")
+                f"cannot sweep {shown(self.param)}; choose one of "
+                f"{', '.join(SWEEPABLE)}")
+        # the range names an infinite end: a finite width implies finite ends
         lo, hi = as_float(self.lo), as_float(self.hi)
         for name, bound, number in (("lo", self.lo, lo), ("hi", self.hi, hi)):
             if number is None:
                 raise ValueError(f"sweep bound {name} must be a number, "
-                                 f"got {bound!r}")
-        # a finite width implies finite ends; the grid needs the width itself
+                                 f"got {shown(bound)}")
         if not math.isfinite(hi - lo):
             raise ValueError("sweep range must be finite, and so must its width "
                              f"hi - lo, got [{lo}, {hi}]")
         if not lo < hi:
             raise ValueError(f"sweep range needs lo < hi, got [{self.lo}, {self.hi}]")
-        steps = require_integer(self.steps, "sweep steps")
-        if steps < 2:
-            raise ValueError(f"sweep needs at least 2 steps, got {steps}")
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "steps",
+                           require_count(self.steps, "sweep steps", 2, MAX_COUNT))
 
     def values(self) -> list[float]:
         """The grid, bitwise np.linspace(lo, hi, steps): i*step + lo, or
@@ -97,15 +97,18 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
     overflows raises ValueError naming the swept value.
 
     The grid runs in double precision: every point is the base's fields as
-    model.as_float gives them, with the swept field set to the grid value.
-    A base field other than the swept one that as_float rejects raises a
-    ValueError naming it before any point is solved."""
+    model.require_number gives them, with the swept field set to the grid
+    value. Every base field other than the swept one that require_number
+    refuses is named in one ValueError, before any point is solved."""
     param = spec.param
     fields, bad = {}, []
     for name, value in vars(base).items():
-        fields[name] = as_float(value)
-        if fields[name] is None and name != param:
-            bad.append(f"{name} must be a number, got {value!r}")
+        if name == param:
+            continue
+        try:
+            fields[name] = require_number(value, name)
+        except ValueError as problem:
+            bad.append(str(problem))
     if bad:
         raise ValueError("sweep base: " + "; ".join(bad))
     records = []

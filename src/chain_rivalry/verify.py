@@ -12,16 +12,17 @@ lie inside the validity region, so each exercises interior equilibria.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import fields
 from operator import attrgetter
 
 import numpy as np
 
 from . import closed_form
-from .model import (SCENARIOS, ModelParams, Scenario, as_float, record,
-                    require_integer, require_valid)
+from .model import (MAX_COUNT, SCENARIOS, ModelParams, Scenario, record,
+                    require_count, require_number, require_valid)
 from .oracle import oracle_equilibrium
-from .sim import _require_indexable, simulate_game
+from .sim import simulate_game
 
 ORACLE_REL_TOL = 1e-3
 ORACLE_ABS_TOL = 1e-4
@@ -149,22 +150,16 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
     An oracle or simulator game that reports no convergence is a failure
     in its own right, named in `failures` and counted in
     `oracle_unconverged` or `sim_unconverged`. Raises ValueError when
-    neither route is used, since a run that checks nothing cannot pass.
+    neither route is used, since a run that checks nothing cannot pass, and
+    before any draw when model.require_count refuses trials, seed or m.
     """
     require_valid(base)
     # the routes run in double precision: an exact field runs as its float
-    base = ModelParams(**{name: as_float(value)
+    base = ModelParams(**{name: require_number(value, name)
                           for name, value in vars(base).items()})
-    trials = require_integer(trials, "trials")
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
-    seed = require_integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    m = require_integer(m, "population size m")
-    if m < 2:
-        raise ValueError(f"simulated population needs m >= 2, got {m}")
-    _require_indexable(m)
+    trials = require_count(trials, "trials", 0, MAX_COUNT)
+    seed = require_count(seed, "seed", 0)
+    m = require_count(m, "population size m", 2, sys.maxsize)
     kinds = [kind for kind, used in (("oracle", use_oracle), ("sim", use_sim))
              if used]
     if not kinds:

@@ -8,12 +8,16 @@ relation bit for bit; an absolute constant, such as a tolerance or a step
 that does not scale with the prices, breaks it.
 """
 
+import json
+
 import pytest
 
+from chain_rivalry import cli
 from chain_rivalry.closed_form import equilibrium
 from chain_rivalry.model import Scenario
 from chain_rivalry.oracle import oracle_equilibrium
 from chain_rivalry.sim import simulate_game
+from chain_rivalry.verify import run_verification
 from conftest import _off_gate_draws
 
 DRAWS = _off_gate_draws(7, 40)
@@ -71,3 +75,35 @@ def test_simulated_play_scales_exactly():
                         and moved.revenue_b == base.revenue_b * factor):
                     departures.append((i, factor, scenario.value))
     assert departures == []
+
+
+@pytest.mark.parametrize("power", [-300, 500])
+def test_reference_scales_exactly_far_from_unit_money(reference, tmp_path, power):
+    """At 4**-300 the oracle's shared-chain line once divided by u*s, which
+    underflowed to 0 and raised ZeroDivisionError; at 4**500 the product
+    overflowed. Every route keeps the scaling relation at both, and verify
+    passes, in process and from the CLI."""
+    factor = 4.0 ** power
+    q = _scaled(reference, factor)
+    for solve in (equilibrium, oracle_equilibrium):
+        for scenario in Scenario:
+            base, moved = solve(reference, scenario), solve(q, scenario)
+            assert all(getattr(moved, f) == getattr(base, f) * factor for f in SCALED)
+            assert all(getattr(moved, f) == getattr(base, f) for f in UNITLESS)
+    for scenario in Scenario:
+        runs = []
+        for params in (reference, q):
+            closed = equilibrium(params, scenario)
+            runs.append(simulate_game(params, scenario, (closed.pA1, closed.pB1,
+                                                         closed.pA2, closed.pB2),
+                                      m=2000))
+        base, moved = runs
+        assert all(getattr(getattr(moved, t), f) == getattr(getattr(base, t), f)
+                   for t in ("period1", "period2") for f in PERIOD)
+        assert (moved.revenue_a, moved.revenue_b) == (base.revenue_a * factor,
+                                                      base.revenue_b * factor)
+    report = run_verification(q, trials=0)
+    assert report.ok, report.failures
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps(vars(q)), encoding="utf-8")
+    assert cli.main(["verify", "--config", str(config), "--trials", "0"]) == 0

@@ -238,7 +238,8 @@ class TestGrid:
 
     @pytest.mark.parametrize("steps", [1, 0, -3])
     def test_needs_two_steps(self, steps):
-        with pytest.raises(ValueError, match=f"at least 2 steps, got {steps}$"):
+        with pytest.raises(ValueError, match="^sweep steps must be at least 2, "
+                                             f"got {steps}$"):
             SweepSpec("d", 0.0, 1.0, steps)
 
     @pytest.mark.parametrize("lo,hi,problem", [
