@@ -8,6 +8,11 @@ platform choice is a function of solved outcomes alone
 decides without solving them again. Every operation is an explicit formula,
 parameterized by the quality edge d and the platform subsidies so the
 baseline model is the d=0, zero-subsidy special case.
+
+EQUILIBRIUM_READS and THRESHOLD_READS name the fields each form reads: the
+same chain reads s alone, and the thresholds read neither d nor the
+subsidies. A field outside a form's set cannot change its result, so a
+sweep of that field solves the form once (see sweep.run_sweep).
 """
 
 from __future__ import annotations
@@ -111,6 +116,16 @@ def _require_finite(what: str, result: EquilibriumOutcome) -> None:
             raise ValueError(f"{what}: {field.name} overflows to {value!r}")
 
 
+# The fields each scenario's equilibrium reads: a field outside its set
+# leaves the outcome bitwise the same, so a sweep of that field solves the
+# scenario once. tests/test_unread.py holds every route to these sets.
+EQUILIBRIUM_READS = {
+    SAME_CHAIN: frozenset({"s"}),
+    COMPATIBLE: frozenset({"alpha", "s", "n1", "n2", "d", "subsidy_p2"}),
+    INCOMPATIBLE: frozenset({"alpha", "s", "k", "n1", "n3", "d", "subsidy_p3"}),
+}
+
+
 def equilibrium(p: ModelParams, scenario: Scenario,
                 validate: bool = True) -> EquilibriumOutcome:
     """The scenario's equilibrium prices, cutoffs, shares and payoffs.
@@ -170,6 +185,12 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     if not math.isfinite(out.profitA + out.profitB_with_subsidy):
         _require_finite(f"{scenario.value} equilibrium", out)
     return out
+
+
+# The fields subsidy_threshold reads, as EQUILIBRIUM_READS states them for
+# the equilibria: c2_star and d2_star read n2 but not n3, c3_star and
+# d3_star n3 but not n2.
+THRESHOLD_READS = frozenset({"alpha", "s", "n1", "n2", "n3"})
 
 
 def subsidy_threshold(p: ModelParams, validate: bool = True) -> ThresholdReport:

@@ -43,6 +43,7 @@ outcome.
 from __future__ import annotations
 
 import bisect
+import math
 import sys
 from dataclasses import dataclass
 
@@ -215,7 +216,10 @@ def simulate_game(p: ModelParams, scenario: Scenario,
     its outcome. An invalid p raises InvalidParamsError; an m outside [1,
     sys.maxsize] (the most types a range indexes), prices that are not four
     (an iterator or a bare number included) or no finite numbers a
-    ValueError; and a scenario that is not a Scenario a TypeError.
+    ValueError; and a scenario that is not a Scenario a TypeError. A
+    period's revenue is finite at finite prices, but the two periods' sum
+    can leave the float range: a ValueError then names the revenue that
+    overflows.
     """
     require_scenario(scenario)
     require_valid(p)
@@ -237,5 +241,13 @@ def simulate_game(p: ModelParams, scenario: Scenario,
         second = first
     else:
         second, _ = _play(m, p, scenario, pA2, pB2, 0, m)
-    return SimRun(first, second, first.revenue_a + second.revenue_a,
-                  first.revenue_b + second.revenue_b)
+    revenue_a = first.revenue_a + second.revenue_a
+    revenue_b = first.revenue_b + second.revenue_b
+    # one check per game: a non-finite revenue makes the sum non-finite,
+    # and a sum that overflows on its own leaves both finite
+    if not math.isfinite(revenue_a + revenue_b):
+        for name, revenue in (("revenue_a", revenue_a), ("revenue_b", revenue_b)):
+            if not math.isfinite(revenue):
+                raise ValueError(f"{scenario.value} simulation: {name} "
+                                 f"overflows to {revenue!r}")
+    return SimRun(first, second, revenue_a, revenue_b)

@@ -10,6 +10,14 @@ note names each number by a float's repr, because the grid runs on the
 base's fields as doubles (an exact field such as Fraction(10, 1) would
 otherwise show its comma), and a base field that is no number at all is
 refused before the grid runs. The module does not import numpy.
+
+Only the swept field changes from point to point, and a closed form that
+does not read it (closed_form.EQUILIBRIUM_READS, THRESHOLD_READS) gives the
+same result at every valid point. So run_sweep solves it at the first valid
+point and shares that outcome object with the later ones: the same-chain
+outcome reads s alone, and the threshold report neither d nor the
+subsidies. The CSV writer formats the numbers of a shared outcome or
+threshold report once.
 """
 
 from __future__ import annotations
@@ -31,8 +39,8 @@ _SCENARIO_NAMES = tuple(scenario.value for scenario in SCENARIOS)
 
 CSV_HEADER = ("param_value,scenario,pA1,pB1,pA2,pB2,cutoff,profitA,profitB,"
               "chosen,c2_star,c3_star,d2_star,d3_star,valid")
-# one outcome row: the value, the scenario, seven outcome fields, the tail
-_OUTCOME_ROW = "%s,%s,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s,ok\n"
+# an outcome row's seven numbers: pA1 to profitB of CSV_HEADER
+_OUTCOME_NUMBERS = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g"
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,7 @@ class SweepSpec:
             raise ValueError("sweep range must be finite, and so must its width "
                              f"hi - lo, got [{lo}, {hi}]")
         if not lo < hi:
-            raise ValueError(f"sweep range needs lo < hi, got [{self.lo}, {self.hi}]")
+            raise ValueError(f"sweep range needs lo < hi, got [{lo}, {hi}]")
         object.__setattr__(self, "steps",
                            require_count(self.steps, "sweep steps", 2, MAX_COUNT))
 
@@ -99,7 +107,11 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
     The grid runs in double precision: every point is the base's fields as
     model.require_number gives them, with the swept field set to the grid
     value. Every base field other than the swept one that require_number
-    refuses is named in one ValueError, before any point is solved."""
+    refuses is named in one ValueError, before any point is solved.
+
+    A closed form that does not read the swept field is solved at the first
+    valid point only, and its outcome (or corner) and threshold report are
+    the same objects at every later valid point."""
     param = spec.param
     fields, bad = {}, []
     for name, value in vars(base).items():
@@ -111,6 +123,13 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
             bad.append(str(problem))
     if bad:
         raise ValueError("sweep base: " + "; ".join(bad))
+    # each scenario with whether it reads the swept field; the latest
+    # outcome per scenario, None at a corner
+    plan = [(scenario, name, param in closed_form.EQUILIBRIUM_READS[scenario])
+            for scenario, name in zip(SCENARIOS, _SCENARIO_NAMES)]
+    latest: dict[Scenario, Optional[EquilibriumOutcome]] = {}
+    resolve_thresholds = param in closed_form.THRESHOLD_READS
+    thresholds = None
     records = []
     for value in spec.values():
         fields[param] = value
@@ -120,21 +139,24 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
             records.append(SweepRecord(
                 value, {}, "", None, "invalid: " + "; ".join(report.violations)))
             continue
-        notes = []
+        note = ""
         outcomes: dict[Scenario, Optional[EquilibriumOutcome]] = {}
-        for scenario, name in zip(SCENARIOS, _SCENARIO_NAMES):
-            try:
-                outcomes[scenario] = closed_form.equilibrium(point, scenario,
-                                                             validate=False)
-            except CornerEquilibriumError:
-                outcomes[scenario] = None
-                notes.append("corner: " + name)
-            except ValueError as exc:
-                raise ValueError(f"{param}={value!r}: {exc}") from exc
-        thresholds = closed_form.subsidy_threshold(point, validate=False)
-        chosen = "" if notes else AdoptionDecision.from_outcomes(outcomes).chosen
-        records.append(SweepRecord(value, outcomes, chosen, thresholds,
-                                   "; ".join(notes)))
+        for scenario, name, reads in plan:
+            if reads or scenario not in latest:
+                try:
+                    latest[scenario] = closed_form.equilibrium(point, scenario,
+                                                               validate=False)
+                except CornerEquilibriumError:
+                    latest[scenario] = None
+                except ValueError as exc:
+                    raise ValueError(f"{param}={value!r}: {exc}") from exc
+            out = outcomes[scenario] = latest[scenario]
+            if out is None:
+                note += f"; corner: {name}" if note else f"corner: {name}"
+        if resolve_thresholds or thresholds is None:
+            thresholds = closed_form.subsidy_threshold(point, validate=False)
+        chosen = "" if note else AdoptionDecision.from_outcomes(outcomes).chosen
+        records.append(SweepRecord(value, outcomes, chosen, thresholds, note))
     return records
 
 
@@ -142,25 +164,35 @@ def write_sweep_csv(records: list[SweepRecord], stream: IO[str]) -> int:
     """Write the long-format table; returns the number of data rows.
 
     Floats print with 9 significant digits and a missing value as an empty
-    field, one formatted line per row."""
+    field, one formatted line per row. An outcome or a threshold report
+    that consecutive valid points share, as run_sweep's records do, has its
+    numbers formatted once."""
     lines = [CSV_HEADER + "\n"]
+    # each scenario with its latest outcome and that outcome's numbers
+    columns = [(scenario, name, [None, ""])
+               for scenario, name in zip(SCENARIOS, _SCENARIO_NAMES)]
+    report, report_text = None, ""
     for rec in records:
         value = f"{rec.value:.9g}"
         th = rec.thresholds
         if th is None:
             tail = f"{rec.chosen},,,,"
         else:
-            tail = (f"{rec.chosen},{th.c2_star:.9g},{th.c3_star:.9g},"
-                    f"{th.d2_star:.9g},{th.d3_star:.9g}")
+            if th is not report:
+                report, report_text = th, (f"{th.c2_star:.9g},{th.c3_star:.9g},"
+                                           f"{th.d2_star:.9g},{th.d3_star:.9g}")
+            tail = f"{rec.chosen},{report_text}"
         outcomes = rec.outcomes
-        for scenario, name in zip(SCENARIOS, _SCENARIO_NAMES):
+        for scenario, name, seen in columns:
             out = outcomes.get(scenario)
-            if out is not None:
-                lines.append(_OUTCOME_ROW % (
-                    value, name, out.pA1, out.pB1, out.pA2, out.pB2,
-                    out.cutoff1, out.profitA, out.profitB, tail))
-            else:
+            if out is None:
                 lines.append(f"{value},{name},,,,,,,,{tail},{rec.note}\n")
+                continue
+            if out is not seen[0]:
+                seen[0] = out
+                seen[1] = _OUTCOME_NUMBERS % (out.pA1, out.pB1, out.pA2, out.pB2,
+                                              out.cutoff1, out.profitA, out.profitB)
+            lines.append(f"{value},{name},{seen[1]},{tail},ok\n")
     stream.write("".join(lines))
     return len(records) * len(SCENARIOS)
 

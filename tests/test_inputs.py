@@ -96,8 +96,6 @@ class TestCountBound:
         assert not out.exists()
 
 
-@pytest.mark.xfail(strict=True, reason="simulate_game adds two finite period "
-                   "revenues, whose sum can overflow to -inf unnamed")
 def test_a_revenue_past_the_float_range_is_named(reference):
     with pytest.raises(ValueError, match="overflows"):
         simulate_game(reference, SAME_CHAIN, (-1e308,) * 4, m=100)

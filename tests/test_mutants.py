@@ -5,8 +5,10 @@ one-line mistake in its formula would, not a rewrite of the source. The
 oracle route runs on the wide draws of `conftest._off_gate_draws`, which
 vary the quality edge d, the subsidies and n3 apart from n2: inputs the
 default `verify` draws hold fixed, so its seed-42 run passes every slip
-below. A slip no route checks yet is a strict xfail, so the test turns red
-once a route starts catching it.
+below. A slip the oracle route does not check yet is a strict xfail, so
+the test turns red once it starts catching it. The unread-field relations
+of `test_unread` catch the slips that make a form read a field outside its
+set, on the default draws as well.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ from chain_rivalry import closed_form, verify
 from chain_rivalry.closed_form import CornerEquilibriumError
 from chain_rivalry.model import Scenario
 from conftest import _off_gate_draws
+from test_unread import DRAWS, closed_form_departures
 
 WIDE = _off_gate_draws(2024, 30)
 
@@ -109,3 +112,17 @@ def test_oracle_route_catches_the_slip_on_every_wide_draw(monkeypatch, name,
                                                           slip):
     monkeypatch.setattr(closed_form, name, slip)
     assert all(oracle_catches())
+
+
+@pytest.mark.parametrize("name, slip", [
+    ("equilibrium", compatible_gap_uses_n3),
+    ("equilibrium", incompatible_gap_uses_n2),
+    ("equilibrium", subsidies_swapped),
+    ("subsidy_threshold", d3_star_uses_n2),
+], ids=lambda value: getattr(value, "__name__", None))
+@pytest.mark.parametrize("draws", DRAWS)
+def test_unread_relations_catch_the_slip_on_every_draw(monkeypatch, name, slip,
+                                                       draws):
+    monkeypatch.setattr(closed_form, name, slip)
+    caught = {i for i, _, _ in closed_form_departures(DRAWS[draws])}
+    assert caught == set(range(len(DRAWS[draws])))

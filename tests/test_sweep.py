@@ -1,5 +1,6 @@
-"""Sweep wiring: each grid point is solved once, and the chosen column is
-the entrant's platform choice over that point's solved outcomes."""
+"""Sweep wiring: each grid point is solved at most once, a closed form
+that does not read the swept field once per sweep, and the chosen column
+is the entrant's platform choice over that point's solved outcomes."""
 
 import csv
 import hashlib
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 
 from chain_rivalry import closed_form
-from chain_rivalry.closed_form import adoption_decision, subsidy_threshold
-from chain_rivalry.sweep import (SweepSpec, render_profit_svg, run_sweep,
-                                 write_sweep_csv)
-from conftest import _off_gate_draws
+from chain_rivalry.closed_form import (AdoptionDecision, CornerEquilibriumError,
+                                       adoption_decision, subsidy_threshold)
+from chain_rivalry.model import Scenario, validate_params
+from chain_rivalry.sweep import (CSV_HEADER, SWEEPABLE, SweepRecord, SweepSpec,
+                                 render_profit_svg, run_sweep, write_sweep_csv)
+from conftest import _edge_draws, _off_gate_draws
 
 
 def corner_d(p):
@@ -44,17 +47,27 @@ def across_the_thresholds(p, steps=41):
 
 @pytest.mark.parametrize("base", ["reference", "off_gate"])
 def test_each_valid_point_is_solved_once(base, reference, monkeypatch):
+    """A scenario or threshold report that does not read the swept field
+    is solved at the first valid point only: d and alpha re-solve two
+    scenarios per later point (alpha the thresholds too), and s, which
+    every closed form reads, re-solves everything."""
     p = reference if base == "reference" else _off_gate_draws(2024, 1)[0]
-    calls = []
-    real = closed_form.equilibrium
+    calls, reports = [], []
+    real, real_threshold = closed_form.equilibrium, closed_form.subsidy_threshold
 
     def counting(point, scenario, validate=True):
         calls.append(scenario)
         return real(point, scenario, validate=validate)
 
+    def counting_threshold(point, validate=True):
+        reports.append(point)
+        return real_threshold(point, validate=validate)
+
     monkeypatch.setattr(closed_form, "equilibrium", counting)
-    for spec in past_the_bounds(p):
+    monkeypatch.setattr(closed_form, "subsidy_threshold", counting_threshold)
+    for spec in past_the_bounds(p) + [SweepSpec("s", 0.5 * p.s, 1.5 * p.s, 41)]:
         calls.clear()
+        reports.clear()
         records = run_sweep(p, spec)
         valid = sum(rec.thresholds is not None for rec in records)
         interior = sum(rec.chosen != "" for rec in records)
@@ -62,7 +75,11 @@ def test_each_valid_point_is_solved_once(base, reference, monkeypatch):
             assert 0 < interior < valid == spec.steps
         else:
             assert 0 < interior == valid < spec.steps
-        assert len(calls) == 3 * valid
+        if spec.param == "s":
+            assert len(calls) == 3 * valid and len(reports) == valid
+        else:
+            assert len(calls) == 2 * valid + 1
+            assert len(reports) == (1 if spec.param == "d" else valid)
 
 
 @pytest.mark.parametrize("base", ["reference", "off_gate"])
@@ -118,6 +135,87 @@ def test_sweep_bytes_match_their_pin(reference):
             for text in sweep_bytes(p, spec):
                 digest.update(text.encode())
     assert digest.hexdigest() == PINNED_SWEEP_DIGEST
+
+
+def solved_point_by_point(base, spec):
+    """The sweep with every scenario and the thresholds solved afresh at
+    every valid point, through the public entries: the reference that
+    run_sweep's reuse must reproduce."""
+    records = []
+    for value in spec.values():
+        point = base.with_values(**{spec.param: value})
+        report = validate_params(point)
+        if not report.ok:
+            records.append(SweepRecord(value, {}, "", None,
+                                       "invalid: " + "; ".join(report.violations)))
+            continue
+        outcomes, notes = {}, []
+        for scenario in Scenario:
+            try:
+                outcomes[scenario] = closed_form.equilibrium(point, scenario)
+            except CornerEquilibriumError:
+                outcomes[scenario] = None
+                notes.append("corner: " + scenario.value)
+        chosen = "" if notes else AdoptionDecision.from_outcomes(outcomes).chosen
+        records.append(SweepRecord(value, outcomes, chosen,
+                                   subsidy_threshold(point), "; ".join(notes)))
+    return records
+
+
+def csv_row_by_row(records):
+    """The CSV text with every number formatted at its own row."""
+    lines = [CSV_HEADER]
+    for rec in records:
+        th = rec.thresholds
+        tail = rec.chosen + ("," + ",".join(
+            f"{x:.9g}" for x in (th.c2_star, th.c3_star, th.d2_star, th.d3_star))
+            if th is not None else ",,,,")
+        for scenario in Scenario:
+            out = rec.outcomes.get(scenario)
+            if out is None:
+                lines.append(f"{rec.value:.9g},{scenario.value},,,,,,,,{tail},{rec.note}")
+            else:
+                numbers = ",".join(f"{x:.9g}" for x in (
+                    out.pA1, out.pB1, out.pA2, out.pB2, out.cutoff1,
+                    out.profitA, out.profitB))
+                lines.append(f"{rec.value:.9g},{scenario.value},{numbers},{tail},ok")
+    return "\n".join(lines) + "\n"
+
+
+def crossing_grids(p, steps=41):
+    """One grid per sweepable field from below zero to past the field's
+    upper validity bound where it has one (alpha, s, n2, n3), past the
+    corner bound for d, and to twice the base's k, n1 or 2*s."""
+    top = {"alpha": 1.5 * alpha_bound(p), "s": 0.3 * p.k, "k": 2.0 * p.k,
+           "n1": 2.0 * p.n1, "n2": 1.25 * p.n1, "n3": 1.25 * p.n1,
+           "d": 1.25 * corner_d(p), "subsidy_p2": 2.0 * p.s,
+           "subsidy_p3": 2.0 * p.s}
+    return [SweepSpec(name, -0.25 * top[name], top[name], steps)
+            for name in SWEEPABLE]
+
+
+def test_reuse_matches_solving_every_point(reference):
+    """Every field swept on the reference and on wide and edge bases: the
+    CSV and SVG are byte for byte those of a sweep that solves each valid
+    point afresh, so no closed form's field set in closed_form omits a
+    field it reads on these grids."""
+    notes, shared = set(), 0
+    for p in [reference, *_off_gate_draws(711, 6), *_edge_draws(712, 6)]:
+        for spec in crossing_grids(p):
+            records = run_sweep(p, spec)
+            expected = solved_point_by_point(p, spec)
+            buf = io.StringIO()
+            write_sweep_csv(records, buf)
+            assert buf.getvalue() == csv_row_by_row(expected), (p, spec)
+            svgs = [render_profit_svg(recs, spec.param) if any(
+                rec.thresholds for rec in recs) else None
+                for recs in (records, expected)]
+            assert svgs[0] == svgs[1], (p, spec)
+            notes.update(rec.note.partition(":")[0] for rec in records)
+            valid = [rec for rec in records if rec.thresholds is not None]
+            shared += sum(a.thresholds is b.thresholds
+                          for a, b in zip(valid, valid[1:]))
+    assert notes == {"", "invalid", "corner"} and shared > 0
 
 
 def test_written_lines_need_no_quoting(reference):
@@ -259,6 +357,17 @@ class TestGrid:
     def test_bounds_must_be_finite_numbers(self, lo, hi, problem):
         with pytest.raises(ValueError, match=f"^{problem}"):
             SweepSpec("d", lo, hi, 3)
+
+    @pytest.mark.parametrize("lo,hi,shown", [
+        (1, 1, r"\[1.0, 1.0\]"),
+        (2.0, -1.0, r"\[2.0, -1.0\]"),
+        # lo rounds to 1.0: its exact digits pass Python's int-to-str limit
+        pytest.param(Fraction(10 ** 5000 + 1, 10 ** 5000), 0.5, r"\[1.0, 0.5\]",
+                     id="(10**5000+1)/10**5000-0.5"),
+    ])
+    def test_an_empty_range_shows_its_bounds_as_floats(self, lo, hi, shown):
+        with pytest.raises(ValueError, match=f"^sweep range needs lo < hi, got {shown}$"):
+            SweepSpec("d", lo, hi, 5)
 
 
 def test_an_overflowing_point_names_its_value(reference):
