@@ -18,7 +18,6 @@ sweep of that field solves the form once (see sweep.run_sweep).
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 from typing import Mapping
 
 from .model import (
@@ -30,6 +29,7 @@ from .model import (
     ModelParams,
     Scenario,
     record,
+    require_finite,
     require_scenario,
     require_valid,
 )
@@ -107,15 +107,6 @@ class AdoptionDecision:
         return max(sorted(payoffs), key=payoffs.__getitem__)
 
 
-def _require_finite(what: str, result: EquilibriumOutcome) -> None:
-    """Raise a ValueError naming the result's first non-finite field, if it
-    has one: the inputs were finite, so float arithmetic overflowed."""
-    for field in fields(result):
-        value = getattr(result, field.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{what}: {field.name} overflows to {value!r}")
-
-
 # The fields each scenario's equilibrium reads: a field outside its set
 # leaves the outcome bitwise the same, so a sweep of that field solves the
 # scenario once. tests/test_unread.py holds every route to these sets.
@@ -179,11 +170,8 @@ def equilibrium(p: ModelParams, scenario: Scenario,
                    p.k + p.alpha * p.n3 + p.d + (p.alpha - p.s) * nB, nA, nB)
     out = EquilibriumOutcome.from_periods(p, scenario, pA1, pB1, cutoff, nA, nB,
                                           harvest)
-    # With both shares positive, a non-finite price or profit makes a total
-    # non-finite, so finite totals leave no field to overflow. Their sum may
-    # itself overflow, so the scan decides.
     if not math.isfinite(out.profitA + out.profitB_with_subsidy):
-        _require_finite(f"{scenario.value} equilibrium", out)
+        require_finite(f"{scenario.value} equilibrium", out)
     return out
 
 

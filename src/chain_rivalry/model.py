@@ -343,6 +343,18 @@ def require_number(value, what: str) -> float:
     return number
 
 
+def require_finite(what: str, result) -> None:
+    """Raise a ValueError naming result's first non-finite float field, if
+    it has one: the inputs were finite, so float arithmetic overflowed. A
+    non-finite field makes the result's totals, and so their sum,
+    non-finite, so a caller scans only when that sum is; a sum that
+    overflows on its own leaves every field finite and raises nothing."""
+    for field in fields(result):
+        value = getattr(result, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{what}: {field.name} overflows to {value!r}")
+
+
 # The most draws of run_verification and grid points of a sweep, whose work
 # is held in memory: tracemalloc peaks grew 6.0 kB per trial with both
 # routes (1000 against 3000 trials) and 4.1 kB per step of run_sweep with

@@ -48,8 +48,8 @@ import sys
 from dataclasses import dataclass
 
 from .model import (INCOMPATIBLE, ModelParams, Scenario, record, require_count,
-                    require_number, require_scenario, require_valid, shown,
-                    taste_distances, user_utility)
+                    require_finite, require_number, require_scenario,
+                    require_valid, shown, taste_distances, user_utility)
 
 MAX_FIXED_POINT_ITER = 1000
 
@@ -241,13 +241,8 @@ def simulate_game(p: ModelParams, scenario: Scenario,
         second = first
     else:
         second, _ = _play(m, p, scenario, pA2, pB2, 0, m)
-    revenue_a = first.revenue_a + second.revenue_a
-    revenue_b = first.revenue_b + second.revenue_b
-    # one check per game: a non-finite revenue makes the sum non-finite,
-    # and a sum that overflows on its own leaves both finite
-    if not math.isfinite(revenue_a + revenue_b):
-        for name, revenue in (("revenue_a", revenue_a), ("revenue_b", revenue_b)):
-            if not math.isfinite(revenue):
-                raise ValueError(f"{scenario.value} simulation: {name} "
-                                 f"overflows to {revenue!r}")
-    return SimRun(first, second, revenue_a, revenue_b)
+    run = SimRun(first, second, first.revenue_a + second.revenue_a,
+                 first.revenue_b + second.revenue_b)
+    if not math.isfinite(run.revenue_a + run.revenue_b):
+        require_finite(f"{scenario.value} simulation", run)
+    return run

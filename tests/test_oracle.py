@@ -460,6 +460,19 @@ class TestOneStageNash:
         assert res.iterations == 0
         assert res.residual > GAIN_TOL
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 13: on this valid compatible "
+                       "corner the search certifies no pair (residual "
+                       "0.17), and the closed form raises "
+                       "CornerEquilibriumError")
+    def test_a_compatible_corner_converges(self):
+        p = ModelParams(alpha=0.2714459423563059, s=6.426401565732801,
+                        k=35.33343920986386, n1=4.797400517128224,
+                        n2=0.634326807690309, n3=0.8840276883031729,
+                        d=29.392374504429934)
+        require_valid(p)
+        assert oracle_equilibrium(p, Scenario.COMPATIBLE).converged
+
 
 class TestTwoStageNash:
     """oracle_equilibrium on the lock-in game."""

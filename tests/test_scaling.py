@@ -14,7 +14,7 @@ import pytest
 
 from chain_rivalry import cli
 from chain_rivalry.closed_form import equilibrium
-from chain_rivalry.model import Scenario
+from chain_rivalry.model import Scenario, validate_params
 from chain_rivalry.oracle import oracle_equilibrium
 from chain_rivalry.sim import simulate_game
 from chain_rivalry.verify import run_verification
@@ -107,3 +107,30 @@ def test_reference_scales_exactly_far_from_unit_money(reference, tmp_path, power
     config = tmp_path / "params.json"
     config.write_text(json.dumps(vars(q)), encoding="utf-8")
     assert cli.main(["verify", "--config", str(config), "--trials", "0"]) == 0
+
+
+ITEM_16 = "ROADMAP item 16: "
+
+
+@pytest.mark.parametrize("power", [
+    508,
+    -512,
+    pytest.param(509, marks=pytest.mark.xfail(
+        strict=True, raises=ValueError,
+        reason=ITEM_16 + "the incompatible closed form's 5.0 * k overflows, "
+                         "so pA1 overflows to -inf though its value is finite")),
+    pytest.param(-513, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=ITEM_16 + "at a subnormal s the oracle certifies no pair in any "
+                         "scenario and reports a NaN residual")),
+])
+def test_reference_verifies_to_the_ends_of_the_float_range(reference, power):
+    """4**508 and 4**-512 are the last powers at which the reference config
+    still verifies."""
+    report = run_verification(_scaled(reference, 4.0 ** power), trials=0)
+    assert report.ok, report.failures
+
+
+def test_the_ends_of_the_float_range_are_valid_configs(reference):
+    for power in (508, 509, -512, -513):
+        assert validate_params(_scaled(reference, 4.0 ** power)).ok, power

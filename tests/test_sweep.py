@@ -370,6 +370,17 @@ class TestGrid:
             SweepSpec("d", lo, hi, 5)
 
 
+def test_a_flat_profit_line_is_padded_by_one_each_way(reference):
+    # past both corner bounds only the same-chain line is left, with
+    # profitB = s = 3 at every point
+    records = run_sweep(reference, SweepSpec("d", 10.0, 12.0, 5))
+    assert {rec.outcomes[Scenario.SAME_CHAIN].profitB for rec in records} == {3.0}
+    svg = render_profit_svg(records, "d")
+    assert svg.count("<polyline") == 1
+    assert 'text-anchor="end" font-family="sans-serif">2</text>' in svg
+    assert 'text-anchor="end" font-family="sans-serif">4</text>' in svg
+
+
 def test_an_overflowing_point_names_its_value(reference):
     with pytest.raises(ValueError, match=r"^k=5e\+307: incompatible "
                                          r"equilibrium: pA1 overflows to -inf$"):
