@@ -135,44 +135,66 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     base with negative period-1 prices.
 
     Shares are the same in both periods; EquilibriumOutcome.from_periods
-    computes the payoffs from the prices and shares. Raises
-    CornerEquilibriumError when the cutoff leaves (0, 1), and ValueError
-    when a field overflows to a non-finite value. validate=True also checks
-    p and raises a TypeError for a scenario that is not a Scenario;
-    validate=False trusts both.
+    computes the payoffs from the prices and shares. Every field comes back
+    in the number type of p's fields: floats give floats, Fractions give
+    Fractions. Raises CornerEquilibriumError when the cutoff leaves (0, 1),
+    and ValueError when a field overflows to a non-finite value.
+    validate=True also checks p and raises a TypeError for a scenario that
+    is not a Scenario; validate=False trusts both.
     """
     if validate:
         require_scenario(scenario)
         require_valid(p)
-    u = p.s - p.alpha
-    if scenario is SAME_CHAIN:
-        pA1 = pB1 = p.s
-        cutoff = 0.5
-    elif scenario is COMPATIBLE:
-        gap = p.alpha * (p.n1 - p.n2)
-        pA1 = u + (gap - p.d) / 3.0
-        pB1 = u + (-gap + p.d) / 3.0
-        # Both cutoffs are scaled by an exact power of two, so the
-        # denominator cannot overflow on a valid config (s < k/4).
-        cutoff = (0.5 * (3.0 * u + gap - p.d)) / (3.0 * u)
-    else:
-        gap = p.alpha * (p.n1 - p.n3)
-        pA1 = (-4.0 * p.d + 10.0 * u - 5.0 * p.k - p.alpha * (p.n1 + 4.0 * p.n3)) / 5.0
-        pB1 = (10.0 * u - p.d - 5.0 * p.k - p.alpha * (4.0 * p.n1 + p.n3)) / 5.0
-        cutoff = (1.25 * u + 0.5 * gap - 0.5 * p.d) / (2.5 * u)
+    pA1, pB1, cutoff = _period1(p, scenario)
     if not 0.0 < cutoff < 1.0:
         raise CornerEquilibriumError(scenario, cutoff)
-    nA, nB = cutoff, 1.0 - cutoff
+    out = _outcome(p, scenario, pA1, pB1, cutoff)
+    # not math.isfinite, which cannot take an exact sum past the float range
+    if not abs(out.profitA + out.profitB_with_subsidy) < math.inf:
+        require_finite(f"{scenario.value} equilibrium", out)
+    return out
+
+
+def _period1(p: ModelParams, scenario: Scenario):
+    """equilibrium's period-1 prices and cutoff (pA1, pB1, cutoff).
+
+    Plain arithmetic with no order check, so it also runs on sympy
+    symbols, and on floats gives the bits of the float literals it
+    replaces. A constant that multiplies a field is a multiple of one, 1 in
+    the number type that dividing by s gives: a float literal would turn
+    an exact field into a float, and an integer literal would wrap on a
+    field of a fixed-width numpy integer type. Other integer literals stand
+    to the right of a float, where float arithmetic takes them directly.
+    """
+    if scenario is SAME_CHAIN:
+        return p.s, p.s, p.s / p.s / 2
+    u = p.s - p.alpha
+    if scenario is COMPATIBLE:
+        gap = p.alpha * (p.n1 - p.n2)
+        # Both cutoffs are scaled by an exact power of two, so the
+        # denominator cannot overflow on a valid config (s < k/4).
+        return (u + (gap - p.d) / 3, u + (-gap + p.d) / 3,
+                (u * 3 + gap - p.d) / 2 / (u * 3))
+    gap = p.alpha * (p.n1 - p.n3)
+    one = p.s / p.s
+    four, five = one * 4, one * 5
+    return ((-four * p.d + u * 10 - five * p.k - p.alpha * (p.n1 + four * p.n3)) / 5,
+            (u * 10 - p.d - five * p.k - p.alpha * (four * p.n1 + p.n3)) / 5,
+            (five / 4 * u + gap / 2 - p.d / 2) / (five / 2 * u))
+
+
+def _outcome(p: ModelParams, scenario: Scenario, pA1, pB1,
+             cutoff) -> EquilibriumOutcome:
+    """equilibrium's outcome at an interior period-1 solution: the shares,
+    the lock-in harvest and the payoffs, in plain arithmetic as _period1."""
+    nA, nB = cutoff, 1 - cutoff
     harvest = ()
     if scenario is INCOMPATIBLE:
         # Highest price retaining the whole period-1 base (marginal adopter at 0).
         harvest = (p.k + p.alpha * p.n1 + (p.alpha - p.s) * nA,
                    p.k + p.alpha * p.n3 + p.d + (p.alpha - p.s) * nB, nA, nB)
-    out = EquilibriumOutcome.from_periods(p, scenario, pA1, pB1, cutoff, nA, nB,
-                                          harvest)
-    if not math.isfinite(out.profitA + out.profitB_with_subsidy):
-        require_finite(f"{scenario.value} equilibrium", out)
-    return out
+    return EquilibriumOutcome.from_periods(p, scenario, pA1, pB1, cutoff, nA, nB,
+                                           harvest)
 
 
 # The fields subsidy_threshold reads, as EQUILIBRIUM_READS states them for
@@ -234,8 +256,9 @@ class AdoptionSensitivity:
     def ratio(self) -> float:
         """incompatible / compatible: 6/5 in exact arithmetic, as the
         dispersion factors cancel (the incompatible scenario converts
-        quality into adoption faster); within a few ulps of 1.2 in floats,
-        as each slope is rounded on its own."""
+        quality into adoption faster), and exactly 6/5 on Fraction fields;
+        within a few ulps of 1.2 in floats, as each slope is rounded on its
+        own."""
         return self.incompatible / self.compatible
 
 
@@ -243,6 +266,6 @@ def adoption_sensitivity(p: ModelParams) -> AdoptionSensitivity:
     require_valid(p)
     u = p.s - p.alpha
     return AdoptionSensitivity(
-        compatible=1.0 / (6.0 * u),
-        incompatible=1.0 / (5.0 * u),
+        compatible=1 / (u * 6),
+        incompatible=1 / (u * 5),
     )

@@ -157,13 +157,14 @@ class ModelParams:
         return type(self)(**vars(self) | changes)
 
     def subsidy(self, scenario: Scenario) -> float:
-        """One-time transfer B receives for the scenario's chain (none on P1)."""
+        """One-time transfer B receives for the scenario's chain: none on
+        P1, a zero in s's number type, so exact payoffs stay exact."""
         if scenario is COMPATIBLE:
             return self.subsidy_p2
         if scenario is INCOMPATIBLE:
             return self.subsidy_p3
         require_scenario(scenario)
-        return 0.0
+        return self.s - self.s
 
 
 @record
@@ -177,7 +178,10 @@ class EquilibriumOutcome:
     certified pairs) and residual (the reported pair's largest relative gain
     from a deviation) describe the oracle's solve. The closed forms and the
     oracle both build theirs with from_periods, which alone states period 2
-    and the payoffs; an exact formula keeps the solve's defaults.
+    and the payoffs; an exact formula keeps the solve's defaults. Each
+    price, cutoff, share and payoff comes back in the number type of the
+    params' fields: floats give floats, and Fractions give Fractions from
+    both routes, as does the oracle's residual.
     """
 
     scenario: Scenario

@@ -26,6 +26,12 @@ candidates), A's prices then B's, one column per candidate: row 0 holds the
 candidates, the next rows A's moves (its two probes, then its lines) with B
 at its candidate price, and the last rows B's moves in the same order with
 A at its candidate price.
+
+The solve computes in the number type of p's fields: float fields give
+float64 arrays, Fraction fields object arrays and an exact outcome. Each
+constant is derived from s once per call (zero = s - s), so a float solve
+hands numpy Python floats, never ints, and an integer literal stands to
+the right of a float (u * 2), which takes it directly.
 """
 
 from __future__ import annotations
@@ -40,13 +46,14 @@ from .model import (COMPATIBLE, INCOMPATIBLE, SAME_CHAIN, EquilibriumOutcome,
 # The certificate's bound on a deviation's gain, relative to the objective's
 # terms |price*share| + |harvest value|.
 GAIN_TOL = 1e-11
-# The smallest normal float, the floor under a gain's denominator.
-_TINY = np.finfo(float).tiny
+# 1/_TINY_INV = 2**-1022 is the smallest normal float, the floor under a
+# gain's denominator; an integer ratio, it takes the fields' number type.
+_TINY_INV = 2 ** 1022
 
 
-def _unit(x):
-    """Clamp to [0, 1]; two ufunc calls cost half of np.clip's wrapper chain."""
-    return np.minimum(np.maximum(x, 0.0), 1.0)
+def _clip(x, lo, hi):
+    """Clamp to [lo, hi]; two ufunc calls cost half of np.clip's wrapper chain."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def _demand(p: ModelParams, scenario: Scenario, pA, pB):
@@ -64,33 +71,35 @@ def _demand(p: ModelParams, scenario: Scenario, pA, pB):
     T = 1 wherever the shares at T = 1 sum to at least 1.
     """
     u = p.s - p.alpha
+    zero = p.s - p.s
+    one = zero + 1
 
     if scenario is SAME_CHAIN:
-        raw = 0.5 + (pB - pA) / (2.0 * p.s)
+        raw = one / 2 + (pB - pA) / (p.s * 2)
         K_a = p.k + p.alpha * p.n1 - pA
         K_b = p.k + p.alpha * p.n1 - pB
-        short_total = _unit(np.maximum(K_a, K_b) / u)
-        if p.s > 2.0 * p.alpha:
-            both = (K_a + K_b) / (p.s - 2.0 * p.alpha)
-            short_total = np.where(np.minimum(K_a, K_b) + p.alpha * both >= 0.0,
+        short_total = _clip(np.maximum(K_a, K_b) / u, zero, one)
+        if p.s > p.alpha * 2:
+            both = (K_a + K_b) / (p.s - p.alpha * 2)
+            short_total = np.where(np.minimum(K_a, K_b) + p.alpha * both >= zero,
                                    both, short_total)
 
         def shares(total):
             reach = p.k + p.alpha * (p.n1 + total)
-            return (_unit(np.minimum(raw, (reach - pA) / p.s)),
-                    _unit(np.minimum(1.0 - raw, (reach - pB) / p.s)))
+            return (_clip(np.minimum(raw, (reach - pA) / p.s), zero, one),
+                    _clip(np.minimum(one - raw, (reach - pB) / p.s), zero, one))
 
-        nA, nB = shares(1.0)
-        nA, nB = shares(np.where(nA + nB < 1.0, short_total, 1.0))
+        nA, nB = shares(one)
+        nA, nB = shares(np.where(nA + nB < one, short_total, one))
     else:
         base_b = p.n2 if scenario is COMPATIBLE else p.n3
-        raw = (p.alpha * (p.n1 - base_b) + u - pA + pB - p.d) / (2.0 * u)
+        raw = (p.alpha * (p.n1 - base_b) + u - pA + pB - p.d) / (u * 2)
         reach_a = (p.k + p.alpha * p.n1 - pA) / u
         reach_b = (p.k + p.alpha * base_b + p.d - pB) / u
-        nA = _unit(np.minimum(raw, reach_a))
-        nB = _unit(np.minimum(1.0 - raw, reach_b))
+        nA = _clip(np.minimum(raw, reach_a), zero, one)
+        nB = _clip(np.minimum(one - raw, reach_b), zero, one)
 
-    return nA, nB, _unit(raw)
+    return nA, nB, _clip(raw, zero, one)
 
 
 def period2_monopoly_price(p: ModelParams, shares):
@@ -107,30 +116,33 @@ def period2_monopoly_price(p: ModelParams, shares):
     in place, only where a base is empty.
     """
     u = p.s - p.alpha
+    zero = p.s - p.s
     K_a, K_b = p.k + p.alpha * p.n1, p.k + p.alpha * p.n3 + p.d
     # both firms' K and K/(2u) from scalars, shaped to broadcast with shares
-    K, cap = np.array([K_a, K_b, 0.5 * K_a / u, 0.5 * K_b / u]).reshape(
+    K, cap = np.array([K_a, K_b, K_a / 2 / u, K_b / 2 / u]).reshape(
         (2, 2) + (1,) * (np.ndim(shares) - 1))
-    retained = np.maximum(np.minimum(cap, shares), 0.0)
+    retained = np.maximum(np.minimum(cap, shares), zero)
     price = K - u * retained
-    np.copyto(price, 0.0, where=~(retained > 0.0))
+    np.copyto(price, zero, where=~(retained > zero))
     return price, retained
 
 
-def _line(form: tuple, level: float = 0.0) -> tuple[float, float]:
+def _line(form: tuple, level) -> tuple[float, float]:
     """(a, b) of the line own = a + b*rival on which an affine form, a
     triple (constant, own coefficient, rival coefficient), equals level."""
     c0, c1, c2 = form
     return (level - c0) / c1, -c2 / c1
 
 
-def _peak(n: tuple, u: float = 0.0, K: float = 0.0) -> tuple[float, float]:
+def _peak(n: tuple, u, K) -> tuple[float, float]:
     """(a, b) of the line where own*n peaks in own price, n an affine share
-    form; (u, K) adds the harvest value K*n - u*n^2 below its kink. Solves
-    the first-order condition n*m + c1*(own + K) = 0, m = 1 - 2*u*c1."""
+    form; (u, K) adds the harvest value K*n - u*n^2 below its kink, and
+    (0, 0) adds nothing. Solves the first-order condition
+    n*m + c1*(own + K) = 0, m = 1 - 2*u*c1."""
     c0, c1, c2 = n
-    m = 1.0 - 2.0 * u * c1
-    return -(c0 * m + K * c1) / (c1 * (m + 1.0)), -c2 * m / (c1 * (m + 1.0))
+    m = 1 - u * 2 * c1
+    den = c1 * (m + 1)
+    return -(c0 * m + K * c1) / den, -c2 * m / den
 
 
 def _lines(p: ModelParams, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -192,29 +204,35 @@ def _lines(p: ModelParams, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     both firms sell lies on a share-zero line.
     """
     s, alpha, u = p.s, p.alpha, p.s - p.alpha
+    zero = s - s
+    one = zero + 1
+    half = one / 2
     if scenario is SAME_CHAIN:
         R = p.k + alpha * p.n1
-        raw, reach = (0.5, -0.5 / s, 0.5 / s), ((R + alpha) / s, -1.0 / s, 0.0)  # T = 1
-        # the last row takes -alpha / u / s: u * s can leave the float range
-        table = np.array([(p.k + alpha * (p.n1 + 1.0), 0.0),  # the exit line
-                          _line(raw, 1.0), _line(reach, 1.0),
-                          _line([x - y for x, y in zip(raw, reach)]), (0.0, 1.0),
-                          _peak(raw), _peak((R / u, -1.0 / u, 0.0)),  # T = K_own/u
-                          _peak((R / u, -1.0 / s, -alpha / u / s))])  # T = K_rival/u
+        # raw and reach at T = 1, and the reach at T = K_own/u and at
+        # T = K_rival/u; the last takes -alpha / u / s, as u * s can leave
+        # the float range
+        raw, reach = (half, -half / s, half / s), ((R + alpha) / s, -one / s, zero)
+        own, rival = (R / u, -one / u, zero), (R / u, -one / s, -alpha / u / s)
+        table = np.array([(p.k + alpha * (p.n1 + 1), zero),  # the exit line
+                          _line(raw, one), _line(reach, one),
+                          _line([x - y for x, y in zip(raw, reach)], zero), (zero, one),
+                          _peak(raw, zero, zero), _peak(own, zero, zero),
+                          _peak(rival, zero, zero)])
         return table, table
     base_b = p.n2 if scenario is COMPATIBLE else p.n3
-    raw = (alpha * (p.n1 - base_b) + u - p.d) / (2.0 * u)
+    raw = (alpha * (p.n1 - base_b) + u - p.d) / (u * 2)
     tables = []
-    for side, K in ((raw, p.k + alpha * p.n1), (1.0 - raw, p.k + alpha * base_b + p.d)):
-        mine, reach = (side, -0.5 / u, 0.5 / u), (K / u, -1.0 / u, 0.0)
-        harvest = (u, K) if scenario is INCOMPATIBLE else ()
-        tables.append(np.array([(K, 0.0), _line(mine, 1.0), _line(reach, 1.0),
-                                _line([x - y for x, y in zip(mine, reach)]),
-                                _peak(mine, *harvest), _peak(reach)]))
+    for side, K in ((raw, p.k + alpha * p.n1), (one - raw, p.k + alpha * base_b + p.d)):
+        mine, reach = (side, -half / u, half / u), (K / u, -one / u, zero)
+        harvest = (u, K) if scenario is INCOMPATIBLE else (zero, zero)
+        tables.append(np.array([(K, zero), _line(mine, one), _line(reach, one),
+                                _line([x - y for x, y in zip(mine, reach)], zero),
+                                _peak(mine, *harvest), _peak(reach, zero, zero)]))
     return tables[0], tables[1]
 
 
-def _worst_gain(play: Callable, prices: np.ndarray, ra: int):
+def _worst_gain(p: ModelParams, play: Callable, prices: np.ndarray, ra: int):
     """Each candidate's largest relative gain from a deviation, and the
     outcome play reports at it, from one play call.
 
@@ -223,12 +241,15 @@ def _worst_gain(play: Callable, prices: np.ndarray, ra: int):
     B's moves at A's. A gain counts relative to the larger of the two
     objectives' terms, |price*share| + |harvest value|, so it is
     scale-free; the candidate itself is one of the moves, so the result is
-    never negative.
+    never negative. Both come in the number type of p's fields.
     """
+    zero = p.s - p.s
+    floor = (zero + 1) / _TINY_INV
     value, terms, demand = play(prices)
     # |gain| <= the sum of both terms, so the floor only turns 0/0 into 0
-    rel = (value - value[:, :1]) / np.maximum(np.maximum(terms, terms[:, :1]), _TINY)
-    rel[0, ra + 1:] = rel[1, 1:ra + 1] = 0.0  # a firm gains nothing from its rival's move
+    rel = (value - value[:, :1]) / np.maximum(np.maximum(terms, terms[:, :1]), floor)
+    # a firm gains nothing from its rival's move
+    rel[0, ra + 1:] = rel[1, 1:ra + 1] = zero
     return rel.max(axis=(0, 1)), [d[0] for d in demand]
 
 
@@ -251,20 +272,23 @@ def _solve_game(p: ModelParams, scenario: Scenario, play: Callable):
     Row 0 is the candidate pair. Rows 1 to ra = 2 + (A's lines) are A's
     moves with B at its candidate price: the probe down, the probe up, then
     A's price on each of its lines at B's price. The rows after them are
-    B's moves in the same order, with A at its candidate price.
+    B's moves in the same order, with A at its candidate price. The array
+    takes the line table's dtype, float64 or object.
     """
     lines_a, lines_b = _lines(p, scenario)
+    zero = p.s - p.s
+    one = zero + 1
     # A's lines as columns and B's as rows broadcast to every pair
     (a_a, b_a), (a_b, b_b) = lines_a.T[:, :, None], lines_b.T
-    det = 1.0 - b_a * b_b
-    meet = det != 0.0  # parallel lines never meet
+    det = one - b_a * b_b
+    meet = det != zero  # parallel lines never meet
     det = det[meet]
     ra = 2 + len(lines_a)
-    prices = np.empty((2, 1 + ra + 2 + len(lines_b), det.size))
+    prices = np.empty((2, 1 + ra + 2 + len(lines_b), det.size), lines_a.dtype)
     pA, pB = prices[:, 0]
     np.divide((a_a + b_a * a_b)[meet], det, out=pA)
     np.divide((a_b + b_b * a_a)[meet], det, out=pB)
-    step = 1e-6 * (p.s + np.abs(prices[:, 0]))
+    step = one / 10 ** 6 * (p.s + np.abs(prices[:, 0]))
     moves_a, moves_b = prices[0, 1:ra + 1], prices[1, ra + 1:]
     np.subtract(pA, step[0], out=moves_a[0])
     np.add(pA, step[0], out=moves_a[1])
@@ -276,18 +300,18 @@ def _solve_game(p: ModelParams, scenario: Scenario, play: Callable):
     moves_b[2:] += a_b[:, None]
     prices[1, 1:ra + 1] = pB
     prices[0, ra + 1:] = pA
-    worst, demand = _worst_gain(play, prices, ra)
+    worst, demand = _worst_gain(p, play, prices, ra)
     certified = worst <= GAIN_TOL
     pairs = int(np.count_nonzero(certified))
-    best = int(np.where(certified, np.minimum(demand[0], demand[1]), -1.0).argmax()
+    best = int(np.where(certified, np.minimum(demand[0], demand[1]), -one).argmax()
                if pairs else worst.argmin())
     if pairs > 1:  # a certified pair is distinct unless one before it is within h
         found = np.concatenate((prices[:, 0], step), axis=0)[:, certified].T.tolist()
         pairs = sum(not any(abs(qA - rA) <= hA and abs(qB - rB) <= hB
                             for rA, rB, _, _ in found[:n])
                     for n, (qA, qB, hA, hB) in enumerate(found))
-    return (float(pA[best]), float(pB[best]), [float(d[best]) for d in demand],
-            pairs, float(worst[best]))
+    return (pA.item(best), pB.item(best), [d.item(best) for d in demand],
+            pairs, worst.item(best))
 
 
 def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome:
@@ -308,10 +332,10 @@ def oracle_equilibrium(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome
     test_shared_chain_supremum_below_a_total_jump). A scenario that is not
     a Scenario raises a TypeError.
 
-    It takes float fields, as the CLI and run_verification pass them (each
-    field a double from model.as_float). An exact field such as a Fraction
-    turns its price arrays into object arrays that numpy cannot write back
-    as floats, and the solve raises a TypeError (numpy's UFuncTypeError).
+    Every field of the outcome comes back in the number type of p's
+    fields: floats give floats, as the CLI and run_verification pass them
+    (each field a double from model.as_float), and Fractions give
+    Fractions, solved exactly in object arrays at about 20-200 ms a game.
     """
     require_scenario(scenario)
     lock_in = scenario is INCOMPATIBLE

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,12 @@ from chain_rivalry.model import ModelParams, require_valid, validate_params
 from chain_rivalry.verify import draw_params
 
 REFERENCE = dict(alpha=0.1, s=3.0, k=20.0, n1=10.0, n2=5.0, n3=5.0)
+
+
+def exact(p: ModelParams) -> ModelParams:
+    """p with every field, d and the subsidies included, as the Fraction
+    of its float: both routes then compute exactly."""
+    return ModelParams(**{name: Fraction(value) for name, value in vars(p).items()})
 
 
 def _off_gate_draws(seed, count):

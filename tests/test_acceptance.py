@@ -321,13 +321,18 @@ def test_compare_output_matches_its_pinned_bytes(config_file, capsys):
 
 
 def test_readme_library_snippet_prints_its_stated_output():
+    # every snippet of the section, run in order in one namespace
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
     section = readme.read_text(encoding="utf-8").split("## Library use", 1)[1]
-    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    stated = [line.split("# ", 1)[1] for line in snippet.splitlines()
-              if line.startswith("print(")]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        exec(snippet, {})
-    assert buf.getvalue().splitlines() == stated
-    assert stated == ["-14.8 19.45 2.4853448275862062", "P1"]
+    snippets = re.findall(r"```python\n(.*?)```", section, re.S)
+    namespace, printed = {}, []
+    for snippet in snippets:
+        stated = [line.split("# ", 1)[1] for line in snippet.splitlines()
+                  if line.startswith("print(")]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            exec(snippet, namespace)
+        assert buf.getvalue().splitlines() == stated
+        printed += stated
+    assert printed == ["-14.8 19.45 2.4853448275862062", "P1",
+                       "Fraction(46, 15)", "Fraction(46, 15)"]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chain_rivalry import closed_form
 from chain_rivalry.closed_form import (
     AdoptionDecision,
     CornerEquilibriumError,
@@ -16,8 +17,9 @@ from chain_rivalry.closed_form import (
     equilibrium,
     subsidy_threshold,
 )
-from chain_rivalry.model import ModelParams, Scenario, validate_params
-from conftest import _off_gate_draws
+from chain_rivalry.model import (SCENARIOS, ModelParams, Scenario, user_utility,
+                                 validate_params)
+from conftest import _off_gate_draws, exact
 
 # Frozen reference-config values, confirmed against the grid best-response
 # solver before being pinned here (see test_oracle / test_acceptance).
@@ -293,6 +295,44 @@ class TestFirstOrderConditions:
             assert max(abs(r) for r in self._residuals(p)) < 1e-9
 
 
+class TestSymbolicCore:
+    """equilibrium's arithmetic, run on sympy symbols, is the model's
+    equilibrium for every parameter value: the identities below hold as
+    expressions, not at sampled points."""
+
+    def _symbols(self):
+        sympy = pytest.importorskip("sympy")
+        names = ("alpha", "s", "k", "n1", "n2", "n3", "d", "subsidy_p2",
+                 "subsidy_p3")
+        return sympy, ModelParams(*sympy.symbols(names, positive=True))
+
+    @pytest.mark.parametrize("scenario", [Scenario.SAME_CHAIN, Scenario.COMPATIBLE])
+    def test_prices_zero_both_first_order_conditions(self, scenario):
+        # The indifferent type x from model.user_utility at full coverage,
+        # shares (x, 1 - x), taste distances as taste_distances forms them;
+        # each firm's price times its share is stationary in its own price
+        # at the core's prices, and the core's cutoff is that type there.
+        sympy, p = self._symbols()
+        x, pA, pB = sympy.symbols("x pA pB")
+        uA, uB = user_utility(p, scenario, (p.s * x, p.s * (1 - x)), pA, pB, x, 1 - x)
+        (indifferent,) = sympy.solve(uA - uB, x)
+        pA1, pB1, cutoff = closed_form._period1(p, scenario)
+        at = {pA: pA1, pB: pB1}
+        for price, share in ((pA, indifferent), (pB, 1 - indifferent)):
+            assert sympy.simplify(sympy.diff(price * share, price).subs(at)) == 0
+        assert sympy.simplify(indifferent.subs(at) - cutoff) == 0
+
+    def test_arithmetic_returns_expressions(self):
+        sympy, p = self._symbols()
+        for scenario in SCENARIOS:
+            out = closed_form._outcome(p, scenario, *closed_form._period1(p, scenario))
+            assert all(isinstance(getattr(out, f.name), sympy.Expr)
+                       for f in dataclasses.fields(out)[1:18])
+            if scenario is Scenario.SAME_CHAIN:
+                assert out.cutoff1 == sympy.Rational(1, 2)
+                assert out.profitB_with_subsidy == p.s
+
+
 class TestOrderingProperties:
     def test_entrant_prefers_shared_then_compatible_then_locked(self, draws25):
         for p in draws25:
@@ -506,6 +546,12 @@ class TestAdoptionSensitivity:
             assert sens.ratio == sens.incompatible / sens.compatible
             assert abs(sens.ratio - 1.2) <= 4 * math.ulp(1.2)
 
+    def test_exact_fields_give_exactly_six_fifths(self, reference):
+        sens = adoption_sensitivity(exact(reference))
+        u = Fraction(reference.s) - Fraction(reference.alpha)
+        assert (sens.compatible, sens.incompatible) == (1 / (6 * u), 1 / (5 * u))
+        assert sens.ratio == Fraction(6, 5)
+
     def test_reference_decimals(self, reference):
         sens = adoption_sensitivity(reference)
         assert sens.compatible == pytest.approx(0.057471, abs=1e-6)
@@ -592,6 +638,20 @@ class TestOverflow:
         p = ModelParams(alpha=0.1, s=4e307, k=1.7e308, n1=10.0, n2=5.0, n3=5.0)
         out = equilibrium(p, Scenario.SAME_CHAIN)
         assert (out.pA1, out.profitA, out.profitB_with_subsidy) == (4e307, 4e307, 4e307)
+
+    def test_an_exact_sum_past_the_float_range_is_no_overflow(self):
+        # The float sum of profitA and profitB_with_subsidy overflows, and
+        # every float field is finite; the exact sum is a Fraction past the
+        # float range, which math.isfinite cannot convert.
+        p = ModelParams(alpha=1e300, s=2e307, k=1.5e308, n1=10.0, n2=5.0,
+                        n3=5.0, subsidy_p2=1.5e308)
+        floats = equilibrium(p, Scenario.COMPATIBLE)
+        fractions = equilibrium(exact(p), Scenario.COMPATIBLE)
+        assert math.isinf(floats.profitA + floats.profitB_with_subsidy)
+        assert type(fractions.profitB_with_subsidy) is Fraction
+        assert fractions.profitA + fractions.profitB_with_subsidy > 2 ** 1024
+        assert float(fractions.profitB_with_subsidy) == pytest.approx(
+            floats.profitB_with_subsidy, rel=1e-15)
 
     def test_cutoffs_stay_interior_when_their_denominators_would_overflow(self):
         # 6u and 10u overflow at s = 4e307, although every cutoff is near 1/2

@@ -8,17 +8,21 @@ default `verify` draws hold fixed, so its seed-42 run passes every slip
 below. A slip the oracle route does not check yet is a strict xfail, so
 the test turns red once it starts catching it. The unread-field relations
 of `test_unread` catch the slips that make a form read a field outside its
-set, on the default draws as well.
+set, on the default draws as well. The exact slips lie below every float
+bound, so only the exact route catches them: on Fraction fields the closed
+forms must equal the oracle with ==.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 from chain_rivalry import closed_form, verify
 from chain_rivalry.closed_form import CornerEquilibriumError
-from chain_rivalry.model import Scenario
-from conftest import _off_gate_draws
+from chain_rivalry.model import ModelParams, Scenario
+from conftest import REFERENCE, _off_gate_draws
+from test_oracle import EXACT_CONFIGS, NUMERIC, exact_oracle
 from test_unread import DRAWS, closed_form_departures
 
 WIDE = _off_gate_draws(2024, 30)
@@ -66,6 +70,41 @@ def d3_star_uses_n2(p, validate=True):
     out = subsidy_threshold(p, validate=validate)
     slipped = subsidy_threshold(p.with_values(n3=p.n2), validate=False)
     return dataclasses.replace(out, d3_star=slipped.d3_star)
+
+
+# 1 + 2**-40: a relative slip of about 9e-13, far below verify's float
+# bounds (1e-3 relative or 1e-4 absolute for the oracle, 1/m for the
+# simulator), and exact on floats and Fractions alike.
+ULP_SLIP = 1 + Fraction(1, 2 ** 40)
+
+
+def compatible_pa1_slips_an_ulp(p, scenario, validate=True):
+    out = equilibrium(p, scenario, validate=validate)
+    if scenario is Scenario.COMPATIBLE:
+        out = dataclasses.replace(out, pA1=out.pA1 * ULP_SLIP)
+    return out
+
+
+def incompatible_pb2_slips_an_ulp(p, scenario, validate=True):
+    out = equilibrium(p, scenario, validate=validate)
+    if scenario is Scenario.INCOMPATIBLE:
+        out = dataclasses.replace(out, pB2=out.pB2 * ULP_SLIP)
+    return out
+
+
+EXACT_SLIPS = {compatible_pa1_slips_an_ulp: Scenario.COMPATIBLE,
+               incompatible_pb2_slips_an_ulp: Scenario.INCOMPATIBLE}
+
+
+def exact_catches(form, scenario):
+    """Per exact config, whether form on its Fraction fields differs from
+    the exact oracle in any number of the outcome."""
+    caught = []
+    for name, p in EXACT_CONFIGS.items():
+        closed, found = form(p, scenario), exact_oracle(name, scenario)
+        caught.append(any(getattr(closed, field) != getattr(found, field)
+                          for field in NUMERIC))
+    return caught
 
 
 def oracle_catches():
@@ -126,3 +165,17 @@ def test_unread_relations_catch_the_slip_on_every_draw(monkeypatch, name, slip,
     monkeypatch.setattr(closed_form, name, slip)
     caught = {i for i, _, _ in closed_form_departures(DRAWS[draws])}
     assert caught == set(range(len(DRAWS[draws])))
+
+
+@pytest.mark.parametrize("slip", list(EXACT_SLIPS), ids=lambda slip: slip.__name__)
+def test_float_routes_pass_the_exact_slip(monkeypatch, slip):
+    monkeypatch.setattr(closed_form, "equilibrium", slip)
+    assert not any(oracle_catches())
+    assert verify.run_verification(ModelParams(**REFERENCE), trials=100, seed=42).ok
+
+
+@pytest.mark.parametrize("slip", list(EXACT_SLIPS), ids=lambda slip: slip.__name__)
+def test_exact_route_catches_the_slip_on_every_exact_config(slip):
+    scenario = EXACT_SLIPS[slip]
+    assert not any(exact_catches(equilibrium, scenario))
+    assert all(exact_catches(slip, scenario))

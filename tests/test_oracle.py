@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import hashlib
 import inspect
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from chain_rivalry import oracle
 from chain_rivalry.closed_form import CornerEquilibriumError, equilibrium
 from chain_rivalry.model import (
+    EquilibriumOutcome,
     ModelParams,
     Scenario,
     require_valid,
@@ -19,9 +21,27 @@ from chain_rivalry.model import (
     validate_params,
 )
 from chain_rivalry.oracle import GAIN_TOL, oracle_equilibrium, period2_monopoly_price
-from chain_rivalry.verify import ORACLE_ABS_TOL, ORACLE_QUANTITIES, ORACLE_REL_TOL
-from conftest import (_edge_draws, _off_gate_draws, grid_prices, midpoint_types,
-                      without_equilibrium_lines)
+from chain_rivalry.verify import (ORACLE_ABS_TOL, ORACLE_QUANTITIES, ORACLE_REL_TOL,
+                                  draw_params)
+from conftest import (REFERENCE, _edge_draws, _off_gate_draws, exact, grid_prices,
+                      midpoint_types, without_equilibrium_lines)
+
+# The exact route's configs, as Fractions: the reference, the first four
+# gate draws of `verify --seed 42` and four wide draws.
+_GATE = np.random.default_rng(42)
+EXACT_CONFIGS = {name: exact(p) for name, p in [
+    ("reference", ModelParams(**REFERENCE)),
+    *((f"gate{i}", draw_params(_GATE)) for i in range(4)),
+    *((f"wide{i}", p) for i, p in enumerate(_off_gate_draws(2024, 4)))]}
+# The outcome's numbers, pA1 to profitB_with_subsidy.
+NUMERIC = [f.name for f in dataclasses.fields(EquilibriumOutcome)[1:18]]
+
+
+@functools.cache
+def exact_oracle(name: str, scenario: Scenario) -> EquilibriumOutcome:
+    """The oracle's outcome on EXACT_CONFIGS[name], solved once per session:
+    an exact game takes about 20-200 ms."""
+    return oracle_equilibrium(EXACT_CONFIGS[name], scenario)
 
 
 def _brute_shares(p, scenario, pA, pB, nA, nB, m=200001):
@@ -530,16 +550,19 @@ class TestOracleDispatch:
             oracle_equilibrium(reference, name)
 
     @pytest.mark.parametrize("scenario", list(Scenario))
-    def test_exact_fields_raise_numpys_type_error(self, reference, scenario):
-        # The oracle takes float fields, as the CLI and run_verification
-        # pass them. A Fraction field makes object arrays, which numpy will
-        # not write back into the float price arrays.
-        exact = ModelParams(**{name: Fraction(value)
-                               for name, value in vars(reference).items()})
-        with pytest.raises(TypeError, match=r"Cannot cast ufunc '\w+' output "
-                                            r"from dtype\('O'\)") as raised:
-            oracle_equilibrium(exact, scenario)
-        assert "UFuncTypeError" in [c.__name__ for c in type(raised.value).__mro__]
+    def test_exact_fields_solve_exactly(self, reference, scenario):
+        # The number type of p's fields is the only selector: float fields
+        # give floats, and Fraction fields give Fractions from the same
+        # code, certified with a residual of exactly 0.
+        floats = oracle_equilibrium(reference, scenario)
+        fractions = exact_oracle("reference", scenario)
+        assert all(type(getattr(floats, name)) is float for name in NUMERIC)
+        assert all(type(getattr(fractions, name)) is Fraction for name in NUMERIC)
+        assert fractions.converged and fractions.iterations == 1
+        assert type(fractions.residual) is Fraction and fractions.residual == 0
+        for name in NUMERIC:
+            assert float(getattr(fractions, name)) == pytest.approx(
+                getattr(floats, name), rel=1e-12, abs=1e-12), name
 
     def test_matches_closed_form_on_a_few_draws(self, draws25):
         for p in draws25[:8]:
@@ -553,6 +576,22 @@ class TestOracleDispatch:
                     got = getattr(found, name)
                     assert abs(ref - got) <= max(1e-4, 1e-3 * abs(ref)), \
                         f"{scenario.value} {name}: closed {ref} vs oracle {got}"
+
+
+class TestExactRoute:
+    """On Fraction fields both routes compute exactly, each in its own code,
+    and must agree with ==: no tolerance stands between them."""
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    @pytest.mark.parametrize("name", list(EXACT_CONFIGS))
+    def test_closed_forms_equal_the_oracle(self, name, scenario):
+        closed = equilibrium(EXACT_CONFIGS[name], scenario)
+        found = exact_oracle(name, scenario)
+        assert found.converged and found.residual == 0
+        for field in NUMERIC:
+            want, got = getattr(closed, field), getattr(found, field)
+            assert type(want) is Fraction and type(got) is Fraction, field
+            assert got == want, f"{scenario.value} {field}: closed {want} vs oracle {got}"
 
 
 def _objectives(p, scenario, pA, pB):
@@ -656,13 +695,13 @@ def _rival_prices(p, rng):
                            reach + p.s * rng.uniform(-3.0, 1.0, 20)))
 
 
-def _certify(play, pair, moves_a, moves_b):
+def _certify(p, play, pair, moves_a, moves_b):
     """oracle._worst_gain on one candidate pair and the given moves of A
     (at B's price) and of B (at A's), laid out as _solve_game lays them."""
     ra, rb = len(moves_a), len(moves_b)
     prices = np.array([(pair[0], *moves_a, *[pair[0]] * rb),
                        (pair[1], *[pair[1]] * ra, *moves_b)])
-    return oracle._worst_gain(play, prices[:, :, None], ra)
+    return oracle._worst_gain(p, play, prices[:, :, None], ra)
 
 
 class TestExactSolve:
@@ -732,10 +771,11 @@ class TestExactSolve:
             zeros = np.zeros_like(pA)
             return value, np.ones_like(value), (zeros, zeros, zeros)
 
-        probes, _ = _certify(play, (2.0, 1.0), (2.0 - 1e-3, 2.0 + 1e-3),
+        probes, _ = _certify(reference, play, (2.0, 1.0), (2.0 - 1e-3, 2.0 + 1e-3),
                              (1.0 - 1e-3, 1.0 + 1e-3))
         assert probes[0] == 0.0
-        gain, _ = _certify(play, (2.0, 1.0), lines[0][:, 0], lines[1][:, 0])
+        gain, _ = _certify(reference, play, (2.0, 1.0), lines[0][:, 0],
+                           lines[1][:, 0])
         assert gain[0] == 10.0
 
         pA, pB, _, pairs, residual = oracle._solve_game(reference, Scenario.COMPATIBLE, play)

@@ -4,7 +4,6 @@ import math
 import pathlib
 import re
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ import pytest
 from chain_rivalry import cli, closed_form, sim, verify
 from chain_rivalry.model import ModelParams, Scenario
 from chain_rivalry.verify import draw_params, run_verification
-from conftest import without_equilibrium_lines
+from conftest import exact, without_equilibrium_lines
 
 REPO_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
@@ -193,9 +192,7 @@ class TestRunVerification:
         a = run_verification(reference, trials=2, seed=11, use_sim=False)
         b = run_verification(reference, trials=2, seed=11, use_sim=False)
         # an exact base runs as its floats, which here are the reference's
-        exact = ModelParams(**{name: Fraction(value)
-                               for name, value in vars(reference).items()})
-        assert a == b == run_verification(exact, trials=2, seed=11,
+        assert a == b == run_verification(exact(reference), trials=2, seed=11,
                                           use_sim=False)
 
 
