@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -136,16 +138,58 @@ def _cmd_sweep(params: ModelParams, args: argparse.Namespace) -> int:
     spec = sweep_mod.SweepSpec(param=args.param, lo=args.lo, hi=args.hi,
                                steps=args.steps)
     records = sweep_mod.run_sweep(params, spec)
-    # render first: a sweep with nothing to plot fails before any file is written
+    # render first and open both outputs before writing either: a sweep
+    # with nothing to plot, or an output path that cannot be opened, fails
+    # before any file is written
     chart = sweep_mod.render_profit_svg(records, spec.param) if args.svg else None
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    outputs = _open_outputs([(args.out, "")]
+                            + ([] if chart is None else [(args.svg, None)]))
+    try:
+        fh = _rewind(outputs[0])
         rows = sweep_mod.write_sweep_csv(records, fh)
-    print(f"wrote {rows} rows ({spec.steps} grid points) to {args.out}")
-    if chart is not None:
-        with open(args.svg, "w", encoding="utf-8") as fh:
+        fh.close()
+        print(f"wrote {rows} rows ({spec.steps} grid points) to {args.out}")
+        if chart is not None:
+            fh = _rewind(outputs[1])
             fh.write(chart)
-        print(f"wrote chart to {args.svg}")
+            fh.close()
+            print(f"wrote chart to {args.svg}")
+    finally:
+        for fh in outputs:
+            fh.close()
     return EXIT_OK
+
+
+def _open_outputs(targets: Sequence[tuple[str, Optional[str]]]) -> list:
+    """A text file open for writing per (path, newline), or none at all.
+
+    Each path opens for appending, so a file that exists keeps its content
+    until the caller empties it with _rewind and writes it. When a path
+    cannot be opened, the files opened so far are closed, those this call
+    created are removed, and the OSError propagates.
+    """
+    outputs, created = [], []
+    try:
+        for path, newline in targets:
+            existed = os.path.exists(path)
+            outputs.append(open(path, "a", encoding="utf-8", newline=newline))
+            if not existed:
+                created.append(path)
+    except OSError:
+        for fh in outputs:
+            fh.close()
+        for path in created:
+            os.remove(path)
+        raise
+    return outputs
+
+
+def _rewind(fh):
+    """fh emptied when it is a regular file; a device, a pipe or a
+    terminal cannot be truncated and is written as it is."""
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.truncate(0)
+    return fh
 
 
 def _cmd_verify(params: ModelParams, args: argparse.Namespace) -> int:

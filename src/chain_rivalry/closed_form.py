@@ -3,11 +3,12 @@
 equilibrium(p, scenario) is the one closed-form equilibrium for all three
 scenarios, its payoffs computed by EquilibriumOutcome.from_periods as the
 oracle's are; subsidy_threshold and adoption_decision build on it. The
-platform choice is a function of solved outcomes alone
-(AdoptionDecision.from_outcomes), so a caller holding the three outcomes
-decides without solving them again. Every operation is an explicit formula,
-parameterized by the quality edge d and the platform subsidies so the
-baseline model is the d=0, zero-subsidy special case.
+platform choice is a function of B's three subsidy-inclusive payoffs
+alone (choose_platform, which AdoptionDecision.chosen calls), so a caller
+holding the three solved outcomes decides without solving them again.
+Every operation is an explicit formula, parameterized by the quality edge
+d and the platform subsidies so the baseline model is the d=0,
+zero-subsidy special case.
 
 EQUILIBRIUM_READS and THRESHOLD_READS name the fields each form reads: the
 same chain reads s alone, and the thresholds read neither d nor the
@@ -77,6 +78,16 @@ class ThresholdReport:
 PLATFORMS = tuple(zip(("P1", "P2", "P3"), SCENARIOS))
 
 
+def choose_platform(payoff1, payoff2, payoff3) -> str:
+    """The platform of the first payoff maximum in P1, P2, P3 order, so a
+    tie goes to P1 > P2 > P3; the one tie rule of the platform choice.
+    Each payoff is B's with subsidy on that platform. A later payoff wins
+    only when strictly greater, as with max()."""
+    if payoff2 > payoff1:
+        return "P3" if payoff3 > payoff2 else "P2"
+    return "P3" if payoff3 > payoff1 else "P1"
+
+
 @record
 class AdoptionDecision:
     """B's subsidy-inclusive payoff per platform, and the choice it implies."""
@@ -101,10 +112,10 @@ class AdoptionDecision:
 
     @property
     def chosen(self) -> str:
-        """The first payoff maximum in P1, P2, P3 order: rationale's first
-        platform, without its sort."""
+        """The platform choose_platform picks: rationale's first platform,
+        without its sort."""
         payoffs = self.payoffs
-        return max(sorted(payoffs), key=payoffs.__getitem__)
+        return choose_platform(payoffs["P1"], payoffs["P2"], payoffs["P3"])
 
 
 # The fields each scenario's equilibrium reads: a field outside its set

@@ -18,6 +18,13 @@ point and shares that outcome object with the later ones: the same-chain
 outcome reads s alone, and the threshold report neither d nor the
 subsidies. The CSV writer formats the numbers of a shared outcome or
 threshold report once.
+
+What each grid point still costs: a ModelParams of its fields and its
+validate_params report; at a valid point, the equilibria of the scenarios
+that read the swept field (and the thresholds, when they read it too);
+the choice, decided from the three subsidy-inclusive payoffs by
+closed_form.choose_platform, with no AdoptionDecision built; and its
+SweepRecord, with its own copy of the outcome mapping.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from dataclasses import dataclass
 from typing import IO, Mapping, Optional
 
 from . import closed_form
-from .closed_form import (AdoptionDecision, CornerEquilibriumError,
-                          ThresholdReport)
+from .closed_form import (CornerEquilibriumError, ThresholdReport,
+                          choose_platform)
 from .model import (MAX_COUNT, OPTIONAL_FIELDS, REQUIRED_FIELDS,
                     EquilibriumOutcome, SCENARIOS, ModelParams, Scenario,
                     as_float, record, require_count, require_number, shown,
@@ -123,40 +130,50 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
             bad.append(str(problem))
     if bad:
         raise ValueError("sweep base: " + "; ".join(bad))
-    # each scenario with whether it reads the swept field; the latest
-    # outcome per scenario, None at a corner
-    plan = [(scenario, name, param in closed_form.EQUILIBRIUM_READS[scenario])
-            for scenario, name in zip(SCENARIOS, _SCENARIO_NAMES)]
+    # The entry points are looked up once per call, not at import, so a
+    # wrapper installed on the module attribute still sees every point.
+    validate, solve = validate_params, closed_form.equilibrium
+    solve_thresholds = closed_form.subsidy_threshold
+    same, compatible, incompatible = SCENARIOS
+    # the scenarios whose outcome the swept field changes, re-solved at
+    # every valid point after the first; the latest outcome per scenario,
+    # None at a corner
+    resolved = [scenario for scenario in SCENARIOS
+                if param in closed_form.EQUILIBRIUM_READS[scenario]]
     latest: dict[Scenario, Optional[EquilibriumOutcome]] = {}
     resolve_thresholds = param in closed_form.THRESHOLD_READS
     thresholds = None
     records = []
+    append = records.append
     for value in spec.values():
         fields[param] = value
         point = ModelParams(**fields)
-        report = validate_params(point)
+        report = validate(point)
         if not report.ok:
-            records.append(SweepRecord(
+            append(SweepRecord(
                 value, {}, "", None, "invalid: " + "; ".join(report.violations)))
             continue
-        note = ""
-        outcomes: dict[Scenario, Optional[EquilibriumOutcome]] = {}
-        for scenario, name, reads in plan:
-            if reads or scenario not in latest:
-                try:
-                    latest[scenario] = closed_form.equilibrium(point, scenario,
-                                                               validate=False)
-                except CornerEquilibriumError:
-                    latest[scenario] = None
-                except ValueError as exc:
-                    raise ValueError(f"{param}={value!r}: {exc}") from exc
-            out = outcomes[scenario] = latest[scenario]
-            if out is None:
-                note += f"; corner: {name}" if note else f"corner: {name}"
+        for scenario in resolved if latest else SCENARIOS:
+            try:
+                latest[scenario] = solve(point, scenario, validate=False)
+            except CornerEquilibriumError:
+                latest[scenario] = None
+            except ValueError as exc:
+                raise ValueError(f"{param}={value!r}: {exc}") from exc
         if resolve_thresholds or thresholds is None:
-            thresholds = closed_form.subsidy_threshold(point, validate=False)
-        chosen = "" if note else AdoptionDecision.from_outcomes(outcomes).chosen
-        records.append(SweepRecord(value, outcomes, chosen, thresholds, note))
+            thresholds = solve_thresholds(point, validate=False)
+        out1, out2, out3 = latest[same], latest[compatible], latest[incompatible]
+        if out1 is None or out2 is None or out3 is None:
+            chosen = ""
+            note = "; ".join(f"corner: {name}"
+                             for name, out in zip(_SCENARIO_NAMES, (out1, out2, out3))
+                             if out is None)
+        else:
+            chosen = choose_platform(out1.profitB_with_subsidy,
+                                     out2.profitB_with_subsidy,
+                                     out3.profitB_with_subsidy)
+            note = ""
+        append(SweepRecord(value, dict(latest), chosen, thresholds, note))
     return records
 
 

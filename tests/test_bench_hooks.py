@@ -33,3 +33,15 @@ def test_traced_verify_sees_the_oracle_layers(capsys):
                  "model.user_utility.busy_s", "verify.draw_params.busy_s",
                  "closed_form.equilibrium.busy_s"):
         assert metrics[name]["value"] > 0, name
+
+
+def test_traced_sweep_sees_the_sweep_layers(capsys):
+    code = run.main(["--workload", "sweep", "--seed", "3", "--seconds", "0.2",
+                     "--trace", "1", "--tiny"])
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 0 and result["correct"]
+    metrics = result["metrics"]
+    for name in ("model.validate_params.busy_s", "closed_form.equilibrium.busy_s",
+                 "closed_form.thresholds.busy_s", "sweep.run_sweep.busy_s",
+                 "sweep.write_csv.busy_s", "sweep.render_svg.busy_s"):
+        assert metrics[name]["value"] > 0, name

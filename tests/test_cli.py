@@ -229,6 +229,26 @@ class TestSweepCommand:
         assert "wrote" not in captured.out
         assert not out_csv.exists() and not out_svg.exists()
 
+    def test_an_output_that_cannot_be_opened_writes_no_file(self, tmp_path,
+                                                             capsys):
+        # the chart's directory is missing, so neither output is written:
+        # not the CSV that opens first, and not a CSV that already exists
+        out_csv = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", str(REPO_CONFIG), "--param", "d",
+                "--lo", "0", "--hi", "2", "--steps", "3", "--out", str(out_csv),
+                "--svg", str(tmp_path / "missing" / "chart.svg")]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert len([line for line in captured.err.splitlines()
+                    if line.startswith("error:")]) == 1
+        assert "wrote" not in captured.out
+        assert not out_csv.exists()
+        out_csv.write_text("kept\n", encoding="utf-8")
+        assert cli.main(argv) == 1
+        assert "wrote" not in capsys.readouterr().out
+        assert out_csv.read_text(encoding="utf-8") == "kept\n"
+
 
 class TestVerifyCommand:
     def test_pass_run(self, tmp_path, capsys):

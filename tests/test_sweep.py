@@ -107,6 +107,22 @@ def test_chosen_column_is_the_adoption_decision(base, reference):
             assert len(seen) > 1, spec
 
 
+
+@pytest.mark.parametrize("field, star, platform", [
+    ("subsidy_p2", "c2_star", Scenario.COMPATIBLE),
+    ("subsidy_p3", "c3_star", Scenario.INCOMPATIBLE)])
+def test_a_payoff_tie_goes_to_the_shared_chain(reference, field, star, platform):
+    """On the reference, a subsidy sweep from its threshold starts at a
+    bitwise tie of B's payoffs on P1 and the subsidized platform; the tie
+    goes to P1, and the subsidy above the threshold flips the choice."""
+    c_star = getattr(subsidy_threshold(reference), star)
+    first, _, last = run_sweep(reference, SweepSpec(field, c_star, 2.0 * c_star, 3))
+    tied = [first.outcomes[scenario].profitB_with_subsidy
+            for scenario in (Scenario.SAME_CHAIN, platform)]
+    assert tied[0] == tied[1]
+    assert first.chosen == "P1"
+    assert last.chosen == ("P2" if platform is Scenario.COMPATIBLE else "P3")
+
 def pinned_sweeps(p, steps=41):
     """Every kind of row: d past the corner bound, alpha past validity, d and
     the subsidies across their thresholds, and d from a negative lo."""
