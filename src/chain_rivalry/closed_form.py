@@ -230,7 +230,9 @@ def subsidy_threshold(p: ModelParams, validate: bool = True) -> ThresholdReport:
     rationalized: d2 = 3*alpha*sqrt(u)/(sqrt(s) + sqrt(u)) + g, and d3
     likewise. No form subtracts nearly equal terms or squares a number of
     order s; on a valid config g < u/2 and alpha < s, so all four stay
-    finite. None of the four depends on p.d or the subsidies.
+    finite. None of the four depends on p.d or the subsidies. c2_star and
+    c3_star come back in the number type of p's fields, with constants
+    built as in _period1; d2_star and d3_star, irrational, are floats.
     """
     if validate:
         require_valid(p)
@@ -238,10 +240,12 @@ def subsidy_threshold(p: ModelParams, validate: bool = True) -> ThresholdReport:
     gap2 = p.alpha * (p.n1 - p.n2)
     gap3 = p.alpha * (p.n1 - p.n3)
     root_u = math.sqrt(u)
+    one = p.s / p.s
     return ThresholdReport(
         # c2_star, c3_star, d2_star, d3_star
-        p.alpha + (2.0 / 3.0) * gap2 - gap2 * (gap2 / (9.0 * u)),
-        0.25 * p.s + 0.75 * p.alpha + 0.6 * gap3 - 0.12 * gap3 * (gap3 / u),
+        p.alpha + one * 2 / 3 * gap2 - gap2 * (gap2 / (u * 9)),
+        one / 4 * p.s + one * 3 / 4 * p.alpha + one * 3 / 5 * gap3
+        - one * 3 / 25 * gap3 * (gap3 / u),
         3.0 * p.alpha * (root_u / (math.sqrt(p.s) + root_u)) + gap2,
         (2.5 * (p.s / 3.0 + p.alpha)
          * (root_u / (2.0 * math.sqrt(p.s / 3.0) + root_u)) + gap3),
@@ -274,9 +278,13 @@ class AdoptionSensitivity:
 
 
 def adoption_sensitivity(p: ModelParams) -> AdoptionSensitivity:
+    """The slopes, in the number type of p's fields. Raises ValueError
+    naming the first slope that overflows, as on a valid config whose
+    dispersion is near the smallest normal float."""
     require_valid(p)
     u = p.s - p.alpha
-    return AdoptionSensitivity(
-        compatible=1 / (u * 6),
-        incompatible=1 / (u * 5),
-    )
+    out = AdoptionSensitivity(compatible=1 / (u * 6), incompatible=1 / (u * 5))
+    # not math.isfinite, which cannot take an exact sum past the float range
+    if not abs(out.compatible + out.incompatible) < math.inf:
+        require_finite("adoption sensitivity", out)
+    return out

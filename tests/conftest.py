@@ -1,11 +1,21 @@
+"""The one home of what two or more test files share. Each draw family is
+built once per session and handed out as prefixes, and each oracle outcome
+that tests only read is solved once (test_conftest.py checks both caches);
+a test that patches a route, counts its calls or times it solves fresh."""
+
+import dataclasses
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from chain_rivalry import oracle
-from chain_rivalry.closed_form import equilibrium
-from chain_rivalry.model import ModelParams, require_valid, validate_params
+from chain_rivalry import closed_form, oracle
+from chain_rivalry.closed_form import CornerEquilibriumError, equilibrium
+from chain_rivalry.model import (SCENARIOS, EquilibriumOutcome, ModelParams, Scenario,
+                                 require_valid, user_utility, validate_params)
+from chain_rivalry.oracle import oracle_equilibrium
+from chain_rivalry.sweep import SWEEPABLE
 from chain_rivalry.verify import draw_params
 
 REFERENCE = dict(alpha=0.1, s=3.0, k=20.0, n1=10.0, n2=5.0, n3=5.0)
@@ -15,6 +25,17 @@ def exact(p: ModelParams) -> ModelParams:
     """p with every field, d and the subsidies included, as the Fraction
     of its float: both routes then compute exactly."""
     return ModelParams(**{name: Fraction(value) for name, value in vars(p).items()})
+
+
+def _reference(seed, count):
+    """The reference config, a family of one game that takes no seed."""
+    return [ModelParams(**REFERENCE)] * count
+
+
+def _gate_draws(seed, count):
+    """The draws of `verify --trials count --seed seed`, in order."""
+    rng = np.random.default_rng(seed)
+    return [draw_params(rng) for _ in range(count)]
 
 
 def _off_gate_draws(seed, count):
@@ -83,12 +104,202 @@ def _edge_draws(seed, count):
     return draws
 
 
+FAMILIES = {"reference": _reference, "gate": _gate_draws, "wide": _off_gate_draws,
+            "edge": _edge_draws}
+# Every (family, seed) the suite draws from, and each count a test takes of
+# it; games() refuses any other. Each generator draws in order, so a build
+# at the largest count holds every smaller one as its prefix.
+COUNTS = {("reference", None): (1,), ("gate", 42): (100,), ("gate", 7): (25,),
+          ("wide", 2024): (1, 2, 30, 100), ("wide", 31): (200,), ("wide", 7): (40,),
+          ("wide", 2026): (10,), ("wide", 711): (6,), ("edge", 123): (200, 400),
+          ("edge", 5): (10, 40), ("edge", 2026): (40,), ("edge", 712): (6,)}
+
+
+@functools.cache
+def built(family: str, seed) -> tuple[ModelParams, ...]:
+    """The session's one build of a family, at its largest count."""
+    return tuple(FAMILIES[family](seed, max(COUNTS[family, seed])))
+
+
+def games(family: str, seed, count: int) -> list[tuple]:
+    """The keys (family, seed, index) of a family's first count draws."""
+    assert count in COUNTS[family, seed], f"add {count} to COUNTS[{family!r}, {seed!r}]"
+    return [(family, seed, index) for index in range(count)]
+
+
+def game(key: tuple) -> ModelParams:
+    family, seed, index = key
+    return built(family, seed)[index]
+
+
+def draws(family: str, seed, count: int) -> list[ModelParams]:
+    """A family's first count draws, a prefix of its one build."""
+    return [game(key) for key in games(family, seed, count)]
+
+
+REFERENCE_GAME = ("reference", None, 0)
+GATE_GAMES = [REFERENCE_GAME, *games("gate", 42, 100)]
+WIDE_GAMES = games("wide", 2024, 100)
+EDGE_GAMES = games("edge", 123, 400)
+
+
+@functools.cache
+def _solved(key: tuple, scenario: Scenario, number: type) -> EquilibriumOutcome:
+    # never keyed by the ModelParams: exact(p) == p with equal hashes, so a
+    # value key would hand an exact game a float outcome
+    p = game(key)
+    return oracle_equilibrium(p if number is float else exact(p), scenario)
+
+
+def oracle_outcome(key: tuple, scenario: Scenario) -> EquilibriumOutcome:
+    """The oracle's outcome on game(key), solved once per session."""
+    return _solved(key, scenario, float)
+
+
+# The exact route's games: the reference, the first four gate draws of
+# `verify --seed 42` and the first four wide draws.
+EXACT_GAMES = {"reference": REFERENCE_GAME,
+               **{f"gate{i}": ("gate", 42, i) for i in range(4)},
+               **{f"wide{i}": ("wide", 2024, i) for i in range(4)}}
+EXACT_CONFIGS = {name: exact(game(key)) for name, key in EXACT_GAMES.items()}
+# The outcome's numbers, pA1 to profitB_with_subsidy.
+NUMERIC = [f.name for f in dataclasses.fields(EquilibriumOutcome)[1:18]]
+
+
+def exact_oracle(name: str, scenario: Scenario) -> EquilibriumOutcome:
+    """The oracle's outcome on EXACT_CONFIGS[name], solved once per session:
+    an exact game takes about 20-200 ms."""
+    return _solved(EXACT_GAMES[name], scenario, Fraction)
+
+
+# test_unread's draws, which test_mutants' slips must move
+DRAWS = {"default": draws("gate", 42, 100), "wide": draws("wide", 2024, 30)}
+# the quantities of P2 read n2 but not n3, those of P3 n3 but not n2
+QUANTITY_READS = {"c2_star": closed_form.THRESHOLD_READS - {"n3"},
+                  "d2_star": closed_form.THRESHOLD_READS - {"n3"},
+                  "c3_star": closed_form.THRESHOLD_READS - {"n2"},
+                  "d3_star": closed_form.THRESHOLD_READS - {"n2"}}
+
+
+def lowered(p, name):
+    """p with one field moved the way that keeps a valid config valid: a
+    rival base, d or a subsidy halved (0.25 where it is 0), alpha halved, s
+    halfway down to alpha*(2*n1 + 1), n1 halfway down to the larger rival
+    base, and k doubled, as only a rise keeps k above its bound."""
+    value = getattr(p, name)
+    if name == "s":
+        value = 0.5 * (value + p.alpha * (2.0 * p.n1 + 1.0))
+    elif name == "k":
+        value = 2.0 * value
+    elif name == "n1":
+        value = 0.5 * (value + max(p.n2, p.n3))
+    elif name == "alpha" or value:
+        value = 0.5 * value
+    else:
+        value = 0.25
+    q = p.with_values(**{name: value})
+    assert validate_params(q).ok, (p, name)
+    return q
+
+
+def _shown(solve, p, scenario, q):
+    """solve(p, scenario, q) by its repr, which prints each float exactly
+    and tells -0.0 from 0.0, or a corner's message: a slipped form can push
+    a draw past the corner bound."""
+    try:
+        return repr(solve(p, scenario, q))
+    except CornerEquilibriumError as corner:
+        return str(corner)
+
+
+def departures(draws, solve, reads):
+    """(draw index, scenario, field) of every scenario whose outcome,
+    solve(p, scenario, q) at a p and the q with one unread field lowered,
+    is not bitwise that at p."""
+    out = []
+    for i, p in enumerate(draws):
+        for scenario in SCENARIOS:
+            base = _shown(solve, p, scenario, p)
+            out += [(i, scenario.value, name) for name in SWEEPABLE
+                    if name not in reads[scenario]
+                    and _shown(solve, p, scenario, lowered(p, name)) != base]
+    return out
+
+
+def closed_form_departures(draws):
+    """departures of the closed forms, through the module attributes (so a
+    patched form is the one checked), and (draw index, quantity, field) of
+    each subsidy_threshold quantity that an unread field moves."""
+    out = departures(draws, lambda p, scenario, q: closed_form.equilibrium(q, scenario),
+                     closed_form.EQUILIBRIUM_READS)
+    for i, p in enumerate(draws):
+        base = closed_form.subsidy_threshold(p)
+        for name in SWEEPABLE:
+            moved = closed_form.subsidy_threshold(lowered(p, name))
+            out += [(i, quantity, name) for quantity, reads in QUANTITY_READS.items()
+                    if name not in reads
+                    and repr(getattr(moved, quantity)) != repr(getattr(base, quantity))]
+    return out
+
+
+# Aggregate two-period payoffs, each a single formula in d: the cross-check
+# for equilibrium()'s price-times-share profits. B's off-chain payoffs also
+# take d as an argument, so the thresholds can be checked against s at
+# d = 0 and at their roots.
+
+def profit_a_same(p):
+    return p.s
+
+
+def profit_b_same(p):
+    return p.s
+
+
+def profit_a_compatible(p):
+    u = p.s - p.alpha
+    num = 3.0 * u - p.d + p.alpha * (p.n1 - p.n2)
+    return num * num / (9.0 * u)
+
+
+def profit_a_incompatible(p):
+    u = p.s - p.alpha
+    num = -2.0 * p.d + 5.0 * u + 2.0 * p.alpha * (p.n1 - p.n3)
+    return 3.0 * num * num / (100.0 * u)
+
+
+def profit_b_compatible(p, d=None):
+    d = p.d if d is None else d
+    u = p.s - p.alpha
+    num = 3.0 * u + d + p.alpha * (p.n2 - p.n1)
+    return num * num / (9.0 * u)
+
+
+def profit_b_incompatible(p, d=None):
+    d = p.d if d is None else d
+    u = p.s - p.alpha
+    num = 2.0 * d + 5.0 * u + 2.0 * p.alpha * (p.n3 - p.n1)
+    return 3.0 * num * num / (100.0 * u)
+
+
 def midpoint_types(p, m):
     """The m midpoint types x = (i + 1/2)/m as an array, with their taste
     distance pair (s*x, s*(1-x)) in taste_distances' arithmetic, for the
     tests' array references of the simulator and the demand."""
     x = (np.arange(m) + 0.5) / m
     return x, (p.s * x, p.s * (1.0 - x))
+
+
+def brute_shares(p, scenario, pA, pB, nA, nB, m=200001):
+    """Integrate user choices on a fine type grid, taking the returned shares
+    as given; an internally consistent demand must reproduce itself."""
+    _, distances = midpoint_types(p, m)
+    uA, uB = user_utility(p, scenario, distances, pA, pB, nA, nB)
+    pick_b = uB >= uA
+    best = np.where(pick_b, uB, uA)
+    participate = best >= 0.0
+    share_a = np.count_nonzero(participate & ~pick_b) / m
+    share_b = np.count_nonzero(participate & pick_b) / m
+    return share_a, share_b
 
 
 def grid_prices(p):
@@ -117,6 +328,20 @@ def without_equilibrium_lines(monkeypatch):
     monkeypatch.setattr(oracle, "_lines", lines)
 
 
+def skew_compatible_profit_b(monkeypatch) -> None:
+    """Shift the closed-form compatible profitB by 0.05; other scenarios keep
+    their exact outcomes."""
+    real = closed_form.equilibrium
+
+    def skewed(p, scenario, validate=True):
+        out = real(p, scenario, validate=validate)
+        if scenario is Scenario.COMPATIBLE:
+            out = dataclasses.replace(out, profitB=out.profitB + 0.05)
+        return out
+
+    monkeypatch.setattr(closed_form, "equilibrium", skewed)
+
+
 @pytest.fixture
 def reference() -> ModelParams:
     return ModelParams(**REFERENCE)
@@ -124,13 +349,9 @@ def reference() -> ModelParams:
 
 @pytest.fixture(scope="session")
 def draws100() -> list[ModelParams]:
-    # Same stream as `verify --trials 100 --seed 42`: default_rng(42), drawn
-    # in order.
-    rng = np.random.default_rng(42)
-    return [draw_params(rng) for _ in range(100)]
+    return draws("gate", 42, 100)
 
 
 @pytest.fixture(scope="session")
 def draws25() -> list[ModelParams]:
-    rng = np.random.default_rng(7)
-    return [draw_params(rng) for _ in range(25)]
+    return draws("gate", 7, 25)

@@ -29,16 +29,9 @@ from chain_rivalry.oracle import _demand
 from chain_rivalry.sim import _play, simulate_game
 from chain_rivalry.sweep import SweepSpec, run_sweep
 from chain_rivalry.verify import run_verification
-from conftest import grid_prices
-from test_closed_form import (
-    profit_a_compatible,
-    profit_a_incompatible,
-    profit_a_same,
-    profit_b_compatible,
-    profit_b_incompatible,
-    profit_b_same,
-)
-from test_oracle import _brute_shares
+from conftest import (brute_shares, grid_prices, profit_a_compatible, profit_a_incompatible,
+                      profit_a_same, profit_b_compatible, profit_b_incompatible,
+                      profit_b_same)
 
 
 
@@ -243,7 +236,7 @@ def test_demand_conserves_mass_and_markets_stay_covered(reference, draws100):
             assert np.all(nA >= 0.0) and np.all(nB >= 0.0)
             assert np.all(nA + nB <= 1.0)
             for i in range(1700, 2301, 300):
-                share_a, share_b = _brute_shares(reference, scenario,
+                share_a, share_b = brute_shares(reference, scenario,
                                                  prices[i], rival,
                                                  nA[i], nB[i])
                 assert share_a == pytest.approx(nA[i], abs=1e-5)

@@ -12,9 +12,7 @@ import pytest
 from chain_rivalry import cli, sim
 from chain_rivalry.model import ModelParams
 from chain_rivalry.sweep import CSV_HEADER
-from conftest import without_equilibrium_lines
-from test_closed_form import profit_b_compatible
-from test_verify import skew_compatible_profit_b
+from conftest import profit_b_compatible, skew_compatible_profit_b, without_equilibrium_lines
 
 REPO_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 

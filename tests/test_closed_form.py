@@ -19,7 +19,9 @@ from chain_rivalry.closed_form import (
 )
 from chain_rivalry.model import (SCENARIOS, ModelParams, Scenario, user_utility,
                                  validate_params)
-from conftest import _off_gate_draws, exact
+from conftest import (EXACT_CONFIGS, draws, exact, profit_a_compatible, profit_a_incompatible,
+                      profit_a_same, profit_b_compatible, profit_b_incompatible,
+                      profit_b_same)
 
 # Frozen reference-config values, confirmed against the grid best-response
 # solver before being pinned here (see test_oracle / test_acceptance).
@@ -30,45 +32,6 @@ REF_INCOMPAT = dict(pA1=-14.8, pB1=-15.1, cutoff=0.5344827586206896,
                     pA2=19.45, pB2=19.15,
                     profitA=2.485344827586207, profitB=1.8853448275862068)
 REF_THRESHOLDS = dict(c2=0.4237547892720306, c3=1.1146551724137932)
-
-
-# Aggregate two-period payoffs, each a single formula in d: the cross-check
-# for equilibrium()'s price-times-share profits. B's off-chain payoffs also
-# take d as an argument, so the thresholds can be checked against s at
-# d = 0 and at their roots.
-
-def profit_a_same(p):
-    return p.s
-
-
-def profit_b_same(p):
-    return p.s
-
-
-def profit_a_compatible(p):
-    u = p.s - p.alpha
-    num = 3.0 * u - p.d + p.alpha * (p.n1 - p.n2)
-    return num * num / (9.0 * u)
-
-
-def profit_a_incompatible(p):
-    u = p.s - p.alpha
-    num = -2.0 * p.d + 5.0 * u + 2.0 * p.alpha * (p.n1 - p.n3)
-    return 3.0 * num * num / (100.0 * u)
-
-
-def profit_b_compatible(p, d=None):
-    d = p.d if d is None else d
-    u = p.s - p.alpha
-    num = 3.0 * u + d + p.alpha * (p.n2 - p.n1)
-    return num * num / (9.0 * u)
-
-
-def profit_b_incompatible(p, d=None):
-    d = p.d if d is None else d
-    u = p.s - p.alpha
-    num = 2.0 * d + 5.0 * u + 2.0 * p.alpha * (p.n3 - p.n1)
-    return 3.0 * num * num / (100.0 * u)
 
 
 class TestSameChain:
@@ -385,6 +348,18 @@ class TestThresholds:
         assert rep.c2_star == pytest.approx(REF_THRESHOLDS["c2"], abs=1e-12)
         assert rep.c3_star == pytest.approx(REF_THRESHOLDS["c3"], abs=1e-12)
 
+    def test_subsidy_thresholds_are_exact_payoff_gaps_on_fraction_fields(self, reference):
+        # On Fraction fields, with d and both subsidies 0, c2_star and
+        # c3_star are B's payoff gaps to the shared chain with no rounding
+        for p in (reference.with_values(n3=7.0), *EXACT_CONFIGS.values()):
+            p = exact(p.with_values(d=0.0, subsidy_p2=0.0, subsidy_p3=0.0))
+            rep = subsidy_threshold(p)
+            same, compatible, incompatible = (equilibrium(p, scenario).profitB
+                                              for scenario in Scenario)
+            assert type(rep.c2_star) is Fraction and type(rep.c3_star) is Fraction
+            assert rep.c2_star == same - compatible, p
+            assert rep.c3_star == same - incompatible, p
+
     def test_subsidy_thresholds_are_payoff_gaps_at_zero_edge(self, reference):
         p = reference.with_values(d=1.0)  # thresholds ignore the point's own d
         rep = subsidy_threshold(p)
@@ -398,7 +373,7 @@ class TestThresholds:
         # Rational arithmetic on the float inputs for the subsidies, and
         # 250-digit decimals for the square roots of the quality edges: at
         # s = 1e200 their terms cancel over more than 200 digits.
-        configs = [reference, *draws25, *_off_gate_draws(seed=31, count=200),
+        configs = [reference, *draws25, *draws("wide", 31, 200),
                    TestOverflow.BIG_S]
         with decimal.localcontext(decimal.Context(prec=250)):
             for p in configs:
@@ -578,7 +553,7 @@ class TestAggregatePayoffs:
             Scenario.COMPATIBLE: (profit_a_compatible, profit_b_compatible),
             Scenario.INCOMPATIBLE: (profit_a_incompatible, profit_b_incompatible),
         }
-        for p in [reference, *draws25, *_off_gate_draws(seed=2024, count=30)]:
+        for p in [reference, *draws25, *draws("wide", 2024, 30)]:
             for scenario, (profit_a, profit_b) in formulas.items():
                 out = equilibrium(p, scenario)
                 assert out.profitA == pytest.approx(profit_a(p), rel=1e-9, abs=1e-12)
@@ -591,7 +566,7 @@ class TestThresholdCrossCheck:
         # a route independent of the aggregate profit_* formulas the roots
         # solve. The point's own edge and subsidies give way to the one
         # threshold under test.
-        for p in [reference, *_off_gate_draws(seed=2024, count=30)]:
+        for p in [reference, *draws("wide", 2024, 30)]:
             rep = subsidy_threshold(p)
             bare = p.with_values(d=0.0, subsidy_p2=0.0, subsidy_p3=0.0)
             at_threshold = {
@@ -623,7 +598,7 @@ class TestThresholdCrossCheck:
         # threshold's two float neighbours, so the exact root lies
         # strictly between them
         missed = []
-        for p in [*draws100, *_off_gate_draws(seed=2024, count=100)]:
+        for p in [*draws100, *draws("wide", 2024, 100)]:
             star = getattr(subsidy_threshold(p), name)
             bare = p.with_values(subsidy_p2=0.0, subsidy_p3=0.0)
             below, above = (

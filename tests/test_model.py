@@ -21,10 +21,7 @@ from chain_rivalry.model import (
     user_utility,
     validate_params,
 )
-
-from chain_rivalry.oracle import oracle_equilibrium
-
-from conftest import REFERENCE, _off_gate_draws, midpoint_types
+from conftest import REFERENCE, game, games, midpoint_types, oracle_outcome
 
 
 class TestModelParams:
@@ -191,16 +188,17 @@ class TestOutcomeFromPeriods:
         assert all(type(value) is Fraction
                    for value in list(vars(out).values())[1:18])
 
-    @pytest.mark.parametrize("solve", [equilibrium, oracle_equilibrium],
-                             ids=["closed_form", "oracle"])
+    @pytest.mark.parametrize("solve", [lambda key, scenario: equilibrium(game(key), scenario),
+                                       oracle_outcome], ids=["closed_form", "oracle"])
     def test_payoffs_are_price_times_share_over_both_periods(self, solve):
         # The accounting written out by hand, apart from from_periods; the
         # draws carry distinct nonzero subsidies on P2 and P3.
-        for p in _off_gate_draws(2024, 30):
+        for key in games("wide", 2024, 30):
+            p = game(key)
             paid = {Scenario.SAME_CHAIN: 0.0, Scenario.COMPATIBLE: p.subsidy_p2,
                     Scenario.INCOMPATIBLE: p.subsidy_p3}
             for scenario in Scenario:
-                out = solve(p, scenario)
+                out = solve(key, scenario)
                 assert out.profitA1 == out.pA1 * out.nA1
                 assert out.profitA2 == out.pA2 * out.nA2
                 assert out.profitB1 == out.pB1 * out.nB1

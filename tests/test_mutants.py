@@ -2,7 +2,7 @@
 
 Each slip is a wrapper around the real closed form that returns what a
 one-line mistake in its formula would, not a rewrite of the source. The
-oracle route runs on the wide draws of `conftest._off_gate_draws`, which
+oracle route runs on the wide draws of `conftest.DRAWS`, which
 vary the quality edge d, the subsidies and n3 apart from n2: inputs the
 default `verify` draws hold fixed, so its seed-42 run passes every slip
 below. A slip the oracle route does not check yet is a strict xfail, so
@@ -21,11 +21,8 @@ import pytest
 from chain_rivalry import closed_form, verify
 from chain_rivalry.closed_form import CornerEquilibriumError
 from chain_rivalry.model import ModelParams, Scenario
-from conftest import REFERENCE, _off_gate_draws
-from test_oracle import EXACT_CONFIGS, NUMERIC, exact_oracle
-from test_unread import DRAWS, closed_form_departures
-
-WIDE = _off_gate_draws(2024, 30)
+from conftest import (DRAWS, EXACT_CONFIGS, NUMERIC, REFERENCE, closed_form_departures,
+                      exact_oracle)
 
 equilibrium = closed_form.equilibrium
 subsidy_threshold = closed_form.subsidy_threshold
@@ -111,7 +108,7 @@ def oracle_catches():
     """Per wide draw, whether the oracle route flags it: a breach or stall
     line, or a closed form that raises CornerEquilibriumError."""
     caught = []
-    for p in WIDE:
+    for p in DRAWS["wide"]:
         try:
             report = verify.run_verification(p, trials=0, use_sim=False)
         except CornerEquilibriumError:
@@ -127,7 +124,7 @@ def test_unpatched_forms_pass():
 
 def test_uncaught_slips_change_their_output():
     # Else their xfails below would hold without a slip to miss.
-    for p in WIDE:
+    for p in DRAWS["wide"]:
         assert (subsidies_swapped(p, Scenario.COMPATIBLE)
                 != equilibrium(p, Scenario.COMPATIBLE))
         assert d3_star_uses_n2(p) != subsidy_threshold(p)

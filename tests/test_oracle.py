@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import functools
 import hashlib
 import inspect
 from fractions import Fraction
@@ -12,49 +11,12 @@ from hypothesis import strategies as st
 
 from chain_rivalry import oracle
 from chain_rivalry.closed_form import CornerEquilibriumError, equilibrium
-from chain_rivalry.model import (
-    EquilibriumOutcome,
-    ModelParams,
-    Scenario,
-    require_valid,
-    user_utility,
-    validate_params,
-)
+from chain_rivalry.model import ModelParams, Scenario, require_valid, validate_params
 from chain_rivalry.oracle import GAIN_TOL, oracle_equilibrium, period2_monopoly_price
-from chain_rivalry.verify import (ORACLE_ABS_TOL, ORACLE_QUANTITIES, ORACLE_REL_TOL,
-                                  draw_params)
-from conftest import (REFERENCE, _edge_draws, _off_gate_draws, exact, grid_prices,
-                      midpoint_types, without_equilibrium_lines)
-
-# The exact route's configs, as Fractions: the reference, the first four
-# gate draws of `verify --seed 42` and four wide draws.
-_GATE = np.random.default_rng(42)
-EXACT_CONFIGS = {name: exact(p) for name, p in [
-    ("reference", ModelParams(**REFERENCE)),
-    *((f"gate{i}", draw_params(_GATE)) for i in range(4)),
-    *((f"wide{i}", p) for i, p in enumerate(_off_gate_draws(2024, 4)))]}
-# The outcome's numbers, pA1 to profitB_with_subsidy.
-NUMERIC = [f.name for f in dataclasses.fields(EquilibriumOutcome)[1:18]]
-
-
-@functools.cache
-def exact_oracle(name: str, scenario: Scenario) -> EquilibriumOutcome:
-    """The oracle's outcome on EXACT_CONFIGS[name], solved once per session:
-    an exact game takes about 20-200 ms."""
-    return oracle_equilibrium(EXACT_CONFIGS[name], scenario)
-
-
-def _brute_shares(p, scenario, pA, pB, nA, nB, m=200001):
-    """Integrate user choices on a fine type grid, taking the returned shares
-    as given; an internally consistent demand must reproduce itself."""
-    _, distances = midpoint_types(p, m)
-    uA, uB = user_utility(p, scenario, distances, pA, pB, nA, nB)
-    pick_b = uB >= uA
-    best = np.where(pick_b, uB, uA)
-    participate = best >= 0.0
-    share_a = np.count_nonzero(participate & ~pick_b) / m
-    share_b = np.count_nonzero(participate & pick_b) / m
-    return share_a, share_b
+from chain_rivalry.verify import ORACLE_ABS_TOL, ORACLE_QUANTITIES, ORACLE_REL_TOL
+from conftest import (EDGE_GAMES, EXACT_CONFIGS, GATE_GAMES, NUMERIC, REFERENCE_GAME,
+                      WIDE_GAMES, brute_shares, draws, exact_oracle, game, games,
+                      grid_prices, oracle_outcome, without_equilibrium_lines)
 
 
 def _demand_pair_by_pair(p, scenario, pA, pB):
@@ -136,7 +98,7 @@ class TestStageDemand:
         ]
         for pA, pB in price_pairs:
             nA, nB, _ = oracle._demand(reference, scenario, pA, pB)
-            share_a, share_b = _brute_shares(reference, scenario, pA, pB, nA, nB)
+            share_a, share_b = brute_shares(reference, scenario, pA, pB, nA, nB)
             assert share_a == pytest.approx(nA, abs=1e-5)
             assert share_b == pytest.approx(nB, abs=1e-5)
 
@@ -147,7 +109,7 @@ class TestStageDemand:
         assert not nA + nB == 1.0
         assert 0.0 < nA < 0.5
         assert nA == nB
-        share_a, share_b = _brute_shares(reference, Scenario.SAME_CHAIN,
+        share_a, share_b = brute_shares(reference, Scenario.SAME_CHAIN,
                                          pA, pB, nA, nB)
         assert share_a == pytest.approx(nA, abs=1e-5)
 
@@ -190,7 +152,7 @@ class TestStageDemand:
                 assert np.all(nA >= 0.0) and np.all(nB >= 0.0)
                 assert np.all(nA + nB <= 1.0)
                 for i in range(1600, 2401, 200):
-                    share_a, share_b = _brute_shares(
+                    share_a, share_b = brute_shares(
                         reference, scenario, prices[i], rival, nA[i], nB[i])
                     assert share_a == pytest.approx(nA[i], abs=1e-5)
                     assert share_b == pytest.approx(nB[i], abs=1e-5)
@@ -301,7 +263,7 @@ class TestStageDemand:
         low_k = _low_k(reference)
         configs = [*low_k, *(q.with_values(k=f * q.s) for q in low_k[:3]
                              for f in (0.01, 30.0)),
-                   *_edge_draws(seed=5, count=40)]
+                   *draws("edge", 5, 40)]
         short_points = 0
         for p in configs:
             if p.s <= 2.0 * p.alpha:
@@ -499,7 +461,7 @@ class TestTwoStageNash:
 
     def test_reference_against_closed_form(self, reference):
         closed = equilibrium(reference, Scenario.INCOMPATIBLE)
-        res = oracle_equilibrium(reference, Scenario.INCOMPATIBLE)
+        res = oracle_outcome(REFERENCE_GAME, Scenario.INCOMPATIBLE)
         assert res.converged
         assert res.pA1 == pytest.approx(closed.pA1, abs=1e-6)
         assert res.pB1 == pytest.approx(closed.pB1, abs=1e-6)
@@ -640,9 +602,9 @@ CANCELLING_TERMS = (ModelParams(
     d=543931.020664266), Scenario.INCOMPATIBLE)
 
 
-def _assert_agrees(p, scenario, found, rel=None):
+def _assert_agrees(p, scenario, found, rel=None, names=ORACLE_QUANTITIES):
     closed = equilibrium(p, scenario)
-    for name in ORACLE_QUANTITIES:
+    for name in names:
         ref = float(getattr(closed, name))
         got = float(getattr(found, name))
         tol = (max(ORACLE_ABS_TOL, ORACLE_REL_TOL * abs(ref)) if rel is None
@@ -652,11 +614,11 @@ def _assert_agrees(p, scenario, found, rel=None):
 
 
 # sha256 over every outcome field but the scenario (floats as float.hex())
-# on the reference, draws100 and _off_gate_draws(2024, 100), in every
+# on GATE_GAMES (the reference and draws100) and WIDE_GAMES, in every
 # scenario. The oracle uses only correctly rounded elementwise operations,
 # min/max and argmax, so the digest is the same on every IEEE-754 platform.
 OUTCOME_DIGEST = "3c746c04c50275d905a1998af6e5c9c3b638144370244e68107668d3329029f7"
-# The same over _edge_draws(123, 400), in every scenario.
+# The same over EDGE_GAMES, in every scenario.
 EDGE_OUTCOME_DIGEST = "a38a4a678afcec4f412351ada7f063694ee800442137f6f12ec1a9b211183590"
 # The same over _low_k(reference), in every scenario: best responses on
 # share kinks, and on the shared chain 11-47% of the prices each game tries
@@ -664,16 +626,14 @@ EDGE_OUTCOME_DIGEST = "a38a4a678afcec4f412351ada7f063694ee800442137f6f12ec1a9b21
 LOW_K_OUTCOME_DIGEST = "54e3e17b385099ceee6f49f4f4c543e756f8bb90cd02836da8f5c56e2b53113b"
 
 
-def _outcome_digest(configs):
-    """sha256 of every outcome field but the scenario of each config's
-    oracle outcome in every scenario, floats as float.hex()."""
+def _outcome_digest(outcomes):
+    """sha256 of every field but the scenario of each outcome, floats as
+    float.hex()."""
     digest = hashlib.sha256()
-    for p in configs:
-        for scenario in Scenario:
-            out = oracle_equilibrium(p, scenario)
-            fields = (getattr(out, f.name) for f in dataclasses.fields(out)[1:])
-            digest.update(" ".join(v.hex() if isinstance(v, float) else repr(v)
-                                   for v in fields).encode() + b"\n")
+    for out in outcomes:
+        fields = (getattr(out, f.name) for f in dataclasses.fields(out)[1:])
+        digest.update(" ".join(v.hex() if isinstance(v, float) else repr(v)
+                               for v in fields).encode() + b"\n")
     return digest.hexdigest()
 
 
@@ -739,23 +699,24 @@ class TestExactSolve:
                 expected = 1 if scenario is Scenario.INCOMPATIBLE else 0
                 assert calls[0] == expected, (scenario.value, calls[0])
 
-    def test_outcomes_match_their_pinned_bits(self, reference, draws100):
+    def test_outcomes_match_their_pinned_bits(self):
         # A refactor of the oracle must leave every outcome bitwise as it was.
-        assert _outcome_digest([reference, *draws100,
-                                *_off_gate_draws(seed=2024, count=100)]) == OUTCOME_DIGEST
+        assert _outcome_digest(oracle_outcome(key, scenario) for key in GATE_GAMES + WIDE_GAMES
+                               for scenario in Scenario) == OUTCOME_DIGEST
 
     def test_edge_outcomes_match_their_pinned_bits(self):
         # Near every validity bound too, where a few games certify a second
         # pair and the reported one is picked among them.
-        assert _outcome_digest(_edge_draws(seed=123, count=400)) == EDGE_OUTCOME_DIGEST
+        assert _outcome_digest(oracle_outcome(key, scenario) for key in EDGE_GAMES
+                               for scenario in Scenario) == EDGE_OUTCOME_DIGEST
 
     def test_low_k_outcomes_match_their_pinned_bits(self, reference):
         # And far below the participation bound, where the shared chain's
         # total falls short of 1 at many of the prices a game tries.
-        configs = _low_k(reference)
-        assert all(oracle_equilibrium(p, scenario).converged
-                   for p in configs for scenario in Scenario)
-        assert _outcome_digest(configs) == LOW_K_OUTCOME_DIGEST
+        outcomes = [oracle_equilibrium(p, scenario)
+                    for p in _low_k(reference) for scenario in Scenario]
+        assert all(out.converged for out in outcomes)
+        assert _outcome_digest(outcomes) == LOW_K_OUTCOME_DIGEST
 
     def test_certificate_rejects_a_local_best_response(self, reference,
                                                        monkeypatch):
@@ -820,28 +781,34 @@ class TestExactSolve:
         # Off any grid, the closed-form prices are met to roundoff.
         for scenario in (Scenario.COMPATIBLE, Scenario.INCOMPATIBLE):
             closed = equilibrium(reference, scenario)
-            res = oracle_equilibrium(reference, scenario)
+            res = oracle_outcome(REFERENCE_GAME, scenario)
             assert res.pA1 == pytest.approx(closed.pA1, abs=1e-9)
             assert res.pB1 == pytest.approx(closed.pB1, abs=1e-9)
             assert res.residual <= GAIN_TOL
 
     def test_agrees_with_closed_forms_off_the_gate(self):
-        for p in _off_gate_draws(seed=2024, count=30):
+        for key in games("wide", 2024, 30):
+            p = game(key)
             for scenario in Scenario:
-                found = oracle_equilibrium(p, scenario)
+                found = oracle_outcome(key, scenario)
                 assert found.converged
                 _assert_agrees(p, scenario, found)
 
     @pytest.mark.parametrize("family,rel", [("gate", 1.5e-13), ("wide", 3.1e-13)])
-    def test_one_certified_pair_that_no_grid_price_beats(self, reference, draws100,
-                                                         family, rel):
-        draws = ([reference, *draws100] if family == "gate"
-                 else _off_gate_draws(seed=2024, count=100))
-        for p in draws:
+    def test_one_certified_pair_that_no_grid_price_beats(self, family, rel):
+        # The shares, which verify does not compare, too: both routes build
+        # the payoffs from prices and shares. No route checks the subsidy
+        # term yet (ROADMAP item "Carry the headline claims and the subsidy
+        # through the routes").
+        for key in GATE_GAMES if family == "gate" else WIDE_GAMES:
+            p = game(key)
             for scenario in Scenario:
-                found = oracle_equilibrium(p, scenario)
+                found = oracle_outcome(key, scenario)
+                assert found.scenario is scenario
                 assert (found.converged, found.iterations) == (True, 1)
-                _assert_agrees(p, scenario, found, rel=rel)
+                assert found.residual <= GAIN_TOL
+                _assert_agrees(p, scenario, found, rel=rel,
+                               names=(*ORACLE_QUANTITIES, "nA1", "nB1", "nA2", "nB2"))
                 assert _grid_gain(p, scenario, found) <= GAIN_TOL
 
     @pytest.mark.parametrize("changes", REFERENCE_LARGE_K, ids=("k368", "k5520"))
@@ -872,9 +839,10 @@ class TestExactSolve:
         # Near every validity bound, s <= 2*alpha included: no stall, and
         # no grid price beats a certified pair. A few near-corner games
         # certify a second pair that gives one firm almost no share.
-        for p in _edge_draws(seed=123, count=400):
+        for key in EDGE_GAMES:
+            p = game(key)
             for scenario in Scenario:
-                found = oracle_equilibrium(p, scenario)
+                found = oracle_outcome(key, scenario)
                 assert found.converged and found.iterations >= 1
                 _assert_agrees(p, scenario, found)
                 assert _grid_gain(p, scenario, found) <= GAIN_TOL
@@ -895,8 +863,8 @@ class TestExactSolve:
         # are left out there (test_shared_chain_supremum_below_a_total_jump).
         rng = np.random.default_rng(11)
         configs = [reference, *_low_k(reference), *draws25[:10],
-                   *_edge_draws(seed=5, count=10),
-                   *(q for q in _edge_draws(seed=123, count=200)
+                   *draws("edge", 5, 10),
+                   *(q for q in draws("edge", 123, 200)
                      if q.s <= 2.0 * q.alpha)]
         for p in configs:
             if (scenario is Scenario.SAME_CHAIN and p.s <= 2.0 * p.alpha
@@ -970,14 +938,14 @@ class TestOracleOutcome:
         # ORACLE_QUANTITIES, so they are compared here, at the wide family's
         # bound. No route checks the subsidy term yet (ROADMAP item "Carry
         # the headline claims and the subsidy through the routes").
-        for p in _off_gate_draws(seed=2024, count=30):
+        for key in games("wide", 2024, 30):
+            p = game(key)
             for scenario in Scenario:
                 closed = equilibrium(p, scenario)
-                found = oracle_equilibrium(p, scenario)
+                found = oracle_outcome(key, scenario)
                 assert found.scenario is scenario
                 for name in self.SHARES:
                     ref = float(getattr(closed, name))
                     got = float(getattr(found, name))
                     assert abs(ref - got) <= 3.1e-13 * max(1.0, abs(ref)), \
                         f"{scenario.value} {name}: closed {ref} vs oracle {got}"
-

@@ -9,18 +9,19 @@ that does not scale with the prices, breaks it.
 """
 
 import json
+import math
 
 import pytest
 
 from chain_rivalry import cli
-from chain_rivalry.closed_form import equilibrium
+from chain_rivalry.closed_form import adoption_sensitivity, equilibrium
 from chain_rivalry.model import Scenario, validate_params
 from chain_rivalry.oracle import oracle_equilibrium
 from chain_rivalry.sim import simulate_game
 from chain_rivalry.verify import run_verification
-from conftest import _off_gate_draws
+from conftest import draws
 
-DRAWS = _off_gate_draws(7, 40)
+DRAWS = draws("wide", 7, 40)
 FACTORS = (0.25, 8.0)
 
 SCALED = ("pA1", "pB1", "pA2", "pB2", "profitA1", "profitA2", "profitB1",
@@ -132,5 +133,19 @@ def test_reference_verifies_to_the_ends_of_the_float_range(reference, power):
 
 
 def test_the_ends_of_the_float_range_are_valid_configs(reference):
-    for power in (508, 509, -512, -513):
+    for power in (508, 509, -512, -513, -514, -515):
         assert validate_params(_scaled(reference, 4.0 ** power)).ok, power
+
+
+def test_adoption_slopes_are_finite_at_the_small_end(reference):
+    sens = adoption_sensitivity(_scaled(reference, 4.0 ** -512))
+    assert math.isfinite(sens.compatible) and math.isfinite(sens.incompatible)
+
+
+@pytest.mark.parametrize("power, slope", [(-514, "incompatible"), (-515, "compatible")])
+def test_an_adoption_slope_that_overflows_is_named(reference, power, slope):
+    """1/(5u) overflows from 4**-514 on, and 1/(6u) from 4**-515: each is
+    named, as equilibrium names a field, rather than returned as inf and
+    a ratio of inf or NaN."""
+    with pytest.raises(ValueError, match=f"^adoption sensitivity: {slope} overflows to inf$"):
+        adoption_sensitivity(_scaled(reference, 4.0 ** power))

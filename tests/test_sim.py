@@ -16,7 +16,7 @@ from chain_rivalry.model import InvalidParamsError, ModelParams, Scenario
 from chain_rivalry.sim import SimOutcome, _play, simulate_game
 from chain_rivalry.oracle import _demand
 from chain_rivalry.verify import run_verification
-from conftest import REFERENCE, _edge_draws, _off_gate_draws, midpoint_types
+from conftest import REFERENCE, draws, midpoint_types
 
 
 def _masks(m, out, bounds, locks=None):
@@ -465,7 +465,7 @@ class TestSimulateGame:
     def test_agrees_with_closed_forms_off_the_gate(self):
         # n3 != n2, a quality edge and subsidies: parameters the verify gate
         # never varies, checked at its own simulator tolerances
-        for p in _off_gate_draws(seed=2024, count=30):
+        for p in draws("wide", 2024, 30):
             report = run_verification(p, trials=0, use_oracle=False, m=10000)
             assert report.sim_unconverged == 0
             assert report.ok, report.failures
@@ -477,7 +477,7 @@ class TestSimulateGame:
         # price, and the rival keeps exactly its period-1 base.
         m = 2000
         scenario = Scenario.INCOMPATIBLE
-        for p in _off_gate_draws(seed=2024, count=30):
+        for p in draws("wide", 2024, 30):
             closed = equilibrium(p, scenario)
             for shift in (0.1 * p.s, -0.1 * p.s):
                 prices = (closed.pA1, closed.pB1,
@@ -569,8 +569,8 @@ class TestRepeatedPeriod:
         assert len(calls) == periods
 
 
-# sha256 of _run_digest over the reference and draws100 (gate),
-# _off_gate_draws(2024, 100) (wide) and _edge_draws(123, 400) (edge) at
+# sha256 of _run_digest over the reference and draws100 (gate), the first
+# 100 wide draws of seed 2024 and the 400 edge draws of seed 123 at
 # m = 7, 999 and 10 000: every outcome field of both periods and both
 # revenues, floats as float.hex(). A game plays the closed-form prices, and
 # again with period 2 shifted by 0.1*s, which locks a part of period 1's
@@ -600,8 +600,8 @@ def _run_digest(configs, ms):
 
 def test_games_match_their_pinned_bits(reference, draws100):
     # A rewrite of the simulator must leave every outcome bitwise as it was.
-    configs = ([reference, *draws100] + _off_gate_draws(seed=2024, count=100)
-               + _edge_draws(seed=123, count=400))
+    configs = ([reference, *draws100] + draws("wide", 2024, 100)
+               + draws("edge", 123, 400))
     assert _run_digest(configs, (7, 999, 10000)) == RUN_DIGEST
 
 
@@ -653,7 +653,7 @@ def test_matches_the_plain_reference_simulator(reference, draws100, scenario):
     # fixed point, at the closed-form prices and, on the lock path, at
     # shifted period-2 prices; period 2 of the reference is always solved
     m = 2000
-    configs = [reference] + draws100[:30] + _off_gate_draws(seed=2024, count=30)
+    configs = [reference] + draws100[:30] + draws("wide", 2024, 30)
     for p in configs:
         closed = equilibrium(p, scenario)
         for shift in (0.0, 0.1 * p.s, -0.1 * p.s):
@@ -676,8 +676,8 @@ def test_matches_the_plain_reference_simulator(reference, draws100, scenario):
 TINY_S = ModelParams(alpha=1e-4, s=1e-3, k=0.01, n1=1.0, n2=0.5, n3=0.25,
                      d=1e-4)
 PROPERTY_CONFIGS = ([ModelParams(**REFERENCE), TINY_S]
-                    + _edge_draws(seed=2026, count=40)
-                    + _off_gate_draws(seed=2026, count=10))
+                    + draws("edge", 2026, 40)
+                    + draws("wide", 2026, 10))
 
 
 @st.composite

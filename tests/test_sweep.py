@@ -16,7 +16,7 @@ from chain_rivalry.closed_form import (AdoptionDecision, CornerEquilibriumError,
 from chain_rivalry.model import Scenario, validate_params
 from chain_rivalry.sweep import (CSV_HEADER, SWEEPABLE, SweepRecord, SweepSpec,
                                  render_profit_svg, run_sweep, write_sweep_csv)
-from conftest import _edge_draws, _off_gate_draws
+from conftest import draws
 
 
 def corner_d(p):
@@ -51,7 +51,7 @@ def test_each_valid_point_is_solved_once(base, reference, monkeypatch):
     is solved at the first valid point only: d and alpha re-solve two
     scenarios per later point (alpha the thresholds too), and s, which
     every closed form reads, re-solves everything."""
-    p = reference if base == "reference" else _off_gate_draws(2024, 1)[0]
+    p = reference if base == "reference" else draws("wide", 2024, 1)[0]
     calls, reports = [], []
     real, real_threshold = closed_form.equilibrium, closed_form.subsidy_threshold
 
@@ -84,7 +84,7 @@ def test_each_valid_point_is_solved_once(base, reference, monkeypatch):
 
 @pytest.mark.parametrize("base", ["reference", "off_gate"])
 def test_chosen_column_is_the_adoption_decision(base, reference):
-    p = reference if base == "reference" else _off_gate_draws(2024, 1)[0]
+    p = reference if base == "reference" else draws("wide", 2024, 1)[0]
     for spec in across_the_thresholds(p) + past_the_bounds(p):
         records = run_sweep(p, spec)
         buf = io.StringIO()
@@ -146,7 +146,7 @@ PINNED_SWEEP_DIGEST = (
 
 def test_sweep_bytes_match_their_pin(reference):
     digest = hashlib.sha256()
-    for p in [reference, *_off_gate_draws(2024, 2)]:
+    for p in [reference, *draws("wide", 2024, 2)]:
         for spec in pinned_sweeps(p):
             for text in sweep_bytes(p, spec):
                 digest.update(text.encode())
@@ -216,7 +216,7 @@ def test_reuse_matches_solving_every_point(reference):
     point afresh, so no closed form's field set in closed_form omits a
     field it reads on these grids."""
     notes, shared = set(), 0
-    for p in [reference, *_off_gate_draws(711, 6), *_edge_draws(712, 6)]:
+    for p in [reference, *draws("wide", 711, 6), *draws("edge", 712, 6)]:
         for spec in crossing_grids(p):
             records = run_sweep(p, spec)
             expected = solved_point_by_point(p, spec)

@@ -11,7 +11,7 @@ import pytest
 from chain_rivalry import cli, closed_form, sim, verify
 from chain_rivalry.model import ModelParams, Scenario
 from chain_rivalry.verify import draw_params, run_verification
-from conftest import exact, without_equilibrium_lines
+from conftest import exact, skew_compatible_profit_b, without_equilibrium_lines
 
 REPO_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
@@ -194,20 +194,6 @@ class TestRunVerification:
         # an exact base runs as its floats, which here are the reference's
         assert a == b == run_verification(exact(reference), trials=2, seed=11,
                                           use_sim=False)
-
-
-def skew_compatible_profit_b(monkeypatch) -> None:
-    """Shift the closed-form compatible profitB by 0.05; other scenarios keep
-    their exact outcomes."""
-    real = closed_form.equilibrium
-
-    def skewed(p, scenario, validate=True):
-        out = real(p, scenario, validate=validate)
-        if scenario is Scenario.COMPATIBLE:
-            out = dataclasses.replace(out, profitB=out.profitB + 0.05)
-        return out
-
-    monkeypatch.setattr(closed_form, "equilibrium", skewed)
 
 
 class TestReportLayout:
