@@ -16,7 +16,9 @@ Import each name from the module that defines it:
 - cli: the chain-rivalry command.
 
 The closed-form queries need only model and closed_form, and sweeps add
-sweep; none of the three imports numpy.
+sweep; none of the three imports numpy. The closed-form queries load
+neither dataclasses nor inspect either: model.record writes its records'
+methods itself, and only sim.SimRun and sweep.SweepSpec stay dataclasses.
 """
 
 __version__ = "0.1.0"

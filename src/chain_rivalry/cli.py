@@ -10,7 +10,8 @@ loads and validates the config and dispatches through that handler.
 
 sweep and verify are imported inside their commands. Only verify needs
 numpy, so the closed-form queries (equilibrium, compare, thresholds) and
-sweep never load it.
+sweep never load it; the closed-form queries load neither dataclasses
+nor inspect either.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import os
 import stat
 import sys
-from typing import Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
 from . import closed_form
 from .closed_form import CornerEquilibriumError
@@ -160,7 +161,7 @@ def _cmd_sweep(params: ModelParams, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _open_outputs(targets: Sequence[tuple[str, Optional[str]]]) -> list:
+def _open_outputs(targets: Sequence[tuple[str, str | None]]) -> list:
     """A text file open for writing per (path, newline), or none at all.
 
     Each path opens for appending, so a file that exists keeps its content
@@ -230,7 +231,7 @@ def _cmd_verify(params: ModelParams, args: argparse.Namespace) -> int:
     return EXIT_VERIFY
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

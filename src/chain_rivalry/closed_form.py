@@ -19,7 +19,7 @@ sweep of that field solves the form once (see sweep.run_sweep).
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from collections.abc import Mapping
 
 from .model import (
     COMPATIBLE,

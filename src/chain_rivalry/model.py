@@ -13,67 +13,113 @@ one float type at a time.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import numbers
-from dataclasses import MISSING, dataclass, fields
+import sys
+from collections.abc import Mapping
 from enum import Enum
-from typing import Mapping
 
 REQUIRED_FIELDS = ("alpha", "s", "k", "n1", "n2", "n3")
 OPTIONAL_FIELDS = ("d", "subsidy_p2", "subsidy_p3")
 _FIELDS = frozenset(REQUIRED_FIELDS + OPTIONAL_FIELDS)
 
 
-def record(cls):
-    """Class decorator: dataclass(frozen=True), with an __init__ that fills
-    the instance __dict__ in one update.
+# The methods record writes for each class, with dataclass's text for a
+# frozen class; format() fills in the class's parameters, fields and name.
+_RECORD_METHODS = """\
+def __init__(self, {params}):
+    self.__dict__.update({{{items}}})
+def __repr__(self):
+    return self.__class__.__qualname__ + f"({shown})"
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({own}) == ({other})
+    return NotImplemented
+def __hash__(self):
+    return hash(({own}))
+def __setattr__(self, name, value):
+    if type(self) is _cls or name in _names:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {{name!r}}")
+    super(_cls, self).__setattr__(name, value)
+def __delattr__(self, name):
+    if type(self) is _cls or name in _names:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {{name!r}}")
+    super(_cls, self).__delattr__(name)
+def with_values(self, **changes):
+    unknown = changes.keys() - _names
+    if unknown:
+        raise TypeError(f"{name} has no field {{min(unknown)!r}}")
+    return type(self)(**vars(self) | changes)
+"""
 
-    A frozen dataclass's own __init__ sets each field through
+
+def record(cls):
+    """Class decorator: a frozen record of the class's annotated fields, in
+    the order the class body lists them.
+
+    One exec writes what a frozen dataclass would get, with the same text
+    and semantics: __init__, __repr__ (qualname(f=v!r, ...)), __eq__ (the
+    field tuples when the classes match, else NotImplemented), __hash__
+    (the field tuple's hash), and a __setattr__ and __delattr__ that raise
+    dataclasses.FrozenInstanceError, imported only to raise it. A method
+    the class body defines stays, so a body's __hash__ = None keeps the
+    record unhashable. __match_args__ is the field names, and
+    with_values(**changes) is the copy with the named fields changed, as
+    dataclasses.replace makes it. A class without a docstring gets
+    dataclass's: its name and signature.
+
+    __init__ has the fields' signature and defaults, and fills the instance
+    __dict__ in one update: a frozen dataclass sets each field through
     object.__setattr__, which for a 21-field outcome costs about as much as
-    solving the game. The generated __init__ has the same signature and
-    defaults; eq, hash, repr, fields, replace and astuple stay dataclass's,
-    and assignment still raises FrozenInstanceError. It sets plain fields
-    only, so a class with __post_init__, an InitVar or a default_factory is
-    refused with a TypeError. init=False spares dataclass's own __init__,
-    so a record costs no more to define than a frozen dataclass.
+    solving the game. It sets plain fields only, so a class with
+    __post_init__, a ClassVar or InitVar field or a dataclasses.field() is
+    refused with a TypeError. Neither dataclasses nor inspect is imported,
+    so the closed-form queries start without either.
     """
     name = cls.__qualname__
     if hasattr(cls, "__post_init__"):
         raise TypeError(f"record {name} cannot run __post_init__")
-    # dataclass fills a missing docstring from the class signature, which
-    # here would still be object.__init__'s, parsed at the cost of a regex
-    # compile per import; the docstring is filled below instead
-    undocumented = not cls.__doc__
-    if undocumented:
-        cls.__doc__ = name
-    cls = dataclass(frozen=True, init=False)(cls)
-    plain = fields(cls)
-    # dataclass lists an InitVar in __match_args__ but not among the fields
-    initvars = set(cls.__match_args__) - {f.name for f in plain}
-    if initvars:
-        raise TypeError(f"record {name} cannot take InitVar {min(initvars)!r}")
+    annotations = cls.__dict__.get("__annotations__", {})
+    # a field() exists only once dataclasses is imported
+    dataclasses = sys.modules.get("dataclasses")
     params, namespace = [], {"__name__": cls.__module__}
-    for f in plain:
-        if f.default_factory is not MISSING:
-            raise TypeError(f"record {name} cannot build field {f.name!r} "
-                            "with a default_factory")
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            namespace[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-    items = ", ".join(f"{f.name!r}: {f.name}" for f in plain)
-    exec(f"def __init__(self, {', '.join(params)}):\n"
-         f"    self.__dict__.update({{{items}}})\n", namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{name}.__init__"
-    init.__annotations__ = {f.name: f.type for f in plain} | {"return": None}
-    cls.__init__ = init
-    if undocumented:
-        signature = str(inspect.signature(cls)).replace(" -> None", "")
-        cls.__doc__ = cls.__name__ + signature
+    for field, kind in annotations.items():
+        # "ClassVar[int]", typing.ClassVar[int], dataclasses.InitVar[int], ...
+        base = (kind if isinstance(kind, str) else repr(kind)).split("[")[0]
+        pseudo = base.rpartition(".")[2]
+        if pseudo in ("ClassVar", "InitVar"):
+            raise TypeError(f"record {name} cannot take {pseudo} {field!r}")
+        if field not in cls.__dict__:
+            params.append(field)
+            continue
+        default = cls.__dict__[field]
+        if dataclasses and isinstance(default, dataclasses.Field):
+            raise TypeError(f"record {name} cannot build field {field!r} with "
+                            "field(): a default_factory or any other option")
+        namespace[f"_default_{field}"] = default
+        params.append(f"{field}=_default_{field}")
+    own = "".join(f"self.{field}," for field in annotations)
+    namespace |= {"_cls": cls, "_names": frozenset(annotations)}
+    exec(_RECORD_METHODS.format(
+        params=", ".join(params), name=cls.__name__, own=own,
+        other=own.replace("self.", "other."),
+        items=", ".join(f"{field!r}: {field}" for field in annotations),
+        shown=", ".join(f"{field}={{self.{field}!r}}" for field in annotations)),
+        namespace)
+    namespace["__init__"].__annotations__ = annotations | {"return": None}
+    for method in ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__",
+                   "__delattr__", "with_values"):
+        namespace[method].__qualname__ = f"{name}.{method}"
+        if method not in cls.__dict__:
+            setattr(cls, method, namespace[method])
+    cls.__match_args__ = tuple(annotations)
+    if not cls.__doc__:
+        import inspect  # only an undocumented class reads its signature
+
+        cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
     return cls
 
 
@@ -147,14 +193,6 @@ class ModelParams:
         if not isinstance(data, dict):
             raise ValueError(f"config {path} must hold a JSON object")
         return cls.from_mapping(data)
-
-    def with_values(self, **changes: float) -> "ModelParams":
-        """A copy with the named fields changed, as dataclasses.replace
-        makes it, without replace's walk over the fields."""
-        unknown = changes.keys() - _FIELDS
-        if unknown:
-            raise TypeError(f"ModelParams has no field {min(unknown)!r}")
-        return type(self)(**vars(self) | changes)
 
     def subsidy(self, scenario: Scenario) -> float:
         """One-time transfer B receives for the scenario's chain: none on
@@ -230,6 +268,8 @@ class EquilibriumOutcome:
 
 @record
 class ValidationReport:
+    """Whether params are valid, and each violated constraint in words."""
+
     ok: bool
     violations: tuple[str, ...]
 
@@ -353,10 +393,10 @@ def require_finite(what: str, result) -> None:
     non-finite field makes the result's totals, and so their sum,
     non-finite, so a caller scans only when that sum is; a sum that
     overflows on its own leaves every field finite and raises nothing."""
-    for field in fields(result):
-        value = getattr(result, field.name)
+    for field in type(result).__match_args__:
+        value = getattr(result, field)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{what}: {field.name} overflows to {value!r}")
+            raise ValueError(f"{what}: {field} overflows to {value!r}")
 
 
 # The most draws of run_verification and grid points of a sweep, whose work

@@ -13,7 +13,6 @@ lie inside the validity region, so each exercises interior equilibria.
 from __future__ import annotations
 
 import sys
-from dataclasses import fields
 from operator import attrgetter
 
 import numpy as np
@@ -77,6 +76,8 @@ class QuantityCheck:
 
 @record
 class VerificationReport:
+    """The outcome of run_verification: every check cell and failure line."""
+
     ok: bool
     trials: int
     seed: int
@@ -90,7 +91,7 @@ class VerificationReport:
 
 
 def _params_line(p: ModelParams) -> str:
-    return ", ".join(f"{f.name}={getattr(p, f.name):.17g}" for f in fields(p))
+    return ", ".join(f"{name}={getattr(p, name):.17g}" for name in p.__match_args__)
 
 
 def _oracle_route(p: ModelParams, scenario: Scenario, closed, m: int):

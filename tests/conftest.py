@@ -3,7 +3,6 @@ built once per session and handed out as prefixes, and each oracle outcome
 that tests only read is solved once (test_conftest.py checks both caches);
 a test that patches a route, counts its calls or times it solves fresh."""
 
-import dataclasses
 import functools
 from fractions import Fraction
 
@@ -163,7 +162,20 @@ EXACT_GAMES = {"reference": REFERENCE_GAME,
                **{f"wide{i}": ("wide", 2024, i) for i in range(4)}}
 EXACT_CONFIGS = {name: exact(game(key)) for name, key in EXACT_GAMES.items()}
 # The outcome's numbers, pA1 to profitB_with_subsidy.
-NUMERIC = [f.name for f in dataclasses.fields(EquilibriumOutcome)[1:18]]
+NUMERIC = list(EquilibriumOutcome.__match_args__[1:18])
+
+
+def astuple(value):
+    """A record's fields as a tuple, as dataclasses.astuple flattened a
+    dataclass: records inside it, and inside its tuples, lists and dicts,
+    become tuples too."""
+    if hasattr(value, "__match_args__") and not isinstance(value, tuple):
+        return tuple(astuple(getattr(value, name)) for name in value.__match_args__)
+    if isinstance(value, (tuple, list)):
+        return type(value)(astuple(item) for item in value)
+    if isinstance(value, dict):
+        return type(value)((astuple(key), astuple(item)) for key, item in value.items())
+    return value
 
 
 def exact_oracle(name: str, scenario: Scenario) -> EquilibriumOutcome:
@@ -172,8 +184,8 @@ def exact_oracle(name: str, scenario: Scenario) -> EquilibriumOutcome:
     return _solved(EXACT_GAMES[name], scenario, Fraction)
 
 
-# test_unread's draws, which test_mutants' slips must move
-DRAWS = {"default": draws("gate", 42, 100), "wide": draws("wide", 2024, 30)}
+# the keys of test_unread's draws, which test_mutants' slips must move
+DRAWS = {"default": games("gate", 42, 100), "wide": games("wide", 2024, 30)}
 # the quantities of P2 read n2 but not n3, those of P3 n3 but not n2
 QUANTITY_READS = {"c2_star": closed_form.THRESHOLD_READS - {"n3"},
                   "d2_star": closed_form.THRESHOLD_READS - {"n3"},
@@ -212,27 +224,32 @@ def _shown(solve, p, scenario, q):
         return str(corner)
 
 
-def departures(draws, solve, reads):
+def departures(keys, solve, reads, solved=None):
     """(draw index, scenario, field) of every scenario whose outcome,
-    solve(p, scenario, q) at a p and the q with one unread field lowered,
-    is not bitwise that at p."""
+    solve(p, scenario, q) at p = game(key) and the q with one unread field
+    lowered, is not bitwise that at p. solved(key, scenario), if given, is
+    the outcome at p, read from a cache; the lowered configs solve fresh."""
     out = []
-    for i, p in enumerate(draws):
+    for i, key in enumerate(keys):
+        p = game(key)
         for scenario in SCENARIOS:
-            base = _shown(solve, p, scenario, p)
+            if solved is None:
+                base = _shown(solve, p, scenario, p)
+            else:
+                base = repr(solved(key, scenario))
             out += [(i, scenario.value, name) for name in SWEEPABLE
                     if name not in reads[scenario]
                     and _shown(solve, p, scenario, lowered(p, name)) != base]
     return out
 
 
-def closed_form_departures(draws):
+def closed_form_departures(keys):
     """departures of the closed forms, through the module attributes (so a
     patched form is the one checked), and (draw index, quantity, field) of
     each subsidy_threshold quantity that an unread field moves."""
-    out = departures(draws, lambda p, scenario, q: closed_form.equilibrium(q, scenario),
+    out = departures(keys, lambda p, scenario, q: closed_form.equilibrium(q, scenario),
                      closed_form.EQUILIBRIUM_READS)
-    for i, p in enumerate(draws):
+    for i, p in enumerate(map(game, keys)):
         base = closed_form.subsidy_threshold(p)
         for name in SWEEPABLE:
             moved = closed_form.subsidy_threshold(lowered(p, name))
@@ -336,7 +353,7 @@ def skew_compatible_profit_b(monkeypatch) -> None:
     def skewed(p, scenario, validate=True):
         out = real(p, scenario, validate=validate)
         if scenario is Scenario.COMPATIBLE:
-            out = dataclasses.replace(out, profitB=out.profitB + 0.05)
+            out = out.with_values(profitB=out.profitB + 0.05)
         return out
 
     monkeypatch.setattr(closed_form, "equilibrium", skewed)

@@ -521,8 +521,18 @@ for argv in (["equilibrium", "--scenario", "incompatible"], ["compare"],
              ["thresholds"], ["verify", "--trials", "0"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([*argv, "--config", config])
-    results.append([argv[0], code, "numpy" in sys.modules])
+    results.append([argv[0], code, *(name in sys.modules
+                                      for name in ("numpy", "dataclasses", "inspect"))])
 print(json.dumps(results))
+"""
+
+
+# under -S no site hook has loaded typing (or anything else) first
+BARE_IMPORT_SCRIPT = """
+import json, sys
+import chain_rivalry.cli
+print(json.dumps([name for name in ("numpy", "dataclasses", "inspect", "typing")
+                  if name in sys.modules]))
 """
 
 
@@ -562,13 +572,22 @@ class TestLeanQueryPath:
         assert out.stat().st_size > 0 and svg.stat().st_size > 0
 
     def test_closed_form_queries_never_import_numpy(self):
-        # one fresh interpreter runs the queries in order; verify comes last
-        # because it is the command that needs numpy
+        # one fresh interpreter runs the queries in order, each reporting
+        # whether numpy, dataclasses and inspect are loaded; verify comes
+        # last because it is the command that needs numpy (which imports
+        # inspect) and the simulator (whose SimRun is a dataclass)
         proc = fresh_python("-c", LEAN_QUERY_SCRIPT, str(REPO_CONFIG))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [
-            ["equilibrium", 0, False], ["compare", 0, False],
-            ["thresholds", 0, False], ["verify", 0, True]]
+            ["equilibrium", 0, False, False, False],
+            ["compare", 0, False, False, False],
+            ["thresholds", 0, False, False, False],
+            ["verify", 0, True, True, True]]
+
+    def test_the_cli_module_imports_no_heavy_module_without_site(self):
+        proc = fresh_python("-S", "-c", BARE_IMPORT_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
     def test_verify_without_draws_never_imports_numpy_random(self):
         # the draws are the only use of numpy.random; the run with one draw

@@ -1,4 +1,3 @@
-import dataclasses
 import decimal
 import math
 import pickle
@@ -19,9 +18,9 @@ from chain_rivalry.closed_form import (
 )
 from chain_rivalry.model import (SCENARIOS, ModelParams, Scenario, user_utility,
                                  validate_params)
-from conftest import (EXACT_CONFIGS, draws, exact, profit_a_compatible, profit_a_incompatible,
-                      profit_a_same, profit_b_compatible, profit_b_incompatible,
-                      profit_b_same)
+from conftest import (EXACT_CONFIGS, astuple, draws, exact, profit_a_compatible,
+                      profit_a_incompatible, profit_a_same, profit_b_compatible,
+                      profit_b_incompatible, profit_b_same)
 
 # Frozen reference-config values, confirmed against the grid best-response
 # solver before being pinned here (see test_oracle / test_acceptance).
@@ -289,8 +288,8 @@ class TestSymbolicCore:
         sympy, p = self._symbols()
         for scenario in SCENARIOS:
             out = closed_form._outcome(p, scenario, *closed_form._period1(p, scenario))
-            assert all(isinstance(getattr(out, f.name), sympy.Expr)
-                       for f in dataclasses.fields(out)[1:18])
+            assert all(isinstance(getattr(out, name), sympy.Expr)
+                       for name in out.__match_args__[1:18])
             if scenario is Scenario.SAME_CHAIN:
                 assert out.cutoff1 == sympy.Rational(1, 2)
                 assert out.profitB_with_subsidy == p.s
@@ -483,7 +482,7 @@ class TestAdoptionDecision:
         assert best == dec.chosen
 
     def test_holds_only_the_payoffs(self):
-        assert [f.name for f in dataclasses.fields(AdoptionDecision)] == ["payoffs"]
+        assert AdoptionDecision.__match_args__ == ("payoffs",)
 
     def test_ties_go_to_the_lower_platform_number(self):
         # dicts built out of platform order, so insertion order cannot decide;
@@ -688,7 +687,7 @@ class TestOverflow:
                               1.7976931348623157e308))
         assume(validate_params(p).ok)
         rep = subsidy_threshold(p)
-        assert all(math.isfinite(x) for x in dataclasses.astuple(rep))
+        assert all(math.isfinite(x) for x in astuple(rep))
 
 
 def _corner_bound(p, scenario):
@@ -755,5 +754,5 @@ class TestEquilibriumProperties:
             paid = equilibrium(p, scenario)
             unpaid = equilibrium(bare, scenario)
             assert paid.profitB_with_subsidy == unpaid.profitB + p.subsidy(scenario)
-            assert dataclasses.replace(
-                paid, profitB_with_subsidy=unpaid.profitB_with_subsidy) == unpaid
+            assert paid.with_values(
+                profitB_with_subsidy=unpaid.profitB_with_subsidy) == unpaid

@@ -1,16 +1,19 @@
 """The caches of conftest.py against fresh builds and solves: a family
 slice or an oracle outcome that a stale or mis-keyed cache hands out
-differs from the fresh one, bit for bit."""
+differs from the fresh one, bit for bit. Also its astuple, which the
+pinned digests read."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chain_rivalry.closed_form import AdoptionDecision
 from chain_rivalry.model import Scenario
 from chain_rivalry.oracle import oracle_equilibrium
-from conftest import (COUNTS, EDGE_GAMES, FAMILIES, GATE_GAMES, WIDE_GAMES, built, draws,
-                      exact, exact_oracle, game, oracle_outcome)
+from chain_rivalry.verify import QuantityCheck
+from conftest import (COUNTS, EDGE_GAMES, FAMILIES, GATE_GAMES, WIDE_GAMES, astuple, built,
+                      draws, exact, exact_oracle, game, oracle_outcome)
 
 
 def _fresh(family, seed):
@@ -54,3 +57,14 @@ def test_an_exact_game_gets_its_own_outcome():
     cached = exact_oracle("wide0", scenario)
     assert type(cached.pA1) is Fraction
     assert cached == oracle_equilibrium(exact(_fresh("wide", 2024)[0]), scenario)
+
+
+def test_astuple_flattens_records_inside_tuples_lists_and_dicts():
+    check = QuantityCheck("oracle", Scenario.SAME_CHAIN, "pA1", 0.0, 0.0, True)
+    flat = ("oracle", Scenario.SAME_CHAIN, "pA1", 0.0, 0.0, True)
+    decision = AdoptionDecision({"P1": 1.0, "P2": 0.5, "P3": 0.25})
+    assert astuple(check) == flat
+    assert astuple(decision) == ({"P1": 1.0, "P2": 0.5, "P3": 0.25},)
+    assert astuple(decision)[0] is not decision.payoffs
+    nested = AdoptionDecision({"checks": [check, (check,)], "by": {check: check}})
+    assert astuple(nested) == ({"checks": [flat, (flat,)], "by": {flat: flat}},)

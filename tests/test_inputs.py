@@ -9,7 +9,6 @@ values, or raises a ValueError or TypeError from a package line holding
 
 import ast
 import contextlib
-import dataclasses
 import io
 import json
 import linecache
@@ -175,9 +174,9 @@ def refused_by_the_package(exc: BaseException) -> bool:
 def assert_finite(value) -> None:
     if isinstance(value, float):
         assert math.isfinite(value), value
-    elif dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            assert_finite(getattr(value, field.name))
+    elif hasattr(value, "__match_args__"):  # a record, or sim.SimRun
+        for name in value.__match_args__:
+            assert_finite(getattr(value, name))
     elif isinstance(value, (tuple, list)):
         for item in value:
             assert_finite(item)

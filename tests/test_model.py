@@ -171,8 +171,7 @@ class TestOutcomeFromPeriods:
         out = EquilibriumOutcome.from_periods(subsidized, scenario,
                                               *self.PERIOD1, harvest)
         assert out.profitB_with_subsidy == bare.profitB + paid
-        assert dataclasses.replace(
-            out, profitB_with_subsidy=bare.profitB_with_subsidy) == bare
+        assert out.with_values(profitB_with_subsidy=bare.profitB_with_subsidy) == bare
 
     def test_exact_numbers_stay_exact(self):
         p = ModelParams(**{name: Fraction(value) for name, value

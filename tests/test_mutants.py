@@ -13,7 +13,6 @@ bound, so only the exact route catches them: on Fraction fields the closed
 forms must equal the oracle with ==.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,7 @@ from chain_rivalry import closed_form, verify
 from chain_rivalry.closed_form import CornerEquilibriumError
 from chain_rivalry.model import ModelParams, Scenario
 from conftest import (DRAWS, EXACT_CONFIGS, NUMERIC, REFERENCE, closed_form_departures,
-                      exact_oracle)
+                      exact_oracle, game)
 
 equilibrium = closed_form.equilibrium
 subsidy_threshold = closed_form.subsidy_threshold
@@ -44,14 +43,14 @@ def compatible_pa1_flips_d(p, scenario, validate=True):
     out = equilibrium(p, scenario, validate=validate)
     if scenario is Scenario.COMPATIBLE:
         flipped = equilibrium(p.with_values(d=-p.d), scenario, validate=False)
-        out = dataclasses.replace(out, pA1=flipped.pA1)
+        out = out.with_values(pA1=flipped.pA1)
     return out
 
 
 def incompatible_pb2_drops_d(p, scenario, validate=True):
     out = equilibrium(p, scenario, validate=validate)
     if scenario is Scenario.INCOMPATIBLE:
-        out = dataclasses.replace(out, pB2=out.pB2 - p.d)
+        out = out.with_values(pB2=out.pB2 - p.d)
     return out
 
 
@@ -59,14 +58,13 @@ def subsidies_swapped(p, scenario, validate=True):
     out = equilibrium(p, scenario, validate=validate)
     other = {Scenario.COMPATIBLE: Scenario.INCOMPATIBLE,
              Scenario.INCOMPATIBLE: Scenario.COMPATIBLE}.get(scenario, scenario)
-    return dataclasses.replace(
-        out, profitB_with_subsidy=out.profitB + p.subsidy(other))
+    return out.with_values(profitB_with_subsidy=out.profitB + p.subsidy(other))
 
 
 def d3_star_uses_n2(p, validate=True):
     out = subsidy_threshold(p, validate=validate)
     slipped = subsidy_threshold(p.with_values(n3=p.n2), validate=False)
-    return dataclasses.replace(out, d3_star=slipped.d3_star)
+    return out.with_values(d3_star=slipped.d3_star)
 
 
 # 1 + 2**-40: a relative slip of about 9e-13, far below verify's float
@@ -78,14 +76,14 @@ ULP_SLIP = 1 + Fraction(1, 2 ** 40)
 def compatible_pa1_slips_an_ulp(p, scenario, validate=True):
     out = equilibrium(p, scenario, validate=validate)
     if scenario is Scenario.COMPATIBLE:
-        out = dataclasses.replace(out, pA1=out.pA1 * ULP_SLIP)
+        out = out.with_values(pA1=out.pA1 * ULP_SLIP)
     return out
 
 
 def incompatible_pb2_slips_an_ulp(p, scenario, validate=True):
     out = equilibrium(p, scenario, validate=validate)
     if scenario is Scenario.INCOMPATIBLE:
-        out = dataclasses.replace(out, pB2=out.pB2 * ULP_SLIP)
+        out = out.with_values(pB2=out.pB2 * ULP_SLIP)
     return out
 
 
@@ -108,7 +106,7 @@ def oracle_catches():
     """Per wide draw, whether the oracle route flags it: a breach or stall
     line, or a closed form that raises CornerEquilibriumError."""
     caught = []
-    for p in DRAWS["wide"]:
+    for p in map(game, DRAWS["wide"]):
         try:
             report = verify.run_verification(p, trials=0, use_sim=False)
         except CornerEquilibriumError:
@@ -124,7 +122,7 @@ def test_unpatched_forms_pass():
 
 def test_uncaught_slips_change_their_output():
     # Else their xfails below would hold without a slip to miss.
-    for p in DRAWS["wide"]:
+    for p in map(game, DRAWS["wide"]):
         assert (subsidies_swapped(p, Scenario.COMPATIBLE)
                 != equilibrium(p, Scenario.COMPATIBLE))
         assert d3_star_uses_n2(p) != subsidy_threshold(p)

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import inspect
 from fractions import Fraction
@@ -631,7 +630,7 @@ def _outcome_digest(outcomes):
     float.hex()."""
     digest = hashlib.sha256()
     for out in outcomes:
-        fields = (getattr(out, f.name) for f in dataclasses.fields(out)[1:])
+        fields = (getattr(out, name) for name in out.__match_args__[1:])
         digest.update(" ".join(v.hex() if isinstance(v, float) else repr(v)
                                for v in fields).encode() + b"\n")
     return digest.hexdigest()

@@ -1,20 +1,23 @@
-"""model.record: a frozen dataclass whose __init__ fills __dict__ at once.
+"""model.record: a frozen record, with a frozen dataclass's text and
+semantics, whose __init__ fills __dict__ at once.
 
 Every record class is checked on an instance the package itself builds, so
-the checks see real field values (floats, enums, dicts, nested records).
+the checks see real field values (floats, enums, dicts, nested records),
+and against a frozen dataclass of the same fields.
 """
 
 import dataclasses
 import inspect
+import typing
 from collections.abc import Hashable
-from dataclasses import MISSING, FrozenInstanceError, InitVar, field, fields
+from dataclasses import FrozenInstanceError, InitVar, field
 
 import pytest
 
 from chain_rivalry import closed_form, model, sim, sweep, verify
 from chain_rivalry.model import ModelParams, Scenario, record
 
-from conftest import REFERENCE
+from conftest import REFERENCE, astuple
 
 
 def _reference():
@@ -40,14 +43,26 @@ SAMPLES = {
     verify.VerificationReport: lambda: verify.run_verification(
         _reference(), trials=0, use_oracle=False, m=100),
 }
-# frozen dataclasses that are not records: SimRun fills __dict__ in one
-# update too, but its own __init__ also accepts a population it ignores;
-# SweepSpec normalizes steps in __post_init__ and keeps dataclass's __init__
+# the frozen dataclasses left, which are not records: SimRun fills __dict__
+# in one update too, but its own __init__ also accepts a population it
+# ignores; SweepSpec normalizes steps in __post_init__ and keeps
+# dataclass's __init__
 NOT_RECORDS = {sim.SimRun, sweep.SweepSpec}
 
 
 def _rebuild(obj):
-    return type(obj)(**{f.name: getattr(obj, f.name) for f in fields(obj)})
+    return type(obj)(**{name: getattr(obj, name) for name in obj.__match_args__})
+
+
+def _twin(cls):
+    """A frozen dataclass of cls's fields and defaults, under its qualname."""
+    spec = [(name, kind, *([vars(cls)[name]] if name in vars(cls) else []))
+            for name, kind in cls.__annotations__.items()]
+    namespace = {"__hash__": None} if cls.__hash__ is None else {}
+    twin = dataclasses.make_dataclass(cls.__name__, spec, frozen=True,
+                                      namespace=namespace)
+    twin.__qualname__ = cls.__qualname__
+    return twin
 
 
 def _has_record_init(cls):
@@ -55,13 +70,15 @@ def _has_record_init(cls):
     return "__dict__" in names and "__setattr__" not in names
 
 
-def test_every_frozen_dataclass_but_two_is_a_sampled_record():
-    frozen = {cls for module in (model, closed_form, sim, sweep, verify)
-              for cls in vars(module).values()
-              if isinstance(cls, type) and cls.__module__ == module.__name__
-              and dataclasses.is_dataclass(cls)
-              and cls.__dataclass_params__.frozen}
-    assert frozen - NOT_RECORDS == set(SAMPLES)
+def test_every_record_is_sampled_and_two_frozen_dataclasses_remain():
+    # a record or a dataclass sets __match_args__ on the class itself
+    matched = {cls for module in (model, closed_form, sim, sweep, verify)
+               for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__
+               and "__match_args__" in vars(cls)}
+    assert matched - NOT_RECORDS == set(SAMPLES)
+    assert {cls for cls in matched if dataclasses.is_dataclass(cls)} == NOT_RECORDS
+    assert all(cls.__dataclass_params__.frozen for cls in NOT_RECORDS)
     assert all(_has_record_init(cls) for cls in [*SAMPLES, sim.SimRun])
     assert not _has_record_init(sweep.SweepSpec)
     # SimRun, sampled from simulate_game, passes the record checks that
@@ -82,7 +99,7 @@ def sample(request):
 
 class TestRecordClasses:
     def test_assignment_and_deletion_raise(self, sample):
-        name = fields(sample)[0].name
+        name = sample.__match_args__[0]
         with pytest.raises(FrozenInstanceError):
             setattr(sample, name, None)
         with pytest.raises(FrozenInstanceError):
@@ -93,7 +110,7 @@ class TestRecordClasses:
     def test_eq_and_hash_agree_with_a_field_by_field_rebuild(self, sample):
         rebuilt = _rebuild(sample)
         assert rebuilt == sample and rebuilt is not sample
-        values = tuple(getattr(sample, f.name) for f in fields(sample))
+        values = tuple(getattr(sample, name) for name in sample.__match_args__)
         try:
             expected = hash(values)
         except TypeError:  # a field holds a dict, so the record says no hash
@@ -104,40 +121,65 @@ class TestRecordClasses:
             assert hash(sample) == hash(rebuilt) == expected
             assert isinstance(sample, Hashable)
         assert type(sample)(*values) == sample
-        assert vars(sample) == dict(zip((f.name for f in fields(sample)), values))
+        assert vars(sample) == dict(zip(sample.__match_args__, values))
 
     def test_fields_replace_and_astuple(self, sample):
-        names = [f.name for f in fields(sample)]
+        names = list(sample.__match_args__)
         assert names == list(inspect.signature(type(sample)).parameters)
-        assert dataclasses.replace(sample) == sample
-        changed = dataclasses.replace(sample, **{names[-1]: "changed"})
+        assert sample.with_values() == sample
+        changed = sample.with_values(**{names[-1]: "changed"})
         assert getattr(changed, names[-1]) == "changed"
         assert changed != sample
-        assert dataclasses.astuple(sample) == dataclasses.astuple(_rebuild(sample))
-        assert len(dataclasses.astuple(sample)) == len(names)
+        with pytest.raises(TypeError, match=f"{type(sample).__name__} has no field 'zeta'"):
+            sample.with_values(zeta=1)
+        assert astuple(sample) == astuple(_rebuild(sample))
+        assert len(astuple(sample)) == len(names)
 
     def test_repr_is_the_dataclass_repr(self, sample):
-        body = ", ".join(f"{f.name}={getattr(sample, f.name)!r}"
-                         for f in fields(sample))
+        body = ", ".join(f"{name}={getattr(sample, name)!r}"
+                         for name in sample.__match_args__)
         assert repr(sample) == f"{type(sample).__qualname__}({body})"
+
+    def test_text_and_semantics_match_a_frozen_dataclass(self, sample):
+        cls = type(sample)
+        twin = _twin(cls)
+        values = tuple(getattr(sample, name) for name in cls.__match_args__)
+        same = twin(*values)
+        assert cls.__match_args__ == twin.__match_args__
+        assert str(inspect.signature(cls)) == str(inspect.signature(twin))
+        assert repr(sample) == repr(same)
+        assert (cls.__hash__ is None) == (twin.__hash__ is None)
+        if cls.__hash__ is not None:
+            assert hash(sample) == hash(same)
+        # a dataclass of another class compares as unequal both ways
+        assert sample.__eq__(same) is NotImplemented and sample != same
+        name = cls.__match_args__[0]
+        for change in (lambda obj: setattr(obj, name, None),
+                       lambda obj: delattr(obj, name)):
+            with pytest.raises(FrozenInstanceError) as ours:
+                change(sample)
+            with pytest.raises(FrozenInstanceError) as theirs:
+                change(same)
+            assert str(ours.value) == str(theirs.value)
 
     def test_signature_defaults_apply(self, sample):
         cls = type(sample)
         params = inspect.signature(cls).parameters
-        for f in fields(cls):
-            default = inspect.Parameter.empty if f.default is MISSING else f.default
-            assert params[f.name].default == default
-        required = {f.name: getattr(sample, f.name) for f in fields(cls)
-                    if f.default is MISSING}
+        # a field's default stays a class attribute, as in a dataclass
+        defaults = {name: vars(cls)[name] for name in cls.__match_args__
+                    if name in vars(cls)}
+        for name in cls.__match_args__:
+            assert params[name].default == defaults.get(name, inspect.Parameter.empty)
+        required = {name: getattr(sample, name) for name in cls.__match_args__
+                    if name not in defaults}
         built = cls(**required)
-        for f in fields(cls):
-            if f.default is not MISSING:
-                assert getattr(built, f.name) == f.default
+        for name, default in defaults.items():
+            assert getattr(built, name) == default
 
     def test_missing_or_unknown_keyword_names_it(self, sample):
         cls = type(sample)
-        values = {f.name: getattr(sample, f.name) for f in fields(cls)}
-        first = fields(cls)[0].name
+        values = {name: getattr(sample, name) for name in cls.__match_args__}
+        first = cls.__match_args__[0]
         del values[first]
         with pytest.raises(TypeError, match=rf"{cls.__name__}.*'{first}'"):
             cls(**values)
@@ -177,6 +219,29 @@ class TestDecorator:
 
         with pytest.raises(TypeError, match="Listed.*'items'.*default_factory"):
             record(Listed)
+
+    def test_classvar(self):
+        class Counted:
+            x: int
+            total: typing.ClassVar[int] = 0
+
+        class Named:
+            x: "int"
+            total: "ClassVar[int]" = 0
+
+        for cls in (Counted, Named):
+            with pytest.raises(TypeError, match=f"{cls.__name__}.*ClassVar 'total'"):
+                record(cls)
+
+    def test_a_method_of_the_class_body_stays(self):
+        @record
+        class Shown:
+            x: float
+
+            def __repr__(self):
+                return "shown"
+
+        assert repr(Shown(1.0)) == "shown" and Shown(1.0) == Shown(1.0)
 
     def test_plain_fields_and_defaults_are_accepted(self):
         @record

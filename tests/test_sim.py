@@ -16,7 +16,7 @@ from chain_rivalry.model import InvalidParamsError, ModelParams, Scenario
 from chain_rivalry.sim import SimOutcome, _play, simulate_game
 from chain_rivalry.oracle import _demand
 from chain_rivalry.verify import run_verification
-from conftest import REFERENCE, draws, midpoint_types
+from conftest import REFERENCE, astuple, draws, midpoint_types
 
 
 def _masks(m, out, bounds, locks=None):
@@ -589,8 +589,7 @@ def _run_digest(configs, ms):
                                         (closed.pA1, closed.pB1,
                                          closed.pA2 + shift, closed.pB2 - shift),
                                         m=m)
-                    values = [*dataclasses.astuple(run.period1),
-                              *dataclasses.astuple(run.period2),
+                    values = [*astuple(run.period1), *astuple(run.period2),
                               run.revenue_a, run.revenue_b]
                     digest.update(" ".join(v.hex() if isinstance(v, float)
                                            else repr(v) for v in values).encode()

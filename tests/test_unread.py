@@ -17,7 +17,7 @@ from chain_rivalry.model import COMPATIBLE, INCOMPATIBLE, SAME_CHAIN, SCENARIOS
 from chain_rivalry.oracle import oracle_equilibrium
 from chain_rivalry.sim import simulate_game
 from chain_rivalry.sweep import SWEEPABLE
-from conftest import DRAWS, closed_form_departures, departures
+from conftest import DRAWS, closed_form_departures, departures, oracle_outcome
 
 # Every scenario's utilities read alpha, s, k and n1; a separate chain also
 # reads B's base and d, and the oracle's subsidy-inclusive payoff B's
@@ -50,7 +50,8 @@ def test_oracle_ignores_what_it_does_not_read(draws):
     def solve(p, scenario, q):
         return oracle_equilibrium(q, scenario)
 
-    assert departures(DRAWS[draws], solve, ORACLE_READS) == []
+    # the outcome at each draw itself is the session's cached solve
+    assert departures(DRAWS[draws], solve, ORACLE_READS, oracle_outcome) == []
 
 
 @pytest.mark.parametrize("draws", DRAWS)

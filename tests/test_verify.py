@@ -11,9 +11,18 @@ import pytest
 from chain_rivalry import cli, closed_form, sim, verify
 from chain_rivalry.model import ModelParams, Scenario
 from chain_rivalry.verify import draw_params, run_verification
-from conftest import exact, skew_compatible_profit_b, without_equilibrium_lines
+from conftest import astuple, exact, skew_compatible_profit_b, without_equilibrium_lines
 
 REPO_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+
+
+def _with(out, **changes):
+    """A route's result with changes: a record's with_values, or
+    dataclasses.replace on sim.SimRun, the route result that stays a
+    dataclass."""
+    if isinstance(out, sim.SimRun):
+        return dataclasses.replace(out, **changes)
+    return out.with_values(**changes)
 
 
 def _uniform_draw(rng):
@@ -246,13 +255,11 @@ class TestToleranceEdges:
         real = closed_form.equilibrium
 
         def pinned(p, scenario, validate=True):
-            return dataclasses.replace(real(p, scenario, validate=validate),
-                                       pA1=ref)
+            return real(p, scenario, validate=validate).with_values(pA1=ref)
 
         monkeypatch.setattr(closed_form, "equilibrium", pinned)
         monkeypatch.setattr(verify, "oracle_equilibrium", lambda p, scenario:
-                            dataclasses.replace(real(p, scenario),
-                                                pA1=ref + factor * tol))
+                            real(p, scenario).with_values(pA1=ref + factor * tol))
         report = run_verification(reference, trials=0, use_sim=False)
         assert report.ok is ok
         bad = {(c.scenario, c.quantity) for c in report.checks if not c.ok}
@@ -269,8 +276,8 @@ class TestToleranceEdges:
             closed = closed_form.equilibrium(p, scenario)
             if quantity == "share_a1":
                 share = closed.nA1 + factor * (1.0 / m + 1e-6)
-                return dataclasses.replace(run, period1=dataclasses.replace(
-                    run.period1, share_a=share))
+                return dataclasses.replace(
+                    run, period1=run.period1.with_values(share_a=share))
             tol = (abs(closed.pA1) + abs(closed.pA2)) / m + 1e-6
             return dataclasses.replace(run, revenue_a=closed.profitA + factor * tol)
 
@@ -296,7 +303,7 @@ class TestNanDeviation:
             if scenario is Scenario.COMPATIBLE:
                 compatible_games.append(p)
                 if len(compatible_games) == game + 1:
-                    out = dataclasses.replace(out, **{quantity: math.nan})
+                    out = _with(out, **{quantity: math.nan})
             return out
 
         monkeypatch.setattr(verify, attr, poisoned)
@@ -383,7 +390,7 @@ class TestSimConvergence:
 
         def stall_second(*args, **kwargs):
             run = real(*args, **kwargs)
-            stalled = dataclasses.replace(run.period2, converged=False)
+            stalled = run.period2.with_values(converged=False)
             return dataclasses.replace(run, period2=stalled)
 
         monkeypatch.setattr(verify, "simulate_game", stall_second)
@@ -409,7 +416,7 @@ def _words(value):
     if isinstance(value, tuple):
         return "(" + " ".join(_words(v) for v in value) + ")"
     if isinstance(value, verify.QuantityCheck):
-        return _words(dataclasses.astuple(value))
+        return _words(astuple(value))
     return repr(value)
 
 
@@ -417,8 +424,8 @@ def _report_digest(reports):
     """sha256 over every field of each report, in field order."""
     digest = hashlib.sha256()
     for report in reports:
-        digest.update(" ".join(f"{f.name}={_words(getattr(report, f.name))}"
-                               for f in dataclasses.fields(report)).encode()
+        digest.update(" ".join(f"{name}={_words(getattr(report, name))}"
+                               for name in report.__match_args__).encode()
                       + b"\n")
     return digest.hexdigest()
 
@@ -447,9 +454,9 @@ class TestPinnedReports:
             # breaches in both routes and every game of two scenarios
             out = real(p, scenario, validate=validate)
             if scenario is Scenario.COMPATIBLE:
-                return dataclasses.replace(out, profitB=out.profitB + 0.05)
+                return out.with_values(profitB=out.profitB + 0.05)
             if scenario is Scenario.INCOMPATIBLE:
-                return dataclasses.replace(out, cutoff1=out.cutoff1 + 0.01)
+                return out.with_values(cutoff1=out.cutoff1 + 0.01)
             return out
 
         with monkeypatch.context() as patch:
@@ -465,7 +472,7 @@ class TestPinnedReports:
                 if scenario is Scenario.COMPATIBLE:
                     games.append(p)
                     if len(games) == 2:
-                        out = dataclasses.replace(out, **{quantity: math.nan})
+                        out = _with(out, **{quantity: math.nan})
                 return out
             return poison
 
