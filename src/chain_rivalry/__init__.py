@@ -16,9 +16,10 @@ Import each name from the module that defines it:
 - cli: the chain-rivalry command.
 
 The closed-form queries need only model and closed_form, and sweeps add
-sweep; none of the three imports numpy. The closed-form queries load
-neither dataclasses nor inspect either: model.record writes its records'
-methods itself, and only sim.SimRun and sweep.SweepSpec stay dataclasses.
+sweep; none of the three imports numpy, dataclasses or inspect. Their
+types are model.record classes: record writes each class's __init__ and
+shares six methods among them all. sim.SimRun is the one dataclass left,
+because the benchmark copies a run with dataclasses.replace.
 """
 
 __version__ = "0.1.0"

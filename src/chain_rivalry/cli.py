@@ -10,8 +10,7 @@ loads and validates the config and dispatches through that handler.
 
 sweep and verify are imported inside their commands. Only verify needs
 numpy, so the closed-form queries (equilibrium, compare, thresholds) and
-sweep never load it; the closed-form queries load neither dataclasses
-nor inspect either.
+sweep never load it, nor dataclasses or inspect either.
 """
 
 from __future__ import annotations

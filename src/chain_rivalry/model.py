@@ -25,56 +25,91 @@ OPTIONAL_FIELDS = ("d", "subsidy_p2", "subsidy_p3")
 _FIELDS = frozenset(REQUIRED_FIELDS + OPTIONAL_FIELDS)
 
 
-# The methods record writes for each class, with dataclass's text for a
-# frozen class; format() fills in the class's parameters, fields and name.
-_RECORD_METHODS = """\
+# The one method record writes for each class: format() fills in the
+# class's parameters and fields.
+_RECORD_INIT = """\
 def __init__(self, {params}):
     self.__dict__.update({{{items}}})
-def __repr__(self):
-    return self.__class__.__qualname__ + f"({shown})"
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return ({own}) == ({other})
-    return NotImplemented
-def __hash__(self):
-    return hash(({own}))
-def __setattr__(self, name, value):
-    if type(self) is _cls or name in _names:
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot assign to field {{name!r}}")
-    super(_cls, self).__setattr__(name, value)
-def __delattr__(self, name):
-    if type(self) is _cls or name in _names:
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot delete field {{name!r}}")
-    super(_cls, self).__delattr__(name)
-def with_values(self, **changes):
-    unknown = changes.keys() - _names
-    if unknown:
-        raise TypeError(f"{name} has no field {{min(unknown)!r}}")
-    return type(self)(**vars(self) | changes)
 """
+
+
+# The methods every record shares, with a frozen dataclass's text and
+# semantics; each reads the fields from type(self).__match_args__.
+def _field_values(self):
+    return tuple([getattr(self, name) for name in type(self).__match_args__])
+
+
+def _record_repr(self):
+    shown = ", ".join([f"{name}={getattr(self, name)!r}"
+                       for name in type(self).__match_args__])
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        return _field_values(self) == _field_values(other)
+    return NotImplemented
+
+
+def _record_hash(self):
+    return hash(_field_values(self))
+
+
+# An instance is frozen when its class is a record itself, one that sets
+# its own __match_args__, as a dataclass checks type(self) is cls; a plain
+# subclass's instance may still set names that are not fields.
+def _record_setattr(self, name, value):
+    cls = type(self)
+    if "__match_args__" in vars(cls) or name in cls.__match_args__:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    object.__setattr__(self, name, value)
+
+
+def _record_delattr(self, name):
+    cls = type(self)
+    if "__match_args__" in vars(cls) or name in cls.__match_args__:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    object.__delattr__(self, name)
+
+
+def _record_with_values(self, **changes):
+    cls = type(self)
+    unknown = changes.keys() - set(cls.__match_args__)
+    if unknown:
+        raise TypeError(f"{cls.__name__} has no field {min(unknown)!r}")
+    return cls(**vars(self) | changes)
+
+
+_RECORD_METHODS = {"__repr__": _record_repr, "__eq__": _record_eq,
+                   "__hash__": _record_hash, "__setattr__": _record_setattr,
+                   "__delattr__": _record_delattr,
+                   "with_values": _record_with_values}
 
 
 def record(cls):
     """Class decorator: a frozen record of the class's annotated fields, in
     the order the class body lists them.
 
-    One exec writes what a frozen dataclass would get, with the same text
-    and semantics: __init__, __repr__ (qualname(f=v!r, ...)), __eq__ (the
-    field tuples when the classes match, else NotImplemented), __hash__
-    (the field tuple's hash), and a __setattr__ and __delattr__ that raise
-    dataclasses.FrozenInstanceError, imported only to raise it. A method
-    the class body defines stays, so a body's __hash__ = None keeps the
-    record unhashable. __match_args__ is the field names, and
-    with_values(**changes) is the copy with the named fields changed, as
-    dataclasses.replace makes it. A class without a docstring gets
+    A record gets what a frozen dataclass would, with the same text and
+    semantics. One method is written for the class: __init__, with the
+    fields' signature and defaults, which fills the instance __dict__ in
+    one update. A frozen dataclass sets each field through
+    object.__setattr__, which for a 21-field outcome costs about as much as
+    solving the game. Six are shared by every record (_RECORD_METHODS), and
+    read the fields from __match_args__, the field names: __repr__
+    (qualname(f=v!r, ...)), __eq__ (the field tuples when the classes
+    match, else NotImplemented), __hash__ (the field tuple's hash), a
+    __setattr__ and __delattr__ that raise dataclasses.FrozenInstanceError,
+    imported only to raise it, and with_values(**changes), the copy with
+    the named fields changed, as dataclasses.replace makes it. A method the
+    class body defines stays: a body's __hash__ = None keeps the record
+    unhashable, and a body's __init__, which must fill __dict__ itself, is
+    how a record validates its fields. A class without a docstring gets
     dataclass's: its name and signature.
 
-    __init__ has the fields' signature and defaults, and fills the instance
-    __dict__ in one update: a frozen dataclass sets each field through
-    object.__setattr__, which for a 21-field outcome costs about as much as
-    solving the game. It sets plain fields only, so a class with
+    The written __init__ sets plain fields only, so a class with
     __post_init__, a ClassVar or InitVar field or a dataclasses.field() is
     refused with a TypeError. Neither dataclasses nor inspect is imported,
     so the closed-form queries start without either.
@@ -101,20 +136,18 @@ def record(cls):
                             "field(): a default_factory or any other option")
         namespace[f"_default_{field}"] = default
         params.append(f"{field}=_default_{field}")
-    own = "".join(f"self.{field}," for field in annotations)
-    namespace |= {"_cls": cls, "_names": frozenset(annotations)}
-    exec(_RECORD_METHODS.format(
-        params=", ".join(params), name=cls.__name__, own=own,
-        other=own.replace("self.", "other."),
-        items=", ".join(f"{field!r}: {field}" for field in annotations),
-        shown=", ".join(f"{field}={{self.{field}!r}}" for field in annotations)),
-        namespace)
-    namespace["__init__"].__annotations__ = annotations | {"return": None}
-    for method in ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__",
-                   "__delattr__", "with_values"):
-        namespace[method].__qualname__ = f"{name}.{method}"
+    if "__init__" not in cls.__dict__:
+        exec(_RECORD_INIT.format(
+            params=", ".join(params),
+            items=", ".join(f"{field!r}: {field}" for field in annotations)),
+            namespace)
+        init = namespace["__init__"]
+        init.__annotations__ = annotations | {"return": None}
+        init.__qualname__ = f"{name}.__init__"
+        cls.__init__ = init
+    for method, function in _RECORD_METHODS.items():
         if method not in cls.__dict__:
-            setattr(cls, method, namespace[method])
+            setattr(cls, method, function)
     cls.__match_args__ = tuple(annotations)
     if not cls.__doc__:
         import inspect  # only an undocumented class reads its signature

@@ -9,7 +9,8 @@ numbers print as %.9g, scenario and platform names are fixed words, and a
 note names each number by a float's repr, because the grid runs on the
 base's fields as doubles (an exact field such as Fraction(10, 1) would
 otherwise show its comma), and a base field that is no number at all is
-refused before the grid runs. The module does not import numpy.
+refused before the grid runs. The module imports neither numpy nor
+dataclasses.
 
 Only the swept field changes from point to point, and a closed form that
 does not read it (closed_form.EQUILIBRIUM_READS, THRESHOLD_READS) gives the
@@ -27,11 +28,9 @@ closed_form.choose_platform, with no AdoptionDecision built; and its
 SweepRecord, with its own copy of the outcome mapping.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
-from typing import IO, Mapping, Optional
+from collections.abc import Mapping
+from io import TextIOBase
 
 from . import closed_form
 from .closed_form import (CornerEquilibriumError, ThresholdReport,
@@ -50,31 +49,36 @@ CSV_HEADER = ("param_value,scenario,pA1,pB1,pA2,pB2,cutoff,profitA,profitB,"
 _OUTCOME_NUMBERS = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g"
 
 
-@dataclass(frozen=True)
+@record
 class SweepSpec:
+    """One field swept over steps evenly spaced values from lo to hi."""
+
     param: str
     lo: float
     hi: float
     steps: int
 
-    def __post_init__(self) -> None:
-        if self.param not in SWEEPABLE:
+    # checks the fields and fills __dict__ in one update, with steps as
+    # require_count gives it
+    def __init__(self, param: str, lo: float, hi: float, steps: int) -> None:
+        if param not in SWEEPABLE:
             raise ValueError(
-                f"cannot sweep {shown(self.param)}; choose one of "
+                f"cannot sweep {shown(param)}; choose one of "
                 f"{', '.join(SWEEPABLE)}")
         # the range names an infinite end: a finite width implies finite ends
-        lo, hi = as_float(self.lo), as_float(self.hi)
-        for name, bound, number in (("lo", self.lo, lo), ("hi", self.hi, hi)):
+        low, high = as_float(lo), as_float(hi)
+        for name, bound, number in (("lo", lo, low), ("hi", hi, high)):
             if number is None:
                 raise ValueError(f"sweep bound {name} must be a number, "
                                  f"got {shown(bound)}")
-        if not math.isfinite(hi - lo):
+        if not math.isfinite(high - low):
             raise ValueError("sweep range must be finite, and so must its width "
-                             f"hi - lo, got [{lo}, {hi}]")
-        if not lo < hi:
-            raise ValueError(f"sweep range needs lo < hi, got [{lo}, {hi}]")
-        object.__setattr__(self, "steps",
-                           require_count(self.steps, "sweep steps", 2, MAX_COUNT))
+                             f"hi - lo, got [{low}, {high}]")
+        if not low < high:
+            raise ValueError(f"sweep range needs lo < hi, got [{low}, {high}]")
+        self.__dict__.update({
+            "param": param, "lo": lo, "hi": hi,
+            "steps": require_count(steps, "sweep steps", 2, MAX_COUNT)})
 
     def values(self) -> list[float]:
         """The grid, bitwise np.linspace(lo, hi, steps): i*step + lo, or
@@ -98,9 +102,9 @@ class SweepRecord:
     choice and no thresholds. note explains any missing pieces."""
 
     value: float
-    outcomes: Mapping[Scenario, Optional[EquilibriumOutcome]]
+    outcomes: Mapping[Scenario, EquilibriumOutcome | None]
     chosen: str
-    thresholds: Optional[ThresholdReport]
+    thresholds: ThresholdReport | None
     note: str
 
     # frozen records promise a hash, which the outcomes mapping cannot give
@@ -140,7 +144,7 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
     # None at a corner
     resolved = [scenario for scenario in SCENARIOS
                 if param in closed_form.EQUILIBRIUM_READS[scenario]]
-    latest: dict[Scenario, Optional[EquilibriumOutcome]] = {}
+    latest: dict[Scenario, EquilibriumOutcome | None] = {}
     resolve_thresholds = param in closed_form.THRESHOLD_READS
     thresholds = None
     records = []
@@ -177,7 +181,7 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
     return records
 
 
-def write_sweep_csv(records: list[SweepRecord], stream: IO[str]) -> int:
+def write_sweep_csv(records: list[SweepRecord], stream: TextIOBase) -> int:
     """Write the long-format table; returns the number of data rows.
 
     Floats print with 9 significant digits and a missing value as an empty

@@ -571,6 +571,16 @@ class TestLeanQueryPath:
         assert proc.stdout == "0 False\n"
         assert out.stat().st_size > 0 and svg.stat().st_size > 0
 
+    def test_sweep_loads_neither_dataclasses_nor_inspect(self, tmp_path):
+        # SweepSpec and SweepRecord are records, which need neither module
+        script = SWEEP_SCRIPT + ('print("dataclasses" in sys.modules, '
+                                 '"inspect" in sys.modules)\n')
+        out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        proc = fresh_python("-c", script, str(REPO_CONFIG), str(out), str(svg))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 False\nFalse False\n"
+        assert out.stat().st_size > 0 and svg.stat().st_size > 0
+
     def test_closed_form_queries_never_import_numpy(self):
         # one fresh interpreter runs the queries in order, each reporting
         # whether numpy, dataclasses and inspect are loaded; verify comes

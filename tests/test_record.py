@@ -36,6 +36,7 @@ SAMPLES = {
         _reference()),
     sim.SimOutcome: lambda: sim.simulate_game(
         _reference(), Scenario.COMPATIBLE, (2.9, 3.1, 2.9, 3.1), m=100).period1,
+    sweep.SweepSpec: lambda: sweep.SweepSpec("d", 0.0, 0.5, 2),
     sweep.SweepRecord: lambda: sweep.run_sweep(
         _reference(), sweep.SweepSpec("d", 0.0, 0.5, 2))[0],
     verify.QuantityCheck: lambda: verify.run_verification(
@@ -43,11 +44,17 @@ SAMPLES = {
     verify.VerificationReport: lambda: verify.run_verification(
         _reference(), trials=0, use_oracle=False, m=100),
 }
-# the frozen dataclasses left, which are not records: SimRun fills __dict__
-# in one update too, but its own __init__ also accepts a population it
-# ignores; SweepSpec normalizes steps in __post_init__ and keeps
-# dataclass's __init__
-NOT_RECORDS = {sim.SimRun, sweep.SweepSpec}
+# the one frozen dataclass left, which is not a record: SimRun fills
+# __dict__ in one update too, but its own __init__ also accepts a
+# population it ignores
+NOT_RECORDS = {sim.SimRun}
+# the record methods a class body defines itself, which record leaves as
+# they are: SweepSpec's __init__ checks its fields
+OWN_METHODS = {(closed_form.AdoptionDecision, "__hash__"),
+               (sweep.SweepRecord, "__hash__"), (sweep.SweepSpec, "__init__")}
+# the value test_fields_replace_and_astuple gives a sample's last field,
+# where "changed" would fail the class's own checks
+CHANGED = {sweep.SweepSpec: 3}
 
 
 def _rebuild(obj):
@@ -70,7 +77,7 @@ def _has_record_init(cls):
     return "__dict__" in names and "__setattr__" not in names
 
 
-def test_every_record_is_sampled_and_two_frozen_dataclasses_remain():
+def test_every_record_is_sampled_and_one_frozen_dataclass_remains():
     # a record or a dataclass sets __match_args__ on the class itself
     matched = {cls for module in (model, closed_form, sim, sweep, verify)
                for cls in vars(module).values()
@@ -80,7 +87,6 @@ def test_every_record_is_sampled_and_two_frozen_dataclasses_remain():
     assert {cls for cls in matched if dataclasses.is_dataclass(cls)} == NOT_RECORDS
     assert all(cls.__dataclass_params__.frozen for cls in NOT_RECORDS)
     assert all(_has_record_init(cls) for cls in [*SAMPLES, sim.SimRun])
-    assert not _has_record_init(sweep.SweepSpec)
     # SimRun, sampled from simulate_game, passes the record checks that
     # its extra argument leaves meaningful
     run = sim.simulate_game(_reference(), Scenario.INCOMPATIBLE,
@@ -88,6 +94,93 @@ def test_every_record_is_sampled_and_two_frozen_dataclasses_remain():
     checks = TestRecordClasses()
     checks.test_assignment_and_deletion_raise(run)
     checks.test_eq_and_hash_agree_with_a_field_by_field_rebuild(run)
+
+
+def _written(cls):
+    """The names of cls's methods compiled from text, not from a file."""
+    return {name for name, value in vars(cls).items()
+            if getattr(value, "__code__", None)
+            and value.__code__.co_filename == "<string>"}
+
+
+def test_record_writes_one_method_and_shares_the_rest():
+    shared = model._RECORD_METHODS
+    assert set(shared) == {"__repr__", "__eq__", "__hash__", "__setattr__",
+                           "__delattr__", "with_values"}
+    assert {function.__code__.co_filename for function in shared.values()} \
+        == {model.__file__}
+    for cls in SAMPLES:
+        for name, function in shared.items():
+            if (cls, name) in OWN_METHODS:
+                assert vars(cls)[name] is not function, (cls, name)
+            else:
+                assert vars(cls)[name] is function, (cls, name)
+        own_init = (cls, "__init__") in OWN_METHODS
+        assert _written(cls) == (set() if own_init else {"__init__"}), cls
+        assert (cls.__init__.__code__.co_filename == "<string>") != own_init
+
+
+def test_record_compiles_one_method_per_class(monkeypatch):
+    compiled = []
+
+    def counted(source, namespace):
+        compiled.append(source)
+        exec(source, namespace)
+
+    # record's module-level name exec shadows the builtin
+    monkeypatch.setattr(model, "exec", counted, raising=False)
+
+    @record
+    class Point:
+        x: float
+        y: float = 0.5
+
+    @record
+    class Checked:
+        """A record whose own __init__ checks its field."""
+
+        x: float
+
+        def __init__(self, x: float) -> None:
+            self.__dict__.update({"x": abs(x)})
+
+    assert len(compiled) == 1 and compiled[0].count("def ") == 1
+    assert _written(Point) == {"__init__"} and _written(Checked) == set()
+    assert Point(1.0).with_values(y=2.0) == Point(1.0, 2.0)
+    assert Checked(-1.0) == Checked(1.0)
+    assert repr(Checked(-2.0)) == f"{Checked.__qualname__}(x=2.0)"
+    with pytest.raises(FrozenInstanceError):
+        Checked(1.0).x = 3.0
+
+
+def test_a_plain_subclass_may_set_names_that_are_not_fields():
+    # as with a frozen dataclass, only a record's own instances are frozen
+    class Extended(model.ValidationReport):
+        pass
+
+    @dataclasses.dataclass(frozen=True)
+    class Twin:
+        ok: bool
+        violations: tuple
+
+    class TwinExtended(Twin):
+        pass
+
+    for cls in (Extended, TwinExtended):
+        obj = cls(True, ())
+        obj.note = "kept"
+        del obj.note
+        with pytest.raises(FrozenInstanceError):
+            obj.ok = False
+
+
+def test_sweep_spec_checks_every_copy():
+    spec = sweep.SweepSpec("d", 0.0, 0.5, 2)
+    assert spec.with_values(hi=1.0).values() == [0.0, 1.0]
+    with pytest.raises(ValueError, match="sweep steps must be an integer"):
+        spec.with_values(steps="changed")
+    with pytest.raises(ValueError, match="sweep range needs lo < hi"):
+        spec.with_values(lo=0.5)
 
 
 @pytest.fixture(params=list(SAMPLES), ids=lambda cls: cls.__name__)
@@ -127,8 +220,9 @@ class TestRecordClasses:
         names = list(sample.__match_args__)
         assert names == list(inspect.signature(type(sample)).parameters)
         assert sample.with_values() == sample
-        changed = sample.with_values(**{names[-1]: "changed"})
-        assert getattr(changed, names[-1]) == "changed"
+        value = CHANGED.get(type(sample), "changed")
+        changed = sample.with_values(**{names[-1]: value})
+        assert getattr(changed, names[-1]) == value
         assert changed != sample
         with pytest.raises(TypeError, match=f"{type(sample).__name__} has no field 'zeta'"):
             sample.with_values(zeta=1)
