@@ -17,8 +17,9 @@ Import each name from the module that defines it:
 
 The closed-form queries need only model and closed_form, and sweeps add
 sweep; none of the three imports numpy, dataclasses or inspect. Their
-types are model.record classes: record writes each class's __init__ and
-shares six methods among them all. sim.SimRun is the one dataclass left,
+types are model.record classes: frozen records whose fields are the
+annotations of the class body, each with a written __init__ and six
+methods every record shares. sim.SimRun is the one dataclass left,
 because the benchmark copies a run with dataclasses.replace.
 """
 

@@ -165,8 +165,10 @@ def _open_outputs(targets: Sequence[tuple[str, str | None]]) -> list:
 
     Each path opens for appending, so a file that exists keeps its content
     until the caller empties it with _rewind and writes it. When a path
-    cannot be opened, the files opened so far are closed, those this call
-    created are removed, and the OSError propagates.
+    cannot be opened, or names the same regular file as an earlier one
+    (which _rewind would empty after the earlier one is written), the files
+    opened so far are closed, those this call created are removed, and an
+    OSError propagates.
     """
     outputs, created = [], []
     try:
@@ -175,6 +177,11 @@ def _open_outputs(targets: Sequence[tuple[str, str | None]]) -> list:
             outputs.append(open(path, "a", encoding="utf-8", newline=newline))
             if not existed:
                 created.append(path)
+            opened = os.fstat(outputs[-1].fileno())
+            for (earlier, _), fh in zip(targets, outputs[:-1]):
+                if (stat.S_ISREG(opened.st_mode)
+                        and os.path.samestat(opened, os.fstat(fh.fileno()))):
+                    raise OSError(f"outputs {earlier} and {path} are one file")
     except OSError:
         for fh in outputs:
             fh.close()

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import sys
 from collections.abc import Mapping
 from enum import Enum
 
@@ -34,7 +33,8 @@ def __init__(self, {params}):
 
 
 # The methods every record shares, with a frozen dataclass's text and
-# semantics; each reads the fields from type(self).__match_args__.
+# semantics; each reads the fields from type(self).__match_args__, and
+# dataclasses is imported only to raise FrozenInstanceError.
 def _field_values(self):
     return tuple([getattr(self, name) for name in type(self).__match_args__])
 
@@ -55,23 +55,14 @@ def _record_hash(self):
     return hash(_field_values(self))
 
 
-# An instance is frozen when its class is a record itself, one that sets
-# its own __match_args__, as a dataclass checks type(self) is cls; a plain
-# subclass's instance may still set names that are not fields.
 def _record_setattr(self, name, value):
-    cls = type(self)
-    if "__match_args__" in vars(cls) or name in cls.__match_args__:
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-    object.__setattr__(self, name, value)
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _record_delattr(self, name):
-    cls = type(self)
-    if "__match_args__" in vars(cls) or name in cls.__match_args__:
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-    object.__delattr__(self, name)
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _record_with_values(self, **changes):
@@ -92,50 +83,27 @@ def record(cls):
     """Class decorator: a frozen record of the class's annotated fields, in
     the order the class body lists them.
 
-    A record gets what a frozen dataclass would, with the same text and
-    semantics. One method is written for the class: __init__, with the
-    fields' signature and defaults, which fills the instance __dict__ in
-    one update. A frozen dataclass sets each field through
-    object.__setattr__, which for a 21-field outcome costs about as much as
-    solving the game. Six are shared by every record (_RECORD_METHODS), and
-    read the fields from __match_args__, the field names: __repr__
-    (qualname(f=v!r, ...)), __eq__ (the field tuples when the classes
-    match, else NotImplemented), __hash__ (the field tuple's hash), a
-    __setattr__ and __delattr__ that raise dataclasses.FrozenInstanceError,
-    imported only to raise it, and with_values(**changes), the copy with
-    the named fields changed, as dataclasses.replace makes it. A method the
-    class body defines stays: a body's __hash__ = None keeps the record
-    unhashable, and a body's __init__, which must fill __dict__ itself, is
-    how a record validates its fields. A class without a docstring gets
-    dataclass's: its name and signature.
-
-    The written __init__ sets plain fields only, so a class with
-    __post_init__, a ClassVar or InitVar field or a dataclasses.field() is
-    refused with a TypeError. Neither dataclasses nor inspect is imported,
-    so the closed-form queries start without either.
+    Every annotation in the class body is a field, and a class-body value
+    is its default. record writes __init__, which fills the instance
+    __dict__ in one update: a frozen dataclass's sets each field through
+    object.__setattr__, which for a 21-field outcome costs about as much
+    as solving the game. The methods in _RECORD_METHODS are shared by
+    every record. A method the class body defines stays: __hash__ = None
+    keeps a record unhashable, and an own __init__, which fills __dict__
+    itself, validates the fields. __post_init__ would never run, so a class
+    that defines one is refused with a TypeError.
     """
     name = cls.__qualname__
     if hasattr(cls, "__post_init__"):
         raise TypeError(f"record {name} cannot run __post_init__")
     annotations = cls.__dict__.get("__annotations__", {})
-    # a field() exists only once dataclasses is imported
-    dataclasses = sys.modules.get("dataclasses")
     params, namespace = [], {"__name__": cls.__module__}
-    for field, kind in annotations.items():
-        # "ClassVar[int]", typing.ClassVar[int], dataclasses.InitVar[int], ...
-        base = (kind if isinstance(kind, str) else repr(kind)).split("[")[0]
-        pseudo = base.rpartition(".")[2]
-        if pseudo in ("ClassVar", "InitVar"):
-            raise TypeError(f"record {name} cannot take {pseudo} {field!r}")
-        if field not in cls.__dict__:
+    for field in annotations:
+        if field in cls.__dict__:
+            namespace[f"_default_{field}"] = cls.__dict__[field]
+            params.append(f"{field}=_default_{field}")
+        else:
             params.append(field)
-            continue
-        default = cls.__dict__[field]
-        if dataclasses and isinstance(default, dataclasses.Field):
-            raise TypeError(f"record {name} cannot build field {field!r} with "
-                            "field(): a default_factory or any other option")
-        namespace[f"_default_{field}"] = default
-        params.append(f"{field}=_default_{field}")
     if "__init__" not in cls.__dict__:
         exec(_RECORD_INIT.format(
             params=", ".join(params),
@@ -149,10 +117,6 @@ def record(cls):
         if method not in cls.__dict__:
             setattr(cls, method, function)
     cls.__match_args__ = tuple(annotations)
-    if not cls.__doc__:
-        import inspect  # only an undocumented class reads its signature
-
-        cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
     return cls
 
 

@@ -36,7 +36,7 @@ the right of a float (u * 2), which takes it directly.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 import numpy as np
 

@@ -247,6 +247,42 @@ class TestSweepCommand:
         assert "wrote" not in capsys.readouterr().out
         assert out_csv.read_text(encoding="utf-8") == "kept\n"
 
+    def _sweep_into(self, out, svg):
+        return cli.main(["sweep", "--config", str(REPO_CONFIG), "--param", "d",
+                         "--lo", "0", "--hi", "2", "--steps", "3",
+                         "--out", str(out), "--svg", str(svg)])
+
+    def test_one_file_for_both_outputs_is_refused(self, tmp_path, capsys):
+        # the chart would empty the CSV it follows; a file this call made
+        # is removed, and one that was there is left as it was
+        out = tmp_path / "sweep.out"
+        assert self._sweep_into(out, out) == 1
+        captured = capsys.readouterr()
+        assert [line for line in captured.err.splitlines()
+                if line.startswith("error:")] \
+            == [f"error: outputs {out} and {out} are one file"]
+        assert "wrote" not in captured.out
+        assert not out.exists()
+        out.write_text("kept\n", encoding="utf-8")
+        assert self._sweep_into(out, out) == 1
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
+    def test_a_hard_link_to_the_csv_is_refused(self, tmp_path, capsys):
+        out, link = tmp_path / "sweep.csv", tmp_path / "chart.svg"
+        out.write_text("kept\n", encoding="utf-8")
+        os.link(out, link)
+        assert self._sweep_into(out, link) == 1
+        captured = capsys.readouterr()
+        assert len([line for line in captured.err.splitlines()
+                    if line.startswith("error:")]) == 1
+        assert "wrote" not in captured.out
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
+    def test_both_outputs_may_be_the_null_device(self, capsys):
+        assert self._sweep_into(os.devnull, os.devnull) == 0
+        out = capsys.readouterr().out
+        assert f"to {os.devnull}" in out and f"wrote chart to {os.devnull}" in out
+
 
 class TestVerifyCommand:
     def test_pass_run(self, tmp_path, capsys):
