@@ -137,16 +137,16 @@ def _cmd_sweep(params: ModelParams, args: argparse.Namespace) -> int:
 
     spec = sweep_mod.SweepSpec(param=args.param, lo=args.lo, hi=args.hi,
                                steps=args.steps)
-    records = sweep_mod.run_sweep(params, spec)
+    table = sweep_mod.run_sweep(params, spec)
     # render first and open both outputs before writing either: a sweep
     # with nothing to plot, or an output path that cannot be opened, fails
     # before any file is written
-    chart = sweep_mod.render_profit_svg(records, spec.param) if args.svg else None
+    chart = sweep_mod.render_profit_svg(table, spec.param) if args.svg else None
     outputs = _open_outputs([(args.out, "")]
                             + ([] if chart is None else [(args.svg, None)]))
     try:
         fh = _rewind(outputs[0])
-        rows = sweep_mod.write_sweep_csv(records, fh)
+        rows = sweep_mod.write_sweep_csv(table, fh)
         fh.close()
         print(f"wrote {rows} rows ({spec.steps} grid points) to {args.out}")
         if chart is not None:

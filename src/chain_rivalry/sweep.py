@@ -20,12 +20,16 @@ outcome reads s alone, and the threshold report neither d nor the
 subsidies. The CSV writer formats the numbers of a shared outcome or
 threshold report once.
 
-What each grid point still costs: a ModelParams of its fields and its
+run_sweep returns one SweepTable of columns, so a grid point is one entry
+in each column and no object of its own. What each point still costs: a
+ModelParams built positionally from one row of fields, and its
 validate_params report; at a valid point, the equilibria of the scenarios
-that read the swept field (and the thresholds, when they read it too);
-the choice, decided from the three subsidy-inclusive payoffs by
-closed_form.choose_platform, with no AdoptionDecision built; and its
-SweepRecord, with its own copy of the outcome mapping.
+that read the swept field (and the thresholds, when they read it too),
+and the choice, decided from the three subsidy-inclusive payoffs by
+closed_form.choose_platform, with no AdoptionDecision built. A corner's
+note comes from a table keyed by the three corner flags. The writers read
+the columns as they stand: the SVG formats the y of a shared outcome once,
+as the CSV formats its numbers once.
 """
 
 import math
@@ -96,23 +100,34 @@ class SweepSpec:
 
 
 @record
-class SweepRecord:
-    """All outcomes at one grid point. A scenario maps to None when its
-    equilibrium is blockaded (corner); an invalid point has no outcomes, no
-    choice and no thresholds. note explains any missing pieces."""
+class SweepTable:
+    """A sweep's results as columns, each with one entry per grid point in
+    grid order. outcomes maps each scenario to its column of equilibria,
+    None where the equilibrium is blockaded (corner) or the point is
+    invalid; an invalid point has no choice ("") and no thresholds (None).
+    notes explains any missing pieces, and is "" where none is missing."""
 
-    value: float
-    outcomes: Mapping[Scenario, EquilibriumOutcome | None]
-    chosen: str
-    thresholds: ThresholdReport | None
-    note: str
+    values: tuple[float, ...]
+    outcomes: Mapping[Scenario, tuple[EquilibriumOutcome | None, ...]]
+    chosen: tuple[str, ...]
+    thresholds: tuple[ThresholdReport | None, ...]
+    notes: tuple[str, ...]
 
     # frozen records promise a hash, which the outcomes mapping cannot give
     __hash__ = None
 
 
-def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
-    """One record per grid point, in grid order. A point whose equilibrium
+# The note of a valid point, keyed by whether the same-chain, compatible
+# and incompatible equilibria are corners; "" at an interior point.
+_CORNER_NOTES = {
+    flags: "; ".join(f"corner: {name}"
+                     for name, corner in zip(_SCENARIO_NAMES, flags) if corner)
+    for flags in [(a, b, c) for a in (False, True) for b in (False, True)
+                  for c in (False, True)]}
+
+
+def run_sweep(base: ModelParams, spec: SweepSpec) -> SweepTable:
+    """The sweep's table, in grid order. A point whose equilibrium
     overflows raises ValueError naming the swept value.
 
     The grid runs in double precision: every point is the base's fields as
@@ -124,16 +139,19 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
     valid point only, and its outcome (or corner) and threshold report are
     the same objects at every later valid point."""
     param = spec.param
-    fields, bad = {}, []
-    for name, value in vars(base).items():
-        if name == param:
-            continue
-        try:
-            fields[name] = require_number(value, name)
-        except ValueError as problem:
-            bad.append(str(problem))
+    # the point's fields in ModelParams order, the swept one set per point
+    row, bad = [], []
+    for name in ModelParams.__match_args__:
+        value = getattr(base, name)
+        if name != param:
+            try:
+                value = require_number(value, name)
+            except ValueError as problem:
+                bad.append(str(problem))
+        row.append(value)
     if bad:
         raise ValueError("sweep base: " + "; ".join(bad))
+    at = ModelParams.__match_args__.index(param)
     # The entry points are looked up once per call, not at import, so a
     # wrapper installed on the module attribute still sees every point.
     validate, solve = validate_params, closed_form.equilibrium
@@ -146,16 +164,21 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
                 if param in closed_form.EQUILIBRIUM_READS[scenario]]
     latest: dict[Scenario, EquilibriumOutcome | None] = {}
     resolve_thresholds = param in closed_form.THRESHOLD_READS
-    thresholds = None
-    records = []
-    append = records.append
-    for value in spec.values():
-        fields[param] = value
-        point = ModelParams(**fields)
-        report = validate(point)
-        if not report.ok:
-            append(SweepRecord(
-                value, {}, "", None, "invalid: " + "; ".join(report.violations)))
+    report = None
+    values = spec.values()
+    column1, column2, column3 = [], [], []
+    chosen, thresholds, notes = [], [], []
+    for value in values:
+        row[at] = value
+        point = ModelParams(*row)
+        validity = validate(point)
+        if not validity.ok:
+            column1.append(None)
+            column2.append(None)
+            column3.append(None)
+            chosen.append("")
+            thresholds.append(None)
+            notes.append("invalid: " + "; ".join(validity.violations))
             continue
         for scenario in resolved if latest else SCENARIOS:
             try:
@@ -164,58 +187,62 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> list[SweepRecord]:
                 latest[scenario] = None
             except ValueError as exc:
                 raise ValueError(f"{param}={value!r}: {exc}") from exc
-        if resolve_thresholds or thresholds is None:
-            thresholds = solve_thresholds(point, validate=False)
+        if resolve_thresholds or report is None:
+            report = solve_thresholds(point, validate=False)
         out1, out2, out3 = latest[same], latest[compatible], latest[incompatible]
+        column1.append(out1)
+        column2.append(out2)
+        column3.append(out3)
+        thresholds.append(report)
         if out1 is None or out2 is None or out3 is None:
-            chosen = ""
-            note = "; ".join(f"corner: {name}"
-                             for name, out in zip(_SCENARIO_NAMES, (out1, out2, out3))
-                             if out is None)
+            chosen.append("")
+            notes.append(_CORNER_NOTES[out1 is None, out2 is None, out3 is None])
         else:
-            chosen = choose_platform(out1.profitB_with_subsidy,
-                                     out2.profitB_with_subsidy,
-                                     out3.profitB_with_subsidy)
-            note = ""
-        append(SweepRecord(value, dict(latest), chosen, thresholds, note))
-    return records
+            chosen.append(choose_platform(out1.profitB_with_subsidy,
+                                          out2.profitB_with_subsidy,
+                                          out3.profitB_with_subsidy))
+            notes.append("")
+    return SweepTable(tuple(values),
+                      {same: tuple(column1), compatible: tuple(column2),
+                       incompatible: tuple(column3)},
+                      tuple(chosen), tuple(thresholds), tuple(notes))
 
 
-def write_sweep_csv(records: list[SweepRecord], stream: TextIOBase) -> int:
+def write_sweep_csv(table: SweepTable, stream: TextIOBase) -> int:
     """Write the long-format table; returns the number of data rows.
 
     Floats print with 9 significant digits and a missing value as an empty
     field, one formatted line per row. An outcome or a threshold report
-    that consecutive valid points share, as run_sweep's records do, has its
+    that consecutive valid points share, as run_sweep's table does, has its
     numbers formatted once."""
     lines = [CSV_HEADER + "\n"]
-    # each scenario with its latest outcome and that outcome's numbers
-    columns = [(scenario, name, [None, ""])
-               for scenario, name in zip(SCENARIOS, _SCENARIO_NAMES)]
+    append = lines.append
+    names = _SCENARIO_NAMES
+    # each scenario's latest outcome and that outcome's numbers
+    latest, texts = [None, None, None], ["", "", ""]
     report, report_text = None, ""
-    for rec in records:
-        value = f"{rec.value:.9g}"
-        th = rec.thresholds
+    for value, outs, chosen, th, note in zip(
+            table.values, zip(*[table.outcomes[scenario] for scenario in SCENARIOS]),
+            table.chosen, table.thresholds, table.notes):
+        value = f"{value:.9g}"
         if th is None:
-            tail = f"{rec.chosen},,,,"
+            tail = f"{chosen},,,,"
         else:
             if th is not report:
                 report, report_text = th, (f"{th.c2_star:.9g},{th.c3_star:.9g},"
                                            f"{th.d2_star:.9g},{th.d3_star:.9g}")
-            tail = f"{rec.chosen},{report_text}"
-        outcomes = rec.outcomes
-        for scenario, name, seen in columns:
-            out = outcomes.get(scenario)
+            tail = f"{chosen},{report_text}"
+        for i, out in enumerate(outs):
             if out is None:
-                lines.append(f"{value},{name},,,,,,,,{tail},{rec.note}\n")
+                append(f"{value},{names[i]},,,,,,,,{tail},{note}\n")
                 continue
-            if out is not seen[0]:
-                seen[0] = out
-                seen[1] = _OUTCOME_NUMBERS % (out.pA1, out.pB1, out.pA2, out.pB2,
-                                              out.cutoff1, out.profitA, out.profitB)
-            lines.append(f"{value},{name},{seen[1]},{tail},ok\n")
+            if out is not latest[i]:
+                latest[i] = out
+                texts[i] = _OUTCOME_NUMBERS % (out.pA1, out.pB1, out.pA2, out.pB2,
+                                               out.cutoff1, out.profitA, out.profitB)
+            append(f"{value},{names[i]},{texts[i]},{tail},ok\n")
     stream.write("".join(lines))
-    return len(records) * len(SCENARIOS)
+    return len(table.values) * len(SCENARIOS)
 
 
 SVG_COLORS = {
@@ -225,20 +252,16 @@ SVG_COLORS = {
 }
 
 
-def render_profit_svg(records: list[SweepRecord], param: str) -> str:
+def render_profit_svg(table: SweepTable, param: str) -> str:
     """Minimal line chart of firm B's aggregate profit per scenario."""
     width, height = 640, 420
     left, right, top, bottom = 60, 20, 20, 50
     plot_w, plot_h = width - left - right, height - top - bottom
 
-    # one column of B's profits per scenario, NaN where there is no outcome
-    nan = float("nan")
-    profits = [[nan if out is None else out.profitB
-                for out in (rec.outcomes.get(scenario) for rec in records)]
-               for scenario in SCENARIOS]
-    xs = [rec.value for rec in records]
-    ys = [y for column in profits for y in column if y == y]
-    if not xs or not ys:
+    xs = table.values
+    columns = [table.outcomes[scenario] for scenario in SCENARIOS]
+    ys = [out.profitB for column in columns for out in column if out is not None]
+    if not ys:
         raise ValueError("nothing to plot: no valid sweep points")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
@@ -256,14 +279,19 @@ def render_profit_svg(records: list[SweepRecord], param: str) -> str:
         f'y2="{top + plot_h}" stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
     ]
-    for scenario, column in zip(SCENARIOS, profits):
+    for scenario, column in zip(SCENARIOS, columns):
         segments: list[list[str]] = [[]]
-        for x, y in zip(x_text, column):
-            if y != y:
+        # an outcome that consecutive points share has its y formatted once
+        last, y_text = None, ""
+        for x, out in zip(x_text, column):
+            if out is None:
                 if segments[-1]:
                     segments.append([])
                 continue
-            segments[-1].append(f"{x}{top + (y_hi - y) / y_span * plot_h:.2f}")
+            if out is not last:
+                last = out
+                y_text = f"{top + (y_hi - out.profitB) / y_span * plot_h:.2f}"
+            segments[-1].append(x + y_text)
         for seg in segments:
             if len(seg) >= 2:
                 parts.append(f'<polyline fill="none" stroke="{SVG_COLORS[scenario]}" '

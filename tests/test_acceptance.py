@@ -117,11 +117,10 @@ def test_network_strength_widens_the_compatible_profit_gap(reference):
     assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
     spec = SweepSpec(param="alpha", lo=0.05, hi=0.13, steps=9)
-    records = run_sweep(reference, spec)
-    valid = [rec.thresholds is not None for rec in records]
+    table = run_sweep(reference, spec)
+    valid = [th is not None for th in table.thresholds]
     assert valid == [True] * 8 + [False]
-    swept = [rec.outcomes[Scenario.COMPATIBLE] for rec in records
-             if rec.thresholds is not None]
+    swept = table.outcomes[Scenario.COMPATIBLE][:8]
     swept_gaps = [out.profitA - out.profitB for out in swept]
     assert swept_gaps == pytest.approx(gaps[:8], rel=1e-12)
     for out, p_point in zip(swept, (reference.with_values(alpha=float(a))

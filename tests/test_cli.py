@@ -608,7 +608,7 @@ class TestLeanQueryPath:
         assert out.stat().st_size > 0 and svg.stat().st_size > 0
 
     def test_sweep_loads_neither_dataclasses_nor_inspect(self, tmp_path):
-        # SweepSpec and SweepRecord are records, which need neither module
+        # SweepSpec and SweepTable are records, which need neither module
         script = SWEEP_SCRIPT + ('print("dataclasses" in sys.modules, '
                                  '"inspect" in sys.modules)\n')
         out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"

@@ -411,10 +411,30 @@ class TestThresholds:
             target, abs=1e-8)
 
     def test_threshold_ordering_on_draws(self, draws25):
+        """The gate draws have n2 = n3, where, with u = s - alpha,
+        d3* - d2* = u/2 - (3 - 5/sqrt(3))*sqrt(u*s): d2* < d3* holds
+        exactly when alpha < 0.9487*s, which assumption 1.1
+        (s > alpha*(2*n1 + 1)) implies once n1 > 0.027. The features
+        finding, read as the quality edge that flips the entrant's choice,
+        is that condition; the next test pins a valid config outside it."""
         for p in draws25:
             rep = subsidy_threshold(p)
             assert 0.0 < rep.c2_star < rep.c3_star
             assert 0.0 < rep.d2_star < rep.d3_star
+
+    def test_a_small_incumbent_base_reverses_the_edge_order(self):
+        # n1 = 0.01 and alpha/s = 0.951 > 0.9487: a finding about the
+        # model, whose subsidy order still holds
+        p = ModelParams(alpha=0.97 / 1.02, s=1.0, k=10.0, n1=0.01, n2=0.005,
+                        n3=0.005)
+        assert validate_params(p).ok
+        rep = subsidy_threshold(p)
+        u = p.s - p.alpha
+        gap = rep.d2_star - rep.d3_star
+        assert gap == pytest.approx(5.6e-4, rel=0.01)
+        assert abs(gap + (u / 2.0 - (3.0 - 5.0 / math.sqrt(3.0))
+                          * math.sqrt(u * p.s))) < 3e-17
+        assert 0.0 < rep.c2_star < rep.c3_star
 
     def test_symmetric_base_limit(self, reference):
         # with equal bases the subsidy threshold collapses to the network

@@ -252,10 +252,10 @@ def test_sweep(data, param, lo, hi, steps):
     p = ModelParams(**data)
 
     def run():
-        records = run_sweep(p, SweepSpec(param, lo, hi, steps))
+        table = run_sweep(p, SweepSpec(param, lo, hi, steps))
         text = io.StringIO()
-        sweep.write_sweep_csv(records, text)
-        return records
+        sweep.write_sweep_csv(table, text)
+        return table
 
     returns_finite_or_refuses(run)
 

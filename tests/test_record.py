@@ -38,8 +38,8 @@ SAMPLES = {
     sim.SimOutcome: lambda: sim.simulate_game(
         _reference(), Scenario.COMPATIBLE, (2.9, 3.1, 2.9, 3.1), m=100).period1,
     sweep.SweepSpec: lambda: sweep.SweepSpec("d", 0.0, 0.5, 2),
-    sweep.SweepRecord: lambda: sweep.run_sweep(
-        _reference(), sweep.SweepSpec("d", 0.0, 0.5, 2))[0],
+    sweep.SweepTable: lambda: sweep.run_sweep(
+        _reference(), sweep.SweepSpec("d", 0.0, 0.5, 2)),
     verify.QuantityCheck: lambda: verify.run_verification(
         _reference(), trials=0, use_oracle=False, m=100).checks[0],
     verify.VerificationReport: lambda: verify.run_verification(
@@ -52,7 +52,7 @@ NOT_RECORDS = {sim.SimRun}
 # the record methods a class body defines itself, which record leaves as
 # they are: SweepSpec's __init__ checks its fields
 OWN_METHODS = {(closed_form.AdoptionDecision, "__hash__"),
-               (sweep.SweepRecord, "__hash__"), (sweep.SweepSpec, "__init__")}
+               (sweep.SweepTable, "__hash__"), (sweep.SweepSpec, "__init__")}
 # the value test_fields_replace_and_astuple gives a sample's last field,
 # where "changed" would fail the class's own checks
 CHANGED = {sweep.SweepSpec: 3}

@@ -14,7 +14,7 @@ from chain_rivalry import closed_form
 from chain_rivalry.closed_form import (AdoptionDecision, CornerEquilibriumError,
                                        adoption_decision, subsidy_threshold)
 from chain_rivalry.model import Scenario, validate_params
-from chain_rivalry.sweep import (CSV_HEADER, SWEEPABLE, SweepRecord, SweepSpec,
+from chain_rivalry.sweep import (CSV_HEADER, SWEEPABLE, SweepSpec, SweepTable,
                                  render_profit_svg, run_sweep, write_sweep_csv)
 from conftest import draws
 
@@ -47,10 +47,12 @@ def across_the_thresholds(p, steps=41):
 
 @pytest.mark.parametrize("base", ["reference", "off_gate"])
 def test_each_valid_point_is_solved_once(base, reference, monkeypatch):
-    """A scenario or threshold report that does not read the swept field
-    is solved at the first valid point only: d and alpha re-solve two
-    scenarios per later point (alpha the thresholds too), and s, which
-    every closed form reads, re-solves everything."""
+    """Every field swept: a scenario or threshold report is solved at the
+    first valid point, and at each later one only when its field set in
+    closed_form (EQUILIBRIUM_READS, THRESHOLD_READS) holds the swept field.
+    So d and alpha re-solve two scenarios per later point (alpha the
+    thresholds too), k one, and s, which every closed form reads,
+    re-solves everything."""
     p = reference if base == "reference" else draws("wide", 2024, 1)[0]
     calls, reports = [], []
     real, real_threshold = closed_form.equilibrium, closed_form.subsidy_threshold
@@ -65,42 +67,60 @@ def test_each_valid_point_is_solved_once(base, reference, monkeypatch):
 
     monkeypatch.setattr(closed_form, "equilibrium", counting)
     monkeypatch.setattr(closed_form, "subsidy_threshold", counting_threshold)
-    for spec in past_the_bounds(p) + [SweepSpec("s", 0.5 * p.s, 1.5 * p.s, 41)]:
+    bounded = past_the_bounds(p)
+    swept = set()
+    for spec in bounded + crossing_grids(p) + [
+            SweepSpec("s", 0.5 * p.s, 1.5 * p.s, 41)]:
         calls.clear()
         reports.clear()
-        records = run_sweep(p, spec)
-        valid = sum(rec.thresholds is not None for rec in records)
-        interior = sum(rec.chosen != "" for rec in records)
-        if spec.param == "d":
-            assert 0 < interior < valid == spec.steps
-        else:
-            assert 0 < interior == valid < spec.steps
-        if spec.param == "s":
-            assert len(calls) == 3 * valid and len(reports) == valid
-        else:
+        table = run_sweep(p, spec)
+        valid = sum(th is not None for th in table.thresholds)
+        if spec in bounded:
+            interior = sum(chosen != "" for chosen in table.chosen)
+            if spec.param == "d":
+                assert 0 < interior < valid == spec.steps
+            else:
+                assert 0 < interior == valid < spec.steps
+        assert valid > 1, spec
+        for scenario in Scenario:
+            reads = spec.param in closed_form.EQUILIBRIUM_READS[scenario]
+            assert calls.count(scenario) == (valid if reads else 1), (spec, scenario)
+        reads = spec.param in closed_form.THRESHOLD_READS
+        assert len(reports) == (valid if reads else 1), spec
+        if spec.param in ("d", "alpha", "n1"):
             assert len(calls) == 2 * valid + 1
-            assert len(reports) == (1 if spec.param == "d" else valid)
+        elif spec.param == "s":
+            assert len(calls) == 3 * valid
+        else:
+            assert len(calls) == valid + 2
+        if spec.param == "k":
+            assert len(reports) == 1
+        swept.add(spec.param)
+    assert swept == set(SWEEPABLE)
 
 
 @pytest.mark.parametrize("base", ["reference", "off_gate"])
 def test_chosen_column_is_the_adoption_decision(base, reference):
     p = reference if base == "reference" else draws("wide", 2024, 1)[0]
     for spec in across_the_thresholds(p) + past_the_bounds(p):
-        records = run_sweep(p, spec)
+        table = run_sweep(p, spec)
         buf = io.StringIO()
-        write_sweep_csv(records, buf)
+        write_sweep_csv(table, buf)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
-        assert len(rows) == 3 * len(records)
+        assert len(rows) == 3 * len(table.values) == 3 * spec.steps
         seen = set()
-        for j, rec in enumerate(records):
+        for j, value in enumerate(table.values):
             column = {row[9] for row in rows[3 * j:3 * j + 3]}
-            if rec.thresholds is None or None in rec.outcomes.values():
-                assert column == {""} and rec.chosen == ""
-                assert rec.note.startswith(("invalid: ", "corner: "))
+            chosen, note = table.chosen[j], table.notes[j]
+            if (table.thresholds[j] is None
+                    or any(table.outcomes[sc][j] is None for sc in Scenario)):
+                assert column == {""} and chosen == ""
+                assert note.startswith(("invalid: ", "corner: "))
             else:
-                point = p.with_values(**{spec.param: rec.value})
+                point = p.with_values(**{spec.param: value})
                 expected = adoption_decision(point).chosen
-                assert column == {expected} and rec.chosen == expected
+                assert column == {expected} and chosen == expected
+                assert note == ""
                 seen.add(expected)
         if spec.param != "alpha":
             # each threshold sweep crosses a flip of the entrant's choice
@@ -116,12 +136,12 @@ def test_a_payoff_tie_goes_to_the_shared_chain(reference, field, star, platform)
     bitwise tie of B's payoffs on P1 and the subsidized platform; the tie
     goes to P1, and the subsidy above the threshold flips the choice."""
     c_star = getattr(subsidy_threshold(reference), star)
-    first, _, last = run_sweep(reference, SweepSpec(field, c_star, 2.0 * c_star, 3))
-    tied = [first.outcomes[scenario].profitB_with_subsidy
+    table = run_sweep(reference, SweepSpec(field, c_star, 2.0 * c_star, 3))
+    tied = [table.outcomes[scenario][0].profitB_with_subsidy
             for scenario in (Scenario.SAME_CHAIN, platform)]
     assert tied[0] == tied[1]
-    assert first.chosen == "P1"
-    assert last.chosen == ("P2" if platform is Scenario.COMPATIBLE else "P3")
+    assert table.chosen[0] == "P1"
+    assert table.chosen[-1] == ("P2" if platform is Scenario.COMPATIBLE else "P3")
 
 def pinned_sweeps(p, steps=41):
     """Every kind of row: d past the corner bound, alpha past validity, d and
@@ -131,10 +151,10 @@ def pinned_sweeps(p, steps=41):
 
 
 def sweep_bytes(p, spec):
-    records = run_sweep(p, spec)
+    table = run_sweep(p, spec)
     buf = io.StringIO()
-    write_sweep_csv(records, buf)
-    return buf.getvalue(), render_profit_svg(records, spec.param)
+    write_sweep_csv(table, buf)
+    return buf.getvalue(), render_profit_svg(table, spec.param)
 
 
 # sha256 over the CSV and SVG text of pinned_sweeps on the reference and two
@@ -157,44 +177,53 @@ def solved_point_by_point(base, spec):
     """The sweep with every scenario and the thresholds solved afresh at
     every valid point, through the public entries: the reference that
     run_sweep's reuse must reproduce."""
-    records = []
-    for value in spec.values():
+    values = spec.values()
+    outcomes = {scenario: [] for scenario in Scenario}
+    chosen, thresholds, notes = [], [], []
+    for value in values:
         point = base.with_values(**{spec.param: value})
         report = validate_params(point)
         if not report.ok:
-            records.append(SweepRecord(value, {}, "", None,
-                                       "invalid: " + "; ".join(report.violations)))
+            for column in outcomes.values():
+                column.append(None)
+            chosen.append("")
+            thresholds.append(None)
+            notes.append("invalid: " + "; ".join(report.violations))
             continue
-        outcomes, notes = {}, []
+        solved, corners = {}, []
         for scenario in Scenario:
             try:
-                outcomes[scenario] = closed_form.equilibrium(point, scenario)
+                solved[scenario] = closed_form.equilibrium(point, scenario)
             except CornerEquilibriumError:
-                outcomes[scenario] = None
-                notes.append("corner: " + scenario.value)
-        chosen = "" if notes else AdoptionDecision.from_outcomes(outcomes).chosen
-        records.append(SweepRecord(value, outcomes, chosen,
-                                   subsidy_threshold(point), "; ".join(notes)))
-    return records
+                solved[scenario] = None
+                corners.append("corner: " + scenario.value)
+            outcomes[scenario].append(solved[scenario])
+        chosen.append("" if corners else AdoptionDecision.from_outcomes(solved).chosen)
+        thresholds.append(subsidy_threshold(point))
+        notes.append("; ".join(corners))
+    return SweepTable(tuple(values), {scenario: tuple(column)
+                                      for scenario, column in outcomes.items()},
+                      tuple(chosen), tuple(thresholds), tuple(notes))
 
 
-def csv_row_by_row(records):
+def csv_row_by_row(table):
     """The CSV text with every number formatted at its own row."""
     lines = [CSV_HEADER]
-    for rec in records:
-        th = rec.thresholds
-        tail = rec.chosen + ("," + ",".join(
+    for j, value in enumerate(table.values):
+        th = table.thresholds[j]
+        tail = table.chosen[j] + ("," + ",".join(
             f"{x:.9g}" for x in (th.c2_star, th.c3_star, th.d2_star, th.d3_star))
             if th is not None else ",,,,")
         for scenario in Scenario:
-            out = rec.outcomes.get(scenario)
+            out = table.outcomes[scenario][j]
             if out is None:
-                lines.append(f"{rec.value:.9g},{scenario.value},,,,,,,,{tail},{rec.note}")
+                lines.append(f"{value:.9g},{scenario.value},,,,,,,,{tail},"
+                             f"{table.notes[j]}")
             else:
                 numbers = ",".join(f"{x:.9g}" for x in (
                     out.pA1, out.pB1, out.pA2, out.pB2, out.cutoff1,
                     out.profitA, out.profitB))
-                lines.append(f"{rec.value:.9g},{scenario.value},{numbers},{tail},ok")
+                lines.append(f"{value:.9g},{scenario.value},{numbers},{tail},ok")
     return "\n".join(lines) + "\n"
 
 
@@ -218,19 +247,17 @@ def test_reuse_matches_solving_every_point(reference):
     notes, shared = set(), 0
     for p in [reference, *draws("wide", 711, 6), *draws("edge", 712, 6)]:
         for spec in crossing_grids(p):
-            records = run_sweep(p, spec)
+            table = run_sweep(p, spec)
             expected = solved_point_by_point(p, spec)
             buf = io.StringIO()
-            write_sweep_csv(records, buf)
+            write_sweep_csv(table, buf)
             assert buf.getvalue() == csv_row_by_row(expected), (p, spec)
-            svgs = [render_profit_svg(recs, spec.param) if any(
-                rec.thresholds for rec in recs) else None
-                for recs in (records, expected)]
+            svgs = [render_profit_svg(result, spec.param) if any(
+                result.thresholds) else None for result in (table, expected)]
             assert svgs[0] == svgs[1], (p, spec)
-            notes.update(rec.note.partition(":")[0] for rec in records)
-            valid = [rec for rec in records if rec.thresholds is not None]
-            shared += sum(a.thresholds is b.thresholds
-                          for a, b in zip(valid, valid[1:]))
+            notes.update(note.partition(":")[0] for note in table.notes)
+            valid = [th for th in table.thresholds if th is not None]
+            shared += sum(a is b for a, b in zip(valid, valid[1:]))
     assert notes == {"", "invalid", "corner"} and shared > 0
 
 
@@ -389,9 +416,9 @@ class TestGrid:
 def test_a_flat_profit_line_is_padded_by_one_each_way(reference):
     # past both corner bounds only the same-chain line is left, with
     # profitB = s = 3 at every point
-    records = run_sweep(reference, SweepSpec("d", 10.0, 12.0, 5))
-    assert {rec.outcomes[Scenario.SAME_CHAIN].profitB for rec in records} == {3.0}
-    svg = render_profit_svg(records, "d")
+    table = run_sweep(reference, SweepSpec("d", 10.0, 12.0, 5))
+    assert {out.profitB for out in table.outcomes[Scenario.SAME_CHAIN]} == {3.0}
+    svg = render_profit_svg(table, "d")
     assert svg.count("<polyline") == 1
     assert 'text-anchor="end" font-family="sans-serif">2</text>' in svg
     assert 'text-anchor="end" font-family="sans-serif">4</text>' in svg
