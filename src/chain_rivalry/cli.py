@@ -176,7 +176,9 @@ def _open_outputs(targets: Sequence[tuple[str, str | None]]) -> list:
             existed = os.path.exists(path)
             outputs.append(open(path, "a", encoding="utf-8", newline=newline))
             if not existed:
-                created.append(path)
+                # through a dangling symlink the open creates the link's
+                # target, which is what a cleanup removes; the link stays
+                created.append(os.path.realpath(path))
             opened = os.fstat(outputs[-1].fileno())
             for (earlier, _), fh in zip(targets, outputs[:-1]):
                 if (stat.S_ISREG(opened.st_mode)

@@ -398,10 +398,11 @@ def require_finite(what: str, result) -> None:
 
 # The most draws of run_verification and grid points of a sweep, whose work
 # is held in memory: tracemalloc peaks grew 6.0 kB per trial with both
-# routes (1000 against 3000 trials) and 2.3 to 2.5 kB per step of run_sweep
-# with its CSV and SVG (10 000 against 30 000 steps of d, s and alpha on the
-# reference config), and a trial took 0.6 ms, a step 0.02 ms, on one Intel
-# Xeon core: 10**5 stays under 0.6 GB and a minute.
+# routes (1000 against 3000 trials) and 1.5 to 1.75 kB per step of run_sweep
+# with its CSV, written to a file row by row, and its SVG (10 000 against
+# 30 000 steps of d, s and alpha on the reference config), and a trial took
+# 0.6 ms, a step 0.02 ms, on one Intel Xeon core: 10**5 stays under 0.6 GB
+# and a minute.
 MAX_COUNT = 10 ** 5
 
 

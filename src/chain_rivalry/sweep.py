@@ -21,15 +21,15 @@ subsidies. The CSV writer formats the numbers of a shared outcome or
 threshold report once.
 
 run_sweep returns one SweepTable of columns, so a grid point is one entry
-in each column and no object of its own. What each point still costs: a
-ModelParams built positionally from one row of fields, and its
-validate_params report; at a valid point, the equilibria of the scenarios
-that read the swept field (and the thresholds, when they read it too),
-and the choice, decided from the three subsidy-inclusive payoffs by
-closed_form.choose_platform, with no AdoptionDecision built. A corner's
-note comes from a table keyed by the three corner flags. The writers read
-the columns as they stand: the SVG formats the y of a shared outcome once,
-as the CSV formats its numbers once.
+in each column and no object of its own; its ModelParams, built
+positionally from one row of fields, and its validate_params report are
+dropped once its entries are set. At a valid point it solves the
+scenarios that read the swept field (and the thresholds, when they read it
+too) and decides the choice from the three subsidy-inclusive payoffs by
+closed_form.choose_platform; a corner's note comes from a table keyed by
+the three corner flags. write_sweep_csv writes each row to its stream as
+soon as the row is formatted, so a sweep holds its table and nothing of
+its CSV. The SVG is one string, which formats a shared outcome's y once.
 """
 
 import math
@@ -172,36 +172,31 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> SweepTable:
         row[at] = value
         point = ModelParams(*row)
         validity = validate(point)
-        if not validity.ok:
-            column1.append(None)
-            column2.append(None)
-            column3.append(None)
-            chosen.append("")
-            thresholds.append(None)
-            notes.append("invalid: " + "; ".join(validity.violations))
-            continue
-        for scenario in resolved if latest else SCENARIOS:
-            try:
-                latest[scenario] = solve(point, scenario, validate=False)
-            except CornerEquilibriumError:
-                latest[scenario] = None
-            except ValueError as exc:
-                raise ValueError(f"{param}={value!r}: {exc}") from exc
-        if resolve_thresholds or report is None:
-            report = solve_thresholds(point, validate=False)
-        out1, out2, out3 = latest[same], latest[compatible], latest[incompatible]
+        if validity.ok:
+            for scenario in resolved if latest else SCENARIOS:
+                try:
+                    latest[scenario] = solve(point, scenario, validate=False)
+                except CornerEquilibriumError:
+                    latest[scenario] = None
+                except ValueError as exc:
+                    raise ValueError(f"{param}={value!r}: {exc}") from exc
+            if resolve_thresholds or report is None:
+                report = solve_thresholds(point, validate=False)
+            out1, out2, out3 = latest[same], latest[compatible], latest[incompatible]
+            corners = out1 is None, out2 is None, out3 is None
+            choice = "" if any(corners) else choose_platform(
+                out1.profitB_with_subsidy, out2.profitB_with_subsidy,
+                out3.profitB_with_subsidy)
+            point_report, note = report, _CORNER_NOTES[corners]
+        else:
+            out1 = out2 = out3 = point_report = None
+            choice, note = "", "invalid: " + "; ".join(validity.violations)
         column1.append(out1)
         column2.append(out2)
         column3.append(out3)
-        thresholds.append(report)
-        if out1 is None or out2 is None or out3 is None:
-            chosen.append("")
-            notes.append(_CORNER_NOTES[out1 is None, out2 is None, out3 is None])
-        else:
-            chosen.append(choose_platform(out1.profitB_with_subsidy,
-                                          out2.profitB_with_subsidy,
-                                          out3.profitB_with_subsidy))
-            notes.append("")
+        chosen.append(choice)
+        thresholds.append(point_report)
+        notes.append(note)
     return SweepTable(tuple(values),
                       {same: tuple(column1), compatible: tuple(column2),
                        incompatible: tuple(column3)},
@@ -212,11 +207,11 @@ def write_sweep_csv(table: SweepTable, stream: TextIOBase) -> int:
     """Write the long-format table; returns the number of data rows.
 
     Floats print with 9 significant digits and a missing value as an empty
-    field, one formatted line per row. An outcome or a threshold report
-    that consecutive valid points share, as run_sweep's table does, has its
-    numbers formatted once."""
-    lines = [CSV_HEADER + "\n"]
-    append = lines.append
+    field, one formatted line per row, written as soon as it is formatted.
+    An outcome or a threshold report that consecutive valid points share,
+    as run_sweep's table does, has its numbers formatted once."""
+    write = stream.write
+    write(CSV_HEADER + "\n")
     names = _SCENARIO_NAMES
     # each scenario's latest outcome and that outcome's numbers
     latest, texts = [None, None, None], ["", "", ""]
@@ -234,14 +229,13 @@ def write_sweep_csv(table: SweepTable, stream: TextIOBase) -> int:
             tail = f"{chosen},{report_text}"
         for i, out in enumerate(outs):
             if out is None:
-                append(f"{value},{names[i]},,,,,,,,{tail},{note}\n")
+                write(f"{value},{names[i]},,,,,,,,{tail},{note}\n")
                 continue
             if out is not latest[i]:
                 latest[i] = out
                 texts[i] = _OUTCOME_NUMBERS % (out.pA1, out.pB1, out.pA2, out.pB2,
                                                out.cutoff1, out.profitA, out.profitB)
-            append(f"{value},{names[i]},{texts[i]},{tail},ok\n")
-    stream.write("".join(lines))
+            write(f"{value},{names[i]},{texts[i]},{tail},ok\n")
     return len(table.values) * len(SCENARIOS)
 
 

@@ -247,6 +247,18 @@ class TestSweepCommand:
         assert "wrote" not in capsys.readouterr().out
         assert out_csv.read_text(encoding="utf-8") == "kept\n"
 
+    def test_an_output_through_a_dangling_symlink_leaves_the_link(
+            self, tmp_path, capsys):
+        # opening the link creates its target; when the chart then fails to
+        # open, that target goes and the user's link stays as it was
+        out_csv, target = tmp_path / "sweep.csv", tmp_path / "target.csv"
+        out_csv.symlink_to(target)
+        assert self._sweep_into(out_csv, tmp_path / "missing" / "chart.svg") == 1
+        assert "wrote" not in capsys.readouterr().out
+        assert out_csv.is_symlink()
+        assert os.readlink(out_csv) == str(target)
+        assert not target.exists()
+
     def _sweep_into(self, out, svg):
         return cli.main(["sweep", "--config", str(REPO_CONFIG), "--param", "d",
                          "--lo", "0", "--hi", "2", "--steps", "3",
