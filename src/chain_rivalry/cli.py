@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes are part of the contract: 0 success, 1 config/IO/usage error,
-2 blockaded (corner) equilibrium, 3 verification tolerance breach or, from
-thresholds, a violated subsidy ordering c2_star < c3_star.
+Exit codes are part of the contract: 0 success, 1 config/IO/usage error
+or out of memory, 2 blockaded (corner) equilibrium, 3 verification
+tolerance breach or, from thresholds, a violated subsidy ordering c2_star
+< c3_star.
 
 Each command is one subparser, built with its --config and registered with
 its handler, a function of the parameters and the parsed arguments; main
@@ -16,6 +17,7 @@ sweep never load it, nor dataclasses or inspect either.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import stat
@@ -140,57 +142,56 @@ def _cmd_sweep(params: ModelParams, args: argparse.Namespace) -> int:
     table = sweep_mod.run_sweep(params, spec)
     # render first and open both outputs before writing either: a sweep
     # with nothing to plot, or an output path that cannot be opened, fails
-    # before any file is written
+    # before any file is written. Whatever fails once the opens begin (a
+    # write, a close, a MemoryError) closes the outputs and removes the
+    # files the opens created before it propagates
     chart = sweep_mod.render_profit_svg(table, spec.param) if args.svg else None
-    outputs = _open_outputs([(args.out, "")]
-                            + ([] if chart is None else [(args.svg, None)]))
-    try:
-        fh = _rewind(outputs[0])
-        rows = sweep_mod.write_sweep_csv(table, fh)
-        fh.close()
-        print(f"wrote {rows} rows ({spec.steps} grid points) to {args.out}")
-        if chart is not None:
-            fh = _rewind(outputs[1])
-            fh.write(chart)
-            fh.close()
-            print(f"wrote chart to {args.svg}")
-    finally:
-        for fh in outputs:
-            fh.close()
-    return EXIT_OK
-
-
-def _open_outputs(targets: Sequence[tuple[str, str | None]]) -> list:
-    """A text file open for writing per (path, newline), or none at all.
-
-    Each path opens for appending, so a file that exists keeps its content
-    until the caller empties it with _rewind and writes it. When a path
-    cannot be opened, or names the same regular file as an earlier one
-    (which _rewind would empty after the earlier one is written), the files
-    opened so far are closed, those this call created are removed, and an
-    OSError propagates.
-    """
     outputs, created = [], []
     try:
-        for path, newline in targets:
-            existed = os.path.exists(path)
-            outputs.append(open(path, "a", encoding="utf-8", newline=newline))
-            if not existed:
-                # through a dangling symlink the open creates the link's
-                # target, which is what a cleanup removes; the link stays
-                created.append(os.path.realpath(path))
-            opened = os.fstat(outputs[-1].fileno())
-            for (earlier, _), fh in zip(targets, outputs[:-1]):
-                if (stat.S_ISREG(opened.st_mode)
-                        and os.path.samestat(opened, os.fstat(fh.fileno()))):
-                    raise OSError(f"outputs {earlier} and {path} are one file")
-    except OSError:
+        _open_outputs([(args.out, "")]
+                      + ([] if chart is None else [(args.svg, None)]),
+                      outputs, created)
+        rows = sweep_mod.write_sweep_csv(table, _rewind(outputs[0]))
+        if chart is not None:
+            _rewind(outputs[1]).write(chart)
         for fh in outputs:
             fh.close()
+    except BaseException:
+        for fh in outputs:
+            with contextlib.suppress(OSError):
+                fh.close()
         for path in created:
             os.remove(path)
         raise
-    return outputs
+    print(f"wrote {rows} rows ({spec.steps} grid points) to {args.out}")
+    if chart is not None:
+        print(f"wrote chart to {args.svg}")
+    return EXIT_OK
+
+
+def _open_outputs(targets: Sequence[tuple[str, str | None]], outputs: list,
+                  created: list) -> None:
+    """Append to outputs a text file open for writing per (path, newline),
+    and to created each file an open made.
+
+    Each path opens for appending, so a file that exists keeps its content
+    until the caller empties it with _rewind and writes it. An OSError
+    propagates when a path cannot be opened, or names the same regular file
+    as an earlier one (which _rewind would empty after the earlier one is
+    written); the caller then closes outputs and removes created.
+    """
+    for path, newline in targets:
+        existed = os.path.exists(path)
+        outputs.append(open(path, "a", encoding="utf-8", newline=newline))
+        if not existed:
+            # through a dangling symlink the open creates the link's
+            # target, which is what a cleanup removes; the link stays
+            created.append(os.path.realpath(path))
+        opened = os.fstat(outputs[-1].fileno())
+        for (earlier, _), fh in zip(targets, outputs[:-1]):
+            if (stat.S_ISREG(opened.st_mode)
+                    and os.path.samestat(opened, os.fstat(fh.fileno()))):
+                raise OSError(f"outputs {earlier} and {path} are one file")
 
 
 def _rewind(fh):
@@ -261,6 +262,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -5,10 +5,10 @@ entrant B picks one of three homes: the same chain (shared network), a
 compatible chain (separate network, costless switching), or an incompatible
 chain (separate network, users locked in after period 1). A continuum of
 users indexed by x in [0, 1] trades off price, taste distance, network size,
-and a stand-alone value k each period. taste_distances gives one type's
-distances to both firms, and user_utility turns them into both firms'
-utilities at given prices and adoption shares; the simulator calls both on
-one float type at a time.
+and a stand-alone value k each period. net_values states the part of
+both firms' utilities that no taste enters, and user_utility adds a type's
+taste distances and k to it. The simulator takes the net values once per
+step and evaluates each type it reads in user_utility's arithmetic.
 """
 
 from __future__ import annotations
@@ -420,31 +420,17 @@ def require_count(n, what: str, least: int, most=math.inf) -> int:
     raise ValueError(f"{what} must be {bound}{got}")
 
 
-def taste_distances(p: ModelParams, x: float) -> tuple[float, float]:
-    """Taste distances (s*x, s*(1-x)) of type x to firm A and to firm B;
-    rejects any x outside [0, 1], NaN included."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("user type x outside [0, 1]")
-    return p.s * x, p.s * (1.0 - x)
-
-
-def user_utility(p: ModelParams, scenario: Scenario,
-                 distances: tuple[float, float], pA: float, pB: float,
-                 nA: float, nB: float) -> tuple[float, float]:
-    """Per-period utilities (uA, uB) from firm A and firm B of the type
-    whose taste distances (to A, to B) are given, as taste_distances
-    returns them.
+def net_values(p: ModelParams, scenario: Scenario, pA: float, pB: float,
+               nA: float, nB: float) -> tuple[float, float]:
+    """Network value less price (net_a, net_b) of firm A and of firm B, the
+    part of every type's utility that does not depend on its taste.
 
     The network term counts the chain's existing base plus current-period
     adopters reachable there: on a shared chain both firms' adopters count
     for everyone; on separate chains each firm's chain carries its own base
     (n2 or n3 for B) plus its own adopters, and B's chain adds the quality
-    edge d. Choosing neither is worth exactly 0 in every period. Each
-    utility is evaluated as ((network value - price) - distance) + k, in
-    that order. It stays plain arithmetic because the tests' brute-force
-    references evaluate it on arrays of distances.
+    edge d.
     """
-    dist_a, dist_b = distances
     if scenario is SAME_CHAIN:
         network_a = network_b = p.n1 + nA + nB
         edge = 0.0
@@ -453,6 +439,20 @@ def user_utility(p: ModelParams, scenario: Scenario,
         base = p.n2 if scenario is COMPATIBLE else p.n3
         network_b = base + nB
         edge = p.d
-    net_a = p.alpha * network_a - pA
-    net_b = p.alpha * network_b + edge - pB
+    return p.alpha * network_a - pA, p.alpha * network_b + edge - pB
+
+
+def user_utility(p: ModelParams, scenario: Scenario,
+                 distances: tuple[float, float], pA: float, pB: float,
+                 nA: float, nB: float) -> tuple[float, float]:
+    """Per-period utilities (uA, uB) from firm A and firm B of the type
+    whose taste distances (s*x, s*(1 - x)) to A and to B are given.
+
+    Choosing neither is worth exactly 0 in every period. Each utility is
+    evaluated as (net value - distance) + k, in that order, from
+    net_values. It stays plain arithmetic because the tests' brute-force
+    references evaluate it on arrays of distances.
+    """
+    dist_a, dist_b = distances
+    net_a, net_b = net_values(p, scenario, pA, pB, nA, nB)
     return net_a - dist_a + p.k, net_b - dist_b + p.k

@@ -23,11 +23,13 @@ middle: when the type just below it still has uA >= 0, a_exit is the
 split, and when the split itself has uB >= 0, so is b_entry. Only a step
 where some type stays out, or whose split sits on a lock, searches for
 them the same way; with full participation an unlocked step costs the
-split search alone. The searches of a step read one table of utilities by
-type index, which evaluates a type on its first lookup, so a type they
-share is evaluated once per step. The shares are a_exit/m and
-(m - b_entry)/m, and the cutoff, the upper edge of A's last cell, is
-a_exit/m.
+split search alone. A step takes both firms' net values, the part of a
+utility no taste enters, from model.net_values once, and the utilities at
+zero taste distance, which place the searches' guesses, from one
+user_utility call. Each type a search or a neighbour check reads is then
+plain arithmetic on those, in user_utility's order, so a type costs no
+call. The shares are a_exit/m and (m - b_entry)/m, and the cutoff, the
+upper edge of A's last cell, is a_exit/m.
 
 simulate_game is the one public entry. It checks its arguments once per
 game, by model's rules, and plays period 1 on all m types. Under lock-in
@@ -47,9 +49,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .model import (INCOMPATIBLE, ModelParams, Scenario, record, require_count,
-                    require_finite, require_number, require_scenario,
-                    require_valid, shown, taste_distances, user_utility)
+from .model import (INCOMPATIBLE, ModelParams, Scenario, net_values, record,
+                    require_count, require_finite, require_number,
+                    require_scenario, require_valid, shown, user_utility)
 
 MAX_FIXED_POINT_ITER = 1000
 
@@ -113,36 +115,6 @@ def _first(holds, lo: int, hi: int, guess: float) -> int:
     return bisect.bisect_left(range(hi), True, below, above, key=holds)
 
 
-class _Table(dict):
-    """One fixed-point step's utilities (uA, uB) by type index. The step's
-    searches meet at shared types, so each type is evaluated once, on its
-    first lookup.
-
-    __missing__ calls taste_distances and user_utility through the module
-    globals, so a patched or traced sim.taste_distances or sim.user_utility
-    sees every evaluation. a_out, b_in and picks_b are the searches'
-    predicates: uA < 0, uB >= 0 and uB >= uA.
-    """
-
-    __slots__ = ("p", "scenario", "m", "pA", "pB", "nA", "nB")
-
-    def __missing__(self, i):
-        utilities = self[i] = user_utility(
-            self.p, self.scenario, taste_distances(self.p, (i + 0.5) / self.m),
-            self.pA, self.pB, self.nA, self.nB)
-        return utilities
-
-    def a_out(self, i):
-        return self[i][0] < 0.0
-
-    def b_in(self, i):
-        return self[i][1] >= 0.0
-
-    def picks_b(self, i):
-        uA, uB = self[i]
-        return uB >= uA
-
-
 def _step(p: ModelParams, scenario: Scenario, m: int, pA: float, pB: float,
           nA: float, nB: float, lo: int, hi: int) -> tuple[int, int]:
     """One fixed-point step at conjectured shares nA, nB: the boundaries
@@ -155,23 +127,40 @@ def _step(p: ModelParams, scenario: Scenario, m: int, pA: float, pB: float,
     never rises with i and uB never falls. Inside the free middle the
     split's neighbours settle a_exit when the type below keeps uA >= 0 and
     b_entry when the split keeps uB >= 0; each is searched for otherwise.
-    All three searches read one _Table, so a type they share is evaluated
-    once per step."""
-    table = _Table()
-    table.p, table.scenario, table.m = p, scenario, m
-    table.pA, table.pB, table.nA, table.nB = pA, pB, nA, nB
-    s = p.s
+
+    Type i sits at x = (i + 1/2)/m and is evaluated as uA = (net_a - s*x)
+    + k and uB = (net_b - s*(1 - x)) + k, bitwise user_utility at its taste
+    distances. picks_b, a_out and b_in are the searches' predicates uB >=
+    uA, uA < 0 and uB >= 0; the two neighbour checks repeat a_out's and
+    b_in's arithmetic inline, as a call costs more than the arithmetic, and
+    a_out and b_in are only made for a search that needs them."""
+    s, k = p.s, p.k
+    net_a, net_b = net_values(p, scenario, pA, pB, nA, nB)
+
+    def picks_b(i):
+        x = (i + 0.5) / m
+        return net_b - s * (1.0 - x) + k >= net_a - s * x + k
+
     # the analytic boundaries, from the utilities at zero taste distance:
     # uA < 0 past x = zero_a/s, uB >= 0 from x = 1 - zero_b/s, and B beats
     # A from x = 1/2 + (zero_a - zero_b)/(2s); type x sits at index m*x - 1/2
     zero_a, zero_b = user_utility(p, scenario, (0.0, 0.0), pA, pB, nA, nB)
-    split = _first(table.picks_b, lo, hi,
+    split = _first(picks_b, lo, hi,
                    m * (0.5 + (zero_a - zero_b) / (2.0 * s)) - 0.5)
-    # a split found within one of its guess has evaluated both neighbours
-    a_exit = (split if split > lo and not table.a_out(split - 1)
-              else _first(table.a_out, 0, split, m * (zero_a / s) - 0.5))
-    b_entry = (split if split < hi and table.b_in(split)
-               else _first(table.b_in, split, m, m * (1.0 - zero_b / s) - 0.5))
+    if split > lo and not net_a - s * ((split - 1 + 0.5) / m) + k < 0.0:
+        a_exit = split
+    else:
+        def a_out(i):
+            return net_a - s * ((i + 0.5) / m) + k < 0.0
+
+        a_exit = _first(a_out, 0, split, m * (zero_a / s) - 0.5)
+    if split < hi and net_b - s * (1.0 - (split + 0.5) / m) + k >= 0.0:
+        b_entry = split
+    else:
+        def b_in(i):
+            return net_b - s * (1.0 - (i + 0.5) / m) + k >= 0.0
+
+        b_entry = _first(b_in, split, m, m * (1.0 - zero_b / s) - 0.5)
     return a_exit, b_entry
 
 

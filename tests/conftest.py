@@ -300,8 +300,8 @@ def profit_b_incompatible(p, d=None):
 
 def midpoint_types(p, m):
     """The m midpoint types x = (i + 1/2)/m as an array, with their taste
-    distance pair (s*x, s*(1-x)) in taste_distances' arithmetic, for the
-    tests' array references of the simulator and the demand."""
+    distance pair (s*x, s*(1-x)) in the arithmetic of the simulator's step,
+    for the tests' array references of the simulator and the demand."""
     x = (np.arange(m) + 0.5) / m
     return x, (p.s * x, p.s * (1.0 - x))
 

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from chain_rivalry import cli, sim
+from chain_rivalry import cli, sim, sweep
 from chain_rivalry.model import ModelParams
 from chain_rivalry.sweep import CSV_HEADER
 from conftest import profit_b_compatible, skew_compatible_profit_b, without_equilibrium_lines
@@ -258,6 +258,22 @@ class TestSweepCommand:
         assert out_csv.is_symlink()
         assert os.readlink(out_csv) == str(target)
         assert not target.exists()
+
+    @pytest.mark.parametrize("stage", ["run_sweep", "write_sweep_csv"])
+    def test_running_out_of_memory_writes_no_file(self, tmp_path, capsys,
+                                                  monkeypatch, stage):
+        # before the outputs open and after both are open: one error line
+        # and no traceback, and neither output is left behind
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(sweep, stage, exhausted)
+        out_csv, out_svg = tmp_path / "sweep.csv", tmp_path / "chart.svg"
+        assert self._sweep_into(out_csv, out_svg) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: out of memory"]
+        assert captured.out == ""
+        assert not out_csv.exists() and not out_svg.exists()
 
     def _sweep_into(self, out, svg):
         return cli.main(["sweep", "--config", str(REPO_CONFIG), "--param", "d",

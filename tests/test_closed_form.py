@@ -271,7 +271,7 @@ class TestSymbolicCore:
     @pytest.mark.parametrize("scenario", [Scenario.SAME_CHAIN, Scenario.COMPATIBLE])
     def test_prices_zero_both_first_order_conditions(self, scenario):
         # The indifferent type x from model.user_utility at full coverage,
-        # shares (x, 1 - x), taste distances as taste_distances forms them;
+        # shares (x, 1 - x), taste distances (s*x, s*(1 - x));
         # each firm's price times its share is stationary in its own price
         # at the core's prices, and the core's cutoff is that type there.
         sympy, p = self._symbols()

@@ -16,8 +16,8 @@ from chain_rivalry.model import (
     InvalidParamsError,
     ModelParams,
     Scenario,
+    net_values,
     require_valid,
-    taste_distances,
     user_utility,
     validate_params,
 )
@@ -352,7 +352,7 @@ class TestEnums:
 class TestUserUtility:
     @staticmethod
     def utility(p, scenario, x, **kwargs):
-        return user_utility(p, scenario, taste_distances(p, x), **kwargs)
+        return user_utility(p, scenario, (p.s * x, p.s * (1.0 - x)), **kwargs)
 
     def test_shared_chain_midpoint_is_symmetric(self, reference):
         """At equal prices the middle user gets the same utility from both
@@ -401,30 +401,28 @@ class TestUserUtility:
             assert scalar == v
 
 
-class TestTasteDistances:
-    def test_distances_to_both_firms(self, reference):
-        # s = 3: a type's distance to A is 3x and to B 3(1 - x)
-        for x, want in ((0.0, (0.0, 3.0)), (0.25, (0.75, 2.25)),
-                        (1.0, (3.0, 0.0))):
-            got = taste_distances(reference, x)
-            assert got == want
-            assert all(type(d) is float for d in got)
+class TestNetValues:
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_utility_is_net_value_less_distance_plus_k(self, reference,
+                                                       scenario):
+        # user_utility adds a type's distances and k to net_values, in the
+        # order the simulator's step repeats per type
+        p = reference.with_values(d=0.7, n3=4.0)
+        net_a, net_b = net_values(p, scenario, 2.5, 2.0, 0.4, 0.35)
+        for x in (0.0, 0.3, 1.0):
+            dist_a, dist_b = p.s * x, p.s * (1.0 - x)
+            assert user_utility(p, scenario, (dist_a, dist_b), 2.5, 2.0, 0.4,
+                                0.35) == ((net_a - dist_a) + p.k,
+                                          (net_b - dist_b) + p.k)
 
-    def test_scalar_distances_match_the_tests_array_reference(self, reference):
-        # the tests' array references build their distances with
-        # conftest.midpoint_types, in the same arithmetic as a float type
-        p = reference.with_values(s=0.1)
-        xs, (to_a, to_b) = midpoint_types(p, 997)
-        for i in (0, 1, 333, 498, 996):
-            assert taste_distances(p, (i + 0.5) / 997) == (to_a[i], to_b[i])
-            assert xs[i] == (i + 0.5) / 997
-
-    # the last two lie one ulp outside each end of the interval
-    @pytest.mark.parametrize("x", [1.5, -0.25, np.nan, np.inf, -np.inf,
-                                   pytest.param(math.nextafter(1.0, 2.0),
-                                                id="x5"),
-                                   pytest.param(math.nextafter(0.0, -1.0),
-                                                id="x6")])
-    def test_rejects_type_outside_unit_interval(self, reference, x):
-        with pytest.raises(ValueError, match="outside"):
-            taste_distances(reference, x)
+    def test_no_taste_enters_the_net_values(self, reference):
+        # the shared chain counts both firms' adopters in one network; on
+        # separate chains B's carries its own base and the edge d
+        p = reference.with_values(d=0.7, n2=5.0, n3=6.0)
+        assert net_values(p, Scenario.SAME_CHAIN, 2.0, 1.5, 0.5, 0.25) == (
+            p.alpha * (p.n1 + 0.5 + 0.25) - 2.0,
+            p.alpha * (p.n1 + 0.5 + 0.25) + 0.0 - 1.5)
+        for scenario, base in ((Scenario.COMPATIBLE, 5.0),
+                               (Scenario.INCOMPATIBLE, 6.0)):
+            assert net_values(p, scenario, 2.0, 1.5, 0.5, 0.25) == (
+                p.alpha * (p.n1 + 0.5) - 2.0, p.alpha * (base + 0.25) + 0.7 - 1.5)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -35,24 +36,75 @@ def _masks(m, out, bounds, locks=None):
     return take_a, take_b
 
 
+@dataclasses.dataclass
+class _WatchedStep:
+    """One fixed-point step as _watched_steps saw it: its arguments, its
+    searches as (predicate name, lo, hi, [(index, value), ...]) in order,
+    and every type index it read, its neighbour checks included."""
+
+    args: tuple
+    searches: list = dataclasses.field(default_factory=list)
+    reads: list = dataclasses.field(default_factory=list)
+
+
+@contextlib.contextmanager
+def _watched_steps():
+    """The steps played while the context is open, one _WatchedStep each.
+
+    A search reads its types through the predicate it hands sim._first,
+    which the watch wraps. The step's first search finds the split, and
+    two neighbour checks then read split - 1 when split > lo and split
+    when split < hi; the watch adds those reads after the split's."""
+    steps = []
+    real_step, real_first = sim._step, sim._first
+
+    def step(*args):
+        steps.append(_WatchedStep(args))
+        return real_step(*args)
+
+    def first(holds, lo, hi, guess):
+        current = steps[-1]
+        values = []
+
+        def read(i):
+            value = holds(i)
+            values.append((i, value))
+            current.reads.append(i)
+            return value
+
+        found = real_first(read, lo, hi, guess)
+        if not current.searches:
+            step_lo, step_hi = current.args[-2:]
+            current.reads += [i for i, checked in ((found - 1, found > step_lo),
+                                                   (found, found < step_hi))
+                              if checked]
+        current.searches.append((holds.__name__, lo, hi, values))
+        return found
+
+    with mock.patch.object(sim, "_step", step), \
+            mock.patch.object(sim, "_first", first):
+        yield steps
+
+
 def _evaluated_types(p, prices, m):
-    """The set of types whose taste distances a game evaluates, over every
-    scenario."""
-    with mock.patch.object(sim, "taste_distances",
-                           wraps=model.taste_distances) as evaluated:
+    """The set of type indices a game reads, over every scenario, with the
+    steps that read them."""
+    with _watched_steps() as steps:
         runs = [simulate_game(p, scenario, prices, m=m) for scenario in Scenario]
-    return {call.args[1] for call in evaluated.call_args_list}, runs
+    return {i for step in steps for i in step.reads}, steps, runs
 
 
 class TestMidpointTypes:
     def test_midpoint_types(self, reference):
-        seen, _ = _evaluated_types(reference, (3.0, 3.0, 4.0, 2.0), 4)
-        assert seen and seen <= {0.125, 0.375, 0.625, 0.875}
+        # type index i stands for the midpoint (i + 1/2)/m of its cell
+        seen, _, _ = _evaluated_types(reference, (3.0, 3.0, 4.0, 2.0), 4)
+        assert seen and seen <= {0, 1, 2, 3}
+        assert all(type(i) is int for i in seen)
 
     def test_single_user(self, reference):
         # one type of mass 1, at the middle of the taste line
-        seen, runs = _evaluated_types(reference, (3.0, 3.0, 4.0, 2.0), 1)
-        assert seen == {0.5}
+        seen, _, runs = _evaluated_types(reference, (3.0, 3.0, 4.0, 2.0), 1)
+        assert seen == {0}
         for run in runs:
             for out in (run.period1, run.period2):
                 assert out.converged
@@ -68,10 +120,24 @@ class TestMidpointTypes:
 
     @pytest.mark.parametrize("m", [7, 999, 10000])
     def test_simulated_types_are_the_population_types(self, reference, m):
-        # type i is computed as (i + 1/2)/m, bitwise the tests' array of types
-        types = set(midpoint_types(reference, m)[0].tolist())
-        seen, _ = _evaluated_types(reference, (3.0, 3.0, 4.0, 2.0), m)
-        assert seen and seen <= types
+        # type i is evaluated at (i + 1/2)/m, bitwise the tests' array of
+        # types: every predicate a search reads agrees with the array
+        # reference's utilities at the step's prices and shares
+        predicates = {"a_out": lambda uA, uB: uA < 0.0,
+                      "b_in": lambda uA, uB: uB >= 0.0,
+                      "picks_b": lambda uA, uB: uB >= uA}
+        seen, steps, _ = _evaluated_types(reference, (3.0, 3.0, 4.0, 2.0), m)
+        assert seen and seen <= set(range(m))
+        _, distances = midpoint_types(reference, m)
+        checked = 0
+        for step in steps:
+            p, scenario, _, pA, pB, nA, nB, _, _ = step.args
+            uA, uB = model.user_utility(p, scenario, distances, pA, pB, nA, nB)
+            for name, _, _, values in step.searches:
+                for i, value in values:
+                    assert value == predicates[name](uA[i], uB[i])
+                    checked += 1
+        assert checked > 0
 
 
 class TestFirst:
@@ -195,88 +261,62 @@ class TestPeriod:
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_types_evaluated_per_step_do_not_grow_with_m(self, reference,
-                                                         scenario,
-                                                         monkeypatch):
+                                                         scenario):
         # a step searches for its boundaries from their analytic positions,
-        # so it evaluates the same few types at a thousand types as at a
+        # so it reads the same few types at a thousand types as at a
         # million; a walk or a pass over the types would grow with m
-        per_step = []
-        real_step = sim._step
-
-        def counted_step(*args):
-            per_step.append(0)
-            return real_step(*args)
-
-        def counted_distances(*args):
-            per_step[-1] += 1
-            return model.taste_distances(*args)
-
-        monkeypatch.setattr(sim, "_step", counted_step)
-        monkeypatch.setattr(sim, "taste_distances", counted_distances)
         closed = equilibrium(reference, scenario)
         prices = (closed.pA1, closed.pB1, closed.pA2, closed.pB2)
         counts = []
         for m in (1000, 1000000):
-            per_step.clear()
-            run = simulate_game(reference, scenario, prices, m=m)
+            with _watched_steps() as steps:
+                run = simulate_game(reference, scenario, prices, m=m)
             assert run.period1.converged and run.period2.converged
+            per_step = [len(step.reads) for step in steps]
             counts.append((per_step[0], max(per_step)))
         assert counts[0] == counts[1]
-        assert counts[0][1] <= 3
+        # a split found at its guess or the neighbour reads two types, and
+        # its two neighbour checks two more
+        assert 0 < counts[0][1] <= 4
 
-    def test_a_step_evaluates_each_type_once(self, reference, draws100,
-                                             monkeypatch):
-        # the split's and the exits' searches meet at shared types; one
-        # table per step evaluates each of them once. Period 2 is shifted,
-        # so the locked steps of lock-in are played too.
-        per_step = []  # the types each step evaluates, in order
-        real_step = sim._step
-
-        def counted_step(*args):
-            per_step.append([])
-            return real_step(*args)
-
-        def recorded_distances(p, x):
-            per_step[-1].append(x)
-            return model.taste_distances(p, x)
-
-        monkeypatch.setattr(sim, "_step", counted_step)
-        monkeypatch.setattr(sim, "taste_distances", recorded_distances)
-        for p in [reference, *draws100]:
-            for scenario in Scenario:
-                closed = equilibrium(p, scenario)
-                for shift in (0.0, 0.1 * p.s):
-                    simulate_game(p, scenario, (closed.pA1, closed.pB1,
-                                                closed.pA2 + shift,
-                                                closed.pB2 - shift))
-        assert len(per_step) > 1000
-        assert sum(map(len, per_step)) > 2 * len(per_step)
-        assert all(len(set(types)) == len(types) for types in per_step)
+    def test_a_step_reads_within_its_search_bound(self, reference, draws100):
+        # a step makes at most three searches, the split's and the exits',
+        # each within _first's budget of two reads and a bisection of its
+        # range, plus the split's two neighbour checks. Period 2 is
+        # shifted, so the locked steps of lock-in are played too.
+        with _watched_steps() as steps:
+            for p in [reference, *draws100]:
+                for scenario in Scenario:
+                    closed = equilibrium(p, scenario)
+                    for shift in (0.0, 0.1 * p.s):
+                        simulate_game(p, scenario, (closed.pA1, closed.pB1,
+                                                    closed.pA2 + shift,
+                                                    closed.pB2 - shift))
+        assert len(steps) > 1000
+        searched = 0
+        for step in steps:
+            assert 1 <= len(step.searches) <= 3
+            budget = 2
+            for _, lo, hi, values in step.searches:
+                assert len(values) <= 2 + (hi - lo).bit_length()
+                budget += 2 + (hi - lo).bit_length()
+                searched += len(values)
+            assert 0 < len(step.reads) <= budget
+        assert searched > 2 * len(steps)
 
     def test_a_step_without_locks_searches_only_for_its_split(
-            self, reference, draws100, monkeypatch):
+            self, reference, draws100):
         # at the closed-form prices every type participates, so the split's
         # neighbours settle A's exit and B's entry, and a step without
         # locks makes one search, for the split
-        steps = []  # [free of locks, searches] per step
-        real_step, real_first = sim._step, sim._first
-
-        def counted_step(p, scenario, m, pA, pB, nA, nB, lo, hi):
-            steps.append([lo == 0 and hi == m, 0])
-            return real_step(p, scenario, m, pA, pB, nA, nB, lo, hi)
-
-        def counted_first(*args):
-            steps[-1][1] += 1
-            return real_first(*args)
-
-        monkeypatch.setattr(sim, "_step", counted_step)
-        monkeypatch.setattr(sim, "_first", counted_first)
-        for p in [reference, *draws100]:
-            for scenario in Scenario:
-                closed = equilibrium(p, scenario)
-                simulate_game(p, scenario, (closed.pA1, closed.pB1,
-                                            closed.pA2, closed.pB2))
-        free = [searches for unlocked, searches in steps if unlocked]
+        with _watched_steps() as steps:
+            for p in [reference, *draws100]:
+                for scenario in Scenario:
+                    closed = equilibrium(p, scenario)
+                    simulate_game(p, scenario, (closed.pA1, closed.pB1,
+                                                closed.pA2, closed.pB2))
+        free = [len(step.searches) for step in steps
+                if step.args[-2:] == (0, step.args[2])]
         assert len(free) > 300 and set(free) == {1}
 
     @pytest.mark.parametrize("scenario", list(Scenario))
@@ -709,6 +749,16 @@ def _periods(draw):
                4, (18.125, 100.0), (100.0, 100.0)))
 @example(game=(ModelParams(**{**REFERENCE, "alpha": 0.0}), Scenario.SAME_CHAIN,
                4, (100.0, 18.125), (100.0, 100.0)))
+# at k = 2**53 adding k rounds a utility to an integer, so a type's choice
+# depends on the order of its float operations: the step must take the
+# taste distance from the net value first and add k last, as user_utility
+# does, in the split's comparison (low prices) and in both exits' (prices
+# just past k)
+@example(game=(ModelParams(**{**REFERENCE, "k": 2.0 ** 53}), Scenario.SAME_CHAIN,
+               4, (0.0, 1.0), (1.0, 0.0)))
+@example(game=(ModelParams(**{**REFERENCE, "k": 2.0 ** 53}), Scenario.SAME_CHAIN,
+               4, (2.0 ** 53 + 2.0, 2.0 ** 53 + 2.0),
+               (2.0 ** 53 + 2.0, 2.0 ** 53 + 2.0)))
 def test_bitwise_equal_to_the_plain_reference_simulator(game):
     # both periods, period 2 locked by period 1, against the plain fixed
     # point: the reference locks by its own period-1 masks, the simulator by
@@ -720,8 +770,7 @@ def test_bitwise_equal_to_the_plain_reference_simulator(game):
     want1, want_locks = _reference_period(m, p, scenario, *first_prices)
     want2, want_takes = _reference_period(m, p, scenario, *second_prices,
                                           locks=want_locks)
-    with mock.patch.object(sim, "taste_distances",
-                           wraps=model.taste_distances) as evaluated:
+    with _watched_steps() as steps:
         got1, locks = _play(m, p, scenario, *first_prices, 0, m)
         got2, bounds = _play(m, p, scenario, *second_prices, *locks)
     assert (got1, got2) == (want1, want2)
@@ -729,7 +778,9 @@ def test_bitwise_equal_to_the_plain_reference_simulator(game):
                          want_locks + want_takes):
         assert np.array_equal(got, want)
     # three searches per step (the split, A's exit and B's entry), each the
-    # clamped guess, its neighbour and a bisection of what they leave open
+    # clamped guess, its neighbour and a bisection of what they leave open,
+    # and the split's two neighbour checks
     per_search = m.bit_length() + 2
-    assert evaluated.call_count <= 3 * per_search * (got1.iterations
-                                                     + got2.iterations)
+    reads = sum(len(step.reads) for step in steps)
+    assert 0 < reads <= (3 * per_search + 2) * (got1.iterations
+                                                + got2.iterations)
