@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import stat
@@ -142,26 +143,31 @@ def _cmd_sweep(params: ModelParams, args: argparse.Namespace) -> int:
     table = sweep_mod.run_sweep(params, spec)
     # render first and open both outputs before writing either: a sweep
     # with nothing to plot, or an output path that cannot be opened, fails
-    # before any file is written. Whatever fails once the opens begin (a
-    # write, a close, a MemoryError) closes the outputs and removes the
-    # files the opens created before it propagates
+    # before any file is written. A regular file is written beside itself
+    # and replaced only once both outputs are complete, so whatever fails
+    # before then (a write, a close, a MemoryError) leaves a file already
+    # at either path as it was: the outputs close and the temporary files
+    # go before the failure propagates
     chart = sweep_mod.render_profit_svg(table, spec.param) if args.svg else None
-    outputs, created = [], []
+    outputs, pending = [], []
     try:
         _open_outputs([(args.out, "")]
                       + ([] if chart is None else [(args.svg, None)]),
-                      outputs, created)
-        rows = sweep_mod.write_sweep_csv(table, _rewind(outputs[0]))
+                      outputs, pending)
+        rows = sweep_mod.write_sweep_csv(table, outputs[0])
         if chart is not None:
-            _rewind(outputs[1]).write(chart)
+            outputs[1].write(chart)
         for fh in outputs:
             fh.close()
+        for temporary, target in pending:
+            os.replace(temporary, target)
     except BaseException:
         for fh in outputs:
             with contextlib.suppress(OSError):
                 fh.close()
-        for path in created:
-            os.remove(path)
+        for temporary, _ in pending:
+            with contextlib.suppress(OSError):  # a replace may have moved it
+                os.remove(temporary)
         raise
     print(f"wrote {rows} rows ({spec.steps} grid points) to {args.out}")
     if chart is not None:
@@ -170,36 +176,47 @@ def _cmd_sweep(params: ModelParams, args: argparse.Namespace) -> int:
 
 
 def _open_outputs(targets: Sequence[tuple[str, str | None]], outputs: list,
-                  created: list) -> None:
+                  pending: list) -> None:
     """Append to outputs a text file open for writing per (path, newline),
-    and to created each file an open made.
+    and to pending a (temporary, target) pair per file to move into place.
 
-    Each path opens for appending, so a file that exists keeps its content
-    until the caller empties it with _rewind and writes it. An OSError
-    propagates when a path cannot be opened, or names the same regular file
-    as an earlier one (which _rewind would empty after the earlier one is
-    written); the caller then closes outputs and removes created.
+    A path to a regular file, or to nothing yet, opens a new temporary file
+    in its target's directory, symlinks resolved, with the permission bits
+    of the file it will replace; the caller moves it over the target with
+    os.replace. A device, a pipe or a terminal is written in place. An
+    OSError naming the path propagates when it cannot be written, or names
+    the same file as an earlier one; the caller then closes outputs and
+    removes the pending temporary files.
     """
+    files = []  # (path, target, stat or None) of each output bound for a file
     for path, newline in targets:
-        existed = os.path.exists(path)
-        outputs.append(open(path, "a", encoding="utf-8", newline=newline))
-        if not existed:
-            # through a dangling symlink the open creates the link's
-            # target, which is what a cleanup removes; the link stays
-            created.append(os.path.realpath(path))
-        opened = os.fstat(outputs[-1].fileno())
-        for (earlier, _), fh in zip(targets, outputs[:-1]):
-            if (stat.S_ISREG(opened.st_mode)
-                    and os.path.samestat(opened, os.fstat(fh.fileno()))):
+        try:
+            found = os.stat(path)
+        except FileNotFoundError:  # nothing yet, or a dangling symlink
+            found = None
+        if found is not None and not stat.S_ISREG(found.st_mode):
+            outputs.append(open(path, "a", encoding="utf-8", newline=newline))
+            continue
+        target = os.path.realpath(path)
+        for earlier, earlier_target, earlier_found in files:
+            if target == earlier_target or (
+                    found is not None and earlier_found is not None
+                    and os.path.samestat(found, earlier_found)):
                 raise OSError(f"outputs {earlier} and {path} are one file")
-
-
-def _rewind(fh):
-    """fh emptied when it is a regular file; a device, a pipe or a
-    terminal cannot be truncated and is written as it is."""
-    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        fh.truncate(0)
-    return fh
+        files.append((path, target, found))
+        if found is not None and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        directory, name = os.path.split(target)
+        temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError as exc:
+            exc.filename = path  # the output, not its temporary name
+            raise
+        pending.append((temporary, target))
+        outputs.append(open(fd, "w", encoding="utf-8", newline=newline))
+        if found is not None:
+            os.chmod(fd, stat.S_IMODE(found.st_mode))
 
 
 def _cmd_verify(params: ModelParams, args: argparse.Namespace) -> int:

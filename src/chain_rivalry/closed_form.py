@@ -2,7 +2,9 @@
 
 equilibrium(p, scenario) is the one closed-form equilibrium for all three
 scenarios, its payoffs computed by EquilibriumOutcome.from_periods as the
-oracle's are; subsidy_threshold and adoption_decision build on it. The
+oracle's are; subsidy_threshold and adoption_decision build on it. It also
+solves many games in one call when p's fields are numpy columns, by the
+same arithmetic and without importing numpy. The
 platform choice is a function of B's three subsidy-inclusive payoffs
 alone (choose_platform, which AdoptionDecision.chosen calls), so a caller
 holding the three solved outcomes decides without solving them again.
@@ -148,8 +150,12 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     Shares are the same in both periods; EquilibriumOutcome.from_periods
     computes the payoffs from the prices and shares. Every field comes back
     in the number type of p's fields: floats give floats, Fractions give
-    Fractions. Raises CornerEquilibriumError when the cutoff leaves (0, 1),
-    and ValueError when a field overflows to a non-finite value.
+    Fractions, and numpy columns, one game per entry, give columns, each
+    entry bitwise the game's own outcome (validate_params checks one game,
+    so columns take validate=False). Raises CornerEquilibriumError when the
+    cutoff leaves (0, 1), and ValueError when a field overflows to a
+    non-finite value; in a column, the first game that fails raises as it
+    would alone. numpy warns of a column's overflow as its errstate says.
     validate=True also checks p and raises a TypeError for a scenario that
     is not a Scenario; validate=False trusts both.
     """
@@ -157,6 +163,10 @@ def equilibrium(p: ModelParams, scenario: Scenario,
         require_scenario(scenario)
         require_valid(p)
     pA1, pB1, cutoff = _period1(p, scenario)
+    # a column has an ndim; a float skips the lookup, so one game pays
+    # nothing for columns
+    if type(cutoff) is not float and getattr(cutoff, "ndim", 0):
+        return _columns(p, scenario, pA1, pB1, cutoff)
     if not 0.0 < cutoff < 1.0:
         raise CornerEquilibriumError(scenario, cutoff)
     out = _outcome(p, scenario, pA1, pB1, cutoff)
@@ -164,6 +174,27 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     if not abs(out.profitA + out.profitB_with_subsidy) < math.inf:
         require_finite(f"{scenario.value} equilibrium", out)
     return out
+
+
+def _columns(p: ModelParams, scenario: Scenario, pA1, pB1,
+             cutoff) -> EquilibriumOutcome:
+    """equilibrium's outcome on column fields, one game per entry: the
+    checks of a single game, taken entry by entry. The first game that
+    fails one is solved alone, where it raises."""
+    out = _outcome(p, scenario, pA1, pB1, cutoff)
+    solved = ((0.0 < cutoff) & (cutoff < 1.0)
+              & (abs(out.profitA + out.profitB_with_subsidy) < math.inf))
+    if not solved.all():
+        game = solved.tolist().index(False)
+        equilibrium(ModelParams(**{name: _entry(value, game) for name, value
+                                   in vars(p).items()}), scenario, validate=False)
+    return out
+
+
+def _entry(value, game: int):
+    """A column field's number for one game, as a Python number; a field
+    that is one number for every game, as it is."""
+    return value.tolist()[game] if getattr(value, "ndim", 0) else value
 
 
 def _period1(p: ModelParams, scenario: Scenario):

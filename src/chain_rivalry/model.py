@@ -216,7 +216,9 @@ class EquilibriumOutcome:
     and the payoffs; an exact formula keeps the solve's defaults. Each
     price, cutoff, share and payoff comes back in the number type of the
     params' fields: floats give floats, and Fractions give Fractions from
-    both routes, as does the oracle's residual.
+    both routes, as does the oracle's residual. From the closed forms,
+    numpy columns give columns, one game per entry, and a failing game
+    raises as it would alone.
     """
 
     scenario: Scenario

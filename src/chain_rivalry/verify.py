@@ -1,9 +1,11 @@
 """Cross-route agreement checks.
 
 Runs the closed forms against the best-response oracle and the user
-simulator on a base parameter set plus seeded random draws. A route
-function only runs its route and returns a stall reason (None when it
-converged) and its values. run_verification stacks the closed forms and
+simulator on a base parameter set plus seeded random draws. The closed
+forms solve each scenario once, on every case's fields as columns; a game
+whose closed form fails raises as it would alone. The routes play each game
+on its own: a route function only runs its route and returns a stall
+reason (None when it converged) and its values. run_verification stacks the
 route values into columns and checks |closed - route| <= tolerance, and the
 worst deviation per (route, scenario, quantity) cell, in one pass; it
 writes failure lines only for stalls and breaches, in game order. The draws
@@ -94,7 +96,7 @@ def _params_line(p: ModelParams) -> str:
     return ", ".join(f"{name}={getattr(p, name):.17g}" for name in p.__match_args__)
 
 
-def _oracle_route(p: ModelParams, scenario: Scenario, closed, m: int):
+def _oracle_route(p: ModelParams, scenario: Scenario, prices, m: int):
     found = oracle_equilibrium(p, scenario)
     stall = None if found.converged else (
         f"best-response search did not converge (no price pair certified, "
@@ -112,9 +114,8 @@ def _oracle_tolerances(closed: dict, m: int):
             (note,) * len(ORACLE_QUANTITIES))
 
 
-def _sim_route(p: ModelParams, scenario: Scenario, closed, m: int):
-    run = simulate_game(p, scenario, (closed.pA1, closed.pB1,
-                                      closed.pA2, closed.pB2), m=m)
+def _sim_route(p: ModelParams, scenario: Scenario, prices, m: int):
+    run = simulate_game(p, scenario, prices, m=m)
     first, second = run.period1, run.period2
     stall = None
     if not (first.converged and second.converged):
@@ -171,16 +172,27 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
         cases += [(f"draw {i}", draw_params(rng)) for i in range(1, trials + 1)]
 
     games = [(label, p, scenario) for label, p in cases for scenario in SCENARIOS]
-    outcomes = [closed_form.equilibrium(p, scenario, validate=False)
-                for _, p, scenario in games]
+    # one closed-form solve per scenario, on every case's fields as columns.
+    # A failing game raises as it would alone; numpy must not warn first of
+    # the overflow that error names
+    fields = ModelParams(*np.array([list(vars(p).values()) for _, p in cases]).T)
+    with np.errstate(all="ignore"):
+        solved = [attrgetter(*_CLOSED_FIELDS)(
+                      closed_form.equilibrium(fields, scenario, validate=False))
+                  for scenario in SCENARIOS]
+    # (scenario, field, case) to one column per field in game order; a
+    # scalar field broadcasts, and an exact one casts to float
     closed = dict(zip(_CLOSED_FIELDS, np.array(
-        list(map(attrgetter(*_CLOSED_FIELDS), outcomes)), dtype=float).T))
+        [np.broadcast_arrays(*columns) for columns in solved], dtype=float
+    ).transpose(1, 2, 0).reshape(len(_CLOSED_FIELDS), -1)))
+    prices = np.column_stack([closed[name] for name in
+                              ("pA1", "pB1", "pA2", "pB2")]).tolist()
     checks, unconverged = [], {}
     lines = [[] for _ in games]  # each game's failure lines, route by route
     for kind in kinds:
         route, tolerances, names = _ROUTES[kind]
-        stalls, values = zip(*(route(p, scenario, outcome, m) for
-                               (_, p, scenario), outcome in zip(games, outcomes)))
+        stalls, values = zip(*(route(p, scenario, game_prices, m) for
+                               (_, p, scenario), game_prices in zip(games, prices)))
         stalled = [stall is not None for stall in stalls]
         unconverged[kind] = sum(stalled)
         ref, tol, notes = tolerances(closed, m)

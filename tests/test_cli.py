@@ -275,6 +275,44 @@ class TestSweepCommand:
         assert captured.out == ""
         assert not out_csv.exists() and not out_svg.exists()
 
+    def test_a_failed_sweep_keeps_the_existing_output(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(sweep, "write_sweep_csv", exhausted)
+        out_csv = tmp_path / "out.csv"
+        out_csv.write_text("kept", encoding="utf-8")
+        assert self._sweep_into(out_csv, tmp_path / "chart.svg") == 1
+        assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+        assert out_csv.read_text(encoding="utf-8") == "kept"
+        assert os.listdir(tmp_path) == ["out.csv"]  # no temporary file left
+
+    def test_a_sweep_replaces_the_file_a_symlink_names(self, tmp_path, capsys):
+        # the link stays a link, and the file it names keeps its mode
+        target, link = tmp_path / "target.csv", tmp_path / "sweep.csv"
+        target.write_text("old\n", encoding="utf-8")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        assert self._sweep_into(link, tmp_path / "chart.svg") == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text(encoding="utf-8").startswith("param_value,")
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["chart.svg", "sweep.csv",
+                                                "target.csv"]
+
+    def test_an_output_it_may_not_write_is_refused(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a read-only file is not replaced, though its directory is writable
+        out_csv = tmp_path / "sweep.csv"
+        out_csv.write_text("kept\n", encoding="utf-8")
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        assert self._sweep_into(out_csv, tmp_path / "chart.svg") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno 13] Permission denied: '{out_csv}'"]
+        assert os.listdir(tmp_path) == ["sweep.csv"]
+        assert out_csv.read_text(encoding="utf-8") == "kept\n"
+
     def _sweep_into(self, out, svg):
         return cli.main(["sweep", "--config", str(REPO_CONFIG), "--param", "d",
                          "--lo", "0", "--hi", "2", "--steps", "3",

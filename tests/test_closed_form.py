@@ -3,6 +3,7 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from chain_rivalry.closed_form import (
 )
 from chain_rivalry.model import (SCENARIOS, ModelParams, Scenario, user_utility,
                                  validate_params)
-from conftest import (EXACT_CONFIGS, astuple, draws, exact, profit_a_compatible,
+from conftest import (DRAWS, EDGE_GAMES, EXACT_CONFIGS, NUMERIC, astuple, draws, exact, game, profit_a_compatible,
                       profit_a_incompatible, profit_a_same, profit_b_compatible,
                       profit_b_incompatible, profit_b_same)
 
@@ -776,3 +777,73 @@ class TestEquilibriumProperties:
             assert paid.profitB_with_subsidy == unpaid.profitB + p.subsidy(scenario)
             assert paid.with_values(
                 profitB_with_subsidy=unpaid.profitB_with_subsidy) == unpaid
+
+
+def columns(games) -> ModelParams:
+    """The games' fields as numpy float columns, one game per entry."""
+    return ModelParams(*np.array([list(vars(p).values()) for p in games]).T)
+
+
+def first_failure(games, scenario):
+    """What the first game that fails raises when solved alone, or None."""
+    for p in games:
+        try:
+            equilibrium(p, scenario, validate=False)
+        except ValueError as exc:
+            return exc
+    return None
+
+
+class TestColumns:
+    """equilibrium on column fields: the per-game outcomes, bit for bit,
+    and the per-game errors."""
+
+    @pytest.mark.parametrize("keys", [DRAWS["default"], DRAWS["wide"], EDGE_GAMES],
+                             ids=["gate", "wide", "edge"])
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.value)
+    def test_every_field_is_the_per_game_call_bitwise(self, keys, scenario):
+        games = [game(key) for key in keys]
+        out = equilibrium(columns(games), scenario, validate=False)
+        alone = [equilibrium(p, scenario) for p in games]
+        for field in NUMERIC:
+            column = getattr(out, field)
+            assert column.shape == (len(games),), field
+            assert ([value.hex() for value in column.tolist()]
+                    == [getattr(one, field).hex() for one in alone]), field
+        assert out.scenario is scenario
+        assert (out.converged, out.iterations, out.residual) == (True, 0, 0.0)
+
+    def test_one_game_column_is_the_scalar_game(self, reference):
+        for scenario in SCENARIOS:
+            out = equilibrium(columns([reference]), scenario, validate=False)
+            assert out.with_values(**{field: getattr(out, field).item()
+                                      for field in NUMERIC}) \
+                == equilibrium(reference, scenario)
+
+    @pytest.mark.parametrize("changes", [
+        ({"d": 10.0}, {"k": 1e308}),
+        ({"k": 1e308}, {"d": 8.5}),
+        ({"d": 8.5}, {"d": 10.0}),
+        ({"s": 4e307, "k": 1.7e308}, {"d": 10.0}),
+    ], ids=["corner-first", "overflow-first", "two-corners", "nan-first"])
+    @pytest.mark.parametrize("among", [False, True], ids=["alone", "among"])
+    def test_a_failing_game_raises_as_it_does_alone(self, reference, changes,
+                                                    among):
+        # a one-game column of the first failing game, or both failing
+        # games among passing ones: the first to fail raises its type,
+        # message and args in every scenario where one fails
+        failing = [reference.with_values(**change) for change in changes]
+        games = [reference, failing[0], reference, failing[1]] if among else failing[:1]
+        raised = 0
+        for scenario in SCENARIOS:
+            expected = first_failure(games, scenario)
+            if expected is None:
+                with np.errstate(all="ignore"):
+                    equilibrium(columns(games), scenario, validate=False)
+                continue
+            with pytest.raises(ValueError) as err, np.errstate(all="ignore"):
+                equilibrium(columns(games), scenario, validate=False)
+            assert type(err.value) is type(expected)
+            assert (str(err.value), err.value.args) == (str(expected), expected.args)
+            raised += 1
+        assert raised

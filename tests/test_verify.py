@@ -197,6 +197,41 @@ class TestRunVerification:
         assert report == run_verification(reference, trials=1,
                                           use_oracle=False, m=1000)
 
+    @pytest.mark.parametrize("trials", [0, 3])
+    @pytest.mark.parametrize("changes, error, message", [
+        ({"d": 10.0}, closed_form.CornerEquilibriumError,
+         "compatible equilibrium cutoff -0.04597701149425292 outside (0, 1)"),
+        ({"d": 8.5}, closed_form.CornerEquilibriumError,
+         "incompatible equilibrium cutoff -0.05172413793103448 outside (0, 1)"),
+        ({"k": 1e308}, ValueError, "incompatible equilibrium: pA1 overflows to -inf"),
+    ], ids=["compatible-corner", "incompatible-corner", "overflow"])
+    def test_a_failing_base_raises_its_closed_form_error(
+            self, reference, monkeypatch, changes, error, message, trials):
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game was played")
+
+        monkeypatch.setattr(verify, "simulate_game", no_game)
+        monkeypatch.setattr(verify, "oracle_equilibrium", no_game)
+        with pytest.raises(error) as err:
+            run_verification(reference.with_values(**changes), trials=trials)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("trials", [0, 3, 100])
+    def test_one_closed_form_solve_per_scenario(self, reference, monkeypatch,
+                                                trials):
+        real, calls = closed_form.equilibrium, []
+
+        def counted(p, scenario, validate=True):
+            calls.append(scenario)
+            return real(p, scenario, validate=validate)
+
+        monkeypatch.setattr(closed_form, "equilibrium", counted)
+        report = run_verification(reference, trials=trials, use_oracle=False,
+                                  m=100)
+        assert report.ok, report.failures
+        assert calls == list(Scenario)
+
     def test_results_are_deterministic(self, reference):
         a = run_verification(reference, trials=2, seed=11, use_sim=False)
         b = run_verification(reference, trials=2, seed=11, use_sim=False)
