@@ -4,7 +4,10 @@ equilibrium(p, scenario) is the one closed-form equilibrium for all three
 scenarios, its payoffs computed by EquilibriumOutcome.from_periods as the
 oracle's are; subsidy_threshold and adoption_decision build on it. It also
 solves many games in one call when p's fields are numpy columns, by the
-same arithmetic and without importing numpy. The
+same arithmetic and without importing numpy. evaluate(p, scenario) is
+that arithmetic without equilibrium's checks, on any number type with
++ - * /: sweep.run_sweep runs it once per scenario on a plain-Python
+column of grid values and tells the corners apart itself. The
 platform choice is a function of B's three subsidy-inclusive payoffs
 alone (choose_platform, which AdoptionDecision.chosen calls), so a caller
 holding the three solved outcomes decides without solving them again.
@@ -15,7 +18,9 @@ zero-subsidy special case.
 EQUILIBRIUM_READS and THRESHOLD_READS name the fields each form reads: the
 same chain reads s alone, and the thresholds read neither d nor the
 subsidies. A field outside a form's set cannot change its result, so a
-sweep of that field solves the form once (see sweep.run_sweep).
+sweep of that field solves the form once, at its first valid point, and a
+field inside it makes the form's evaluate call a column (see
+sweep.run_sweep).
 """
 
 from __future__ import annotations
@@ -156,6 +161,7 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     cutoff leaves (0, 1), and ValueError when a field overflows to a
     non-finite value; in a column, the first game that fails raises as it
     would alone. numpy warns of a column's overflow as its errstate says.
+    evaluate(p, scenario) is the same arithmetic without any check.
     validate=True also checks p and raises a TypeError for a scenario that
     is not a Scenario; validate=False trusts both.
     """
@@ -174,6 +180,16 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     if not abs(out.profitA + out.profitB_with_subsidy) < math.inf:
         require_finite(f"{scenario.value} equilibrium", out)
     return out
+
+
+def evaluate(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome:
+    """The scenario's closed-form outcome at p without equilibrium's
+    checks: the same arithmetic, on any number type with + - * /. Column
+    fields, one game per entry, give columns of the games' own outcomes,
+    bit for bit. An entry whose cutoff leaves (0, 1), or whose payoffs
+    overflow, holds whatever the formulas give there, so the caller tells
+    those entries apart (sweep.run_sweep does, for a grid)."""
+    return _outcome(p, scenario, *_period1(p, scenario))
 
 
 def _columns(p: ModelParams, scenario: Scenario, pA1, pB1,

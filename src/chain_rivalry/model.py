@@ -218,7 +218,9 @@ class EquilibriumOutcome:
     params' fields: floats give floats, and Fractions give Fractions from
     both routes, as does the oracle's residual. From the closed forms,
     numpy columns give columns, one game per entry, and a failing game
-    raises as it would alone.
+    raises as it would alone; closed_form.evaluate gives the columns of
+    any column type with + - * / unchecked, as sweep.run_sweep's tuples of
+    grid values.
     """
 
     scenario: Scenario
@@ -400,7 +402,7 @@ def require_finite(what: str, result) -> None:
 
 # The most draws of run_verification and grid points of a sweep, whose work
 # is held in memory: tracemalloc peaks grew 6.0 kB per trial with both
-# routes (1000 against 3000 trials) and 1.5 to 1.75 kB per step of run_sweep
+# routes (1000 against 3000 trials) and 0.9 to 1.05 kB per step of run_sweep
 # with its CSV, written to a file row by row, and its SVG (10 000 against
 # 30 000 steps of d, s and alpha on the reference config), and a trial took
 # 0.6 ms, a step 0.02 ms, on one Intel Xeon core: 10**5 stays under 0.6 GB

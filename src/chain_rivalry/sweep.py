@@ -12,29 +12,38 @@ otherwise show its comma), and a base field that is no number at all is
 refused before the grid runs. The module imports neither numpy nor
 dataclasses.
 
-Only the swept field changes from point to point, and a closed form that
-does not read it (closed_form.EQUILIBRIUM_READS, THRESHOLD_READS) gives the
-same result at every valid point. So run_sweep solves it at the first valid
-point and shares that outcome object with the later ones: the same-chain
-outcome reads s alone, and the threshold report neither d nor the
-subsidies. The CSV writer formats the numbers of a shared outcome or
-threshold report once.
+Only the swept field changes from point to point. run_sweep checks each
+point with validate_params, then solves each scenario once per sweep: a
+scenario whose closed form reads the swept field
+(closed_form.EQUILIBRIUM_READS) in one closed_form.evaluate call whose
+swept field is a column of the valid points' values, and any other, which
+gives the same outcome at every valid point, at the first valid point
+alone. The column is a plain-Python tuple on which + - * / act entry by
+entry, so each entry is bitwise the scalar solve of its point; an entry
+whose cutoff leaves (0, 1) is a corner, and the point where a scalar solve
+would raise for overflow is solved alone to raise that error. The
+threshold report stays per point where THRESHOLD_READS holds the swept
+field (math.sqrt takes one number), and is solved once where it does not.
 
 run_sweep returns one SweepTable of columns, so a grid point is one entry
 in each column and no object of its own; its ModelParams, built
 positionally from one row of fields, and its validate_params report are
-dropped once its entries are set. At a valid point it solves the
-scenarios that read the swept field (and the thresholds, when they read it
-too) and decides the choice from the three subsidy-inclusive payoffs by
-closed_form.choose_platform; a corner's note comes from a table keyed by
-the three corner flags. write_sweep_csv writes each row to its stream as
+dropped once its entries are set. Each scenario's outcome is one
+EquilibriumOutcome of columns over its interior points, a field that the
+swept one does not change being one number; the choice at an interior
+point comes from the three subsidy-inclusive payoffs by
+closed_form.choose_platform, and a corner's note from a table keyed by the
+three interior flags. write_sweep_csv writes each row to its stream as
 soon as the row is formatted, so a sweep holds its table and nothing of
-its CSV. The SVG is one string, which formats a shared outcome's y once.
+its CSV; the writers format an outcome number shared by every point, and
+a threshold report shared by consecutive points, once.
 """
 
 import math
 from collections.abc import Mapping
 from io import TextIOBase
+from itertools import compress, repeat
+from operator import add, mul, neg, sub, truediv
 
 from . import closed_form
 from .closed_form import (CornerEquilibriumError, ThresholdReport,
@@ -99,16 +108,53 @@ class SweepSpec:
         return grid
 
 
+def _entrywise(op):
+    """_Column's operator op, with the column on the left and on the right."""
+    def forward(self, other):
+        return _Column(map(op, self, other if type(other) is _Column
+                           else repeat(other)))
+
+    def backward(self, other):
+        # other is never a column: a column on the left takes forward
+        return _Column(map(op, repeat(other), self))
+
+    return forward, backward
+
+
+class _Column(tuple):
+    """A column of floats, one entry per valid grid point, on which + - * /
+    and unary minus act entry by entry, with a column or with one number
+    for every entry. It has no other arithmetic, and no in-place operator,
+    so no tuple concatenation or repetition can stand in for a sum or a
+    product."""
+
+    __slots__ = ()
+    __add__, __radd__ = _entrywise(add)
+    __sub__, __rsub__ = _entrywise(sub)
+    __mul__, __rmul__ = _entrywise(mul)
+    __truediv__, __rtruediv__ = _entrywise(truediv)
+
+    def __neg__(self):
+        return _Column(map(neg, self))
+
+
 @record
 class SweepTable:
-    """A sweep's results as columns, each with one entry per grid point in
-    grid order. outcomes maps each scenario to its column of equilibria,
-    None where the equilibrium is blockaded (corner) or the point is
-    invalid; an invalid point has no choice ("") and no thresholds (None).
+    """A sweep's results as columns. values, interior, chosen, thresholds
+    and notes have one entry per grid point in grid order. outcomes maps
+    each scenario to one EquilibriumOutcome whose numeric fields are
+    tuples, one entry per grid point where interior says the scenario's
+    equilibrium is interior, in grid order; a field the swept one does not
+    change is one number for all of them, and the outcome is None where
+    the scenario has no interior point. interior holds three flags per
+    point, in SCENARIOS order, all False at an invalid point. An invalid
+    point has no choice ("") and no thresholds (None); a point where a
+    scenario's equilibrium is blockaded (a corner) has no choice either.
     notes explains any missing pieces, and is "" where none is missing."""
 
     values: tuple[float, ...]
-    outcomes: Mapping[Scenario, tuple[EquilibriumOutcome | None, ...]]
+    outcomes: Mapping[Scenario, EquilibriumOutcome | None]
+    interior: tuple[tuple[bool, bool, bool], ...]
     chosen: tuple[str, ...]
     thresholds: tuple[ThresholdReport | None, ...]
     notes: tuple[str, ...]
@@ -118,12 +164,15 @@ class SweepTable:
 
 
 # The note of a valid point, keyed by whether the same-chain, compatible
-# and incompatible equilibria are corners; "" at an interior point.
+# and incompatible equilibria are interior; "" at an interior point.
 _CORNER_NOTES = {
     flags: "; ".join(f"corner: {name}"
-                     for name, corner in zip(_SCENARIO_NAMES, flags) if corner)
+                     for name, inside in zip(_SCENARIO_NAMES, flags) if not inside)
     for flags in [(a, b, c) for a in (False, True) for b in (False, True)
                   for c in (False, True)]}
+# each flag triple to the one object of it that a table holds
+_FLAGS = {flags: flags for flags in _CORNER_NOTES}
+_ALL_INTERIOR, _NONE_INTERIOR = _FLAGS[True, True, True], _FLAGS[False, False, False]
 
 
 def run_sweep(base: ModelParams, spec: SweepSpec) -> SweepTable:
@@ -135,9 +184,13 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> SweepTable:
     value. Every base field other than the swept one that require_number
     refuses is named in one ValueError, before any point is solved.
 
-    A closed form that does not read the swept field is solved at the first
-    valid point only, and its outcome (or corner) and threshold report are
-    the same objects at every later valid point."""
+    Each point is checked by validate_params. A scenario whose closed form
+    reads the swept field (closed_form.EQUILIBRIUM_READS) is solved in one
+    closed_form.evaluate call on a column of the valid points' values, and
+    any other at the first valid point by closed_form.equilibrium. The
+    threshold report is solved at every valid point when THRESHOLD_READS
+    holds the swept field, else at the first, and is the same object at
+    every later valid point."""
     param = spec.param
     # the point's fields in ModelParams order, the swept one set per point
     row, bad = [], []
@@ -153,54 +206,127 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> SweepTable:
         raise ValueError("sweep base: " + "; ".join(bad))
     at = ModelParams.__match_args__.index(param)
     # The entry points are looked up once per call, not at import, so a
-    # wrapper installed on the module attribute still sees every point.
-    validate, solve = validate_params, closed_form.equilibrium
-    solve_thresholds = closed_form.subsidy_threshold
-    same, compatible, incompatible = SCENARIOS
-    # the scenarios whose outcome the swept field changes, re-solved at
-    # every valid point after the first; the latest outcome per scenario,
-    # None at a corner
-    resolved = [scenario for scenario in SCENARIOS
-                if param in closed_form.EQUILIBRIUM_READS[scenario]]
-    latest: dict[Scenario, EquilibriumOutcome | None] = {}
+    # wrapper installed on the module attribute still sees every call.
+    validate, solve_thresholds = validate_params, closed_form.subsidy_threshold
     resolve_thresholds = param in closed_form.THRESHOLD_READS
-    report = None
+    report = first = None
     values = spec.values()
-    column1, column2, column3 = [], [], []
-    chosen, thresholds, notes = [], [], []
+    valid, thresholds, notes = [], [], []
     for value in values:
         row[at] = value
         point = ModelParams(*row)
         validity = validate(point)
         if validity.ok:
-            for scenario in resolved if latest else SCENARIOS:
-                try:
-                    latest[scenario] = solve(point, scenario, validate=False)
-                except CornerEquilibriumError:
-                    latest[scenario] = None
-                except ValueError as exc:
-                    raise ValueError(f"{param}={value!r}: {exc}") from exc
+            if first is None:
+                first = point
             if resolve_thresholds or report is None:
                 report = solve_thresholds(point, validate=False)
-            out1, out2, out3 = latest[same], latest[compatible], latest[incompatible]
-            corners = out1 is None, out2 is None, out3 is None
-            choice = "" if any(corners) else choose_platform(
-                out1.profitB_with_subsidy, out2.profitB_with_subsidy,
-                out3.profitB_with_subsidy)
-            point_report, note = report, _CORNER_NOTES[corners]
+            valid.append(value)
+            thresholds.append(report)
+            notes.append(None)
         else:
-            out1 = out2 = out3 = point_report = None
-            choice, note = "", "invalid: " + "; ".join(validity.violations)
-        column1.append(out1)
-        column2.append(out2)
-        column3.append(out3)
+            thresholds.append(None)
+            notes.append("invalid: " + "; ".join(validity.violations))
+    outcomes, flags, choices = _solve(param, row, at, first, valid)
+    solved = zip(flags, choices)
+    interior, chosen = [], []
+    for j, note in enumerate(notes):
+        if note is None:
+            inside, choice = next(solved)
+            notes[j] = _CORNER_NOTES[inside]
+        else:
+            inside, choice = _NONE_INTERIOR, ""
+        interior.append(inside)
         chosen.append(choice)
-        thresholds.append(point_report)
-        notes.append(note)
-    return SweepTable(tuple(values),
-                      {same: tuple(column1), compatible: tuple(column2),
-                       incompatible: tuple(column3)},
-                      tuple(chosen), tuple(thresholds), tuple(notes))
+    return SweepTable(tuple(values), outcomes, tuple(interior), tuple(chosen),
+                      tuple(thresholds), tuple(notes))
+
+
+def _solve(param: str, row: list, at: int, first: ModelParams | None,
+           valid: list[float]):
+    """run_sweep's scenarios over its valid points: each scenario's
+    outcome over its interior points (or None), and per valid point the
+    interior flags and the choice. An interior entry whose payoff sum
+    overflows is solved alone by closed_form.equilibrium, in grid order,
+    then SCENARIOS order, and the first that raises there raises the
+    ValueError, named by its swept value."""
+    count = len(valid)
+    if not count:
+        return dict.fromkeys(SCENARIOS), [], []
+    row[at] = _Column(valid)
+    columns = ModelParams(*row)
+    outcomes, masks, payoffs, failures = {}, [], [], []
+    for order, scenario in enumerate(SCENARIOS):
+        if param in closed_form.EQUILIBRIUM_READS[scenario]:
+            out = closed_form.evaluate(columns, scenario)
+            # a subsidy sweep leaves the cutoff one number
+            mask = [0.0 < cutoff < 1.0 for cutoff in _entries(out.cutoff1, count)]
+            totals = _entries(out.profitA + out.profitB_with_subsidy, count)
+            if not all(map(math.isfinite, totals)):
+                failures.extend((k, order) for k, (inside, total)
+                                in enumerate(zip(mask, totals))
+                                if inside and not math.isfinite(total))
+        else:
+            try:
+                out = closed_form.equilibrium(first, scenario, validate=False)
+            except CornerEquilibriumError:
+                out = None
+            except ValueError:
+                out = None
+                failures.append((0, order))
+            mask = [out is not None] * count
+        masks.append(mask)
+        if out is None or not any(mask):
+            out = None
+            payoffs.append(repeat(None))
+        else:
+            payoffs.append(_entries(out.profitB_with_subsidy, count))
+            if not all(mask):
+                out = _interior(out, mask)
+        outcomes[scenario] = out
+    # equilibrium raises at such an entry only when a field overflows too
+    for k, order in sorted(failures):
+        row[at] = valid[k]
+        try:
+            closed_form.equilibrium(ModelParams(*row), SCENARIOS[order],
+                                    validate=False)
+        except ValueError as exc:
+            raise ValueError(f"{param}={valid[k]!r}: {exc}") from exc
+    flags = list(map(_FLAGS.__getitem__, zip(*masks)))
+    chosen = [choose_platform(p1, p2, p3) if inside is _ALL_INTERIOR else ""
+              for inside, p1, p2, p3 in zip(flags, *payoffs)]
+    return outcomes, flags, chosen
+
+
+def _interior(out: EquilibriumOutcome, mask: list[bool]) -> EquilibriumOutcome:
+    """out with each column cut to the entries that mask keeps. Fields
+    that share a column, as from_periods shares a price or a share between
+    the periods, share the cut column too."""
+    cut, changes = {}, {}
+    for name, field in vars(out).items():
+        if type(field) is _Column:
+            if id(field) not in cut:
+                cut[id(field)] = _Column(compress(field, mask))
+            changes[name] = cut[id(field)]
+    return out.with_values(**changes)
+
+
+def _entries(field, count: int):
+    """A field's entry per valid point: a column as it is, one number
+    repeated."""
+    return field if type(field) is _Column else (field,) * count
+
+
+def _row_numbers(out: EquilibriumOutcome):
+    """The seven CSV numbers of each of out's entries, formatted as the
+    entries are read: one text for all of them when none is a column."""
+    numbers = (out.pA1, out.pB1, out.pA2, out.pB2, out.cutoff1, out.profitA,
+               out.profitB)
+    if not any(isinstance(number, tuple) for number in numbers):
+        return repeat(_OUTCOME_NUMBERS % numbers)
+    return map(_OUTCOME_NUMBERS.__mod__, zip(*[
+        number if isinstance(number, tuple) else repeat(number)
+        for number in numbers]))
 
 
 def write_sweep_csv(table: SweepTable, stream: TextIOBase) -> int:
@@ -208,17 +334,18 @@ def write_sweep_csv(table: SweepTable, stream: TextIOBase) -> int:
 
     Floats print with 9 significant digits and a missing value as an empty
     field, one formatted line per row, written as soon as it is formatted.
-    An outcome or a threshold report that consecutive valid points share,
-    as run_sweep's table does, has its numbers formatted once."""
+    An outcome field that is one number for every point, or a threshold
+    report that consecutive valid points share, as run_sweep's table
+    holds them, has its numbers formatted once."""
     write = stream.write
     write(CSV_HEADER + "\n")
     names = _SCENARIO_NAMES
-    # each scenario's latest outcome and that outcome's numbers
-    latest, texts = [None, None, None], ["", "", ""]
+    texts = [_row_numbers(out) if out is not None else None
+             for out in (table.outcomes[scenario] for scenario in SCENARIOS)]
     report, report_text = None, ""
-    for value, outs, chosen, th, note in zip(
-            table.values, zip(*[table.outcomes[scenario] for scenario in SCENARIOS]),
-            table.chosen, table.thresholds, table.notes):
+    for value, flags, chosen, th, note in zip(
+            table.values, table.interior, table.chosen, table.thresholds,
+            table.notes):
         value = f"{value:.9g}"
         if th is None:
             tail = f"{chosen},,,,"
@@ -227,15 +354,11 @@ def write_sweep_csv(table: SweepTable, stream: TextIOBase) -> int:
                 report, report_text = th, (f"{th.c2_star:.9g},{th.c3_star:.9g},"
                                            f"{th.d2_star:.9g},{th.d3_star:.9g}")
             tail = f"{chosen},{report_text}"
-        for i, out in enumerate(outs):
-            if out is None:
-                write(f"{value},{names[i]},,,,,,,,{tail},{note}\n")
-                continue
-            if out is not latest[i]:
-                latest[i] = out
-                texts[i] = _OUTCOME_NUMBERS % (out.pA1, out.pB1, out.pA2, out.pB2,
-                                               out.cutoff1, out.profitA, out.profitB)
-            write(f"{value},{names[i]},{texts[i]},{tail},ok\n")
+        for name, inside, text in zip(names, flags, texts):
+            if inside:
+                write(f"{value},{name},{next(text)},{tail},ok\n")
+            else:
+                write(f"{value},{name},,,,,,,,{tail},{note}\n")
     return len(table.values) * len(SCENARIOS)
 
 
@@ -253,8 +376,9 @@ def render_profit_svg(table: SweepTable, param: str) -> str:
     plot_w, plot_h = width - left - right, height - top - bottom
 
     xs = table.values
-    columns = [table.outcomes[scenario] for scenario in SCENARIOS]
-    ys = [out.profitB for column in columns for out in column if out is not None]
+    outcomes = [table.outcomes[scenario] for scenario in SCENARIOS]
+    ys = [y for out in outcomes if out is not None for y in (
+        out.profitB if isinstance(out.profitB, tuple) else (out.profitB,))]
     if not ys:
         raise ValueError("nothing to plot: no valid sweep points")
     x_lo, x_hi = min(xs), max(xs)
@@ -265,6 +389,9 @@ def render_profit_svg(table: SweepTable, param: str) -> str:
     # every scenario's line shares the points' x coordinates
     x_text = [f"{left + (x - x_lo) / x_span * plot_w:.2f}," for x in xs]
 
+    def y_text(y):
+        return f"{top + (y_hi - y) / y_span * plot_h:.2f}"
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -273,19 +400,18 @@ def render_profit_svg(table: SweepTable, param: str) -> str:
         f'y2="{top + plot_h}" stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
     ]
-    for scenario, column in zip(SCENARIOS, columns):
+    for i, (scenario, out) in enumerate(zip(SCENARIOS, outcomes)):
+        if out is None:
+            continue
+        # a profitB that is one number for every point is formatted once
+        ys = (map(y_text, out.profitB) if isinstance(out.profitB, tuple)
+              else repeat(y_text(out.profitB)))
         segments: list[list[str]] = [[]]
-        # an outcome that consecutive points share has its y formatted once
-        last, y_text = None, ""
-        for x, out in zip(x_text, column):
-            if out is None:
-                if segments[-1]:
-                    segments.append([])
-                continue
-            if out is not last:
-                last = out
-                y_text = f"{top + (y_hi - out.profitB) / y_span * plot_h:.2f}"
-            segments[-1].append(x + y_text)
+        for x, flags in zip(x_text, table.interior):
+            if flags[i]:
+                segments[-1].append(x + next(ys))
+            elif segments[-1]:
+                segments.append([])
         for seg in segments:
             if len(seg) >= 2:
                 parts.append(f'<polyline fill="none" stroke="{SVG_COLORS[scenario]}" '

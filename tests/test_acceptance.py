@@ -120,12 +120,13 @@ def test_network_strength_widens_the_compatible_profit_gap(reference):
     table = run_sweep(reference, spec)
     valid = [th is not None for th in table.thresholds]
     assert valid == [True] * 8 + [False]
-    swept = table.outcomes[Scenario.COMPATIBLE][:8]
-    swept_gaps = [out.profitA - out.profitB for out in swept]
+    swept = table.outcomes[Scenario.COMPATIBLE]
+    assert len(swept.profitA) == 8
+    swept_gaps = [a - b for a, b in zip(swept.profitA, swept.profitB)]
     assert swept_gaps == pytest.approx(gaps[:8], rel=1e-12)
-    for out, p_point in zip(swept, (reference.with_values(alpha=float(a))
-                                    for a in alphas)):
-        assert out.pB1 < p_point.s
+    for pB1, p_point in zip(swept.pB1, (reference.with_values(alpha=float(a))
+                                        for a in alphas)):
+        assert pB1 < p_point.s
 
     # with a small lead in installed base the incumbent does worse off the
     # shared chain and prices below dispersion

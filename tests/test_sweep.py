@@ -1,6 +1,8 @@
-"""Sweep wiring: each grid point is solved at most once, a closed form
-that does not read the swept field once per sweep, and the chosen column
-is the entrant's platform choice over that point's solved outcomes."""
+"""Sweep wiring: each scenario is solved once per sweep, on a column of
+the valid points where its closed form reads the swept field and at the
+first valid point where it does not; every column entry is the scalar
+solve of its point, and the chosen column is the entrant's platform choice
+over that point's solved outcomes."""
 
 import csv
 import hashlib
@@ -14,7 +16,8 @@ import pytest
 from chain_rivalry import closed_form
 from chain_rivalry.closed_form import (AdoptionDecision, CornerEquilibriumError,
                                        adoption_decision, subsidy_threshold)
-from chain_rivalry.model import Scenario, validate_params
+from chain_rivalry.model import (SCENARIOS, EquilibriumOutcome, ModelParams,
+                                 Scenario, validate_params)
 from chain_rivalry.sweep import (CSV_HEADER, SWEEPABLE, SweepSpec, SweepTable,
                                  render_profit_svg, run_sweep, write_sweep_csv)
 from conftest import draws
@@ -46,17 +49,35 @@ def across_the_thresholds(p, steps=41):
             SweepSpec("subsidy_p3", 0.0, 2.0 * rep.c3_star, steps)]
 
 
+def point_outcome(table, scenario, j):
+    """The scenario's outcome at grid point j of a table, with one number
+    per field, or None where its equilibrium is not interior."""
+    i = SCENARIOS.index(scenario)
+    if not table.interior[j][i]:
+        return None
+    k = sum(flags[i] for flags in table.interior[:j])
+    out = table.outcomes[scenario]
+    return out.with_values(**{name: value[k] for name, value in vars(out).items()
+                              if isinstance(value, tuple)})
+
+
 @pytest.mark.parametrize("base", ["reference", "off_gate"])
 def test_each_valid_point_is_solved_once(base, reference, monkeypatch):
-    """Every field swept: a scenario or threshold report is solved at the
-    first valid point, and at each later one only when its field set in
-    closed_form (EQUILIBRIUM_READS, THRESHOLD_READS) holds the swept field.
-    So d and alpha re-solve two scenarios per later point (alpha the
-    thresholds too), k one, and s, which every closed form reads,
-    re-solves everything."""
+    """Every field swept: a scenario whose field set in closed_form
+    (EQUILIBRIUM_READS) holds the swept field is solved in one
+    closed_form.evaluate call on a column of the valid points' values, and
+    any other in one equilibrium call at the first valid point. The
+    threshold report is solved at every valid point when THRESHOLD_READS
+    holds the swept field, else at the first. So s, which every closed
+    form reads, makes three column calls, d and alpha two, k one."""
     p = reference if base == "reference" else draws("wide", 2024, 1)[0]
-    calls, reports = [], []
+    columns, calls, reports = [], [], []
+    real_evaluate = closed_form.evaluate
     real, real_threshold = closed_form.equilibrium, closed_form.subsidy_threshold
+
+    def counting_evaluate(point, scenario):
+        columns.append((scenario, point))
+        return real_evaluate(point, scenario)
 
     def counting(point, scenario, validate=True):
         calls.append(scenario)
@@ -66,34 +87,45 @@ def test_each_valid_point_is_solved_once(base, reference, monkeypatch):
         reports.append(point)
         return real_threshold(point, validate=validate)
 
+    monkeypatch.setattr(closed_form, "evaluate", counting_evaluate)
     monkeypatch.setattr(closed_form, "equilibrium", counting)
     monkeypatch.setattr(closed_form, "subsidy_threshold", counting_threshold)
     bounded = past_the_bounds(p)
     swept = set()
     for spec in bounded + crossing_grids(p) + [
             SweepSpec("s", 0.5 * p.s, 1.5 * p.s, 41)]:
+        columns.clear()
         calls.clear()
         reports.clear()
         table = run_sweep(p, spec)
-        valid = sum(th is not None for th in table.thresholds)
+        valid = [value for value, th in zip(table.values, table.thresholds)
+                 if th is not None]
         if spec in bounded:
             interior = sum(chosen != "" for chosen in table.chosen)
             if spec.param == "d":
-                assert 0 < interior < valid == spec.steps
+                assert 0 < interior < len(valid) == spec.steps
             else:
-                assert 0 < interior == valid < spec.steps
-        assert valid > 1, spec
+                assert 0 < interior == len(valid) < spec.steps
+        assert len(valid) > 1, spec
+        solved = [scenario for scenario, _ in columns]
         for scenario in Scenario:
             reads = spec.param in closed_form.EQUILIBRIUM_READS[scenario]
-            assert calls.count(scenario) == (valid if reads else 1), (spec, scenario)
+            assert solved.count(scenario) == reads, (spec, scenario)
+            assert calls.count(scenario) == (not reads), (spec, scenario)
+        for _, point in columns:
+            # the swept field is the column of the valid points' values,
+            # and every other field one float
+            fields = dict(vars(point))
+            assert list(fields.pop(spec.param)) == valid, spec
+            assert {type(value) for value in fields.values()} == {float}, spec
         reads = spec.param in closed_form.THRESHOLD_READS
-        assert len(reports) == (valid if reads else 1), spec
+        assert len(reports) == (len(valid) if reads else 1), spec
         if spec.param in ("d", "alpha", "n1"):
-            assert len(calls) == 2 * valid + 1
+            assert len(columns) == 2
         elif spec.param == "s":
-            assert len(calls) == 3 * valid
+            assert len(columns) == 3
         else:
-            assert len(calls) == valid + 2
+            assert len(columns) == 1
         if spec.param == "k":
             assert len(reports) == 1
         swept.add(spec.param)
@@ -114,7 +146,7 @@ def test_chosen_column_is_the_adoption_decision(base, reference):
             column = {row[9] for row in rows[3 * j:3 * j + 3]}
             chosen, note = table.chosen[j], table.notes[j]
             if (table.thresholds[j] is None
-                    or any(table.outcomes[sc][j] is None for sc in Scenario)):
+                    or table.interior[j] != (True, True, True)):
                 assert column == {""} and chosen == ""
                 assert note.startswith(("invalid: ", "corner: "))
             else:
@@ -138,7 +170,7 @@ def test_a_payoff_tie_goes_to_the_shared_chain(reference, field, star, platform)
     goes to P1, and the subsidy above the threshold flips the choice."""
     c_star = getattr(subsidy_threshold(reference), star)
     table = run_sweep(reference, SweepSpec(field, c_star, 2.0 * c_star, 3))
-    tied = [table.outcomes[scenario][0].profitB_with_subsidy
+    tied = [point_outcome(table, scenario, 0).profitB_with_subsidy
             for scenario in (Scenario.SAME_CHAIN, platform)]
     assert tied[0] == tied[1]
     assert table.chosen[0] == "P1"
@@ -174,37 +206,45 @@ def test_sweep_bytes_match_their_pin(reference):
     assert digest.hexdigest() == PINNED_SWEEP_DIGEST
 
 
+# the outcome fields a table holds as columns
+NUMERIC = [name for name in EquilibriumOutcome.__match_args__
+           if name not in ("scenario", "converged", "iterations", "residual")]
+
+
 def solved_point_by_point(base, spec):
     """The sweep with every scenario and the thresholds solved afresh at
-    every valid point, through the public entries: the reference that
-    run_sweep's reuse must reproduce."""
+    every valid point, through the public entries, and each scenario's
+    interior outcomes stacked into columns: the reference that run_sweep's
+    column solves and reuse must reproduce."""
     values = spec.values()
-    outcomes = {scenario: [] for scenario in Scenario}
-    chosen, thresholds, notes = [], [], []
+    solved = {scenario: [] for scenario in Scenario}
+    interior, chosen, thresholds, notes = [], [], [], []
     for value in values:
         point = base.with_values(**{spec.param: value})
         report = validate_params(point)
         if not report.ok:
-            for column in outcomes.values():
-                column.append(None)
+            interior.append((False, False, False))
             chosen.append("")
             thresholds.append(None)
             notes.append("invalid: " + "; ".join(report.violations))
             continue
-        solved, corners = {}, []
+        outcomes, corners = {}, []
         for scenario in Scenario:
             try:
-                solved[scenario] = closed_form.equilibrium(point, scenario)
+                outcomes[scenario] = closed_form.equilibrium(point, scenario)
             except CornerEquilibriumError:
-                solved[scenario] = None
                 corners.append("corner: " + scenario.value)
-            outcomes[scenario].append(solved[scenario])
-        chosen.append("" if corners else AdoptionDecision.from_outcomes(solved).chosen)
+            else:
+                solved[scenario].append(outcomes[scenario])
+        interior.append(tuple(scenario in outcomes for scenario in Scenario))
+        chosen.append("" if corners else AdoptionDecision.from_outcomes(outcomes).chosen)
         thresholds.append(subsidy_threshold(point))
         notes.append("; ".join(corners))
-    return SweepTable(tuple(values), {scenario: tuple(column)
-                                      for scenario, column in outcomes.items()},
-                      tuple(chosen), tuple(thresholds), tuple(notes))
+    stacked = {scenario: outs[0].with_values(**{
+        name: tuple(getattr(out, name) for out in outs) for name in NUMERIC})
+        if outs else None for scenario, outs in solved.items()}
+    return SweepTable(tuple(values), stacked, tuple(interior), tuple(chosen),
+                      tuple(thresholds), tuple(notes))
 
 
 def csv_row_by_row(table):
@@ -216,7 +256,7 @@ def csv_row_by_row(table):
             f"{x:.9g}" for x in (th.c2_star, th.c3_star, th.d2_star, th.d3_star))
             if th is not None else ",,,,")
         for scenario in Scenario:
-            out = table.outcomes[scenario][j]
+            out = point_outcome(table, scenario, j)
             if out is None:
                 lines.append(f"{value:.9g},{scenario.value},,,,,,,,{tail},"
                              f"{table.notes[j]}")
@@ -260,6 +300,87 @@ def test_reuse_matches_solving_every_point(reference):
             valid = [th for th in table.thresholds if th is not None]
             shared += sum(a is b for a, b in zip(valid, valid[1:]))
     assert notes == {"", "invalid", "corner"} and shared > 0
+
+
+@pytest.mark.parametrize("family", ["reference", "wide", "edge"])
+def test_column_entries_are_the_scalar_solves_bitwise(family, reference):
+    """Every field swept, the subsidies included, on the reference and on
+    wide and edge bases: each column entry of every numeric outcome field
+    is closed_form.equilibrium at its grid point, bit for bit, and the
+    valid points a scenario has no entry for are exactly those where that
+    call raises CornerEquilibriumError."""
+    bases = {"reference": [reference], "wide": draws("wide", 711, 6),
+             "edge": draws("edge", 712, 6)}[family]
+    corners = entries = 0
+    for p in bases:
+        for spec in crossing_grids(p):
+            table = run_sweep(p, spec)
+            for i, scenario in enumerate(SCENARIOS):
+                out, k = table.outcomes[scenario], 0
+                for j, value in enumerate(table.values):
+                    if table.thresholds[j] is None:
+                        assert not table.interior[j][i]
+                        continue
+                    try:
+                        alone = closed_form.equilibrium(
+                            p.with_values(**{spec.param: value}), scenario)
+                    except CornerEquilibriumError:
+                        assert not table.interior[j][i], (spec, j, scenario)
+                        corners += 1
+                        continue
+                    assert table.interior[j][i], (spec, j, scenario)
+                    assert out.scenario is scenario
+                    for name in NUMERIC:
+                        field = getattr(out, name)
+                        got = field[k] if isinstance(field, tuple) else field
+                        assert got.hex() == getattr(alone, name).hex(), (
+                            spec, j, scenario, name)
+                    k += 1
+                entries += k
+                lengths = {len(field) for field in (vars(out) if out else {}).values()
+                           if isinstance(field, tuple)}
+                assert lengths <= {k} and (out is None) == (k == 0), (spec, scenario)
+            if spec.param == "subsidy_p2":
+                # only B's subsidy-inclusive payoff reads the subsidy
+                out = table.outcomes[Scenario.COMPATIBLE]
+                assert [name for name in NUMERIC if isinstance(
+                    getattr(out, name), tuple)] == ["profitB_with_subsidy"]
+    assert corners and entries
+
+
+# The largest float: a subsidy just below it overflows B's subsidy-inclusive
+# payoff once the scenario's profits pass what it leaves.
+MAX_FLOAT = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("room2, room3, failing", [
+    (2.5e300, 1.2e300, Scenario.INCOMPATIBLE),
+    (1.2e300, 2.5e300, Scenario.COMPATIBLE)])
+def test_the_earliest_overflowing_point_is_named(room2, room3, failing):
+    """Two scenarios overflow at different points of one d sweep: the
+    error is the one the earlier point raises alone, whichever scenario
+    comes first in SCENARIOS. Before either point, a scenario's payoff sum
+    already overflows while each of its fields is finite, which
+    closed_form.equilibrium accepts, so those points raise nothing."""
+    base = ModelParams(alpha=0.1, s=1e300, k=1e301, n1=10.0, n2=5.0, n3=5.0,
+                       subsidy_p2=MAX_FLOAT - room2, subsidy_p3=MAX_FLOAT - room3)
+    spec = SweepSpec("d", 0.0, 2.4e300, 13)
+    first = {}
+    for value in spec.values():
+        point = base.with_values(d=value)
+        for scenario in SCENARIOS[1:]:
+            try:
+                closed_form.equilibrium(point, scenario)
+            except CornerEquilibriumError:
+                pass
+            except ValueError as exc:
+                first.setdefault(scenario, (value, str(exc)))
+    assert len(first) == 2 and first[failing][0] < min(
+        value for value, _ in first.values() if value != first[failing][0])
+    value, message = first[failing]
+    with pytest.raises(ValueError) as err:
+        run_sweep(base, spec)
+    assert str(err.value) == f"d={value!r}: {message}"
 
 
 def test_written_lines_need_no_quoting(reference):
@@ -435,7 +556,8 @@ def test_a_flat_profit_line_is_padded_by_one_each_way(reference):
     # past both corner bounds only the same-chain line is left, with
     # profitB = s = 3 at every point
     table = run_sweep(reference, SweepSpec("d", 10.0, 12.0, 5))
-    assert {out.profitB for out in table.outcomes[Scenario.SAME_CHAIN]} == {3.0}
+    assert all(flags[0] for flags in table.interior)
+    assert table.outcomes[Scenario.SAME_CHAIN].profitB == 3.0
     svg = render_profit_svg(table, "d")
     assert svg.count("<polyline") == 1
     assert 'text-anchor="end" font-family="sans-serif">2</text>' in svg
