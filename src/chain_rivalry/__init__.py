@@ -6,17 +6,16 @@ Import each name from the module that defines it:
 
 - model: ModelParams, Scenario (SCENARIOS holds its members in order),
   validate_params, net_values, user_utility;
-- closed_form: equilibrium(p, scenario) for all three scenarios, one game
-  or, on numpy column fields, many at once; evaluate(p, scenario), the
-  same closed forms unchecked on any column type; adoption_decision,
-  subsidy_threshold, adoption_sensitivity;
+- closed_form: equilibrium(p, scenario) for all three scenarios;
+  evaluate(p, scenario) and Column, under the column contract its
+  docstring states; adoption_decision, subsidy_threshold,
+  adoption_sensitivity;
 - oracle: oracle_equilibrium, the best-response route;
 - sim: simulate_game, the discretized-user route;
 - verify: run_verification, which checks the two routes against the
   closed forms, solved once per scenario on columns;
-- sweep: run_sweep, which solves each scenario once per sweep, on a
-  plain-Python column of the grid's valid values where its closed form
-  reads the swept field; write_sweep_csv, render_profit_svg;
+- sweep: run_sweep, which solves each scenario once per sweep;
+  write_sweep_csv, render_profit_svg;
 - cli: the chain-rivalry command.
 
 The closed-form queries need only model and closed_form, and sweeps add

@@ -2,12 +2,7 @@
 
 equilibrium(p, scenario) is the one closed-form equilibrium for all three
 scenarios, its payoffs computed by EquilibriumOutcome.from_periods as the
-oracle's are; subsidy_threshold and adoption_decision build on it. It also
-solves many games in one call when p's fields are numpy columns, by the
-same arithmetic and without importing numpy. evaluate(p, scenario) is
-that arithmetic without equilibrium's checks, on any number type with
-+ - * /: sweep.run_sweep runs it once per scenario on a plain-Python
-column of grid values and tells the corners apart itself. The
+oracle's are; subsidy_threshold and adoption_decision build on it. The
 platform choice is a function of B's three subsidy-inclusive payoffs
 alone (choose_platform, which AdoptionDecision.chosen calls), so a caller
 holding the three solved outcomes decides without solving them again.
@@ -15,18 +10,28 @@ Every operation is an explicit formula, parameterized by the quality edge
 d and the platform subsidies so the baseline model is the d=0,
 zero-subsidy special case.
 
-EQUILIBRIUM_READS and THRESHOLD_READS name the fields each form reads: the
-same chain reads s alone, and the thresholds read neither d nor the
-subsidies. A field outside a form's set cannot change its result, so a
-sweep of that field solves the form once, at its first valid point, and a
-field inside it makes the form's evaluate call a column (see
-sweep.run_sweep).
+The column contract, stated here once. On fields that are columns, one
+game per entry, the closed forms solve every game by the same arithmetic,
+each entry of the outcome bitwise its game's own. A column is a Column (a
+tuple of floats with entrywise + - * /) or a numpy array, read only by
+ndim and tolist(), so this module imports no numpy; a field that is one
+number counts for every entry. evaluate is the one checked column solve:
+the outcome, an interior flag per entry (cutoff in (0, 1)) and the
+interior entries whose profitA + profitB_with_subsidy is not finite. Only
+those entries can fail alone: a corner raises CornerEquilibriumError, and
+an overflow raises ValueError only where a field overflows too.
+solve_alone re-solves listed entries through the scalar equilibrium, in
+the caller's order, to the first that raises: equilibrium on numpy columns
+lists its corners and overflows in entry order, and sweep.run_sweep its
+overflows in grid, then SCENARIOS order.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from itertools import repeat
+from operator import add, mul, neg, sub, truediv
 
 from .model import (
     COMPATIBLE,
@@ -155,15 +160,14 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     Shares are the same in both periods; EquilibriumOutcome.from_periods
     computes the payoffs from the prices and shares. Every field comes back
     in the number type of p's fields: floats give floats, Fractions give
-    Fractions, and numpy columns, one game per entry, give columns, each
-    entry bitwise the game's own outcome (validate_params checks one game,
-    so columns take validate=False). Raises CornerEquilibriumError when the
-    cutoff leaves (0, 1), and ValueError when a field overflows to a
-    non-finite value; in a column, the first game that fails raises as it
-    would alone. numpy warns of a column's overflow as its errstate says.
-    evaluate(p, scenario) is the same arithmetic without any check.
-    validate=True also checks p and raises a TypeError for a scenario that
-    is not a Scenario; validate=False trusts both.
+    Fractions, and numpy columns give columns as the module docstring
+    states (validate_params checks one game, so columns take
+    validate=False). Raises CornerEquilibriumError when the cutoff leaves
+    (0, 1), and ValueError when a field overflows to a non-finite value; a
+    column raises the error of its first entry that fails alone. numpy
+    warns of a column's overflow as its errstate says. validate=True also
+    checks p and raises a TypeError for a scenario that is not a Scenario;
+    validate=False trusts both.
     """
     if validate:
         require_scenario(scenario)
@@ -172,7 +176,12 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     # a column has an ndim; a float skips the lookup, so one game pays
     # nothing for columns
     if type(cutoff) is not float and getattr(cutoff, "ndim", 0):
-        return _columns(p, scenario, pA1, pB1, cutoff)
+        out, interior, overflows = _checked(p, scenario, pA1, pB1, cutoff)
+        corners = [k for k, inside in enumerate(interior) if not inside]
+        failed = solve_alone(p, [(k, scenario) for k in sorted(overflows + corners)])
+        if failed:
+            raise failed[1]
+        return out
     if not 0.0 < cutoff < 1.0:
         raise CornerEquilibriumError(scenario, cutoff)
     out = _outcome(p, scenario, pA1, pB1, cutoff)
@@ -182,35 +191,85 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     return out
 
 
-def evaluate(p: ModelParams, scenario: Scenario) -> EquilibriumOutcome:
-    """The scenario's closed-form outcome at p without equilibrium's
-    checks: the same arithmetic, on any number type with + - * /. Column
-    fields, one game per entry, give columns of the games' own outcomes,
-    bit for bit. An entry whose cutoff leaves (0, 1), or whose payoffs
-    overflow, holds whatever the formulas give there, so the caller tells
-    those entries apart (sweep.run_sweep does, for a grid)."""
-    return _outcome(p, scenario, *_period1(p, scenario))
+def _entrywise(op):
+    """Column's operator op, with the column on the left and on the right."""
+    def forward(self, other):
+        return Column(map(op, self, other if type(other) is Column
+                          else repeat(other)))
+
+    def backward(self, other):
+        # other is never a column: a column on the left takes forward
+        return Column(map(op, repeat(other), self))
+
+    return forward, backward
 
 
-def _columns(p: ModelParams, scenario: Scenario, pA1, pB1,
-             cutoff) -> EquilibriumOutcome:
-    """equilibrium's outcome on column fields, one game per entry: the
-    checks of a single game, taken entry by entry. The first game that
-    fails one is solved alone, where it raises."""
+class Column(tuple):
+    """A column of floats, one entry per game, on which + - * / and unary
+    minus act entry by entry, with a column or with one number for every
+    entry. It has no other arithmetic, and no in-place operator, so no
+    tuple concatenation or repetition can stand in for a sum or a
+    product."""
+
+    __slots__ = ()
+    __add__, __radd__ = _entrywise(add)
+    __sub__, __rsub__ = _entrywise(sub)
+    __mul__, __rmul__ = _entrywise(mul)
+    __truediv__, __rtruediv__ = _entrywise(truediv)
+
+    def __neg__(self):
+        return Column(map(neg, self))
+
+
+def evaluate(p: ModelParams, scenario: Scenario) -> tuple:
+    """(outcome, interior, overflows) at p, the one checked column solve
+    of the module docstring; one game is one entry. It raises nothing: an
+    entry that is not interior, or overflows, holds what the formulas give."""
+    return _checked(p, scenario, *_period1(p, scenario))
+
+
+def _checked(p: ModelParams, scenario: Scenario, pA1, pB1, cutoff):
+    """evaluate on period-1 values already solved, as equilibrium has them."""
     out = _outcome(p, scenario, pA1, pB1, cutoff)
-    solved = ((0.0 < cutoff) & (cutoff < 1.0)
-              & (abs(out.profitA + out.profitB_with_subsidy) < math.inf))
-    if not solved.all():
-        game = solved.tolist().index(False)
-        equilibrium(ModelParams(**{name: _entry(value, game) for name, value
-                                   in vars(p).items()}), scenario, validate=False)
-    return out
+    count = _count(p)
+    interior = [0.0 < entry < 1.0 for entry in _entries(cutoff, count)]
+    totals = _entries(out.profitA + out.profitB_with_subsidy, count)
+    # not math.isfinite, which cannot take an exact sum past the float range;
+    # a finite sum clears every entry at once, without a loop in Python
+    overflows = [] if abs(sum(totals)) < math.inf else [
+        k for k, (inside, total) in enumerate(zip(interior, totals))
+        if inside and not abs(total) < math.inf]
+    return out, interior, overflows
 
 
-def _entry(value, game: int):
-    """A column field's number for one game, as a Python number; a field
-    that is one number for every game, as it is."""
-    return value.tolist()[game] if getattr(value, "ndim", 0) else value
+def solve_alone(p: ModelParams, listed: list[tuple[int, Scenario]]):
+    """The first listed (entry, scenario) of p's columns, in the given
+    order, that raises when solved alone by equilibrium, and its error."""
+    if not listed:
+        return None
+    count = _count(p)
+    fields = [_entries(value, count) for value in vars(p).values()]
+    for entry, scenario in listed:
+        try:
+            equilibrium(ModelParams(*[field[entry] for field in fields]),
+                        scenario, validate=False)
+        except ValueError as exc:
+            return entry, exc
+    return None
+
+
+def _count(p: ModelParams) -> int:
+    """How many entries p's fields have: 1 where none is a column."""
+    return max(len(value) if type(value) is Column or getattr(value, "ndim", 0)
+               else 1 for value in vars(p).values())
+
+
+def _entries(value, count: int):
+    """A field's number per entry, read by iteration: a Column as it is, a
+    numpy column through tolist(), and one number repeated count times."""
+    if type(value) is Column:
+        return value
+    return value.tolist() if getattr(value, "ndim", 0) else (value,) * count
 
 
 def _period1(p: ModelParams, scenario: Scenario):

@@ -217,10 +217,7 @@ class EquilibriumOutcome:
     price, cutoff, share and payoff comes back in the number type of the
     params' fields: floats give floats, and Fractions give Fractions from
     both routes, as does the oracle's residual. From the closed forms,
-    numpy columns give columns, one game per entry, and a failing game
-    raises as it would alone; closed_form.evaluate gives the columns of
-    any column type with + - * / unchecked, as sweep.run_sweep's tuples of
-    grid values.
+    column fields give columns, as closed_form's docstring states.
     """
 
     scenario: Scenario

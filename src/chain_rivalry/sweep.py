@@ -13,40 +13,31 @@ refused before the grid runs. The module imports neither numpy nor
 dataclasses.
 
 Only the swept field changes from point to point. run_sweep checks each
-point with validate_params, then solves each scenario once per sweep: a
-scenario whose closed form reads the swept field
-(closed_form.EQUILIBRIUM_READS) in one closed_form.evaluate call whose
-swept field is a column of the valid points' values, and any other, which
-gives the same outcome at every valid point, at the first valid point
-alone. The column is a plain-Python tuple on which + - * / act entry by
-entry, so each entry is bitwise the scalar solve of its point; an entry
-whose cutoff leaves (0, 1) is a corner, and the point where a scalar solve
-would raise for overflow is solved alone to raise that error. The
-threshold report stays per point where THRESHOLD_READS holds the swept
-field (math.sqrt takes one number), and is solved once where it does not.
+point with validate_params, then solves each scenario once per sweep: one
+whose closed form reads the swept field (closed_form.EQUILIBRIUM_READS)
+by closed_form.evaluate on a closed_form.Column of the valid points'
+values, and any other at the first valid point, whose outcome is that of
+every valid point. The threshold report stays per point where
+THRESHOLD_READS holds the swept field (math.sqrt takes one number), and
+is solved once where it does not.
 
 run_sweep returns one SweepTable of columns, so a grid point is one entry
 in each column and no object of its own; its ModelParams, built
 positionally from one row of fields, and its validate_params report are
-dropped once its entries are set. Each scenario's outcome is one
-EquilibriumOutcome of columns over its interior points, a field that the
-swept one does not change being one number; the choice at an interior
-point comes from the three subsidy-inclusive payoffs by
-closed_form.choose_platform, and a corner's note from a table keyed by the
-three interior flags. write_sweep_csv writes each row to its stream as
-soon as the row is formatted, so a sweep holds its table and nothing of
-its CSV; the writers format an outcome number shared by every point, and
-a threshold report shared by consecutive points, once.
+dropped once its entries are set. The choice at an interior point comes
+from the three subsidy-inclusive payoffs by closed_form.choose_platform,
+and a corner's note from a table keyed by the three interior flags.
+write_sweep_csv writes each row as soon as it is formatted, so a sweep
+holds its table and nothing of its CSV.
 """
 
 import math
 from collections.abc import Mapping
 from io import TextIOBase
 from itertools import compress, repeat
-from operator import add, mul, neg, sub, truediv
 
 from . import closed_form
-from .closed_form import (CornerEquilibriumError, ThresholdReport,
+from .closed_form import (Column, CornerEquilibriumError, ThresholdReport,
                           choose_platform)
 from .model import (MAX_COUNT, OPTIONAL_FIELDS, REQUIRED_FIELDS,
                     EquilibriumOutcome, SCENARIOS, ModelParams, Scenario,
@@ -108,36 +99,6 @@ class SweepSpec:
         return grid
 
 
-def _entrywise(op):
-    """_Column's operator op, with the column on the left and on the right."""
-    def forward(self, other):
-        return _Column(map(op, self, other if type(other) is _Column
-                           else repeat(other)))
-
-    def backward(self, other):
-        # other is never a column: a column on the left takes forward
-        return _Column(map(op, repeat(other), self))
-
-    return forward, backward
-
-
-class _Column(tuple):
-    """A column of floats, one entry per valid grid point, on which + - * /
-    and unary minus act entry by entry, with a column or with one number
-    for every entry. It has no other arithmetic, and no in-place operator,
-    so no tuple concatenation or repetition can stand in for a sum or a
-    product."""
-
-    __slots__ = ()
-    __add__, __radd__ = _entrywise(add)
-    __sub__, __rsub__ = _entrywise(sub)
-    __mul__, __rmul__ = _entrywise(mul)
-    __truediv__, __rtruediv__ = _entrywise(truediv)
-
-    def __neg__(self):
-        return _Column(map(neg, self))
-
-
 @record
 class SweepTable:
     """A sweep's results as columns. values, interior, chosen, thresholds
@@ -182,14 +143,9 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> SweepTable:
     The grid runs in double precision: every point is the base's fields as
     model.require_number gives them, with the swept field set to the grid
     value. Every base field other than the swept one that require_number
-    refuses is named in one ValueError, before any point is solved.
-
-    Each point is checked by validate_params. A scenario whose closed form
-    reads the swept field (closed_form.EQUILIBRIUM_READS) is solved in one
-    closed_form.evaluate call on a column of the valid points' values, and
-    any other at the first valid point by closed_form.equilibrium. The
-    threshold report is solved at every valid point when THRESHOLD_READS
-    holds the swept field, else at the first, and is the same object at
+    refuses is named in one ValueError, before any point is solved. Each
+    point is checked by validate_params, and solved as the module
+    docstring says; a threshold report solved once is the same object at
     every later valid point."""
     param = spec.param
     # the point's fields in ModelParams order, the swept one set per point
@@ -246,26 +202,17 @@ def _solve(param: str, row: list, at: int, first: ModelParams | None,
            valid: list[float]):
     """run_sweep's scenarios over its valid points: each scenario's
     outcome over its interior points (or None), and per valid point the
-    interior flags and the choice. An interior entry whose payoff sum
-    overflows is solved alone by closed_form.equilibrium, in grid order,
-    then SCENARIOS order, and the first that raises there raises the
-    ValueError, named by its swept value."""
-    count = len(valid)
-    if not count:
+    interior flags and the choice. A failing entry's ValueError names its
+    swept value."""
+    if not valid:
         return dict.fromkeys(SCENARIOS), [], []
-    row[at] = _Column(valid)
+    row[at] = Column(valid)
     columns = ModelParams(*row)
     outcomes, masks, payoffs, failures = {}, [], [], []
     for order, scenario in enumerate(SCENARIOS):
         if param in closed_form.EQUILIBRIUM_READS[scenario]:
-            out = closed_form.evaluate(columns, scenario)
-            # a subsidy sweep leaves the cutoff one number
-            mask = [0.0 < cutoff < 1.0 for cutoff in _entries(out.cutoff1, count)]
-            totals = _entries(out.profitA + out.profitB_with_subsidy, count)
-            if not all(map(math.isfinite, totals)):
-                failures.extend((k, order) for k, (inside, total)
-                                in enumerate(zip(mask, totals))
-                                if inside and not math.isfinite(total))
+            out, mask, overflows = closed_form.evaluate(columns, scenario)
+            failures.extend((k, order) for k in overflows)
         else:
             try:
                 out = closed_form.equilibrium(first, scenario, validate=False)
@@ -274,24 +221,23 @@ def _solve(param: str, row: list, at: int, first: ModelParams | None,
             except ValueError:
                 out = None
                 failures.append((0, order))
-            mask = [out is not None] * count
+            mask = [out is not None] * len(valid)
         masks.append(mask)
-        if out is None or not any(mask):
+        if not any(mask):
             out = None
             payoffs.append(repeat(None))
         else:
-            payoffs.append(_entries(out.profitB_with_subsidy, count))
+            # a field the swept one does not change is one number
+            payoff = out.profitB_with_subsidy
+            payoffs.append(payoff if type(payoff) is Column else repeat(payoff))
             if not all(mask):
                 out = _interior(out, mask)
         outcomes[scenario] = out
-    # equilibrium raises at such an entry only when a field overflows too
-    for k, order in sorted(failures):
-        row[at] = valid[k]
-        try:
-            closed_form.equilibrium(ModelParams(*row), SCENARIOS[order],
-                                    validate=False)
-        except ValueError as exc:
-            raise ValueError(f"{param}={valid[k]!r}: {exc}") from exc
+    failed = closed_form.solve_alone(
+        columns, [(k, SCENARIOS[order]) for k, order in sorted(failures)])
+    if failed:
+        k, exc = failed
+        raise ValueError(f"{param}={valid[k]!r}: {exc}") from exc
     flags = list(map(_FLAGS.__getitem__, zip(*masks)))
     chosen = [choose_platform(p1, p2, p3) if inside is _ALL_INTERIOR else ""
               for inside, p1, p2, p3 in zip(flags, *payoffs)]
@@ -304,17 +250,11 @@ def _interior(out: EquilibriumOutcome, mask: list[bool]) -> EquilibriumOutcome:
     the periods, share the cut column too."""
     cut, changes = {}, {}
     for name, field in vars(out).items():
-        if type(field) is _Column:
+        if type(field) is Column:
             if id(field) not in cut:
-                cut[id(field)] = _Column(compress(field, mask))
+                cut[id(field)] = Column(compress(field, mask))
             changes[name] = cut[id(field)]
     return out.with_values(**changes)
-
-
-def _entries(field, count: int):
-    """A field's entry per valid point: a column as it is, one number
-    repeated."""
-    return field if type(field) is _Column else (field,) * count
 
 
 def _row_numbers(out: EquilibriumOutcome):

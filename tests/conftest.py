@@ -18,6 +18,9 @@ from chain_rivalry.sweep import SWEEPABLE
 from chain_rivalry.verify import draw_params
 
 REFERENCE = dict(alpha=0.1, s=3.0, k=20.0, n1=10.0, n2=5.0, n3=5.0)
+# The largest float: a subsidy just below it overflows B's subsidy-inclusive
+# payoff once the scenario's profits pass what it leaves.
+MAX_FLOAT = 1.7976931348623157e308
 
 
 def exact(p: ModelParams) -> ModelParams:

@@ -19,7 +19,7 @@ from chain_rivalry.closed_form import (
 )
 from chain_rivalry.model import (SCENARIOS, ModelParams, Scenario, user_utility,
                                  validate_params)
-from conftest import (DRAWS, EDGE_GAMES, EXACT_CONFIGS, NUMERIC, astuple, draws, exact, game, profit_a_compatible,
+from conftest import (DRAWS, EDGE_GAMES, EXACT_CONFIGS, MAX_FLOAT, NUMERIC, astuple, draws, exact, game, profit_a_compatible,
                       profit_a_incompatible, profit_a_same, profit_b_compatible,
                       profit_b_incompatible, profit_b_same)
 
@@ -825,7 +825,13 @@ class TestColumns:
         ({"k": 1e308}, {"d": 8.5}),
         ({"d": 8.5}, {"d": 10.0}),
         ({"s": 4e307, "k": 1.7e308}, {"d": 10.0}),
-    ], ids=["corner-first", "overflow-first", "two-corners", "nan-first"])
+        # the first game's compatible payoff sum overflows on finite fields,
+        # which equilibrium accepts, so the corner after it must raise
+        ({"s": 1e300, "k": 1e301, "d": 1.6e300,
+          "subsidy_p2": MAX_FLOAT - 2.5e300, "subsidy_p3": MAX_FLOAT - 1.2e300},
+         {"d": 10.0}),
+    ], ids=["corner-first", "overflow-first", "two-corners", "nan-first",
+            "benign-overflow-first"])
     @pytest.mark.parametrize("among", [False, True], ids=["alone", "among"])
     def test_a_failing_game_raises_as_it_does_alone(self, reference, changes,
                                                     among):
@@ -847,3 +853,28 @@ class TestColumns:
             assert (str(err.value), err.value.args) == (str(expected), expected.args)
             raised += 1
         assert raised
+
+    @pytest.mark.parametrize("keys", [DRAWS["default"], DRAWS["wide"], EDGE_GAMES],
+                             ids=["gate", "wide", "edge"])
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.value)
+    def test_evaluate_reads_numpy_and_plain_columns_alike(self, keys, scenario):
+        # the one checked column solve, on numpy columns and on Columns of
+        # the same games: the same flags, the same bits, and each flag what
+        # the game's own equilibrium raises or accepts
+        games = [game(key) for key in keys]
+        plain = ModelParams(*[closed_form.Column(map(float, field))
+                              for field in zip(*(vars(p).values() for p in games))])
+        out, interior, overflows = closed_form.evaluate(plain, scenario)
+        arrays, array_interior, array_overflows = closed_form.evaluate(
+            columns(games), scenario)
+        assert (interior, overflows) == (array_interior, array_overflows)
+        assert len(interior) == len(games)
+        for field in NUMERIC:
+            assert type(getattr(out, field)) is closed_form.Column, field
+            assert ([value.hex() for value in getattr(out, field)]
+                    == [value.hex() for value in getattr(arrays, field).tolist()]), field
+        for k, p in enumerate(games):
+            error = first_failure([p], scenario)
+            assert interior[k] == (type(error) is not CornerEquilibriumError), k
+            if error is not None and interior[k]:
+                assert k in overflows, k

@@ -20,7 +20,7 @@ from chain_rivalry.model import (SCENARIOS, EquilibriumOutcome, ModelParams,
                                  Scenario, validate_params)
 from chain_rivalry.sweep import (CSV_HEADER, SWEEPABLE, SweepSpec, SweepTable,
                                  render_profit_svg, run_sweep, write_sweep_csv)
-from conftest import draws
+from conftest import MAX_FLOAT, draws
 
 
 def corner_d(p):
@@ -346,11 +346,6 @@ def test_column_entries_are_the_scalar_solves_bitwise(family, reference):
                 assert [name for name in NUMERIC if isinstance(
                     getattr(out, name), tuple)] == ["profitB_with_subsidy"]
     assert corners and entries
-
-
-# The largest float: a subsidy just below it overflows B's subsidy-inclusive
-# payoff once the scenario's profits pass what it leaves.
-MAX_FLOAT = 1.7976931348623157e308
 
 
 @pytest.mark.parametrize("room2, room3, failing", [
