@@ -7,8 +7,8 @@ Import each name from the module that defines it:
 - model: ModelParams, Scenario (SCENARIOS holds its members in order),
   validate_params, net_values, user_utility;
 - closed_form: equilibrium(p, scenario) for all three scenarios;
-  evaluate(p, scenario) and Column, under the column contract its
-  docstring states; adoption_decision, subsidy_threshold,
+  evaluate(p, scenario), failing_entry and Column, under the column
+  contract its docstring states; adoption_decision, subsidy_threshold,
   adoption_sensitivity;
 - oracle: oracle_equilibrium, the best-response route;
 - sim: simulate_game, the discretized-user route;

@@ -15,15 +15,15 @@ game per entry, the closed forms solve every game by the same arithmetic,
 each entry of the outcome bitwise its game's own. A column is a Column (a
 tuple of floats with entrywise + - * /) or a numpy array, read only by
 ndim and tolist(), so this module imports no numpy; a field that is one
-number counts for every entry. evaluate is the one checked column solve:
-the outcome, an interior flag per entry (cutoff in (0, 1)) and the
-interior entries whose profitA + profitB_with_subsidy is not finite. Only
-those entries can fail alone: a corner raises CornerEquilibriumError, and
-an overflow raises ValueError only where a field overflows too.
-solve_alone re-solves listed entries through the scalar equilibrium, in
-the caller's order, to the first that raises: equilibrium on numpy columns
-lists its corners and overflows in entry order, and sweep.run_sweep its
-overflows in grid, then SCENARIOS order.
+number counts for every entry. evaluate is the one checked solve, of one
+game or of columns: the outcome, an interior flag per entry (cutoff in
+(0, 1)) and the interior entries whose profitA + profitB_with_subsidy is
+not finite. Only those entries can fail, and each raises what its own
+values say (failing_entry): a corner CornerEquilibriumError at its
+cutoff, and an overflow require_finite's ValueError on its fields, or
+nothing where every field is finite. equilibrium raises the first
+failing entry's error in entry order, and sweep.run_sweep the first in
+grid, then SCENARIOS order.
 """
 
 from __future__ import annotations
@@ -162,32 +162,22 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     in the number type of p's fields: floats give floats, Fractions give
     Fractions, and numpy columns give columns as the module docstring
     states (validate_params checks one game, so columns take
-    validate=False). Raises CornerEquilibriumError when the cutoff leaves
-    (0, 1), and ValueError when a field overflows to a non-finite value; a
-    column raises the error of its first entry that fails alone. numpy
-    warns of a column's overflow as its errstate says. validate=True also
-    checks p and raises a TypeError for a scenario that is not a Scenario;
+    validate=False). One game is one entry, solved by evaluate; the first
+    failing entry raises as failing_entry reads it off its own values:
+    CornerEquilibriumError when its cutoff leaves (0, 1), and ValueError
+    when one of its fields overflows to a non-finite value. numpy warns of
+    a column's overflow as its errstate says. validate=True also checks p
+    and raises a TypeError for a scenario that is not a Scenario;
     validate=False trusts both.
     """
     if validate:
         require_scenario(scenario)
         require_valid(p)
-    pA1, pB1, cutoff = _period1(p, scenario)
-    # a column has an ndim; a float skips the lookup, so one game pays
-    # nothing for columns
-    if type(cutoff) is not float and getattr(cutoff, "ndim", 0):
-        out, interior, overflows = _checked(p, scenario, pA1, pB1, cutoff)
-        corners = [k for k, inside in enumerate(interior) if not inside]
-        failed = solve_alone(p, [(k, scenario) for k in sorted(overflows + corners)])
-        if failed:
-            raise failed[1]
-        return out
-    if not 0.0 < cutoff < 1.0:
-        raise CornerEquilibriumError(scenario, cutoff)
-    out = _outcome(p, scenario, pA1, pB1, cutoff)
-    # not math.isfinite, which cannot take an exact sum past the float range
-    if not abs(out.profitA + out.profitB_with_subsidy) < math.inf:
-        require_finite(f"{scenario.value} equilibrium", out)
+    out, interior, overflows = _evaluate(p, scenario)
+    corners = [k for k, inside in enumerate(interior) if not inside]
+    failed = failing_entry(out, scenario, interior, sorted(corners + overflows))
+    if failed:
+        raise failed[1]
     return out
 
 
@@ -222,17 +212,12 @@ class Column(tuple):
 
 
 def evaluate(p: ModelParams, scenario: Scenario) -> tuple:
-    """(outcome, interior, overflows) at p, the one checked column solve
-    of the module docstring; one game is one entry. It raises nothing: an
-    entry that is not interior, or overflows, holds what the formulas give."""
-    return _checked(p, scenario, *_period1(p, scenario))
-
-
-def _checked(p: ModelParams, scenario: Scenario, pA1, pB1, cutoff):
-    """evaluate on period-1 values already solved, as equilibrium has them."""
-    out = _outcome(p, scenario, pA1, pB1, cutoff)
+    """(outcome, interior, overflows) at p, the one checked solve of the
+    module docstring; one game is one entry. It raises nothing: an entry
+    that is not interior, or overflows, holds what the formulas give."""
+    out = _outcome(p, scenario, *_period1(p, scenario))
     count = _count(p)
-    interior = [0.0 < entry < 1.0 for entry in _entries(cutoff, count)]
+    interior = [0.0 < entry < 1.0 for entry in _entries(out.cutoff1, count)]
     totals = _entries(out.profitA + out.profitB_with_subsidy, count)
     # not math.isfinite, which cannot take an exact sum past the float range;
     # a finite sum clears every entry at once, without a loop in Python
@@ -242,19 +227,29 @@ def _checked(p: ModelParams, scenario: Scenario, pA1, pB1, cutoff):
     return out, interior, overflows
 
 
-def solve_alone(p: ModelParams, listed: list[tuple[int, Scenario]]):
-    """The first listed (entry, scenario) of p's columns, in the given
-    order, that raises when solved alone by equilibrium, and its error."""
+# equilibrium's own name for evaluate, so that a wrapper installed on the
+# public name sees the callers' column solves and not every equilibrium
+_evaluate = evaluate
+
+
+def failing_entry(out: EquilibriumOutcome, scenario: Scenario,
+                  interior: list[bool], listed: list[int]):
+    """The first of out's listed entries, in the given order, that fails
+    on its own values, and its error; None where none fails. An entry
+    that is not interior fails with CornerEquilibriumError at its cutoff,
+    and an interior one with require_finite's ValueError on its fields."""
     if not listed:
         return None
-    count = _count(p)
-    fields = [_entries(value, count) for value in vars(p).values()]
-    for entry, scenario in listed:
+    count = len(interior)
+    fields = {name: _entries(value, count) for name, value in vars(out).items()}
+    for k in listed:
+        entry = out.with_values(**{name: field[k] for name, field in fields.items()})
+        if not interior[k]:
+            return k, CornerEquilibriumError(scenario, entry.cutoff1)
         try:
-            equilibrium(ModelParams(*[field[entry] for field in fields]),
-                        scenario, validate=False)
+            require_finite(f"{scenario.value} equilibrium", entry)
         except ValueError as exc:
-            return entry, exc
+            return k, exc
     return None
 
 

@@ -212,15 +212,17 @@ def _solve(param: str, row: list, at: int, first: ModelParams | None,
     for order, scenario in enumerate(SCENARIOS):
         if param in closed_form.EQUILIBRIUM_READS[scenario]:
             out, mask, overflows = closed_form.evaluate(columns, scenario)
-            failures.extend((k, order) for k in overflows)
+            failed = closed_form.failing_entry(out, scenario, mask, overflows)
+            if failed:
+                failures.append((failed[0], order, failed[1]))
         else:
             try:
                 out = closed_form.equilibrium(first, scenario, validate=False)
             except CornerEquilibriumError:
                 out = None
-            except ValueError:
+            except ValueError as exc:
                 out = None
-                failures.append((0, order))
+                failures.append((0, order, exc))
             mask = [out is not None] * len(valid)
         masks.append(mask)
         if not any(mask):
@@ -233,10 +235,8 @@ def _solve(param: str, row: list, at: int, first: ModelParams | None,
             if not all(mask):
                 out = _interior(out, mask)
         outcomes[scenario] = out
-    failed = closed_form.solve_alone(
-        columns, [(k, SCENARIOS[order]) for k, order in sorted(failures)])
-    if failed:
-        k, exc = failed
+    if failures:
+        k, _, exc = min(failures)
         raise ValueError(f"{param}={valid[k]!r}: {exc}") from exc
     flags = list(map(_FLAGS.__getitem__, zip(*masks)))
     chosen = [choose_platform(p1, p2, p3) if inside is _ALL_INTERIOR else ""

@@ -794,6 +794,37 @@ def first_failure(games, scenario):
     return None
 
 
+def raised_as(exc):
+    """An error's (type, str, args), or None for no error."""
+    return None if exc is None else (type(exc), str(exc), exc.args)
+
+
+# What the first failing game of a TestColumns case raises, as raised_as
+# gives it: corners at d=10 and d=8.5, and the overflows of k=1e308, of
+# s=4e307 with k=1.7e308, and of a subsidy near the float maximum.
+COMPATIBLE_D10 = (
+    CornerEquilibriumError,
+    "compatible equilibrium cutoff -0.04597701149425292 outside (0, 1)",
+    (Scenario.COMPATIBLE, -0.04597701149425292))
+INCOMPATIBLE_D10 = (
+    CornerEquilibriumError,
+    "incompatible equilibrium cutoff -0.15517241379310345 outside (0, 1)",
+    (Scenario.INCOMPATIBLE, -0.15517241379310345))
+INCOMPATIBLE_D85 = (
+    CornerEquilibriumError,
+    "incompatible equilibrium cutoff -0.05172413793103448 outside (0, 1)",
+    (Scenario.INCOMPATIBLE, -0.05172413793103448))
+INCOMPATIBLE_PA1 = (
+    ValueError, "incompatible equilibrium: pA1 overflows to -inf",
+    ("incompatible equilibrium: pA1 overflows to -inf",))
+INCOMPATIBLE_NAN = (
+    ValueError, "incompatible equilibrium: pA1 overflows to nan",
+    ("incompatible equilibrium: pA1 overflows to nan",))
+INCOMPATIBLE_PROFIT = (
+    ValueError, "incompatible equilibrium: profitB_with_subsidy overflows to inf",
+    ("incompatible equilibrium: profitB_with_subsidy overflows to inf",))
+
+
 class TestColumns:
     """equilibrium on column fields: the per-game outcomes, bit for bit,
     and the per-game errors."""
@@ -820,29 +851,37 @@ class TestColumns:
                                       for field in NUMERIC}) \
                 == equilibrium(reference, scenario)
 
-    @pytest.mark.parametrize("changes", [
-        ({"d": 10.0}, {"k": 1e308}),
-        ({"k": 1e308}, {"d": 8.5}),
-        ({"d": 8.5}, {"d": 10.0}),
-        ({"s": 4e307, "k": 1.7e308}, {"d": 10.0}),
+    @pytest.mark.parametrize("changes, pinned", [
+        (({"d": 10.0}, {"k": 1e308}),
+         {False: (COMPATIBLE_D10, INCOMPATIBLE_D10),
+          True: (COMPATIBLE_D10, INCOMPATIBLE_D10)}),
+        (({"k": 1e308}, {"d": 8.5}),
+         {False: (None, INCOMPATIBLE_PA1), True: (None, INCOMPATIBLE_PA1)}),
+        (({"d": 8.5}, {"d": 10.0}),
+         {False: (None, INCOMPATIBLE_D85), True: (COMPATIBLE_D10, INCOMPATIBLE_D85)}),
+        (({"s": 4e307, "k": 1.7e308}, {"d": 10.0}),
+         {False: (None, INCOMPATIBLE_NAN), True: (COMPATIBLE_D10, INCOMPATIBLE_NAN)}),
         # the first game's compatible payoff sum overflows on finite fields,
         # which equilibrium accepts, so the corner after it must raise
-        ({"s": 1e300, "k": 1e301, "d": 1.6e300,
-          "subsidy_p2": MAX_FLOAT - 2.5e300, "subsidy_p3": MAX_FLOAT - 1.2e300},
-         {"d": 10.0}),
+        (({"s": 1e300, "k": 1e301, "d": 1.6e300,
+           "subsidy_p2": MAX_FLOAT - 2.5e300, "subsidy_p3": MAX_FLOAT - 1.2e300},
+          {"d": 10.0}),
+         {False: (None, INCOMPATIBLE_PROFIT),
+          True: (COMPATIBLE_D10, INCOMPATIBLE_PROFIT)}),
     ], ids=["corner-first", "overflow-first", "two-corners", "nan-first",
             "benign-overflow-first"])
     @pytest.mark.parametrize("among", [False, True], ids=["alone", "among"])
     def test_a_failing_game_raises_as_it_does_alone(self, reference, changes,
-                                                    among):
+                                                    pinned, among):
         # a one-game column of the first failing game, or both failing
         # games among passing ones: the first to fail raises its type,
-        # message and args in every scenario where one fails
+        # message and args in every scenario where one fails, as pinned
         failing = [reference.with_values(**change) for change in changes]
         games = [reference, failing[0], reference, failing[1]] if among else failing[:1]
         raised = 0
-        for scenario in SCENARIOS:
+        for scenario, literal in zip(SCENARIOS, (None,) + pinned[among]):
             expected = first_failure(games, scenario)
+            assert raised_as(expected) == literal, scenario
             if expected is None:
                 with np.errstate(all="ignore"):
                     equilibrium(columns(games), scenario, validate=False)
@@ -851,6 +890,7 @@ class TestColumns:
                 equilibrium(columns(games), scenario, validate=False)
             assert type(err.value) is type(expected)
             assert (str(err.value), err.value.args) == (str(expected), expected.args)
+            assert raised_as(err.value) == literal, scenario
             raised += 1
         assert raised
 

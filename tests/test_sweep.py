@@ -563,3 +563,19 @@ def test_an_overflowing_point_names_its_value(reference):
     with pytest.raises(ValueError, match=r"^k=5e\+307: incompatible "
                                          r"equilibrium: pA1 overflows to -inf$"):
         run_sweep(reference, SweepSpec("k", 1e307, 1.7e308, 5))
+
+
+@pytest.mark.parametrize("spec, value", [
+    (SweepSpec("n2", -1.0, 9.0, 6), "n2=1.0"),
+    (SweepSpec("subsidy_p2", -2.0, 8.0, 6), "subsidy_p2=0.0")],
+    ids=["n2", "subsidy_p2"])
+def test_a_once_per_sweep_overflow_names_the_first_valid_point(spec, value):
+    """The incompatible closed form reads neither n2 nor subsidy_p2, so
+    the sweep solves it once, at the first valid point (the grid's first
+    point is invalid), and that solve overflows: the error names that
+    point, not the grid's first or last."""
+    base = ModelParams(alpha=0.1, s=3.0, k=1e308, n1=10.0, n2=5.0, n3=5.0)
+    with pytest.raises(ValueError) as err:
+        run_sweep(base, spec)
+    assert str(err.value) == (f"{value}: incompatible equilibrium: pA1 "
+                              "overflows to -inf")
