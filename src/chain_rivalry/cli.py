@@ -281,8 +281,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_CONFIG
+        # the line is written once the handler has ended: until then the
+        # traceback holds the failed command's frames, a sweep's table
+        # and chart with them
+        pass
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def run() -> None:

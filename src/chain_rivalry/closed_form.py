@@ -16,14 +16,15 @@ each entry of the outcome bitwise its game's own. A column is a Column (a
 tuple of floats with entrywise + - * /) or a numpy array, read only by
 ndim and tolist(), so this module imports no numpy; a field that is one
 number counts for every entry. evaluate is the one checked solve, of one
-game or of columns: the outcome, an interior flag per entry (cutoff in
-(0, 1)) and the interior entries whose profitA + profitB_with_subsidy is
-not finite. Only those entries can fail, and each raises what its own
-values say (failing_entry): a corner CornerEquilibriumError at its
-cutoff, and an overflow require_finite's ValueError on its fields, or
-nothing where every field is finite. equilibrium raises the first
-failing entry's error in entry order, and sweep.run_sweep the first in
-grid, then SCENARIOS order.
+game or of columns, and returns its verdict: the outcome, an interior
+flag per entry (cutoff in (0, 1)) and the failure, (entry, error) for
+the first interior entry whose own fields are not all finite, with
+require_finite's ValueError on them, or None. An interior entry whose
+profitA + profitB_with_subsidy overflows while every field stays finite
+does not fail. equilibrium raises, in entry order, the first corner's
+CornerEquilibriumError at its cutoff or the failure's error, whichever
+entry comes first, and sweep.run_sweep the first failure in grid, then
+SCENARIOS order.
 """
 
 from __future__ import annotations
@@ -162,22 +163,25 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     in the number type of p's fields: floats give floats, Fractions give
     Fractions, and numpy columns give columns as the module docstring
     states (validate_params checks one game, so columns take
-    validate=False). One game is one entry, solved by evaluate; the first
-    failing entry raises as failing_entry reads it off its own values:
-    CornerEquilibriumError when its cutoff leaves (0, 1), and ValueError
-    when one of its fields overflows to a non-finite value. numpy warns of
-    a column's overflow as its errstate says. validate=True also checks p
-    and raises a TypeError for a scenario that is not a Scenario;
-    validate=False trusts both.
+    validate=False). One game is one entry, solved by evaluate, and the
+    first failing entry in evaluate's verdict raises what its own values
+    say: CornerEquilibriumError when its cutoff leaves (0, 1), and
+    ValueError when one of its fields overflows to a non-finite value.
+    numpy warns of a column's overflow as its errstate says. validate=True
+    also checks p and raises a TypeError for a scenario that is not a
+    Scenario; validate=False trusts both.
     """
     if validate:
         require_scenario(scenario)
         require_valid(p)
-    out, interior, overflows = _evaluate(p, scenario)
-    corners = [k for k, inside in enumerate(interior) if not inside]
-    failed = failing_entry(out, scenario, interior, sorted(corners + overflows))
-    if failed:
-        raise failed[1]
+    out, interior, failure = evaluate(p, scenario)
+    if False in interior:
+        k = interior.index(False)
+        if failure is None or k < failure[0]:
+            raise CornerEquilibriumError(
+                scenario, _entries(out.cutoff1, len(interior))[k])
+    if failure:
+        raise failure[1]
     return out
 
 
@@ -212,51 +216,38 @@ class Column(tuple):
 
 
 def evaluate(p: ModelParams, scenario: Scenario) -> tuple:
-    """(outcome, interior, overflows) at p, the one checked solve of the
+    """(outcome, interior, failure) at p, the one checked solve of the
     module docstring; one game is one entry. It raises nothing: an entry
-    that is not interior, or overflows, holds what the formulas give."""
+    that is not interior, or overflows, holds what the formulas give, and
+    failure is (entry, error) for the first interior entry that fails on
+    its own fields, or None."""
     out = _outcome(p, scenario, *_period1(p, scenario))
     count = _count(p)
     interior = [0.0 < entry < 1.0 for entry in _entries(out.cutoff1, count)]
     totals = _entries(out.profitA + out.profitB_with_subsidy, count)
     # not math.isfinite, which cannot take an exact sum past the float range;
     # a finite sum clears every entry at once, without a loop in Python
-    overflows = [] if abs(sum(totals)) < math.inf else [
-        k for k, (inside, total) in enumerate(zip(interior, totals))
-        if inside and not abs(total) < math.inf]
-    return out, interior, overflows
-
-
-# equilibrium's own name for evaluate, so that a wrapper installed on the
-# public name sees the callers' column solves and not every equilibrium
-_evaluate = evaluate
-
-
-def failing_entry(out: EquilibriumOutcome, scenario: Scenario,
-                  interior: list[bool], listed: list[int]):
-    """The first of out's listed entries, in the given order, that fails
-    on its own values, and its error; None where none fails. An entry
-    that is not interior fails with CornerEquilibriumError at its cutoff,
-    and an interior one with require_finite's ValueError on its fields."""
-    if not listed:
-        return None
-    count = len(interior)
+    if abs(sum(totals)) < math.inf:
+        return out, interior, None
     fields = {name: _entries(value, count) for name, value in vars(out).items()}
-    for k in listed:
-        entry = out.with_values(**{name: field[k] for name, field in fields.items()})
-        if not interior[k]:
-            return k, CornerEquilibriumError(scenario, entry.cutoff1)
-        try:
-            require_finite(f"{scenario.value} equilibrium", entry)
-        except ValueError as exc:
-            return k, exc
-    return None
+    for k, (inside, total) in enumerate(zip(interior, totals)):
+        if inside and not abs(total) < math.inf:
+            try:
+                require_finite(f"{scenario.value} equilibrium", out.with_values(
+                    **{name: field[k] for name, field in fields.items()}))
+            except ValueError as exc:
+                return out, interior, (k, exc)
+    return out, interior, None
 
 
 def _count(p: ModelParams) -> int:
-    """How many entries p's fields have: 1 where none is a column."""
-    return max(len(value) if type(value) is Column or getattr(value, "ndim", 0)
-               else 1 for value in vars(p).values())
+    """How many entries p's fields have: 1 where none is a column, else
+    the first column's length, which every column shares."""
+    for value in vars(p).values():
+        if type(value) is not float and (type(value) is Column
+                                         or getattr(value, "ndim", 0)):
+            return len(value)
+    return 1
 
 
 def _entries(value, count: int):

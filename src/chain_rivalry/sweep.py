@@ -211,10 +211,9 @@ def _solve(param: str, row: list, at: int, first: ModelParams | None,
     outcomes, masks, payoffs, failures = {}, [], [], []
     for order, scenario in enumerate(SCENARIOS):
         if param in closed_form.EQUILIBRIUM_READS[scenario]:
-            out, mask, overflows = closed_form.evaluate(columns, scenario)
-            failed = closed_form.failing_entry(out, scenario, mask, overflows)
-            if failed:
-                failures.append((failed[0], order, failed[1]))
+            out, mask, failure = closed_form.evaluate(columns, scenario)
+            if failure:
+                failures.append((failure[0], order, failure[1]))
         else:
             try:
                 out = closed_form.equilibrium(first, scenario, validate=False)

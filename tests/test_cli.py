@@ -5,6 +5,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -274,6 +275,34 @@ class TestSweepCommand:
         assert captured.err.splitlines() == ["error: out of memory"]
         assert captured.out == ""
         assert not out_csv.exists() and not out_svg.exists()
+
+    def test_the_memory_line_is_written_after_the_sweep_is_freed(
+            self, tmp_path, monkeypatch):
+        # the failed sweep's frames, and an object in them, are gone by the
+        # time the error line is written
+        class Table:
+            pass
+
+        refs, written = [], []
+
+        def exhausted(*args):
+            table = Table()
+            refs.append(weakref.ref(table))
+            raise MemoryError
+
+        class Stderr:
+            def write(self, text):
+                written.append((text, refs[0]() is None))
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sweep, "run_sweep", exhausted)
+        monkeypatch.setattr(sys, "stderr", Stderr())
+        assert self._sweep_into(tmp_path / "sweep.csv", tmp_path / "chart.svg") == 1
+        assert "".join(text for text, _ in written) == "error: out of memory\n"
+        assert all(gone for _, gone in written), "the sweep's table is still alive"
 
     def test_a_failed_sweep_keeps_the_existing_output(self, tmp_path, capsys,
                                                       monkeypatch):

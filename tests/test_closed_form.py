@@ -462,6 +462,29 @@ class TestAdoptionDecision:
         assert dec.payoffs["P2"] == pytest.approx(REF_COMPAT["profitB"], abs=1e-12)
         assert dec.payoffs["P3"] == pytest.approx(REF_INCOMPAT["profitB"], abs=1e-12)
 
+    @pytest.mark.parametrize("name", ["reference", "gate0", "gate1"])
+    def test_the_compatible_chain_beats_the_incompatible_for_equal_bases(
+            self, name):
+        # the abstract's third finding, where exact arithmetic states it:
+        # with n2 = n3 and equal subsidies, x = d - alpha*(n1 - n2) and
+        # u = s - alpha, B's P2 payoff minus its P3 payoff is
+        # (225u^2 + 60u*x - 8x^2)/(900u). Both scenarios are interior for
+        # |x| < 2.5u, where that gap is at least u/36: the incompatible
+        # chain converts features into adoption faster (AdoptionSensitivity),
+        # yet no quality edge inside the interior makes it pay B more
+        base = EXACT_CONFIGS[name]
+        assert base.n2 == base.n3
+        for d in (Fraction(0), Fraction(1, 3), Fraction(2)):
+            for subsidy in (Fraction(0), Fraction(1, 2)):
+                p = base.with_values(d=d, subsidy_p2=subsidy, subsidy_p3=subsidy)
+                u, x = p.s - p.alpha, p.d - p.alpha * (p.n1 - p.n2)
+                gap = (equilibrium(p, Scenario.COMPATIBLE).profitB_with_subsidy
+                       - equilibrium(p, Scenario.INCOMPATIBLE).profitB_with_subsidy)
+                assert type(gap) is Fraction
+                assert gap == (225 * u * u + 60 * u * x - 8 * x * x) / (900 * u), (
+                    d, subsidy)
+                assert abs(x) < Fraction(5, 2) * u and gap >= u / 36, (d, subsidy)
+
     def test_rationale_sorted_by_payoff(self, reference):
         dec = adoption_decision(reference)
         names = [name for name, _ in dec.rationale]
@@ -799,6 +822,11 @@ def raised_as(exc):
     return None if exc is None else (type(exc), str(exc), exc.args)
 
 
+def failure_as(failure):
+    """evaluate's failure as (entry, raised_as of its error), or None."""
+    return None if failure is None else (failure[0], raised_as(failure[1]))
+
+
 # What the first failing game of a TestColumns case raises, as raised_as
 # gives it: corners at d=10 and d=8.5, and the overflows of k=1e308, of
 # s=4e307 with k=1.7e308, and of a subsidy near the float maximum.
@@ -904,17 +932,43 @@ class TestColumns:
         games = [game(key) for key in keys]
         plain = ModelParams(*[closed_form.Column(map(float, field))
                               for field in zip(*(vars(p).values() for p in games))])
-        out, interior, overflows = closed_form.evaluate(plain, scenario)
-        arrays, array_interior, array_overflows = closed_form.evaluate(
+        out, interior, failure = closed_form.evaluate(plain, scenario)
+        arrays, array_interior, array_failure = closed_form.evaluate(
             columns(games), scenario)
-        assert (interior, overflows) == (array_interior, array_overflows)
+        assert ((interior, failure_as(failure))
+                == (array_interior, failure_as(array_failure)))
         assert len(interior) == len(games)
         for field in NUMERIC:
             assert type(getattr(out, field)) is closed_form.Column, field
             assert ([value.hex() for value in getattr(out, field)]
                     == [value.hex() for value in getattr(arrays, field).tolist()]), field
+        failing = []
         for k, p in enumerate(games):
             error = first_failure([p], scenario)
             assert interior[k] == (type(error) is not CornerEquilibriumError), k
             if error is not None and interior[k]:
-                assert k in overflows, k
+                failing.append((k, raised_as(error)))
+        # the failure is the first interior game whose own equilibrium raises
+        assert failure_as(failure) == (failing[0] if failing else None)
+
+    def test_the_failure_passes_corners_and_finite_fields(self, reference):
+        # a corner, a game whose compatible payoff sum alone overflows and
+        # whose incompatible profit does, and an incompatible pA1 overflow:
+        # the failure is the first interior game with a non-finite field,
+        # and neither the corner nor the finite fields before it
+        games = [reference, reference.with_values(d=10.0),
+                 reference.with_values(
+                     s=1e300, k=1e301, d=1.6e300, subsidy_p2=MAX_FLOAT - 2.5e300,
+                     subsidy_p3=MAX_FLOAT - 1.2e300),
+                 reference.with_values(k=1e308)]
+        plain = ModelParams(*[closed_form.Column(map(float, field))
+                              for field in zip(*(vars(p).values() for p in games))])
+        for scenario, interior, failure in [
+                (Scenario.SAME_CHAIN, [True] * 4, None),
+                (Scenario.COMPATIBLE, [True, False, True, True], None),
+                (Scenario.INCOMPATIBLE, [True, False, True, True],
+                 (2, INCOMPATIBLE_PROFIT))]:
+            for fields in (plain, columns(games)):
+                with np.errstate(all="ignore"):
+                    _, got, got_failure = closed_form.evaluate(fields, scenario)
+                assert (got, failure_as(got_failure)) == (interior, failure), scenario

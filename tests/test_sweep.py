@@ -76,7 +76,10 @@ def test_each_valid_point_is_solved_once(base, reference, monkeypatch):
     real, real_threshold = closed_form.equilibrium, closed_form.subsidy_threshold
 
     def counting_evaluate(point, scenario):
-        columns.append((scenario, point))
+        # equilibrium solves one game through evaluate too; a column
+        # solve is one whose params hold a Column
+        if closed_form.Column in map(type, vars(point).values()):
+            columns.append((scenario, point))
         return real_evaluate(point, scenario)
 
     def counting(point, scenario, validate=True):
@@ -557,6 +560,28 @@ def test_a_flat_profit_line_is_padded_by_one_each_way(reference):
     assert svg.count("<polyline") == 1
     assert 'text-anchor="end" font-family="sans-serif">2</text>' in svg
     assert 'text-anchor="end" font-family="sans-serif">4</text>' in svg
+
+
+def test_a_once_per_sweep_corner_leaves_its_scenario_out(reference):
+    """The compatible closed form does not read n3, so an n3 sweep solves
+    it once, at the first valid point; at d=12.5 that solve is a corner,
+    as is the incompatible column at every point. Both scenarios are left
+    out of every point, and the sweep raises nothing."""
+    table = run_sweep(reference.with_values(d=12.5), SweepSpec("n3", 0.0, 8.0, 3))
+    assert table.outcomes[Scenario.COMPATIBLE] is None
+    assert table.outcomes[Scenario.INCOMPATIBLE] is None
+    assert table.interior == ((True, False, False),) * 3
+    assert table.chosen == ("",) * 3
+    assert table.notes == ("corner: compatible; corner: incompatible",) * 3
+    buf = io.StringIO()
+    write_sweep_csv(table, buf)
+    rows = [row for row in csv.reader(io.StringIO(buf.getvalue()))
+            if row[1] == "compatible"]
+    assert len(rows) == 3
+    for row in rows:
+        # no outcome numbers and no choice, only the thresholds and the note
+        assert row[2:10] == [""] * 8
+        assert row[-1] == "corner: compatible; corner: incompatible"
 
 
 def test_an_overflowing_point_names_its_value(reference):
