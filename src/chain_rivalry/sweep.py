@@ -165,7 +165,7 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> SweepTable:
     # wrapper installed on the module attribute still sees every call.
     validate, solve_thresholds = validate_params, closed_form.subsidy_threshold
     resolve_thresholds = param in closed_form.THRESHOLD_READS
-    report = first = None
+    report = None
     values = spec.values()
     valid, thresholds, notes = [], [], []
     for value in values:
@@ -173,8 +173,6 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> SweepTable:
         point = ModelParams(*row)
         validity = validate(point)
         if validity.ok:
-            if first is None:
-                first = point
             if resolve_thresholds or report is None:
                 report = solve_thresholds(point, validate=False)
             valid.append(value)
@@ -183,7 +181,8 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> SweepTable:
         else:
             thresholds.append(None)
             notes.append("invalid: " + "; ".join(validity.violations))
-    outcomes, flags, choices = _solve(param, row, at, first, valid)
+    row[at] = Column(valid)
+    outcomes, flags, choices = _solve(param, ModelParams(*row), valid)
     solved = zip(flags, choices)
     interior, chosen = [], []
     for j, note in enumerate(notes):
@@ -198,16 +197,15 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> SweepTable:
                       tuple(thresholds), tuple(notes))
 
 
-def _solve(param: str, row: list, at: int, first: ModelParams | None,
-           valid: list[float]):
-    """run_sweep's scenarios over its valid points: each scenario's
-    outcome over its interior points (or None), and per valid point the
-    interior flags and the choice. A failing entry's ValueError names its
-    swept value."""
+def _solve(param: str, columns: ModelParams, valid: list[float]):
+    """run_sweep's scenarios over its valid points, from columns, the
+    sweep's params with the swept field the Column of valid: each
+    scenario's outcome over its interior points (or None), and per valid
+    point the interior flags and the choice. A scenario whose closed form
+    does not read param is solved once, on columns with param set to
+    valid[0]. A failing entry's ValueError names its swept value."""
     if not valid:
         return dict.fromkeys(SCENARIOS), [], []
-    row[at] = Column(valid)
-    columns = ModelParams(*row)
     outcomes, masks, payoffs, failures = {}, [], [], []
     for order, scenario in enumerate(SCENARIOS):
         if param in closed_form.EQUILIBRIUM_READS[scenario]:
@@ -216,7 +214,8 @@ def _solve(param: str, row: list, at: int, first: ModelParams | None,
                 failures.append((failure[0], order, failure[1]))
         else:
             try:
-                out = closed_form.equilibrium(first, scenario, validate=False)
+                out = closed_form.equilibrium(columns.with_values(
+                    **{param: valid[0]}), scenario, validate=False)
             except CornerEquilibriumError:
                 out = None
             except ValueError as exc:

@@ -180,11 +180,9 @@ def run_verification(base: ModelParams, trials: int = 20, seed: int = 42,
         solved = [attrgetter(*_CLOSED_FIELDS)(
                       closed_form.equilibrium(fields, scenario, validate=False))
                   for scenario in SCENARIOS]
-    # (scenario, field, case) to one column per field in game order; a
-    # scalar field broadcasts, and an exact one casts to float
-    closed = dict(zip(_CLOSED_FIELDS, np.array(
-        [np.broadcast_arrays(*columns) for columns in solved], dtype=float
-    ).transpose(1, 2, 0).reshape(len(_CLOSED_FIELDS), -1)))
+    # (scenario, field, case) to one float64 column per field in game order
+    closed = dict(zip(_CLOSED_FIELDS, np.array(solved).transpose(1, 2, 0)
+                      .reshape(len(_CLOSED_FIELDS), -1)))
     prices = np.column_stack([closed[name] for name in
                               ("pA1", "pB1", "pA2", "pB2")]).tolist()
     checks, unconverged = [], {}

@@ -19,6 +19,7 @@ import pytest
 
 from chain_rivalry import cli
 from chain_rivalry.closed_form import (
+    CornerEquilibriumError,
     adoption_decision,
     adoption_sensitivity,
     equilibrium,
@@ -29,9 +30,9 @@ from chain_rivalry.oracle import _demand
 from chain_rivalry.sim import _play, simulate_game
 from chain_rivalry.sweep import SweepSpec, run_sweep
 from chain_rivalry.verify import run_verification
-from conftest import (brute_shares, grid_prices, profit_a_compatible, profit_a_incompatible,
-                      profit_a_same, profit_b_compatible, profit_b_incompatible,
-                      profit_b_same)
+from conftest import (brute_shares, draws, grid_prices, profit_a_compatible,
+                      profit_a_incompatible, profit_a_same, profit_b_compatible,
+                      profit_b_incompatible, profit_b_same)
 
 
 
@@ -329,3 +330,49 @@ def test_readme_library_snippet_prints_its_stated_output():
         printed += stated
     assert printed == ["-14.8 19.45 2.4853448275862062", "P1",
                        "Fraction(46, 15)", "Fraction(46, 15)"]
+
+
+def test_readme_findings_table_states_the_counts_the_code_gives():
+    # the README's findings table, each row's quantity cell to its three
+    # count cells, against the counts recomputed on the same draws
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "## The paper's findings in the coded model", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+            for line in section.splitlines() if line.startswith("| ")]
+    stated = {row[1]: row[-3:] for row in rows[2:]}
+
+    def interior(p, report):
+        # no corner at either quality threshold
+        try:
+            equilibrium(p.with_values(d=report.d2_star), Scenario.COMPATIBLE)
+            equilibrium(p.with_values(d=report.d3_star), Scenario.INCOMPATIBLE)
+        except CornerEquilibriumError:
+            return False
+        return True
+
+    counted = {}
+    for family, seed, count in (("gate", 42, 100), ("wide", 31, 200),
+                                ("edge", 123, 400)):
+        games = draws(family, seed, count)
+        reports = [subsidy_threshold(p) for p in games]
+        edge_order = {True: [], False: []}
+        for p, report in zip(games, reports):
+            edge_order[interior(p, report)].append(report.d2_star < report.d3_star)
+        cells = {
+            '`adoption_decision(p).chosen == "P1"`, with `d` and both subsidies 0':
+                sum(adoption_decision(p.with_values(
+                    d=0.0, subsidy_p2=0.0, subsidy_p3=0.0)).chosen == "P1"
+                    for p in games),
+            "`c2_star < c3_star`":
+                sum(report.c2_star < report.c3_star for report in reports),
+            "`d2_star < d3_star`, both thresholds interior":
+                f"{sum(edge_order[True])} of {len(edge_order[True])}",
+            "`d2_star < d3_star`, a threshold past its scenario's corner bound":
+                f"{sum(edge_order[False])} of {len(edge_order[False])}",
+            "`adoption_sensitivity(p).ratio` within 4 ulps of 1.2":
+                sum(abs(adoption_sensitivity(p).ratio - 1.2) <= 4 * math.ulp(1.2)
+                    for p in games)}
+        for quantity, cell in cells.items():
+            counted.setdefault(quantity, []).append(str(cell))
+    assert stated == counted

@@ -19,7 +19,7 @@ from chain_rivalry.closed_form import (
 )
 from chain_rivalry.model import (SCENARIOS, ModelParams, Scenario, user_utility,
                                  validate_params)
-from conftest import (DRAWS, EDGE_GAMES, EXACT_CONFIGS, MAX_FLOAT, NUMERIC, astuple, draws, exact, game, profit_a_compatible,
+from conftest import (DRAWS, EDGE_GAMES, EXACT_CONFIGS, MAX_FLOAT, NUMERIC, REFERENCE, astuple, draws, exact, game, profit_a_compatible,
                       profit_a_incompatible, profit_a_same, profit_b_compatible,
                       profit_b_incompatible, profit_b_same)
 
@@ -851,6 +851,15 @@ INCOMPATIBLE_NAN = (
 INCOMPATIBLE_PROFIT = (
     ValueError, "incompatible equilibrium: profitB_with_subsidy overflows to inf",
     ("incompatible equilibrium: profitB_with_subsidy overflows to inf",))
+# The reference, a corner (d=10), a game whose compatible payoff sum alone
+# overflows and whose incompatible profit does, and an incompatible pA1
+# overflow: corners and failures among the games of one column.
+CORNERS_AND_FAILURES = [ModelParams(**REFERENCE)] + [
+    ModelParams(**REFERENCE).with_values(**change) for change in (
+        {"d": 10.0},
+        {"s": 1e300, "k": 1e301, "d": 1.6e300, "subsidy_p2": MAX_FLOAT - 2.5e300,
+         "subsidy_p3": MAX_FLOAT - 1.2e300},
+        {"k": 1e308})]
 
 
 class TestColumns:
@@ -922,19 +931,21 @@ class TestColumns:
             raised += 1
         assert raised
 
-    @pytest.mark.parametrize("keys", [DRAWS["default"], DRAWS["wide"], EDGE_GAMES],
-                             ids=["gate", "wide", "edge"])
+    @pytest.mark.parametrize("games", [
+        *([game(key) for key in keys]
+          for keys in (DRAWS["default"], DRAWS["wide"], EDGE_GAMES)),
+        CORNERS_AND_FAILURES], ids=["gate", "wide", "edge", "corners-and-failures"])
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.value)
-    def test_evaluate_reads_numpy_and_plain_columns_alike(self, keys, scenario):
+    def test_evaluate_reads_numpy_and_plain_columns_alike(self, games, scenario):
         # the one checked column solve, on numpy columns and on Columns of
         # the same games: the same flags, the same bits, and each flag what
         # the game's own equilibrium raises or accepts
-        games = [game(key) for key in keys]
         plain = ModelParams(*[closed_form.Column(map(float, field))
                               for field in zip(*(vars(p).values() for p in games))])
-        out, interior, failure = closed_form.evaluate(plain, scenario)
-        arrays, array_interior, array_failure = closed_form.evaluate(
-            columns(games), scenario)
+        with np.errstate(all="ignore"):
+            out, interior, failure = closed_form.evaluate(plain, scenario)
+            arrays, array_interior, array_failure = closed_form.evaluate(
+                columns(games), scenario)
         assert ((interior, failure_as(failure))
                 == (array_interior, failure_as(array_failure)))
         assert len(interior) == len(games)
@@ -951,16 +962,12 @@ class TestColumns:
         # the failure is the first interior game whose own equilibrium raises
         assert failure_as(failure) == (failing[0] if failing else None)
 
-    def test_the_failure_passes_corners_and_finite_fields(self, reference):
+    def test_the_failure_passes_corners_and_finite_fields(self):
         # a corner, a game whose compatible payoff sum alone overflows and
         # whose incompatible profit does, and an incompatible pA1 overflow:
         # the failure is the first interior game with a non-finite field,
         # and neither the corner nor the finite fields before it
-        games = [reference, reference.with_values(d=10.0),
-                 reference.with_values(
-                     s=1e300, k=1e301, d=1.6e300, subsidy_p2=MAX_FLOAT - 2.5e300,
-                     subsidy_p3=MAX_FLOAT - 1.2e300),
-                 reference.with_values(k=1e308)]
+        games = CORNERS_AND_FAILURES
         plain = ModelParams(*[closed_form.Column(map(float, field))
                               for field in zip(*(vars(p).values() for p in games))])
         for scenario, interior, failure in [

@@ -7,6 +7,7 @@ over that point's solved outcomes."""
 import csv
 import hashlib
 import io
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -15,12 +16,13 @@ import pytest
 
 from chain_rivalry import closed_form
 from chain_rivalry.closed_form import (AdoptionDecision, CornerEquilibriumError,
-                                       adoption_decision, subsidy_threshold)
+                                       adoption_decision, choose_platform,
+                                       subsidy_threshold)
 from chain_rivalry.model import (SCENARIOS, EquilibriumOutcome, ModelParams,
                                  Scenario, validate_params)
 from chain_rivalry.sweep import (CSV_HEADER, SWEEPABLE, SweepSpec, SweepTable,
                                  render_profit_svg, run_sweep, write_sweep_csv)
-from conftest import MAX_FLOAT, draws
+from conftest import MAX_FLOAT, draws, exact
 
 
 def corner_d(p):
@@ -178,6 +180,56 @@ def test_a_payoff_tie_goes_to_the_shared_chain(reference, field, star, platform)
     assert tied[0] == tied[1]
     assert table.chosen[0] == "P1"
     assert table.chosen[-1] == ("P2" if platform is Scenario.COMPATIBLE else "P3")
+
+
+def test_the_choice_is_the_exact_choice_outside_a_rounding_band():
+    """Each across_the_thresholds sweep of six wide and six edge bases,
+    re-solved on the Fraction fields of every point where all three
+    scenarios are interior. Each float payoff lies within 4 ulp(K) of its
+    exact value, K = k + alpha*n1 + d, so where the exact top two payoffs
+    lie more than the band 8 ulp(K) apart, the float choice must be the
+    exact one. Inside the band it need not be: edge 712 draw 3's
+    subsidy_p3 sweep lands on c3_star at point 20, where the float payoffs
+    pick P3 and the exact P3 lies just below P1."""
+    chosen, inside, worst = {"P1": 0, "P2": 0, "P3": 0}, {}, 0
+    for family, seed in (("wide", 711), ("edge", 712)):
+        for i, p in enumerate(draws(family, seed, 6)):
+            for spec in across_the_thresholds(p):
+                table = run_sweep(p, spec)
+                for j, value in enumerate(table.values):
+                    if table.interior[j] != (True, True, True):
+                        continue
+                    point = p.with_values(**{spec.param: value})
+                    floats = [point_outcome(table, scenario, j).profitB_with_subsidy
+                              for scenario in SCENARIOS]
+                    exacts = [closed_form.equilibrium(exact(point), scenario)
+                              .profitB_with_subsidy for scenario in SCENARIOS]
+                    ulp = Fraction(math.ulp(point.k + point.alpha * point.n1 + point.d))
+                    worst = max(worst, *(abs(Fraction(got) - want) / ulp
+                                         for got, want in zip(floats, exacts)))
+                    want = choose_platform(*exacts)
+                    chosen[want] += 1
+                    second, top = sorted(exacts)[1:]
+                    where = (family, seed, i, spec.param, j)
+                    if top - second <= 8 * ulp:
+                        inside[where] = (table.chosen[j], want)
+                    else:
+                        assert table.chosen[j] == want, where
+    assert worst <= 4
+    assert chosen == {"P1": 58, "P2": 1074, "P3": 344}
+    # two points lie inside the band: a P1/P2 near-tie that the floats
+    # decide as exact arithmetic does, and the one whose float choice is not
+    assert inside == {("edge", 712, 1, "subsidy_p2", 20): ("P1", "P1"),
+                      ("edge", 712, 3, "subsidy_p3", 20): ("P3", "P1")}
+    # that grid's midpoint is c3_star itself, where the float P3 payoff
+    # tops P1's and the exact one falls short of it
+    p = draws("edge", 712, 6)[3]
+    point = p.with_values(subsidy_p3=subsidy_threshold(p).c3_star)
+    assert across_the_thresholds(p)[2].values()[20] == point.subsidy_p3
+    floats, exacts = ([closed_form.equilibrium(q, scenario).profitB_with_subsidy
+                       for scenario in SCENARIOS] for q in (point, exact(point)))
+    assert floats[2] > floats[0] and exacts[2] < exacts[0]
+
 
 def pinned_sweeps(p, steps=41):
     """Every kind of row: d past the corner bound, alpha past validity, d and

@@ -290,7 +290,8 @@ class TestToleranceEdges:
         real = closed_form.equilibrium
 
         def pinned(p, scenario, validate=True):
-            return real(p, scenario, validate=validate).with_values(pA1=ref)
+            out = real(p, scenario, validate=validate)
+            return out.with_values(pA1=np.full_like(out.pA1, ref))
 
         monkeypatch.setattr(closed_form, "equilibrium", pinned)
         monkeypatch.setattr(verify, "oracle_equilibrium", lambda p, scenario:
