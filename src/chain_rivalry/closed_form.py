@@ -11,14 +11,17 @@ d and the platform subsidies so the baseline model is the d=0,
 zero-subsidy special case.
 
 The column contract, stated here once. On fields that are columns, one
-game per entry, the closed forms solve every game by the same arithmetic,
-each entry of the outcome bitwise its game's own. A column is a Column (a
-tuple of floats with entrywise + - * /) or a numpy array, read only by
-ndim and tolist(), so this module imports no numpy; a field that is one
-number counts for every entry. evaluate is the one checked solve, of one
-game or of columns, and returns its verdict: the outcome, an interior
-flag per entry (cutoff in (0, 1)) and the failure, (entry, error) for
-the first interior entry whose own fields are not all finite, with
+game per entry, the closed forms solve every game by the same
+arithmetic, each entry of the outcome bitwise its game's own. A column
+is a model.Column (a tuple of floats with entrywise + - * /) or a numpy
+array, read only by ndim and tolist(), so this module imports no numpy;
+a field that is one number counts for every entry. model.validate_params
+checks Column fields under the same contract, each entry's sides from
+the same entrywise arithmetic, and returns one report per entry; it
+takes no numpy column. evaluate is the one checked solve, of one game or
+of columns, and returns its verdict: the outcome, an interior flag per
+entry (cutoff in (0, 1)) and the failure, (entry, error) for the first
+interior entry whose own fields are not all finite, with
 require_finite's ValueError on them, or None. An interior entry whose
 profitA + profitB_with_subsidy overflows while every field stays finite
 does not fail. equilibrium raises, in entry order, the first corner's
@@ -31,14 +34,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from itertools import repeat
-from operator import add, mul, neg, sub, truediv
 
 from .model import (
     COMPATIBLE,
     INCOMPATIBLE,
     SAME_CHAIN,
     SCENARIOS,
+    Column,
     EquilibriumOutcome,
     ModelParams,
     Scenario,
@@ -161,15 +163,16 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     Shares are the same in both periods; EquilibriumOutcome.from_periods
     computes the payoffs from the prices and shares. Every field comes back
     in the number type of p's fields: floats give floats, Fractions give
-    Fractions, and numpy columns give columns as the module docstring
-    states (validate_params checks one game, so columns take
+    Fractions, and columns give columns as the module docstring states
+    (validate_params checks Column fields entry by entry, and validate=True
+    raises the first invalid entry's report; numpy columns take
     validate=False). One game is one entry, solved by evaluate, and the
     first failing entry in evaluate's verdict raises what its own values
     say: CornerEquilibriumError when its cutoff leaves (0, 1), and
-    ValueError when one of its fields overflows to a non-finite value.
-    numpy warns of a column's overflow as its errstate says. validate=True
-    also checks p and raises a TypeError for a scenario that is not a
-    Scenario; validate=False trusts both.
+    ValueError when one of its fields overflows to a non-finite value. numpy
+    warns of a column's overflow as its errstate says. validate=True also
+    checks p and raises a TypeError for a scenario that is not a Scenario;
+    validate=False trusts both.
     """
     if validate:
         require_scenario(scenario)
@@ -183,36 +186,6 @@ def equilibrium(p: ModelParams, scenario: Scenario,
     if failure:
         raise failure[1]
     return out
-
-
-def _entrywise(op):
-    """Column's operator op, with the column on the left and on the right."""
-    def forward(self, other):
-        return Column(map(op, self, other if type(other) is Column
-                          else repeat(other)))
-
-    def backward(self, other):
-        # other is never a column: a column on the left takes forward
-        return Column(map(op, repeat(other), self))
-
-    return forward, backward
-
-
-class Column(tuple):
-    """A column of floats, one entry per game, on which + - * / and unary
-    minus act entry by entry, with a column or with one number for every
-    entry. It has no other arithmetic, and no in-place operator, so no
-    tuple concatenation or repetition can stand in for a sum or a
-    product."""
-
-    __slots__ = ()
-    __add__, __radd__ = _entrywise(add)
-    __sub__, __rsub__ = _entrywise(sub)
-    __mul__, __rmul__ = _entrywise(mul)
-    __truediv__, __rtruediv__ = _entrywise(truediv)
-
-    def __neg__(self):
-        return Column(map(neg, self))
 
 
 def evaluate(p: ModelParams, scenario: Scenario) -> tuple:

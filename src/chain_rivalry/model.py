@@ -18,6 +18,9 @@ import math
 import numbers
 from collections.abc import Mapping
 from enum import Enum
+from itertools import compress, repeat
+from math import isfinite
+from operator import add, ge, gt, mul, neg, not_, sub, truediv
 
 REQUIRED_FIELDS = ("alpha", "s", "k", "n1", "n2", "n3")
 OPTIONAL_FIELDS = ("d", "subsidy_p2", "subsidy_p3")
@@ -118,6 +121,38 @@ def record(cls):
             setattr(cls, method, function)
     cls.__match_args__ = tuple(annotations)
     return cls
+
+
+def _entrywise(op):
+    """Column's operator op, with the column on the left and on the right."""
+    def forward(self, other):
+        return Column(map(op, self, other if type(other) is Column
+                          else repeat(other)))
+
+    def backward(self, other):
+        # other is never a column: a column on the left takes forward
+        return Column(map(op, repeat(other), self))
+
+    return forward, backward
+
+
+class Column(tuple):
+    """A column of floats, one entry per game, on which + - * / and unary
+    minus act entry by entry, with a column or with one number for every
+    entry. It has no other arithmetic, and no in-place operator, so no
+    tuple concatenation or repetition can stand in for a sum or a
+    product. validate_params and the closed forms take params whose
+    fields are Columns, one game per entry (closed_form's docstring
+    states the contract)."""
+
+    __slots__ = ()
+    __add__, __radd__ = _entrywise(add)
+    __sub__, __rsub__ = _entrywise(sub)
+    __mul__, __rmul__ = _entrywise(mul)
+    __truediv__, __rtruediv__ = _entrywise(truediv)
+
+    def __neg__(self):
+        return Column(map(neg, self))
 
 
 class Scenario(Enum):
@@ -283,62 +318,138 @@ class InvalidParamsError(ValueError):
         super().__init__("invalid params: " + "; ".join(report.violations))
 
 
-# Each field and whether it must be positive (else nonnegative), checked
-# in this order after finiteness.
-_SIGNS = (("alpha", True), ("s", True), ("k", True), ("n1", False),
-          ("n2", False), ("n3", False), ("d", False), ("subsidy_p2", False),
-          ("subsidy_p3", False))
+# Each field and the test its value must pass against 0.0: gt for a field
+# that must be positive, ge for one that must be nonnegative, checked in
+# this order after finiteness.
+_SIGNS = (("alpha", gt), ("s", gt), ("k", gt), ("n1", ge), ("n2", ge),
+          ("n3", ge), ("d", ge), ("subsidy_p2", ge), ("subsidy_p3", ge))
+
+# The message of each constraint that combines fields, with its left and
+# its right side as _sides gives them in turn; the left must exceed the
+# right.
+_BOUNDS = ("dominant-chain base: n1=%r must exceed n2=%r",
+           "dominant-chain base: n1=%r must exceed n3=%r",
+           "assumption_1_1: s=%r must exceed alpha*(2*n1+1)=%r",
+           "assumption_1_2: k=%r must exceed 4*s+4*alpha*(1+n1+n2)=%r")
 
 
-def validate_params(p: ModelParams) -> ValidationReport:
+def _sides(fields: Mapping) -> tuple:
+    """The left and the right side of each _BOUNDS constraint, in turn,
+    from a mapping of field names to values: numbers for one game, and
+    Columns where fields are, each entry bitwise its own game's side."""
+    alpha, s, n1 = fields["alpha"], fields["s"], fields["n1"]
+    return (n1, fields["n2"], n1, fields["n3"],
+            s, alpha * (2.0 * n1 + 1.0),
+            fields["k"], 4.0 * s + 4.0 * alpha * (1.0 + n1 + fields["n2"]))
+
+
+def validate_params(p: ModelParams) -> ValidationReport | list[ValidationReport]:
     """Check every parameter constraint; report violations, never raise.
 
     Each violated constraint is named with both sides of the inequality so
     the caller can see how far off the input is. Every valid set gets the
-    same report. A field that require_number refuses (a finite float skips
-    the call, as every game validates) is reported in its words, and the
-    checks that combine fields are then skipped.
+    same report, _VALID. A field that require_number refuses (a finite
+    float skips the call, as every game validates) is reported in its
+    words, and the checks that combine fields are then skipped.
+
+    Where fields are Columns, one game per entry under closed_form's
+    column contract, the result is a list of one report per entry: each
+    valid entry gets _VALID, and each invalid entry the report of its own
+    params, byte for byte. The entries are checked together, on Column
+    arithmetic, and only an entry that fails has its violations put into
+    words.
     """
+    fields = vars(p)
+    for name, holds in _SIGNS:
+        value = fields[name]
+        # holds(value, 0.0) written out: the call would cost a tenth of a
+        # valid game's check
+        if type(value) is not float or not isfinite(value) or not (
+                value > 0.0 if holds is gt else value >= 0.0):
+            if Column in map(type, fields.values()):
+                return _validate_columns(fields)
+            return _report(fields)
+    left1, right1, left2, right2, left3, right3, left4, right4 = sides = _sides(fields)
+    if left1 > right1 and left2 > right2 and left3 > right3 and left4 > right4:
+        return _VALID
+    return ValidationReport(False, tuple(_exceeded(sides)))
+
+
+def _exceeded(sides: tuple) -> list:
+    """The message of each _BOUNDS constraint whose left side does not
+    exceed its right, from one game's _sides."""
+    return [message % (left, right)
+            for message, left, right in zip(_BOUNDS, sides[::2], sides[1::2])
+            if not left > right]
+
+
+def _report(fields: Mapping) -> ValidationReport:
+    """validate_params of one game, from a mapping of field names to
+    values: each violation in words, in the order _SIGNS and _BOUNDS list
+    them, and _VALID where there is none."""
     violations = []
     finite = True
-    for name, positive in _SIGNS:
-        value = getattr(p, name)
-        if type(value) is not float or not math.isfinite(value):
+    for name, holds in _SIGNS:
+        value = fields[name]
+        if type(value) is not float or not isfinite(value):
             try:
                 require_number(value, name)
             except ValueError as problem:
                 violations.append(str(problem))
                 finite = False
                 continue
-        if not (value > 0.0 if positive else value >= 0.0):
-            sign = "positive" if positive else "nonnegative"
+        if not holds(value, 0.0):
+            sign = "positive" if holds is gt else "nonnegative"
             violations.append(f"{name} must be {sign}: {name}={value!r}")
-    if not finite:
-        return ValidationReport(ok=False, violations=tuple(violations))
-
-    if not p.n1 > p.n2:
-        violations.append(f"dominant-chain base: n1={p.n1!r} must exceed n2={p.n2!r}")
-    if not p.n1 > p.n3:
-        violations.append(f"dominant-chain base: n1={p.n1!r} must exceed n3={p.n3!r}")
-
-    bound1 = p.alpha * (2.0 * p.n1 + 1.0)
-    if not p.s > bound1:
-        violations.append(
-            f"assumption_1_1: s={p.s!r} must exceed alpha*(2*n1+1)={bound1!r}")
-    bound2 = 4.0 * p.s + 4.0 * p.alpha * (1.0 + p.n1 + p.n2)
-    if not p.k > bound2:
-        violations.append(
-            f"assumption_1_2: k={p.k!r} must exceed 4*s+4*alpha*(1+n1+n2)={bound2!r}")
-
+    if finite:
+        violations += _exceeded(_sides(fields))
     if not violations:
         return _VALID
-    return ValidationReport(ok=False, violations=tuple(violations))
+    return ValidationReport(False, tuple(violations))
+
+
+def _validate_columns(fields: Mapping) -> list:
+    """validate_params where fields, a mapping of field names to values,
+    holds Columns. An entry passes where each field is finite and passes
+    its sign test, and each constraint's sides, from Column arithmetic,
+    pass, entry by entry; _report puts every other entry into words, from
+    its own values. Where a field or an entry is not a float, every entry
+    goes to _report."""
+    columns = {name: value for name, value in fields.items()
+               if type(value) is Column}
+    count = len(next(iter(columns.values())))
+    passes = [repeat(True, count)]
+    if all(set(map(type, value)) <= {float} if type(value) is Column
+           else type(value) is float for value in fields.values()):
+        for name, holds in _SIGNS:
+            value = fields[name]
+            if type(value) is Column:
+                passes += [map(isfinite, value), map(holds, value, repeat(0.0))]
+            elif not (isfinite(value) and holds(value, 0.0)):
+                passes.append(repeat(False))
+        sides = [side if type(side) is Column else repeat(side)
+                 for side in _sides(fields)]
+        passes += [map(gt, left, right)
+                   for left, right in zip(sides[::2], sides[1::2])]
+    else:
+        passes.append(repeat(False))
+    reports = [_VALID] * count
+    entry = dict(fields)
+    for k in compress(range(count), map(not_, map(all, zip(*passes)))):
+        for name, column in columns.items():
+            entry[name] = column[k]
+        reports[k] = _report(entry)
+    return reports
 
 
 def require_valid(p: ModelParams) -> None:
+    """Raise InvalidParamsError with p's report where p is invalid, or
+    with its first invalid entry's where p's fields are Columns."""
     report = validate_params(p)
-    if not report.ok:
-        raise InvalidParamsError(report)
+    if report is not _VALID:
+        for entry in report if type(report) is list else (report,):
+            if not entry.ok:
+                raise InvalidParamsError(entry)
 
 
 def shown(value) -> str:

@@ -12,21 +12,24 @@ otherwise show its comma), and a base field that is no number at all is
 refused before the grid runs. The module imports neither numpy nor
 dataclasses.
 
-Only the swept field changes from point to point. run_sweep checks each
-point with validate_params, then solves each scenario once per sweep: one
-whose closed form reads the swept field (closed_form.EQUILIBRIUM_READS)
-by closed_form.evaluate on a closed_form.Column of the valid points'
-values, and any other at the first valid point, whose outcome is that of
-every valid point. The threshold report stays per point where
-THRESHOLD_READS holds the swept field (math.sqrt takes one number), and
-is solved once where it does not.
+Only the swept field changes from point to point. run_sweep checks the
+whole grid in one validate_params call, on the sweep's params with the
+swept field a model.Column of the grid values, and states no constraint
+of its own. It then solves each scenario once per sweep: one whose
+closed form reads the swept field (closed_form.EQUILIBRIUM_READS) by
+closed_form.evaluate on a Column of the valid points' values, and any
+other at the first valid point, whose outcome is that of every valid
+point. The threshold report stays per point where THRESHOLD_READS holds
+the swept field (math.sqrt takes one number), and is solved once where
+it does not.
 
 run_sweep returns one SweepTable of columns, so a grid point is one entry
-in each column and no object of its own; its ModelParams, built
-positionally from one row of fields, and its validate_params report are
-dropped once its entries are set. The choice at an interior point comes
-from the three subsidy-inclusive payoffs by closed_form.choose_platform,
-and a corner's note from a table keyed by the three interior flags.
+in each column and no object of its own. A point gets a ModelParams,
+built positionally from one row of fields, only where the thresholds are
+solved at it; an invalid point's report is dropped once its note is
+set. The choice at an interior point comes from the three
+subsidy-inclusive payoffs by closed_form.choose_platform, and a corner's
+note from a table keyed by the three interior flags.
 write_sweep_csv writes each row as soon as it is formatted, so a sweep
 holds its table and nothing of its CSV.
 """
@@ -37,11 +40,10 @@ from io import TextIOBase
 from itertools import compress, repeat
 
 from . import closed_form
-from .closed_form import (Column, CornerEquilibriumError, ThresholdReport,
-                          choose_platform)
-from .model import (MAX_COUNT, OPTIONAL_FIELDS, REQUIRED_FIELDS,
-                    EquilibriumOutcome, SCENARIOS, ModelParams, Scenario,
-                    as_float, record, require_count, require_number, shown,
+from .closed_form import CornerEquilibriumError, ThresholdReport, choose_platform
+from .model import (MAX_COUNT, OPTIONAL_FIELDS, REQUIRED_FIELDS, SCENARIOS,
+                    Column, EquilibriumOutcome, ModelParams, Scenario, as_float,
+                    record, require_count, require_number, shown,
                     validate_params)
 
 SWEEPABLE = REQUIRED_FIELDS + OPTIONAL_FIELDS
@@ -143,12 +145,12 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> SweepTable:
     The grid runs in double precision: every point is the base's fields as
     model.require_number gives them, with the swept field set to the grid
     value. Every base field other than the swept one that require_number
-    refuses is named in one ValueError, before any point is solved. Each
-    point is checked by validate_params, and solved as the module
-    docstring says; a threshold report solved once is the same object at
-    every later valid point."""
+    refuses is named in one ValueError, before any point is solved. The
+    grid is checked in one validate_params call on its Column, and solved
+    as the module docstring says; a threshold report solved once is the
+    same object at every later valid point."""
     param = spec.param
-    # the point's fields in ModelParams order, the swept one set per point
+    # the sweep's fields in ModelParams order, the swept one set per use
     row, bad = [], []
     for name in ModelParams.__match_args__:
         value = getattr(base, name)
@@ -167,14 +169,13 @@ def run_sweep(base: ModelParams, spec: SweepSpec) -> SweepTable:
     resolve_thresholds = param in closed_form.THRESHOLD_READS
     report = None
     values = spec.values()
+    row[at] = Column(values)
     valid, thresholds, notes = [], [], []
-    for value in values:
-        row[at] = value
-        point = ModelParams(*row)
-        validity = validate(point)
+    for value, validity in zip(values, validate(ModelParams(*row))):
         if validity.ok:
             if resolve_thresholds or report is None:
-                report = solve_thresholds(point, validate=False)
+                row[at] = value
+                report = solve_thresholds(ModelParams(*row), validate=False)
             valid.append(value)
             thresholds.append(report)
             notes.append(None)

@@ -311,6 +311,127 @@ class TestValidateParams:
         assert all(validate_params(p).ok for p in draws100)
 
 
+def sign_grid(value):
+    """Values from below 0 past value: 0 itself, the smallest floats on
+    either side of it, and value, where positive and nonnegative differ."""
+    return [-1.0, -5e-324, -0.0, 0.0, 5e-324, value / 2, value, value + 1.0]
+
+
+# The reference's participation bound on k: k must exceed it.
+K_BOUND = 4.0 * REFERENCE["s"] + 4.0 * REFERENCE["alpha"] * (
+    1.0 + REFERENCE["n1"] + REFERENCE["n2"])
+
+
+class TestValidateColumns:
+    """validate_params on Column fields: one report per entry, the report
+    of the entry's own params, byte for byte, with every valid entry's
+    the one report every valid game gets."""
+
+    @staticmethod
+    def per_entry(base, field, values):
+        """The column's reports, held to each entry's own; returns them."""
+        reports = validate_params(base.with_values(**{field: model.Column(values)}))
+        alone = [validate_params(base.with_values(**{field: value}))
+                 for value in values]
+        assert type(reports) is list
+        assert [(report.ok, report.violations) for report in reports] == [
+            (report.ok, report.violations) for report in alone]
+        valid = validate_params(ModelParams(**REFERENCE))
+        assert [report is valid for report in reports] == [
+            report.ok for report in alone]
+        return alone
+
+    @pytest.mark.parametrize("field", ["alpha", "s", "k", "n1", "n2", "n3",
+                                       "d", "subsidy_p2", "subsidy_p3"])
+    def test_each_sign_constraint_from_below_zero(self, reference, field):
+        base = reference.with_values(k=100.0) if field == "alpha" else reference
+        values = sign_grid(max(getattr(base, field), 1.0))
+        alone = self.per_entry(base, field, values)
+        sign = "positive" if field in ("alpha", "s", "k") else "nonnegative"
+        named = [any(v.startswith(f"{field} must be {sign}")
+                     for v in report.violations) for report in alone]
+        # a negative value breaks every sign, and a zero of either sign
+        # only a positive field's
+        assert named[:2] == [True, True]
+        assert named[2:4] == [sign == "positive"] * 2
+        assert not any(named[4:])
+
+    @pytest.mark.parametrize("field", ["n2", "n3"])
+    def test_a_base_past_n1(self, reference, field):
+        alone = self.per_entry(reference, field, [0.0, 5.0, 9.5, 10.0, 10.5, 30.0])
+        named = [any(v.startswith("dominant-chain base") for v in report.violations)
+                 for report in alone]
+        assert named == [False, False, False, True, True, True]
+
+    def test_alpha_past_assumption_1_1(self, reference):
+        # a large k keeps assumption 1.2 out of the way up to alpha = 0.5
+        base = reference.with_values(k=100.0)
+        bound = base.s / (2.0 * base.n1 + 1.0)
+        values = [0.5 * bound, bound, 1.5 * bound, 0.5]
+        alone = self.per_entry(base, "alpha", values)
+        assert [any(v.startswith("assumption_1_1") for v in report.violations)
+                for report in alone] == [False, True, True, True]
+
+    def test_k_below_assumption_1_2(self, reference):
+        values = [1.0, K_BOUND / 2, K_BOUND, K_BOUND + 1e-12, 2 * K_BOUND]
+        alone = self.per_entry(reference, "k", values)
+        assert [report.ok for report in alone] == [False, False, False, True, True]
+        assert alone[2].violations == (
+            f"assumption_1_2: k={K_BOUND!r} must exceed "
+            f"4*s+4*alpha*(1+n1+n2)={K_BOUND!r}",)
+
+    def test_s_with_both_ends_invalid(self, reference):
+        values = [1.0 + 3.0 * i / 40 for i in range(41)]
+        alone = self.per_entry(reference, "s", values)
+        assert not alone[0].ok and not alone[-1].ok
+        assert any(report.ok for report in alone)
+
+    @pytest.mark.parametrize("field", ["alpha", "s", "n1", "d"])
+    def test_non_finite_entries(self, reference, field):
+        value = getattr(reference, field)
+        alone = self.per_entry(reference, field, [value, math.inf, math.nan,
+                                                  -math.inf, value])
+        assert [report.ok for report in alone] == [True, False, False, False, True]
+
+    def test_a_base_that_fails_every_entry(self, reference):
+        # a field that is one number and breaks a constraint, or is not
+        # finite, is named in every entry's report
+        for base in (reference.with_values(k=1.0),
+                     reference.with_values(n2=math.nan)):
+            alone = self.per_entry(base, "alpha", [-1.0, 0.05, 0.5, math.inf])
+            assert not any(report.ok for report in alone)
+
+    def test_entries_that_are_not_floats(self, reference):
+        # outside the column contract, each entry is still its own game
+        self.per_entry(reference, "alpha", [0.05, Fraction(1, 20), 1, "x",
+                                            10 ** 400, np.float32(0.1)])
+        self.per_entry(reference.with_values(k=Fraction(20)), "alpha", [0.05, 0.2])
+
+    def test_an_empty_column_has_no_reports(self, reference):
+        assert validate_params(reference.with_values(d=model.Column())) == []
+
+    def test_one_game_gets_one_report(self, reference):
+        valid = validate_params(reference)
+        assert type(valid) is model.ValidationReport
+        assert validate_params(reference.with_values(d=1.0)) is valid
+        report = validate_params(reference.with_values(k=1.0))
+        assert type(report) is model.ValidationReport and not report.ok
+
+    def test_require_valid_names_the_first_invalid_entry(self, reference):
+        columns = reference.with_values(alpha=model.Column([0.05, 0.5, -1.0]))
+        with pytest.raises(InvalidParamsError) as err:
+            require_valid(columns)
+        assert err.value.report == validate_params(reference.with_values(alpha=0.5))
+        with pytest.raises(InvalidParamsError):
+            equilibrium(columns, Scenario.COMPATIBLE)
+        valid = reference.with_values(alpha=model.Column([0.05, 0.1]))
+        require_valid(valid)
+        assert type(equilibrium(valid, Scenario.COMPATIBLE).pA1) is model.Column
+
+    def test_closed_form_shares_the_column(self):
+        assert closed_form.Column is model.Column
+
+
 class TestEnums:
     @pytest.mark.parametrize("name,member", [
         ("same", Scenario.SAME_CHAIN),

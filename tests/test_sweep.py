@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chain_rivalry import closed_form
+from chain_rivalry import closed_form, sweep
 from chain_rivalry.closed_form import (AdoptionDecision, CornerEquilibriumError,
                                        adoption_decision, choose_platform,
                                        subsidy_threshold)
@@ -65,17 +65,20 @@ def point_outcome(table, scenario, j):
 
 @pytest.mark.parametrize("base", ["reference", "off_gate"])
 def test_each_valid_point_is_solved_once(base, reference, monkeypatch):
-    """Every field swept: a scenario whose field set in closed_form
-    (EQUILIBRIUM_READS) holds the swept field is solved in one
-    closed_form.evaluate call on a column of the valid points' values, and
-    any other in one equilibrium call at the first valid point. The
-    threshold report is solved at every valid point when THRESHOLD_READS
-    holds the swept field, else at the first. So s, which every closed
-    form reads, makes three column calls, d and alpha two, k one."""
+    """Every field swept: the grid is checked in one validate_params call,
+    on the sweep's params with the swept field the Column of every grid
+    value. A scenario whose field set in closed_form (EQUILIBRIUM_READS)
+    holds the swept field is solved in one closed_form.evaluate call on a
+    column of the valid points' values, and any other in one equilibrium
+    call at the first valid point. The threshold report is solved at every
+    valid point when THRESHOLD_READS holds the swept field, else at the
+    first. So s, which every closed form reads, makes three column calls,
+    d and alpha two, k one."""
     p = reference if base == "reference" else draws("wide", 2024, 1)[0]
-    columns, calls, reports = [], [], []
+    columns, calls, reports, checks = [], [], [], []
     real_evaluate = closed_form.evaluate
     real, real_threshold = closed_form.equilibrium, closed_form.subsidy_threshold
+    real_validate = sweep.validate_params
 
     def counting_evaluate(point, scenario):
         # equilibrium solves one game through evaluate too; a column
@@ -92,9 +95,14 @@ def test_each_valid_point_is_solved_once(base, reference, monkeypatch):
         reports.append(point)
         return real_threshold(point, validate=validate)
 
+    def counting_validate(point):
+        checks.append(point)
+        return real_validate(point)
+
     monkeypatch.setattr(closed_form, "evaluate", counting_evaluate)
     monkeypatch.setattr(closed_form, "equilibrium", counting)
     monkeypatch.setattr(closed_form, "subsidy_threshold", counting_threshold)
+    monkeypatch.setattr(sweep, "validate_params", counting_validate)
     bounded = past_the_bounds(p)
     swept = set()
     for spec in bounded + crossing_grids(p) + [
@@ -102,7 +110,15 @@ def test_each_valid_point_is_solved_once(base, reference, monkeypatch):
         columns.clear()
         calls.clear()
         reports.clear()
+        checks.clear()
         table = run_sweep(p, spec)
+        # one check of the whole grid, on the Column of its values and
+        # every other field one float
+        assert len(checks) == 1, spec
+        fields = dict(vars(checks[0]))
+        grid = fields.pop(spec.param)
+        assert type(grid) is closed_form.Column and list(grid) == spec.values()
+        assert {type(value) for value in fields.values()} == {float}, spec
         valid = [value for value, th in zip(table.values, table.thresholds)
                  if th is not None]
         if spec in bounded:
